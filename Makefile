@@ -79,6 +79,7 @@ bench-smoke:
 nethost-smoke:
 	$(GO) test -race ./internal/nethost
 	$(GO) test -race -run 'TestNetHost' ./internal/tracker
+	$(GO) test -run 'TestNetHostMatchesOracleOnFixedSchedule' -count=10 ./internal/tracker
 	$(GO) test -run 'FuzzDecodeRegion|FuzzDecodeClusterMessage|FuzzDecodeClusterBatch' ./internal/tracker
 
 # Sharded-kernel smoke: the conservative engine under the race detector
@@ -94,11 +95,14 @@ shards-smoke:
 # Multi-object smoke: the quick E13 fan-out run (concurrent objects with
 # sampled Theorem 4.8/4.9 checks and the batching-beats-k-sends bar), the
 # object-lifecycle regression tests (quiescence eviction, stale-envelope
-# rejection, frame reduction), the E8 worker x shard byte-identity matrix,
-# and the multi-object wire-codec fuzz seed corpora.
+# rejection, frame reduction), the paged object table's property test, the
+# host timer-table regressions and the MoveQuiescent cross-check against the
+# full scan, the E8 worker x shard byte-identity matrix, and the multi-object
+# wire-codec fuzz seed corpora.
 multiobject-smoke:
 	$(GO) run ./cmd/experiments -quick -only E13
-	$(GO) test -run 'TestChurnEvictsToBaseline|TestStaleEnvelopeDoesNotAllocateState|TestMoveSpansSeparateConcurrentObjects' ./internal/tracker
+	$(GO) test -run 'TestChurnEvictsToBaseline|TestStaleEnvelopeDoesNotAllocateState|TestMoveSpansSeparateConcurrentObjects|TestObjTable|TestObjStateIsPointerFree|TestChurnLeavesNoHostTimers|TestMoveQuiescentMatchesFullScan' ./internal/tracker
+	$(GO) test -run 'TestTimerTableHoldsOnlyArmedTimers' ./internal/nethost
 	$(GO) test -run 'TestBatchingReducesFrames|TestDefaultConfigRecordsNoFrames' ./internal/core
 	$(GO) test -run 'TestMultiObjectExperimentByteIdentical' ./internal/experiments
 	$(GO) test -run 'FuzzDecodeRegion|FuzzDecodeClusterMessage|FuzzDecodeClusterBatch' ./internal/tracker

@@ -80,16 +80,23 @@ func BenchmarkBulkAttach(b *testing.B) {
 // timed. events/s is executed engine events over the timed wall clock, so
 // the K=8 ÷ K=1 ratio is the tracker-level speedup cmd/bench gates into
 // BENCH_10.json. K=1 runs the identical replica machinery on one shard, so
-// the ratio isolates what sharding buys (smaller per-stack event tables and
-// K-way concurrent execution) with the workload held fixed — and the
+// the ratio isolates what sharding buys (smaller per-stack tables, maps and
+// heaps, and K-way concurrent execution) with the workload held fixed — and the
 // identity suite (TestParallelTrackerByteIdentity) proves every K computes
-// the same results. The default population is sized so the K=1 kernel's
-// event table is decisively the bottleneck (the regime the parallel
-// tracker exists for): at 2²⁰ objects the sorted-table insert cost makes
-// K=1 superlinearly slow (55k events/s vs 152k at half the population on
-// the same box) while K=2 alone already clears 2×, so the cmd/bench gate
-// holds with margin over single-core scheduling noise — 524288 measured
-// 1.8–2.4× across sessions, too close to a 2× floor.
+// the same results. The default population is 2²⁰ objects because smaller
+// ones left the K=8 ÷ K=1 ratio too close to the 2× floor of the cmd/bench
+// gate (524288 measured 1.8–2.4× across sessions on a single-core box).
+// K=1 is slower than 1/K of the work explains, and not because of the
+// kernel, which is a 4-ary heap: until PR 14 the one K=1 stack paid O(rows)
+// per insert and remove in tracker.objTable (a sorted []*objState of up to
+// 2²⁰ rows at the upper-level processes; per-stack tables are K× smaller)
+// and a MoveQuiescent scan of every row per Settle. With the paged value-row
+// table the curve on one 2-vCPU box went from 149k / 479k / 478k / 591k
+// events/s (K=8 ÷ K=1 = 3.96×) to 219k / 646k / 694k / 722k (3.30×): K=1
+// gained 1.47× and the ratio shrank. What remains of the K=1 → K=2 step
+// (2.95× on two cores) is the single stack's multi-GB heap and the maps that
+// hold an entry per in-flight message (allocator zeroing 24 %, map probes
+// 12 %, GC scanning 11 % of the K=1 profile), not a sorted structure.
 // VINESTALK_PARTRACKER_OBJECTS overrides the population for smoke runs.
 func BenchmarkParallelTracker(b *testing.B) {
 	k := 1048576

@@ -138,6 +138,57 @@ func TestClearTimerSuppressesWakeup(t *testing.T) {
 	}
 }
 
+// TestTimerTableHoldsOnlyArmedTimers is the regression test for the wall
+// timer leak: a dispatched wakeup used to leave its *time.Timer in the
+// node's table for good. After a churn of arms, re-arms and clears has
+// fired out, the table is empty again, and it counts exactly the timers
+// still armed.
+func TestTimerTableHoldsOnlyArmedTimers(t *testing.T) {
+	app := &recApp{}
+	s := startService(t, app, 1)
+	tableSize := func() int {
+		size := make(chan int)
+		if err := s.Inject(0, func(n *Node) { size <- len(n.timers) }); err != nil {
+			t.Fatal(err)
+		}
+		return <-size
+	}
+	const ids = 64
+	if err := s.Inject(0, func(n *Node) {
+		for id := vsa.TimerID(0); id < ids; id++ {
+			n.SetTimer(0, id, n.Now()+time.Duration(1+id%8)*time.Millisecond)
+		}
+		for id := vsa.TimerID(0); id < ids; id += 4 {
+			n.ClearTimer(0, id)
+		}
+		for id := vsa.TimerID(1); id < ids; id += 4 {
+			n.SetTimer(0, id, n.Now()+20*time.Millisecond)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := tableSize(); got > ids-ids/4 {
+		t.Fatalf("table holds %d timers with at most %d armed", got, ids-ids/4)
+	}
+	time.Sleep(100 * time.Millisecond)
+	if got := len(app.recordedFires()); got != ids-ids/4 {
+		t.Fatalf("%d timers fired, want %d", got, ids-ids/4)
+	}
+	if got := tableSize(); got != 0 {
+		t.Fatalf("table holds %d timers after every wakeup was dispatched", got)
+	}
+	if err := s.Inject(0, func(n *Node) {
+		for id := vsa.TimerID(0); id < 3; id++ {
+			n.SetTimer(0, id, n.Now()+time.Hour)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := tableSize(); got != 3 {
+		t.Fatalf("table holds %d timers with 3 armed", got)
+	}
+}
+
 // TestHoldUntilDue: a frame with a future due time must not reach the app
 // before that time, and must arrive after it.
 func TestHoldUntilDue(t *testing.T) {

@@ -28,13 +28,19 @@ type Node struct {
 	// the node goroutine.
 	State any
 
-	// armed mirrors the automaton's recorded deadlines at the host level:
-	// a wall-clock wakeup is dropped unless it carries exactly the deadline
-	// currently armed for its id. Wall timers can fire late and race a
-	// re-arm; this check (plus the automaton's own slot validation) makes
-	// stale wakeups no-ops. Node-goroutine only.
-	armed  map[vsa.TimerID]sim.Time
-	timers map[vsa.TimerID]*time.Timer
+	// timers mirrors the automaton's recorded deadlines at the host level,
+	// one entry per armed id (an entry leaves when its wakeup is dispatched
+	// or the id is cleared): a wall-clock wakeup is dropped unless it
+	// carries exactly the deadline currently armed for its id. Wall timers
+	// can fire late and race a re-arm; this check (plus the automaton's own
+	// slot validation) makes stale wakeups no-ops. Node-goroutine only.
+	timers map[vsa.TimerID]wallTimer
+}
+
+// wallTimer is one armed deadline and the wall timer that will post it.
+type wallTimer struct {
+	at sim.Time
+	t  *time.Timer
 }
 
 type mbMsg struct {
@@ -56,8 +62,7 @@ func newNode(s *Service, u geo.RegionID) *Node {
 		u:      u,
 		dead:   make(chan struct{}),
 		mb:     make(chan mbMsg, s.mailbox),
-		armed:  make(map[vsa.TimerID]sim.Time),
-		timers: make(map[vsa.TimerID]*time.Timer),
+		timers: make(map[vsa.TimerID]wallTimer),
 	}
 	n.aut = s.app.NewAutomaton(u, n)
 	return n
@@ -108,10 +113,10 @@ func (n *Node) dispatch(m mbMsg) {
 	case m.frame != nil:
 		n.svc.app.DeliverFrame(n, m.frame.kind, m.frame.payload)
 	case m.wake:
-		if at, ok := n.armed[m.id]; !ok || at != m.at {
+		if w, ok := n.timers[m.id]; !ok || w.at != m.at {
 			return // stale wakeup: re-armed, cleared, or from a dead timer
 		}
-		delete(n.armed, m.id)
+		delete(n.timers, m.id)
 		// The wakeup carries the exact sim.Time the slot was armed for —
 		// never a wall reading converted back — so the automaton's
 		// slot.at == at equality check cannot be lost to clock skew.
@@ -158,22 +163,20 @@ func (n *Node) SetTimer(u geo.RegionID, id vsa.TimerID, at sim.Time) {
 		n.ClearTimer(u, id)
 		return
 	}
-	n.armed[id] = at
-	if t, ok := n.timers[id]; ok {
+	if w, ok := n.timers[id]; ok {
 		// Best-effort cancel; if the old timer already fired, its wakeup
 		// carries the old deadline and fails the armed check.
-		t.Stop()
+		w.t.Stop()
 	}
-	n.timers[id] = time.AfterFunc(time.Duration(at-n.svc.Now()), func() {
+	n.timers[id] = wallTimer{at: at, t: time.AfterFunc(time.Duration(at-n.svc.Now()), func() {
 		n.post(mbMsg{wake: true, id: id, at: at})
-	})
+	})}
 }
 
 // ClearTimer implements vsa.Host.
 func (n *Node) ClearTimer(u geo.RegionID, id vsa.TimerID) {
-	delete(n.armed, id)
-	if t, ok := n.timers[id]; ok {
-		t.Stop()
+	if w, ok := n.timers[id]; ok {
+		w.t.Stop()
 		delete(n.timers, id)
 	}
 }
@@ -186,8 +189,8 @@ func (n *Node) Emit(u geo.RegionID, effect any) {
 // stopWallTimers cancels outstanding wall timers on node exit. Timers that
 // already fired post to the dead node and are dropped by post.
 func (n *Node) stopWallTimers() {
-	for id, t := range n.timers {
-		t.Stop()
+	for id, w := range n.timers {
+		w.t.Stop()
 		delete(n.timers, id)
 	}
 }

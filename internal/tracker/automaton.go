@@ -28,6 +28,10 @@ type Automaton struct {
 
 	host vsa.Host
 
+	// armedMove is the number of armed grow/shrink timers across all
+	// processes (the sum of Process.armedMove).
+	armedMove int
+
 	procs   []*Process
 	backups []*Process // per cluster, nil without replication or alt head
 	regions map[geo.RegionID]*dispatcher
@@ -152,34 +156,18 @@ func (a *Automaton) Deliver(u geo.RegionID, level int, msg any) {
 func (a *Automaton) TimerFire(u geo.RegionID, id vsa.TimerID, at sim.Time) {
 	level, obj, kind := unpackTimerID(id)
 	pr := a.processAt(u, level)
-	if pr == nil {
+	if pr == nil || kind >= numTimerKinds {
 		return
 	}
 	st := pr.objs.get(obj)
-	if st == nil {
+	if st == nil || st.timers[kind] != at {
 		return
 	}
-	slot := st.slot(kind)
-	if slot == nil || slot.at != at {
-		return
-	}
-	// Like sim.Timer, the deadline reads as ∞ inside the handler (the
-	// handler may re-arm it).
-	slot.at = sim.Forever
-	switch kind {
-	case timerGrowShrink:
-		st.onTimer()
-	case timerNbrTimeout:
-		st.onNbrTimeout()
-	case timerLease:
-		st.onLeaseExpired()
-	case timerNbrLease:
-		st.onNbrLeaseExpired()
-	}
+	pr.fire(st, kind)
 	// A fired timer may have completed the object's teardown (e.g. the
-	// shrink send clearing the last pointer): evict the vector if it
-	// quiesced.
-	pr.maybeEvict(st)
+	// shrink send clearing the last pointer): leave evicts the vector if
+	// it quiesced.
+	pr.leave(st, true)
 }
 
 // ResetRegion implements vsa.Automaton: every process hosted at u returns
@@ -204,7 +192,7 @@ func (a *Automaton) dropRegionState(u geo.RegionID) {
 		return
 	}
 	for _, level := range d.levels {
-		d.byLevel[level].objs.clear()
+		d.byLevel[level].adopt(objTable{}, nil, 0)
 	}
 }
 

@@ -96,7 +96,7 @@ const bulkSettleBudget = 20_000_000
 // cloned from the leader's settled state vector there.
 type spliceJob struct {
 	pr   *Process
-	tmpl *objState
+	tmpl objState   // a copy: the leader's row moves when later groups insert
 	objs []ObjectID // the group's followers, sorted ascending
 }
 
@@ -197,11 +197,10 @@ func (n *Network) AttachObjects(specs []AttachSpec) error {
 				if st == nil {
 					return nil
 				}
-				if st.timer.Armed() || st.nbrTimeout.Armed() ||
-					st.lease.Armed() || st.nbrLease.Armed() || len(st.pending) > 0 {
+				if !st.settled() {
 					return fmt.Errorf("tracker: bulk attach: leader %v not settled at cluster %v", leader, pr.id)
 				}
-				jobs = append(jobs, spliceJob{pr: pr, tmpl: st, objs: followers})
+				jobs = append(jobs, spliceJob{pr: pr, tmpl: *st, objs: followers})
 				return nil
 			}
 			for _, pr := range n.aut.procs {
@@ -309,34 +308,22 @@ func (n *Network) runSplices(jobs []spliceJob) {
 
 // run clones each job's leader vector once per follower and merges all the
 // rows into the process table in a single pass. The templates are settled —
-// no armed timers, no pending finds (asserted at collection) — so the
-// clone copies only the pointer tuple; timer slots start unarmed, exactly
-// as a sequential attach would have left them.
+// no armed timers, no held finds (asserted at collection) — so a clone is
+// the template under the follower's id, exactly as a sequential attach
+// would have left it.
 func (p procSplice) run() {
 	total := 0
 	for _, j := range p.jobs {
 		total += len(j.objs)
 	}
-	arena := make([]objState, total) // one allocation for the whole table delta
-	rows := make([]*objState, 0, total)
+	rows := make([]objState, 0, total)
 	for _, j := range p.jobs {
 		for _, obj := range j.objs {
-			st := &arena[len(rows)]
-			*st = objState{
-				pr:        p.pr,
-				obj:       obj,
-				c:         j.tmpl.c,
-				p:         j.tmpl.p,
-				nbrptup:   j.tmpl.nbrptup,
-				nbrptdown: j.tmpl.nbrptdown,
-			}
-			st.timer = timerSlot{st: st, kind: timerGrowShrink, at: sim.Forever}
-			st.nbrTimeout = timerSlot{st: st, kind: timerNbrTimeout, at: sim.Forever}
-			st.lease = timerSlot{st: st, kind: timerLease, at: sim.Forever}
-			st.nbrLease = timerSlot{st: st, kind: timerNbrLease, at: sim.Forever}
-			rows = append(rows, st)
+			row := j.tmpl
+			row.obj = obj
+			rows = append(rows, row)
 		}
 	}
-	slices.SortFunc(rows, func(a, b *objState) int { return cmp.Compare(a.obj, b.obj) })
+	slices.SortFunc(rows, func(a, b objState) int { return cmp.Compare(a.obj, b.obj) })
 	p.pr.objs.insertBatch(rows)
 }

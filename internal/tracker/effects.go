@@ -79,13 +79,10 @@ func (n *Network) execSend(e sendEffect) {
 		}
 		src = n.h.AltHead(e.From)
 	}
-	key := Transit{Obj: e.Obj, Kind: e.Kind, From: e.From, To: e.To}
-	copies := n.cg.Copies(e.To)
-	n.inflight[key] += copies
 	if err := n.cg.ClusterToClusterFrom(src, e.From, e.To, e.Kind, envelope{Obj: e.Obj, Body: e.Body}); err != nil {
-		n.inflight[key] -= copies
 		return
 	}
+	n.noteSent(e.Obj, e.Kind, e.From, e.To, n.cg.Copies(e.To))
 	if n.objNote != nil {
 		// Key the cascade delivery by the object's current head region
 		// (whose shard owns this object's work under object-sharded

@@ -39,8 +39,7 @@ type emulHost struct {
 	k   *sim.Kernel
 	em  *emul.Emulator
 
-	timers  map[oracleTimerKey]*sim.Timer
-	armedAt map[oracleTimerKey]sim.Time
+	timers hostTimers
 
 	// collecting, while non-nil, redirects host calls into the current
 	// Step's output list instead of executing them. Steps never nest (the
@@ -80,13 +79,12 @@ type timerClearOut struct {
 }
 
 func newEmulHost(n *Network, a *Automaton, delta, tRestart sim.Time) *emulHost {
-	h := &emulHost{
-		net:     n,
-		aut:     a,
-		k:       n.k,
-		timers:  make(map[oracleTimerKey]*sim.Timer),
-		armedAt: make(map[oracleTimerKey]sim.Time),
-	}
+	h := &emulHost{net: n, aut: a, k: n.k}
+	// A wakeup is routed through the emulator as a regular input, carrying
+	// the deadline it was armed for.
+	h.timers = newHostTimers(n.k, func(u geo.RegionID, id vsa.TimerID, at sim.Time) {
+		_ = h.em.Submit(u, emulTimerFire{U: u, ID: id, At: at})
+	})
 	h.em = emul.New(n.k, n.h.Tiling(), h, delta, tRestart,
 		emul.WithOutputSink(h.applyOutput),
 		emul.WithRegionEvents(h.onRegionEvent),
@@ -108,7 +106,7 @@ func (h *emulHost) SetTimer(u geo.RegionID, id vsa.TimerID, at sim.Time) {
 		*h.collecting = append(*h.collecting, emul.Output{Msg: timerArmOut{U: u, ID: id, At: at}})
 		return
 	}
-	h.armTimer(u, id, at)
+	h.timers.arm(u, id, at)
 }
 
 func (h *emulHost) ClearTimer(u geo.RegionID, id vsa.TimerID) {
@@ -116,7 +114,7 @@ func (h *emulHost) ClearTimer(u geo.RegionID, id vsa.TimerID) {
 		*h.collecting = append(*h.collecting, emul.Output{Msg: timerClearOut{U: u, ID: id}})
 		return
 	}
-	h.disarmTimer(u, id)
+	h.timers.disarm(u, id)
 }
 
 func (h *emulHost) Emit(u geo.RegionID, effect any) {
@@ -165,9 +163,9 @@ func (h *emulHost) Step(state []byte, in emul.Input) (next []byte, outputs []emu
 func (h *emulHost) applyOutput(u geo.RegionID, out emul.Output) {
 	switch m := out.Msg.(type) {
 	case timerArmOut:
-		h.armTimer(m.U, m.ID, m.At)
+		h.timers.arm(m.U, m.ID, m.At)
 	case timerClearOut:
-		h.disarmTimer(m.U, m.ID)
+		h.timers.disarm(m.U, m.ID)
 	default:
 		h.net.execEffect(out.Msg)
 	}
@@ -182,12 +180,12 @@ func (h *emulHost) onRegionEvent(ev emul.RegionEvent) {
 	case emul.RegionFailed:
 		// The region's machine state died with its nodes: drop the shared
 		// instance's mirror and every pending host wakeup for the region.
-		h.dropRegionTimers(ev.U)
+		h.timers.disarmRegion(ev.U)
 		h.aut.dropRegionState(ev.U)
 		detail = "state lost with emulating nodes"
 	case emul.RegionRestarted:
 		// Replicas restart from the initial state; mirror that.
-		h.dropRegionTimers(ev.U)
+		h.timers.disarmRegion(ev.U)
 		h.aut.dropRegionState(ev.U)
 		detail = fmt.Sprintf("leader %v from initial state", ev.Leader)
 	case emul.LeaderChanged:
@@ -197,41 +195,6 @@ func (h *emulHost) onRegionEvent(ev emul.RegionEvent) {
 		At: h.k.Now(), Kind: "emul", Obj: -1, Msg: ev.Kind.String(),
 		From: -1, To: -1, Region: int32(ev.U), Level: -1, Detail: detail,
 	})
-}
-
-// --- host timer table ---
-
-func (h *emulHost) armTimer(u geo.RegionID, id vsa.TimerID, at sim.Time) {
-	key := oracleTimerKey{u: u, id: id}
-	t, ok := h.timers[key]
-	if !ok {
-		t = sim.NewTimer(h.k, func() {
-			// Route the wakeup through the emulator as a regular input,
-			// carrying the deadline it was armed for.
-			armed := h.armedAt[key]
-			_ = h.em.Submit(u, emulTimerFire{U: u, ID: id, At: armed})
-		})
-		h.timers[key] = t
-	}
-	h.armedAt[key] = at
-	t.Set(at)
-}
-
-func (h *emulHost) disarmTimer(u geo.RegionID, id vsa.TimerID) {
-	key := oracleTimerKey{u: u, id: id}
-	if t, ok := h.timers[key]; ok {
-		t.Clear()
-	}
-	delete(h.armedAt, key)
-}
-
-func (h *emulHost) dropRegionTimers(u geo.RegionID) {
-	for key, t := range h.timers {
-		if key.u == u {
-			t.Clear()
-			delete(h.armedAt, key)
-		}
-	}
 }
 
 // emulRegionHandler bridges the abstract VSA layer to the emulator: a

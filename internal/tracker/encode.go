@@ -58,44 +58,56 @@ func (a *Automaton) EncodeRegion(u geo.RegionID) []byte {
 	if !ok {
 		return nil
 	}
-	var buf []byte
+	// Size the buffer once from the per-process counts: the floor per row,
+	// each armed grow/shrink timer and each held find. The other timers (a
+	// searching find's nbrtimeout, the heartbeat leases) are not counted
+	// per process; where armed, append grows the buffer.
+	size := 4
+	for _, level := range d.levels {
+		pr := d.byLevel[level]
+		size += 6 + encObjMinSize*pr.objs.len() + 8*pr.armedMove
+		for _, finds := range pr.pending {
+			size += 4 + encPendingSize*len(finds)
+		}
+	}
+	buf := make([]byte, 0, size)
 	buf = binary.BigEndian.AppendUint16(buf, regionStateVersion)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(d.levels)))
 	for _, level := range d.levels {
 		pr := d.byLevel[level]
 		buf = binary.BigEndian.AppendUint16(buf, uint16(level))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(pr.objs.len()))
-		// The table is sorted by object id: one pass, no sort, no map range.
-		for _, st := range pr.objs.s {
+		// The table iterates in ascending object id: one pass, no sort.
+		pr.objs.each(func(st *objState) {
 			buf = binary.BigEndian.AppendUint32(buf, uint32(st.obj))
 			buf = binary.BigEndian.AppendUint32(buf, uint32(st.c))
 			buf = binary.BigEndian.AppendUint32(buf, uint32(st.p))
 			buf = binary.BigEndian.AppendUint32(buf, uint32(st.nbrptup))
 			buf = binary.BigEndian.AppendUint32(buf, uint32(st.nbrptdown))
 			var flags byte
-			slots := [4]sim.Time{st.timer.at, st.nbrTimeout.at, st.lease.at, st.nbrLease.at}
-			for i, at := range slots {
+			for i, at := range st.timers {
 				if at != sim.Forever {
 					flags |= 1 << i
 				}
 			}
-			if len(st.pending) > 0 {
+			if st.finding {
 				flags |= encFlagPending
 			}
 			buf = append(buf, flags)
-			for _, at := range slots {
+			for _, at := range st.timers {
 				if at != sim.Forever {
 					buf = binary.BigEndian.AppendUint64(buf, uint64(at))
 				}
 			}
-			if len(st.pending) > 0 {
-				buf = binary.BigEndian.AppendUint32(buf, uint32(len(st.pending)))
-				for _, p := range st.pending {
+			if st.finding {
+				pending := pr.pending[st.obj]
+				buf = binary.BigEndian.AppendUint32(buf, uint32(len(pending)))
+				for _, p := range pending {
 					buf = binary.BigEndian.AppendUint64(buf, uint64(p.ID))
 					buf = binary.BigEndian.AppendUint32(buf, uint32(p.Origin))
 				}
 			}
-		}
+		})
 	}
 	return buf
 }
@@ -254,8 +266,10 @@ func (a *Automaton) DecodeRegion(u geo.RegionID, state []byte) error {
 		return fmt.Errorf("tracker: region %v state has %d levels, host has %d", u, numLevels, len(d.levels))
 	}
 	type decodedProc struct {
-		pr   *Process
-		objs []*objState
+		pr        *Process
+		objs      objTable
+		pending   map[ObjectID][]FindPayload
+		armedMove int
 	}
 	decoded := make([]decodedProc, 0, numLevels)
 	for i := 0; i < numLevels && r.err == nil; i++ {
@@ -271,10 +285,7 @@ func (a *Automaton) DecodeRegion(u geo.RegionID, state []byte) error {
 		if r.err == nil && numObjs > r.remaining()/objMinSize {
 			return fmt.Errorf("tracker: region %v state claims %d objects with %d bytes left", u, numObjs, r.remaining())
 		}
-		var objs []*objState
-		if numObjs > 0 {
-			objs = make([]*objState, 0, numObjs)
-		}
+		dp := decodedProc{pr: pr}
 		prevObj := ObjectID(0)
 		for j := 0; j < numObjs && r.err == nil; j++ {
 			obj := ObjectID(r.u32())
@@ -282,19 +293,15 @@ func (a *Automaton) DecodeRegion(u geo.RegionID, state []byte) error {
 				return fmt.Errorf("tracker: region %v state object %d after %d, want strictly ascending", u, obj, prevObj)
 			}
 			prevObj = obj
-			st := &objState{
-				pr:        pr,
-				obj:       obj,
-				c:         hier.ClusterID(r.u32()),
-				p:         hier.ClusterID(r.u32()),
-				nbrptup:   hier.ClusterID(r.u32()),
-				nbrptdown: hier.ClusterID(r.u32()),
-			}
-			slots := [4]sim.Time{sim.Forever, sim.Forever, sim.Forever, sim.Forever}
+			st := newObjState(obj)
+			st.c = hier.ClusterID(r.u32())
+			st.p = hier.ClusterID(r.u32())
+			st.nbrptup = hier.ClusterID(r.u32())
+			st.nbrptdown = hier.ClusterID(r.u32())
 			hasPending := false
 			if version == regionStateVersionV1 {
-				for s := range slots {
-					slots[s] = r.decodeTimer()
+				for s := range st.timers {
+					st.timers[s] = r.decodeTimer()
 				}
 				hasPending = true // v1 always carries the pending count
 			} else {
@@ -302,17 +309,13 @@ func (a *Automaton) DecodeRegion(u geo.RegionID, state []byte) error {
 				if r.err == nil && flags&encFlagReserved != 0 {
 					return fmt.Errorf("tracker: region %v state object %d has reserved flag bits %#x", u, obj, flags)
 				}
-				for s := range slots {
+				for s := range st.timers {
 					if flags&(1<<s) != 0 {
-						slots[s] = r.decodeArmedTimer()
+						st.timers[s] = r.decodeArmedTimer()
 					}
 				}
 				hasPending = flags&encFlagPending != 0
 			}
-			st.timer = timerSlot{st: st, kind: timerGrowShrink, at: slots[0]}
-			st.nbrTimeout = timerSlot{st: st, kind: timerNbrTimeout, at: slots[1]}
-			st.lease = timerSlot{st: st, kind: timerLease, at: slots[2]}
-			st.nbrLease = timerSlot{st: st, kind: timerNbrLease, at: slots[3]}
 			if hasPending {
 				numPending := int(r.u32())
 				if r.err == nil && version == regionStateVersion && numPending == 0 {
@@ -322,17 +325,29 @@ func (a *Automaton) DecodeRegion(u geo.RegionID, state []byte) error {
 					return fmt.Errorf("tracker: region %v state claims %d pending finds with %d bytes left", u, numPending, r.remaining())
 				}
 				if numPending > 0 {
-					st.pending = make([]FindPayload, 0, numPending)
-				}
-				for p := 0; p < numPending && r.err == nil; p++ {
-					id := FindID(r.u64())
-					origin := geo.RegionID(r.u32())
-					st.pending = append(st.pending, FindPayload{ID: id, Origin: origin})
+					finds := make([]FindPayload, 0, numPending)
+					for p := 0; p < numPending && r.err == nil; p++ {
+						id := FindID(r.u64())
+						origin := geo.RegionID(r.u32())
+						finds = append(finds, FindPayload{ID: id, Origin: origin})
+					}
+					if dp.pending == nil {
+						dp.pending = make(map[ObjectID][]FindPayload)
+					}
+					dp.pending[obj] = finds
+					st.finding = true
 				}
 			}
-			objs = append(objs, st)
+			if r.err != nil {
+				break
+			}
+			if st.armed(timerGrowShrink) {
+				dp.armedMove++
+			}
+			// Strictly ascending objects are exactly the order push takes.
+			dp.objs.push(st, numObjs)
 		}
-		decoded = append(decoded, decodedProc{pr: pr, objs: objs})
+		decoded = append(decoded, dp)
 	}
 	if r.err != nil {
 		return r.err
@@ -340,10 +355,9 @@ func (a *Automaton) DecodeRegion(u geo.RegionID, state []byte) error {
 	if r.off != len(state) {
 		return fmt.Errorf("tracker: %d trailing bytes in region %v state", len(state)-r.off, u)
 	}
-	// Commit only after a fully successful parse. The objects decoded in
-	// strictly ascending order are exactly the sorted table invariant.
+	// Commit only after a fully successful parse.
 	for _, dp := range decoded {
-		dp.pr.objs = objTable{s: dp.objs}
+		dp.pr.adopt(dp.objs, dp.pending, dp.armedMove)
 	}
 	return nil
 }

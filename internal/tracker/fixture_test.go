@@ -154,3 +154,13 @@ func (f *fixture) assertTracksEvader() {
 		}
 	}
 }
+
+// withState lets a test edit obj's state vector at pr the way one input
+// action would: fn gets the row (or the initial state, if the process holds
+// none), and the result is kept or evicted by the quiescence rule.
+func withState(pr *Process, obj ObjectID, fn func(*objState)) {
+	var scratch objState
+	st, held := pr.enter(obj, &scratch)
+	fn(st)
+	pr.leave(st, held)
+}

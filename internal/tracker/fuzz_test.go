@@ -25,22 +25,22 @@ func encodeRegionV1(a *Automaton, u geo.RegionID) []byte {
 		pr := d.byLevel[level]
 		buf = binary.BigEndian.AppendUint16(buf, uint16(level))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(pr.objs.len()))
-		for _, st := range pr.objs.s {
+		pr.objs.each(func(st *objState) {
 			buf = binary.BigEndian.AppendUint32(buf, uint32(st.obj))
 			buf = binary.BigEndian.AppendUint32(buf, uint32(st.c))
 			buf = binary.BigEndian.AppendUint32(buf, uint32(st.p))
 			buf = binary.BigEndian.AppendUint32(buf, uint32(st.nbrptup))
 			buf = binary.BigEndian.AppendUint32(buf, uint32(st.nbrptdown))
-			buf = binary.BigEndian.AppendUint64(buf, uint64(st.timer.at))
-			buf = binary.BigEndian.AppendUint64(buf, uint64(st.nbrTimeout.at))
-			buf = binary.BigEndian.AppendUint64(buf, uint64(st.lease.at))
-			buf = binary.BigEndian.AppendUint64(buf, uint64(st.nbrLease.at))
-			buf = binary.BigEndian.AppendUint32(buf, uint32(len(st.pending)))
-			for _, p := range st.pending {
+			for _, at := range st.timers {
+				buf = binary.BigEndian.AppendUint64(buf, uint64(at))
+			}
+			pending := pr.pending[st.obj]
+			buf = binary.BigEndian.AppendUint32(buf, uint32(len(pending)))
+			for _, p := range pending {
 				buf = binary.BigEndian.AppendUint64(buf, uint64(p.ID))
 				buf = binary.BigEndian.AppendUint32(buf, uint32(p.Origin))
 			}
-		}
+		})
 	}
 	return buf
 }
@@ -210,8 +210,11 @@ func TestEncodeRegionElidesQuiescentSlots(t *testing.T) {
 	if pr == nil || pr.objs.len() == 0 {
 		t.Fatalf("evader region %v hosts no live level-0 object state", u)
 	}
-	st := pr.objs.s[0]
-	if st.timer.Armed() || st.nbrTimeout.Armed() || st.lease.Armed() || st.nbrLease.Armed() || len(st.pending) > 0 {
+	st := pr.objs.get(DefaultObject)
+	if st == nil {
+		t.Fatalf("evader region %v holds no row for the evader", u)
+	}
+	if !st.settled() {
 		t.Fatalf("settled state unexpectedly busy: %+v", st)
 	}
 	enc := aut.EncodeRegion(u)

@@ -41,6 +41,61 @@ const (
 	KindRefresh = "refresh"
 )
 
+// kindCode is a message kind as a small integer, for registries that key by
+// kind. The alphabet above is closed; any other string maps to kindUnknown.
+type kindCode uint32
+
+const (
+	kindUnknown kindCode = iota
+	kindGrow
+	kindGrowNbr
+	kindGrowPar
+	kindShrink
+	kindShrinkUpd
+	kindFind
+	kindFindQuery
+	kindFindAck
+	kindFound
+	kindRefresh
+)
+
+var kindNames = [...]string{
+	kindUnknown:   "",
+	kindGrow:      KindGrow,
+	kindGrowNbr:   KindGrowNbr,
+	kindGrowPar:   KindGrowPar,
+	kindShrink:    KindShrink,
+	kindShrinkUpd: KindShrinkUpd,
+	kindFind:      KindFind,
+	kindFindQuery: KindFindQuery,
+	kindFindAck:   KindFindAck,
+	kindFound:     KindFound,
+	kindRefresh:   KindRefresh,
+}
+
+func codeOfKind(kind string) kindCode {
+	for c := kindGrow; int(c) < len(kindNames); c++ {
+		if kindNames[c] == kind {
+			return c
+		}
+	}
+	return kindUnknown
+}
+
+// String returns the kind's name in the Fig. 2 alphabet.
+func (c kindCode) String() string { return kindNames[c] }
+
+// moveFamily reports whether the kind belongs to the move side of Fig. 2
+// (everything but the find family and the §VII refresh): the messages whose
+// absence from the channels MoveQuiescent waits for.
+func (c kindCode) moveFamily() bool {
+	switch c {
+	case kindFind, kindFindQuery, kindFindAck, kindRefresh:
+		return false
+	}
+	return true
+}
+
 // ObjectID identifies a tracked mobile object. The paper tracks one
 // evader; the §VII extension tracks several, each with its own
 // independent tracking structure multiplexed over the same processes.

@@ -33,9 +33,18 @@ const (
 	netUnit  = netDelta + netLagE
 )
 
+// scheduleSlack is the wall-clock slip the fixed schedule tolerates: the
+// networked run reproduces the oracle's outputs only while no input lands
+// on the other side of a protocol event it is racing, and goroutine
+// scheduling on a loaded machine slips by milliseconds.
+const scheduleSlack = 4 * netUnit
+
 // oracleRun drives the fixed schedule through the oracle-hosted sim stack
-// and returns its found outputs and quiescent pointer state.
-func oracleRun(t *testing.T, side int, start geo.RegionID, walk, finds []geo.RegionID, phase sim.Time) (map[tracker.FindID]tracker.FindResult, map[int][4]int32) {
+// and returns its found outputs and quiescent pointer state. In phase i the
+// object moves at i·phase and a find is issued findAt later. The schedule
+// checks itself: every move's updates must have settled, and every find
+// must have been answered, scheduleSlack before the next input.
+func oracleRun(t *testing.T, side int, start geo.RegionID, walk, finds []geo.RegionID, phase, findAt sim.Time) (map[tracker.FindID]tracker.FindResult, map[int][4]int32) {
 	t.Helper()
 	k := sim.New(42)
 	tiling := geo.MustGridTiling(side, side)
@@ -66,13 +75,23 @@ func oracleRun(t *testing.T, side int, start geo.RegionID, walk, finds []geo.Reg
 	}
 	net.AttachEvader(ev.Region)
 
+	var lastFind tracker.FindID
 	for i, to := range walk {
-		k.RunUntil(sim.Time(i+1) * phase)
+		moveAt := sim.Time(i+1) * phase
+		k.RunUntil(moveAt - scheduleSlack)
+		if lastFind != 0 && !net.FindDone(lastFind) {
+			t.Fatalf("schedule too tight: find %d unanswered %v before move %d", lastFind, scheduleSlack, i)
+		}
+		k.RunUntil(moveAt)
 		if err := ev.MoveTo(to); err != nil {
 			t.Fatal(err)
 		}
-		k.RunUntil(sim.Time(i+1)*phase + phase/2)
-		if _, err := net.Find(finds[i%len(finds)]); err != nil {
+		k.RunUntil(moveAt + findAt - scheduleSlack)
+		if !net.MoveQuiescent() {
+			t.Fatalf("schedule too tight: move %d unsettled %v before its find", i, scheduleSlack)
+		}
+		k.RunUntil(moveAt + findAt)
+		if lastFind, err = net.Find(finds[i%len(finds)]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,15 +160,19 @@ func netPointerState(t *testing.T, nh *tracker.NetHost, h *hier.Hierarchy) *look
 // (lookAhead(state) == atomicMoveSeq(trail)).
 func TestNetHostMatchesOracleOnFixedSchedule(t *testing.T) {
 	if testing.Short() {
-		t.Skip("real-time schedule (~3s)")
+		t.Skip("real-time schedule (~6s)")
 	}
 	const side = 4
-	const phase = 300 * time.Millisecond
+	// On this walk the slowest move settles 294 ms after its input and the
+	// slowest find is answered 146 ms after its own; oracleRun fails if
+	// either comes within scheduleSlack of the next input.
+	const phase = 600 * time.Millisecond
+	const findAt = 360 * time.Millisecond
 	start := geo.RegionID(0)
 	walk := []geo.RegionID{1, 5, 6, 10, 11, 15, 14, 10}
 	finds := []geo.RegionID{0, 3, 12, 15, 6}
 
-	oFounds, oPtrs := oracleRun(t, side, start, walk, finds, phase)
+	oFounds, oPtrs := oracleRun(t, side, start, walk, finds, phase, findAt)
 	if len(oFounds) != len(walk) {
 		t.Fatalf("oracle completed %d finds, want %d", len(oFounds), len(walk))
 	}
@@ -171,17 +194,31 @@ func TestNetHostMatchesOracleOnFixedSchedule(t *testing.T) {
 	if err := nh.PlaceObject(tracker.DefaultObject, start); err != nil {
 		t.Fatal(err)
 	}
+	// The schedule is a sequence of inputs first and wall-clock instants
+	// second: when this goroutine or the nodes' are held up (a stolen vCPU
+	// stalls them for hundreds of milliseconds), an input waits for the
+	// protocol event the oracle's schedule puts before it — findAt after the
+	// move actually went in, scheduleSlack after the found actually came
+	// out — instead of overtaking it. On time, nothing below waits longer.
 	cur := start
+	next := phase
 	for i, to := range walk {
-		waitUntil(svc, sim.Time(i+1)*phase)
+		waitUntil(svc, next)
 		if err := nh.MoveObject(tracker.DefaultObject, cur, to); err != nil {
 			t.Fatal(err)
 		}
 		cur = to
-		waitUntil(svc, sim.Time(i+1)*phase+phase/2)
-		if _, err := nh.Find(finds[i%len(finds)]); err != nil {
+		waitUntil(svc, max(sim.Time(i+1)*phase, svc.Now())+findAt)
+		id, err := nh.Find(finds[i%len(finds)])
+		if err != nil {
 			t.Fatal(err)
 		}
+		for giveUp := time.Now().Add(5 * time.Second); !nh.FindDone(id); time.Sleep(time.Millisecond) {
+			if time.Now().After(giveUp) {
+				t.Fatalf("find %d unanswered after 5s", id)
+			}
+		}
+		next = max(sim.Time(i+2)*phase, svc.Now()+scheduleSlack)
 	}
 	// Quiesce: every schedule delay is bounded well under a second on this
 	// geometry; give the cascade generous slack.

@@ -42,14 +42,23 @@ func (hb *HeartbeatConfig) leaseFor(level int) sim.Time {
 	return hb.leases[level]
 }
 
-// Transit describes one in-flight protocol message; it doubles as the key
-// of the in-transit registry consumed by the lookAhead checker (Fig. 3
-// needs the set of grow/shrink-family messages in channels).
+// Transit describes one in-flight protocol message, as the lookAhead
+// checker consumes it (Fig. 3 needs the set of grow/shrink-family messages
+// in channels).
 type Transit struct {
 	Obj  ObjectID
 	Kind string
 	From hier.ClusterID // NoCluster for client-originated messages
 	To   hier.ClusterID
+}
+
+// transitKey is a Transit as the in-transit registry keys it: the kind as
+// its code, so the key is four words with no string to hash.
+type transitKey struct {
+	obj  ObjectID
+	kind kindCode
+	from hier.ClusterID
+	to   hier.ClusterID
 }
 
 // Network instantiates the Tracker automaton (one process per cluster)
@@ -72,14 +81,17 @@ type Network struct {
 	emulHost *emulHost // nil on the oracle host
 	clients  map[vsa.ClientID]*Client
 
-	inflight map[Transit]int
-	findSeq  FindID
-	started  map[FindID]sim.Time
-	done     map[FindID]bool
-	onFound  func(FindResult)
-	evaderAt map[ObjectID]func() geo.RegionID
-	findObj  map[FindID]ObjectID
-	tr       *trace.Tracer
+	inflight map[transitKey]int
+	// moveInflight is the part of inflight that belongs to the grow/shrink
+	// family: what MoveQuiescent waits for.
+	moveInflight int
+	findSeq      FindID
+	started      map[FindID]sim.Time
+	done         map[FindID]bool
+	onFound      func(FindResult)
+	evaderAt     map[ObjectID]func() geo.RegionID
+	findObj      map[FindID]ObjectID
+	tr           *trace.Tracer
 	// objRegion tracks each object's current (last entered) region — the
 	// head region whose shard owns the object's cascade work under
 	// object-sharded scheduling (see WithObjectSendNote).
@@ -196,7 +208,7 @@ func New(cg *cgcast.Service, geom hier.Geometry, opts ...Option) (*Network, erro
 		geom:       geom,
 		sched:      DefaultSchedule(geom, cg.Unit()),
 		clients:    make(map[vsa.ClientID]*Client),
-		inflight:   make(map[Transit]int),
+		inflight:   make(map[transitKey]int),
 		started:    make(map[FindID]sim.Time),
 		done:       make(map[FindID]bool),
 		evaderAt:   make(map[ObjectID]func() geo.RegionID),
@@ -300,12 +312,10 @@ func (n *Network) BackupProcess(c hier.ClusterID) *Process {
 
 // sendFromClient transmits a client message to a level-0 cluster.
 func (n *Network) sendFromClient(obj ObjectID, id vsa.ClientID, to hier.ClusterID, kind string, body any) error {
-	key := Transit{Obj: obj, Kind: kind, From: hier.NoCluster, To: to}
-	n.inflight[key]++
 	if err := n.cg.ClientToCluster(id, to, kind, envelope{Obj: obj, Body: body}); err != nil {
-		n.inflight[key]--
 		return err
 	}
+	n.noteSent(obj, kind, hier.NoCluster, to, 1)
 	if n.tr.Enabled() {
 		region := int32(-1)
 		if c, ok := n.clients[id]; ok {
@@ -341,18 +351,34 @@ func (n *Network) opFor(obj ObjectID, kind string, body any) uint64 {
 // latest entry is traced under trace.OpMoveFor(obj, MoveEpoch(obj)).
 func (n *Network) MoveEpoch(obj ObjectID) uint64 { return n.moveEpochs[obj] }
 
+// noteSent enters copies of a message the C-gcast service accepted into the
+// in-transit registry. Every delivery goes through the kernel, so none can
+// arrive before its send is noted.
+func (n *Network) noteSent(obj ObjectID, kind string, from, to hier.ClusterID, copies int) {
+	code := codeOfKind(kind)
+	n.inflight[transitKey{obj: obj, kind: code, from: from, to: to}] += copies
+	if code.moveFamily() {
+		n.moveInflight += copies
+	}
+}
+
 // noteDelivered removes a delivered message from the in-transit registry.
 func (n *Network) noteDelivered(d cgcast.Delivery, to hier.ClusterID) {
 	env, ok := d.Payload.(envelope)
 	if !ok {
 		return
 	}
-	key := Transit{Obj: env.Obj, Kind: d.Kind, From: d.From, To: to}
-	if n.inflight[key] > 0 {
-		n.inflight[key]--
-		if n.inflight[key] == 0 {
-			delete(n.inflight, key)
-		}
+	key := transitKey{obj: env.Obj, kind: codeOfKind(d.Kind), from: d.From, to: to}
+	switch cnt := n.inflight[key]; {
+	case cnt <= 0:
+		return
+	case cnt == 1:
+		delete(n.inflight, key)
+	default:
+		n.inflight[key] = cnt - 1
+	}
+	if key.kind.moveFamily() {
+		n.moveInflight--
 	}
 }
 
@@ -525,23 +551,7 @@ func (n *Network) reportFound(obj ObjectID, p FindPayload, at geo.RegionID) {
 // grow/shrink-family messages in flight and no armed grow/shrink timers.
 // Experiments use it to detect that a move's updates terminated (Thm 4.5).
 func (n *Network) MoveQuiescent() bool {
-	for key, cnt := range n.inflight {
-		if cnt > 0 && key.Kind != KindFind && key.Kind != KindFindQuery &&
-			key.Kind != KindFindAck && key.Kind != KindRefresh {
-			return false
-		}
-	}
-	for _, pr := range n.aut.procs {
-		if pr.Busy() {
-			return false
-		}
-	}
-	for _, pr := range n.aut.backups {
-		if pr != nil && pr.Busy() {
-			return false
-		}
-	}
-	return true
+	return n.moveInflight == 0 && n.aut.armedMove == 0
 }
 
 // InTransit returns the in-flight protocol messages (sorted, for
@@ -549,8 +559,9 @@ func (n *Network) MoveQuiescent() bool {
 func (n *Network) InTransit() []Transit {
 	var out []Transit
 	for key, cnt := range n.inflight {
+		t := Transit{Obj: key.obj, Kind: key.kind.String(), From: key.from, To: key.to}
 		for i := 0; i < cnt; i++ {
-			out = append(out, key)
+			out = append(out, t)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

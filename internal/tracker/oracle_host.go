@@ -16,46 +16,103 @@ type oracleHost struct {
 	net    *Network
 	aut    *Automaton
 	k      *sim.Kernel
-	timers map[oracleTimerKey]*sim.Timer
-}
-
-type oracleTimerKey struct {
-	u  geo.RegionID
-	id vsa.TimerID
+	timers hostTimers
 }
 
 func newOracleHost(n *Network, a *Automaton) *oracleHost {
-	return &oracleHost{
-		net:    n,
-		aut:    a,
-		k:      n.k,
-		timers: make(map[oracleTimerKey]*sim.Timer),
-	}
+	h := &oracleHost{net: n, aut: a, k: n.k}
+	h.timers = newHostTimers(n.k, a.TimerFire)
+	return h
 }
 
 var _ vsa.Host = (*oracleHost)(nil)
 
 func (h *oracleHost) Now() sim.Time { return h.k.Now() }
 
-// SetTimer arms a kernel timer for the slot; the timer is created lazily
-// once per (region, id) and reused thereafter, exactly like the timer
-// fields of the pre-refactor objState.
 func (h *oracleHost) SetTimer(u geo.RegionID, id vsa.TimerID, at sim.Time) {
-	key := oracleTimerKey{u: u, id: id}
-	t, ok := h.timers[key]
-	if !ok {
-		t = sim.NewTimer(h.k, func() {
-			h.aut.TimerFire(u, id, h.k.Now())
-		})
-		h.timers[key] = t
-	}
-	t.Set(at)
+	h.timers.arm(u, id, at)
 }
 
 func (h *oracleHost) ClearTimer(u geo.RegionID, id vsa.TimerID) {
-	if t, ok := h.timers[oracleTimerKey{u: u, id: id}]; ok {
-		t.Clear()
+	h.timers.disarm(u, id)
+}
+
+// hostTimers is the wakeup service of the two sim hosts: one kernel timer
+// per armed (region, id). An entry leaves the table when its timer fires or
+// is cleared, so the table holds exactly the armed timers however many
+// (region, level, object, kind) slots a run has ever armed; the kernel
+// timers themselves are recycled through a free list, so steady-state
+// arming allocates nothing. Arming costs one Kernel.At whether the entry is
+// new or re-armed, so the kernel's event sequence does not depend on the
+// table's history.
+type hostTimers struct {
+	k     *sim.Kernel
+	fire  func(u geo.RegionID, id vsa.TimerID, at sim.Time)
+	armed map[hostTimerKey]*hostTimer
+	free  []*hostTimer
+}
+
+type hostTimerKey struct {
+	u  geo.RegionID
+	id vsa.TimerID
+}
+
+// hostTimer is one kernel timer and the slot it is currently armed for.
+type hostTimer struct {
+	key hostTimerKey
+	at  sim.Time
+	t   *sim.Timer
+}
+
+// newHostTimers builds an empty table whose wakeups call fire with the
+// deadline they were armed for.
+func newHostTimers(k *sim.Kernel, fire func(geo.RegionID, vsa.TimerID, sim.Time)) hostTimers {
+	return hostTimers{k: k, fire: fire, armed: make(map[hostTimerKey]*hostTimer)}
+}
+
+// arm sets (or re-sets) the wakeup of (u, id) to at.
+func (ht *hostTimers) arm(u geo.RegionID, id vsa.TimerID, at sim.Time) {
+	key := hostTimerKey{u: u, id: id}
+	e, ok := ht.armed[key]
+	if !ok {
+		if n := len(ht.free); n > 0 {
+			e, ht.free = ht.free[n-1], ht.free[:n-1]
+		} else {
+			e = &hostTimer{}
+			e.t = sim.NewTimer(ht.k, func() {
+				ht.release(e)
+				ht.fire(e.key.u, e.key.id, e.at)
+			})
+		}
+		e.key = key
+		ht.armed[key] = e
 	}
+	e.at = at
+	e.t.Set(at)
+}
+
+// disarm cancels the wakeup of (u, id), if armed.
+func (ht *hostTimers) disarm(u geo.RegionID, id vsa.TimerID) {
+	if e, ok := ht.armed[hostTimerKey{u: u, id: id}]; ok {
+		e.t.Clear()
+		ht.release(e)
+	}
+}
+
+// disarmRegion cancels every wakeup of region u.
+func (ht *hostTimers) disarmRegion(u geo.RegionID) {
+	for key, e := range ht.armed {
+		if key.u == u {
+			e.t.Clear()
+			ht.release(e)
+		}
+	}
+}
+
+// release takes a fired or cleared timer out of the table.
+func (ht *hostTimers) release(e *hostTimer) {
+	delete(ht.armed, e.key)
+	ht.free = append(ht.free, e)
 }
 
 // Emit executes the effect immediately against the live network.

@@ -1,8 +1,6 @@
 package tracker
 
 import (
-	"sort"
-
 	"vinestalk/internal/cgcast"
 	"vinestalk/internal/geo"
 	"vinestalk/internal/hier"
@@ -22,7 +20,7 @@ import (
 // A Process is part of the pure Tracker Automaton: it holds no network or
 // kernel handles. Sends, found broadcasts, and instrumentation notes are
 // emitted as effects through the automaton's host, and its timer variables
-// are recorded deadlines (timerSlot) whose wakeups the host routes back
+// are recorded deadlines (objState.timers) whose wakeups the host routes back
 // via Automaton.TimerFire — which is what lets the same process state be
 // serialized, replicated, and replayed by the emulation host.
 type Process struct {
@@ -33,87 +31,31 @@ type Process struct {
 	backup bool // replica at the alternate head (§VII quorum extension)
 
 	objs objTable
+	// pending holds the finds a row with its finding bit set is holding, in
+	// arrival order (part of the machine state). It is a side map because
+	// table rows are pointer-free; nil until the first find is held.
+	pending map[ObjectID][]FindPayload
+	// armedMove counts rows whose grow/shrink timer is armed; the automaton
+	// keeps the sum over its processes for Network.MoveQuiescent.
+	armedMove int
 }
 
-// objTable is the per-process object-state table: object-major, sorted by
-// ObjectID, looked up by binary search. A sorted slice instead of a map
-// keeps the encode/decode/replication path linear in live objects with no
-// per-iteration sort or map-range allocation, and — together with the
-// quiescence eviction below — makes a process's footprint proportional to
-// the objects currently rooted through it, not the objects ever seen.
-// Entries are pointers because timerSlot wakeups hold *objState backrefs.
-type objTable struct {
-	s []*objState
-}
-
-// search returns the index of obj, or the insertion index and false.
-func (t *objTable) search(obj ObjectID) (int, bool) {
-	i := sort.Search(len(t.s), func(i int) bool { return t.s[i].obj >= obj })
-	return i, i < len(t.s) && t.s[i].obj == obj
-}
-
-// get returns the state vector for obj, or nil.
-func (t *objTable) get(obj ObjectID) *objState {
-	if i, ok := t.search(obj); ok {
-		return t.s[i]
-	}
-	return nil
-}
-
-// insert adds a state vector at its sorted position (obj must be absent).
-func (t *objTable) insert(st *objState) {
-	i, _ := t.search(st.obj)
-	t.s = append(t.s, nil)
-	copy(t.s[i+1:], t.s[i:])
-	t.s[i] = st
-}
-
-// insertBatch splices rows — sorted ascending by obj, distinct, and all
-// absent from the table — in one backward merge pass: one slice grow and
-// O(n+k) moves instead of k binary searches with k O(n) shifts. This is the
-// bulk-attach fast path; a duplicate object is a caller bug and panics.
-func (t *objTable) insertBatch(rows []*objState) {
-	if len(rows) == 0 {
-		return
-	}
-	old := len(t.s)
-	t.s = append(t.s, rows...) // grow; tail is overwritten by the merge
-	i, j := old-1, len(rows)-1
-	for w := len(t.s) - 1; j >= 0; w-- {
-		if i >= 0 && t.s[i].obj == rows[j].obj {
-			panic("tracker: insertBatch object already present")
-		}
-		if i >= 0 && t.s[i].obj > rows[j].obj {
-			t.s[w] = t.s[i]
-			i--
-		} else {
-			t.s[w] = rows[j]
-			j--
-		}
-	}
-}
-
-// remove evicts obj's state vector, if present.
-func (t *objTable) remove(obj ObjectID) {
-	if i, ok := t.search(obj); ok {
-		copy(t.s[i:], t.s[i+1:])
-		t.s[len(t.s)-1] = nil
-		t.s = t.s[:len(t.s)-1]
-	}
-}
-
-// len returns the number of live state vectors.
-func (t *objTable) len() int { return len(t.s) }
-
-// clear drops every state vector.
-func (t *objTable) clear() { t.s = nil }
-
-// objState is one object's Fig. 2 state vector at this process. Field
-// names mirror the figure: c (child pointer), p (path parent), nbrptup and
-// nbrptdown (secondary tracking pointers), the single grow/shrink timer,
-// the finding flag (here: the pending find set), and nbrtimeout.
+// objState is one object's Fig. 2 state vector at this process: a
+// pointer-free value row of the process's objTable. Field names mirror the
+// figure: c (child pointer), p (path parent), nbrptup and nbrptdown
+// (secondary tracking pointers), finding, and the timer variables — the
+// single grow/shrink timer, nbrtimeout, and the two §VII heartbeat leases
+// (inert when the network has no heartbeat configuration: lease guards the
+// primary pointers c and p, nbrLease the secondary pointers, which are
+// renewed by the growPar/growNbr re-announcements that refresh propagation
+// triggers).
+//
+// A row does not know its process: every action is a Process method taking
+// the row. An input action looks the row up once on entry and uses that
+// pointer until it returns; this is sound because no action re-enters its
+// own table — every send goes through the host's C-gcast, never straight
+// into another receive.
 type objState struct {
-	pr  *Process
 	obj ObjectID
 
 	c         hier.ClusterID
@@ -121,55 +63,50 @@ type objState struct {
 	nbrptup   hier.ClusterID
 	nbrptdown hier.ClusterID
 
-	timer      timerSlot
-	pending    []FindPayload
-	nbrTimeout timerSlot
+	// finding is Fig. 2's flag: the process holds at least one find for
+	// the object, kept in Process.pending[obj].
+	finding bool
 
-	// lease and nbrLease implement the §VII heartbeat extension; inert
-	// when the network has no heartbeat configuration. lease guards the
-	// primary pointers (c, p); nbrLease guards the secondary pointers,
-	// which are renewed by the growPar/growNbr re-announcements that
-	// refresh propagation triggers.
-	lease    timerSlot
-	nbrLease timerSlot
+	// timers are the TIOA timer variables, indexed by timerKind: recorded
+	// deadlines that are either a finite virtual time or ∞ (sim.Forever).
+	// They are part of the serialized region state; Process.setTimer
+	// mirrors each write to the host's wakeup service, whose fires the
+	// automaton validates against the recorded deadline (stale wakeups are
+	// no-ops).
+	timers [numTimerKinds]sim.Time
 }
 
-// timerSlot is one TIOA timer variable of the automaton state: a recorded
-// deadline that is either a finite virtual time or ∞ (Forever). The slot
-// value is part of the serialized region state; arming and clearing are
-// mirrored to the host's wakeup service, whose fires the automaton
-// validates against the recorded deadline (stale wakeups are no-ops).
-type timerSlot struct {
-	st   *objState
-	kind timerKind
-	at   sim.Time
-}
+// unarmed is the timer variables of a vector with no deadline recorded.
+var unarmed = [numTimerKinds]sim.Time{sim.Forever, sim.Forever, sim.Forever, sim.Forever}
 
-// Set arms the slot to fire at absolute virtual time at; Forever clears.
-func (t *timerSlot) Set(at sim.Time) {
-	t.at = at
-	pr := t.st.pr
-	id := packTimerID(pr.level, t.st.obj, t.kind)
-	if at == sim.Forever {
-		pr.aut.host.ClearTimer(pr.region, id)
-		return
+// newObjState returns the initial (quiescent) state vector for obj.
+func newObjState(obj ObjectID) objState {
+	return objState{
+		obj:       obj,
+		c:         hier.NoCluster,
+		p:         hier.NoCluster,
+		nbrptup:   hier.NoCluster,
+		nbrptdown: hier.NoCluster,
+		timers:    unarmed,
 	}
-	pr.aut.host.SetTimer(pr.region, id, at)
 }
 
-// SetAfter arms the slot delay after the current time, saturating at ∞.
-func (t *timerSlot) SetAfter(delay sim.Time) {
-	t.Set(sim.Add(t.st.pr.aut.host.Now(), delay))
+// armed reports whether the timer variable has a finite deadline.
+func (st *objState) armed(kind timerKind) bool { return st.timers[kind] != sim.Forever }
+
+// settled reports whether the vector is a pure pointer tuple: no armed
+// timer of any kind and no held find.
+func (st *objState) settled() bool { return !st.finding && st.timers == unarmed }
+
+// quiescent reports whether the state vector equals the initial state: all
+// four pointers nil, no held find, and no armed timer of any kind. A
+// quiescent vector carries no information the initial state would not
+// reproduce, which is what makes dropping it semantics-preserving.
+func (st *objState) quiescent() bool {
+	return st.c == hier.NoCluster && st.p == hier.NoCluster &&
+		st.nbrptup == hier.NoCluster && st.nbrptdown == hier.NoCluster &&
+		st.settled()
 }
-
-// Clear disarms the slot (deadline ← ∞).
-func (t *timerSlot) Clear() { t.Set(sim.Forever) }
-
-// Deadline returns the recorded deadline, Forever if unarmed.
-func (t *timerSlot) Deadline() sim.Time { return t.at }
-
-// Armed reports whether the slot has a finite deadline.
-func (t *timerSlot) Armed() bool { return t.at != sim.Forever }
 
 func newProcess(aut *Automaton, id hier.ClusterID, region geo.RegionID) *Process {
 	return &Process{
@@ -183,78 +120,81 @@ func newProcess(aut *Automaton, id hier.ClusterID, region geo.RegionID) *Process
 // emit hands an effect to the host on behalf of this process's region.
 func (pr *Process) emit(eff any) { pr.aut.host.Emit(pr.region, eff) }
 
-// state returns (lazily creating) the state vector for one object. The
-// created vector is exactly the quiescent/initial state, which is what
-// makes the eviction in maybeEvict semantics-preserving: evict-then-
-// recreate is indistinguishable from having kept the vector around.
-func (pr *Process) state(obj ObjectID) *objState {
+// recordDeadline writes a timer variable without telling the host, keeping
+// the armed grow/shrink counts in step.
+func (pr *Process) recordDeadline(st *objState, kind timerKind, at sim.Time) {
+	if kind == timerGrowShrink && st.armed(kind) != (at != sim.Forever) {
+		d := 1
+		if at == sim.Forever {
+			d = -1
+		}
+		pr.armedMove += d
+		pr.aut.armedMove += d
+	}
+	st.timers[kind] = at
+}
+
+// setTimer assigns a timer variable of st — an absolute virtual time, or
+// Forever to clear it — and mirrors the write to the host.
+func (pr *Process) setTimer(st *objState, kind timerKind, at sim.Time) {
+	pr.recordDeadline(st, kind, at)
+	id := packTimerID(pr.level, st.obj, kind)
+	if at == sim.Forever {
+		pr.aut.host.ClearTimer(pr.region, id)
+		return
+	}
+	pr.aut.host.SetTimer(pr.region, id, at)
+}
+
+// setTimerAfter arms a timer delay after the current time, saturating at ∞.
+func (pr *Process) setTimerAfter(st *objState, kind timerKind, delay sim.Time) {
+	pr.setTimer(st, kind, sim.Add(pr.aut.host.Now(), delay))
+}
+
+// clearTimer disarms a timer (deadline ← ∞).
+func (pr *Process) clearTimer(st *objState, kind timerKind) { pr.setTimer(st, kind, sim.Forever) }
+
+// enter begins an input action for obj: it returns the object's row, or —
+// when the process holds none — scratch initialized to the quiescent state.
+// The action runs against the returned pointer and ends with leave.
+func (pr *Process) enter(obj ObjectID, scratch *objState) (st *objState, held bool) {
 	if st := pr.objs.get(obj); st != nil {
-		return st
+		return st, true
 	}
-	st := &objState{
-		pr:        pr,
-		obj:       obj,
-		c:         hier.NoCluster,
-		p:         hier.NoCluster,
-		nbrptup:   hier.NoCluster,
-		nbrptdown: hier.NoCluster,
-	}
-	st.timer = timerSlot{st: st, kind: timerGrowShrink, at: sim.Forever}
-	st.nbrTimeout = timerSlot{st: st, kind: timerNbrTimeout, at: sim.Forever}
-	st.lease = timerSlot{st: st, kind: timerLease, at: sim.Forever}
-	st.nbrLease = timerSlot{st: st, kind: timerNbrLease, at: sim.Forever}
-	pr.objs.insert(st)
-	return st
+	*scratch = newObjState(obj)
+	return scratch, false
 }
 
-// quiescent reports whether the state vector equals the initial state: all
-// four pointers nil, no pending find, and no armed timer of any kind. A
-// quiescent vector carries no information the lazily-created initial state
-// would not reproduce.
-func (st *objState) quiescent() bool {
-	return st.c == hier.NoCluster && st.p == hier.NoCluster &&
-		st.nbrptup == hier.NoCluster && st.nbrptdown == hier.NoCluster &&
-		len(st.pending) == 0 &&
-		!st.timer.Armed() && !st.nbrTimeout.Armed() &&
-		!st.lease.Armed() && !st.nbrLease.Armed()
-}
-
-// maybeEvict drops the state vector if it has quiesced — the object is no
-// longer rooted through this process, so its row leaves the table (and the
-// region encoding) until a future message legitimately re-creates it. The
-// hooks sit at the end of every input action (receive, TimerFire), the
-// only places a vector can transition into quiescence.
-func (pr *Process) maybeEvict(st *objState) {
-	if st.quiescent() {
+// leave ends an input action — the only place a vector can change between
+// quiescent and not. A scratch row the action left non-quiescent enters the
+// table; a table row it left quiescent is evicted (the object is no longer
+// rooted through this process) until a future message re-creates it. Traffic
+// that implies no structure — a shrink for an unknown object, a stale
+// replayed frame — therefore never touches the table.
+func (pr *Process) leave(st *objState, held bool) {
+	switch quiet := st.quiescent(); {
+	case held && quiet:
 		pr.objs.remove(st.obj)
+	case !held && !quiet:
+		pr.objs.insert(*st)
 	}
 }
 
-// slot returns the timer slot of the given kind, or nil.
-func (st *objState) slot(kind timerKind) *timerSlot {
-	switch kind {
-	case timerGrowShrink:
-		return &st.timer
-	case timerNbrTimeout:
-		return &st.nbrTimeout
-	case timerLease:
-		return &st.lease
-	case timerNbrLease:
-		return &st.nbrLease
-	}
-	return nil
+// adopt replaces the process's whole machine state (decode, failure).
+func (pr *Process) adopt(objs objTable, pending map[ObjectID][]FindPayload, armedMove int) {
+	pr.aut.armedMove += armedMove - pr.armedMove
+	pr.objs, pr.pending, pr.armedMove = objs, pending, armedMove
 }
 
 // reset returns the process to its initial state (VSA failure/restart),
 // clearing armed deadlines through the host.
 func (pr *Process) reset() {
-	for _, st := range pr.objs.s {
-		st.timer.Clear()
-		st.nbrTimeout.Clear()
-		st.lease.Clear()
-		st.nbrLease.Clear()
-	}
-	pr.objs.clear()
+	pr.objs.each(func(st *objState) {
+		for kind := timerKind(0); kind < numTimerKinds; kind++ {
+			pr.clearTimer(st, kind)
+		}
+	})
+	pr.adopt(objTable{}, nil, 0)
 }
 
 // Cluster returns the cluster this process tracks for.
@@ -285,17 +225,6 @@ func (pr *Process) PointersFor(obj ObjectID) (c, p, up, down hier.ClusterID) {
 // to objects rooted through the process.
 func (pr *Process) LiveObjects() int { return pr.objs.len() }
 
-// Busy reports whether the process holds move-related obligations (an
-// armed grow/shrink timer for any object); used for quiescence detection.
-func (pr *Process) Busy() bool {
-	for _, st := range pr.objs.s {
-		if st.timer.Armed() {
-			return true
-		}
-	}
-	return false
-}
-
 // receive dispatches a C-gcast delivery to the Fig. 2 input actions of the
 // addressed object's state vector.
 func (pr *Process) receive(d cgcast.Delivery) {
@@ -309,42 +238,57 @@ func (pr *Process) receive(d cgcast.Delivery) {
 	if cid == hier.NoCluster {
 		cid = pr.id
 	}
-	st := pr.state(env.Obj)
-	st.sanitize()
+	var scratch objState
+	st, held := pr.enter(env.Obj, &scratch)
+	pr.sanitize(st)
 	switch d.Kind {
 	case KindGrow:
 		pr.emit(growNoteEffect{Level: pr.level})
-		st.onGrow(cid)
+		pr.onGrow(st, cid)
 	case KindGrowNbr:
-		st.onGrowNbr(cid)
+		pr.onGrowNbr(st, cid)
 	case KindGrowPar:
-		st.onGrowPar(cid)
+		pr.onGrowPar(st, cid)
 	case KindShrink:
-		st.onShrink(cid)
+		pr.onShrink(st, cid)
 	case KindShrinkUpd:
-		st.onShrinkUpd(cid)
+		pr.onShrinkUpd(st, cid)
 	case KindFind:
-		st.onFind(env.Body.([]FindPayload))
+		pr.onFind(st, env.Body.([]FindPayload))
 	case KindFindQuery:
-		st.onFindQuery(cid)
+		pr.onFindQuery(st, cid)
 	case KindFindAck:
-		st.onFindAck(env.Body.(hier.ClusterID))
+		pr.onFindAck(st, env.Body.(hier.ClusterID))
 	case KindRefresh:
 		hops, _ := env.Body.(int)
-		st.onRefresh(cid, hops)
+		pr.onRefresh(st, cid, hops)
 	}
 	// TIOA semantics: any newly-enabled find output fires (zero-time local
 	// steps), so re-evaluate after every state change.
-	st.evaluateFind()
-	// A message that implied no structure (e.g. a shrink for an unknown
-	// object, or a stale replayed frame) leaves the lazily-created vector
-	// quiescent — evict it so such traffic never allocates persistent state.
-	pr.maybeEvict(st)
+	pr.evaluateFind(st)
+	pr.leave(st, held)
 }
 
-// send emits a protocol message about this object.
-func (st *objState) send(to hier.ClusterID, kind string, body any) {
-	pr := st.pr
+// fire runs the timer-expiry action of one timer variable. The caller has
+// validated the wakeup against the recorded deadline.
+func (pr *Process) fire(st *objState, kind timerKind) {
+	// Like sim.Timer, the deadline reads as ∞ inside the handler (the
+	// handler may re-arm it).
+	pr.recordDeadline(st, kind, sim.Forever)
+	switch kind {
+	case timerGrowShrink:
+		pr.onTimer(st)
+	case timerNbrTimeout:
+		pr.onNbrTimeout(st)
+	case timerLease:
+		pr.onLeaseExpired(st)
+	case timerNbrLease:
+		pr.onNbrLeaseExpired(st)
+	}
+}
+
+// send emits a protocol message about the row's object.
+func (pr *Process) send(st *objState, to hier.ClusterID, kind string, body any) {
 	pr.emit(sendEffect{From: pr.id, Backup: pr.backup, Obj: st.obj, To: to, Kind: kind, Body: body})
 }
 
@@ -354,45 +298,43 @@ func (st *objState) send(to hier.ClusterID, kind string, body any) {
 // process is off the path entirely (c = p = ⊥) and below MAX; c always
 // adopts the sender (a newer path supersedes what a pending grow will
 // report upward).
-func (st *objState) onGrow(cid hier.ClusterID) {
-	pr := st.pr
+func (pr *Process) onGrow(st *objState, cid hier.ClusterID) {
 	if st.c == hier.NoCluster && st.p == hier.NoCluster && pr.level != pr.aut.maxLevel {
-		st.timer.SetAfter(pr.aut.sched.G[pr.level])
+		pr.setTimerAfter(st, timerGrowShrink, pr.aut.sched.G[pr.level])
 	}
 	st.c = cid
-	st.renewLease()
+	pr.renewLease(st)
 }
 
 // onGrowNbr is Input cTOBrcv(〈growNbr, cid〉): the sender connected to the
 // path via a lateral link.
-func (st *objState) onGrowNbr(cid hier.ClusterID) {
+func (pr *Process) onGrowNbr(st *objState, cid hier.ClusterID) {
 	st.nbrptdown = cid
-	st.renewNbrLease()
+	pr.renewNbrLease(st)
 }
 
 // onGrowPar is Input cTOBrcv(〈growPar, cid〉): the sender connected to the
 // path via its hierarchy parent.
-func (st *objState) onGrowPar(cid hier.ClusterID) {
+func (pr *Process) onGrowPar(st *objState, cid hier.ClusterID) {
 	st.nbrptup = cid
-	st.renewNbrLease()
+	pr.renewNbrLease(st)
 }
 
 // onShrink is Input cTOBrcv(〈shrink, cid〉): only deadwood is cleaned — the
 // message is ignored unless c still names the shrinking child.
-func (st *objState) onShrink(cid hier.ClusterID) {
-	pr := st.pr
+func (pr *Process) onShrink(st *objState, cid hier.ClusterID) {
 	if st.c != cid {
 		return
 	}
 	st.c = hier.NoCluster
 	if pr.level != pr.aut.maxLevel {
-		st.timer.SetAfter(pr.aut.sched.S[pr.level])
+		pr.setTimerAfter(st, timerGrowShrink, pr.aut.sched.S[pr.level])
 	}
 }
 
 // onShrinkUpd is Input cTOBrcv(〈shrinkUpd, cid〉): drop secondary pointers
 // to a process that left the path.
-func (st *objState) onShrinkUpd(cid hier.ClusterID) {
+func (pr *Process) onShrinkUpd(st *objState, cid hier.ClusterID) {
 	if st.nbrptup == cid {
 		st.nbrptup = hier.NoCluster
 	}
@@ -411,9 +353,8 @@ func (st *objState) onShrinkUpd(cid hier.ClusterID) {
 //	  growNbr (lateral) or growPar (vertical).
 //	cTOBsend(〈shrink, clust〉, p): c = ⊥ ∧ p ≠ ⊥; then p ← ⊥ and
 //	  neighbors learn via shrinkUpd.
-func (st *objState) onTimer() {
-	st.sanitize()
-	pr := st.pr
+func (pr *Process) onTimer(st *objState) {
+	pr.sanitize(st)
 	h := pr.aut.h
 	switch {
 	case st.c != hier.NoCluster && st.p == hier.NoCluster && pr.level != pr.aut.maxLevel:
@@ -423,56 +364,72 @@ func (st *objState) onTimer() {
 			par = h.Parent(pr.id)
 		}
 		st.p = par
-		st.send(par, KindGrow, nil)
+		pr.send(st, par, KindGrow, nil)
 		kind := KindGrowPar
 		if lateral {
 			kind = KindGrowNbr
 		}
 		for _, b := range h.Nbrs(pr.id) {
-			st.send(b, kind, nil)
+			pr.send(st, b, kind, nil)
 		}
-		st.renewLease()
+		pr.renewLease(st)
 	case st.c == hier.NoCluster && st.p != hier.NoCluster:
 		dest := st.p
 		st.p = hier.NoCluster
-		st.send(dest, KindShrink, nil)
+		pr.send(st, dest, KindShrink, nil)
 		for _, b := range h.Nbrs(pr.id) {
-			st.send(b, KindShrinkUpd, nil)
+			pr.send(st, b, KindShrinkUpd, nil)
 		}
-		st.lease.Clear()
+		pr.clearTimer(st, timerLease)
 	}
-	st.evaluateFind()
+	pr.evaluateFind(st)
 }
 
 // --- Find-related actions (Fig. 2, right column) ---
 
 // onFind is Input cTOBrcv(〈find, cid〉): finding ← true, nbrtimeout ← ∞.
-// The pending set generalizes the figure's single finding flag so that
+// The held set generalizes the figure's single finding flag so that
 // concurrent finds meeting at one process are all serviced rather than
 // conflated; with at most one find in the system it degenerates to the flag.
-func (st *objState) onFind(payloads []FindPayload) {
-	st.pending = append(st.pending, payloads...)
-	st.nbrTimeout.Clear()
+func (pr *Process) onFind(st *objState, payloads []FindPayload) {
+	if len(payloads) > 0 {
+		if pr.pending == nil {
+			pr.pending = make(map[ObjectID][]FindPayload)
+		}
+		pr.pending[st.obj] = append(pr.pending[st.obj], payloads...)
+		st.finding = true
+	}
+	pr.clearTimer(st, timerNbrTimeout)
+}
+
+// takeFinds hands over every find held for the row's object and ends the
+// searching state: finding ← false, nbrtimeout ← ∞.
+func (pr *Process) takeFinds(st *objState) []FindPayload {
+	payloads := pr.pending[st.obj]
+	delete(pr.pending, st.obj)
+	st.finding = false
+	pr.clearTimer(st, timerNbrTimeout)
+	return payloads
 }
 
 // onFindQuery is Input cTOBrcv(〈findQuery, cid〉): answer with the best
 // pointer toward the path, or stay silent.
-func (st *objState) onFindQuery(cid hier.ClusterID) {
+func (pr *Process) onFindQuery(st *objState, cid hier.ClusterID) {
 	switch {
 	case st.c != hier.NoCluster:
-		st.send(cid, KindFindAck, st.c)
+		pr.send(st, cid, KindFindAck, st.c)
 	case st.nbrptdown != hier.NoCluster:
-		st.send(cid, KindFindAck, st.nbrptdown)
+		pr.send(st, cid, KindFindAck, st.nbrptdown)
 	case st.nbrptup != hier.NoCluster:
-		st.send(cid, KindFindAck, st.nbrptup)
+		pr.send(st, cid, KindFindAck, st.nbrptup)
 	}
 }
 
 // onFindAck is Input cTOBrcv(〈findAck, dest〉): forward the held find to
 // the acked pointer if the process is still searching and still has no
 // pointer of its own.
-func (st *objState) onFindAck(dest hier.ClusterID) {
-	if len(st.pending) == 0 || dest == st.pr.id {
+func (pr *Process) onFindAck(st *objState, dest hier.ClusterID) {
+	if !st.finding || dest == pr.id {
 		return
 	}
 	if st.c != hier.NoCluster || st.nbrptdown != hier.NoCluster {
@@ -481,45 +438,41 @@ func (st *objState) onFindAck(dest hier.ClusterID) {
 	if st.nbrptup != hier.NoCluster && st.nbrptup != st.p {
 		return
 	}
-	st.forwardFind(dest)
+	pr.forwardFind(st, dest)
 }
 
 // evaluateFind realizes the eagerly-enabled find outputs of Fig. 2: the
 // found broadcast (finding ∧ c = clust), the three direct find forwards,
 // and the internal findquery action. It is called after every state change.
-func (st *objState) evaluateFind() {
-	if len(st.pending) == 0 {
+func (pr *Process) evaluateFind(st *objState) {
+	if !st.finding {
 		return
 	}
-	pr := st.pr
 	h := pr.aut.h
 	switch {
 	case st.c == pr.id:
 		// Tracing complete: broadcast found to clients in this and
 		// neighboring regions.
-		payloads := st.pending
-		st.pending = nil
-		st.nbrTimeout.Clear()
-		pr.emit(foundEffect{From: pr.id, Backup: pr.backup, Obj: st.obj, Payloads: payloads})
+		pr.emit(foundEffect{From: pr.id, Backup: pr.backup, Obj: st.obj, Payloads: pr.takeFinds(st)})
 	case st.c != hier.NoCluster:
-		st.forwardFind(st.c)
+		pr.forwardFind(st, st.c)
 	case st.nbrptdown != hier.NoCluster:
-		st.forwardFind(st.nbrptdown)
+		pr.forwardFind(st, st.nbrptdown)
 	case st.nbrptup != hier.NoCluster && st.nbrptup != st.p:
-		st.forwardFind(st.nbrptup)
-	case !st.nbrTimeout.Armed():
+		pr.forwardFind(st, st.nbrptup)
+	case !st.armed(timerNbrTimeout):
 		// Internal findquery: ask every neighbor except the path parent,
 		// and wait one neighbor round trip. The +1ns margin makes an ack
 		// arriving at exactly the round-trip bound win over the timeout
 		// (TIOA would resolve the tie either way; the paper intends the
 		// ack to count as "received before nbrtimeout expires").
 		pr.emit(queryNoteEffect{Level: pr.level})
-		st.nbrTimeout.SetAfter(2*pr.aut.unit*sim.Time(pr.aut.geom.N[pr.level]) + 1)
+		pr.setTimerAfter(st, timerNbrTimeout, 2*pr.aut.unit*sim.Time(pr.aut.geom.N[pr.level])+1)
 		for _, b := range h.Nbrs(pr.id) {
 			if b == st.p {
 				continue
 			}
-			st.send(b, KindFindQuery, nil)
+			pr.send(st, b, KindFindQuery, nil)
 		}
 	}
 }
@@ -527,32 +480,29 @@ func (st *objState) evaluateFind() {
 // onNbrTimeout realizes the nbrtimeout ≤ now disjunct of the find-forward
 // output: no neighbor answered, so escalate to the hierarchy parent (or to
 // nbrptup when it coincides with p).
-func (st *objState) onNbrTimeout() {
-	if len(st.pending) == 0 {
+func (pr *Process) onNbrTimeout(st *objState) {
+	if !st.finding {
 		return
 	}
 	if st.c != hier.NoCluster || st.nbrptdown != hier.NoCluster {
 		// A pointer appeared as the timeout fired; the direct forwards
 		// handle it.
-		st.evaluateFind()
+		pr.evaluateFind(st)
 		return
 	}
 	dest := st.nbrptup
 	if dest == hier.NoCluster {
-		dest = st.pr.aut.h.Parent(st.pr.id)
+		dest = pr.aut.h.Parent(pr.id)
 	}
-	if dest == hier.NoCluster || dest == st.pr.id {
+	if dest == hier.NoCluster || dest == pr.id {
 		return // level MAX with no pointer anywhere: keep holding
 	}
-	st.forwardFind(dest)
+	pr.forwardFind(st, dest)
 }
 
 // forwardFind sends every held find to dest and clears the searching state.
-func (st *objState) forwardFind(dest hier.ClusterID) {
-	payloads := st.pending
-	st.pending = nil
-	st.nbrTimeout.Clear()
-	st.send(dest, KindFind, payloads)
+func (pr *Process) forwardFind(st *objState, dest hier.ClusterID) {
+	pr.send(st, dest, KindFind, pr.takeFinds(st))
 }
 
 // --- §VII heartbeat extension ---
@@ -560,8 +510,7 @@ func (st *objState) forwardFind(dest hier.ClusterID) {
 // onRefresh renews the lease and heals path breaks: a process that lost its
 // state to a VSA failure re-adopts the refreshing child and re-grows toward
 // the root; an intact process forwards the refresh along its path parent.
-func (st *objState) onRefresh(cid hier.ClusterID, hops int) {
-	pr := st.pr
+func (pr *Process) onRefresh(st *objState, cid hier.ClusterID, hops int) {
 	if pr.aut.hb == nil {
 		return
 	}
@@ -573,10 +522,10 @@ func (st *objState) onRefresh(cid hier.ClusterID, hops int) {
 		return
 	}
 	st.c = cid
-	st.renewLease()
+	pr.renewLease(st)
 	switch {
 	case st.p != hier.NoCluster:
-		st.send(st.p, KindRefresh, hops+1)
+		pr.send(st, st.p, KindRefresh, hops+1)
 		// Re-announce the connection kind so neighbors' secondary
 		// pointers (and their leases) stay fresh.
 		kind := KindGrowPar
@@ -584,10 +533,10 @@ func (st *objState) onRefresh(cid hier.ClusterID, hops int) {
 			kind = KindGrowNbr
 		}
 		for _, b := range pr.aut.h.Nbrs(pr.id) {
-			st.send(b, kind, nil)
+			pr.send(st, b, kind, nil)
 		}
-	case pr.level != pr.aut.maxLevel && !st.timer.Armed():
-		st.timer.SetAfter(pr.aut.sched.G[pr.level])
+	case pr.level != pr.aut.maxLevel && !st.armed(timerGrowShrink):
+		pr.setTimerAfter(st, timerGrowShrink, pr.aut.sched.G[pr.level])
 	}
 }
 
@@ -598,8 +547,7 @@ func (st *objState) onRefresh(cid hier.ClusterID, hops int) {
 // outside these sets can only arise from corruption and are dropped on the
 // spot. Only active in heartbeat mode (in normal operation the protocol
 // preserves the invariants, which the E5 checker verifies).
-func (st *objState) sanitize() {
-	pr := st.pr
+func (pr *Process) sanitize(st *objState) {
 	if pr.aut.hb == nil {
 		return
 	}
@@ -623,26 +571,26 @@ func (st *objState) sanitize() {
 }
 
 // renewLease re-arms the path lease when heartbeats are enabled.
-func (st *objState) renewLease() {
-	if st.pr.aut.hb == nil {
+func (pr *Process) renewLease(st *objState) {
+	if pr.aut.hb == nil {
 		return
 	}
-	st.lease.SetAfter(st.pr.aut.hb.leaseFor(st.pr.level))
+	pr.setTimerAfter(st, timerLease, pr.aut.hb.leaseFor(pr.level))
 }
 
 // renewNbrLease re-arms the secondary-pointer lease.
-func (st *objState) renewNbrLease() {
-	if st.pr.aut.hb == nil {
+func (pr *Process) renewNbrLease(st *objState) {
+	if pr.aut.hb == nil {
 		return
 	}
-	st.nbrLease.SetAfter(st.pr.aut.hb.leaseFor(st.pr.level))
+	pr.setTimerAfter(st, timerNbrLease, pr.aut.hb.leaseFor(pr.level))
 }
 
 // onNbrLeaseExpired drops secondary pointers that stopped being
 // re-announced (their holder left the path, or the pointers were
 // corrupted state to begin with).
-func (st *objState) onNbrLeaseExpired() {
-	if st.pr.aut.hb == nil {
+func (pr *Process) onNbrLeaseExpired(st *objState) {
+	if pr.aut.hb == nil {
 		return
 	}
 	st.nbrptup = hier.NoCluster
@@ -651,12 +599,11 @@ func (st *objState) onNbrLeaseExpired() {
 
 // onLeaseExpired tears down stale path state that stopped receiving
 // refreshes (e.g. the path below broke at a failed VSA).
-func (st *objState) onLeaseExpired() {
-	pr := st.pr
+func (pr *Process) onLeaseExpired(st *objState) {
 	if pr.aut.hb == nil {
 		return
 	}
-	st.sanitize()
+	pr.sanitize(st)
 	if st.c == hier.NoCluster && st.p == hier.NoCluster {
 		return
 	}
@@ -664,10 +611,10 @@ func (st *objState) onLeaseExpired() {
 	if st.p != hier.NoCluster {
 		dest := st.p
 		st.p = hier.NoCluster
-		st.send(dest, KindShrink, nil)
+		pr.send(st, dest, KindShrink, nil)
 	}
 	for _, b := range pr.aut.h.Nbrs(pr.id) {
-		st.send(b, KindShrinkUpd, nil)
+		pr.send(st, b, KindShrinkUpd, nil)
 	}
-	st.timer.Clear()
+	pr.clearTimer(st, timerGrowShrink)
 }

@@ -28,17 +28,19 @@ func corrupt(f *fixture, rng *rand.Rand, k int) {
 		return hier.ClusterID(rng.Intn(n))
 	}
 	for i := 0; i < k; i++ {
-		st := f.net.Process(hier.ClusterID(rng.Intn(n))).state(DefaultObject)
-		st.c = randomCluster()
-		st.p = randomCluster()
-		st.nbrptup = randomCluster()
-		st.nbrptdown = randomCluster()
-		deadline := sim.Time(rng.Int63n(int64(f.net.hb.leaseFor(st.pr.level))))
-		st.lease.SetAfter(deadline)
-		st.nbrLease.SetAfter(deadline)
-		if rng.Intn(2) == 0 {
-			st.timer.SetAfter(sim.Time(rng.Int63n(int64(f.net.sched.S[0] * 4))))
-		}
+		pr := f.net.Process(hier.ClusterID(rng.Intn(n)))
+		withState(pr, DefaultObject, func(st *objState) {
+			st.c = randomCluster()
+			st.p = randomCluster()
+			st.nbrptup = randomCluster()
+			st.nbrptdown = randomCluster()
+			deadline := sim.Time(rng.Int63n(int64(f.net.hb.leaseFor(pr.level))))
+			pr.setTimerAfter(st, timerLease, deadline)
+			pr.setTimerAfter(st, timerNbrLease, deadline)
+			if rng.Intn(2) == 0 {
+				pr.setTimerAfter(st, timerGrowShrink, sim.Time(rng.Int63n(int64(f.net.sched.S[0]*4))))
+			}
+		})
 	}
 }
 
@@ -133,13 +135,14 @@ func TestNoStabilizationWithoutHeartbeat(t *testing.T) {
 		c := f.h.Cluster(f.ev.Region(), lvl)
 		f.net.Process(c).reset()
 		for _, nb := range f.h.Nbrs(c) {
-			st := f.net.Process(nb).state(DefaultObject)
-			if st.nbrptup == c {
-				st.nbrptup = hier.NoCluster
-			}
-			if st.nbrptdown == c {
-				st.nbrptdown = hier.NoCluster
-			}
+			withState(f.net.Process(nb), DefaultObject, func(st *objState) {
+				if st.nbrptup == c {
+					st.nbrptup = hier.NoCluster
+				}
+				if st.nbrptdown == c {
+					st.nbrptdown = hier.NoCluster
+				}
+			})
 		}
 	}
 	id, err := f.net.Find(f.tiling.RegionAt(7, 7))
