@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short shuffle race vet lint bench bench-full bench-smoke nethost-smoke shards-smoke multiobject-smoke bulkattach-smoke paralleltracker-smoke experiments experiments-quick chaos fuzz cover clean
+.PHONY: all build test test-short shuffle race vet lint bench bench-full bench-smoke nethost-smoke multiobject-smoke bulkattach-smoke paralleltracker-smoke experiments experiments-quick experiments-smoke chaos fuzz cover clean
 
 all: build vet test
 
@@ -82,22 +82,12 @@ nethost-smoke:
 	$(GO) test -run 'TestNetHostMatchesOracleOnFixedSchedule' -count=10 ./internal/tracker
 	$(GO) test -run 'FuzzDecodeRegion|FuzzDecodeClusterMessage|FuzzDecodeClusterBatch' ./internal/tracker
 
-# Sharded-kernel smoke: the conservative engine under the race detector
-# (determinism across K, lookahead enforcement, zero-alloc send), the
-# partition invariants, and the E1/E2/E7/E11 shard-matrix byte-identity
-# bar (tables identical at -shards 1, 2, 8).
-shards-smoke:
-	$(GO) test -race -run 'TestSharded|TestRouter' ./internal/sim
-	$(GO) test -run 'TestPartition' ./internal/geo
-	$(GO) test -run 'TestShard' ./internal/core
-	$(GO) test -run 'TestKernelAndRouteCacheExperimentsByteIdentical' ./internal/experiments
-
 # Multi-object smoke: the quick E13 fan-out run (concurrent objects with
 # sampled Theorem 4.8/4.9 checks and the batching-beats-k-sends bar), the
 # object-lifecycle regression tests (quiescence eviction, stale-envelope
 # rejection, frame reduction), the paged object table's property test, the
 # host timer-table regressions and the MoveQuiescent cross-check against the
-# full scan, the E8 worker x shard byte-identity matrix, and the multi-object
+# full scan, the E8 worker-count byte-identity check, and the multi-object
 # wire-codec fuzz seed corpora.
 multiobject-smoke:
 	$(GO) run ./cmd/experiments -quick -only E13
@@ -108,31 +98,32 @@ multiobject-smoke:
 	$(GO) test -run 'FuzzDecodeRegion|FuzzDecodeClusterMessage|FuzzDecodeClusterBatch' ./internal/tracker
 
 # Bulk-attach smoke: the 10⁵-object scale run (bulk attach, sampled
-# Theorem 4.8, concurrent move+find round, head-contention profile) and the
-# service-level bulk ≡ sequential byte-identity proof, both under the race
-# detector — the parallel table splice is the only concurrent code on the
-# attach path, so -race is aimed squarely at it — plus the tracker-level
-# equivalence property tests (grid and landmark hierarchies, ledger
-# identity under frame accounting, churn back to baseline).
+# Theorem 4.8, concurrent move+find round) and the service-level bulk ≡
+# sequential byte-identity proof under the race detector, plus the
+# tracker-level equivalence property tests (grid and landmark hierarchies,
+# ledger identity under frame accounting, churn back to baseline) and the
+# object-cascade determinism test on the sharded engine.
 bulkattach-smoke:
 	$(GO) test -race -run 'TestBulkAttachScaleSmoke|TestBulkAttachMatchesSequentialService' -v ./internal/core
 	$(GO) test -race -run 'TestBulkAttach' ./internal/tracker
-	$(GO) test -race -run 'TestObjectCascadeDeterministicAcrossShardCounts|TestRouterObjectProfile' ./internal/sim
+	$(GO) test -race -run 'TestObjectCascadeDeterministicAcrossShardCounts' ./internal/sim
 
 # Parallel-tracker smoke: the K-matrix byte-identity proofs (founds, region
 # encodings, and merged ledger identical at K ∈ {1,2,4,8} AND against the
-# sequential service; engine steps invariant in K), the shard-local ledger
-# merge property tests, the region-encoding merge codec, the bounded
-# head-round profile and the re-homing determinism tests, all under the
-# race detector — the replica stacks execute concurrently, so -race is the
-# confinement proof — plus the nethost conservation suite under -race
-# (the tracker's other concurrent runtime, kept honest by the same bar).
+# sequential service; engine steps invariant in K), the conservative engine
+# they run on (determinism across K, lookahead enforcement, zero-alloc
+# send), the shard-local ledger merge property tests and the region-encoding
+# merge codec, all under the race detector — the replica stacks execute
+# concurrently, so -race is the confinement proof — plus the partition
+# invariants and the nethost conservation suite under -race (the tracker's
+# other concurrent runtime, kept honest by the same bar).
 paralleltracker-smoke:
 	$(GO) test -race -run 'TestParallelTracker' -v ./internal/core
+	$(GO) test -race -run 'TestSharded' ./internal/sim
+	$(GO) test -run 'TestPartition' ./internal/geo
 	$(GO) test -race -run 'TestLedgerMerge|TestMergedSnapshot' ./internal/metrics
 	$(GO) test -race -run 'TestMergedLedgerEqualsSharedE1E2' ./internal/experiments
 	$(GO) test -race -run 'TestMergeRegionEncodings' ./internal/tracker
-	$(GO) test -race -run 'TestRehomer|TestRouterHeadRoundsPruned' ./internal/sim
 	$(GO) test -race -run 'TestNetHostChaosConservation|TestNetHostStopMidFlightConservation' ./internal/tracker
 
 # Regenerate every paper claim (EXPERIMENTS.md tables).
@@ -142,14 +133,23 @@ experiments:
 experiments-quick:
 	$(GO) run ./cmd/experiments -quick
 
+# Quick suite with the JSON export, then the byte-identity check across
+# worker counts.
+experiments-smoke:
+	$(GO) run ./cmd/experiments -quick -parallel 4 -json results
+	$(GO) run ./cmd/experiments -quick -parallel 1 > results/quick-seq.txt
+	$(GO) run ./cmd/experiments -quick -parallel 8 > results/quick-par.txt
+	diff -u results/quick-seq.txt results/quick-par.txt
+
 # Adversarial schedules: the full E11 sweep (24 fault runs) at two chaos
 # seeds, plus a same-seed byte-identity check across worker counts.
 chaos:
 	$(GO) run ./cmd/experiments -only E11
 	$(GO) run ./cmd/experiments -only E11 -chaos-seed 1
-	$(GO) run ./cmd/experiments -only E11 -parallel 1 > /tmp/e11-seq.txt
-	$(GO) run ./cmd/experiments -only E11 -parallel 8 > /tmp/e11-par.txt
-	diff -u /tmp/e11-seq.txt /tmp/e11-par.txt
+	mkdir -p results
+	$(GO) run ./cmd/experiments -only E11 -parallel 1 > results/e11-seq.txt
+	$(GO) run ./cmd/experiments -only E11 -parallel 8 > results/e11-par.txt
+	diff -u results/e11-seq.txt results/e11-par.txt
 	@echo "chaos: E11 deterministic and violation-free at both seeds"
 
 # Write the tables as CSV into ./results.

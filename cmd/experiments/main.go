@@ -8,14 +8,11 @@
 // Usage:
 //
 //	experiments [-quick] [-only E1,E4] [-csv results] [-json results]
-//	            [-parallel N] [-shards K] [-parallel-tracker K] [-chaos-seed S]
+//	            [-parallel N] [-parallel-tracker K] [-chaos-seed S]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // Experiments and their sweep cells run on -parallel workers (default
 // GOMAXPROCS); the rendered tables are byte-identical at any worker count.
-// -shards partitions each cell's grid into K spatial shards routed through
-// the shard router (core.Config.Shards); tables stay byte-identical at any
-// shard count too, which CI enforces.
 // With -json, each result is also written as <dir>/<ID>.json — the table,
 // the shape-check outcomes, and the per-cell ledger exports (message and
 // work counters, delivery and drop-cause counters, latency histograms).
@@ -38,7 +35,6 @@ func main() {
 	csvDir := flag.String("csv", "", "also write each table as <dir>/<ID>.csv")
 	jsonDir := flag.String("json", "", "also write each result (table, checks, ledgers) as <dir>/<ID>.json")
 	parallel := flag.Int("parallel", 0, "sweep worker count (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "event-engine shard count per service (0 = 1)")
 	parTracker := flag.Int("parallel-tracker", 0, "parallel-tracker engine shard count K for E13 (0 = 4; valid: 1, 2, 4, 8)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "offset added to E11 fault-plan seeds")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -68,7 +64,6 @@ func main() {
 		JSONDir:   *jsonDir,
 		Parallel:  *parallel,
 		ChaosSeed: *chaosSeed,
-		Shards:    *shards,
 
 		ParallelTracker: *parTracker})
 

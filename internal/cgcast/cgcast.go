@@ -55,22 +55,6 @@ type Service struct {
 	batch     bool
 	frames    bool
 	pending   map[batchKey][]batchEntry
-	route     vbcast.RouteFunc
-}
-
-// SetRouter installs a delivery router for the held-message timer (nil
-// restores direct kernel scheduling). The hold fires in the destination
-// region itself — a same-shard event — but routing it keeps every
-// scheduled delivery of the stack accounted against the shard partition.
-func (s *Service) SetRouter(r vbcast.RouteFunc) { s.route = r }
-
-// at schedules a held delivery in region u through the installed router.
-func (s *Service) at(u geo.RegionID, due sim.Time, fn func()) {
-	if s.route != nil {
-		s.route(u, u, due, fn)
-		return
-	}
-	s.k.At(due, fn)
 }
 
 // Option configures the service.
@@ -292,7 +276,7 @@ func (s *Service) enqueue(srcRegion, dstRegion geo.RegionID, deliverAt sim.Time,
 		return
 	}
 	s.pending[key] = []batchEntry{e}
-	s.at(srcRegion, s.k.Now(), func() {
+	s.k.At(s.k.Now(), func() {
 		entries := s.pending[key]
 		delete(s.pending, key)
 		if len(entries) == 0 {
@@ -326,7 +310,7 @@ func (s *Service) dispatch(srcRegion, dstRegion geo.RegionID, deliverAt sim.Time
 		if hold < 0 {
 			hold = 0
 		}
-		s.at(dstRegion, sim.Add(s.k.Now(), hold), func() {
+		s.k.At(sim.Add(s.k.Now(), hold), func() {
 			if s.layer.Incarnation(dstRegion) != inc {
 				// The holding VSA failed or restarted before the
 				// scheduled delivery time; the held frame dies with its

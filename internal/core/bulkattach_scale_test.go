@@ -12,7 +12,7 @@ import (
 )
 
 // scaleService builds the 16x16 batched service every scale test uses.
-func scaleService(t *testing.T, shards int) *core.Service {
+func scaleService(t *testing.T) *core.Service {
 	t.Helper()
 	svc, err := core.New(core.Config{
 		Width:           16,
@@ -20,7 +20,6 @@ func scaleService(t *testing.T, shards int) *core.Service {
 		Start:           geo.RegionID(136),
 		Seed:            11,
 		BatchCgcast:     true,
-		Shards:          shards,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,18 +40,16 @@ func scatterPlacements(k, regions int) []core.ObjectPlacement {
 }
 
 // TestBulkAttachScaleSmoke is the reduced E13 that `make bulkattach-smoke`
-// runs under the race detector: a 10^5-object bulk attach (the parallel
-// splice is the only concurrent code on that path, so -race is aimed
-// squarely at it), sampled Theorem 4.8 checks over the population, a
-// concurrent move+find round, and the bulk ≡ sequential byte-identity
-// proof at 10^3. Skipped under -short — the full go test ./... tier stays
+// runs under the race detector: a 10^5-object bulk attach, sampled
+// Theorem 4.8 checks over the population, and a concurrent move+find
+// round. Skipped under -short — the full go test ./... tier stays
 // fast.
 func TestBulkAttachScaleSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bulk-attach scale smoke skipped in -short mode")
 	}
 	const k = 100_000
-	svc := scaleService(t, 4) // sharded partition => parallel splice path
+	svc := scaleService(t)
 	regions := svc.Tiling().NumRegions()
 
 	start := time.Now()
@@ -78,9 +75,7 @@ func TestBulkAttachScaleSmoke(t *testing.T) {
 		}
 	}
 
-	// One concurrent move + find round over a sample, with the router's
-	// object profile quantifying head-region interference.
-	svc.Router().ResetObjectProfile()
+	// One concurrent move + find round over a sample.
 	sample := []tracker.ObjectID{1, 101, 10_001, 50_001, 99_999}
 	for _, obj := range sample {
 		ev := evaders[obj]
@@ -111,20 +106,14 @@ func TestBulkAttachScaleSmoke(t *testing.T) {
 	if ok != len(sample) {
 		t.Fatalf("%d/%d concurrent finds object-accurate", ok, len(sample))
 	}
-	if svc.Router().ObjectEvents() == 0 {
-		t.Fatal("router recorded no object-keyed deliveries during the concurrent round")
-	}
-	t.Logf("head contention %d over %d object events",
-		svc.Router().HeadContention(), svc.Router().ObjectEvents())
 }
 
 // TestBulkAttachMatchesSequentialService proves the byte-identity at the
 // service layer (the tracker-level property tests prove it per hierarchy):
-// AddObjects ≡ k AddObject calls, region for region, at 10^3 objects, and
-// independent of the splice partition's shard count.
+// AddObjects ≡ k AddObject calls, region for region, at 10^3 objects.
 func TestBulkAttachMatchesSequentialService(t *testing.T) {
 	const k = 1000
-	seq := scaleService(t, 1)
+	seq := scaleService(t)
 	regions := seq.Tiling().NumRegions()
 	placements := scatterPlacements(k, regions)
 	for _, p := range placements {
@@ -140,26 +129,24 @@ func TestBulkAttachMatchesSequentialService(t *testing.T) {
 		seqEnc[u] = seq.Network().Automaton().EncodeRegion(geo.RegionID(u))
 	}
 
-	for _, shards := range []int{1, 4} {
-		bulk := scaleService(t, shards)
-		added, err := bulk.AddObjects(placements)
-		if err != nil {
-			t.Fatal(err)
+	bulk := scaleService(t)
+	added, err := bulk.AddObjects(placements)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(added) != k-1 {
+		t.Fatalf("AddObjects returned %d evaders, want %d", len(added), k-1)
+	}
+	if err := bulk.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	diff := 0
+	for u := 0; u < regions; u++ {
+		if !bytes.Equal(bulk.Network().Automaton().EncodeRegion(geo.RegionID(u)), seqEnc[u]) {
+			diff++
 		}
-		if len(added) != k-1 {
-			t.Fatalf("shards=%d: AddObjects returned %d evaders, want %d", shards, len(added), k-1)
-		}
-		if err := bulk.Settle(); err != nil {
-			t.Fatal(err)
-		}
-		diff := 0
-		for u := 0; u < regions; u++ {
-			if !bytes.Equal(bulk.Network().Automaton().EncodeRegion(geo.RegionID(u)), seqEnc[u]) {
-				diff++
-			}
-		}
-		if diff > 0 {
-			t.Errorf("shards=%d: %d/%d region encodings differ from sequential attach", shards, diff, regions)
-		}
+	}
+	if diff > 0 {
+		t.Errorf("%d/%d region encodings differ from sequential attach", diff, regions)
 	}
 }

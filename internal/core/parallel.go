@@ -114,7 +114,7 @@ func NewParallel(cfg Config) (*ParallelService, error) {
 		tiling:  tiling,
 		hier:    h,
 		findErr: make([]error, k),
-		objHome: map[tracker.ObjectID]int{tracker.DefaultObject: 0},
+		objHome: make(map[tracker.ObjectID]int),
 	}
 	ps.objHome[tracker.DefaultObject] = ps.homes.ShardOf(cfg.Start)
 	home := ps.execOf(ps.objHome[tracker.DefaultObject])
@@ -207,18 +207,30 @@ func (ps *ParallelService) Steps() uint64 { return ps.eng.Steps() }
 // shard-parallel. Objects sharing a start region always land on one stack,
 // so per-region splice groups are identical at every K.
 func (ps *ParallelService) AddObjects(placements []ObjectPlacement) (map[tracker.ObjectID]*evader.Evader, error) {
+	// The whole batch is validated before the first mutation: a rejected
+	// batch leaves objHome and every stack as they were.
+	homes := make(map[tracker.ObjectID]int, len(placements))
 	byExec := make([][]ObjectPlacement, ps.eng.K())
 	for _, p := range placements {
 		if p.Obj == tracker.DefaultObject {
 			return nil, errors.New("core: object 0 is the primary evader; pick nonzero ids")
 		}
-		if _, dup := ps.objHome[p.Obj]; dup {
+		_, tracked := ps.objHome[p.Obj]
+		_, dup := homes[p.Obj]
+		if tracked || dup {
 			return nil, fmt.Errorf("core: object %d is already tracked", p.Obj)
 		}
+		if !ps.tiling.Contains(p.Start) {
+			return nil, fmt.Errorf("core: start region %v of object %d outside the %dx%d grid",
+				p.Start, p.Obj, ps.cfg.Width, ps.cfg.Height)
+		}
 		l := ps.homes.ShardOf(p.Start)
-		ps.objHome[p.Obj] = l
+		homes[p.Obj] = l
 		e := ps.execOf(l)
 		byExec[e] = append(byExec[e], p)
+	}
+	for obj, l := range homes {
+		ps.objHome[obj] = l
 	}
 	groups := make([]map[tracker.ObjectID]*evader.Evader, ps.eng.K())
 	errs := make([]error, ps.eng.K())
@@ -236,6 +248,13 @@ func (ps *ParallelService) AddObjects(placements []ObjectPlacement) (map[tracker
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
+			// A stack refuses a validated group only when it was driven
+			// behind the service's back or hit an internal fault; this
+			// call's ids are forgotten, a group another stack had already
+			// attached is not dismantled.
+			for obj := range homes {
+				delete(ps.objHome, obj)
+			}
 			return nil, err
 		}
 	}

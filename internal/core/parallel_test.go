@@ -287,3 +287,70 @@ func TestParallelTrackerFindErrors(t *testing.T) {
 		t.Fatalf("founds %+v, want one result from origin 250", got)
 	}
 }
+
+// A batch AddObjects rejects — the primary id, a duplicate, an off-grid
+// start, or a stack refusing its group — must leave no trace: none of its
+// ids is homed, a find for one fails at issue time, and the valid part of
+// the batch attaches on retry.
+func TestParallelTrackerAddObjectsRejectsWholeBatch(t *testing.T) {
+	cfg := parallelCfg()
+	cfg.ParallelTracker = 2
+	ps, err := NewParallel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	// Both valid placements and the stack-side conflict start in band 0, so
+	// the refusing stack is the only one the batch reaches.
+	good := []ObjectPlacement{{Obj: 1, Start: 7}, {Obj: 2, Start: 18}}
+	if _, err := ps.Stack(0).AddObject(3, 9); err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	bad := map[string]ObjectPlacement{
+		"primary id":      {Obj: tracker.DefaultObject, Start: 5},
+		"duplicate id":    {Obj: 1, Start: 9},
+		"off-grid start":  {Obj: 4, Start: 9999},
+		"stack-side dup":  {Obj: 3, Start: 9},
+		"off-grid, first": {Obj: 4, Start: -2},
+	}
+	for name, p := range bad {
+		batch := append(append([]ObjectPlacement(nil), good...), p)
+		if name == "off-grid, first" {
+			batch = append([]ObjectPlacement{p}, good...)
+		}
+		if _, err := ps.AddObjects(batch); err == nil {
+			t.Fatalf("%s: batch accepted", name)
+		}
+		for _, q := range batch {
+			if q.Obj == tracker.DefaultObject {
+				continue
+			}
+			if l, ok := ps.HomeOf(q.Obj); ok {
+				t.Errorf("%s: rejected batch left object %d homed on band %d", name, q.Obj, l)
+			}
+			if _, err := ps.FindObject(0, q.Obj); err == nil {
+				t.Errorf("%s: find for object %d of a rejected batch accepted", name, q.Obj)
+			}
+		}
+	}
+	if _, err := ps.AddObjects(good); err != nil {
+		t.Fatalf("retry of the valid placements: %v", err)
+	}
+	if err := ps.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ps.FindObject(250, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ps.Founds(); len(got) != 1 || got[0].FoundAt != 18 {
+		t.Fatalf("founds %+v, want object 2 found at region 18", got)
+	}
+}

@@ -39,16 +39,6 @@ type Config struct {
 	E sim.Time
 	// Seed for the deterministic simulation (default 1).
 	Seed int64
-	// Shards is the spatial shard count of the event engine (default 1).
-	// The grid is partitioned into Shards row bands (geo.Partition) and
-	// every transport delivery is routed against that partition through
-	// sim.Router. The tracker stack shares one ledger and RNG stream, so
-	// its events keep a single global order — the router executes them on
-	// one kernel in (time, seq) order, making every table byte-identical
-	// at any shard count by construction, while recording the cross-shard
-	// traffic profile and the measured δ-lookahead that the parallel
-	// engine (sim.Sharded) exploits for shard-confined programs.
-	Shards int
 	// ParallelTracker, when positive, selects the replica-stack parallel
 	// tracker (NewParallel): K complete tracker stacks run on the K shards
 	// of a sim.Sharded engine, objects are homed onto stacks by the logical
@@ -148,12 +138,6 @@ func (c *Config) fillDefaults() error {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
-	if c.Shards < 0 {
-		return errors.New("core: Shards must be positive")
-	}
 	if c.ParallelTracker < 0 {
 		return errors.New("core: ParallelTracker must be nonnegative")
 	}
@@ -175,8 +159,6 @@ func (c *Config) fillDefaults() error {
 type Service struct {
 	cfg    Config
 	kernel *sim.Kernel
-	part   *geo.Partition
-	router *sim.Router
 	tiling *geo.GridTiling
 	hier   *hier.Hierarchy
 	geom   hier.Geometry
@@ -251,11 +233,6 @@ func buildService(h *hier.Hierarchy, cfg Config, p buildParams) (*Service, error
 		kern = sim.New(cfg.Seed)
 	}
 	s := &Service{cfg: cfg, kernel: kern, tiling: tiling, hier: h}
-	s.part = geo.NewPartition(tiling, cfg.Shards)
-	s.router = sim.NewRouter(s.kernel, s.part.K())
-	route := func(from, to geo.RegionID, due sim.Time, fn func()) sim.Event {
-		return s.router.At(s.part.ShardOf(from), s.part.ShardOf(to), due, fn)
-	}
 	var layerOpts []vsa.Option
 	if cfg.AlwaysAliveVSAs {
 		layerOpts = append(layerOpts, vsa.WithAlwaysAlive())
@@ -266,7 +243,6 @@ func buildService(h *hier.Hierarchy, cfg Config, p buildParams) (*Service, error
 	s.layer = vsa.NewLayer(s.kernel, tiling, layerOpts...)
 	s.ledger = metrics.NewLedger()
 	vb := vbcast.New(s.kernel, s.layer, cfg.Delta, cfg.E, s.ledger)
-	vb.SetRouter(route)
 	gc := geocast.New(s.kernel, s.layer, h.Graph(), vb, s.ledger)
 	if cfg.Chaos != nil && cfg.Chaos.Enabled() {
 		plan, err := chaos.NewPlan(*cfg.Chaos)
@@ -297,7 +273,6 @@ func buildService(h *hier.Hierarchy, cfg Config, p buildParams) (*Service, error
 	if err != nil {
 		return nil, err
 	}
-	cg.SetRouter(route)
 	s.cg = cg
 
 	s.foundAt = make(map[tracker.FindID]sim.Time)
@@ -329,16 +304,6 @@ func buildService(h *hier.Hierarchy, cfg Config, p buildParams) (*Service, error
 	if cfg.Emulation != nil {
 		netOpts = append(netOpts, tracker.WithEmulation(cfg.Emulation.Delta, cfg.Emulation.TRestart))
 	}
-	// Object-sharded scheduling: every per-object cascade send is keyed by
-	// the shard owning the object's current head region (router load
-	// vector + head-region contention counter), and bulk-attach table
-	// splices fan out across the same partition.
-	netOpts = append(netOpts,
-		tracker.WithObjectSendNote(func(obj tracker.ObjectID, cur, dst geo.RegionID, due sim.Time) {
-			s.router.NoteObject(int64(obj), s.part.ShardOf(cur), int32(dst), due)
-		}),
-		tracker.WithSpliceSharding(s.part.K(), s.part.ShardOf),
-	)
 	net, err := tracker.New(cg, s.geom, netOpts...)
 	if err != nil {
 		return nil, err
@@ -389,14 +354,6 @@ func (s *Service) ChaosPlan() *chaos.Plan { return s.plan }
 
 // Kernel returns the simulation kernel.
 func (s *Service) Kernel() *sim.Kernel { return s.kernel }
-
-// Partition returns the spatial shard partition of the grid.
-func (s *Service) Partition() *geo.Partition { return s.part }
-
-// Router returns the shard router carrying every transport delivery; its
-// counters expose the cross-shard traffic profile and the measured
-// δ-lookahead of the run.
-func (s *Service) Router() *sim.Router { return s.router }
 
 // Tiling returns the grid tiling.
 func (s *Service) Tiling() *geo.GridTiling { return s.tiling }
@@ -461,6 +418,9 @@ func (s *Service) Find(u geo.RegionID) (tracker.FindID, error) { return s.net.Fi
 func (s *Service) AddObject(obj tracker.ObjectID, start geo.RegionID) (*evader.Evader, error) {
 	if obj == tracker.DefaultObject {
 		return nil, errors.New("core: object 0 is the primary evader; pick a nonzero id")
+	}
+	if s.net.Attached(obj) {
+		return nil, fmt.Errorf("core: object %v already attached", obj)
 	}
 	ev, err := evader.New(s.tiling, start, s.net.SinkFor(obj))
 	if err != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -229,6 +231,60 @@ func TestServiceAddObject(t *testing.T) {
 	for _, r := range s.Founds() {
 		if r.ID == id && r.FoundAt != ev2.Region() {
 			t.Errorf("found at %v, want %v", r.FoundAt, ev2.Region())
+		}
+	}
+}
+
+// A second AddObject for a tracked id (however the first was attached) is
+// rejected before it places an evader: no second move input, no second
+// tracking path, every region's state as it was.
+func TestServiceAddObjectRejectsDuplicate(t *testing.T) {
+	s, err := New(Config{Width: 8, AlwaysAliveVSAs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev1, err := s.AddObject(1, s.Tiling().RegionAt(7, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AddObjects([]ObjectPlacement{{Obj: 2, Start: s.Tiling().RegionAt(0, 7)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	encode := func() [][]byte {
+		encs := make([][]byte, s.Tiling().NumRegions())
+		for u := range encs {
+			encs[u] = s.Network().Automaton().EncodeRegion(geo.RegionID(u))
+		}
+		return encs
+	}
+	before, steps := encode(), s.Kernel().Steps()
+	for _, obj := range []tracker.ObjectID{1, 2} {
+		if _, err := s.AddObject(obj, s.Tiling().RegionAt(0, 0)); err == nil || !strings.Contains(err.Error(), "already attached") {
+			t.Errorf("AddObject(%d) on a tracked id: got %v, want an already-attached error", obj, err)
+		}
+	}
+	if err := s.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Kernel().Steps() != steps {
+		t.Errorf("rejected AddObject scheduled %d events", s.Kernel().Steps()-steps)
+	}
+	if !reflect.DeepEqual(encode(), before) {
+		t.Error("rejected AddObject changed region state")
+	}
+	id, err := s.FindObject(s.Tiling().RegionAt(0, 0), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range s.Founds() {
+		if r.ID == id && r.FoundAt != ev1.Region() {
+			t.Errorf("object 1 found at %v, want %v", r.FoundAt, ev1.Region())
 		}
 	}
 }

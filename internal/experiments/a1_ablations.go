@@ -40,7 +40,7 @@ func A1BaseSweep(env Env) (*Result, error) {
 		lat      time.Duration
 	}
 	points, err := cells(env, []int{2, 3, 4}, func(r int) (point, error) {
-		svc, err := env.newService(core.Config{
+		svc, err := core.New(core.Config{
 			Width:           side,
 			Base:            r,
 			AlwaysAliveVSAs: true,
@@ -131,7 +131,7 @@ func A2HeadPlacement(env Env) (*Result, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		svc, err := coreWithHierarchy(env, h, centerRegion(side))
+		svc, err := coreWithHierarchy(h, centerRegion(side))
 		if err != nil {
 			return 0, 0, err
 		}
@@ -233,7 +233,7 @@ func A3ScheduleSlack(env Env) (*Result, error) {
 		ok     bool
 	}
 	measure := func(name string, sch tracker.Schedule) (point, error) {
-		svc, err := env.newService(core.Config{
+		svc, err := core.New(core.Config{
 			Width:           side,
 			AlwaysAliveVSAs: true,
 			Start:           centerRegion(side),
@@ -302,8 +302,8 @@ func A3ScheduleSlack(env Env) (*Result, error) {
 
 // coreWithHierarchy builds a Service over a pre-built hierarchy (used by
 // the head-placement ablation, which needs a custom head selector).
-func coreWithHierarchy(env Env, h *hier.Hierarchy, start geo.RegionID) (*core.Service, error) {
-	return env.newServiceWithHierarchy(h, core.Config{
+func coreWithHierarchy(h *hier.Hierarchy, start geo.RegionID) (*core.Service, error) {
+	return core.NewWithHierarchy(h, core.Config{
 		Width:           h.Tiling().(*geo.GridTiling).Width(),
 		Height:          h.Tiling().(*geo.GridTiling).Height(),
 		AlwaysAliveVSAs: true,

@@ -32,7 +32,7 @@ func A4Quorum(env Env) (*Result, error) {
 		survives bool
 	}
 	measure := func(replicated bool) (outcome, error) {
-		svc, err := env.newService(core.Config{
+		svc, err := core.New(core.Config{
 			Width:           side,
 			Start:           geo.RegionID(side + 1), // (1,1)
 			TRestart:        15 * sim.Time(1e6),     // 15ms; never reoccupied anyway

@@ -30,7 +30,7 @@ func A5Amortization(env Env) (*Result, error) {
 		Columns: []string{"level", "grow receipts", "steps per update", "ratio to previous level"},
 	}}
 
-	svc, err := env.newService(core.Config{
+	svc, err := core.New(core.Config{
 		Width:           side,
 		AlwaysAliveVSAs: true,
 		Start:           geo.RegionID((side / 2) * side), // row start, column 0

@@ -49,7 +49,7 @@ func E10WhyVSA(env Env) (*Result, error) {
 		handoffs int
 	}
 	points, err := cells(env, churnRates, func(churn int) (point, error) {
-		svc, err := env.newService(core.Config{
+		svc, err := core.New(core.Config{
 			Width:           side,
 			AlwaysAliveVSAs: true, // coverage maintained; churn only relocates extras
 			Start:           centerRegion(side),

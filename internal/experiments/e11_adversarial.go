@@ -106,7 +106,7 @@ func E11Adversarial(env Env) (*Result, error) {
 		if cc != nil {
 			cfg.Chaos = cc
 		}
-		svc, err := env.newService(cfg)
+		svc, err := core.New(cfg)
 		if err != nil {
 			return out, err
 		}

@@ -81,7 +81,7 @@ func E12FullStack(env Env) (*Result, error) {
 				NodesPerRegion: 3,
 			}
 		}
-		svc, err := env.newService(cfg)
+		svc, err := core.New(cfg)
 		if err != nil {
 			return out, err
 		}

@@ -11,6 +11,7 @@ import (
 	"vinestalk/internal/evader"
 	"vinestalk/internal/geo"
 	"vinestalk/internal/lookahead"
+	"vinestalk/internal/metrics"
 	"vinestalk/internal/sim"
 	"vinestalk/internal/tracker"
 )
@@ -43,35 +44,14 @@ import (
 //     the sweep (independence), and each concurrent-move round must
 //     settle within the non-amortized one-move bound O(D·(δ+e)) — k-way
 //     fan-out stretches neither the work nor the time of a move;
-//   - head-region contention: sim.Router's object profile counts how often
-//     a head region's delivery round switches objects during the
-//     concurrent move/find phases — the interference term that bounds
-//     object-sharded speedup (DESIGN.md §8) — and the contention-driven
-//     re-homing policy (sim.Rehomer) observes the same note stream: its
-//     per-home switch accounting must reconcile exactly with the router's
-//     contention counter, and the off-home traffic it would leave under
-//     its dynamic homes is reported against the static attach-time
-//     baseline (the strict payoff claim is proved on a drifting workload
-//     in the sim unit suite; this workload's moves are transient wiggles,
-//     so the note here is observational);
 //   - batched C-gcast pays per (edge, round), not per object: the run
-//     repeats unbatched (frame accounting only) up to k = 10240; beyond
-//     that the unbatched count comes from an exact per-cycle model proved
-//     against the measured anchors (see the frame-model checks), so the
-//     10^6 cell no longer pays a second full attach;
+//     repeats unbatched (frame accounting only) up to k = 10240, and the
+//     frame gain must grow across those measured cells; larger cells skip
+//     the second full attach and print "-" (per-layer frame counts at
+//     2^17 objects are in BENCHMARK.json);
 //   - region state stays proportional to rooted objects: mean settled
 //     EncodeRegion size is reported per k (quiescence eviction keeps the
 //     tables compact; see DESIGN.md §8).
-//
-// The unbatched frame model: placements land at (obj·37) mod 256 with 37
-// coprime to the region count, so every consecutive block of 256 objects
-// puts exactly one object on every region, and under frame accounting each
-// block replays the same per-region splice deltas — unbatched frames are
-// exactly linear per 256-block for k ≡ 0 (mod 256) above the leader
-// population. The sweep's counts are all multiples of 256; the per-block
-// increment is (plain(10240) − plain(1024))/36, which must divide exactly,
-// and the model must reproduce a held-out measurement at k = 1280 before
-// it is trusted to extrapolate.
 func E13Scale(env Env) (*Result, error) {
 	counts := []int{1024, 10_240, 102_400, 1_024_000}
 	if env.Quick {
@@ -85,32 +65,34 @@ func E13Scale(env Env) (*Result, error) {
 			"(Thm 4.8/4.9 sampled), batched C-gcast pays per edge-round instead of per object, " +
 			"and the workload runs unchanged on the K-shard parallel tracker",
 		Columns: []string{"objects", "frames batched", "frames unbatched", "frame gain",
-			"bytes/region", "move work/step", "round time max", "head contention",
-			"rehoming off-home", fmt.Sprintf("par events (K=%d)", parK),
+			"bytes/region", "move work/step", "round time max",
+			fmt.Sprintf("par events (K=%d)", parK),
 			"finds ok", "Thm 4.8 samples"},
 	}}
 
 	type point struct {
-		k             int
-		stats         scaleStats
-		plainFrames   int64
-		plainMeasured bool
-		parSteps      uint64 // 0 = parallel twin not run at this k
+		k           int
+		stats       scaleStats
+		plainFrames int64  // 0 = unbatched twin not run at this k
+		parSteps    uint64 // 0 = parallel twin not run at this k
 	}
 	points, err := cells(env, counts, func(k int) (point, error) {
-		batched, err := runScaleWorkload(env, k, true)
+		batched, err := runScaleWorkload(k, true)
 		if err != nil {
 			return point{}, fmt.Errorf("k=%d batched: %w", k, err)
 		}
 		p := point{k: k, stats: batched}
 		if k <= scaleUnbatchedMax {
-			plain, err := runScaleWorkload(env, k, false)
+			plain, err := runScaleWorkload(k, false)
 			if err != nil {
 				return point{}, fmt.Errorf("k=%d unbatched: %w", k, err)
 			}
 			p.plainFrames = plain.frames
-			p.plainMeasured = true
-			par, err := runScaleParallel(env, k, parK)
+			ps, err := newScalePar(parK)
+			if err != nil {
+				return point{}, fmt.Errorf("k=%d parallel: %w", k, err)
+			}
+			par, err := driveScale(ps, k)
 			if err != nil {
 				return point{}, fmt.Errorf("k=%d parallel: %w", k, err)
 			}
@@ -122,73 +104,15 @@ func E13Scale(env Env) (*Result, error) {
 		return nil, err
 	}
 
-	// Frame model: anchor on the two largest measured unbatched cells and
-	// prove the per-256-block increment before extrapolating to the cells
-	// that skipped their unbatched twin.
-	var anchorLo, anchorHi *point
-	for i := range points {
-		if points[i].plainMeasured {
-			if anchorLo == nil {
-				anchorLo = &points[i]
-			}
-			anchorHi = &points[i]
-		}
-	}
-	if anchorLo == nil || anchorHi == anchorLo {
-		return nil, fmt.Errorf("E13: need two measured unbatched cells to anchor the frame model")
-	}
-	needModel := false
-	for i := range points {
-		if !points[i].plainMeasured {
-			needModel = true
-		}
-	}
-	var perBlock int64
-	if needModel {
-		span := anchorHi.plainFrames - anchorLo.plainFrames
-		blocks := int64((anchorHi.k - anchorLo.k) / 256)
-		res.check("unbatched frame count linear per 256-object block",
-			span%blocks == 0, "Δframes %d over %d blocks (k=%d→%d), remainder %d",
-			span, blocks, anchorLo.k, anchorHi.k, span%blocks)
-		if span%blocks != 0 {
-			return res, nil
-		}
-		perBlock = span / blocks
-		// Held-out validation: one extra block past the low anchor must land
-		// exactly on the model before it extrapolates 3996 blocks out.
-		heldOut, err := runScaleWorkload(env, anchorLo.k+256, false)
-		if err != nil {
-			return nil, fmt.Errorf("k=%d unbatched validation: %w", anchorLo.k+256, err)
-		}
-		predicted := anchorLo.plainFrames + perBlock
-		res.check("frame model reproduces held-out k="+fmt.Sprint(anchorLo.k+256),
-			heldOut.frames == predicted, "measured %d, model %d (anchor %d + %d/block)",
-			heldOut.frames, predicted, anchorLo.plainFrames, perBlock)
-		if heldOut.frames != predicted {
-			return res, nil
-		}
-		for i := range points {
-			if !points[i].plainMeasured {
-				points[i].plainFrames = anchorLo.plainFrames + perBlock*int64((points[i].k-anchorLo.k)/256)
-			}
-		}
-	}
-
 	for _, p := range points {
-		gain := float64(p.plainFrames) / float64(p.stats.frames)
-		unbatched := fmt.Sprint(p.plainFrames)
-		if !p.plainMeasured {
-			unbatched += " (model)"
-		}
-		parEvents := "-"
-		if p.parSteps > 0 {
-			parEvents = fmt.Sprint(p.parSteps)
+		var unbatched, gain, parEvents any = "-", "-", "-"
+		if p.plainFrames > 0 {
+			unbatched, gain = p.plainFrames, float64(p.plainFrames)/float64(p.stats.frames)
+			parEvents = p.parSteps
 		}
 		res.Table.AddRow(p.k, p.stats.frames, unbatched, gain,
 			p.stats.bytesPerRegion, float64(p.stats.moveWork)/float64(p.stats.moveSteps),
-			p.stats.roundMax, p.stats.contention,
-			fmt.Sprintf("%d→%d (%d dec)", p.stats.offHomeStatic, p.stats.offHomeDynamic, p.stats.rehomed),
-			parEvents,
+			p.stats.roundMax, parEvents,
 			fmt.Sprintf("%d/%d", p.stats.findsOK, p.stats.findsAll),
 			fmt.Sprintf("%d/%d", p.stats.thm48OK, p.stats.thm48All))
 	}
@@ -197,7 +121,7 @@ func E13Scale(env Env) (*Result, error) {
 	// smallest k is attached both ways and every region's canonical encoding
 	// must match byte for byte.
 	eqK := counts[0]
-	same, detail, err := bulkMatchesSequential(env, eqK)
+	same, detail, err := bulkMatchesSequential(eqK)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +129,7 @@ func E13Scale(env Env) (*Result, error) {
 
 	// Parallel tracker ≡ sequential at the smallest k, across K — the
 	// identity proof behind the "par events" column.
-	parOK, parDetail, err := parallelMatchesSequential(env, eqK, parK)
+	parOK, parDetail, err := parallelMatchesSequential(eqK, parK)
 	if err != nil {
 		return nil, err
 	}
@@ -218,13 +142,11 @@ func E13Scale(env Env) (*Result, error) {
 			p.stats.thm48OK, p.stats.thm48All)
 		res.check(fmt.Sprintf("k=%d: concurrent finds object-accurate", p.k),
 			p.stats.findsOK == p.stats.findsAll, "%d/%d", p.stats.findsOK, p.stats.findsAll)
-		src := "measured"
-		if !p.plainMeasured {
-			src = "modelled"
+		if p.plainFrames > 0 {
+			res.check(fmt.Sprintf("k=%d: batching beats %d independent sends (measured)", p.k, p.k),
+				p.stats.frames < p.plainFrames, "%d frames batched vs %d unbatched",
+				p.stats.frames, p.plainFrames)
 		}
-		res.check(fmt.Sprintf("k=%d: batching beats %d independent sends (%s)", p.k, p.k, src),
-			p.stats.frames < p.plainFrames, "%d frames batched vs %d unbatched",
-			p.stats.frames, p.plainFrames)
 		// Non-amortized Theorem 4.9 time bound for one move, applied to a
 		// whole concurrent round: moves are independent, so fan-out must not
 		// stretch the settle window past the single-move bound.
@@ -233,18 +155,6 @@ func E13Scale(env Env) (*Result, error) {
 		res.check(fmt.Sprintf("k=%d: move rounds within one-move bound", p.k),
 			p.stats.roundMax <= bound, "slowest round %v <= 8·D·(δ+e) = %v",
 			p.stats.roundMax.Round(time.Millisecond), bound)
-		// The re-homing policy is a pure observer of the router's note
-		// stream: the switches it attributes across homes must reconcile
-		// exactly with the router's own contention counter over the same
-		// window. (Its payoff — strictly less off-home traffic on a
-		// drifting population — is proved in the sim unit suite; the
-		// off-home column above is the observational note for this
-		// workload.)
-		res.check(fmt.Sprintf("k=%d: re-homing policy reconciles with router contention", p.k),
-			p.stats.rehomerSwitches == p.stats.contention,
-			"policy attributed %d switches, router counted %d; off-home %d static → %d dynamic (%d decisions)",
-			p.stats.rehomerSwitches, p.stats.contention,
-			p.stats.offHomeStatic, p.stats.offHomeDynamic, p.stats.rehomed)
 	}
 	// Theorem 4.9 independence: the sampled objects start at the same
 	// regions and walk the same routes at every k, so their measured move
@@ -262,9 +172,14 @@ func E13Scale(env Env) (*Result, error) {
 	res.check("per-move work independent of fan-out", minW == maxW,
 		"sampled move work %d..%d across k sweep", minW, maxW)
 	// The batching win must grow with fan-out: more objects share each
-	// (edge, round), so the frame gain at the largest k exceeds the gain at
-	// the smallest.
-	first, last := points[0], points[len(points)-1]
+	// (edge, round), so the frame gain at the largest measured k exceeds
+	// the gain at the smallest.
+	first, last := points[0], points[0]
+	for _, p := range points {
+		if p.plainFrames > 0 {
+			last = p
+		}
+	}
 	gainFirst := float64(first.plainFrames) / float64(first.stats.frames)
 	gainLast := float64(last.plainFrames) / float64(last.stats.frames)
 	res.check("frame gain grows with fan-out", gainLast > gainFirst,
@@ -276,33 +191,13 @@ const (
 	scaleSide = 16                    // grid side of every E13 cell
 	scaleUnit = 15 * time.Millisecond // default δ+e of core.Config
 	// scaleUnbatchedMax is the largest k that still runs its unbatched twin
-	// (and parallel twin) directly; larger cells use the proved frame model
-	// instead of paying a second full attach.
+	// and parallel twin; larger cells skip the second and third full attach.
 	scaleUnbatchedMax = 10_240
 )
 
-// scaleStats is one E13 run's measured outcome.
-type scaleStats struct {
-	frames          int64         // cgcast.FrameKind messages over the whole run
-	moveWork        int64         // proto hop work of the move rounds
-	moveSteps       int           // sampled moves performed
-	roundMax        time.Duration // slowest concurrent-move round (virtual)
-	contention      uint64        // head-round object switches (move+find phases)
-	rehomed         int           // contention-driven re-homing decisions
-	offHomeStatic   uint64        // off-home deliveries under static homing
-	offHomeDynamic  uint64        // off-home deliveries after re-homing
-	rehomerSwitches uint64        // switches the policy attributed across homes
-	findsOK         int
-	findsAll        int
-	thm48OK         int
-	thm48All        int
-	bytesPerRegion  float64 // mean settled EncodeRegion size
-}
-
 // scalePlacements is the E13 population: k-1 extra objects scattered
 // deterministically over every region (37 is coprime to the region count,
-// so all distinct paths are exercised, and each block of 256 consecutive
-// objects covers every region exactly once — the frame model's backbone).
+// so all distinct paths are exercised).
 func scalePlacements(k, regions int) []core.ObjectPlacement {
 	placements := make([]core.ObjectPlacement, 0, k-1)
 	for obj := tracker.ObjectID(1); int(obj) < k; obj++ {
@@ -325,13 +220,139 @@ func scaleSample(k int) []tracker.ObjectID {
 	return sample
 }
 
-// runScaleWorkload attaches k objects in one bulk pass, runs two
+// scaleSvc is what the E13 workload needs of either service type.
+type scaleSvc interface {
+	AddObjects([]core.ObjectPlacement) (map[tracker.ObjectID]*evader.Evader, error)
+	FindObject(geo.RegionID, tracker.ObjectID) (tracker.FindID, error)
+	Settle() error
+	Tiling() *geo.GridTiling
+	Evader() *evader.Evader
+	Founds() []tracker.FindResult
+	Now() sim.Time
+	Steps() uint64
+	EncodeRegion(geo.RegionID) ([]byte, error)
+	snapshot() metrics.Snapshot
+}
+
+type seqScale struct{ *core.Service }
+
+func (s seqScale) Now() sim.Time              { return s.Kernel().Now() }
+func (s seqScale) Steps() uint64              { return s.Kernel().Steps() }
+func (s seqScale) snapshot() metrics.Snapshot { return s.Ledger().Snapshot() }
+func (s seqScale) EncodeRegion(u geo.RegionID) ([]byte, error) {
+	return s.Network().Automaton().EncodeRegion(u), nil
+}
+
+type parScale struct{ *core.ParallelService }
+
+func (p parScale) snapshot() metrics.Snapshot { return p.MergedLedger().Snapshot() }
+
+// scaleRun is what one run of the E13 workload leaves behind, on either
+// service type.
+type scaleRun struct {
+	sampled   []*evader.Evader // evaders of scaleSample(k), in sample order
+	frames    int64            // cgcast.FrameKind messages over the whole run
+	moveWork  int64            // proto hop work of the move rounds
+	moveSteps int              // sampled moves performed
+	roundMax  time.Duration    // slowest concurrent-move round (virtual)
+	findsOK   int
+	findsAll  int
+	steps     uint64
+	founds    []tracker.FindResult // in find-id order
+}
+
+// driveScale attaches k objects in one bulk pass and runs two
 // concurrent-move rounds and one concurrent-find round over the fixed
-// sample, and returns the measured stats. batch selects batched C-gcast;
-// the unbatched run still counts frames (one per message-target send) so
-// the two runs compare the same quantity.
-func runScaleWorkload(env Env, k int, batch bool) (scaleStats, error) {
-	svc, err := env.newService(core.Config{
+// sample.
+func driveScale(svc scaleSvc, k int) (scaleRun, error) {
+	var run scaleRun
+	added, err := svc.AddObjects(scalePlacements(k, svc.Tiling().NumRegions()))
+	if err != nil {
+		return scaleRun{}, err
+	}
+	if err := svc.Settle(); err != nil {
+		return scaleRun{}, err
+	}
+	added[tracker.DefaultObject] = svc.Evader()
+	sample := scaleSample(k)
+	for _, obj := range sample {
+		run.sampled = append(run.sampled, added[obj])
+	}
+
+	beforeMoves := svc.snapshot()
+	for round := 0; round < 2; round++ {
+		start := svc.Now()
+		for i, obj := range sample {
+			ev := run.sampled[i]
+			nbrs := svc.Tiling().Neighbors(ev.Region())
+			if err := ev.MoveTo(nbrs[(int(obj)+round)%len(nbrs)]); err != nil {
+				return scaleRun{}, err
+			}
+			run.moveSteps++
+		}
+		if err := svc.Settle(); err != nil {
+			return scaleRun{}, err
+		}
+		if elapsed := time.Duration(svc.Now() - start); elapsed > run.roundMax {
+			run.roundMax = elapsed
+		}
+	}
+	run.moveWork = protoWork(svc.snapshot().Sub(beforeMoves))
+
+	// Concurrent finds for every sampled object from one corner, all in
+	// flight in the same settle window.
+	ids := make(map[tracker.FindID]*evader.Evader, len(sample))
+	for i, obj := range sample {
+		id, err := svc.FindObject(geo.RegionID(0), obj)
+		if err != nil {
+			return scaleRun{}, err
+		}
+		ids[id] = run.sampled[i]
+	}
+	if err := svc.Settle(); err != nil {
+		return scaleRun{}, err
+	}
+	run.findsAll = len(ids)
+	run.founds = svc.Founds()
+	sort.Slice(run.founds, func(i, j int) bool { return run.founds[i].ID < run.founds[j].ID })
+	for _, r := range run.founds {
+		if ev, ok := ids[r.ID]; ok && r.FoundAt == ev.Region() {
+			run.findsOK++
+		}
+	}
+
+	run.steps = svc.Steps()
+	run.frames = svc.snapshot().MsgCount[cgcast.FrameKind]
+	return run, nil
+}
+
+// scaleEncodings returns the settled canonical encoding of every region.
+func scaleEncodings(svc scaleSvc) ([][]byte, error) {
+	encs := make([][]byte, svc.Tiling().NumRegions())
+	for u := range encs {
+		enc, err := svc.EncodeRegion(geo.RegionID(u))
+		if err != nil {
+			return nil, fmt.Errorf("region %d: %w", u, err)
+		}
+		encs[u] = enc
+	}
+	return encs, nil
+}
+
+// scaleStats is one sequential E13 run plus what only the sequential
+// service can check: the sampled Theorem 4.8 look-aheads.
+type scaleStats struct {
+	scaleRun
+	thm48OK        int
+	thm48All       int
+	bytesPerRegion float64 // mean settled EncodeRegion size
+}
+
+// newScaleSeq builds the sequential E13 service. batch selects batched
+// C-gcast; the unbatched service still counts frames (one per
+// message-target send) so the two compare the same quantity.
+func newScaleSeq(batch bool) (seqScale, error) {
+	svc, err := core.New(core.Config{
 		Width:           scaleSide,
 		AlwaysAliveVSAs: true,
 		Start:           centerRegion(scaleSide),
@@ -339,80 +360,45 @@ func runScaleWorkload(env Env, k int, batch bool) (scaleStats, error) {
 		BatchCgcast:     batch,
 		CountFrames:     !batch,
 	})
+	return seqScale{svc}, err
+}
+
+// newScalePar builds the unbatched E13 service on the replica-stack
+// parallel tracker at parK engine shards, settled so every stack clock is
+// aligned before the attach.
+func newScalePar(parK int) (parScale, error) {
+	ps, err := core.NewParallel(core.Config{
+		Width:           scaleSide,
+		AlwaysAliveVSAs: true,
+		Start:           centerRegion(scaleSide),
+		Seed:            11,
+		CountFrames:     true,
+		ParallelTracker: parK,
+	})
+	if err != nil {
+		return parScale{}, err
+	}
+	return parScale{ps}, ps.Settle()
+}
+
+// runScaleWorkload runs the E13 workload on the sequential service and
+// adds the sampled Theorem 4.8 look-aheads and the mean region state size.
+func runScaleWorkload(k int, batch bool) (scaleStats, error) {
+	svc, err := newScaleSeq(batch)
 	if err != nil {
 		return scaleStats{}, err
 	}
-	regions := svc.Tiling().NumRegions()
-
-	var st scaleStats
-	evaders := map[tracker.ObjectID]*evader.Evader{tracker.DefaultObject: svc.Evader()}
-	added, err := svc.AddObjects(scalePlacements(k, regions))
+	run, err := driveScale(svc, k)
 	if err != nil {
 		return scaleStats{}, err
 	}
-	if err := svc.Settle(); err != nil {
-		return scaleStats{}, err
-	}
-	for obj, ev := range added {
-		evaders[obj] = ev
-	}
-	// Contention is measured over the concurrent phases only: the attach is
-	// one cascade per region, so its profile says nothing about how live
-	// objects' cascades collide on shared head regions. The re-homing policy
-	// observes the same window, mapping head regions through the parallel
-	// tracker's fixed 8-band home partition.
-	svc.Router().ResetObjectProfile()
-	homes := geo.NewPartition(svc.Tiling(), 8)
-	rh := sim.NewRehomer(8, func(rg int32) int { return homes.ShardOf(geo.RegionID(rg)) }, 3, 16)
-	svc.Router().SetRehomer(rh)
-
-	sample := scaleSample(k)
-
-	beforeMoves := svc.Ledger().Snapshot()
-	for round := 0; round < 2; round++ {
-		start := svc.Kernel().Now()
-		for _, obj := range sample {
-			ev := evaders[obj]
-			nbrs := svc.Tiling().Neighbors(ev.Region())
-			if err := ev.MoveTo(nbrs[(int(obj)+round)%len(nbrs)]); err != nil {
-				return scaleStats{}, err
-			}
-			st.moveSteps++
-		}
-		if err := svc.Settle(); err != nil {
-			return scaleStats{}, err
-		}
-		if elapsed := time.Duration(svc.Kernel().Now() - start); elapsed > st.roundMax {
-			st.roundMax = elapsed
-		}
-	}
-	st.moveWork = protoWork(svc.Ledger().Snapshot().Sub(beforeMoves))
-
-	// Concurrent finds for every sampled object from one corner, all in
-	// flight in the same settle window.
-	ids := make(map[tracker.FindID]tracker.ObjectID, len(sample))
-	for _, obj := range sample {
-		id, err := svc.FindObject(geo.RegionID(0), obj)
-		if err != nil {
-			return scaleStats{}, err
-		}
-		ids[id] = obj
-	}
-	if err := svc.Settle(); err != nil {
-		return scaleStats{}, err
-	}
-	st.findsAll = len(ids)
-	for _, r := range svc.Founds() {
-		if obj, ok := ids[r.ID]; ok && r.FoundAt == evaders[obj].Region() {
-			st.findsOK++
-		}
-	}
+	st := scaleStats{scaleRun: run}
 
 	// Sampled Theorem 4.8: each sampled object's settled state vector
 	// look-aheads to the atomic spec of its own trail.
-	for _, obj := range sample {
+	for i, obj := range scaleSample(k) {
 		st.thm48All++
-		want, err := lookahead.AtomicMoveSeq(svc.Hierarchy(), evaders[obj].Trail())
+		want, err := lookahead.AtomicMoveSeq(svc.Hierarchy(), run.sampled[i].Trail())
 		if err != nil {
 			return scaleStats{}, err
 		}
@@ -423,164 +409,55 @@ func runScaleWorkload(env Env, k int, batch bool) (scaleStats, error) {
 	}
 
 	var stateBytes int
+	regions := svc.Tiling().NumRegions()
 	aut := svc.Network().Automaton()
 	for u := 0; u < regions; u++ {
 		stateBytes += len(aut.EncodeRegion(geo.RegionID(u)))
 	}
 	st.bytesPerRegion = float64(stateBytes) / float64(regions)
-	st.frames = svc.Ledger().Snapshot().MsgCount[cgcast.FrameKind]
-	st.contention = svc.Router().HeadContention()
-	st.rehomed = len(rh.Decisions())
-	st.offHomeStatic = rh.OffHomeStatic()
-	st.offHomeDynamic = rh.OffHomeDynamic()
-	for _, c := range rh.HomeContention() {
-		st.rehomerSwitches += c
-	}
 	return st, nil
-}
-
-// parScale is one parallel-tracker run's identity-relevant outcome.
-type parScale struct {
-	steps  uint64
-	founds []tracker.FindResult
-	encs   [][]byte
-}
-
-// runScaleParallel drives the E13 workload (attach, two move rounds,
-// concurrent finds) on the replica-stack parallel tracker at K engine
-// shards, capturing the observables the identity proof compares.
-func runScaleParallel(env Env, k, parK int) (parScale, error) {
-	ps, err := env.newParallel(core.Config{
-		Width:           scaleSide,
-		AlwaysAliveVSAs: true,
-		Start:           centerRegion(scaleSide),
-		Seed:            11,
-		CountFrames:     true,
-	}, parK)
-	if err != nil {
-		return parScale{}, err
-	}
-	if err := ps.Settle(); err != nil {
-		return parScale{}, err
-	}
-	regions := ps.Tiling().NumRegions()
-	evaders := map[tracker.ObjectID]*evader.Evader{tracker.DefaultObject: ps.Evader()}
-	added, err := ps.AddObjects(scalePlacements(k, regions))
-	if err != nil {
-		return parScale{}, err
-	}
-	if err := ps.Settle(); err != nil {
-		return parScale{}, err
-	}
-	for obj, ev := range added {
-		evaders[obj] = ev
-	}
-	sample := scaleSample(k)
-	for round := 0; round < 2; round++ {
-		for _, obj := range sample {
-			ev := evaders[obj]
-			nbrs := ps.Tiling().Neighbors(ev.Region())
-			if err := ev.MoveTo(nbrs[(int(obj)+round)%len(nbrs)]); err != nil {
-				return parScale{}, err
-			}
-		}
-		if err := ps.Settle(); err != nil {
-			return parScale{}, err
-		}
-	}
-	for _, obj := range sample {
-		if _, err := ps.FindObject(geo.RegionID(0), obj); err != nil {
-			return parScale{}, err
-		}
-	}
-	if err := ps.Settle(); err != nil {
-		return parScale{}, err
-	}
-	out := parScale{steps: ps.Steps(), founds: ps.Founds(), encs: make([][]byte, regions)}
-	for u := 0; u < regions; u++ {
-		enc, err := ps.EncodeRegion(geo.RegionID(u))
-		if err != nil {
-			return parScale{}, fmt.Errorf("region %d: %w", u, err)
-		}
-		out.encs[u] = enc
-	}
-	return out, nil
 }
 
 // parallelMatchesSequential proves the parallel tracker's identity bar at
 // one k: the sequential unbatched run and the parallel runs at K = 1 and
 // K = parK must agree on every found output and every region encoding, and
 // the engine step count must be invariant in K.
-func parallelMatchesSequential(env Env, k, parK int) (bool, string, error) {
-	svc, err := env.newService(core.Config{
-		Width:           scaleSide,
-		AlwaysAliveVSAs: true,
-		Start:           centerRegion(scaleSide),
-		Seed:            11,
-		CountFrames:     true,
-	})
+func parallelMatchesSequential(k, parK int) (bool, string, error) {
+	observe := func(svc scaleSvc, err error) (scaleRun, [][]byte, error) {
+		if err != nil {
+			return scaleRun{}, nil, err
+		}
+		run, err := driveScale(svc, k)
+		if err != nil {
+			return scaleRun{}, nil, err
+		}
+		encs, err := scaleEncodings(svc)
+		return run, encs, err
+	}
+	seq, seqEncs, err := observe(newScaleSeq(false))
 	if err != nil {
 		return false, "", err
 	}
-	regions := svc.Tiling().NumRegions()
-	evaders := map[tracker.ObjectID]*evader.Evader{tracker.DefaultObject: svc.Evader()}
-	added, err := svc.AddObjects(scalePlacements(k, regions))
-	if err != nil {
-		return false, "", err
-	}
-	if err := svc.Settle(); err != nil {
-		return false, "", err
-	}
-	for obj, ev := range added {
-		evaders[obj] = ev
-	}
-	sample := scaleSample(k)
-	for round := 0; round < 2; round++ {
-		for _, obj := range sample {
-			ev := evaders[obj]
-			nbrs := svc.Tiling().Neighbors(ev.Region())
-			if err := ev.MoveTo(nbrs[(int(obj)+round)%len(nbrs)]); err != nil {
-				return false, "", err
-			}
-		}
-		if err := svc.Settle(); err != nil {
-			return false, "", err
-		}
-	}
-	for _, obj := range sample {
-		if _, err := svc.FindObject(geo.RegionID(0), obj); err != nil {
-			return false, "", err
-		}
-	}
-	if err := svc.Settle(); err != nil {
-		return false, "", err
-	}
-	seqFounds := svc.Founds()
-	sort.Slice(seqFounds, func(i, j int) bool { return seqFounds[i].ID < seqFounds[j].ID })
-	aut := svc.Network().Automaton()
-	seqEncs := make([][]byte, regions)
-	for u := 0; u < regions; u++ {
-		seqEncs[u] = aut.EncodeRegion(geo.RegionID(u))
-	}
+	regions := len(seqEncs)
 
 	var steps []uint64
 	for _, kk := range []int{1, parK} {
-		par, err := runScaleParallel(env, k, kk)
+		par, parEncs, err := observe(newScalePar(kk))
 		if err != nil {
 			return false, "", err
 		}
 		steps = append(steps, par.steps)
-		if len(par.founds) != len(seqFounds) {
-			return false, fmt.Sprintf("K=%d: %d founds vs %d sequential", kk, len(par.founds), len(seqFounds)), nil
+		if len(par.founds) != len(seq.founds) {
+			return false, fmt.Sprintf("K=%d: %d founds vs %d sequential", kk, len(par.founds), len(seq.founds)), nil
 		}
 		for i := range par.founds {
-			if par.founds[i] != seqFounds[i] {
-				return false, fmt.Sprintf("K=%d: found %d is %+v, sequential %+v", kk, i, par.founds[i], seqFounds[i]), nil
+			if par.founds[i] != seq.founds[i] {
+				return false, fmt.Sprintf("K=%d: found %d is %+v, sequential %+v", kk, i, par.founds[i], seq.founds[i]), nil
 			}
 		}
 		diff := 0
 		for u := range seqEncs {
-			if !bytes.Equal(par.encs[u], seqEncs[u]) {
+			if !bytes.Equal(parEncs[u], seqEncs[u]) {
 				diff++
 			}
 		}
@@ -598,9 +475,9 @@ func parallelMatchesSequential(env Env, k, parK int) (bool, string, error) {
 // bulkMatchesSequential attaches the same k-object population through
 // core.Service.AddObjects and through k sequential AddObject calls, settles
 // both, and compares every region's canonical encoding byte for byte.
-func bulkMatchesSequential(env Env, k int) (bool, string, error) {
+func bulkMatchesSequential(k int) (bool, string, error) {
 	build := func() (*core.Service, error) {
-		return env.newService(core.Config{
+		return core.New(core.Config{
 			Width:           scaleSide,
 			AlwaysAliveVSAs: true,
 			Start:           centerRegion(scaleSide),

@@ -21,9 +21,9 @@ func E1FindCost(env Env) (*Result, error) {
 		side = 16
 	}
 	res := &Result{Table: Table{
-		ID:      "E1",
-		Title:   "find cost vs distance d (grid hierarchy)",
-		Claim:   "work O(d), time O(d(δ+e)) — Theorem 5.2",
+		ID:    "E1",
+		Title: "find cost vs distance d (grid hierarchy)",
+		Claim: "work O(d), time O(d(δ+e)) — Theorem 5.2",
 		Columns: []string{"d", "finds", "msgs", "work", "latency", "work/d", "latency/d",
 			"lat p50", "lat p99", "lat max"},
 	}}
@@ -48,7 +48,7 @@ func E1FindCost(env Env) (*Result, error) {
 		ledger  *metrics.Export
 	}
 	measured, err := cells(env, distances, func(d int) (point, error) {
-		svc, err := env.newService(core.Config{
+		svc, err := core.New(core.Config{
 			Width:           side,
 			AlwaysAliveVSAs: true,
 			Start:           centerRegion(side),

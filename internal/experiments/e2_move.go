@@ -24,9 +24,9 @@ func E2MoveCost(env Env) (*Result, error) {
 		steps = 15
 	}
 	res := &Result{Table: Table{
-		ID:      "E2",
-		Title:   "amortized move cost vs network diameter D",
-		Claim:   "work and time O(d·r·log_r D) for total move distance d — Theorem 4.9 corollary",
+		ID:    "E2",
+		Title: "amortized move cost vs network diameter D",
+		Claim: "work and time O(d·r·log_r D) for total move distance d — Theorem 4.9 corollary",
 		Columns: []string{"side", "D", "log2(D)", "steps", "work/step", "time/step", "(work/step)/log2(D)",
 			"time p50", "time p99", "time max"},
 	}}
@@ -41,7 +41,7 @@ func E2MoveCost(env Env) (*Result, error) {
 		ledger   *metrics.Export
 	}
 	points, err := cells(env, sides, func(side int) (point, error) {
-		svc, err := env.newService(core.Config{
+		svc, err := core.New(core.Config{
 			Width:           side,
 			AlwaysAliveVSAs: true,
 			Start:           centerRegion(side),

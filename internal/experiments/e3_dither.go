@@ -30,11 +30,11 @@ func E3Dithering(env Env) (*Result, error) {
 	// pair of services.
 	type point struct{ lateral, nolateral float64 }
 	points, err := cells(env, sides, func(side int) (point, error) {
-		lat, err := ditherWorkPerMove(env, side, oscillations, false)
+		lat, err := ditherWorkPerMove(side, oscillations, false)
 		if err != nil {
 			return point{}, err
 		}
-		nolat, err := ditherWorkPerMove(env, side, oscillations, true)
+		nolat, err := ditherWorkPerMove(side, oscillations, true)
 		if err != nil {
 			return point{}, err
 		}
@@ -61,8 +61,8 @@ func E3Dithering(env Env) (*Result, error) {
 // ditherWorkPerMove oscillates the evader across the vertical top-level
 // boundary (columns side/2−1 and side/2) and returns the settled per-move
 // protocol work.
-func ditherWorkPerMove(env Env, side, oscillations int, noLateral bool) (float64, error) {
-	svc, err := env.newService(core.Config{
+func ditherWorkPerMove(side, oscillations int, noLateral bool) (float64, error) {
+	svc, err := core.New(core.Config{
 		Width:           side,
 		AlwaysAliveVSAs: true,
 		Start:           boundaryRegion(side, side/2-1),

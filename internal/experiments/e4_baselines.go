@@ -59,7 +59,7 @@ func E4Baselines(env Env) (*Result, error) {
 		// ranges over it (a fixed-length walk would hide the centralized
 		// scheme's Θ(D) move cost behind a near-home workload).
 		workload := buildE4Workload(side, 2*side, findsEach, ditherMoves)
-		v, err := runE4Vinestalk(env, side, workload)
+		v, err := runE4Vinestalk(side, workload)
 		if err != nil {
 			return cell{}, fmt.Errorf("side %d vinestalk: %w", side, err)
 		}
@@ -164,8 +164,8 @@ func (w e4Workload) localOrigin(u geo.RegionID, d int) geo.RegionID {
 	return u
 }
 
-func runE4Vinestalk(env Env, side int, w e4Workload) (e4Outcome, error) {
-	svc, err := env.newService(core.Config{
+func runE4Vinestalk(side int, w e4Workload) (e4Outcome, error) {
+	svc, err := core.New(core.Config{
 		Width:           side,
 		AlwaysAliveVSAs: true,
 		Start:           w.trail[0],

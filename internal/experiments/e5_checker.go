@@ -45,7 +45,7 @@ func E5Checker(env Env) (*Result, error) {
 		steps      int
 	}
 	measured, err := cells(env, configs, func(cfg config) (cell, error) {
-		svc, err := env.newService(core.Config{
+		svc, err := core.New(core.Config{
 			Width:           cfg.side,
 			Base:            cfg.base,
 			AlwaysAliveVSAs: true,

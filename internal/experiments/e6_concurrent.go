@@ -37,7 +37,7 @@ func E6Concurrent(env Env) (*Result, error) {
 	unit := 15 * time.Millisecond
 
 	// Atomic reference: stationary evader.
-	atomicLat, atomicLevel, err := atomicFindReference(env, side)
+	atomicLat, atomicLevel, err := atomicFindReference(side)
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +54,7 @@ func E6Concurrent(env Env) (*Result, error) {
 	}
 	points, err := cells(env, periods, func(p int) (point, error) {
 		period := sim.Time(p) * unit
-		svc, err := env.newService(core.Config{
+		svc, err := core.New(core.Config{
 			Width:           side,
 			AlwaysAliveVSAs: true,
 			Start:           centerRegion(side),
@@ -130,8 +130,8 @@ func E6Concurrent(env Env) (*Result, error) {
 
 // atomicFindReference measures the atomic-case find latency and highest
 // search level from the corner with a stationary evader at the center.
-func atomicFindReference(env Env, side int) (sim.Time, int, error) {
-	svc, err := env.newService(core.Config{
+func atomicFindReference(side int) (sim.Time, int, error) {
+	svc, err := core.New(core.Config{
 		Width:           side,
 		AlwaysAliveVSAs: true,
 		Start:           centerRegion(side),

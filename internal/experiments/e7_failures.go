@@ -35,7 +35,7 @@ func E7Failures(env Env) (*Result, error) {
 		if hb > 0 {
 			name = "heartbeat"
 		}
-		svc, err := env.newService(core.Config{
+		svc, err := core.New(core.Config{
 			Width:     side,
 			Start:     geo.RegionID(0),
 			TRestart:  unit,

@@ -38,7 +38,7 @@ func E8MultiObject(env Env) (*Result, error) {
 		findsAll int
 	}
 	points, err := cells(env, counts, func(k int) (point, error) {
-		svc, err := env.newService(core.Config{
+		svc, err := core.New(core.Config{
 			Width:           side,
 			AlwaysAliveVSAs: true,
 			Start:           centerRegion(side),

@@ -3,19 +3,16 @@ package experiments
 import (
 	"context"
 
-	"vinestalk/internal/core"
-	"vinestalk/internal/hier"
 	"vinestalk/internal/sweep"
 )
 
 // Env carries the run parameters every experiment driver receives: quick
-// mode (reduced grid sizes and repetition counts), the sweep worker
-// budget, and the shard count of the event engine.
+// mode (reduced grid sizes and repetition counts) and the sweep worker
+// budget.
 type Env struct {
 	Quick     bool
 	Workers   int   // sweep worker count; <= 0 means GOMAXPROCS
 	ChaosSeed int64 // offset added to fault-plan seeds (E11)
-	Shards    int   // core.Config.Shards for every assembled service; <= 0 means 1
 	// ParallelTracker is the engine shard count K for experiments that also
 	// drive the replica-stack parallel tracker (E13's "par events" column);
 	// <= 0 means 4. Must divide the fixed 8-band home partition, so valid
@@ -29,30 +26,6 @@ func (env Env) parallelK() int {
 		return env.ParallelTracker
 	}
 	return 4
-}
-
-// newService assembles a tracking service with the environment's shard
-// count applied — every driver builds services through here so -shards
-// reaches each cell. Results are byte-identical at any shard count (the
-// router preserves the kernel's global event order; see core.Config.Shards).
-func (env Env) newService(cfg core.Config) (*core.Service, error) {
-	cfg.Shards = env.Shards
-	return core.New(cfg)
-}
-
-// newParallel assembles a replica-stack parallel tracker at k engine
-// shards. The observables experiments read off it (founds, region
-// encodings, engine steps) are byte-identical at every valid k — see
-// core.NewParallel.
-func (env Env) newParallel(cfg core.Config, k int) (*core.ParallelService, error) {
-	cfg.ParallelTracker = k
-	return core.NewParallel(cfg)
-}
-
-// newServiceWithHierarchy is newService for caller-supplied hierarchies.
-func (env Env) newServiceWithHierarchy(h *hier.Hierarchy, cfg core.Config) (*core.Service, error) {
-	cfg.Shards = env.Shards
-	return core.NewWithHierarchy(h, cfg)
 }
 
 // cells runs fn over every sweep cell on env.Workers workers, returning

@@ -21,9 +21,9 @@ func snapshotJSON(t *testing.T, s metrics.Snapshot) string {
 }
 
 // Real-workload companion to the metrics package's random-ledger merge
-// properties: the E1 (find cost) and E2 (move cost) quick workloads run at
-// sim shard counts {1, 8}, and after every workload unit the shared
-// ledger's snapshot delta is attributed to the shard-local ledger owning
+// properties: the E1 (find cost) and E2 (move cost) quick workloads run
+// against {1, 8} shard-local ledgers, and after every workload unit the
+// shared ledger's snapshot delta is attributed to the local ledger owning
 // the unit's region under the same geographic partition the parallel
 // tracker homes by. MergedSnapshot over the locals must reproduce the
 // shared snapshot exactly — real proto kinds, hop work, and deliveries,
@@ -33,8 +33,7 @@ func TestMergedLedgerEqualsSharedE1E2(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			for _, workload := range []string{"E1-find", "E2-move"} {
-				env := Env{Quick: true, Shards: shards}
-				svc, err := env.newService(core.Config{
+				svc, err := core.New(core.Config{
 					Width:           side,
 					AlwaysAliveVSAs: true,
 					Start:           centerRegion(side),

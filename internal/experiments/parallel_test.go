@@ -85,20 +85,24 @@ func TestSweepSeedDeterminism(t *testing.T) {
 	}
 }
 
+// quickOutput renders the selected quick experiments (all when only is
+// empty) on the given worker count.
+func quickOutput(t *testing.T, only []string, workers int) string {
+	t.Helper()
+	var b strings.Builder
+	if err := RunAll(&b, Options{Quick: true, Only: only, Parallel: workers}); err != nil {
+		t.Fatalf("%v at %d workers: %v", only, workers, err)
+	}
+	return b.String()
+}
+
 // The full quick suite must render byte-identically at any worker count —
 // the determinism invariant of DESIGN.md §2 extended to the parallel
 // harness.
 func TestRunAllByteIdenticalAcrossWorkers(t *testing.T) {
-	run := func(workers int) string {
-		var b strings.Builder
-		if err := RunAll(&b, Options{Quick: true, Parallel: workers}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return b.String()
-	}
-	sequential := run(1)
+	sequential := quickOutput(t, nil, 1)
 	for _, workers := range []int{2, 8} {
-		if got := run(workers); got != sequential {
+		if got := quickOutput(t, nil, workers); got != sequential {
 			t.Errorf("output at %d workers differs from sequential run", workers)
 		}
 	}
@@ -112,61 +116,28 @@ func TestRunAllByteIdenticalAcrossWorkers(t *testing.T) {
 // tables embed every measured quantity, so any perturbation from the event
 // arena, the 4-ary heap, or a stale route-cache entry would surface as a
 // byte difference here.
-// The matrix also spans the shard dimension: the shard router must be
-// execution-transparent, so the same four experiments render byte-
-// identically at K ∈ {1, 2, 8} shards (and at any worker count at once) —
-// the ISSUE 7 acceptance bar, run in CI.
 func TestKernelAndRouteCacheExperimentsByteIdentical(t *testing.T) {
 	only := []string{"E1", "E2", "E7", "E11"}
-	run := func(workers, shards int) string {
-		var b strings.Builder
-		if err := RunAll(&b, Options{Quick: true, Only: only, Parallel: workers, Shards: shards}); err != nil {
-			t.Fatalf("workers=%d shards=%d: %v", workers, shards, err)
-		}
-		return b.String()
-	}
-	sequential := run(1, 1)
-	if got := run(8, 1); got != sequential {
+	sequential := quickOutput(t, only, 1)
+	if got := quickOutput(t, only, 8); got != sequential {
 		t.Errorf("E1/E2/E7/E11 output at 8 workers differs from sequential run:\n--- parallel 1\n%s\n--- parallel 8\n%s",
 			sequential, got)
-	}
-	for _, shards := range []int{2, 8} {
-		if got := run(1, shards); got != sequential {
-			t.Errorf("E1/E2/E7/E11 output at %d shards differs from 1 shard:\n--- shards 1\n%s\n--- shards %d\n%s",
-				shards, sequential, shards, got)
-		}
-	}
-	if got := run(8, 8); got != sequential {
-		t.Error("E1/E2/E7/E11 output at 8 workers x 8 shards differs from sequential single-shard run")
 	}
 }
 
 // The multi-object experiment exercises every per-object surface at once —
 // the sorted object table, per-object eviction, object-addressed finds —
 // with k up to 4 concurrent objects. Its rendered table must be
-// byte-identical across the worker and shard matrix: any nondeterminism in
-// the per-region object tables (iteration order, eviction timing, batched
-// frame ordering) would perturb the measured work columns and surface as a
-// byte difference here.
+// byte-identical at any worker count: any nondeterminism in the per-region
+// object tables (iteration order, eviction timing, batched frame ordering)
+// would perturb the measured work columns and surface as a byte difference
+// here.
 func TestMultiObjectExperimentByteIdentical(t *testing.T) {
-	run := func(workers, shards int) string {
-		var b strings.Builder
-		if err := RunAll(&b, Options{Quick: true, Only: []string{"E8"}, Parallel: workers, Shards: shards}); err != nil {
-			t.Fatalf("workers=%d shards=%d: %v", workers, shards, err)
-		}
-		return b.String()
-	}
-	sequential := run(1, 1)
-	if got := run(8, 1); got != sequential {
+	only := []string{"E8"}
+	sequential := quickOutput(t, only, 1)
+	if got := quickOutput(t, only, 8); got != sequential {
 		t.Errorf("E8 output at 8 workers differs from sequential run:\n--- parallel 1\n%s\n--- parallel 8\n%s",
 			sequential, got)
-	}
-	if got := run(1, 8); got != sequential {
-		t.Errorf("E8 output at 8 shards differs from 1 shard:\n--- shards 1\n%s\n--- shards 8\n%s",
-			sequential, got)
-	}
-	if got := run(8, 8); got != sequential {
-		t.Error("E8 output at 8 workers x 8 shards differs from sequential single-shard run")
 	}
 }
 

@@ -13,12 +13,10 @@ import (
 // object's home region (per-object state is private, so Theorem 4.9's
 // independence makes the events commute across objects), and the final
 // level posts a commutative update to the shared root shard with due ≥
-// now+δ. This is exactly the program shape sim.Router accounts for the
-// real stack (Router.NoteObject); here independent objects' cascades
-// *graduate to true parallel execution* on Sharded shards, and the root
-// accumulator counts how often consecutive updates in its deterministic
-// merge order switch objects — the Mohamed & Robert interference term that
-// no amount of sharding removes.
+// now+δ. Independent objects' cascades run truly in parallel on Sharded
+// shards, and the root accumulator counts how often consecutive updates in
+// its deterministic merge order switch objects — the Mohamed & Robert
+// interference term that no amount of sharding removes.
 type objCascadeWorld struct {
 	eng    *Sharded
 	g, k   int

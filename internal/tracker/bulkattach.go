@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"vinestalk/internal/cgcast"
 	"vinestalk/internal/geo"
 	"vinestalk/internal/metrics"
-	"vinestalk/internal/sim"
 )
 
 // Bulk attach (§VII multiple objects at production fan-out).
@@ -48,44 +46,6 @@ type AttachSpec struct {
 	// objects that never move, so callers driving the object through an
 	// evader must supply its Region method.
 	Where func() geo.RegionID
-}
-
-// ObjectSendNote observes one cluster-to-cluster protocol send on behalf of
-// an object: the object's current region (whose shard owns its cascade work
-// under object-sharded scheduling), the destination cluster's head region,
-// and the delivery due time. core wires this to sim.Router.NoteObject.
-type ObjectSendNote func(obj ObjectID, cur, dst geo.RegionID, due sim.Time)
-
-type objNoteOption struct{ fn ObjectSendNote }
-
-func (o objNoteOption) apply(n *Network) { n.objNote = o.fn }
-
-// WithObjectSendNote registers an observer for per-object cascade sends —
-// the hook that keys tracker work by the object's current head-region shard
-// (sim.Router.NoteObject records the per-shard load vector and the
-// head-region contention counter from it). Accounting only: protocol state,
-// schedules, and the ledger are unchanged.
-func WithObjectSendNote(fn ObjectSendNote) Option { return objNoteOption{fn: fn} }
-
-type spliceShardOption struct {
-	shards  int
-	shardOf func(geo.RegionID) int
-}
-
-func (o spliceShardOption) apply(n *Network) {
-	n.spliceShards = o.shards
-	n.spliceShardOf = o.shardOf
-}
-
-// WithSpliceSharding runs AttachObjects' table splices in parallel, one
-// goroutine per shard of the given geographic partition. Every splice
-// touches only its own process's table and all of a process's splices stay
-// on the shard owning its head region (in deterministic order), so the
-// resulting tables are byte-identical to the sequential splice at any shard
-// count — this is Theorem 4.9's object independence graduating to real
-// parallelism on the attach path.
-func WithSpliceSharding(shards int, shardOf func(geo.RegionID) int) Option {
-	return spliceShardOption{shards: shards, shardOf: shardOf}
 }
 
 // bulkSettleBudget bounds the kernel drain after each leader cascade
@@ -227,7 +187,6 @@ func (n *Network) AttachObjects(specs []AttachSpec) error {
 			}
 			for _, obj := range followers {
 				n.moveEpochs[obj]++
-				n.objRegion[obj] = u
 			}
 		}
 		// Register position hooks — the same point sequential AddObject
@@ -259,11 +218,8 @@ type procSplice struct {
 	jobs []spliceJob
 }
 
-// runSplices executes the queued batch merges — one combined merge per
-// process — fanned out across the splice partition's shards when one is
-// configured. Each merge touches only its own process's table and a
-// process maps to exactly one shard, so table contents are independent of
-// goroutine interleaving.
+// runSplices executes the queued batch merges, one combined merge per
+// process.
 func (n *Network) runSplices(jobs []spliceJob) {
 	order := make(map[*Process]int)
 	var procs []procSplice
@@ -276,34 +232,9 @@ func (n *Network) runSplices(jobs []spliceJob) {
 		}
 		procs[i].jobs = append(procs[i].jobs, j)
 	}
-	if n.spliceShardOf == nil || n.spliceShards <= 1 {
-		for _, p := range procs {
-			p.run()
-		}
-		return
-	}
-	byShard := make([][]procSplice, n.spliceShards)
 	for _, p := range procs {
-		s := n.spliceShardOf(p.pr.region)
-		if s < 0 || s >= n.spliceShards {
-			s = 0
-		}
-		byShard[s] = append(byShard[s], p)
+		p.run()
 	}
-	var wg sync.WaitGroup
-	for _, shardProcs := range byShard {
-		if len(shardProcs) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(ps []procSplice) {
-			defer wg.Done()
-			for _, p := range ps {
-				p.run()
-			}
-		}(shardProcs)
-	}
-	wg.Wait()
 }
 
 // run clones each job's leader vector once per follower and merges all the

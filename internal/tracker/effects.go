@@ -83,13 +83,6 @@ func (n *Network) execSend(e sendEffect) {
 		return
 	}
 	n.noteSent(e.Obj, e.Kind, e.From, e.To, n.cg.Copies(e.To))
-	if n.objNote != nil {
-		// Key the cascade delivery by the object's current head region
-		// (whose shard owns this object's work under object-sharded
-		// scheduling) and the destination round it lands in.
-		n.objNote(e.Obj, n.objRegion[e.Obj], n.h.Head(e.To),
-			n.k.Now()+n.cg.ScheduleDelay(e.From, e.To))
-	}
 	n.tr.Emit(trace.Event{
 		At: n.k.Now(), Kind: "send", Op: n.opFor(e.Obj, e.Kind, e.Body), Obj: int32(e.Obj),
 		Msg: e.Kind, From: int32(e.From), To: int32(e.To), Region: -1,

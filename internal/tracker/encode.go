@@ -16,11 +16,11 @@ import (
 // (part of the machine state), and timer deadlines are the recorded
 // absolute times.
 //
-// Version 2 is the compact object-major layout: the per-process object
-// table is already sorted, so encoding is a single linear pass, and the
-// common case (an on-path object with no armed timers and no pending
-// finds) costs 21 bytes instead of version 1's fixed 56 — unarmed timer
-// slots and the empty pending set are elided behind a flags byte.
+// The layout is object-major and compact: the per-process object table is
+// already sorted, so encoding is a single linear pass, and the common case
+// (an on-path object with no armed timers and no pending finds) costs 21
+// bytes — unarmed timer slots and the empty pending set are elided behind
+// a flags byte.
 //
 // Layout (big-endian):
 //
@@ -33,16 +33,11 @@ import (
 //	            if bit 4:   u32 numPending (≥1) | per pending: i64 findID
 //	                        | i32 origin
 //
-// Version 1 (fixed-width: all four i64 deadlines plus a u32 pending count
-// per object) is still accepted by DecodeRegion, so checkpoints taken
-// before the upgrade replay; re-encoding always produces version 2.
+// Any other version word is rejected.
 
-const (
-	regionStateVersion   = 2
-	regionStateVersionV1 = 1
-)
+const regionStateVersion = 2
 
-// encFlag bits of the version-2 per-object flags byte.
+// encFlag bits of the per-object flags byte.
 const (
 	encFlagTimer      = 1 << 0
 	encFlagNbrTimeout = 1 << 1
@@ -202,26 +197,18 @@ func (r *decoder) remaining() int { return len(r.buf) - r.off }
 // remaining bytes is rejected up front, so a crafted frame cannot force a
 // huge allocation.
 const (
-	encObjMinSize   = 5*4 + 1       // v2: object id + pointers + flags byte
-	encObjMinSizeV1 = 5*4 + 4*8 + 4 // v1: pointers + timers + pending count
-	encPendingSize  = 8 + 4         // findID + origin
+	encObjMinSize  = 5*4 + 1 // object id + pointers + flags byte
+	encPendingSize = 8 + 4   // findID + origin
 )
 
-// decodeTimer reads one timer deadline, rejecting negative values: the
-// encoder only ever writes absolute times ≥ 0 (or sim.Forever), so a
-// negative deadline marks a corrupted or hostile frame.
-func (r *decoder) decodeTimer() sim.Time {
+// decodeArmedTimer reads one armed deadline. The encoder only writes
+// absolute times ≥ 0 and elides unarmed slots, so a negative deadline or a
+// written ∞ marks a corrupted, hostile or non-canonical frame.
+func (r *decoder) decodeArmedTimer() sim.Time {
 	at := sim.Time(r.u64())
 	if r.err == nil && at < 0 {
 		r.err = fmt.Errorf("tracker: negative timer deadline %d at offset %d", at, r.off)
 	}
-	return at
-}
-
-// decodeArmedTimer reads one version-2 armed deadline: finite (the encoder
-// elides unarmed slots, so a written ∞ is non-canonical) and non-negative.
-func (r *decoder) decodeArmedTimer() sim.Time {
-	at := r.decodeTimer()
 	if r.err == nil && at == sim.Forever {
 		r.err = fmt.Errorf("tracker: armed timer slot carries ∞ at offset %d", r.off)
 	}
@@ -240,9 +227,7 @@ func (r *decoder) decodeArmedTimer() sim.Time {
 // object ids strictly ascending, deadlines non-negative, no reserved flag
 // bits, armed slots finite, a pending section only when non-empty), and
 // nothing is committed until the whole frame parses — so every accepted
-// version-2 frame is one EncodeRegion could have produced, byte for byte.
-// Version-1 frames are accepted for pre-upgrade checkpoints and re-encode
-// to the equivalent version-2 form.
+// frame is one EncodeRegion could have produced, byte for byte.
 func (a *Automaton) DecodeRegion(u geo.RegionID, state []byte) error {
 	d, ok := a.regions[u]
 	if !ok {
@@ -253,13 +238,8 @@ func (a *Automaton) DecodeRegion(u geo.RegionID, state []byte) error {
 	}
 	r := &decoder{buf: state}
 	version := r.u16()
-	if r.err == nil && version != regionStateVersion && version != regionStateVersionV1 {
-		return fmt.Errorf("tracker: region state version %d, want %d or %d",
-			version, regionStateVersion, regionStateVersionV1)
-	}
-	objMinSize := encObjMinSize
-	if version == regionStateVersionV1 {
-		objMinSize = encObjMinSizeV1
+	if r.err == nil && version != regionStateVersion {
+		return fmt.Errorf("tracker: region state version %d, want %d", version, regionStateVersion)
 	}
 	numLevels := int(r.u16())
 	if r.err == nil && numLevels != len(d.levels) {
@@ -282,7 +262,7 @@ func (a *Automaton) DecodeRegion(u geo.RegionID, state []byte) error {
 			return fmt.Errorf("tracker: region %v state names level %d, which it does not host", u, level)
 		}
 		numObjs := int(r.u32())
-		if r.err == nil && numObjs > r.remaining()/objMinSize {
+		if r.err == nil && numObjs > r.remaining()/encObjMinSize {
 			return fmt.Errorf("tracker: region %v state claims %d objects with %d bytes left", u, numObjs, r.remaining())
 		}
 		dp := decodedProc{pr: pr}
@@ -298,45 +278,34 @@ func (a *Automaton) DecodeRegion(u geo.RegionID, state []byte) error {
 			st.p = hier.ClusterID(r.u32())
 			st.nbrptup = hier.ClusterID(r.u32())
 			st.nbrptdown = hier.ClusterID(r.u32())
-			hasPending := false
-			if version == regionStateVersionV1 {
-				for s := range st.timers {
-					st.timers[s] = r.decodeTimer()
-				}
-				hasPending = true // v1 always carries the pending count
-			} else {
-				flags := r.u8()
-				if r.err == nil && flags&encFlagReserved != 0 {
-					return fmt.Errorf("tracker: region %v state object %d has reserved flag bits %#x", u, obj, flags)
-				}
-				for s := range st.timers {
-					if flags&(1<<s) != 0 {
-						st.timers[s] = r.decodeArmedTimer()
-					}
-				}
-				hasPending = flags&encFlagPending != 0
+			flags := r.u8()
+			if r.err == nil && flags&encFlagReserved != 0 {
+				return fmt.Errorf("tracker: region %v state object %d has reserved flag bits %#x", u, obj, flags)
 			}
-			if hasPending {
+			for s := range st.timers {
+				if flags&(1<<s) != 0 {
+					st.timers[s] = r.decodeArmedTimer()
+				}
+			}
+			if flags&encFlagPending != 0 {
 				numPending := int(r.u32())
-				if r.err == nil && version == regionStateVersion && numPending == 0 {
+				if r.err == nil && numPending == 0 {
 					return fmt.Errorf("tracker: region %v state object %d flags pending finds but carries none", u, obj)
 				}
 				if r.err == nil && numPending > r.remaining()/encPendingSize {
 					return fmt.Errorf("tracker: region %v state claims %d pending finds with %d bytes left", u, numPending, r.remaining())
 				}
-				if numPending > 0 {
-					finds := make([]FindPayload, 0, numPending)
-					for p := 0; p < numPending && r.err == nil; p++ {
-						id := FindID(r.u64())
-						origin := geo.RegionID(r.u32())
-						finds = append(finds, FindPayload{ID: id, Origin: origin})
-					}
-					if dp.pending == nil {
-						dp.pending = make(map[ObjectID][]FindPayload)
-					}
-					dp.pending[obj] = finds
-					st.finding = true
+				finds := make([]FindPayload, 0, numPending)
+				for p := 0; p < numPending && r.err == nil; p++ {
+					id := FindID(r.u64())
+					origin := geo.RegionID(r.u32())
+					finds = append(finds, FindPayload{ID: id, Origin: origin})
 				}
+				if dp.pending == nil {
+					dp.pending = make(map[ObjectID][]FindPayload)
+				}
+				dp.pending[obj] = finds
+				st.finding = true
 			}
 			if r.err != nil {
 				break

@@ -3,46 +3,19 @@ package tracker
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"vinestalk/internal/evader"
 	"vinestalk/internal/geo"
-	"vinestalk/internal/sim"
 )
 
-// encodeRegionV1 renders region u's state in the legacy version-1 layout
-// (fixed-width: all four timer deadlines plus a pending count per object),
-// seeding the fuzzer's backward-compatibility path.
-func encodeRegionV1(a *Automaton, u geo.RegionID) []byte {
-	d, ok := a.regions[u]
-	if !ok {
-		return nil
-	}
-	var buf []byte
-	buf = binary.BigEndian.AppendUint16(buf, regionStateVersionV1)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(d.levels)))
-	for _, level := range d.levels {
-		pr := d.byLevel[level]
-		buf = binary.BigEndian.AppendUint16(buf, uint16(level))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(pr.objs.len()))
-		pr.objs.each(func(st *objState) {
-			buf = binary.BigEndian.AppendUint32(buf, uint32(st.obj))
-			buf = binary.BigEndian.AppendUint32(buf, uint32(st.c))
-			buf = binary.BigEndian.AppendUint32(buf, uint32(st.p))
-			buf = binary.BigEndian.AppendUint32(buf, uint32(st.nbrptup))
-			buf = binary.BigEndian.AppendUint32(buf, uint32(st.nbrptdown))
-			for _, at := range st.timers {
-				buf = binary.BigEndian.AppendUint64(buf, uint64(at))
-			}
-			pending := pr.pending[st.obj]
-			buf = binary.BigEndian.AppendUint32(buf, uint32(len(pending)))
-			for _, p := range pending {
-				buf = binary.BigEndian.AppendUint64(buf, uint64(p.ID))
-				buf = binary.BigEndian.AppendUint32(buf, uint32(p.Origin))
-			}
-		})
-	}
-	return buf
+// underV1Header returns a copy of a region encoding with its version word
+// rewritten to the retired version 1.
+func underV1Header(enc []byte) []byte {
+	out := bytes.Clone(enc)
+	binary.BigEndian.PutUint16(out, 1)
+	return out
 }
 
 // FuzzDecodeRegion throws untrusted bytes at the region-state codec — the
@@ -52,11 +25,8 @@ func encodeRegionV1(a *Automaton, u geo.RegionID) []byte {
 //  1. no panic and no unbounded allocation (length-prefixed counts are
 //     bounded against the remaining bytes before any slice is made);
 //  2. a rejected frame leaves the machine state untouched;
-//  3. an accepted version-2 frame is canonical: re-encoding the region
-//     reproduces the input byte for byte. An accepted version-1 frame
-//     re-encodes to version 2, and that re-encoding is a fixpoint (it
-//     decodes and re-encodes to itself) — the upgrade path for
-//     pre-version-2 checkpoints.
+//  3. an accepted frame is canonical: re-encoding the region reproduces
+//     the input byte for byte (so no frame of another version is accepted).
 func FuzzDecodeRegion(f *testing.F) {
 	fx := newFixture(f, fixtureConfig{side: 4, start: 5, alwaysUp: true})
 	// Two extra tracked objects make every seed a multi-object encoding:
@@ -80,13 +50,13 @@ func FuzzDecodeRegion(f *testing.F) {
 	fx.settle()
 	aut := fx.net.Automaton()
 
-	// Seeds: every live region encoding (version 2 and the legacy version 1
-	// of the same state), plus hostile shapes — truncations (including one
-	// cut mid-object-table), an implausible object count, a reserved flag
-	// bit, and a bad version.
+	// Seeds: every live region encoding, the same bytes under the retired
+	// version-1 header, plus hostile shapes — truncations (including one
+	// cut mid-object-table and a bare version-1 word), an implausible object
+	// count, a reserved flag bit, and a bad version.
 	for u := 0; u < fx.tiling.NumRegions(); u++ {
 		f.Add(aut.EncodeRegion(geo.RegionID(u)))
-		f.Add(encodeRegionV1(aut, geo.RegionID(u)))
+		f.Add(underV1Header(aut.EncodeRegion(geo.RegionID(u))))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 1})
@@ -117,20 +87,8 @@ func FuzzDecodeRegion(f *testing.F) {
 			}
 			return
 		}
-		got := aut.EncodeRegion(region)
-		if len(data) >= 2 && binary.BigEndian.Uint16(data) == regionStateVersion {
-			if !bytes.Equal(got, data) {
-				t.Fatalf("accepted frame is not canonical:\n in  %x\n out %x", data, got)
-			}
-		} else {
-			// Version-1 input: the re-encoding is version 2 and must be a
-			// fixpoint of decode∘encode (same state, canonical bytes).
-			if err := aut.DecodeRegion(region, got); err != nil {
-				t.Fatalf("re-encoding of accepted v1 frame rejected: %v", err)
-			}
-			if again := aut.EncodeRegion(region); !bytes.Equal(again, got) {
-				t.Fatalf("v1 upgrade is not a fixpoint:\n first  %x\n second %x", got, again)
-			}
+		if got := aut.EncodeRegion(region); !bytes.Equal(got, data) {
+			t.Fatalf("accepted frame is not canonical:\n in  %x\n out %x", data, got)
 		}
 		if err := aut.DecodeRegion(region, before); err != nil {
 			t.Fatalf("restoring pristine state: %v", err)
@@ -175,30 +133,38 @@ func TestDecodeRegionTruncatedMidTable(t *testing.T) {
 	}
 }
 
-// TestDecodeRegionV1Compat pins the upgrade path: a version-1 encoding of
-// live state decodes into exactly the state the version-2 encoding of the
-// same machine describes.
-func TestDecodeRegionV1Compat(t *testing.T) {
+// TestDecodeRegionRejectsV1 pins the retirement of the version-1 layout: a
+// well-formed version-1 frame (empty object tables, so the two layouts
+// differ in the version word alone) and a live encoding under a version-1
+// header both fail on the version check and leave the tables untouched.
+func TestDecodeRegionRejectsV1(t *testing.T) {
 	fx := newFixture(t, fixtureConfig{side: 4, start: 5, alwaysUp: true})
 	addSecondEvader(t, fx, 1, geo.RegionID(10))
 	fx.settle()
 	aut := fx.net.Automaton()
 	for u := 0; u < fx.tiling.NumRegions(); u++ {
 		region := geo.RegionID(u)
-		want := aut.EncodeRegion(region)
-		v1 := encodeRegionV1(aut, region)
-		if err := aut.DecodeRegion(region, v1); err != nil {
-			t.Fatalf("region %v: v1 frame rejected: %v", region, err)
+		before := aut.EncodeRegion(region)
+		levels := aut.regions[region].levels
+		empty := []byte{0, 1, 0, byte(len(levels))}
+		for _, l := range levels {
+			empty = append(empty, 0, byte(l), 0, 0, 0, 0)
 		}
-		if got := aut.EncodeRegion(region); !bytes.Equal(got, want) {
-			t.Fatalf("region %v: v1 round trip diverged:\n want %x\n got  %x", region, want, got)
+		for _, frame := range [][]byte{empty, underV1Header(before)} {
+			err := aut.DecodeRegion(region, frame)
+			if err == nil || !strings.Contains(err.Error(), "version 1") {
+				t.Fatalf("region %v: version-1 frame %x: got %v, want the version error", region, frame, err)
+			}
+			if got := aut.EncodeRegion(region); !bytes.Equal(got, before) {
+				t.Fatalf("region %v: rejected version-1 frame mutated the tables", region)
+			}
 		}
 	}
 }
 
-// TestEncodeRegionElidesQuiescentSlots pins the version-2 compactness
+// TestEncodeRegionElidesQuiescentSlots pins the compactness
 // claim: an on-path object with no armed timers and no pending finds costs
-// exactly encObjMinSize bytes in the table, versus v1's fixed 56.
+// exactly encObjMinSize bytes in the table.
 func TestEncodeRegionElidesQuiescentSlots(t *testing.T) {
 	fx := newFixture(t, fixtureConfig{side: 4, start: 5, alwaysUp: true})
 	fx.settle()
@@ -217,12 +183,11 @@ func TestEncodeRegionElidesQuiescentSlots(t *testing.T) {
 	if !st.settled() {
 		t.Fatalf("settled state unexpectedly busy: %+v", st)
 	}
-	enc := aut.EncodeRegion(u)
-	v1 := encodeRegionV1(aut, u)
-	// Every fully-quiescent-slot row saves encObjMinSizeV1-encObjMinSize
-	// bytes, so the whole-region encoding must shrink.
-	if len(enc) >= len(v1) {
-		t.Fatalf("v2 encoding (%d bytes) not smaller than v1 (%d bytes)", len(enc), len(v1))
+	// The region's only rows are the settled evader's, one per hosted
+	// level, so the whole encoding is headers plus minimum-size rows.
+	levels := len(aut.regions[u].levels)
+	if got, want := len(aut.EncodeRegion(u)), 4+levels*(6+encObjMinSize); got != want {
+		t.Fatalf("settled region %v encodes to %d bytes, want %d (%d levels of one %d-byte row)",
+			u, got, want, levels, encObjMinSize)
 	}
-	_ = sim.Forever
 }

@@ -92,15 +92,6 @@ type Network struct {
 	evaderAt     map[ObjectID]func() geo.RegionID
 	findObj      map[FindID]ObjectID
 	tr           *trace.Tracer
-	// objRegion tracks each object's current (last entered) region — the
-	// head region whose shard owns the object's cascade work under
-	// object-sharded scheduling (see WithObjectSendNote).
-	objRegion map[ObjectID]geo.RegionID
-	objNote   ObjectSendNote
-	// spliceShards/spliceShardOf fan AttachObjects' table splices out
-	// across the shards of a geographic partition (see WithSpliceSharding).
-	spliceShards  int
-	spliceShardOf func(geo.RegionID) int
 	// moveEpochs counts region changes per object for trace op
 	// correlation: concurrent cascades of different objects carry
 	// distinct OpMoveFor ids instead of sharing one global counter.
@@ -214,7 +205,6 @@ func New(cg *cgcast.Service, geom hier.Geometry, opts ...Option) (*Network, erro
 		evaderAt:   make(map[ObjectID]func() geo.RegionID),
 		findObj:    make(map[FindID]ObjectID),
 		moveEpochs: make(map[ObjectID]uint64),
-		objRegion:  make(map[ObjectID]geo.RegionID),
 	}
 	for _, o := range opts {
 		o.apply(n)
@@ -435,6 +425,12 @@ func (n *Network) AttachObject(obj ObjectID, at func() geo.RegionID) {
 	n.evaderAt[obj] = at
 }
 
+// Attached reports whether obj has a registered position hook.
+func (n *Network) Attached(obj ObjectID) bool {
+	_, ok := n.evaderAt[obj]
+	return ok
+}
+
 // RemoveObject stops tracking an object: its current region's clients get
 // a left input — dismantling the tracking path through the normal shrink
 // cascade — and the object's GPS attachment is dropped. Once the cascade
@@ -448,7 +444,6 @@ func (n *Network) RemoveObject(obj ObjectID) error {
 	}
 	delete(n.evaderAt, obj)
 	n.handleObjectEvent(obj, at(), false)
-	delete(n.objRegion, obj)
 	return nil
 }
 
@@ -463,7 +458,6 @@ func (n *Network) handleObjectEvent(obj ObjectID, u geo.RegionID, entered bool) 
 		// A new move epoch for this object: the grow/shrink cascade the
 		// region change triggers is correlated under OpMoveFor(obj, epoch).
 		n.moveEpochs[obj]++
-		n.objRegion[obj] = u
 	}
 	for _, id := range n.cg.Layer().ClientsIn(u) {
 		if c, ok := n.clients[id]; ok {

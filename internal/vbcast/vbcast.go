@@ -53,7 +53,6 @@ type Service struct {
 	e      sim.Time
 	ledger *metrics.Ledger
 	model  DelayModel
-	route  RouteFunc
 	// lastArrival tracks, per delivery channel (destination region ×
 	// message class), the latest arrival time already scheduled there;
 	// sampled arrivals are clamped to it so delivery respects TOBcast send
@@ -96,25 +95,6 @@ func New(k *sim.Kernel, layer *vsa.Layer, delta, e sim.Time, ledger *metrics.Led
 	}
 }
 
-// RouteFunc schedules a delivery from one region to another at an absolute
-// arrival time. The sharded service (core, -shards > 1) installs the shard
-// router here so every transport delivery is routed and accounted against
-// the spatial partition; nil schedules directly on the kernel.
-type RouteFunc func(from, to geo.RegionID, due sim.Time, fn func()) sim.Event
-
-// SetRouter installs a delivery router (nil restores direct kernel
-// scheduling). Must be set before traffic starts.
-func (s *Service) SetRouter(r RouteFunc) { s.route = r }
-
-// at schedules a delivery through the installed router, if any.
-func (s *Service) at(from, to geo.RegionID, due sim.Time, fn func()) {
-	if s.route != nil {
-		s.route(from, to, due, fn)
-		return
-	}
-	s.k.At(due, fn)
-}
-
 // SetDelayModel installs a per-message delay model (nil restores the exact
 // worst-case schedule). With a model installed every delivery time is
 // sampled from the model and clamped to the TOBcast ordering constraint;
@@ -142,7 +122,7 @@ func (s *Service) ClientToVSA(from vsa.ClientID, target geo.RegionID, level int,
 	}
 	s.record("transport/client", hopCount(src, target))
 	inc := s.layer.Incarnation(target)
-	s.at(src, target, s.deliverAt(chanClient, target, s.broadcastDelay(src, target)), func() {
+	s.k.At(s.deliverAt(chanClient, target, s.broadcastDelay(src, target)), func() {
 		if s.layer.Incarnation(target) != inc {
 			// VSA failed or restarted while the message was in flight.
 			s.recordDrop("transport/client", metrics.DropIncarnation)
@@ -179,7 +159,7 @@ func (s *Service) VSAToClients(from geo.RegionID, targets []geo.RegionID, msg an
 	for _, tgt := range targets {
 		tgt := tgt
 		at := s.deliverAt(chanVSAClient, tgt, sim.Add(lag, s.broadcastDelay(from, tgt)))
-		s.at(from, tgt, at, func() {
+		s.k.At(at, func() {
 			for _, id := range s.layer.ClientsIn(tgt) {
 				// ClientsIn lists only alive occupants, but a handler run by
 				// an earlier delivery in this same loop may fail a client;
@@ -223,7 +203,7 @@ func (s *Service) VSAToVSATracked(from, to geo.RegionID, onArrive func(), onDrop
 	s.record("transport/hop", hopCount(from, to))
 	inc := s.layer.Incarnation(to)
 	at := s.deliverAt(chanHop, to, sim.Add(s.emulationLag(from), s.broadcastDelay(from, to)))
-	s.at(from, to, at, func() {
+	s.k.At(at, func() {
 		if s.layer.Incarnation(to) != inc || !s.layer.Alive(to) {
 			cause := metrics.DropDeadVSA
 			if s.layer.Incarnation(to) != inc {
