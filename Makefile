@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short shuffle race vet lint bench bench-full bench-smoke nethost-smoke multiobject-smoke bulkattach-smoke paralleltracker-smoke experiments experiments-quick experiments-smoke chaos fuzz cover clean
+.PHONY: all build test test-short shuffle race vet lint nethost-smoke multiobject-smoke bulkattach-smoke paralleltracker-smoke experiments experiments-quick experiments-smoke experiments-csv experiments-json chaos fuzz cover clean
 
 all: build vet test
 
@@ -36,42 +36,6 @@ shuffle:
 # Full suite under the race detector — the sweep engine's correctness bar.
 race:
 	$(GO) test -race ./...
-
-# Hot-path micro-benchmarks (event kernel, failover routing, networked-host
-# round trip, shard-scaling curve, object-sharded cascade curve,
-# multi-object fan-out, bulk-vs-sequential attach, parallel-tracker
-# scaling), recorded as
-# BENCH_10.json — suite wall-clock, ns/op, allocs/op, the cached-vs-uncached
-# failover speedup (the run fails below 2x), events/sec plus load-balance
-# ratio at K ∈ {1,2,4,8} shards on the 2048² grid (the run fails below
-# 1.5x at K=8 — sessions on this single-core box have measured 2.32x,
-# 1.63x, and 1.82x for the same binary; balance stays ≤1.02, so the
-# swing is cache-geometry noise, not partition skew, and a 2x floor
-# flaps — see DESIGN.md §7), the multi-object scaling curve (objects/sec, bytes/region,
-# frames/round at k ∈ {1e3, 1e4, 1e5}; the run fails unless batched C-gcast
-# beats unbatched by 2x in frames at the largest k, or if objects/s
-# regresses with fan-out beyond the noise tolerance), and the bulk-attach
-# speedup at 10⁴ clustered objects (the run fails below 5x), and the
-# parallel-tracker scaling curve (replica-stack tracker events/s at
-# K ∈ {1,2,4,8} engine shards over one full-population cascade round; the
-# run fails unless K=8 beats K=1 by 2x). Future PRs extend the trajectory
-# by re-running this after touching a hot path.
-bench:
-	$(GO) run ./cmd/bench -min-shard-speedup 1.5 -out BENCH_10.json
-
-# Full benchmark sweep: one target per experiment table plus micro-benches.
-bench-full:
-	$(GO) test -bench=. -benchmem ./...
-
-# CI gate: each micro-benchmark once (wiring check — single-iteration
-# timings are too noisy for the 2x speedup gates, which `make bench`
-# enforces; the batch frame gain is a deterministic count ratio and the
-# bulk-attach speedup has a 3x margin over its gate, so both stay gated
-# even here) plus the zero-allocation regression tests pinning the
-# steady-state claims.
-bench-smoke:
-	$(GO) run ./cmd/bench -benchtime 1x -min-speedup 0 -min-shard-speedup 0 -min-partracker-speedup 0 -shard-grid 256 -partracker-objects 4096 -out BENCH_10.json
-	$(GO) test -run 'ZeroAlloc' -v ./internal/sim ./internal/geocast
 
 # Networked-host smoke: the nethost runtime and the tracker-over-nethost
 # integration tests (oracle parity, heal-after-kill, chaos conservation)

@@ -193,17 +193,23 @@ func (s *server) exec(fields []string) string {
 		return "err empty command"
 	}
 	argN := func(i int) (int, error) { return strconv.Atoi(fields[i]) }
+	// Object ids are int32 on the wire: a negative or wider number is
+	// refused, not wrapped onto another object's id.
+	objN := func(i int) (tracker.ObjectID, error) {
+		v, err := strconv.ParseUint(fields[i], 10, 31)
+		return tracker.ObjectID(v), err
+	}
 	switch fields[0] {
 	case "place":
 		if len(fields) != 3 {
 			return "err usage: place <obj> <region>"
 		}
-		obj, e1 := argN(1)
+		obj, e1 := objN(1)
 		at, e2 := argN(2)
 		if e1 != nil || e2 != nil {
 			return "err bad arguments"
 		}
-		if err := s.nh.PlaceObject(tracker.ObjectID(obj), geo.RegionID(at)); err != nil {
+		if err := s.nh.PlaceObject(obj, geo.RegionID(at)); err != nil {
 			return "err " + err.Error()
 		}
 		return "ok place"
@@ -211,13 +217,13 @@ func (s *server) exec(fields []string) string {
 		if len(fields) != 4 {
 			return "err usage: move <obj> <from> <to>"
 		}
-		obj, e1 := argN(1)
+		obj, e1 := objN(1)
 		from, e2 := argN(2)
 		to, e3 := argN(3)
 		if e1 != nil || e2 != nil || e3 != nil {
 			return "err bad arguments"
 		}
-		if err := s.nh.MoveObject(tracker.ObjectID(obj), geo.RegionID(from), geo.RegionID(to)); err != nil {
+		if err := s.nh.MoveObject(obj, geo.RegionID(from), geo.RegionID(to)); err != nil {
 			return "err " + err.Error()
 		}
 		return "ok move"
@@ -226,48 +232,40 @@ func (s *server) exec(fields []string) string {
 			return "err usage: find <origin> [obj]"
 		}
 		origin, e1 := argN(1)
-		obj := int(tracker.DefaultObject)
+		obj := tracker.DefaultObject
 		var e2 error
 		if len(fields) == 3 {
-			obj, e2 = argN(2)
+			obj, e2 = objN(2)
 		}
 		if e1 != nil || e2 != nil {
 			return "err bad arguments"
 		}
-		id, err := s.nh.FindObject(geo.RegionID(origin), tracker.ObjectID(obj))
+		id, err := s.nh.FindObject(geo.RegionID(origin), obj)
 		if err != nil {
 			return "err " + err.Error()
 		}
 		return fmt.Sprintf("ok find %d", id)
-	case "kill":
+	case "kill", "restart", "alive":
 		if len(fields) != 2 {
-			return "err usage: kill <region>"
+			return "err usage: " + fields[0] + " <region>"
 		}
 		u, e1 := argN(1)
 		if e1 != nil {
 			return "err bad arguments"
 		}
-		s.svc.KillRegion(geo.RegionID(u))
-		return "ok kill"
-	case "restart":
-		if len(fields) != 2 {
-			return "err usage: restart <region>"
+		region := geo.RegionID(u)
+		if !s.nh.Hierarchy().Tiling().Contains(region) {
+			return "err region out of range"
 		}
-		u, e1 := argN(1)
-		if e1 != nil {
-			return "err bad arguments"
+		switch fields[0] {
+		case "kill":
+			s.svc.KillRegion(region)
+		case "restart":
+			s.svc.RestartRegion(region)
+		case "alive":
+			return fmt.Sprintf("ok alive %v", s.svc.RegionAlive(region))
 		}
-		s.svc.RestartRegion(geo.RegionID(u))
-		return "ok restart"
-	case "alive":
-		if len(fields) != 2 {
-			return "err usage: alive <region>"
-		}
-		u, e1 := argN(1)
-		if e1 != nil {
-			return "err bad arguments"
-		}
-		return fmt.Sprintf("ok alive %v", s.svc.RegionAlive(geo.RegionID(u)))
+		return "ok " + fields[0]
 	case "stats":
 		data, err := json.Marshal(s.svc.LedgerExport())
 		if err != nil {

@@ -28,14 +28,14 @@ import (
 //     both ways and every region's canonical encoding must match byte for
 //     byte — the license for using the bulk path at the ks where
 //     sequential attach is no longer feasible (attach *throughput* is
-//     wall-clock and lives in BENCH_10.json, not here: these tables render
-//     byte-identically at any worker count, so every column is virtual-
-//     time or count valued);
+//     wall-clock and is BENCHMARK.json's tracker.attach_objects_per_s,
+//     not a column here: these tables render byte-identically at any
+//     worker count, so every column is virtual-time or count valued);
 //   - parallel tracker ≡ sequential: at the smallest k the same workload
 //     runs on core.NewParallel replica stacks at K ∈ {1, env K} and must
 //     reproduce the sequential run's founds and every region's encoding
 //     byte for byte, with the engine step count invariant in K — the
-//     license for the "par events" column and the BENCH_10 speedup gate;
+//     license for the "par events" column;
 //   - sampled Theorem 4.8: for a fixed sample of objects, the settled
 //     per-object state vector look-aheads to atomicMoveSeq of that
 //     object's trail — fan-out does not perturb any object's structure;

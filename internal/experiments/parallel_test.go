@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -138,20 +136,5 @@ func TestMultiObjectExperimentByteIdentical(t *testing.T) {
 	if got := quickOutput(t, only, 8); got != sequential {
 		t.Errorf("E8 output at 8 workers differs from sequential run:\n--- parallel 1\n%s\n--- parallel 8\n%s",
 			sequential, got)
-	}
-}
-
-// BenchmarkQuickSuiteSpeedup measures wall-clock of the full quick suite
-// at increasing worker counts; on multi-core hardware the 4+-worker runs
-// should complete at least ~2x faster than sequential.
-func BenchmarkQuickSuiteSpeedup(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := RunAll(io.Discard, Options{Quick: true, Parallel: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

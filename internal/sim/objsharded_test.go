@@ -146,8 +146,8 @@ func TestObjectCascadeDeterministicAcrossShardCounts(t *testing.T) {
 // BenchmarkObjectShardedCascade measures events/sec of the multi-object
 // cascade workload at K ∈ {1, 2, 4, 8} shards, and reports the shared-root
 // interference as contention per event (object switches in the root's
-// delivery order ÷ events executed). cmd/bench records both in the
-// obj_cascade section of BENCH_9.json.
+// delivery order ÷ events executed) — the shared-head term of Mohamed &
+// Robert (PAPERS.md), which no benchmark/ workload prices.
 func BenchmarkObjectShardedCascade(b *testing.B) {
 	const g, objs, levels, rounds = 64, 20000, 6, 4
 	for _, k := range []int{1, 2, 4, 8} {

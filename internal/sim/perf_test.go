@@ -131,45 +131,3 @@ func TestKernelDrainOrderTotal(t *testing.T) {
 		}
 	}
 }
-
-// --- Micro-benchmarks for BENCH_4.json ---
-
-// BenchmarkKernelScheduleCancel is the timer-reset pattern: schedule a
-// deadline into a standing population and cancel it immediately.
-func BenchmarkKernelScheduleCancel(b *testing.B) {
-	k := New(1)
-	nop := func() {}
-	// Standing population so heap operations have realistic depth.
-	for i := 0; i < 4096; i++ {
-		k.Schedule(Time(i+1)*time.Millisecond, nop)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := k.Schedule(Time(i%1000+1)*time.Microsecond, nop)
-		ev.Cancel()
-	}
-}
-
-// BenchmarkKernelChurn mixes the three steady-state operations the way a
-// protocol run does: cancel-and-reschedule within a standing population,
-// firing an event every few operations.
-func BenchmarkKernelChurn(b *testing.B) {
-	k := New(1)
-	nop := func() {}
-	const pop = 1024
-	evs := make([]Event, pop)
-	for i := range evs {
-		evs[i] = k.Schedule(Time(i+1)*time.Millisecond, nop)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i % pop
-		evs[j].Cancel() // no-op when the event already fired via Step below
-		evs[j] = k.Schedule(Time((i*7)%4096+1)*time.Microsecond, nop)
-		if i%8 == 0 {
-			k.Step()
-		}
-	}
-}

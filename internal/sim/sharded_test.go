@@ -258,8 +258,7 @@ func TestShardedRunUntilAlignsClocks(t *testing.T) {
 
 // The per-shard steady state must stay allocation-free: a Send into a
 // warmed inbox (retained flip-buffer capacity, pre-bound closure) and the
-// shard-local timer path allocate nothing. Named *ZeroAlloc* so the
-// bench-smoke gate (`go test -run ZeroAlloc`) picks it up.
+// shard-local timer path allocate nothing.
 func TestShardedSendZeroAlloc(t *testing.T) {
 	e := NewSharded(1, 2, time.Millisecond, nil)
 	s := e.Shard(0)

@@ -370,6 +370,11 @@ func (nh *NetHost) MoveObject(obj ObjectID, from, to geo.RegionID) error {
 }
 
 func (nh *NetHost) moveObject(obj ObjectID, from, to geo.RegionID) error {
+	// Both ends are checked before the first mutation: a refused move must
+	// not have shrunk the path at from or repointed objAt.
+	if t := nh.h.Tiling(); !t.Contains(to) || (from != geo.NoRegion && !t.Contains(from)) {
+		return fmt.Errorf("tracker: move %v → %v: region out of range", from, to)
+	}
 	nh.mu.Lock()
 	nh.objAt[obj] = to
 	nh.mu.Unlock()
