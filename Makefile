@@ -13,9 +13,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# vet plus staticcheck when it is installed (CI installs it; locally it is
-# optional — the toolchain stays stdlib-only).
+# vet and gofmt, plus staticcheck when it is installed (CI installs it;
+# locally it is optional — the toolchain stays stdlib-only).
 lint: vet
+	test -z "$$(gofmt -l . | grep -v '^.bench_build/')"
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -44,7 +45,7 @@ nethost-smoke:
 	$(GO) test -race ./internal/nethost
 	$(GO) test -race -run 'TestNetHost' ./internal/tracker
 	$(GO) test -run 'TestNetHostMatchesOracleOnFixedSchedule' -count=10 ./internal/tracker
-	$(GO) test -run 'FuzzDecodeRegion|FuzzDecodeClusterMessage|FuzzDecodeClusterBatch' ./internal/tracker
+	$(GO) test -run 'FuzzDecodeRegion|FuzzDecodeClusterMessage' ./internal/tracker
 
 # Multi-object smoke: the quick E13 fan-out run (concurrent objects with
 # sampled Theorem 4.8/4.9 checks and the batching-beats-k-sends bar), the
@@ -59,7 +60,7 @@ multiobject-smoke:
 	$(GO) test -run 'TestTimerTableHoldsOnlyArmedTimers' ./internal/nethost
 	$(GO) test -run 'TestBatchingReducesFrames|TestDefaultConfigRecordsNoFrames' ./internal/core
 	$(GO) test -run 'TestMultiObjectExperimentByteIdentical' ./internal/experiments
-	$(GO) test -run 'FuzzDecodeRegion|FuzzDecodeClusterMessage|FuzzDecodeClusterBatch' ./internal/tracker
+	$(GO) test -run 'FuzzDecodeRegion|FuzzDecodeClusterMessage' ./internal/tracker
 
 # Bulk-attach smoke: the 10⁵-object scale run (bulk attach, sampled
 # Theorem 4.8, concurrent move+find round) and the service-level bulk ≡

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	experiments [-quick] [-only E1,E4] [-csv results] [-json results]
-//	            [-parallel N] [-parallel-tracker K] [-chaos-seed S]
+//	            [-parallel N] [-chaos-seed S]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // Experiments and their sweep cells run on -parallel workers (default
@@ -35,7 +35,6 @@ func main() {
 	csvDir := flag.String("csv", "", "also write each table as <dir>/<ID>.csv")
 	jsonDir := flag.String("json", "", "also write each result (table, checks, ledgers) as <dir>/<ID>.json")
 	parallel := flag.Int("parallel", 0, "sweep worker count (0 = GOMAXPROCS)")
-	parTracker := flag.Int("parallel-tracker", 0, "parallel-tracker engine shard count K for E13 (0 = 4; valid: 1, 2, 4, 8)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "offset added to E11 fault-plan seeds")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -64,8 +63,7 @@ func main() {
 		JSONDir:   *jsonDir,
 		Parallel:  *parallel,
 		ChaosSeed: *chaosSeed,
-
-		ParallelTracker: *parTracker})
+	})
 
 	if *memprofile != "" {
 		f, merr := os.Create(*memprofile)

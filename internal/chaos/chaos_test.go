@@ -35,11 +35,11 @@ func TestStreamsDeterministicAndIndependent(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{CrashWindows: 1},                                              // no CrashLen
-		{CrashWindows: 1, CrashLen: unit},                              // horizon < window
-		{ChurnClients: 1},                                              // no period/horizon
+		{CrashWindows: 1},                 // no CrashLen
+		{CrashWindows: 1, CrashLen: unit}, // horizon < window
+		{ChurnClients: 1},                 // no period/horizon
 		{DelayJitter: true, DropProb: 1.5, CrashWindows: 1, CrashLen: unit, Horizon: unit},
-		{DropProb: 0.5},                                                // loss without crash windows
+		{DropProb: 0.5}, // loss without crash windows
 		{CrashWindows: -1},
 	}
 	for i, cfg := range bad {

@@ -108,7 +108,7 @@ func NewParallel(cfg Config) (*ParallelService, error) {
 
 	ps := &ParallelService{
 		cfg:     cfg,
-		eng:     sim.NewSharded(cfg.Seed, k, cfg.Delta, nil),
+		eng:     sim.NewSharded(cfg.Seed, k, cfg.Delta),
 		stacks:  make([]*Service, k),
 		homes:   geo.NewPartition(tiling, parallelHomeShards),
 		tiling:  tiling,

@@ -32,7 +32,7 @@ import (
 //     not a column here: these tables render byte-identically at any
 //     worker count, so every column is virtual-time or count valued);
 //   - parallel tracker ≡ sequential: at the smallest k the same workload
-//     runs on core.NewParallel replica stacks at K ∈ {1, env K} and must
+//     runs on core.NewParallel replica stacks at K ∈ {1, 4} and must
 //     reproduce the sequential run's founds and every region's encoding
 //     byte for byte, with the engine step count invariant in K — the
 //     license for the "par events" column;
@@ -57,7 +57,6 @@ func E13Scale(env Env) (*Result, error) {
 	if env.Quick {
 		counts = []int{256, 1024}
 	}
-	parK := env.parallelK()
 	res := &Result{Table: Table{
 		ID:    "E13",
 		Title: "multi-object tracking at production fan-out (§VII)",
@@ -66,7 +65,7 @@ func E13Scale(env Env) (*Result, error) {
 			"and the workload runs unchanged on the K-shard parallel tracker",
 		Columns: []string{"objects", "frames batched", "frames unbatched", "frame gain",
 			"bytes/region", "move work/step", "round time max",
-			fmt.Sprintf("par events (K=%d)", parK),
+			fmt.Sprintf("par events (K=%d)", scaleParK),
 			"finds ok", "Thm 4.8 samples"},
 	}}
 
@@ -88,7 +87,7 @@ func E13Scale(env Env) (*Result, error) {
 				return point{}, fmt.Errorf("k=%d unbatched: %w", k, err)
 			}
 			p.plainFrames = plain.frames
-			ps, err := newScalePar(parK)
+			ps, err := newScalePar(scaleParK)
 			if err != nil {
 				return point{}, fmt.Errorf("k=%d parallel: %w", k, err)
 			}
@@ -129,11 +128,11 @@ func E13Scale(env Env) (*Result, error) {
 
 	// Parallel tracker ≡ sequential at the smallest k, across K — the
 	// identity proof behind the "par events" column.
-	parOK, parDetail, err := parallelMatchesSequential(eqK, parK)
+	parOK, parDetail, err := parallelMatchesSequential(eqK)
 	if err != nil {
 		return nil, err
 	}
-	res.check(fmt.Sprintf("k=%d: parallel tracker byte-identical across K ∈ {1, %d}", eqK, parK),
+	res.check(fmt.Sprintf("k=%d: parallel tracker byte-identical across K ∈ {1, %d}", eqK, scaleParK),
 		parOK, "%s", parDetail)
 
 	for _, p := range points {
@@ -193,6 +192,8 @@ const (
 	// scaleUnbatchedMax is the largest k that still runs its unbatched twin
 	// and parallel twin; larger cells skip the second and third full attach.
 	scaleUnbatchedMax = 10_240
+	// scaleParK is the engine shard count of the parallel twin.
+	scaleParK = 4
 )
 
 // scalePlacements is the E13 population: k-1 extra objects scattered
@@ -420,9 +421,9 @@ func runScaleWorkload(k int, batch bool) (scaleStats, error) {
 
 // parallelMatchesSequential proves the parallel tracker's identity bar at
 // one k: the sequential unbatched run and the parallel runs at K = 1 and
-// K = parK must agree on every found output and every region encoding, and
-// the engine step count must be invariant in K.
-func parallelMatchesSequential(k, parK int) (bool, string, error) {
+// K = scaleParK must agree on every found output and every region encoding,
+// and the engine step count must be invariant in K.
+func parallelMatchesSequential(k int) (bool, string, error) {
 	observe := func(svc scaleSvc, err error) (scaleRun, [][]byte, error) {
 		if err != nil {
 			return scaleRun{}, nil, err
@@ -441,7 +442,7 @@ func parallelMatchesSequential(k, parK int) (bool, string, error) {
 	regions := len(seqEncs)
 
 	var steps []uint64
-	for _, kk := range []int{1, parK} {
+	for _, kk := range []int{1, scaleParK} {
 		par, parEncs, err := observe(newScalePar(kk))
 		if err != nil {
 			return false, "", err
@@ -465,11 +466,11 @@ func parallelMatchesSequential(k, parK int) (bool, string, error) {
 			return false, fmt.Sprintf("K=%d: %d/%d region encodings differ from sequential", kk, diff, regions), nil
 		}
 	}
-	if parK > 1 && steps[0] != steps[1] {
-		return false, fmt.Sprintf("engine steps vary with K: %d at K=1, %d at K=%d", steps[0], steps[1], parK), nil
+	if steps[0] != steps[1] {
+		return false, fmt.Sprintf("engine steps vary with K: %d at K=1, %d at K=%d", steps[0], steps[1], scaleParK), nil
 	}
 	return true, fmt.Sprintf("founds and all %d region encodings byte-identical across sequential, K=1, K=%d (%d engine steps)",
-		regions, parK, steps[0]), nil
+		regions, scaleParK, steps[0]), nil
 }
 
 // bulkMatchesSequential attaches the same k-object population through

@@ -13,19 +13,6 @@ type Env struct {
 	Quick     bool
 	Workers   int   // sweep worker count; <= 0 means GOMAXPROCS
 	ChaosSeed int64 // offset added to fault-plan seeds (E11)
-	// ParallelTracker is the engine shard count K for experiments that also
-	// drive the replica-stack parallel tracker (E13's "par events" column);
-	// <= 0 means 4. Must divide the fixed 8-band home partition, so valid
-	// values are 1, 2, 4, 8.
-	ParallelTracker int
-}
-
-// parallelK resolves the parallel-tracker shard count, defaulting to 4.
-func (env Env) parallelK() int {
-	if env.ParallelTracker > 0 {
-		return env.ParallelTracker
-	}
-	return 4
 }
 
 // cells runs fn over every sweep cell on env.Workers workers, returning

@@ -20,10 +20,6 @@ type Options struct {
 	JSONDir   string   // also write each result (table + checks + ledgers) as <dir>/<ID>.json
 	Parallel  int      // sweep worker count; <= 0 means GOMAXPROCS
 	ChaosSeed int64    // offset added to fault-plan seeds (E11)
-	// ParallelTracker is the replica-stack parallel tracker's engine shard
-	// count for E13's "par events" column; <= 0 means 4. Valid values are
-	// 1, 2, 4, 8 (divisors of the fixed 8-band home partition).
-	ParallelTracker int
 }
 
 // RunAll executes the selected experiments, rendering each result to w and
@@ -44,8 +40,7 @@ func RunAll(w io.Writer, opts Options) error {
 	if err != nil {
 		return err
 	}
-	env := Env{Quick: opts.Quick, Workers: opts.Parallel, ChaosSeed: opts.ChaosSeed,
-		ParallelTracker: opts.ParallelTracker}
+	env := Env{Quick: opts.Quick, Workers: opts.Parallel, ChaosSeed: opts.ChaosSeed}
 
 	// Each experiment renders into its own buffer inside the worker pool;
 	// the buffers are concatenated in presentation order afterwards.

@@ -1,27 +1,24 @@
 package geo
 
-// Partition assigns every region of a tiling to one of k spatial shards for
-// the sharded event kernel (internal/sim). The assignment is deterministic
-// in (tiling, k) and aims for contiguous, balanced shards: cross-shard
-// edges are what force conservative synchronization, so fewer boundary
-// edges means wider effective lookahead windows.
+// Partition assigns every region of a grid tiling to one of k spatial
+// shards: the home partition of the parallel tracker (internal/core). The
+// assignment is deterministic in (tiling, k).
 //
-// Grid tilings are split into horizontal row bands — the minimum-boundary
+// The grid is split into horizontal row bands — the minimum-boundary
 // contiguous split for row-major identifiers, and the one whose shard of a
-// region is computable from its row alone. General tilings are split by
-// BFS order from region 0 into equal-size blocks, which keeps shards
-// connected chunks of the neighbor graph on everything the repo's
-// generators produce.
+// region is computable from its row alone. Row y of an h-row grid lands on
+// band ⌊y·k/h⌋, so bands differ in height by at most one row; on a grid
+// with fewer rows than k some bands are empty (a 4-row grid at k = 8 uses
+// bands 0, 2, 4, 6).
 type Partition struct {
 	k  int
 	of []int32 // region id -> shard index
 }
 
-// NewPartition partitions t into (at most) k shards. k is clamped to
-// [1, NumRegions]: asking for more shards than regions yields one region
-// per shard, and k <= 1 yields the trivial single-shard partition.
-func NewPartition(t Tiling, k int) *Partition {
-	n := t.NumRegions()
+// NewPartition partitions g into k row bands. k is clamped to
+// [1, NumRegions]; k <= 1 yields the trivial single-shard partition.
+func NewPartition(g *GridTiling, k int) *Partition {
+	n := g.NumRegions()
 	if k < 1 {
 		k = 1
 	}
@@ -29,84 +26,19 @@ func NewPartition(t Tiling, k int) *Partition {
 		k = n
 	}
 	p := &Partition{k: k, of: make([]int32, n)}
-	if k == 1 {
-		return p
-	}
-	if g, ok := t.(*GridTiling); ok {
-		p.assignRowBands(g)
-		return p
-	}
-	p.assignBFSBlocks(t)
-	return p
-}
-
-// assignRowBands gives shard s the rows [s*h/k, (s+1)*h/k): contiguous
-// bands differing in height by at most one row.
-func (p *Partition) assignRowBands(g *GridTiling) {
 	w, h := g.Width(), g.Height()
 	for y := 0; y < h; y++ {
-		s := int32(y * p.k / h)
+		s := int32(y * k / h)
 		row := p.of[y*w : (y+1)*w]
 		for x := range row {
 			row[x] = s
 		}
 	}
-}
-
-// assignBFSBlocks grows each shard as a breadth-first blob over
-// still-unassigned regions, seeded at the lowest unassigned identifier,
-// until the shard reaches its quota of ⌊n(s+1)/k⌋−⌊ns/k⌋ regions. Growth
-// restricted to unassigned regions keeps each blob connected; only when a
-// shard's frontier dies with quota unmet (the unassigned remainder has
-// split) does it jump to a fresh component. Stragglers land on the last
-// shard.
-func (p *Partition) assignBFSBlocks(t Tiling) {
-	n := t.NumRegions()
-	assigned := make([]bool, n)
-	for s := 0; s < p.k; s++ {
-		quota := n*(s+1)/p.k - n*s/p.k
-		var queue []RegionID
-		count := 0
-		for count < quota {
-			if len(queue) == 0 {
-				seed := 0
-				for seed < n && assigned[seed] {
-					seed++
-				}
-				if seed == n {
-					break
-				}
-				assigned[seed] = true
-				queue = append(queue, RegionID(seed))
-			}
-			u := queue[0]
-			queue = queue[1:]
-			p.of[u] = int32(s)
-			count++
-			for _, v := range t.Neighbors(u) {
-				if !assigned[v] {
-					assigned[v] = true
-					queue = append(queue, v)
-				}
-			}
-		}
-		// Frontier regions enqueued but over quota go back to the pool.
-		for _, u := range queue {
-			assigned[u] = false
-		}
-	}
-	for u := 0; u < n; u++ {
-		if !assigned[u] {
-			p.of[u] = int32(p.k - 1)
-		}
-	}
+	return p
 }
 
 // K returns the number of shards.
 func (p *Partition) K() int { return p.k }
-
-// NumRegions returns the number of partitioned regions.
-func (p *Partition) NumRegions() int { return len(p.of) }
 
 // ShardOf returns the shard owning region u. Out-of-range ids (including
 // NoRegion) map to shard 0 so callers can route "unplaced" traffic without
@@ -116,66 +48,4 @@ func (p *Partition) ShardOf(u RegionID) int {
 		return 0
 	}
 	return int(p.of[u])
-}
-
-// Sizes returns the number of regions per shard.
-func (p *Partition) Sizes() []int {
-	sizes := make([]int, p.k)
-	for _, s := range p.of {
-		sizes[s]++
-	}
-	return sizes
-}
-
-// Adjacency returns, for each shard, the ascending list of *other* shards
-// it shares at least one tiling edge with. This is the sharded engine's
-// sender relation: only adjacent shards constrain each other's
-// conservative horizon.
-func (p *Partition) Adjacency(t Tiling) [][]int {
-	touch := make([]map[int]bool, p.k)
-	for i := range touch {
-		touch[i] = make(map[int]bool)
-	}
-	n := t.NumRegions()
-	for u := RegionID(0); int(u) < n; u++ {
-		su := p.ShardOf(u)
-		for _, v := range t.Neighbors(u) {
-			if sv := p.ShardOf(v); sv != su {
-				touch[su][sv] = true
-			}
-		}
-	}
-	adj := make([][]int, p.k)
-	for i, m := range touch {
-		adj[i] = make([]int, 0, len(m))
-		for s := range m {
-			adj[i] = append(adj[i], s)
-		}
-		insertionSortInts(adj[i])
-	}
-	return adj
-}
-
-func insertionSortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-// CrossEdges counts tiling edges whose endpoints live on different shards
-// (each undirected edge counted once) — the partition-quality metric the
-// tests pin.
-func (p *Partition) CrossEdges(t Tiling) int {
-	n := t.NumRegions()
-	cross := 0
-	for u := RegionID(0); int(u) < n; u++ {
-		for _, v := range t.Neighbors(u) {
-			if v > u && p.ShardOf(u) != p.ShardOf(v) {
-				cross++
-			}
-		}
-	}
-	return cross
 }

@@ -28,6 +28,7 @@
 package nethost
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
 	"sync"
@@ -67,13 +68,6 @@ type App interface {
 	// DeliverFrame hands the node one frame that reached its due time —
 	// typically decoded and fed to the automaton's Deliver.
 	DeliverFrame(n *Node, kind string, payload []byte)
-
-	// OnIdle runs on the node goroutine after the node has drained every
-	// input already sitting in its mailbox — the end of one processing
-	// burst. Apps that buffer per-burst work (e.g. coalescing the burst's
-	// outbound messages into batched frames) flush it here; apps with
-	// nothing to flush implement it as a no-op.
-	OnIdle(n *Node)
 }
 
 // Config sizes a Service.
@@ -83,21 +77,15 @@ type Config struct {
 	// Transport moves frames between regions; nil uses an in-process
 	// channel transport.
 	Transport Transport
-	// Ledger receives the message/delivery/drop/latency accounting; nil
-	// creates a private one. The service serializes access — the ledger
-	// itself may be the non-thread-safe metrics.Ledger.
-	Ledger *metrics.Ledger
-	// Mailbox is the per-node input queue depth; 0 uses a default.
-	Mailbox int
 }
 
-const defaultMailbox = 8192
+// mailboxDepth is the per-node input queue depth.
+const mailboxDepth = 8192
 
 // Service hosts one node per region over a transport and the wall clock.
 type Service struct {
-	app     App
-	tr      Transport
-	mailbox int
+	app App
+	tr  Transport
 
 	start time.Time // anchor: virtual time = wall time since start
 
@@ -110,21 +98,44 @@ type Service struct {
 	stopped bool
 	wg      sync.WaitGroup
 
-	// held tracks every frame sitting in hold (§II-C.3) awaiting its due
-	// time, so Stop can resolve each one to a ledger drop instead of letting
-	// its timer fire after Stop returns. Exactly one of Stop (timer.Stop won)
-	// or deliverHeld (timer fired) claims an id; heldWG pairs one Done with
-	// each claim so Stop can wait out in-flight deliveries.
-	held    map[uint64]*heldFrame
+	// held is every frame in hold (§II-C.3) awaiting its due time, earliest
+	// first. holdLoop, the service's one hold goroutine, hands frames to their
+	// nodes as they come due — a burst of frames due together is a queue, not
+	// a goroutine each — and Stop resolves the rest to ledger drops. wake
+	// tells holdLoop that the earliest due time moved up or the service
+	// stopped; one pending signal is enough.
+	held    holdQueue
 	heldSeq uint64
-	heldWG  sync.WaitGroup
+	wake    chan struct{}
 }
 
-// heldFrame is one frame in hold: its wall timer and the ledger kind it
-// resolves under.
+// heldFrame is one frame in hold: what Receive parsed, the incarnation of
+// the destination it arrived under, and its arrival number.
 type heldFrame struct {
-	timer *time.Timer
-	kind  string
+	due     sim.Time
+	seq     uint64
+	to      geo.RegionID
+	inc     uint64
+	kind    string
+	payload []byte
+}
+
+// holdQueue is a min-heap of held frames by (due, arrival): frames due at
+// the same instant leave in the order they arrived.
+type holdQueue []*heldFrame
+
+func (q holdQueue) Len() int { return len(q) }
+func (q holdQueue) Less(i, j int) bool {
+	return q[i].due < q[j].due || q[i].due == q[j].due && q[i].seq < q[j].seq
+}
+func (q holdQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *holdQueue) Push(x any)   { *q = append(*q, x.(*heldFrame)) }
+func (q *holdQueue) Pop() any {
+	last := len(*q) - 1
+	f := (*q)[last]
+	(*q)[last] = nil
+	*q = (*q)[:last]
+	return f
 }
 
 // slot tracks one region's current node. inc counts lifecycle transitions;
@@ -146,21 +157,14 @@ func New(app App, cfg Config) (*Service, error) {
 		return nil, fmt.Errorf("nethost: need a positive region count, got %d", cfg.NumRegions)
 	}
 	s := &Service{
-		app:     app,
-		tr:      cfg.Transport,
-		mailbox: cfg.Mailbox,
-		slots:   make([]slot, cfg.NumRegions),
-		ledger:  cfg.Ledger,
-		held:    make(map[uint64]*heldFrame),
+		app:    app,
+		tr:     cfg.Transport,
+		slots:  make([]slot, cfg.NumRegions),
+		ledger: metrics.NewLedger(),
+		wake:   make(chan struct{}, 1),
 	}
 	if s.tr == nil {
 		s.tr = NewChanTransport()
-	}
-	if s.ledger == nil {
-		s.ledger = metrics.NewLedger()
-	}
-	if s.mailbox <= 0 {
-		s.mailbox = defaultMailbox
 	}
 	return s, nil
 }
@@ -176,8 +180,8 @@ func (s *Service) Now() sim.Time {
 	return sim.Time(time.Since(s.start))
 }
 
-// Start anchors the clock, starts the transport, and boots every region
-// node (plus any installed chaos schedule).
+// Start anchors the clock, starts the transport and the hold goroutine, and
+// boots every region node (plus any installed chaos schedule).
 func (s *Service) Start() error {
 	s.mu.Lock()
 	if s.started {
@@ -190,6 +194,8 @@ func (s *Service) Start() error {
 		return err
 	}
 	s.start = time.Now()
+	s.wg.Add(1)
+	go s.holdLoop()
 	for u := range s.slots {
 		s.RestartRegion(geo.RegionID(u))
 	}
@@ -209,11 +215,11 @@ func (s *Service) Start() error {
 	return nil
 }
 
-// Stop kills every node and waits for their goroutines to exit. Every
-// frame still held at stop time is resolved — recorded as a DropDeadVSA
-// against its kind — before Stop returns, so the conservation invariant
-// (sent == delivered + drops) holds on the ledger the moment Stop is done;
-// no held-frame timer survives past the call.
+// Stop kills every node and waits for their goroutines and the hold
+// goroutine to exit. Every frame still held at stop time is resolved —
+// recorded as a DropDeadVSA against its kind — before Stop returns, so the
+// conservation invariant (sent == delivered + drops) holds on the ledger the
+// moment Stop is done.
 func (s *Service) Stop() {
 	s.mu.Lock()
 	if s.stopped {
@@ -221,23 +227,18 @@ func (s *Service) Stop() {
 		return
 	}
 	s.stopped = true
-	// Claim every held frame whose timer has not fired yet: winning the
-	// timer.Stop race makes Stop the frame's sole resolver. Frames whose
-	// timers already fired are mid-deliverHeld; heldWG.Wait below blocks
-	// until those resolve themselves.
-	for id, hf := range s.held {
-		if hf.timer.Stop() {
-			delete(s.held, id)
-			s.ledger.RecordDrop("net/"+hf.kind, metrics.DropDeadVSA)
-			s.heldWG.Done()
-		}
+	// Frames holdLoop has already taken out are its to resolve, and wg.Wait
+	// below waits for it; everything still queued dies here.
+	for _, f := range s.held {
+		s.ledger.RecordDrop("net/"+f.kind, metrics.DropDeadVSA)
 	}
+	s.held = nil
 	s.mu.Unlock()
+	s.signalHold()
 	for u := range s.slots {
 		s.KillRegion(geo.RegionID(u))
 	}
 	s.wg.Wait()
-	s.heldWG.Wait()
 	_ = s.tr.Close()
 }
 
@@ -379,42 +380,68 @@ func (s *Service) Receive(frame []byte) {
 		s.mu.Unlock()
 		return
 	}
-	inc := s.slots[to].inc
-	id := s.heldSeq
+	heap.Push(&s.held, &heldFrame{due: due, seq: s.heldSeq, to: to, inc: s.slots[to].inc, kind: kind, payload: payload})
 	s.heldSeq++
-	hf := &heldFrame{kind: kind}
-	s.held[id] = hf
-	s.heldWG.Add(1)
-	hold := time.Duration(due - s.Now())
-	// Armed under mu: a non-positive hold fires the callback immediately on
-	// another goroutine, which then blocks claiming the id until we release.
-	hf.timer = time.AfterFunc(hold, func() { s.deliverHeld(id, to, inc, kind, payload) })
+	earliest := s.held[0].due == due
 	s.mu.Unlock()
+	if earliest {
+		s.signalHold()
+	}
 }
 
-func (s *Service) deliverHeld(id uint64, to geo.RegionID, inc uint64, kind string, payload []byte) {
-	netKind := "net/" + kind
-	s.mu.Lock()
-	if _, ok := s.held[id]; !ok {
-		// Stop won the timer race and already resolved this frame.
-		s.mu.Unlock()
-		return
+func (s *Service) signalHold() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
 	}
-	delete(s.held, id)
-	defer s.heldWG.Done()
-	n := s.slots[to].node
+}
+
+// holdLoop hands each held frame to its destination node once its due time
+// has come, in (due, arrival) order, and sleeps until the next due time in
+// between. It exits once the service has stopped.
+func (s *Service) holdLoop() {
+	defer s.wg.Done()
+	for {
+		s.mu.Lock()
+		wait, stopped := time.Hour, s.stopped
+		if len(s.held) > 0 {
+			wait = time.Duration(s.held[0].due - s.Now())
+		}
+		if wait <= 0 {
+			f := heap.Pop(&s.held).(*heldFrame)
+			s.mu.Unlock()
+			s.deliverHeld(f)
+			continue
+		}
+		s.mu.Unlock()
+		if stopped {
+			return
+		}
+		t := time.NewTimer(wait)
+		select {
+		case <-s.wake:
+		case <-t.C:
+		}
+		t.Stop()
+	}
+}
+
+func (s *Service) deliverHeld(f *heldFrame) {
+	netKind := "net/" + f.kind
+	s.mu.Lock()
+	n := s.slots[f.to].node
 	switch {
 	case n == nil:
 		s.ledger.RecordDrop(netKind, metrics.DropDeadVSA)
 		s.mu.Unlock()
 		return
-	case s.slots[to].inc != inc:
+	case s.slots[f.to].inc != f.inc:
 		s.ledger.RecordDrop(netKind, metrics.DropVSAReset)
 		s.mu.Unlock()
 		return
 	}
 	s.mu.Unlock()
-	if n.post(mbMsg{frame: &rxFrame{kind: kind, payload: payload}}) {
+	if n.post(mbMsg{frame: &rxFrame{kind: f.kind, payload: f.payload}}) {
 		s.mu.Lock()
 		s.ledger.RecordDelivery(netKind)
 		s.mu.Unlock()

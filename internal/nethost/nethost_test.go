@@ -2,6 +2,8 @@ package nethost
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -64,7 +66,6 @@ func (a *recApp) NewAutomaton(u geo.RegionID, host vsa.Host) vsa.Automaton {
 }
 
 func (a *recApp) OnStart(n *Node)               {}
-func (a *recApp) OnIdle(n *Node)                {}
 func (a *recApp) HandleEffect(n *Node, eff any) {}
 func (a *recApp) DeliverFrame(n *Node, kind string, payload []byte) {
 	a.mu.Lock()
@@ -190,7 +191,8 @@ func TestTimerTableHoldsOnlyArmedTimers(t *testing.T) {
 }
 
 // TestHoldUntilDue: a frame with a future due time must not reach the app
-// before that time, and must arrive after it.
+// before that time, and must arrive after it; frames due together are
+// released by the one hold goroutine, in (due, arrival) order.
 func TestHoldUntilDue(t *testing.T) {
 	app := &recApp{}
 	s := startService(t, app, 2)
@@ -211,6 +213,49 @@ func TestHoldUntilDue(t *testing.T) {
 	snap := s.LedgerSnapshot()
 	if snap.MsgCount["net/probe"] != 1 || snap.Delivered["net/probe"] != 1 {
 		t.Fatalf("ledger %+v, want net/probe 1 sent 1 delivered", snap)
+	}
+
+	// A burst due together is a queue, not a goroutine per frame: it costs
+	// no goroutines while it waits or as it comes due, and it leaves in
+	// (due, arrival) order — here a later-sent frame due earlier goes first,
+	// then the burst in the order it was sent.
+	const burst = 2000
+	before := runtime.NumGoroutine()
+	sent := make(chan sim.Time)
+	if err := s.Inject(0, func(n *Node) {
+		due := n.Now() + 80*time.Millisecond
+		for i := 0; i < burst; i++ {
+			n.Send(1, due, "burst", 1, binary.BigEndian.AppendUint16(nil, uint16(i)))
+		}
+		n.Send(1, due-time.Millisecond, "burst", 1, binary.BigEndian.AppendUint16(nil, burst))
+		sent <- due
+	}); err != nil {
+		t.Fatal(err)
+	}
+	due := <-sent
+	peak := 0
+	for deadline := time.Now().Add(5 * time.Second); len(app.recordedFrames()) < 1+burst+1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d burst frames delivered 5 s after their due time", len(app.recordedFrames())-1, burst+1)
+		}
+		if g := runtime.NumGoroutine(); g > peak {
+			peak = g
+		}
+	}
+	if peak > before {
+		t.Errorf("%d goroutines while %d frames came due together, %d before the burst", peak, burst+1, before)
+	}
+	if now := s.Now(); now < due {
+		t.Errorf("burst delivered at %v, before its due time %v", now, due)
+	}
+	for i, f := range app.recordedFrames()[1:] {
+		want := uint16(i - 1)
+		if i == 0 {
+			want = burst
+		}
+		if got := binary.BigEndian.Uint16(f.payload); got != want {
+			t.Fatalf("burst frame %d delivered in position %d, want frame %d there", got, i, want)
+		}
 	}
 }
 

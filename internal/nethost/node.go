@@ -61,7 +61,7 @@ func newNode(s *Service, u geo.RegionID) *Node {
 		svc:    s,
 		u:      u,
 		dead:   make(chan struct{}),
-		mb:     make(chan mbMsg, s.mailbox),
+		mb:     make(chan mbMsg, mailboxDepth),
 		timers: make(map[vsa.TimerID]wallTimer),
 	}
 	n.aut = s.app.NewAutomaton(u, n)
@@ -81,27 +81,12 @@ func (n *Node) run() {
 	defer n.svc.wg.Done()
 	defer n.stopWallTimers()
 	n.svc.app.OnStart(n)
-	n.svc.app.OnIdle(n)
 	for {
 		select {
 		case <-n.dead:
 			return
 		case m := <-n.mb:
 			n.dispatch(m)
-			// Drain whatever already queued behind it without blocking, then
-			// let the app flush per-burst buffered work (batched frames).
-		drain:
-			for {
-				select {
-				case <-n.dead:
-					return
-				case m := <-n.mb:
-					n.dispatch(m)
-				default:
-					break drain
-				}
-			}
-			n.svc.app.OnIdle(n)
 		}
 	}
 }

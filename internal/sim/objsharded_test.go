@@ -41,7 +41,7 @@ const objLanes = 4
 
 func newObjCascadeWorld(g, k, objs, levels, rounds int) *objCascadeWorld {
 	w := &objCascadeWorld{
-		eng:      NewSharded(1, k, gridDelta, nil), // root updates cross any band pair
+		eng:      NewSharded(1, k, gridDelta),
 		g:        g,
 		k:        k,
 		objs:     objs,

@@ -11,11 +11,12 @@ import (
 // world (classic conservative parallel discrete-event simulation).
 //
 // The lookahead comes from geography: no message crosses a region boundary
-// in less than the minimum link delay δ, so a shard that knows every
-// potential sender's earliest unprocessed event time `next[j]` may safely
-// execute everything strictly before
+// in less than the minimum link delay δ, and every other shard is a
+// potential sender, so a shard that knows each other shard's earliest
+// unprocessed event time `next[j]` may safely execute everything strictly
+// before
 //
-//	horizon[i] = δ + min over senders j of next[j]
+//	horizon[i] = δ + min over j ≠ i of next[j]
 //
 // without ever receiving a message in its past. The engine alternates
 // barrier rounds: flush every shard's inbox into its kernel, snapshot
@@ -41,11 +42,10 @@ import (
 // Send into a warmed inbox allocates nothing. Barrier costs (K goroutine
 // wakeups, an O(K) snapshot) amortize over the full δ-window of events.
 type Sharded struct {
-	delta   Time
-	shards  []*Shard
-	senders [][]int // senders[i]: shard indices that may send to shard i
-	next    []Time  // per-round snapshot scratch
-	rounds  uint64
+	delta  Time
+	shards []*Shard
+	next   []Time // per-round snapshot scratch
+	rounds uint64
 }
 
 // Shard is one partition of a Sharded engine: a private kernel plus an
@@ -76,12 +76,9 @@ type xmsg struct {
 }
 
 // NewSharded builds an engine of k shards with minimum cross-shard delay
-// delta (> 0). adj[i] lists the shards that exchange messages with shard
-// i; it is symmetrized, and a nil adj means every pair may communicate.
-// Only adjacent shards constrain each other's conservative horizon, so a
-// sparse adjacency (e.g. geo.Partition.Adjacency) widens the windows.
-// Each shard's kernel gets its own RNG stream derived from seed.
-func NewSharded(seed int64, k int, delta Time, adj [][]int) *Sharded {
+// delta (> 0). Every pair of shards may exchange messages. Each shard's
+// kernel gets its own RNG stream derived from seed.
+func NewSharded(seed int64, k int, delta Time) *Sharded {
 	if k < 1 {
 		panic("sim: NewSharded needs at least one shard")
 	}
@@ -95,37 +92,6 @@ func NewSharded(seed int64, k int, delta Time, adj [][]int) *Sharded {
 	}
 	for i := range e.shards {
 		e.shards[i] = &Shard{eng: e, id: i, k: New(seed + int64(i)*0x9E37)}
-	}
-	e.senders = make([][]int, k)
-	if adj == nil {
-		for i := range e.senders {
-			for j := 0; j < k; j++ {
-				if j != i {
-					e.senders[i] = append(e.senders[i], j)
-				}
-			}
-		}
-		return e
-	}
-	sym := make([]map[int]bool, k)
-	for i := range sym {
-		sym[i] = make(map[int]bool)
-	}
-	for i, nbrs := range adj {
-		for _, j := range nbrs {
-			if j < 0 || j >= k || j == i {
-				continue
-			}
-			sym[i][j] = true
-			sym[j][i] = true
-		}
-	}
-	for i, m := range sym {
-		for j := 0; j < k; j++ {
-			if m[j] {
-				e.senders[i] = append(e.senders[i], j)
-			}
-		}
 	}
 	return e
 }
@@ -284,9 +250,9 @@ func (e *Sharded) run(t Time) uint64 {
 		e.rounds++
 		for i, s := range e.shards {
 			h := Forever
-			for _, j := range e.senders[i] {
-				if e.next[j] < h {
-					h = e.next[j]
+			for j, next := range e.next {
+				if j != i && next < h {
+					h = next
 				}
 			}
 			h = Add(h, e.delta)

@@ -27,23 +27,9 @@ const (
 
 func bandOf(y, g, k int) int { return y * k / g }
 
-// bandAdjacency returns the row-band adjacency: shard s talks to s±1.
-func bandAdjacency(k int) [][]int {
-	adj := make([][]int, k)
-	for s := 0; s < k; s++ {
-		if s > 0 {
-			adj[s] = append(adj[s], s-1)
-		}
-		if s < k-1 {
-			adj[s] = append(adj[s], s+1)
-		}
-	}
-	return adj
-}
-
 func newGridWorld(g, k int) *gridWorld {
 	w := &gridWorld{
-		eng:   NewSharded(1, k, gridDelta, bandAdjacency(k)),
+		eng:   NewSharded(1, k, gridDelta),
 		g:     g,
 		state: make([]uint64, g*g*worldLanes),
 		ticks: make([]uint32, g*g),
@@ -159,7 +145,7 @@ func TestShardedRunRepeatable(t *testing.T) {
 // Cross-shard messages must arrive exactly at their due time on the
 // destination clock — never in the receiver's past, never early.
 func TestShardedConservativeDelivery(t *testing.T) {
-	e := NewSharded(1, 2, time.Millisecond, nil)
+	e := NewSharded(1, 2, time.Millisecond)
 	a, b := e.Shard(0), e.Shard(1)
 	type arrival struct{ want, got Time }
 	var arrivals []arrival
@@ -188,7 +174,7 @@ func TestShardedConservativeDelivery(t *testing.T) {
 // A cross-shard send inside the δ window is a programming error the engine
 // must refuse loudly.
 func TestShardedLookaheadViolationPanics(t *testing.T) {
-	e := NewSharded(1, 2, 5*time.Millisecond, nil)
+	e := NewSharded(1, 2, 5*time.Millisecond)
 	s := e.Shard(0)
 	s.Kernel().At(10*time.Millisecond, func() {
 		defer func() {
@@ -201,7 +187,7 @@ func TestShardedLookaheadViolationPanics(t *testing.T) {
 	e.Run()
 	// The boundary itself is legal: due == now+δ.
 	ok := false
-	e2 := NewSharded(1, 2, 5*time.Millisecond, nil)
+	e2 := NewSharded(1, 2, 5*time.Millisecond)
 	s0 := e2.Shard(0)
 	s0.Kernel().At(time.Millisecond, func() {
 		s0.Send(1, Add(s0.Kernel().Now(), 5*time.Millisecond), func() { ok = true })
@@ -212,12 +198,12 @@ func TestShardedLookaheadViolationPanics(t *testing.T) {
 	}
 }
 
-// Idle shards must not throttle busy ones: with a sparse adjacency, a
-// shard with no senders runs to completion regardless of its non-neighbor
-// shards' clocks, and an entirely empty shard costs nothing.
+// Idle shards must not throttle busy ones: a shard whose senders are all
+// idle has horizon Forever and runs to completion, and an entirely empty
+// shard costs nothing.
 func TestShardedIdleShardsDoNotBlock(t *testing.T) {
-	// Chain adjacency 0-1-2; shard 2 gets no events at all.
-	e := NewSharded(1, 3, time.Millisecond, [][]int{{1}, {0, 2}, {1}})
+	// Shards 1 and 2 get no events at all.
+	e := NewSharded(1, 3, time.Millisecond)
 	n := 0
 	s := e.Shard(0)
 	var tick func()
@@ -243,7 +229,7 @@ func TestShardedIdleShardsDoNotBlock(t *testing.T) {
 
 // RunUntil must align every shard clock even when a shard had no events.
 func TestShardedRunUntilAlignsClocks(t *testing.T) {
-	e := NewSharded(1, 4, time.Millisecond, nil)
+	e := NewSharded(1, 4, time.Millisecond)
 	e.Shard(2).Kernel().At(3*time.Millisecond, func() {})
 	e.RunUntil(50 * time.Millisecond)
 	for i := 0; i < e.K(); i++ {
@@ -260,7 +246,7 @@ func TestShardedRunUntilAlignsClocks(t *testing.T) {
 // warmed inbox (retained flip-buffer capacity, pre-bound closure) and the
 // shard-local timer path allocate nothing.
 func TestShardedSendZeroAlloc(t *testing.T) {
-	e := NewSharded(1, 2, time.Millisecond, nil)
+	e := NewSharded(1, 2, time.Millisecond)
 	s := e.Shard(0)
 	fn := func() {}
 	// Warm: grow the inbox and the destination spare buffer once, then

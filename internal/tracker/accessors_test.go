@@ -35,6 +35,9 @@ func TestNetworkAndClientAccessors(t *testing.T) {
 	if f.net.BackupProcess(0) != nil {
 		t.Error("BackupProcess without replication should be nil")
 	}
+	if n := f.net.ArmedWakeups(0); n != 0 {
+		t.Errorf("%d wakeups armed at the evader's region after a heartbeat-free settle", n)
+	}
 
 	c := f.net.Client(vsa.ClientID(0))
 	if c == nil {

@@ -29,23 +29,20 @@ import (
 type NetHost struct {
 	h     *hier.Hierarchy
 	geom  hier.Geometry
-	sched Schedule
 	unit  sim.Time
 	delta sim.Time
 	hb    *HeartbeatConfig
-	batch bool
 	aCfg  automatonConfig
 
 	svc *nethost.Service
 
 	// mu guards the host registries below, never node or automaton state.
+	// started is the only find registry: a find is outstanding iff its id is
+	// a key (the value is its issue time), and its first found removes it.
 	mu      sync.Mutex
 	objAt   map[ObjectID]geo.RegionID
 	findSeq FindID
 	started map[FindID]sim.Time
-	findObj map[FindID]ObjectID
-	done    map[FindID]bool
-	results map[FindID]FindResult
 	onFound func(FindResult)
 }
 
@@ -60,14 +57,6 @@ type NetConfig struct {
 	// Heartbeat, when positive, enables the §VII refresh extension with
 	// this client re-broadcast period.
 	Heartbeat sim.Time
-	// Schedule overrides the default grow/shrink schedule (validated).
-	Schedule *Schedule
-	// Batch coalesces each node's outbound cluster messages per
-	// (destination, due time) across one processing burst into single
-	// KindClusterBatch wire frames — the multi-object fan-out
-	// optimization. Off, every message is its own frame (the historical
-	// format); batched frames from a Batch peer still decode either way.
-	Batch bool
 	// OnFound is invoked once per completed find (off the node goroutines'
 	// critical state, but concurrently with them).
 	OnFound func(FindResult)
@@ -81,25 +70,17 @@ func NewNetHost(h *hier.Hierarchy, cfg NetConfig) (*NetHost, error) {
 		return nil, fmt.Errorf("tracker: nethost needs positive delta and unit, got δ=%v unit=%v", cfg.Delta, cfg.Unit)
 	}
 	sched := DefaultSchedule(cfg.Geom, cfg.Unit)
-	if cfg.Schedule != nil {
-		sched = *cfg.Schedule
-	}
 	if err := sched.Validate(cfg.Geom, cfg.Unit); err != nil {
 		return nil, err
 	}
 	nh := &NetHost{
 		h:       h,
 		geom:    cfg.Geom,
-		sched:   sched,
 		unit:    cfg.Unit,
 		delta:   cfg.Delta,
-		batch:   cfg.Batch,
 		onFound: cfg.OnFound,
 		objAt:   make(map[ObjectID]geo.RegionID),
 		started: make(map[FindID]sim.Time),
-		findObj: make(map[FindID]ObjectID),
-		done:    make(map[FindID]bool),
-		results: make(map[FindID]FindResult),
 	}
 	if cfg.Heartbeat > 0 {
 		nh.hb = &HeartbeatConfig{
@@ -121,54 +102,32 @@ func (nh *NetHost) Attach(svc *nethost.Service) { nh.svc = svc }
 func (nh *NetHost) Hierarchy() *hier.Hierarchy { return nh.h }
 
 // netRegionState is the per-node client state (Node.State): the §IV-A
-// client algorithm's detection flags for the region's co-located sensor,
-// plus — under NetConfig.Batch — the burst's outbound frame buffer.
-// Node-goroutine only.
+// client algorithm's detection flags for the region's co-located sensor.
+// here maps a detected object to the epoch of its current detection (absent
+// or 0 = not here); every detection takes a fresh epoch, which is what ends
+// the heartbeat loop of an earlier one. Node-goroutine only.
 type netRegionState struct {
-	here map[ObjectID]bool
-
-	// pend buffers this burst's outbound cluster messages per
-	// (destination, due) bucket; pendIdx indexes buckets for O(1) append
-	// while pend keeps insertion order, so flushes are deterministic.
-	pend    []*pendBatch
-	pendIdx map[pendKey]int
-}
-
-// pendKey buckets outbound messages that can share one wire frame.
-type pendKey struct {
-	to  geo.RegionID
-	due sim.Time
-}
-
-// pendBatch is one frame under construction.
-type pendBatch struct {
-	to   geo.RegionID
-	due  sim.Time
-	hops int
-	msgs []ClusterMsgFrame
+	here  map[ObjectID]uint64
+	epoch uint64
 }
 
 func regionState(n *nethost.Node) *netRegionState {
 	st, ok := n.State.(*netRegionState)
 	if !ok {
-		st = &netRegionState{here: make(map[ObjectID]bool)}
+		st = &netRegionState{here: make(map[ObjectID]uint64)}
 		n.State = st
 	}
 	return st
 }
 
-// addPending buffers one encoded cluster message for the burst's flush.
-func (st *netRegionState) addPending(to geo.RegionID, due sim.Time, hops int, m ClusterMsgFrame) {
-	key := pendKey{to: to, due: due}
-	if st.pendIdx == nil {
-		st.pendIdx = make(map[pendKey]int)
-	}
-	if i, ok := st.pendIdx[key]; ok {
-		st.pend[i].msgs = append(st.pend[i].msgs, m)
-		return
-	}
-	st.pendIdx[key] = len(st.pend)
-	st.pend = append(st.pend, &pendBatch{to: to, due: due, hops: hops, msgs: []ClusterMsgFrame{m}})
+// detect is the client's GPS "entered" input: record a fresh detection
+// epoch, broadcast grow, and start the detection's heartbeat loop.
+func (nh *NetHost) detect(n *nethost.Node, obj ObjectID) {
+	st := regionState(n)
+	st.epoch++
+	st.here[obj] = st.epoch
+	nh.clientSend(n, obj, KindGrow, nil)
+	nh.armRefresh(n, obj, st.epoch)
 }
 
 // --- nethost.App ---
@@ -192,7 +151,6 @@ func (nh *NetHost) NewAutomaton(u geo.RegionID, host vsa.Host) vsa.Automaton {
 // heartbeat. This is what lets a killed-and-restarted evader region
 // re-seed the tracking structure.
 func (nh *NetHost) OnStart(n *nethost.Node) {
-	st := regionState(n)
 	nh.mu.Lock()
 	var present []ObjectID
 	for obj, at := range nh.objAt {
@@ -202,9 +160,7 @@ func (nh *NetHost) OnStart(n *nethost.Node) {
 	}
 	nh.mu.Unlock()
 	for _, obj := range present {
-		st.here[obj] = true
-		nh.clientSend(n, obj, KindGrow, nil)
-		nh.armRefresh(n, obj)
+		nh.detect(n, obj)
 	}
 }
 
@@ -220,12 +176,6 @@ func (nh *NetHost) HandleEffect(n *nethost.Node, effect any) {
 			return
 		}
 		due := n.Now() + cgcast.ScheduleDelayIn(nh.h, nh.geom, nh.unit, e.From, e.To)
-		if nh.batch {
-			// Buffered until the burst's OnIdle: every same-(destination,
-			// round) message of this burst rides one frame.
-			regionState(n).addPending(to, due, nh.hops(n.Region(), to), ClusterMsgFrame{Kind: e.Kind, Payload: payload})
-			return
-		}
 		n.Send(to, due, e.Kind, nh.hops(n.Region(), to), payload)
 	case foundEffect:
 		u := nh.h.Head(e.From)
@@ -240,62 +190,17 @@ func (nh *NetHost) HandleEffect(n *nethost.Node, effect any) {
 	}
 }
 
-// OnIdle implements nethost.App: flush the burst's buffered outbound
-// messages. Multi-message buckets become one KindClusterBatch frame;
-// singletons keep the plain per-message format (no container overhead, and
-// peers without batch support still decode them).
-func (nh *NetHost) OnIdle(n *nethost.Node) {
-	if !nh.batch {
-		return
-	}
-	st, ok := n.State.(*netRegionState)
-	if !ok || len(st.pend) == 0 {
-		return
-	}
-	for _, b := range st.pend {
-		if len(b.msgs) == 1 {
-			n.Send(b.to, b.due, b.msgs[0].Kind, b.hops, b.msgs[0].Payload)
-			continue
-		}
-		payload, err := EncodeClusterBatch(b.msgs)
-		if err != nil {
-			continue
-		}
-		n.Send(b.to, b.due, KindClusterBatch, b.hops, payload)
-	}
-	st.pend = nil
-	st.pendIdx = nil
-}
-
 // DeliverFrame implements nethost.App: decode one due frame and feed it to
 // the region's machine — or, for found broadcasts, to the region's client.
 // The bytes are untrusted; a frame that fails the wire codec is dropped.
-// Batched frames unpack into their member messages, each delivered exactly
-// as if it had arrived alone.
 func (nh *NetHost) DeliverFrame(n *nethost.Node, kind string, payload []byte) {
-	if kind == KindClusterBatch {
-		msgs, err := DecodeClusterBatch(payload)
-		if err != nil {
-			return
-		}
-		for _, m := range msgs {
-			if m.Kind == KindClusterBatch {
-				// No nested batches: the encoder never produces them, so a
-				// frame that contains one is hostile.
-				return
-			}
-			nh.DeliverFrame(n, m.Kind, m.Payload)
-		}
-		return
-	}
 	level, del, err := DecodeClusterMsg(kind, payload)
 	if err != nil {
 		return
 	}
 	if kind == KindFound {
 		env := del.Payload.(envelope)
-		st := regionState(n)
-		if !st.here[env.Obj] {
+		if regionState(n).here[env.Obj] == 0 {
 			return
 		}
 		if ps, ok := env.Body.([]FindPayload); ok {
@@ -337,20 +242,22 @@ func (nh *NetHost) clientSend(n *nethost.Node, obj ObjectID, kind string, body a
 	n.Send(head, n.Now()+nh.delta, kind, nh.hops(n.Region(), head), payload)
 }
 
-// armRefresh starts the §VII heartbeat loop on the node: every period,
-// while the object is still detected here, re-broadcast a refresh. The
-// loop is node-local state — it dies with the node and OnStart revives it.
-func (nh *NetHost) armRefresh(n *nethost.Node, obj ObjectID) {
+// armRefresh starts the §VII heartbeat loop of one detection: every period,
+// while that detection (epoch) is still the object's current one here,
+// re-broadcast a refresh. A departure or a newer detection ends the loop at
+// its next tick, so an object has one loop per region however often it is
+// placed or returns. The loop is node-local state — it dies with the node
+// and OnStart revives it.
+func (nh *NetHost) armRefresh(n *nethost.Node, obj ObjectID, epoch uint64) {
 	if nh.hb == nil {
 		return
 	}
 	n.RunAt(n.Now()+nh.hb.Period, func(n *nethost.Node) {
-		st := regionState(n)
-		if !st.here[obj] {
+		if regionState(n).here[obj] != epoch {
 			return
 		}
 		nh.clientSend(n, obj, KindRefresh, 0)
-		nh.armRefresh(n, obj)
+		nh.armRefresh(n, obj, epoch)
 	})
 }
 
@@ -383,19 +290,14 @@ func (nh *NetHost) moveObject(obj ObjectID, from, to geo.RegionID) error {
 		// resets detection anyway (OnStart only re-detects present objects).
 		_ = nh.svc.Inject(from, func(n *nethost.Node) {
 			st := regionState(n)
-			if !st.here[obj] {
+			if st.here[obj] == 0 {
 				return
 			}
-			st.here[obj] = false
+			delete(st.here, obj)
 			nh.clientSend(n, obj, KindShrink, nil)
 		})
 	}
-	err := nh.svc.Inject(to, func(n *nethost.Node) {
-		st := regionState(n)
-		st.here[obj] = true
-		nh.clientSend(n, obj, KindGrow, nil)
-		nh.armRefresh(n, obj)
-	})
+	err := nh.svc.Inject(to, func(n *nethost.Node) { nh.detect(n, obj) })
 	if errors.Is(err, nethost.ErrRegionDown) {
 		// The object entered a crashed region: detection is lost until the
 		// region restarts, when OnStart re-detects it from objAt.
@@ -416,7 +318,6 @@ func (nh *NetHost) FindObject(origin geo.RegionID, obj ObjectID) (FindID, error)
 	nh.findSeq++
 	id := nh.findSeq
 	nh.started[id] = nh.svc.Now()
-	nh.findObj[id] = obj
 	nh.mu.Unlock()
 	p := FindPayload{ID: id, Origin: origin}
 	err := nh.svc.Inject(origin, func(n *nethost.Node) {
@@ -425,48 +326,37 @@ func (nh *NetHost) FindObject(origin geo.RegionID, obj ObjectID) (FindID, error)
 	if err != nil {
 		nh.mu.Lock()
 		delete(nh.started, id)
-		delete(nh.findObj, id)
 		nh.mu.Unlock()
 		return 0, err
 	}
 	return id, nil
 }
 
-// FindDone reports whether a found output for the find has occurred.
+// FindDone reports whether a found output for the find has occurred: the
+// id was issued and is no longer outstanding.
 func (nh *NetHost) FindDone(id FindID) bool {
 	nh.mu.Lock()
 	defer nh.mu.Unlock()
-	return nh.done[id]
+	_, outstanding := nh.started[id]
+	return id >= 1 && id <= nh.findSeq && !outstanding
 }
 
-// FindResultFor returns the recorded found output for a completed find.
-func (nh *NetHost) FindResultFor(id FindID) (FindResult, bool) {
-	nh.mu.Lock()
-	defer nh.mu.Unlock()
-	r, ok := nh.results[id]
-	return r, ok
-}
-
-// reportFound deduplicates found outputs per find id (the broadcast
-// reaches the evader's region and its neighbors) and records the
-// find-completion latency in the service ledger.
+// reportFound completes an outstanding find on its first found output (the
+// broadcast reaches the evader's region and its neighbors, so later copies
+// find the id gone) and records the find-completion latency in the service
+// ledger. A found for an id that is not outstanding — a duplicate, or a
+// frame for a find nobody issued — is ignored.
 func (nh *NetHost) reportFound(obj ObjectID, p FindPayload, at geo.RegionID) {
 	nh.mu.Lock()
-	if nh.done[p.ID] {
-		nh.mu.Unlock()
+	start, outstanding := nh.started[p.ID]
+	delete(nh.started, p.ID)
+	nh.mu.Unlock()
+	if !outstanding {
 		return
 	}
-	nh.done[p.ID] = true
-	res := FindResult{ID: p.ID, Object: obj, Origin: p.Origin, FoundAt: at}
-	nh.results[p.ID] = res
-	start, ok := nh.started[p.ID]
-	cb := nh.onFound
-	nh.mu.Unlock()
-	if ok {
-		nh.svc.RecordLatency("net/find", time.Duration(nh.svc.Now()-start))
-	}
-	if cb != nil {
-		cb(res)
+	nh.svc.RecordLatency("net/find", time.Duration(nh.svc.Now()-start))
+	if nh.onFound != nil {
+		nh.onFound(FindResult{ID: p.ID, Object: obj, Origin: p.Origin, FoundAt: at})
 	}
 }
 

@@ -1,6 +1,7 @@
 package tracker
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -10,24 +11,20 @@ import (
 	"vinestalk/internal/nethost"
 )
 
-// A move naming a region outside the tiling is refused before anything is
-// written: no objAt repoint, no left input at the origin (which would shrink
-// the path and strand the object), no frame charged — and the next find is
-// answered where the object still is.
-func TestNetHostRejectedMoveLeavesObjectTracked(t *testing.T) {
-	const (
-		side  = 4
-		obj   = ObjectID(1)
-		at    = geo.RegionID(5)
-		delta = 10 * time.Millisecond
-		unit  = 15 * time.Millisecond
-	)
-	h := hier.MustGrid(geo.MustGridTiling(side, side), 2)
-	founds := make(chan FindResult, 1)
-	nh, err := NewNetHost(h, NetConfig{
-		Geom: hier.MeasureGeometry(h), Delta: delta, Unit: unit,
-		OnFound: func(r FindResult) { founds <- r },
-	})
+// δ and δ+e of the in-package NetHost tests: a 4×4 cascade settles within
+// 20 units.
+const (
+	netTestDelta = 10 * time.Millisecond
+	netTestUnit  = 15 * time.Millisecond
+)
+
+// startNetHost boots a NetHost on a 4×4 grid over the in-process transport
+// and stops it with the test. cfg supplies Heartbeat and OnFound.
+func startNetHost(t *testing.T, cfg NetConfig) (*NetHost, *nethost.Service) {
+	t.Helper()
+	h := hier.MustGrid(geo.MustGridTiling(4, 4), 2)
+	cfg.Geom, cfg.Delta, cfg.Unit = hier.MeasureGeometry(h), netTestDelta, netTestUnit
+	nh, err := NewNetHost(h, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +36,25 @@ func TestNetHostRejectedMoveLeavesObjectTracked(t *testing.T) {
 	if err := svc.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer svc.Stop()
+	t.Cleanup(svc.Stop)
+	return nh, svc
+}
+
+// A move naming a region outside the tiling is refused before anything is
+// written: no objAt repoint, no left input at the origin (which would shrink
+// the path and strand the object), no frame charged — and the next find is
+// answered where the object still is.
+func TestNetHostRejectedMoveLeavesObjectTracked(t *testing.T) {
+	const (
+		obj = ObjectID(1)
+		at  = geo.RegionID(5)
+	)
+	founds := make(chan FindResult, 1)
+	nh, svc := startNetHost(t, NetConfig{OnFound: func(r FindResult) { founds <- r }})
 
 	// No heartbeat, so the ledger rests once a cascade has settled; 4×4
 	// settles within 20 units.
-	const settle = 40 * unit
+	const settle = 40 * netTestUnit
 	if err := nh.PlaceObject(obj, at); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +74,7 @@ func TestNetHostRejectedMoveLeavesObjectTracked(t *testing.T) {
 		t.Errorf("objAt[%d] = %v (present %v) after rejected moves, want %v", obj, got, ok, at)
 	}
 	here := make(chan bool, 1)
-	if err := svc.Inject(at, func(n *nethost.Node) { here <- regionState(n).here[obj] }); err != nil {
+	if err := svc.Inject(at, func(n *nethost.Node) { here <- regionState(n).here[obj] != 0 }); err != nil {
 		t.Fatal(err)
 	}
 	if !<-here {
@@ -85,5 +96,157 @@ func TestNetHostRejectedMoveLeavesObjectTracked(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatalf("find %d unanswered 2s after rejected moves (object stranded)", id)
+	}
+}
+
+// However often an object is placed at a region, or leaves it and returns,
+// the region's client runs one §VII heartbeat loop for it: the refresh rate
+// after five placements, and after four round trips inside one period,
+// is the single-placement rate, not a multiple of it. A tick costs one net/refresh frame per
+// process on the tracking path (client → leaf, then each process to its path
+// parent), so frames ÷ path length counts ticks whatever shape the path has.
+func TestNetHostOneRefreshLoopPerDetection(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time heartbeat windows (~8s)")
+	}
+	const (
+		obj    = ObjectID(1)
+		at     = geo.RegionID(5)
+		away   = geo.RegionID(4)
+		settle = 30 * netTestUnit
+	)
+	ticksOver := func(t *testing.T, nh *NetHost, svc *nethost.Service, window time.Duration) float64 {
+		t.Helper()
+		time.Sleep(settle)
+		pathLen := 0
+		for c := nh.h.Cluster(at, 0); c != hier.NoCluster && pathLen <= nh.h.NumClusters(); pathLen++ {
+			_, p, _, _, err := nh.ClusterPointersFor(c, obj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c = p
+		}
+		before := svc.LedgerSnapshot()
+		time.Sleep(window)
+		frames := svc.LedgerSnapshot().Sub(before).MsgCount["net/"+KindRefresh]
+		return float64(frames) / float64(pathLen)
+	}
+	// A second loop doubles the rate and a dead one zeroes it; a loaded
+	// machine stretches a 60 ms period by a few tens of percent from one
+	// window to the next (each tick re-arms from when it ran).
+	sameRate := func(t *testing.T, what string, got, single float64) {
+		t.Helper()
+		if math.Abs(got-single) > math.Max(1, single/2) {
+			t.Errorf("%s: %.1f heartbeat ticks per window, single placement %.1f (one loop per detection: within a tick, or half the rate)", what, got, single)
+		}
+	}
+
+	t.Run("placements", func(t *testing.T) {
+		const period = 60 * time.Millisecond
+		nh, svc := startNetHost(t, NetConfig{Heartbeat: period})
+		if err := nh.PlaceObject(obj, at); err != nil {
+			t.Fatal(err)
+		}
+		single := ticksOver(t, nh, svc, 10*period)
+		for i := 0; i < 4; i++ {
+			if err := nh.PlaceObject(obj, at); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sameRate(t, "after five placements", ticksOver(t, nh, svc, 10*period), single)
+	})
+
+	t.Run("round trips", func(t *testing.T) {
+		// Eight legs 100 ms apart end inside one period of the first return,
+		// so every loop a return started ticks with the object back here.
+		const period = 900 * time.Millisecond
+		nh, svc := startNetHost(t, NetConfig{Heartbeat: period})
+		if err := nh.PlaceObject(obj, at); err != nil {
+			t.Fatal(err)
+		}
+		single := ticksOver(t, nh, svc, 2*period)
+		for i := 0; i < 4; i++ {
+			for _, leg := range [][2]geo.RegionID{{at, away}, {away, at}} {
+				if err := nh.MoveObject(obj, leg[0], leg[1]); err != nil {
+					t.Fatal(err)
+				}
+				time.Sleep(100 * time.Millisecond)
+			}
+		}
+		sameRate(t, "after four round trips", ticksOver(t, nh, svc, 2*period), single)
+	})
+}
+
+// started is the only find registry and it holds outstanding finds only: a
+// found frame for an id nobody issued — any peer of the data port can send
+// one — is ignored and retains nothing, and an answered find leaves no entry.
+func TestNetHostFindRegistryHoldsOnlyOutstandingFinds(t *testing.T) {
+	const (
+		obj    = ObjectID(1)
+		at     = geo.RegionID(5)
+		forged = FindID(424242)
+		finds  = 1000
+	)
+	founds := make(chan FindResult, finds)
+	nh, svc := startNetHost(t, NetConfig{OnFound: func(r FindResult) { founds <- r }})
+	if err := nh.PlaceObject(obj, at); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(40 * netTestUnit)
+	outstanding := func() int {
+		nh.mu.Lock()
+		defer nh.mu.Unlock()
+		return len(nh.started)
+	}
+
+	c0 := nh.h.Cluster(at, 0)
+	payload, err := EncodeClusterMsg(c0, at, 0, obj, KindFound, []FindPayload{{ID: forged, Origin: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := make(chan struct{})
+	if err := svc.Inject(at, func(n *nethost.Node) {
+		nh.DeliverFrame(n, KindFound, payload)
+		close(delivered)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	<-delivered
+	select {
+	case r := <-founds:
+		t.Errorf("OnFound(%+v) for a find nobody issued", r)
+	default:
+	}
+	if nh.FindDone(forged) {
+		t.Errorf("FindDone(%d) for a find nobody issued", forged)
+	}
+	if n := outstanding(); n != 0 {
+		t.Errorf("%d registry entries after a forged found, want 0", n)
+	}
+
+	issued := make(map[FindID]bool, finds)
+	for i := 0; i < finds; i++ {
+		id, err := nh.FindObject(geo.RegionID(i%nh.h.Tiling().NumRegions()), obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		issued[id] = true
+	}
+	for deadline := time.After(20 * time.Second); len(issued) > 0; {
+		select {
+		case r := <-founds:
+			if !issued[r.ID] || r.FoundAt != at {
+				t.Fatalf("found %+v: not an outstanding find answered at region %v", r, at)
+			}
+			delete(issued, r.ID)
+			if !nh.FindDone(r.ID) {
+				t.Errorf("FindDone(%d) false after its found", r.ID)
+			}
+		case <-deadline:
+			t.Fatalf("%d of %d finds unanswered after 20s", len(issued), finds)
+		}
+	}
+	if n := outstanding(); n != 0 {
+		t.Errorf("%d registry entries after %d answered finds, want 0", n, finds)
 	}
 }

@@ -330,13 +330,18 @@ func TestNetHostHealsAfterRegionKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(3 * time.Second)
-	for !nh.FindDone(id) {
+	var r tracker.FindResult
+	for answered := false; !answered; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("find did not complete after heartbeat healing")
 		}
-		time.Sleep(10 * time.Millisecond)
+		mu.Lock()
+		r, answered = founds[id]
+		mu.Unlock()
 	}
-	r, _ := nh.FindResultFor(id)
+	if !nh.FindDone(id) {
+		t.Errorf("find %d reported through OnFound but not FindDone", id)
+	}
 	if r.FoundAt != evRegion {
 		t.Errorf("found at %v, want evader region %v", r.FoundAt, evRegion)
 	}

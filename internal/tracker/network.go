@@ -90,7 +90,6 @@ type Network struct {
 	done         map[FindID]bool
 	onFound      func(FindResult)
 	evaderAt     map[ObjectID]func() geo.RegionID
-	findObj      map[FindID]ObjectID
 	tr           *trace.Tracer
 	// moveEpochs counts region changes per object for trace op
 	// correlation: concurrent cascades of different objects carry
@@ -203,7 +202,6 @@ func New(cg *cgcast.Service, geom hier.Geometry, opts ...Option) (*Network, erro
 		started:    make(map[FindID]sim.Time),
 		done:       make(map[FindID]bool),
 		evaderAt:   make(map[ObjectID]func() geo.RegionID),
-		findObj:    make(map[FindID]ObjectID),
 		moveEpochs: make(map[ObjectID]uint64),
 	}
 	for _, o := range opts {
@@ -281,6 +279,16 @@ func (n *Network) Emulator() *emul.Emulator {
 		return nil
 	}
 	return n.emulHost.em
+}
+
+// ArmedWakeups returns the number of host wakeups armed for region u. A
+// region whose machine state is gone (failed, or restarted into its initial
+// state) holds none.
+func (n *Network) ArmedWakeups(u geo.RegionID) int {
+	if n.emulHost != nil {
+		return n.emulHost.timers.armedIn(u)
+	}
+	return n.aut.host.(*oracleHost).timers.armedIn(u)
 }
 
 // Process returns the (primary) Tracker process for a cluster.
@@ -507,10 +515,8 @@ func (n *Network) FindObjectAs(id FindID, u geo.RegionID, obj ObjectID) error {
 		return fmt.Errorf("tracker: client %v not part of this network", ids[0])
 	}
 	n.started[id] = n.k.Now()
-	n.findObj[id] = obj
 	if err := c.find(obj, FindPayload{ID: id, Origin: u}); err != nil {
 		delete(n.started, id)
-		delete(n.findObj, id)
 		return err
 	}
 	return nil

@@ -109,6 +109,17 @@ func (ht *hostTimers) disarmRegion(u geo.RegionID) {
 	}
 }
 
+// armedIn counts the wakeups armed for region u.
+func (ht *hostTimers) armedIn(u geo.RegionID) int {
+	n := 0
+	for key := range ht.armed {
+		if key.u == u {
+			n++
+		}
+	}
+	return n
+}
+
 // release takes a fired or cleared timer out of the table.
 func (ht *hostTimers) release(e *hostTimer) {
 	delete(ht.armed, e.key)

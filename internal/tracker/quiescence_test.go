@@ -99,7 +99,8 @@ func TestMoveQuiescentMatchesFullScan(t *testing.T) {
 	evs := attachBulk(t, f, specs)
 	drain("bulk attach")
 	for round := 0; round < 4; round++ {
-		for obj, ev := range evs {
+		for _, sp := range specs { // not range evs: map order would reseed the run
+			obj, ev := sp.Obj, evs[sp.Obj]
 			nbrs := f.tiling.Neighbors(ev.Region())
 			if err := ev.MoveTo(nbrs[rng.Intn(len(nbrs))]); err != nil {
 				t.Fatal(err)

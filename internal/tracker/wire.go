@@ -122,93 +122,3 @@ func DecodeClusterMsg(kind string, data []byte) (level int, del cgcast.Delivery,
 	}
 	return level, del, nil
 }
-
-// --- batched frames ---
-
-// KindClusterBatch is the frame-level kind of a batched cluster frame: one
-// wire frame carrying every cluster message a region sends to one
-// destination for one delivery round. Multiplexing k objects over one
-// hierarchy, the per-(edge, round) traffic collapses from k frames to one.
-const KindClusterBatch = "cbatch"
-
-// wireBatchVersion versions the batch container. The messages inside are
-// ordinary version-1 cluster messages, so a batched frame is a new outer
-// format, not a change to the existing one — old frames still decode.
-const wireBatchVersion = 2
-
-// ClusterMsgFrame is one message riding a batched frame: its own kind plus
-// its EncodeClusterMsg bytes.
-type ClusterMsgFrame struct {
-	Kind    string
-	Payload []byte
-}
-
-// EncodeClusterBatch serializes a batch of encoded cluster messages:
-//
-//	u16 version(=2) | u16 count | count × (u16 kindLen | kind | u32 len | payload)
-func EncodeClusterBatch(msgs []ClusterMsgFrame) ([]byte, error) {
-	if len(msgs) == 0 {
-		return nil, fmt.Errorf("tracker: empty cluster batch")
-	}
-	if len(msgs) > 0xFFFF {
-		return nil, fmt.Errorf("tracker: cluster batch of %d messages exceeds u16 count", len(msgs))
-	}
-	size := 4
-	for _, m := range msgs {
-		size += 2 + len(m.Kind) + 4 + len(m.Payload)
-	}
-	buf := make([]byte, 0, size)
-	buf = binary.BigEndian.AppendUint16(buf, wireBatchVersion)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(msgs)))
-	for _, m := range msgs {
-		if len(m.Kind) > 0xFFFF {
-			return nil, fmt.Errorf("tracker: batch entry kind %q too long", m.Kind)
-		}
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Kind)))
-		buf = append(buf, m.Kind...)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Payload)))
-		buf = append(buf, m.Payload...)
-	}
-	return buf, nil
-}
-
-// DecodeClusterBatch parses an untrusted batched frame into its entries.
-// Like the rest of the wire codec it bounds every count against the
-// remaining bytes before allocating, rejects trailing bytes, and returns
-// nothing on any error — a batch truncated mid-entry yields no messages at
-// all, not a prefix (commit-after-full-parse).
-func DecodeClusterBatch(data []byte) ([]ClusterMsgFrame, error) {
-	d := &decoder{buf: data}
-	if v := d.u16(); d.err == nil && v != wireBatchVersion {
-		return nil, fmt.Errorf("tracker: unsupported batch version %d", v)
-	}
-	count := int(d.u16())
-	if d.err == nil && count > d.remaining()/6 {
-		// Every entry costs at least kindLen(2) + len(4) bytes.
-		return nil, fmt.Errorf("tracker: batch count %d exceeds remaining %d bytes", count, d.remaining())
-	}
-	if d.err == nil && count == 0 {
-		return nil, fmt.Errorf("tracker: empty cluster batch")
-	}
-	msgs := make([]ClusterMsgFrame, 0, count)
-	for i := 0; i < count && d.err == nil; i++ {
-		kindLen := int(d.u16())
-		if d.err == nil && kindLen > d.remaining() {
-			return nil, fmt.Errorf("tracker: batch entry kind length %d exceeds remaining %d bytes", kindLen, d.remaining())
-		}
-		kind := string(d.bytes(kindLen))
-		payloadLen := int(d.u32())
-		if d.err == nil && payloadLen > d.remaining() {
-			return nil, fmt.Errorf("tracker: batch entry length %d exceeds remaining %d bytes", payloadLen, d.remaining())
-		}
-		payload := d.bytes(payloadLen)
-		msgs = append(msgs, ClusterMsgFrame{Kind: kind, Payload: payload})
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("tracker: %d trailing bytes after cluster batch", d.remaining())
-	}
-	return msgs, nil
-}

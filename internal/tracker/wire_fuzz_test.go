@@ -107,73 +107,6 @@ func FuzzDecodeClusterMessage(f *testing.F) {
 	})
 }
 
-// FuzzDecodeClusterBatch throws untrusted bytes at the batched-frame
-// container. Properties:
-//
-//  1. no panic and no unbounded allocation (entry counts and lengths are
-//     bounded against the remaining bytes before any slice is made);
-//  2. an accepted batch is canonical — re-encoding its entries reproduces
-//     the input byte for byte — and commit-after-full-parse holds: a
-//     batch truncated mid-entry yields no entries at all;
-//  3. version mismatches, empty batches, and trailing bytes are rejected.
-func FuzzDecodeClusterBatch(f *testing.F) {
-	mk := func(obj ObjectID, kind string, body any) ClusterMsgFrame {
-		b, err := EncodeClusterMsg(3, 7, 1, obj, kind, body)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return ClusterMsgFrame{Kind: kind, Payload: b}
-	}
-	// A realistic multi-object batch: three objects' grow cascade traffic
-	// sharing one (edge, round), plus a find.
-	batch, err := EncodeClusterBatch([]ClusterMsgFrame{
-		mk(0, KindGrow, nil),
-		mk(1, KindGrow, nil),
-		mk(2, KindGrowPar, nil),
-		mk(1, KindFind, []FindPayload{{ID: 9, Origin: 4}}),
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(batch)
-	single, err := EncodeClusterBatch([]ClusterMsgFrame{mk(5, KindShrink, nil)})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(single)
-	f.Add([]byte{})
-	f.Add(batch[:6])            // cut mid-first-entry header
-	f.Add(batch[:len(batch)-1]) // cut mid-last-entry payload
-	f.Add(batch[:len(batch)/2]) // cut mid-table
-	hugeCount := bytes.Clone(batch)
-	binary.BigEndian.PutUint16(hugeCount[2:], 0xFFFF)
-	f.Add(hugeCount)
-	badVersion := bytes.Clone(batch)
-	binary.BigEndian.PutUint16(badVersion[0:], 99)
-	f.Add(badVersion)
-	f.Add(append(bytes.Clone(batch), 0xAA)) // trailing garbage
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		msgs, err := DecodeClusterBatch(data)
-		if err != nil {
-			if msgs != nil {
-				t.Fatalf("rejected batch returned %d entries", len(msgs))
-			}
-			return
-		}
-		if len(msgs) == 0 {
-			t.Fatal("accepted batch has no entries")
-		}
-		reenc, err := EncodeClusterBatch(msgs)
-		if err != nil {
-			t.Fatalf("re-encoding accepted batch: %v", err)
-		}
-		if !bytes.Equal(reenc, data) {
-			t.Fatalf("accepted batch is not canonical:\n in  %x\n out %x", data, reenc)
-		}
-	})
-}
-
 // TestWireFuzzSelectorsResolve pins the selector byte → kind mapping the
 // checked-in seed corpus depends on.
 func TestWireFuzzSelectorsResolve(t *testing.T) {
