@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short shuffle race vet lint nethost-smoke multiobject-smoke bulkattach-smoke paralleltracker-smoke experiments experiments-quick experiments-smoke experiments-csv experiments-json chaos fuzz cover clean
+.PHONY: all build test test-short shuffle race vet lint nethost-smoke multiobject-smoke bulkattach-smoke paralleltracker-smoke experiments experiments-quick experiments-smoke experiments-csv experiments-json chaos pairs fuzz cover clean
 
 all: build vet test
 
@@ -116,6 +116,37 @@ chaos:
 	$(GO) run ./cmd/experiments -only E11 -parallel 8 > results/e11-par.txt
 	diff -u results/e11-seq.txt results/e11-par.txt
 	@echo "chaos: E11 deterministic and violation-free at both seeds"
+
+# Performance evidence: alternating parent/change pairs of the benchmark
+# (benchmark/README.md, "Paired runs"), read with -compare. The parent
+# revision is checked out as a git worktree under the gitignored
+# .bench_build/, each side builds and runs in its own tree (so neither reads
+# the other's files or build cache), seeds run 1…N with the side that goes
+# first alternating, and the runs land in .bench_build/pairs/{A,B}.jsonl.
+# PARENT, N and W are knobs of this developer tool, not of the system:
+#	make pairs                          # HEAD~1 vs the working tree, 10 seeds, all four workloads
+#	make pairs PARENT=08cbe4f N=3 W=walk64
+PARENT ?= HEAD~1
+N ?= 10
+W ?= walk64 fanout128k fanout128k-k2 daemon8
+PAIRS := $(CURDIR)/.bench_build/pairs
+
+pairs:
+	mkdir -p $(PAIRS)
+	-git worktree remove --force $(PAIRS)/parent 2>/dev/null
+	git worktree add --detach $(PAIRS)/parent $(PARENT)
+	rm -f $(PAIRS)/A.jsonl $(PAIRS)/B.jsonl
+	set -e; for i in $$(seq 1 $(N)); do for w in $(W); do \
+		if [ $$((i % 2)) -eq 1 ]; then sides="parent change"; else sides="change parent"; fi; \
+		for side in $$sides; do \
+			if [ $$side = parent ]; then dir=$(PAIRS)/parent; out=$(PAIRS)/A.jsonl; else dir=$(CURDIR); out=$(PAIRS)/B.jsonl; fi; \
+			echo "== $$w seed $$i: $$side"; \
+			(cd $$dir && bash benchmark/run.sh --workload $$w --seed $$i -out $$out) > $(PAIRS)/last-run.txt; \
+			tail -n 1 $(PAIRS)/last-run.txt; \
+		done; \
+	done; done
+	git worktree remove --force $(PAIRS)/parent
+	$(GO) run ./benchmark -compare $(PAIRS)/A.jsonl $(PAIRS)/B.jsonl
 
 # Write the tables as CSV into ./results.
 experiments-csv:

@@ -31,14 +31,28 @@ import (
 	"vinestalk/internal/vsa"
 )
 
+// Body is what a message says beyond its kind and sender. The fixed fields
+// cover the Tracker alphabet without an allocation — the tracked object the
+// message concerns and the one scalar some kinds add (the pointer a findAck
+// answers with, a refresh's hop count) travel by value inside the frame that
+// carries the message — and Payload carries whatever does not fit them (a
+// find's payload list, a foreign caller's own type), boxed by the sender.
+type Body struct {
+	Obj     int32
+	Arg     int32
+	Payload any
+}
+
 // Delivery is what a cluster process or client receives: the protocol tag,
-// the payload, and the sender's identity (a cluster, or a client's region
-// for schedule-(e) messages).
+// the sender's identity (a cluster, or a client's region for schedule-(e)
+// messages), and the body. Handlers are handed a *Delivery that points into
+// the frame being delivered: it is valid for the duration of the call, and a
+// handler that keeps the message copies it.
 type Delivery struct {
 	Kind       string
-	Payload    any
 	From       hier.ClusterID // NoCluster when sent by a client
 	FromRegion geo.RegionID   // sender's region (head region for clusters)
+	Body
 }
 
 // Service is the cluster geocast service.
@@ -53,8 +67,31 @@ type Service struct {
 	ledger    *metrics.Ledger
 	replicate bool
 	batch     bool
-	frames    bool
-	pending   map[batchKey][]batchEntry
+
+	// kinds maps each protocol kind seen to its "proto/" ledger handle: the
+	// alphabet is small and closed, so a scan of this table replaces a string
+	// concatenation and a hashed ledger lookup per message.
+	kinds []protoKind
+	// frameKind is FrameKind's handle under frame accounting (batching, or
+	// WithFrameAccounting) and the zero handle — which records nothing —
+	// otherwise, so default configurations keep their historical ledger
+	// totals and the FrameKind row conserves whether or not it exists.
+	frameKind metrics.Kind
+
+	// pending holds the frame under construction for each coalescing bucket
+	// (batching only); free holds the frames nothing is using.
+	pending map[batchKey]*frame
+	free    []*frame
+	made    int // frames ever allocated: made - len(free) are live
+
+	onDrop       func(u geo.RegionID, level int, d *Delivery)
+	onClientDrop func(u geo.RegionID, level int, msg any) // s.clientDropped, bound once
+}
+
+// protoKind is one entry of the kind table.
+type protoKind struct {
+	name string
+	kind metrics.Kind
 }
 
 // Option configures the service.
@@ -75,22 +112,22 @@ type batchOption struct{}
 
 func (batchOption) apply(s *Service) {
 	s.batch = true
-	s.frames = true
-	s.pending = make(map[batchKey][]batchEntry)
+	s.frameKind = s.ledger.Kind(FrameKind)
+	s.pending = make(map[batchKey]*frame)
 }
 
 // WithBatching coalesces same-instant cluster-to-cluster traffic per
 // (source region, destination region, scheduled delivery time) into one
 // wire frame: with k objects multiplexed over one hierarchy, a round's k
 // per-object cluster messages along one edge ride a single geocast send
-// instead of k. Per-message protocol accounting ("proto/"+kind) is
+// instead of k. Per-message protocol accounting (the "proto/" kinds) is
 // unchanged; the frames themselves are accounted under FrameKind. Batching
 // implies frame accounting.
 func WithBatching() Option { return batchOption{} }
 
 type frameOption struct{}
 
-func (frameOption) apply(s *Service) { s.frames = true }
+func (frameOption) apply(s *Service) { s.frameKind = s.ledger.Kind(FrameKind) }
 
 // WithFrameAccounting records one FrameKind ledger entry per wire frame
 // without enabling batching (unbatched, every message-target send is its
@@ -111,11 +148,29 @@ type batchKey struct {
 	due      sim.Time
 }
 
-// batchEntry is one cluster message riding a frame.
-type batchEntry struct {
+// entry is one cluster message riding a frame.
+type entry struct {
 	del   Delivery
 	level int
-	kind  string // "proto/"-prefixed accounting kind
+	kind  metrics.Kind // the message's "proto/" accounting kind
+}
+
+// frame is one wire frame from the moment its first message is enqueued to
+// the moment every message riding it has resolved to a delivery or a named
+// drop. It is the geocast substrate's Receiver while in transit and the
+// callback of its own flush and hold events, so a frame costs no closure;
+// its entry slice keeps its capacity across uses. A live frame belongs to
+// exactly one of: the pending table (until its flush event), the geocast
+// route carrying it, its hold event, or the deliver call iterating it.
+type frame struct {
+	s         *Service
+	src, dst  geo.RegionID
+	due       sim.Time
+	inc       uint64 // dst's incarnation when the frame arrived there
+	live      bool
+	entries   []entry
+	flushFn   func() // f.flush, bound once when the frame is first allocated
+	deliverFn func() // f.deliver, likewise
 }
 
 // New assembles the service. geom supplies the n and p parameters of the
@@ -138,8 +193,19 @@ func New(h *hier.Hierarchy, layer *vsa.Layer, gc *geocast.Service, vb *vbcast.Se
 	for _, o := range opts {
 		o.apply(s)
 	}
+	s.onClientDrop = s.clientDropped
 	return s, nil
 }
+
+// OnDrop registers the service's consumer of undelivered messages: fn runs
+// for every cluster-addressed message that resolves as a drop instead of
+// reaching its handler — its frame died in the geocast substrate or was
+// flushed by a dead sender, the holding VSA reset before the due time, the
+// destination VSA was down at delivery, or a client's broadcast found the
+// VSA failed or restarted — with the region and level it was addressed to,
+// after the drop is recorded. Every message accepted by a send therefore
+// reaches either its VSAHandler or fn, exactly once. d is valid for the call.
+func (s *Service) OnDrop(fn func(u geo.RegionID, level int, d *Delivery)) { s.onDrop = fn }
 
 // Replicated reports whether head replication is enabled.
 func (s *Service) Replicated() bool { return s.replicate }
@@ -225,41 +291,88 @@ func isNbrOfNbrIn(h *hier.Hierarchy, from, to hier.ClusterID) bool {
 // returns an error only if the sender's own VSA is dead; loss en route is
 // silent, as in the layer's failure model.
 func (s *Service) ClusterToCluster(from, to hier.ClusterID, kind string, payload any) error {
-	return s.ClusterToClusterFrom(s.h.Head(from), from, to, kind, payload)
+	return s.ClusterToClusterFrom(s.h.Head(from), from, to, kind, Body{Payload: payload})
 }
 
 // ClusterToClusterFrom is ClusterToCluster with an explicit sending
-// region: under head replication, a backup replica of cluster from sends
-// from its own (alternate-head) region rather than the primary head.
-func (s *Service) ClusterToClusterFrom(srcRegion geo.RegionID, from, to hier.ClusterID, kind string, payload any) error {
+// region and a typed body: under head replication, a backup replica of
+// cluster from sends from its own (alternate-head) region rather than the
+// primary head. An error means the message was refused — nothing was
+// recorded and nothing sent. Otherwise every copy (Copies(to) of them) is
+// accepted and resolves exactly once, at its VSAHandler or at the OnDrop
+// consumer; a copy with no live route out of the sender's region resolves
+// before this call returns.
+func (s *Service) ClusterToClusterFrom(srcRegion geo.RegionID, from, to hier.ClusterID, kind string, body Body) error {
 	if !from.Valid() || !to.Valid() {
 		return fmt.Errorf("cgcast: invalid route %v -> %v", from, to)
 	}
-	targets := []geo.RegionID{s.h.Head(to)}
+	if !s.layer.Alive(srcRegion) {
+		return fmt.Errorf("cgcast: source VSA %v not alive", srcRegion)
+	}
+	targets := [2]geo.RegionID{s.h.Head(to)}
+	n := 1
 	if s.replicate {
 		if alt := s.h.AltHead(to); alt != geo.NoRegion {
-			targets = append(targets, alt)
+			targets[1] = alt
+			n = 2
 		}
 	}
-	deliverAt := s.k.Now() + s.ScheduleDelay(from, to)
-	del := Delivery{Kind: kind, Payload: payload, From: from, FromRegion: srcRegion}
-	level := s.h.Level(to)
-	var firstErr error
-	protoKind := "proto/" + kind
-	for _, dstRegion := range targets {
-		s.record(kind, s.h.Graph().Distance(srcRegion, dstRegion))
-		entry := batchEntry{del: del, level: level, kind: protoKind}
+	e := entry{
+		del:   Delivery{Kind: kind, From: from, FromRegion: srcRegion, Body: body},
+		level: s.h.Level(to),
+		kind:  s.protoKind(kind),
+	}
+	due := s.k.Now() + s.ScheduleDelay(from, to)
+	for _, dstRegion := range targets[:n] {
+		hops := max(s.h.Graph().Distance(srcRegion, dstRegion), 0)
+		e.kind.Message(hops)
 		if s.batch {
-			s.enqueue(srcRegion, dstRegion, deliverAt, entry)
+			s.enqueue(srcRegion, dstRegion, due, e)
 			continue
 		}
-		s.recordFrame(s.h.Graph().Distance(srcRegion, dstRegion))
-		err := s.dispatch(srcRegion, dstRegion, deliverAt, []batchEntry{entry})
-		if err != nil && firstErr == nil {
-			firstErr = err
+		f := s.take(srcRegion, dstRegion, due)
+		f.entries = append(f.entries, e)
+		f.send(hops)
+	}
+	return nil
+}
+
+// protoKind returns the ledger handle of kind's "proto/" accounting kind.
+func (s *Service) protoKind(kind string) metrics.Kind {
+	for i := range s.kinds {
+		if s.kinds[i].name == kind {
+			return s.kinds[i].kind
 		}
 	}
-	return firstErr
+	k := s.ledger.Kind("proto/" + kind)
+	s.kinds = append(s.kinds, protoKind{name: kind, kind: k})
+	return k
+}
+
+// take returns a live, empty frame for the given edge and due time.
+func (s *Service) take(src, dst geo.RegionID, due sim.Time) *frame {
+	var f *frame
+	if n := len(s.free); n > 0 {
+		f, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		f = &frame{s: s}
+		f.flushFn, f.deliverFn = f.flush, f.deliver
+		s.made++
+	}
+	f.src, f.dst, f.due, f.live = src, dst, due, true
+	return f
+}
+
+// release returns a resolved frame to the free list. Its entries are
+// cleared so the list pins no payload.
+func (s *Service) release(f *frame) {
+	if !f.live {
+		panic("cgcast: frame released twice")
+	}
+	f.live = false
+	clear(f.entries)
+	f.entries = f.entries[:0]
+	s.free = append(s.free, f)
 }
 
 // enqueue adds one cluster message to the (src, dst, due) frame under
@@ -269,81 +382,120 @@ func (s *Service) ClusterToClusterFrom(srcRegion geo.RegionID, from, to hier.Clu
 // edge and round enqueued before the flush rides the same frame; a send
 // arriving after the flush (possible when a delivery handler itself sends
 // at the same instant) deterministically opens a second frame.
-func (s *Service) enqueue(srcRegion, dstRegion geo.RegionID, deliverAt sim.Time, e batchEntry) {
-	key := batchKey{src: srcRegion, dst: dstRegion, due: deliverAt}
-	if q, ok := s.pending[key]; ok {
-		s.pending[key] = append(q, e)
-		return
+func (s *Service) enqueue(srcRegion, dstRegion geo.RegionID, due sim.Time, e entry) {
+	key := batchKey{src: srcRegion, dst: dstRegion, due: due}
+	f, ok := s.pending[key]
+	if !ok {
+		f = s.take(srcRegion, dstRegion, due)
+		s.pending[key] = f
+		s.k.At(s.k.Now(), f.flushFn)
 	}
-	s.pending[key] = []batchEntry{e}
-	s.k.At(s.k.Now(), func() {
-		entries := s.pending[key]
-		delete(s.pending, key)
-		if len(entries) == 0 {
-			return
-		}
-		s.recordFrame(s.h.Graph().Distance(srcRegion, dstRegion))
-		if err := s.dispatch(srcRegion, dstRegion, deliverAt, entries); err != nil {
-			// The sending VSA died between enqueue and flush (same
-			// instant); the whole frame dies unsent, and so does every
-			// message riding it.
-			s.recordFrameDrop(metrics.DropDeadVSA)
-			for _, e := range entries {
-				s.recordDrop(e.kind, metrics.DropDeadVSA)
-			}
-		}
-	})
+	f.entries = append(f.entries, e)
 }
 
-// dispatch sends one wire frame to dstRegion's VSA and holds it there
-// until the scheduled time. The frame resolves to exactly one FrameKind
-// delivery or drop: delivered when the holding VSA's memory survives until
-// the due time, dropped when the substrate loses it or the holder
-// fails/restarts first. Each message riding the frame then resolves its
-// own "proto/" kind the same way the unbatched path always has.
-func (s *Service) dispatch(srcRegion, dstRegion geo.RegionID, deliverAt sim.Time, entries []batchEntry) error {
-	return s.gc.SendTracked(srcRegion, dstRegion, func() {
-		// The frame is now held in dstRegion's VSA memory until the
-		// scheduled time; it dies with the VSA.
-		inc := s.layer.Incarnation(dstRegion)
-		hold := deliverAt - s.k.Now()
-		if hold < 0 {
-			hold = 0
+// flush is the end-of-instant event of a batched frame: close the bucket
+// and put the frame on the wire.
+func (f *frame) flush() {
+	s := f.s
+	f.mustBeLive()
+	delete(s.pending, batchKey{src: f.src, dst: f.dst, due: f.due})
+	f.send(max(s.h.Graph().Distance(f.src, f.dst), 0))
+}
+
+// send accounts the frame and hands it to the geocast substrate.
+func (f *frame) send(hops int) {
+	s := f.s
+	s.frameKind.Message(hops)
+	if err := s.gc.Route(f.src, f.dst, f); err != nil {
+		// Only a batched frame gets here (an unbatched send checked its
+		// sender a moment ago): the sending VSA died between enqueue and
+		// flush, at the same instant; the whole frame dies unsent, and so
+		// does every message riding it.
+		f.dropAll(metrics.DropDeadVSA)
+	}
+}
+
+// Arrived implements geocast.Receiver: the frame is now held in dst's VSA
+// memory until the scheduled time; it dies with the VSA. The frame resolves
+// to exactly one FrameKind delivery or drop: delivered when the holding
+// VSA's memory survives until the due time, dropped when the substrate loses
+// it or the holder fails/restarts first. Each message riding the frame then
+// resolves its own "proto/" kind.
+func (f *frame) Arrived() {
+	s := f.s
+	f.mustBeLive()
+	f.inc = s.layer.Incarnation(f.dst)
+	hold := f.due - s.k.Now()
+	if hold < 0 {
+		hold = 0
+	}
+	s.k.At(sim.Add(s.k.Now(), hold), f.deliverFn)
+}
+
+// Dropped implements geocast.Receiver: the frame died in the geocast
+// substrate; attribute it and every message riding it so each per-kind send
+// resolves to a delivery or a named drop.
+func (f *frame) Dropped(cause metrics.DropCause) {
+	f.mustBeLive()
+	f.dropAll(cause)
+}
+
+// deliver is the hold event at the due time.
+func (f *frame) deliver() {
+	s := f.s
+	f.mustBeLive()
+	if s.layer.Incarnation(f.dst) != f.inc {
+		// The holding VSA failed or restarted before the scheduled delivery
+		// time; the held frame dies with its memory.
+		f.dropAll(metrics.DropVSAReset)
+		return
+	}
+	s.frameKind.Delivery()
+	for i := range f.entries {
+		e := &f.entries[i]
+		if !s.layer.DeliverToVSA(f.dst, e.level, &e.del) {
+			s.drop(f.dst, e, metrics.DropDeadVSA)
+			continue
 		}
-		s.k.At(sim.Add(s.k.Now(), hold), func() {
-			if s.layer.Incarnation(dstRegion) != inc {
-				// The holding VSA failed or restarted before the
-				// scheduled delivery time; the held frame dies with its
-				// memory.
-				s.recordFrameDrop(metrics.DropVSAReset)
-				for _, e := range entries {
-					s.recordDrop(e.kind, metrics.DropVSAReset)
-				}
-				return
-			}
-			s.recordFrameDelivery()
-			for _, e := range entries {
-				if !s.layer.DeliverToVSA(dstRegion, e.level, e.del) {
-					s.recordDrop(e.kind, metrics.DropDeadVSA)
-					continue
-				}
-				s.recordDelivery(e.kind)
-			}
-		})
-	}, func(cause metrics.DropCause) {
-		// The frame died in the geocast substrate; attribute it and every
-		// message riding it so each per-kind send resolves to a delivery
-		// or a named drop.
-		s.recordFrameDrop(cause)
-		for _, e := range entries {
-			s.recordDrop(e.kind, cause)
-		}
-	})
+		e.kind.Delivery()
+	}
+	s.release(f)
+}
+
+// dropAll resolves the frame and every message riding it as dropped.
+func (f *frame) dropAll(cause metrics.DropCause) {
+	s := f.s
+	s.frameKind.Drop(cause)
+	for i := range f.entries {
+		s.drop(f.dst, &f.entries[i], cause)
+	}
+	s.release(f)
+}
+
+// mustBeLive panics when a kernel event or the substrate reaches a frame
+// that was already released — a lifetime bug, never a run-time condition.
+func (f *frame) mustBeLive() {
+	if !f.live {
+		panic("cgcast: released frame is still referenced")
+	}
+}
+
+// drop resolves one message addressed to region u as dropped.
+func (s *Service) drop(u geo.RegionID, e *entry, cause metrics.DropCause) {
+	e.kind.Drop(cause)
+	if s.onDrop != nil {
+		s.onDrop(u, e.level, &e.del)
+	}
 }
 
 // ClientToCluster sends from a client to a level-0 cluster in its own or a
 // neighboring region, delivered after δ (schedule case e).
 func (s *Service) ClientToCluster(from vsa.ClientID, to hier.ClusterID, kind string, payload any) error {
+	return s.ClientToClusterBody(from, to, kind, Body{Payload: payload})
+}
+
+// ClientToClusterBody is ClientToCluster with a typed body.
+func (s *Service) ClientToClusterBody(from vsa.ClientID, to hier.ClusterID, kind string, body Body) error {
 	if s.h.Level(to) != 0 {
 		return fmt.Errorf("cgcast: clients may only address level-0 clusters, got level %d", s.h.Level(to))
 	}
@@ -352,69 +504,29 @@ func (s *Service) ClientToCluster(from vsa.ClientID, to hier.ClusterID, kind str
 		return fmt.Errorf("cgcast: client %v not alive", from)
 	}
 	dstRegion := s.h.Head(to)
-	s.record(kind, s.h.Graph().Distance(srcRegion, dstRegion))
-	del := Delivery{Kind: kind, Payload: payload, From: hier.NoCluster, FromRegion: srcRegion}
-	return s.vb.ClientToVSA(from, dstRegion, 0, del)
+	s.protoKind(kind).Message(max(s.h.Graph().Distance(srcRegion, dstRegion), 0))
+	del := &Delivery{Kind: kind, From: hier.NoCluster, FromRegion: srcRegion, Body: body}
+	return s.vb.ClientToVSA(from, dstRegion, 0, del, s.onClientDrop)
+}
+
+// clientDropped hands a client's undelivered broadcast (V-bcast has already
+// accounted the drop under its own kind) to the drop consumer.
+func (s *Service) clientDropped(u geo.RegionID, level int, msg any) {
+	if s.onDrop != nil {
+		s.onDrop(u, level, msg.(*Delivery))
+	}
 }
 
 // ClusterToClients broadcasts from a level-0 cluster process to all clients
 // in its own and neighboring regions, delivered after δ+e (schedule case
 // d). This carries the found output of §V to the clients that answer it.
-func (s *Service) ClusterToClients(from hier.ClusterID, kind string, payload any) error {
+func (s *Service) ClusterToClients(from hier.ClusterID, kind string, body Body) error {
 	if s.h.Level(from) != 0 {
 		return fmt.Errorf("cgcast: only level-0 clusters broadcast to clients, got level %d", s.h.Level(from))
 	}
 	u := s.h.Head(from)
 	targets := append([]geo.RegionID{u}, s.layer.Tiling().Neighbors(u)...)
-	s.record(kind, len(targets)-1)
-	del := Delivery{Kind: kind, Payload: payload, From: from, FromRegion: u}
+	s.protoKind(kind).Message(len(targets) - 1)
+	del := &Delivery{Kind: kind, From: from, FromRegion: u, Body: body}
 	return s.vb.VSAToClients(u, targets, del)
-}
-
-func (s *Service) record(kind string, hops int) {
-	if s.ledger != nil {
-		if hops < 0 {
-			hops = 0
-		}
-		s.ledger.RecordMessage("proto/"+kind, hops)
-	}
-}
-
-// recordFrame charges one wire frame. Frames are accounted only when
-// frame accounting is on (batching, or WithFrameAccounting) so default
-// configurations keep their historical ledger totals.
-func (s *Service) recordFrame(hops int) {
-	if s.ledger != nil && s.frames {
-		if hops < 0 {
-			hops = 0
-		}
-		s.ledger.RecordMessage(FrameKind, hops)
-	}
-}
-
-// recordFrameDelivery and recordFrameDrop resolve a charged frame; they
-// gate on the same flag as recordFrame so the FrameKind row conserves
-// exactly (sent == delivered + dropped) whether or not it exists.
-func (s *Service) recordFrameDelivery() {
-	if s.frames {
-		s.recordDelivery(FrameKind)
-	}
-}
-
-func (s *Service) recordFrameDrop(cause metrics.DropCause) {
-	if s.frames {
-		s.recordDrop(FrameKind, cause)
-	}
-}
-
-func (s *Service) recordDelivery(kind string) {
-	if s.ledger != nil {
-		s.ledger.RecordDelivery(kind)
-	}
-}
-
-func (s *Service) recordDrop(kind string, cause metrics.DropCause) {
-	if s.ledger != nil {
-		s.ledger.RecordDrop(kind, cause)
-	}
 }

@@ -24,8 +24,8 @@ type recClient struct{ msgs []Delivery }
 
 func (c *recClient) GPSUpdate(geo.RegionID) {}
 func (c *recClient) Receive(msg any) {
-	if d, ok := msg.(Delivery); ok {
-		c.msgs = append(c.msgs, d)
+	if d, ok := msg.(*Delivery); ok {
+		c.msgs = append(c.msgs, *d)
 	}
 }
 
@@ -37,8 +37,8 @@ type recVSA struct {
 }
 
 func (v *recVSA) Receive(level int, msg any) {
-	if d, ok := msg.(Delivery); ok {
-		v.msgs = append(v.msgs, d)
+	if d, ok := msg.(*Delivery); ok {
+		v.msgs = append(v.msgs, *d) // the pointer is only good for this call
 		v.levels = append(v.levels, level)
 		v.times = append(v.times, v.k.Now())
 	}
@@ -237,7 +237,7 @@ func TestClusterToClients(t *testing.T) {
 	f := setup(t, 3, 2)
 	center := f.tiling.RegionAt(1, 1)
 	c0 := f.h.Cluster(center, 0)
-	if err := f.svc.ClusterToClients(c0, "found", 7); err != nil {
+	if err := f.svc.ClusterToClients(c0, "found", Body{Payload: 7}); err != nil {
 		t.Fatal(err)
 	}
 	f.k.Run()
@@ -253,7 +253,7 @@ func TestClusterToClients(t *testing.T) {
 	}
 	// Level restriction.
 	c1 := f.h.Cluster(center, 1)
-	if err := f.svc.ClusterToClients(c1, "found", nil); err == nil {
+	if err := f.svc.ClusterToClients(c1, "found", Body{}); err == nil {
 		t.Error("broadcast from level-1 cluster accepted")
 	}
 }
@@ -333,6 +333,53 @@ func TestScheduleCoversTransitQuick(t *testing.T) {
 			if !checkPair(id, nb) {
 				t.Fatalf("schedule does not cover neighbor transit for %v -> %v", id, nb)
 			}
+		}
+	}
+}
+
+type nopVSA struct{}
+
+func (nopVSA) Receive(int, any) {}
+func (nopVSA) Reset()           {}
+
+// In steady state a cluster message costs no allocation from send to
+// delivery, unbatched (one frame per message) or batched (several messages
+// of one instant riding one frame): the frame, its entry slice, the geocast
+// route under it and every thunk are recycled, the proto kind comes out of
+// the kind table, and the handler is handed a pointer into the frame. A box
+// per message, a closure per hop or a concatenated kind name shows here.
+func TestClusterToClusterAllocatesNothing(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		f := setup(t, 8, 2)
+		for u := 0; u < f.tiling.NumRegions(); u++ {
+			f.layer.RegisterVSA(geo.RegionID(u), nopVSA{})
+		}
+		svc := f.svc
+		if batched {
+			var err error
+			vb := vbcast.New(f.k, f.layer, delta, lagE, f.ledger)
+			gc := geocast.New(f.k, f.layer, f.h.Graph(), vb, f.ledger)
+			if svc, err = New(f.h, f.layer, gc, vb, hier.MeasureGeometry(f.h), f.ledger, WithBatching()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		from := f.h.Cluster(f.tiling.RegionAt(0, 0), 1)
+		to := f.h.Cluster(f.tiling.RegionAt(7, 7), 1)
+		round := func() {
+			for obj := int32(0); obj < 4; obj++ {
+				if err := svc.ClusterToClusterFrom(f.h.Head(from), from, to, "grow", Body{Obj: obj}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f.k.Run()
+		}
+		round() // warm-up: free lists, kind table, routing BFS
+		sent := f.ledger.Messages("proto/grow")
+		if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+			t.Errorf("batched=%v: a round of 4 delivered messages allocates %v times", batched, allocs)
+		}
+		if got := f.ledger.Delivered("proto/grow"); got != f.ledger.Messages("proto/grow") || got <= sent {
+			t.Errorf("batched=%v: %d of %d messages delivered", batched, got, f.ledger.Messages("proto/grow"))
 		}
 	}
 }

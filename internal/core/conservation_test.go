@@ -6,7 +6,9 @@ import (
 
 	"vinestalk/internal/chaos"
 	"vinestalk/internal/evader"
+	"vinestalk/internal/geo"
 	"vinestalk/internal/sim"
+	"vinestalk/internal/tracker"
 )
 
 // Under a chaos plan with crashes, churn, and injected loss — but no
@@ -53,6 +55,13 @@ func TestChaosDropAccountingConserves(t *testing.T) {
 			t.Fatalf("seed %d never drained: %v", seed, err)
 		}
 
+		// Whatever way a protocol message died — at a failed VSA, to loss, for
+		// want of a route out of its sender's own region, which resolves it
+		// inside the send — it left the in-transit registry.
+		if left := svc.Network().InTransit(); len(left) != 0 {
+			t.Errorf("seed %d: %d messages still registered in transit after the queue drained: %v", seed, len(left), left)
+		}
+
 		snap := svc.Ledger().Snapshot()
 		for _, kind := range kinds {
 			var dropped int64
@@ -73,5 +82,91 @@ func TestChaosDropAccountingConserves(t *testing.T) {
 	// equalities above are vacuous.
 	if totalDrops == 0 {
 		t.Fatal("chaos plan produced no drops; conservation check is vacuous")
+	}
+}
+
+// A protocol message that dies at a failed VSA must leave the in-transit
+// registry: nothing will ever deliver it, so an entry left behind keeps
+// MoveQuiescent false — and every later Settle failing — for the rest of the
+// run, hands the lookAhead checker a phantom message, and grows the registry
+// by one entry per drop. The script: a move's growNbr announcement is in
+// flight to a neighbor cluster when that cluster's head region loses its VSA
+// (oracle host: its only client fails; emulated host: every emulating node
+// of the region fails).
+func TestOracleDropSettlesRegistry(t *testing.T) {
+	const from, to = geo.RegionID(15), geo.RegionID(11)
+	for _, host := range []string{"oracle", "emulated"} {
+		t.Run(host, func(t *testing.T) {
+			cfg := Config{Width: 4, Start: from, TRestart: 100 * time.Millisecond}
+			if host == "emulated" {
+				cfg.AlwaysAliveVSAs = true
+				cfg.Emulation = &EmulationConfig{}
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Settle(); err != nil {
+				t.Fatal(err)
+			}
+			net, h := s.Network(), s.Hierarchy()
+			if err := s.MoveEvader(to); err != nil {
+				t.Fatal(err)
+			}
+			// Step until a growNbr is in flight to a cluster headed at neither
+			// end of the move.
+			victim := geo.NoRegion
+			for step := 0; victim == geo.NoRegion; step++ {
+				if step == 10_000 || !s.Kernel().Step() {
+					t.Fatalf("move %v → %v never had a growNbr in flight to a third region", from, to)
+				}
+				for _, tr := range net.InTransit() {
+					if u := h.Head(tr.To); tr.Kind == tracker.KindGrowNbr && u != from && u != to {
+						victim = u
+						break
+					}
+				}
+			}
+			if host == "emulated" {
+				for _, id := range s.Emulator().Members(victim) {
+					s.Emulator().FailNode(id)
+				}
+			} else {
+				for _, id := range s.Layer().ClientsIn(victim) {
+					s.Layer().FailClient(id)
+				}
+				if s.Layer().Alive(victim) {
+					t.Fatalf("region %v's VSA survived losing its clients", victim)
+				}
+			}
+			s.RunFor(10 * time.Second)
+			if n := s.Kernel().Pending(); n != 0 {
+				t.Fatalf("%d events still queued after 10 s", n)
+			}
+			if left := net.InTransit(); len(left) != 0 {
+				t.Errorf("in-transit registry still holds %v after the queue drained", left)
+			}
+			if !net.MoveQuiescent() {
+				t.Error("MoveQuiescent is false with an empty queue")
+			}
+			if err := s.Settle(); err != nil {
+				t.Errorf("Settle after the drop: %v", err)
+			}
+			// The ledger agrees: the announcement kind (never sent by clients,
+			// so every send is a C-gcast message) conserves, and on the oracle
+			// host the death shows as a named drop.
+			after := s.Ledger().Snapshot()
+			const kind = "proto/" + tracker.KindGrowNbr
+			var dropped int64
+			for _, v := range after.Drops[kind] {
+				dropped += v
+			}
+			if sent := after.MsgCount[kind]; sent != after.Delivered[kind]+dropped {
+				t.Errorf("%s: sent %d != delivered %d + dropped %d", kind, sent, after.Delivered[kind], dropped)
+			}
+			if host == "oracle" && dropped == 0 {
+				t.Error("no growNbr drop was recorded: the message was not in flight to the failed VSA")
+			}
+		})
 	}
 }

@@ -342,3 +342,80 @@ func TestNewWithHierarchyValidation(t *testing.T) {
 		t.Error("accepted non-grid tiling (use the tracker packages directly for those)")
 	}
 }
+
+// The whole message path, end to end: on an 8×8 oracle service a settled
+// move averages 26 protocol messages and a settled find 14, over ≈ 49 relay
+// hops between them, and neither may cost an allocation per message or per
+// hop. What is left is per operation — for a move its two client broadcasts
+// (a Delivery and a closure each) and the table page of each process that
+// joins the path (measured: 11); for a find its payload list, re-sliced and
+// boxed once per find-carrying hop, the found broadcast's Delivery and one
+// closure per target region, and the find registry (measured: 33).
+// Reintroducing a box, a closure or a string concatenation on the
+// per-message path adds one allocation per message — twenty-six to a move,
+// fourteen to a find — and fails here.
+func TestSettledOperationsAllocatePerOperationNotPerMessage(t *testing.T) {
+	const (
+		maxPerMove = 13
+		maxPerFind = 36
+	)
+	svc, err := New(Config{Width: 8, Start: 9, AlwaysAliveVSAs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	// The evader laps the ring of regions one in from the border, so moves
+	// cross cluster boundaries of every level; a find comes from the corner
+	// opposite the evader's quadrant.
+	var ring []geo.RegionID
+	for x := 1; x < 6; x++ {
+		ring = append(ring, svc.Tiling().RegionAt(x, 1))
+	}
+	for y := 1; y < 6; y++ {
+		ring = append(ring, svc.Tiling().RegionAt(6, y))
+	}
+	for x := 6; x > 1; x-- {
+		ring = append(ring, svc.Tiling().RegionAt(x, 6))
+	}
+	for y := 6; y > 1; y-- {
+		ring = append(ring, svc.Tiling().RegionAt(1, y))
+	}
+	pos := 0
+	move := func() {
+		pos = (pos + 1) % len(ring)
+		if err := svc.MoveEvader(ring[pos]); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Settle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	find := func() {
+		x, y := svc.Tiling().Coord(ring[pos])
+		if _, err := svc.Find(svc.Tiling().RegionAt(7*(1-x/4), 7*(1-y/4))); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Settle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ { // warm-up: free lists, kernel arena, maps
+		move()
+		find()
+	}
+	before := svc.Ledger().Snapshot()
+	if allocs := testing.AllocsPerRun(100, move); allocs > maxPerMove {
+		t.Errorf("a settled move allocates %v times, want at most %d", allocs, maxPerMove)
+	}
+	if allocs := testing.AllocsPerRun(100, find); allocs > maxPerFind {
+		t.Errorf("a settled find allocates %v times, want at most %d", allocs, maxPerFind)
+	}
+	// The operations are what the bounds assume (AllocsPerRun runs each 101
+	// times).
+	diff := svc.Ledger().Snapshot().Sub(before)
+	if msgs := protoMessages(diff); msgs < 101*(24+13) {
+		t.Errorf("only %d protocol messages over 101 moves and 101 finds: the bounds no longer separate per-operation from per-message cost", msgs)
+	}
+}

@@ -9,3 +9,7 @@ import "vinestalk/internal/geo"
 func (s *Service) AliveNextHopForTest(cur, to geo.RegionID) geo.RegionID {
 	return s.aliveNextHop(cur, to)
 }
+
+// RoutesForTest reports how many route records were ever allocated and how
+// many sit in the free list: the difference is the messages in flight.
+func (s *Service) RoutesForTest() (made, free int) { return s.made, len(s.free) }

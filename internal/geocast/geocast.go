@@ -21,12 +21,20 @@ import (
 
 // Service routes messages between arbitrary regions' VSAs.
 type Service struct {
-	k      *sim.Kernel
-	layer  *vsa.Layer
-	graph  *geo.Graph
-	vb     *vbcast.Service
-	ledger *metrics.Ledger
-	loss   func(cur, next geo.RegionID) bool
+	k     *sim.Kernel
+	layer *vsa.Layer
+	graph *geo.Graph
+	vb    *vbcast.Service
+	kind  metrics.Kind // "transport/geocast"
+	loss  func(cur, next geo.RegionID) bool
+
+	// free holds the route records no message is using. A record is taken
+	// per routed message and returned by whoever resolves the message, so
+	// the list grows to the most messages ever in flight at once and a
+	// steady-state hop allocates nothing. made counts the records ever
+	// allocated: made - len(free) messages are in flight.
+	free []*route
+	made int
 
 	// Failover-routing cache. When the static next hop toward a
 	// destination is dead, the detour hop is a pure function of
@@ -58,8 +66,8 @@ type failoverEntry struct {
 
 // New creates the routing service over the given local-broadcast transport.
 func New(k *sim.Kernel, layer *vsa.Layer, graph *geo.Graph, vb *vbcast.Service, ledger *metrics.Ledger) *Service {
-	return &Service{k: k, layer: layer, graph: graph, vb: vb, ledger: ledger,
-		n: layer.Tiling().NumRegions()}
+	return &Service{k: k, layer: layer, graph: graph, vb: vb,
+		kind: ledger.Kind("transport/geocast"), n: layer.Tiling().NumRegions()}
 }
 
 // Graph exposes the shortest-path graph (shared with the hierarchy).
@@ -73,87 +81,142 @@ func (s *Service) Graph() *geo.Graph { return s.graph }
 // no hop-work: the broadcast never happened.
 func (s *Service) SetLoss(fn func(cur, next geo.RegionID) bool) { s.loss = fn }
 
-// Send routes a message from region from's VSA toward region to's VSA,
-// invoking onArrive when it reaches a live VSA at to. The message travels
-// hop-by-hop with per-hop delay δ+e; each hop prefers the precomputed
-// shortest path and falls back to a path over currently-alive regions when
-// the next hop's VSA is down. The message is dropped silently if no live
-// route exists or a holding VSA dies mid-route (the paper's stabilizing
-// geocast would eventually retransmit; VINESTALK's heartbeat extension
-// recovers at the protocol layer instead).
-func (s *Service) Send(from, to geo.RegionID, onArrive func()) error {
-	return s.SendTracked(from, to, onArrive, nil)
+// Receiver is told how a routed message resolved: exactly one of its two
+// methods runs, once.
+type Receiver interface {
+	// Arrived runs when the message reaches a live VSA at its destination.
+	Arrived()
+	// Dropped runs at the point of death — no live route, injected loss, a
+	// relay VSA failing, or the in-flight hop's destination failing or
+	// restarting — after the drop is attributed in the ledger under
+	// "transport/geocast".
+	Dropped(cause metrics.DropCause)
 }
 
-// SendTracked is Send with a drop callback: if the routed message dies
-// anywhere along the route (no live route, injected loss, a relay VSA
-// failing, or the in-flight hop's destination restarting), onDrop runs at
-// the point of death with the cause. onDrop may be nil; either way every
-// drop is attributed in the ledger under "transport/geocast".
-func (s *Service) SendTracked(from, to geo.RegionID, onArrive func(), onDrop func(metrics.DropCause)) error {
+// route is one routed message in flight: where it is, where the hop in
+// flight lands, where it is going, and who to tell. It belongs either to the
+// one kernel event that carries its current hop or to the call chain that is
+// advancing it, and goes back to the free list the moment the message
+// resolves — before the receiver runs, so a receiver that sends again reuses
+// it.
+type route struct {
+	s             *Service
+	cur, next, to geo.RegionID
+	inc           uint64 // next's incarnation when the hop in flight was sent
+	rcv           Receiver
+	step          func() // r.arrive, bound once when the record is first allocated
+}
+
+// Route routes a message from region from's VSA toward region to's VSA and
+// tells rcv how it resolved. The message travels hop-by-hop with per-hop
+// delay δ+e; each hop prefers the precomputed shortest path and falls back
+// to a path over currently-alive regions when the next hop's VSA is down.
+// The message dies if no live route exists or a holding VSA dies mid-route
+// (the paper's stabilizing geocast would eventually retransmit; VINESTALK's
+// heartbeat extension recovers at the protocol layer instead). An error
+// means nothing was sent and rcv will not be called.
+func (s *Service) Route(from, to geo.RegionID, rcv Receiver) error {
 	if !s.layer.Tiling().Contains(from) || !s.layer.Tiling().Contains(to) {
 		return fmt.Errorf("geocast: route %v -> %v outside tiling", from, to)
 	}
 	if !s.layer.Alive(from) {
 		return fmt.Errorf("geocast: source VSA %v not alive", from)
 	}
-	if s.ledger != nil {
-		// Charge the message here but its hop-work per hop actually taken
-		// (in relay): detours around dead VSAs cost their real length and
-		// messages dropped mid-route cost only the hops they traveled, so
-		// the ledger reflects work done rather than the static distance.
-		s.ledger.RecordMessage("transport/geocast", 0)
+	// Charge the message here but its hop-work per hop actually taken (in
+	// relay): detours around dead VSAs cost their real length and messages
+	// dropped mid-route cost only the hops they traveled, so the ledger
+	// reflects work done rather than the static distance.
+	s.kind.Message(0)
+	var r *route
+	if n := len(s.free); n > 0 {
+		r, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		r = &route{s: s}
+		r.step = r.arrive
+		s.made++
 	}
-	s.relay(from, to, onArrive, onDrop)
+	r.cur, r.to, r.rcv = from, to, rcv
+	s.relay(r)
 	return nil
 }
 
-// relay advances the message one hop from cur toward to.
-func (s *Service) relay(cur, to geo.RegionID, onArrive func(), onDrop func(metrics.DropCause)) {
-	if cur == to {
-		if s.ledger != nil {
-			s.ledger.RecordDelivery("transport/geocast")
-		}
-		onArrive()
+// funcReceiver adapts a bare arrival callback: drops are accounted and
+// otherwise silent.
+type funcReceiver func()
+
+func (f funcReceiver) Arrived()                  { f() }
+func (f funcReceiver) Dropped(metrics.DropCause) {}
+
+// Send is Route for callers that only care about arrival: onArrive runs when
+// the message reaches a live VSA at to, and a message that dies is dropped
+// silently (but attributed in the ledger).
+func (s *Service) Send(from, to geo.RegionID, onArrive func()) error {
+	return s.Route(from, to, funcReceiver(onArrive))
+}
+
+// relay advances the message one hop from r.cur toward r.to: one kernel
+// event per hop.
+func (s *Service) relay(r *route) {
+	if r.cur == r.to {
+		s.kind.Delivery()
+		s.release(r).Arrived()
 		return
 	}
-	next := s.nextHop(cur, to)
+	next := s.nextHop(r.cur, r.to)
 	if next == geo.NoRegion {
-		s.drop(metrics.DropNoRoute, onDrop) // no live route
+		s.drop(r, metrics.DropNoRoute) // no live route
 		return
 	}
-	if s.loss != nil && s.loss(cur, next) {
+	if s.loss != nil && s.loss(r.cur, next) {
 		// Injected loss; the hop never happens, so no work either.
-		s.drop(metrics.DropLoss, onDrop)
+		s.drop(r, metrics.DropLoss)
 		return
 	}
-	// Errors here mean the current holder died between scheduling and
-	// sending; the message is lost with it.
-	err := s.vb.VSAToVSATracked(cur, next, func() {
-		s.relay(next, to, onArrive, onDrop)
-	}, func(cause metrics.DropCause) {
+	at, inc, err := s.vb.SendHop(r.cur, next)
+	if err != nil {
+		// The current holder died between scheduling and sending; the
+		// message is lost with it.
+		s.drop(r, metrics.DropSenderDead)
+		return
+	}
+	r.next, r.inc = next, inc
+	s.k.At(at, r.step)
+	s.kind.Work(1)
+}
+
+// arrive is the kernel event at the end of a hop.
+func (r *route) arrive() {
+	s := r.s
+	if r.rcv == nil {
+		panic("geocast: kernel event fired for a released route")
+	}
+	if cause, ok := s.vb.ArriveHop(r.next, r.inc); !ok {
 		// The hop died in flight (destination failed or restarted); the
 		// routed message dies with it. The hop itself is already attributed
 		// under "transport/hop"; this attributes the routed message.
-		s.drop(cause, onDrop)
-	})
-	if err != nil {
-		s.drop(metrics.DropSenderDead, onDrop)
+		s.drop(r, cause)
 		return
 	}
-	if s.ledger != nil {
-		s.ledger.AddWork("transport/geocast", 1)
-	}
+	r.cur = r.next
+	s.relay(r)
 }
 
 // drop attributes the death of a routed message.
-func (s *Service) drop(cause metrics.DropCause, onDrop func(metrics.DropCause)) {
-	if s.ledger != nil {
-		s.ledger.RecordDrop("transport/geocast", cause)
+func (s *Service) drop(r *route, cause metrics.DropCause) {
+	s.kind.Drop(cause)
+	s.release(r).Dropped(cause)
+}
+
+// release returns a resolved message's record to the free list and hands
+// back the receiver to notify.
+func (s *Service) release(r *route) Receiver {
+	rcv := r.rcv
+	if rcv == nil {
+		panic("geocast: route released twice")
 	}
-	if onDrop != nil {
-		onDrop(cause)
-	}
+	r.rcv, r.to = nil, geo.NoRegion
+	s.free = append(s.free, r)
+	return rcv
 }
 
 // nextHop picks the next region toward to: the static shortest-path hop if

@@ -277,22 +277,30 @@ func TestSendManyIndependentMessages(t *testing.T) {
 	}
 }
 
+// recReceiver records how a routed message resolved.
+type recReceiver struct {
+	arrived int
+	causes  []metrics.DropCause
+}
+
+func (r *recReceiver) Arrived()                        { r.arrived++ }
+func (r *recReceiver) Dropped(cause metrics.DropCause) { r.causes = append(r.causes, cause) }
+
 // Every geocast send must resolve to exactly one delivery or one attributed
-// drop, and SendTracked must surface the cause to the caller.
+// drop, and Route must surface the cause to the receiver.
 func TestSendTrackedDropAttribution(t *testing.T) {
 	// No-route drop.
 	k, layer, svc, ledger := setup(t, 3, 1)
 	if err := layer.MoveClient(1, 0); err != nil {
 		t.Fatal(err)
 	}
-	var cause metrics.DropCause
-	if err := svc.SendTracked(0, 2, func() { t.Error("arrived") },
-		func(c metrics.DropCause) { cause = c }); err != nil {
+	var rcv recReceiver
+	if err := svc.Route(0, 2, &rcv); err != nil {
 		t.Fatal(err)
 	}
 	k.Run()
-	if cause != metrics.DropNoRoute {
-		t.Errorf("cause = %q, want no-route", cause)
+	if rcv.arrived != 0 || len(rcv.causes) != 1 || rcv.causes[0] != metrics.DropNoRoute {
+		t.Errorf("resolved as %d arrivals, drops %q; want one no-route drop", rcv.arrived, rcv.causes)
 	}
 	if got := ledger.Drops("transport/geocast", metrics.DropNoRoute); got != 1 {
 		t.Errorf("ledger no-route drops = %d, want 1", got)
@@ -301,14 +309,13 @@ func TestSendTrackedDropAttribution(t *testing.T) {
 	// Loss drop.
 	k2, _, svc2, ledger2 := setup(t, 4, 1)
 	svc2.SetLoss(func(cur, next geo.RegionID) bool { return cur == 1 })
-	cause = ""
-	if err := svc2.SendTracked(0, 3, func() { t.Error("arrived") },
-		func(c metrics.DropCause) { cause = c }); err != nil {
+	rcv = recReceiver{}
+	if err := svc2.Route(0, 3, &rcv); err != nil {
 		t.Fatal(err)
 	}
 	k2.Run()
-	if cause != metrics.DropLoss {
-		t.Errorf("cause = %q, want loss", cause)
+	if rcv.arrived != 0 || len(rcv.causes) != 1 || rcv.causes[0] != metrics.DropLoss {
+		t.Errorf("resolved as %d arrivals, drops %q; want one loss drop", rcv.arrived, rcv.causes)
 	}
 	if got := ledger2.Drops("transport/geocast", metrics.DropLoss); got != 1 {
 		t.Errorf("ledger loss drops = %d, want 1", got)
@@ -357,5 +364,38 @@ func TestSendConservation(t *testing.T) {
 	}
 	if hopSent != hopDel+hopDropped {
 		t.Errorf("hops: sent %d != delivered %d + dropped %d", hopSent, hopDel, hopDropped)
+	}
+}
+
+// In steady state a routed message allocates nothing however many hops it
+// takes — the route record and its hop thunk are recycled, the ledger is an
+// indexed add — and Send adds at most the closure its caller hands it.
+func TestRouteHopsAllocateNothing(t *testing.T) {
+	k, _, svc, ledger := setup(t, 8, 1)
+	var rcv recReceiver
+	route := func() {
+		if err := svc.Route(0, 7, &rcv); err != nil {
+			t.Fatal(err)
+		}
+		k.Run()
+	}
+	route() // warm-up: the record, the kernel arena, the routing BFS
+	if allocs := testing.AllocsPerRun(100, route); allocs != 0 {
+		t.Errorf("a 7-hop Route allocates %v times", allocs)
+	}
+	arrived := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := svc.Send(0, 7, func() { arrived++ }); err != nil {
+			t.Fatal(err)
+		}
+		k.Run()
+	}); allocs > 1 {
+		t.Errorf("a 7-hop Send allocates %v times, want at most the caller's closure", allocs)
+	}
+	if rcv.arrived != 102 || arrived != 101 || len(rcv.causes) != 0 {
+		t.Errorf("arrivals: %d routed, %d sent, drops %q", rcv.arrived, arrived, rcv.causes)
+	}
+	if got := ledger.Work("transport/geocast"); got != 7*203 {
+		t.Errorf("hop work %d, want %d", got, 7*203)
 	}
 }

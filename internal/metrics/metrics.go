@@ -45,47 +45,142 @@ const (
 // Ledger accumulates message counts, hop-work, delivery/drop counters, and
 // latency histograms, each under a free-form kind/name. It is not safe for
 // concurrent use; the simulation is single-threaded.
+//
+// The three per-message counters live in one row per kind, and a kind is
+// interned once (Ledger.Kind) into a handle whose records are an indexed
+// add, so a transport that resolves its kinds at construction neither
+// hashes nor allocates per message. The string methods are wrappers over the
+// same rows. Each counter column of a row carries a touched bit: a kind
+// appears in Snapshot, Export, Kinds and String under a column exactly when
+// something was recorded into that column since the last Reset — adding
+// zero hop-work counts, interning alone does not — which is when a map keyed
+// by kind would hold the key. Drops and latencies are cold and stay keyed by
+// name.
 type Ledger struct {
-	msgCount  map[string]int64
-	hopWork   map[string]int64
-	delivered map[string]int64
-	drops     map[string]map[DropCause]int64
-	lat       map[string]*Histogram
+	rows  []kindRow
+	index map[string]int32
+	drops map[string]map[DropCause]int64
+	lat   map[string]*Histogram
+}
+
+// kindRow is one kind's counters and the touched bit of each.
+type kindRow struct {
+	name      string
+	msgs      int64
+	work      int64
+	delivered int64
+	touched   uint8
+}
+
+const (
+	touchedMsgs uint8 = 1 << iota
+	touchedWork
+	touchedDelivered
+)
+
+// Kind is a handle to one kind's row of one ledger. It stays valid across
+// Reset. The zero Kind — what a nil ledger hands out — records nothing, so
+// a transport built without accounting needs no checks of its own.
+type Kind struct {
+	l *Ledger
+	i int32
 }
 
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger {
 	return &Ledger{
-		msgCount:  make(map[string]int64),
-		hopWork:   make(map[string]int64),
-		delivered: make(map[string]int64),
-		drops:     make(map[string]map[DropCause]int64),
-		lat:       make(map[string]*Histogram),
+		index: make(map[string]int32),
+		drops: make(map[string]map[DropCause]int64),
+		lat:   make(map[string]*Histogram),
 	}
+}
+
+// Kind interns name and returns its handle. Interning records nothing: the
+// kind stays out of every output until something is recorded under it. A nil
+// ledger returns the zero Kind.
+func (l *Ledger) Kind(name string) Kind {
+	if l == nil {
+		return Kind{}
+	}
+	i, ok := l.index[name]
+	if !ok {
+		i = int32(len(l.rows))
+		l.rows = append(l.rows, kindRow{name: name})
+		l.index[name] = i
+	}
+	return Kind{l: l, i: i}
+}
+
+// row returns the row recorded under kind, or nil when nothing has interned
+// it; readers use it so that a query leaves the ledger as it was.
+func (l *Ledger) row(kind string) *kindRow {
+	if i, ok := l.index[kind]; ok {
+		return &l.rows[i]
+	}
+	return nil
+}
+
+// intern returns the row recorded under kind, interning it first. The
+// pointer is good until the next kind is interned.
+func (l *Ledger) intern(kind string) *kindRow {
+	i := l.Kind(kind).i
+	return &l.rows[i]
+}
+
+// Message charges one message traveling hops region hops, as RecordMessage.
+func (k Kind) Message(hops int) {
+	if k.l == nil {
+		return
+	}
+	r := &k.l.rows[k.i]
+	r.msgs++
+	r.work += int64(hops)
+	r.touched |= touchedMsgs | touchedWork
+}
+
+// Work charges hop-work without counting a message, as AddWork.
+func (k Kind) Work(hops int) {
+	if k.l == nil {
+		return
+	}
+	r := &k.l.rows[k.i]
+	r.work += int64(hops)
+	r.touched |= touchedWork
+}
+
+// Delivery counts one message reaching its destination, as RecordDelivery.
+func (k Kind) Delivery() {
+	if k.l == nil {
+		return
+	}
+	r := &k.l.rows[k.i]
+	r.delivered++
+	r.touched |= touchedDelivered
+}
+
+// Drop counts one message dying for the given cause, as RecordDrop.
+func (k Kind) Drop(cause DropCause) {
+	if k.l == nil {
+		return
+	}
+	k.l.RecordDrop(k.l.rows[k.i].name, cause)
 }
 
 // RecordMessage charges one message of the given kind traveling hops region
 // hops. Zero-hop messages (local delivery) still count as one message.
-func (l *Ledger) RecordMessage(kind string, hops int) {
-	l.msgCount[kind]++
-	l.hopWork[kind] += int64(hops)
-}
+func (l *Ledger) RecordMessage(kind string, hops int) { l.Kind(kind).Message(hops) }
 
 // AddWork charges hop-work under kind without counting a message. Transports
 // that learn a message's true travel distance incrementally (geocast charges
 // each hop as it is taken) record the message once and add work as it
 // accrues.
-func (l *Ledger) AddWork(kind string, hops int) {
-	l.hopWork[kind] += int64(hops)
-}
+func (l *Ledger) AddWork(kind string, hops int) { l.Kind(kind).Work(hops) }
 
 // RecordDelivery counts one message of the given kind reaching its
 // destination automaton. Together with RecordDrop it makes transport
 // accounting conserve: for point-to-point kinds,
 // sent == delivered + dropped once the queue drains.
-func (l *Ledger) RecordDelivery(kind string) {
-	l.delivered[kind]++
-}
+func (l *Ledger) RecordDelivery(kind string) { l.Kind(kind).Delivery() }
 
 // RecordDrop counts one message of the given kind dying for the given
 // cause instead of being delivered.
@@ -99,13 +194,28 @@ func (l *Ledger) RecordDrop(kind string, cause DropCause) {
 }
 
 // Messages returns the number of messages recorded under kind.
-func (l *Ledger) Messages(kind string) int64 { return l.msgCount[kind] }
+func (l *Ledger) Messages(kind string) int64 {
+	if r := l.row(kind); r != nil {
+		return r.msgs
+	}
+	return 0
+}
 
 // Work returns the hop-work recorded under kind.
-func (l *Ledger) Work(kind string) int64 { return l.hopWork[kind] }
+func (l *Ledger) Work(kind string) int64 {
+	if r := l.row(kind); r != nil {
+		return r.work
+	}
+	return 0
+}
 
 // Delivered returns the number of deliveries recorded under kind.
-func (l *Ledger) Delivered(kind string) int64 { return l.delivered[kind] }
+func (l *Ledger) Delivered(kind string) int64 {
+	if r := l.row(kind); r != nil {
+		return r.delivered
+	}
+	return 0
+}
 
 // Drops returns the number of drops recorded under kind for cause.
 func (l *Ledger) Drops(kind string, cause DropCause) int64 {
@@ -115,8 +225,8 @@ func (l *Ledger) Drops(kind string, cause DropCause) int64 {
 // TotalMessages returns the message count across all kinds.
 func (l *Ledger) TotalMessages() int64 {
 	var n int64
-	for _, v := range l.msgCount {
-		n += v
+	for i := range l.rows {
+		n += l.rows[i].msgs
 	}
 	return n
 }
@@ -124,8 +234,8 @@ func (l *Ledger) TotalMessages() int64 {
 // TotalWork returns the hop-work across all kinds.
 func (l *Ledger) TotalWork() int64 {
 	var n int64
-	for _, v := range l.hopWork {
-		n += v
+	for i := range l.rows {
+		n += l.rows[i].work
 	}
 	return n
 }
@@ -156,32 +266,42 @@ func (l *Ledger) LatencyHistogram(name string) *Histogram { return l.lat[name] }
 
 // Kinds returns all message kinds seen so far, sorted.
 func (l *Ledger) Kinds() []string {
-	kinds := make([]string, 0, len(l.msgCount))
-	for k := range l.msgCount {
-		kinds = append(kinds, k)
+	kinds := make([]string, 0, len(l.rows))
+	for i := range l.rows {
+		if r := &l.rows[i]; r.touched&touchedMsgs != 0 {
+			kinds = append(kinds, r.name)
+		}
 	}
 	sort.Strings(kinds)
 	return kinds
 }
 
+// counters copies every touched counter into the three kind-keyed maps that
+// Snapshot and Export share.
+func (l *Ledger) counters() (msgs, work, delivered map[string]int64) {
+	msgs = make(map[string]int64, len(l.rows))
+	work = make(map[string]int64, len(l.rows))
+	delivered = make(map[string]int64, len(l.rows))
+	for i := range l.rows {
+		r := &l.rows[i]
+		if r.touched&touchedMsgs != 0 {
+			msgs[r.name] = r.msgs
+		}
+		if r.touched&touchedWork != 0 {
+			work[r.name] = r.work
+		}
+		if r.touched&touchedDelivered != 0 {
+			delivered[r.name] = r.delivered
+		}
+	}
+	return msgs, work, delivered
+}
+
 // Snapshot captures current totals; subtracting two snapshots attributes
 // work to the interval between them.
 func (l *Ledger) Snapshot() Snapshot {
-	s := Snapshot{
-		MsgCount:  make(map[string]int64, len(l.msgCount)),
-		HopWork:   make(map[string]int64, len(l.hopWork)),
-		Delivered: make(map[string]int64, len(l.delivered)),
-		Drops:     make(map[string]map[DropCause]int64, len(l.drops)),
-	}
-	for k, v := range l.msgCount {
-		s.MsgCount[k] = v
-	}
-	for k, v := range l.hopWork {
-		s.HopWork[k] = v
-	}
-	for k, v := range l.delivered {
-		s.Delivered[k] = v
-	}
+	s := Snapshot{Drops: make(map[string]map[DropCause]int64, len(l.drops))}
+	s.MsgCount, s.HopWork, s.Delivered = l.counters()
 	for k, m := range l.drops {
 		cm := make(map[DropCause]int64, len(m))
 		for c, v := range m {
@@ -192,25 +312,37 @@ func (l *Ledger) Snapshot() Snapshot {
 	return s
 }
 
+// addCounters adds times copies of a set of kind-keyed counters into the
+// rows. Every key present touches its column, zero-valued or not.
+func (l *Ledger) addCounters(msgs, work, delivered map[string]int64, times int64) {
+	for k, v := range msgs {
+		r := l.intern(k)
+		r.msgs += v * times
+		r.touched |= touchedMsgs
+	}
+	for k, v := range work {
+		r := l.intern(k)
+		r.work += v * times
+		r.touched |= touchedWork
+	}
+	for k, v := range delivered {
+		r := l.intern(k)
+		r.delivered += v * times
+		r.touched |= touchedDelivered
+	}
+}
+
 // AddSnapshot merges a snapshot delta into the ledger, scaled by times.
 // Bulk operations that execute one representative's work and account the
 // rest by multiplication (tracker bulk attach: one grow cascade per distinct
 // start region stands in for every object placed there) use it to keep the
 // ledger identical to having run each operation individually. Latency
-// histograms are untouched — only counter maps merge.
+// histograms are untouched — only counters merge.
 func (l *Ledger) AddSnapshot(diff Snapshot, times int64) {
 	if times == 0 {
 		return
 	}
-	for k, v := range diff.MsgCount {
-		l.msgCount[k] += v * times
-	}
-	for k, v := range diff.HopWork {
-		l.hopWork[k] += v * times
-	}
-	for k, v := range diff.Delivered {
-		l.delivered[k] += v * times
-	}
+	l.addCounters(diff.MsgCount, diff.HopWork, diff.Delivered, times)
 	for k, m := range diff.Drops {
 		for c, v := range m {
 			dm, ok := l.drops[k]
@@ -232,19 +364,23 @@ func (l *Ledger) AddSnapshot(diff Snapshot, times int64) {
 // would have accumulated. This is the parallel-tracker contract: each
 // shard records into its own ledger with no mutex on the hot path, and
 // the merged result is compared byte-for-byte (via Export) against the
-// shared-ledger run. A nil o is a no-op; o itself is not modified.
+// shared-ledger run. Rows are matched by name, never by handle: a handle
+// belongs to the ledger that interned it. A nil o is a no-op; o itself is
+// not modified.
 func (l *Ledger) Merge(o *Ledger) {
 	if o == nil {
 		return
 	}
-	for k, v := range o.msgCount {
-		l.msgCount[k] += v
-	}
-	for k, v := range o.hopWork {
-		l.hopWork[k] += v
-	}
-	for k, v := range o.delivered {
-		l.delivered[k] += v
+	for i := range o.rows {
+		src := &o.rows[i]
+		if src.touched == 0 {
+			continue
+		}
+		dst := l.intern(src.name)
+		dst.msgs += src.msgs
+		dst.work += src.work
+		dst.delivered += src.delivered
+		dst.touched |= src.touched
 	}
 	for k, m := range o.drops {
 		dm, ok := l.drops[k]
@@ -277,11 +413,12 @@ func MergedSnapshot(ledgers ...*Ledger) Snapshot {
 	return m.Snapshot()
 }
 
-// Reset clears all recorded data.
+// Reset clears all recorded data. Interned kinds keep their rows, zeroed and
+// untouched, so handles taken before the reset stay valid.
 func (l *Ledger) Reset() {
-	l.msgCount = make(map[string]int64)
-	l.hopWork = make(map[string]int64)
-	l.delivered = make(map[string]int64)
+	for i := range l.rows {
+		l.rows[i] = kindRow{name: l.rows[i].name}
+	}
 	l.drops = make(map[string]map[DropCause]int64)
 	l.lat = make(map[string]*Histogram)
 }
@@ -290,9 +427,10 @@ func (l *Ledger) Reset() {
 func (l *Ledger) String() string {
 	var b strings.Builder
 	for _, k := range l.Kinds() {
-		fmt.Fprintf(&b, "%-14s msgs=%-8d work=%d", k, l.msgCount[k], l.hopWork[k])
-		if d := l.delivered[k]; d != 0 {
-			fmt.Fprintf(&b, " delivered=%d", d)
+		r := l.row(k)
+		fmt.Fprintf(&b, "%-14s msgs=%-8d work=%d", k, r.msgs, r.work)
+		if r.delivered != 0 {
+			fmt.Fprintf(&b, " delivered=%d", r.delivered)
 		}
 		if m := l.drops[k]; len(m) > 0 {
 			causes := make([]string, 0, len(m))
@@ -315,21 +453,10 @@ func (l *Ledger) String() string {
 // export is immune to later recording.
 func (l *Ledger) Export() *Export {
 	e := &Export{
-		MsgCount:  map[string]int64{},
-		HopWork:   map[string]int64{},
-		Delivered: map[string]int64{},
-		Drops:     map[string]map[string]int64{},
-		Latency:   map[string]*Histogram{},
+		Drops:   map[string]map[string]int64{},
+		Latency: map[string]*Histogram{},
 	}
-	for k, v := range l.msgCount {
-		e.MsgCount[k] = v
-	}
-	for k, v := range l.hopWork {
-		e.HopWork[k] = v
-	}
-	for k, v := range l.delivered {
-		e.Delivered[k] = v
-	}
+	e.MsgCount, e.HopWork, e.Delivered = l.counters()
 	for k, m := range l.drops {
 		cm := make(map[string]int64, len(m))
 		for c, v := range m {

@@ -27,28 +27,33 @@ type Automaton struct {
 	maxLevel  int
 
 	host vsa.Host
+	out  outlet // host itself when it is one (the oracle), else emitOutlet{host}
 
 	// armedMove is the number of armed grow/shrink timers across all
 	// processes (the sum of Process.armedMove).
 	armedMove int
 
 	procs   []*Process
-	backups []*Process // per cluster, nil without replication or alt head
-	regions map[geo.RegionID]*dispatcher
+	backups []*Process    // per cluster, nil without replication or alt head
+	regions []*dispatcher // indexed by region; every region has one
 }
 
 var _ vsa.Automaton = (*Automaton)(nil)
 
 // dispatcher groups the Tracker subautomata hosted at one region: one
 // process per hierarchy level the region heads (plus backup replicas at
-// alternate head regions under the §VII quorum extension). levels is kept
-// sorted for deterministic iteration (reset, encode).
+// alternate head regions under the §VII quorum extension). byLevel is
+// indexed by level, nil where the region hosts nothing; levels lists the
+// hosted levels, sorted for deterministic iteration (reset, encode).
 type dispatcher struct {
-	byLevel map[int]*Process
+	byLevel []*Process
 	levels  []int
 }
 
 func (d *dispatcher) add(level int, pr *Process) {
+	for len(d.byLevel) <= level {
+		d.byLevel = append(d.byLevel, nil)
+	}
 	d.byLevel[level] = pr
 	d.levels = append(d.levels, level)
 	sort.Ints(d.levels)
@@ -88,15 +93,12 @@ func buildAutomaton(cfg automatonConfig) *Automaton {
 		hb:        cfg.hb,
 		noLateral: cfg.noLateral,
 		maxLevel:  h.MaxLevel(),
-		regions:   make(map[geo.RegionID]*dispatcher),
+		regions:   make([]*dispatcher, h.Tiling().NumRegions()),
 	}
-	disp := func(u geo.RegionID) *dispatcher {
-		d, ok := a.regions[u]
-		if !ok {
-			d = &dispatcher{byLevel: make(map[int]*Process)}
-			a.regions[u] = d
-		}
-		return d
+	// Every region gets a dispatcher (possibly empty) so hosts can treat
+	// the region set uniformly.
+	for u := range a.regions {
+		a.regions[u] = &dispatcher{}
 	}
 	a.procs = make([]*Process, h.NumClusters())
 	a.backups = make([]*Process, h.NumClusters())
@@ -104,28 +106,32 @@ func buildAutomaton(cfg automatonConfig) *Automaton {
 		id := hier.ClusterID(c)
 		pr := newProcess(a, id, h.Head(id))
 		a.procs[c] = pr
-		disp(pr.region).add(pr.level, pr)
+		a.regions[pr.region].add(pr.level, pr)
 		if cfg.replicated {
 			if alt := h.AltHead(id); alt != geo.NoRegion {
 				bk := newProcess(a, id, alt)
 				bk.backup = true
 				a.backups[c] = bk
-				disp(alt).add(bk.level, bk)
+				a.regions[alt].add(bk.level, bk)
 			}
 		}
-	}
-	// Every region gets a dispatcher (possibly empty) so hosts can treat
-	// the region set uniformly.
-	for u := 0; u < h.Tiling().NumRegions(); u++ {
-		disp(geo.RegionID(u))
 	}
 	return a
 }
 
-// processAt returns the process hosted at (u, level), or nil.
+// region returns u's dispatcher, or nil for a region outside the tiling.
+func (a *Automaton) region(u geo.RegionID) *dispatcher {
+	if u < 0 || int(u) >= len(a.regions) {
+		return nil
+	}
+	return a.regions[u]
+}
+
+// processAt returns the process hosted at (u, level), or nil. Both
+// coordinates may come off the wire, so both are range-checked.
 func (a *Automaton) processAt(u geo.RegionID, level int) *Process {
-	d, ok := a.regions[u]
-	if !ok {
+	d := a.region(u)
+	if d == nil || level < 0 || level >= len(d.byLevel) {
 		return nil
 	}
 	return d.byLevel[level]
@@ -136,7 +142,7 @@ func (a *Automaton) processAt(u geo.RegionID, level int) *Process {
 // (the host's substrate decrements the in-transit registry and traces the
 // receipt when the effect executes).
 func (a *Automaton) Deliver(u geo.RegionID, level int, msg any) {
-	del, ok := msg.(cgcast.Delivery)
+	del, ok := msg.(*cgcast.Delivery)
 	if !ok {
 		return
 	}
@@ -144,8 +150,19 @@ func (a *Automaton) Deliver(u geo.RegionID, level int, msg any) {
 	if pr == nil {
 		return
 	}
-	a.host.Emit(u, recvNoteEffect{To: pr.id, Level: level, Del: del})
+	a.out.recv(u, pr.id, level, del)
 	pr.receive(del)
+}
+
+// attach wires the automaton to the host that will run it; the caller does
+// so before any input flows.
+func (a *Automaton) attach(host vsa.Host) {
+	a.host = host
+	if out, ok := host.(outlet); ok {
+		a.out = out
+	} else {
+		a.out = emitOutlet{host: host}
+	}
 }
 
 // TimerFire implements vsa.Automaton: a host wakeup for one recorded
@@ -174,8 +191,8 @@ func (a *Automaton) TimerFire(u geo.RegionID, id vsa.TimerID, at sim.Time) {
 // to its initial state and its armed timers are cleared through the host
 // (§II-C.2 failure/restart).
 func (a *Automaton) ResetRegion(u geo.RegionID) {
-	d, ok := a.regions[u]
-	if !ok {
+	d := a.region(u)
+	if d == nil {
 		return
 	}
 	for _, level := range d.levels {
@@ -187,8 +204,8 @@ func (a *Automaton) ResetRegion(u geo.RegionID) {
 // timers — used by hosts that manage their timer tables directly (the
 // emulator clears its whole per-region table on failure).
 func (a *Automaton) dropRegionState(u geo.RegionID) {
-	d, ok := a.regions[u]
-	if !ok {
+	d := a.region(u)
+	if d == nil {
 		return
 	}
 	for _, level := range d.levels {

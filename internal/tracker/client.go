@@ -61,20 +61,16 @@ func (c *Client) GPSUpdate(u geo.RegionID) {
 // Receive implements vsa.ClientHandler: the only broadcast clients consume
 // is found.
 func (c *Client) Receive(msg any) {
-	d, ok := msg.(cgcast.Delivery)
+	d, ok := msg.(*cgcast.Delivery)
 	if !ok || d.Kind != KindFound {
 		return
 	}
-	env, ok := d.Payload.(envelope)
-	if !ok || !c.evaderHere[env.Obj] {
+	obj := ObjectID(d.Obj)
+	if !c.evaderHere[obj] {
 		return
 	}
-	payloads, ok := env.Body.([]FindPayload)
-	if !ok {
-		return
-	}
-	for _, p := range payloads {
-		c.net.reportFound(env.Obj, p, c.region)
+	for _, p := range findsOf(&d.Body) {
+		c.net.reportFound(obj, p, c.region)
 	}
 }
 
@@ -82,7 +78,7 @@ func (c *Client) Receive(msg any) {
 // region, so broadcast a detection (grow) to the local level-0 cluster.
 func (c *Client) evaderMove(obj ObjectID, u geo.RegionID) {
 	c.evaderHere[obj] = true
-	_ = c.sendLocal(obj, KindGrow, nil)
+	_ = c.sendLocal(KindGrow, bodyFor(obj))
 	if hb := c.net.hb; hb != nil {
 		c.refreshTimer(obj).SetAfter(hb.Period)
 	}
@@ -94,22 +90,22 @@ func (c *Client) evaderLeft(obj ObjectID, u geo.RegionID) {
 	if t, ok := c.refresh[obj]; ok {
 		t.Clear()
 	}
-	_ = c.sendLocal(obj, KindShrink, nil)
+	_ = c.sendLocal(KindShrink, bodyFor(obj))
 }
 
 // find is the find input from the outside (§V): forward to the local
 // level-0 cluster as a find broadcast.
 func (c *Client) find(obj ObjectID, p FindPayload) error {
-	return c.sendLocal(obj, KindFind, []FindPayload{p})
+	return c.sendLocal(KindFind, findsBody(obj, []FindPayload{p}))
 }
 
 // sendLocal broadcasts to the client's own region's level-0 cluster.
-func (c *Client) sendLocal(obj ObjectID, kind string, body any) error {
+func (c *Client) sendLocal(kind string, body cgcast.Body) error {
 	c0 := c.net.h.Cluster(c.region, 0)
 	if c0 == hier.NoCluster {
 		return fmt.Errorf("tracker: client %v has no region", c.id)
 	}
-	return c.net.sendFromClient(obj, c.id, c0, kind, body)
+	return c.net.sendFromClient(c.id, c0, kind, body)
 }
 
 // refreshTimer lazily creates the heartbeat timer for one object (§VII
@@ -125,7 +121,7 @@ func (c *Client) refreshTimer(obj ObjectID) *sim.Timer {
 			if !c.evaderHere[obj] || c.net.hb == nil {
 				return
 			}
-			_ = c.sendLocal(obj, KindRefresh, 0)
+			_ = c.sendLocal(KindRefresh, bodyFor(obj))
 			c.refresh[obj].SetAfter(c.net.hb.Period)
 		})
 		c.refresh[obj] = t

@@ -2,25 +2,52 @@ package tracker
 
 import (
 	"vinestalk/internal/cgcast"
+	"vinestalk/internal/geo"
 	"vinestalk/internal/hier"
 	"vinestalk/internal/trace"
+	"vinestalk/internal/vsa"
 )
 
 // The Tracker automaton communicates with its substrate exclusively
-// through self-contained effect values handed to vsa.Host.Emit. The
-// oracle host executes each effect synchronously at emission (preserving
-// the exact call ordering of the pre-refactor direct-call design); the
-// emulation host collects a step's effects as emul outputs and executes
-// the leader's copy once at commit time.
+// through effects handed to its outlet. The oracle host is an outlet
+// itself and executes each effect synchronously at emission, as a typed
+// call (preserving the exact call ordering of the pre-refactor direct-call
+// design, and boxing nothing per message); every other vsa.Host receives
+// them as self-contained values through Host.Emit — the emulation host
+// collects a step's effects as emul outputs and executes the leader's copy
+// once at commit time, the networked host turns them into wire frames.
+
+// outlet is where a region's machine sends its effects; u is the region.
+type outlet interface {
+	send(u geo.RegionID, e sendEffect)
+	found(u geo.RegionID, e foundEffect)
+	// recv accounts the delivery of d to cluster to's process; d is valid for
+	// the call.
+	recv(u geo.RegionID, to hier.ClusterID, level int, d *cgcast.Delivery)
+	noteGrow(u geo.RegionID, level int)
+	noteQuery(u geo.RegionID, level int)
+}
+
+// emitOutlet hands effects to a generic host as values.
+type emitOutlet struct{ host vsa.Host }
+
+func (o emitOutlet) send(u geo.RegionID, e sendEffect)   { o.host.Emit(u, e) }
+func (o emitOutlet) found(u geo.RegionID, e foundEffect) { o.host.Emit(u, e) }
+func (o emitOutlet) recv(u geo.RegionID, to hier.ClusterID, level int, d *cgcast.Delivery) {
+	o.host.Emit(u, recvNoteEffect{To: to, Level: level, Del: *d})
+}
+func (o emitOutlet) noteGrow(u geo.RegionID, level int) { o.host.Emit(u, growNoteEffect{Level: level}) }
+func (o emitOutlet) noteQuery(u geo.RegionID, level int) {
+	o.host.Emit(u, queryNoteEffect{Level: level})
+}
 
 // sendEffect transmits a protocol message from a cluster process.
 type sendEffect struct {
 	From   hier.ClusterID
 	Backup bool // emitted by the alternate-head replica (§VII quorum)
-	Obj    ObjectID
 	To     hier.ClusterID
 	Kind   string
-	Body   any
+	Body   cgcast.Body
 }
 
 // foundEffect broadcasts found from a level-0 cluster to the clients in
@@ -48,9 +75,8 @@ type growNoteEffect struct{ Level int }
 // instrumentation.
 type queryNoteEffect struct{ Level int }
 
-// execEffect performs one automaton effect against the live network
-// substrate. Both hosts funnel through here — the oracle at emission, the
-// emulator at leader commit.
+// execEffect performs one effect value against the live network substrate:
+// the emulator's committed leader outputs come through here.
 func (n *Network) execEffect(eff any) {
 	switch e := eff.(type) {
 	case sendEffect:
@@ -58,7 +84,7 @@ func (n *Network) execEffect(eff any) {
 	case foundEffect:
 		n.execFound(e)
 	case recvNoteEffect:
-		n.execRecv(e)
+		n.execRecv(e.To, e.Level, &e.Del)
 	case growNoteEffect:
 		n.noteGrow(e.Level)
 	case queryNoteEffect:
@@ -79,15 +105,24 @@ func (n *Network) execSend(e sendEffect) {
 		}
 		src = n.h.AltHead(e.From)
 	}
-	if err := n.cg.ClusterToClusterFrom(src, e.From, e.To, e.Kind, envelope{Obj: e.Obj, Body: e.Body}); err != nil {
+	// The send is noted first: a copy with no live route out of src resolves
+	// — and is taken out of the registry — before the send returns.
+	key := transitKey{obj: ObjectID(e.Body.Obj), kind: codeOfKind(e.Kind), from: e.From, to: e.To}
+	copies := n.cg.Copies(e.To)
+	n.noteSent(key, copies)
+	if err := n.cg.ClusterToClusterFrom(src, e.From, e.To, e.Kind, e.Body); err != nil {
+		for ; copies > 0; copies-- {
+			n.resolve(key) // refused: nothing was sent
+		}
 		return
 	}
-	n.noteSent(e.Obj, e.Kind, e.From, e.To, n.cg.Copies(e.To))
-	n.tr.Emit(trace.Event{
-		At: n.k.Now(), Kind: "send", Op: n.opFor(e.Obj, e.Kind, e.Body), Obj: int32(e.Obj),
-		Msg: e.Kind, From: int32(e.From), To: int32(e.To), Region: -1,
-		Level: int16(n.h.Level(e.From)),
-	})
+	if n.tr.Enabled() {
+		n.tr.Emit(trace.Event{
+			At: n.k.Now(), Kind: "send", Op: n.opFor(key.obj, e.Kind, &e.Body), Obj: e.Body.Obj,
+			Msg: e.Kind, From: int32(e.From), To: int32(e.To), Region: -1,
+			Level: int16(n.h.Level(e.From)),
+		})
+	}
 }
 
 // execFound broadcasts found from a level-0 cluster to clients in its own
@@ -96,23 +131,17 @@ func (n *Network) execFound(e foundEffect) {
 	if e.Backup && n.cg.Layer().Alive(n.h.Head(e.From)) {
 		return
 	}
-	_ = n.cg.ClusterToClients(e.From, KindFound, envelope{Obj: e.Obj, Body: e.Payloads})
+	_ = n.cg.ClusterToClients(e.From, KindFound, findsBody(e.Obj, e.Payloads))
 }
 
 // execRecv consumes the in-transit registry entry for a delivered message
 // and traces the receipt.
-func (n *Network) execRecv(e recvNoteEffect) {
-	n.noteDelivered(e.Del, e.To)
+func (n *Network) execRecv(to hier.ClusterID, level int, d *cgcast.Delivery) {
+	n.noteResolved(d, to)
 	if n.tr.Enabled() {
-		obj := int32(-1)
-		var op uint64
-		if env, ok := e.Del.Payload.(envelope); ok {
-			obj = int32(env.Obj)
-			op = n.opFor(env.Obj, e.Del.Kind, env.Body)
-		}
 		n.tr.Emit(trace.Event{
-			At: n.k.Now(), Kind: "recv", Op: op, Obj: obj, Msg: e.Del.Kind,
-			From: int32(e.Del.From), To: int32(e.To), Region: -1, Level: int16(e.Level),
+			At: n.k.Now(), Kind: "recv", Op: n.opFor(ObjectID(d.Obj), d.Kind, &d.Body), Obj: d.Obj, Msg: d.Kind,
+			From: int32(d.From), To: int32(to), Region: -1, Level: int16(level),
 		})
 	}
 }

@@ -48,11 +48,12 @@ type emulHost struct {
 	collecting *[]emul.Output
 }
 
-// emulDeliver is the emulator input carrying one C-gcast delivery.
+// emulDeliver is the emulator input carrying one C-gcast delivery: a copy,
+// since the emulator keeps inputs past the call that delivered them.
 type emulDeliver struct {
 	U     geo.RegionID
 	Level int
-	Msg   any
+	Del   cgcast.Delivery
 }
 
 // emulTimerFire is the emulator input carrying one host timer wakeup. At
@@ -144,7 +145,7 @@ func (h *emulHost) Step(state []byte, in emul.Input) (next []byte, outputs []emu
 		if err := h.aut.DecodeRegion(u, state); err != nil {
 			return state, nil
 		}
-		h.aut.Deliver(u, m.Level, m.Msg)
+		h.aut.Deliver(u, m.Level, &m.Del)
 	case emulTimerFire:
 		u = m.U
 		if err := h.aut.DecodeRegion(u, state); err != nil {
@@ -210,20 +211,20 @@ var _ vsa.VSAHandler = emulRegionHandler{}
 
 func (rh emulRegionHandler) Receive(level int, msg any) {
 	h := rh.host
+	del, ok := msg.(*cgcast.Delivery)
+	if !ok {
+		return
+	}
 	if !h.em.Alive(rh.u) {
 		// The emulated VSA is down: the message dies here, exactly like a
 		// delivery to a dead abstract VSA. Settle the in-transit accounting
 		// so the quiescence detector does not wait on a message that can
 		// never commit (a post-restart incarnation drops pre-failure
 		// inputs).
-		if del, ok := msg.(cgcast.Delivery); ok {
-			if pr := h.aut.processAt(rh.u, level); pr != nil {
-				h.net.noteDelivered(del, pr.id)
-			}
-		}
+		h.net.noteDropped(rh.u, level, del)
 		return
 	}
-	_ = h.em.Submit(rh.u, emulDeliver{U: rh.u, Level: level, Msg: msg})
+	_ = h.em.Submit(rh.u, emulDeliver{U: rh.u, Level: level, Del: *del})
 }
 
 // Reset is a no-op: in emulation mode the abstract layer is always alive

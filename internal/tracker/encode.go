@@ -49,8 +49,8 @@ const (
 
 // EncodeRegion implements vsa.Automaton.
 func (a *Automaton) EncodeRegion(u geo.RegionID) []byte {
-	d, ok := a.regions[u]
-	if !ok {
+	d := a.region(u)
+	if d == nil {
 		return nil
 	}
 	// Size the buffer once from the per-process counts: the floor per row,
@@ -110,8 +110,8 @@ func (a *Automaton) EncodeRegion(u geo.RegionID) []byte {
 // encodeInitialRegion returns the canonical encoding of region u in its
 // initial state (the emul.Program.Init value).
 func (a *Automaton) encodeInitialRegion(u geo.RegionID) []byte {
-	d, ok := a.regions[u]
-	if !ok {
+	d := a.region(u)
+	if d == nil {
 		return nil
 	}
 	var buf []byte
@@ -229,8 +229,8 @@ func (r *decoder) decodeArmedTimer() sim.Time {
 // nothing is committed until the whole frame parses — so every accepted
 // frame is one EncodeRegion could have produced, byte for byte.
 func (a *Automaton) DecodeRegion(u geo.RegionID, state []byte) error {
-	d, ok := a.regions[u]
-	if !ok {
+	d := a.region(u)
+	if d == nil {
 		if len(state) == 0 {
 			return nil
 		}

@@ -82,12 +82,13 @@ func TestStaleEnvelopeDoesNotAllocateState(t *testing.T) {
 		}
 		from := nbrs[0]
 		structureFree := []cgcast.Delivery{
-			{Kind: KindShrink, Payload: envelope{Obj: ghost}, From: from, FromRegion: f.h.Head(from)},
-			{Kind: KindShrinkUpd, Payload: envelope{Obj: ghost}, From: from, FromRegion: f.h.Head(from)},
-			{Kind: KindFindQuery, Payload: envelope{Obj: ghost}, From: from, FromRegion: f.h.Head(from)},
-			{Kind: KindFindAck, Payload: envelope{Obj: ghost, Body: hier.NoCluster}, From: from, FromRegion: f.h.Head(from)},
+			{Kind: KindShrink, Body: bodyFor(ghost), From: from, FromRegion: f.h.Head(from)},
+			{Kind: KindShrinkUpd, Body: bodyFor(ghost), From: from, FromRegion: f.h.Head(from)},
+			{Kind: KindFindQuery, Body: bodyFor(ghost), From: from, FromRegion: f.h.Head(from)},
+			{Kind: KindFindAck, Body: cgcast.Body{Obj: int32(ghost), Arg: int32(hier.NoCluster)}, From: from, FromRegion: f.h.Head(from)},
 		}
-		for _, d := range structureFree {
+		for i := range structureFree {
+			d := &structureFree[i]
 			beforeLive := liveObjects(aut)
 			beforeTable := pr.LiveObjects()
 			beforeEnc := aut.EncodeRegion(pr.Region())

@@ -7,7 +7,9 @@
 package tracker
 
 import (
+	"vinestalk/internal/cgcast"
 	"vinestalk/internal/geo"
+	"vinestalk/internal/hier"
 )
 
 // Protocol message kinds, exactly the alphabet of Fig. 2.
@@ -104,10 +106,36 @@ type ObjectID int32
 // DefaultObject is the object id used by the single-evader API.
 const DefaultObject ObjectID = 0
 
-// envelope wraps every protocol payload with the object it concerns.
-type envelope struct {
-	Obj  ObjectID
-	Body any
+// A protocol message's body is a cgcast.Body, which travels by value inside
+// the C-gcast frame: Obj is the object the message concerns, Arg the pointer
+// a findAck answers with or a refresh's hop count, and Payload the
+// []FindPayload of a find or found (the one body that is boxed).
+
+// bodyFor is the body of a kind that says nothing beyond its object.
+func bodyFor(obj ObjectID) cgcast.Body { return cgcast.Body{Obj: int32(obj)} }
+
+// findsBody is the body of a find or found carrying the given operations.
+func findsBody(obj ObjectID, ps []FindPayload) cgcast.Body {
+	return cgcast.Body{Obj: int32(obj), Payload: ps}
+}
+
+// findsOf returns the operations a find or found body carries.
+func findsOf(b *cgcast.Body) []FindPayload {
+	ps, _ := b.Payload.([]FindPayload)
+	return ps
+}
+
+// wireBody returns a body in the form EncodeClusterMsg takes it.
+func wireBody(kind string, b *cgcast.Body) any {
+	switch kind {
+	case KindFind, KindFound:
+		return findsOf(b)
+	case KindFindAck:
+		return hier.ClusterID(b.Arg)
+	case KindRefresh:
+		return int(b.Arg)
+	}
+	return nil
 }
 
 // FindID identifies a find operation. IDs are instrumentation only — the

@@ -141,7 +141,7 @@ var _ nethost.App = (*NetHost)(nil)
 // comes back with exactly the §II-C.2 initial state.
 func (nh *NetHost) NewAutomaton(u geo.RegionID, host vsa.Host) vsa.Automaton {
 	a := buildAutomaton(nh.aCfg)
-	a.host = host
+	a.attach(host)
 	return a
 }
 
@@ -171,7 +171,7 @@ func (nh *NetHost) HandleEffect(n *nethost.Node, effect any) {
 	switch e := effect.(type) {
 	case sendEffect:
 		to := nh.h.Head(e.To)
-		payload, err := EncodeClusterMsg(e.From, n.Region(), nh.h.Level(e.To), e.Obj, e.Kind, e.Body)
+		payload, err := EncodeClusterMsg(e.From, n.Region(), nh.h.Level(e.To), ObjectID(e.Body.Obj), e.Kind, wireBody(e.Kind, &e.Body))
 		if err != nil {
 			return
 		}
@@ -199,18 +199,16 @@ func (nh *NetHost) DeliverFrame(n *nethost.Node, kind string, payload []byte) {
 		return
 	}
 	if kind == KindFound {
-		env := del.Payload.(envelope)
-		if regionState(n).here[env.Obj] == 0 {
+		obj := ObjectID(del.Obj)
+		if regionState(n).here[obj] == 0 {
 			return
 		}
-		if ps, ok := env.Body.([]FindPayload); ok {
-			for _, p := range ps {
-				nh.reportFound(env.Obj, p, n.Region())
-			}
+		for _, p := range findsOf(&del.Body) {
+			nh.reportFound(obj, p, n.Region())
 		}
 		return
 	}
-	n.Automaton().Deliver(n.Region(), level, del)
+	n.Automaton().Deliver(n.Region(), level, &del)
 }
 
 // hops charges the head-to-head hop distance for the ledger's hop-work

@@ -218,17 +218,18 @@ func New(cg *cgcast.Service, geom hier.Geometry, opts ...Option) (*Network, erro
 	}
 
 	n.aut = newAutomaton(n)
+	cg.OnDrop(n.noteDropped)
 	if n.emulCfg != nil {
 		eh := newEmulHost(n, n.aut, n.emulCfg.delta, n.emulCfg.tRestart)
 		n.emulHost = eh
-		n.aut.host = eh
+		n.aut.attach(eh)
 		for u := 0; u < h.Tiling().NumRegions(); u++ {
 			region := geo.RegionID(u)
 			cg.Layer().RegisterVSA(region, emulRegionHandler{host: eh, u: region})
 		}
 	} else {
 		oh := newOracleHost(n, n.aut)
-		n.aut.host = oh
+		n.aut.attach(oh)
 		for u := 0; u < h.Tiling().NumRegions(); u++ {
 			region := geo.RegionID(u)
 			cg.Layer().RegisterVSA(region, oracleRegionHandler{host: oh, u: region})
@@ -309,18 +310,21 @@ func (n *Network) BackupProcess(c hier.ClusterID) *Process {
 }
 
 // sendFromClient transmits a client message to a level-0 cluster.
-func (n *Network) sendFromClient(obj ObjectID, id vsa.ClientID, to hier.ClusterID, kind string, body any) error {
-	if err := n.cg.ClientToCluster(id, to, kind, envelope{Obj: obj, Body: body}); err != nil {
+func (n *Network) sendFromClient(id vsa.ClientID, to hier.ClusterID, kind string, body cgcast.Body) error {
+	if err := n.cg.ClientToClusterBody(id, to, kind, body); err != nil {
 		return err
 	}
-	n.noteSent(obj, kind, hier.NoCluster, to, 1)
+	// A client's broadcast resolves at its arrival event, never inside the
+	// send, so noting it afterwards is safe.
+	obj := ObjectID(body.Obj)
+	n.noteSent(transitKey{obj: obj, kind: codeOfKind(kind), from: hier.NoCluster, to: to}, 1)
 	if n.tr.Enabled() {
 		region := int32(-1)
 		if c, ok := n.clients[id]; ok {
 			region = int32(c.region)
 		}
 		n.tr.Emit(trace.Event{
-			At: n.k.Now(), Kind: "send", Op: n.opFor(obj, kind, body), Obj: int32(obj),
+			At: n.k.Now(), Kind: "send", Op: n.opFor(obj, kind, &body), Obj: int32(obj),
 			Msg: kind, From: -1, To: int32(to), Region: region, Level: -1,
 		})
 	}
@@ -332,10 +336,10 @@ func (n *Network) sendFromClient(obj ObjectID, id vsa.ClientID, to hier.ClusterI
 // grow/shrink-family messages correlate to the sending object's current
 // move epoch (the cascade triggered by that object's most recent region
 // change).
-func (n *Network) opFor(obj ObjectID, kind string, body any) uint64 {
+func (n *Network) opFor(obj ObjectID, kind string, body *cgcast.Body) uint64 {
 	switch kind {
 	case KindFind, KindFound:
-		if ps, ok := body.([]FindPayload); ok && len(ps) > 0 {
+		if ps := findsOf(body); len(ps) > 0 {
 			return trace.OpFind(int64(ps[0].ID))
 		}
 	case KindGrow, KindGrowNbr, KindGrowPar, KindShrink, KindShrinkUpd:
@@ -349,24 +353,32 @@ func (n *Network) opFor(obj ObjectID, kind string, body any) uint64 {
 // latest entry is traced under trace.OpMoveFor(obj, MoveEpoch(obj)).
 func (n *Network) MoveEpoch(obj ObjectID) uint64 { return n.moveEpochs[obj] }
 
-// noteSent enters copies of a message the C-gcast service accepted into the
-// in-transit registry. Every delivery goes through the kernel, so none can
-// arrive before its send is noted.
-func (n *Network) noteSent(obj ObjectID, kind string, from, to hier.ClusterID, copies int) {
-	code := codeOfKind(kind)
-	n.inflight[transitKey{obj: obj, kind: code, from: from, to: to}] += copies
-	if code.moveFamily() {
+// noteSent enters copies of a message into the in-transit registry.
+func (n *Network) noteSent(key transitKey, copies int) {
+	n.inflight[key] += copies
+	if key.kind.moveFamily() {
 		n.moveInflight += copies
 	}
 }
 
-// noteDelivered removes a delivered message from the in-transit registry.
-func (n *Network) noteDelivered(d cgcast.Delivery, to hier.ClusterID) {
-	env, ok := d.Payload.(envelope)
-	if !ok {
-		return
+// noteDropped is the C-gcast service's drop consumer: a message addressed to
+// the process at (u, level) died instead of reaching it, and leaves the
+// in-transit registry here — or every later quiescence check would wait on a
+// message that can never arrive.
+func (n *Network) noteDropped(u geo.RegionID, level int, d *cgcast.Delivery) {
+	if pr := n.aut.processAt(u, level); pr != nil {
+		n.noteResolved(d, pr.id)
 	}
-	key := transitKey{obj: env.Obj, kind: codeOfKind(d.Kind), from: d.From, to: to}
+}
+
+// noteResolved removes a delivered or dropped message from the in-transit
+// registry.
+func (n *Network) noteResolved(d *cgcast.Delivery, to hier.ClusterID) {
+	n.resolve(transitKey{obj: ObjectID(d.Obj), kind: codeOfKind(d.Kind), from: d.From, to: to})
+}
+
+// resolve takes one copy of a message out of the in-transit registry.
+func (n *Network) resolve(key transitKey) {
 	switch cnt := n.inflight[key]; {
 	case cnt <= 0:
 		return

@@ -1,7 +1,9 @@
 package tracker
 
 import (
+	"vinestalk/internal/cgcast"
 	"vinestalk/internal/geo"
+	"vinestalk/internal/hier"
 	"vinestalk/internal/sim"
 	"vinestalk/internal/trace"
 	"vinestalk/internal/vsa"
@@ -25,7 +27,10 @@ func newOracleHost(n *Network, a *Automaton) *oracleHost {
 	return h
 }
 
-var _ vsa.Host = (*oracleHost)(nil)
+var (
+	_ vsa.Host = (*oracleHost)(nil)
+	_ outlet   = (*oracleHost)(nil)
+)
 
 func (h *oracleHost) Now() sim.Time { return h.k.Now() }
 
@@ -126,10 +131,20 @@ func (ht *hostTimers) release(e *hostTimer) {
 	ht.free = append(ht.free, e)
 }
 
-// Emit executes the effect immediately against the live network.
+// Emit executes the effect immediately against the live network. The
+// automaton itself reaches the oracle host through the outlet methods below,
+// which do the same without boxing the effect.
 func (h *oracleHost) Emit(u geo.RegionID, effect any) {
 	h.net.execEffect(effect)
 }
+
+func (h *oracleHost) send(_ geo.RegionID, e sendEffect)   { h.net.execSend(e) }
+func (h *oracleHost) found(_ geo.RegionID, e foundEffect) { h.net.execFound(e) }
+func (h *oracleHost) recv(_ geo.RegionID, to hier.ClusterID, level int, d *cgcast.Delivery) {
+	h.net.execRecv(to, level, d)
+}
+func (h *oracleHost) noteGrow(_ geo.RegionID, level int)  { h.net.noteGrow(level) }
+func (h *oracleHost) noteQuery(_ geo.RegionID, level int) { h.net.noteFindQuery(level) }
 
 // oracleRegionHandler adapts one region's slice of the automaton to the
 // VSA layer's handler interface.
@@ -148,10 +163,7 @@ func (rh oracleRegionHandler) Receive(level int, msg any) {
 // tracing the state loss per hosted process.
 func (rh oracleRegionHandler) Reset() {
 	h := rh.host
-	d, ok := h.aut.regions[rh.u]
-	if !ok {
-		return
-	}
+	d := h.aut.regions[rh.u]
 	for _, level := range d.levels {
 		pr := d.byLevel[level]
 		h.net.tr.Emit(trace.Event{

@@ -117,9 +117,6 @@ func newProcess(aut *Automaton, id hier.ClusterID, region geo.RegionID) *Process
 	}
 }
 
-// emit hands an effect to the host on behalf of this process's region.
-func (pr *Process) emit(eff any) { pr.aut.host.Emit(pr.region, eff) }
-
 // recordDeadline writes a timer variable without telling the host, keeping
 // the armed grow/shrink counts in step.
 func (pr *Process) recordDeadline(st *objState, kind timerKind, at sim.Time) {
@@ -227,11 +224,7 @@ func (pr *Process) LiveObjects() int { return pr.objs.len() }
 
 // receive dispatches a C-gcast delivery to the Fig. 2 input actions of the
 // addressed object's state vector.
-func (pr *Process) receive(d cgcast.Delivery) {
-	env, ok := d.Payload.(envelope)
-	if !ok {
-		return
-	}
+func (pr *Process) receive(d *cgcast.Delivery) {
 	// Client-originated grow/shrink name the level-0 cluster itself (the
 	// client broadcast an object detection for this region).
 	cid := d.From
@@ -239,11 +232,11 @@ func (pr *Process) receive(d cgcast.Delivery) {
 		cid = pr.id
 	}
 	var scratch objState
-	st, held := pr.enter(env.Obj, &scratch)
+	st, held := pr.enter(ObjectID(d.Obj), &scratch)
 	pr.sanitize(st)
 	switch d.Kind {
 	case KindGrow:
-		pr.emit(growNoteEffect{Level: pr.level})
+		pr.aut.out.noteGrow(pr.region, pr.level)
 		pr.onGrow(st, cid)
 	case KindGrowNbr:
 		pr.onGrowNbr(st, cid)
@@ -254,14 +247,13 @@ func (pr *Process) receive(d cgcast.Delivery) {
 	case KindShrinkUpd:
 		pr.onShrinkUpd(st, cid)
 	case KindFind:
-		pr.onFind(st, env.Body.([]FindPayload))
+		pr.onFind(st, findsOf(&d.Body))
 	case KindFindQuery:
 		pr.onFindQuery(st, cid)
 	case KindFindAck:
-		pr.onFindAck(st, env.Body.(hier.ClusterID))
+		pr.onFindAck(st, hier.ClusterID(d.Arg))
 	case KindRefresh:
-		hops, _ := env.Body.(int)
-		pr.onRefresh(st, cid, hops)
+		pr.onRefresh(st, cid, int(d.Arg))
 	}
 	// TIOA semantics: any newly-enabled find output fires (zero-time local
 	// steps), so re-evaluate after every state change.
@@ -287,9 +279,20 @@ func (pr *Process) fire(st *objState, kind timerKind) {
 	}
 }
 
-// send emits a protocol message about the row's object.
-func (pr *Process) send(st *objState, to hier.ClusterID, kind string, body any) {
-	pr.emit(sendEffect{From: pr.id, Backup: pr.backup, Obj: st.obj, To: to, Kind: kind, Body: body})
+// send emits a protocol message about the row's object that says nothing
+// beyond its kind.
+func (pr *Process) send(st *objState, to hier.ClusterID, kind string) {
+	pr.sendBody(to, kind, bodyFor(st.obj))
+}
+
+// sendArg emits a message carrying one scalar (findAck's pointer, refresh's
+// hop count).
+func (pr *Process) sendArg(st *objState, to hier.ClusterID, kind string, arg int32) {
+	pr.sendBody(to, kind, cgcast.Body{Obj: int32(st.obj), Arg: arg})
+}
+
+func (pr *Process) sendBody(to hier.ClusterID, kind string, body cgcast.Body) {
+	pr.aut.out.send(pr.region, sendEffect{From: pr.id, Backup: pr.backup, To: to, Kind: kind, Body: body})
 }
 
 // --- Move-related actions (Fig. 2, left column) ---
@@ -364,21 +367,21 @@ func (pr *Process) onTimer(st *objState) {
 			par = h.Parent(pr.id)
 		}
 		st.p = par
-		pr.send(st, par, KindGrow, nil)
+		pr.send(st, par, KindGrow)
 		kind := KindGrowPar
 		if lateral {
 			kind = KindGrowNbr
 		}
 		for _, b := range h.Nbrs(pr.id) {
-			pr.send(st, b, kind, nil)
+			pr.send(st, b, kind)
 		}
 		pr.renewLease(st)
 	case st.c == hier.NoCluster && st.p != hier.NoCluster:
 		dest := st.p
 		st.p = hier.NoCluster
-		pr.send(st, dest, KindShrink, nil)
+		pr.send(st, dest, KindShrink)
 		for _, b := range h.Nbrs(pr.id) {
-			pr.send(st, b, KindShrinkUpd, nil)
+			pr.send(st, b, KindShrinkUpd)
 		}
 		pr.clearTimer(st, timerLease)
 	}
@@ -417,11 +420,11 @@ func (pr *Process) takeFinds(st *objState) []FindPayload {
 func (pr *Process) onFindQuery(st *objState, cid hier.ClusterID) {
 	switch {
 	case st.c != hier.NoCluster:
-		pr.send(st, cid, KindFindAck, st.c)
+		pr.sendArg(st, cid, KindFindAck, int32(st.c))
 	case st.nbrptdown != hier.NoCluster:
-		pr.send(st, cid, KindFindAck, st.nbrptdown)
+		pr.sendArg(st, cid, KindFindAck, int32(st.nbrptdown))
 	case st.nbrptup != hier.NoCluster:
-		pr.send(st, cid, KindFindAck, st.nbrptup)
+		pr.sendArg(st, cid, KindFindAck, int32(st.nbrptup))
 	}
 }
 
@@ -453,7 +456,7 @@ func (pr *Process) evaluateFind(st *objState) {
 	case st.c == pr.id:
 		// Tracing complete: broadcast found to clients in this and
 		// neighboring regions.
-		pr.emit(foundEffect{From: pr.id, Backup: pr.backup, Obj: st.obj, Payloads: pr.takeFinds(st)})
+		pr.aut.out.found(pr.region, foundEffect{From: pr.id, Backup: pr.backup, Obj: st.obj, Payloads: pr.takeFinds(st)})
 	case st.c != hier.NoCluster:
 		pr.forwardFind(st, st.c)
 	case st.nbrptdown != hier.NoCluster:
@@ -466,13 +469,13 @@ func (pr *Process) evaluateFind(st *objState) {
 		// arriving at exactly the round-trip bound win over the timeout
 		// (TIOA would resolve the tie either way; the paper intends the
 		// ack to count as "received before nbrtimeout expires").
-		pr.emit(queryNoteEffect{Level: pr.level})
+		pr.aut.out.noteQuery(pr.region, pr.level)
 		pr.setTimerAfter(st, timerNbrTimeout, 2*pr.aut.unit*sim.Time(pr.aut.geom.N[pr.level])+1)
 		for _, b := range h.Nbrs(pr.id) {
 			if b == st.p {
 				continue
 			}
-			pr.send(st, b, KindFindQuery, nil)
+			pr.send(st, b, KindFindQuery)
 		}
 	}
 }
@@ -502,7 +505,7 @@ func (pr *Process) onNbrTimeout(st *objState) {
 
 // forwardFind sends every held find to dest and clears the searching state.
 func (pr *Process) forwardFind(st *objState, dest hier.ClusterID) {
-	pr.send(st, dest, KindFind, pr.takeFinds(st))
+	pr.sendBody(dest, KindFind, findsBody(st.obj, pr.takeFinds(st)))
 }
 
 // --- §VII heartbeat extension ---
@@ -525,7 +528,7 @@ func (pr *Process) onRefresh(st *objState, cid hier.ClusterID, hops int) {
 	pr.renewLease(st)
 	switch {
 	case st.p != hier.NoCluster:
-		pr.send(st, st.p, KindRefresh, hops+1)
+		pr.sendArg(st, st.p, KindRefresh, int32(hops+1))
 		// Re-announce the connection kind so neighbors' secondary
 		// pointers (and their leases) stay fresh.
 		kind := KindGrowPar
@@ -533,7 +536,7 @@ func (pr *Process) onRefresh(st *objState, cid hier.ClusterID, hops int) {
 			kind = KindGrowNbr
 		}
 		for _, b := range pr.aut.h.Nbrs(pr.id) {
-			pr.send(st, b, kind, nil)
+			pr.send(st, b, kind)
 		}
 	case pr.level != pr.aut.maxLevel && !st.armed(timerGrowShrink):
 		pr.setTimerAfter(st, timerGrowShrink, pr.aut.sched.G[pr.level])
@@ -611,10 +614,10 @@ func (pr *Process) onLeaseExpired(st *objState) {
 	if st.p != hier.NoCluster {
 		dest := st.p
 		st.p = hier.NoCluster
-		pr.send(st, dest, KindShrink, nil)
+		pr.send(st, dest, KindShrink)
 	}
 	for _, b := range pr.aut.h.Nbrs(pr.id) {
-		pr.send(st, b, KindShrinkUpd, nil)
+		pr.send(st, b, KindShrinkUpd)
 	}
 	pr.clearTimer(st, timerGrowShrink)
 }

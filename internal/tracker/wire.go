@@ -10,7 +10,7 @@ import (
 )
 
 // Wire codec for protocol messages between networked regions. On the sim
-// hosts a cluster message travels as an in-memory envelope; on the
+// hosts a cluster message travels as an in-memory cgcast.Delivery; on the
 // networked host it must survive real bytes, so each message is encoded
 // with a version header and decoded with the same bounds discipline as
 // the region codec — all input is untrusted.
@@ -85,7 +85,7 @@ func DecodeClusterMsg(kind string, data []byte) (level int, del cgcast.Delivery,
 	fromRegion := geo.RegionID(int32(d.u32()))
 	level = int(d.u16())
 	obj := ObjectID(int32(d.u32()))
-	var body any
+	body := bodyFor(obj)
 	switch kind {
 	case KindFind, KindFound:
 		count := int(d.u16())
@@ -98,13 +98,10 @@ func DecodeClusterMsg(kind string, data []byte) (level int, del cgcast.Delivery,
 			origin := geo.RegionID(int32(d.u32()))
 			ps = append(ps, FindPayload{ID: id, Origin: origin})
 		}
-		body = ps
-	case KindFindAck:
-		body = hier.ClusterID(int32(d.u32()))
-	case KindRefresh:
-		body = int(int32(d.u32()))
+		body.Payload = ps
+	case KindFindAck, KindRefresh:
+		body.Arg = int32(d.u32())
 	case KindGrow, KindGrowNbr, KindGrowPar, KindShrink, KindShrinkUpd, KindFindQuery:
-		body = nil
 	default:
 		return 0, del, fmt.Errorf("tracker: unknown message kind %q", kind)
 	}
@@ -114,11 +111,6 @@ func DecodeClusterMsg(kind string, data []byte) (level int, del cgcast.Delivery,
 	if d.remaining() != 0 {
 		return 0, del, fmt.Errorf("tracker: %d trailing bytes after %s message", d.remaining(), kind)
 	}
-	del = cgcast.Delivery{
-		Kind:       kind,
-		Payload:    envelope{Obj: obj, Body: body},
-		From:       from,
-		FromRegion: fromRegion,
-	}
+	del = cgcast.Delivery{Kind: kind, From: from, FromRegion: fromRegion, Body: body}
 	return level, del, nil
 }

@@ -93,11 +93,7 @@ func FuzzDecodeClusterMessage(f *testing.F) {
 		if err != nil {
 			return
 		}
-		env, ok := del.Payload.(envelope)
-		if !ok {
-			t.Fatalf("accepted %s delivery payload is %T, want envelope", kind, del.Payload)
-		}
-		reenc, err := EncodeClusterMsg(del.From, del.FromRegion, level, env.Obj, kind, env.Body)
+		reenc, err := EncodeClusterMsg(del.From, del.FromRegion, level, ObjectID(del.Obj), kind, wireBody(kind, &del.Body))
 		if err != nil {
 			t.Fatalf("re-encoding accepted %s message: %v", kind, err)
 		}

@@ -47,12 +47,16 @@ type DelayModel interface {
 // delivery happens via the VSA layer after the configured delay, and is
 // dropped if the destination has failed (or restarted) in the meantime.
 type Service struct {
-	k      *sim.Kernel
-	layer  *vsa.Layer
-	delta  sim.Time
-	e      sim.Time
-	ledger *metrics.Ledger
-	model  DelayModel
+	k     *sim.Kernel
+	layer *vsa.Layer
+	delta sim.Time
+	e     sim.Time
+	model DelayModel
+	// Ledger handles of the three transport kinds, resolved once; with a nil
+	// ledger they are zero handles that record nothing.
+	kindClient    metrics.Kind
+	kindVSAClient metrics.Kind
+	kindHop       metrics.Kind
 	// lastArrival tracks, per delivery channel (destination region ×
 	// message class), the latest arrival time already scheduled there;
 	// sampled arrivals are clamped to it so delivery respects TOBcast send
@@ -90,8 +94,11 @@ const (
 // accounting.
 func New(k *sim.Kernel, layer *vsa.Layer, delta, e sim.Time, ledger *metrics.Ledger) *Service {
 	return &Service{
-		k: k, layer: layer, delta: delta, e: e, ledger: ledger,
-		lastArrival: make(map[channel]arrival),
+		k: k, layer: layer, delta: delta, e: e,
+		kindClient:    ledger.Kind("transport/client"),
+		kindVSAClient: ledger.Kind("transport/vsa-client"),
+		kindHop:       ledger.Kind("transport/hop"),
+		lastArrival:   make(map[channel]arrival),
 	}
 }
 
@@ -111,8 +118,11 @@ func (s *Service) E() sim.Time { return s.e }
 // ClientToVSA broadcasts msg from a client to the VSA of target (the
 // client's own region or a neighbor), delivered to the subautomaton at the
 // given level after δ. It returns an error if the sender is dead or the
-// target is out of broadcast range.
-func (s *Service) ClientToVSA(from vsa.ClientID, target geo.RegionID, level int, msg any) error {
+// target is out of broadcast range. If the message dies instead of being
+// delivered (the VSA failed or restarted in flight, or is down at arrival),
+// onDrop — which may be nil — is handed the undelivered message at the
+// would-be arrival time, after the drop is recorded.
+func (s *Service) ClientToVSA(from vsa.ClientID, target geo.RegionID, level int, msg any, onDrop func(target geo.RegionID, level int, msg any)) error {
 	src := s.layer.ClientRegion(from)
 	if src == geo.NoRegion {
 		return fmt.Errorf("vbcast: client %v not alive", from)
@@ -120,19 +130,21 @@ func (s *Service) ClientToVSA(from vsa.ClientID, target geo.RegionID, level int,
 	if target != src && !geo.AreNeighbors(s.layer.Tiling(), src, target) {
 		return fmt.Errorf("vbcast: region %v not within broadcast range of %v", target, src)
 	}
-	s.record("transport/client", hopCount(src, target))
+	s.kindClient.Message(hopCount(src, target))
 	inc := s.layer.Incarnation(target)
 	s.k.At(s.deliverAt(chanClient, target, s.broadcastDelay(src, target)), func() {
-		if s.layer.Incarnation(target) != inc {
-			// VSA failed or restarted while the message was in flight.
-			s.recordDrop("transport/client", metrics.DropIncarnation)
-			return
+		cause := metrics.DropIncarnation // VSA failed or restarted in flight
+		if s.layer.Incarnation(target) == inc {
+			if s.layer.DeliverToVSA(target, level, msg) {
+				s.kindClient.Delivery()
+				return
+			}
+			cause = metrics.DropDeadVSA
 		}
-		if !s.layer.DeliverToVSA(target, level, msg) {
-			s.recordDrop("transport/client", metrics.DropDeadVSA)
-			return
+		s.kindClient.Drop(cause)
+		if onDrop != nil {
+			onDrop(target, level, msg)
 		}
-		s.recordDelivery("transport/client")
 	})
 	return nil
 }
@@ -154,7 +166,7 @@ func (s *Service) VSAToClients(from geo.RegionID, targets []geo.RegionID, msg an
 		}
 		work += hopCount(from, tgt)
 	}
-	s.record("transport/vsa-client", work)
+	s.kindVSAClient.Message(work)
 	lag := s.emulationLag(from)
 	for _, tgt := range targets {
 		tgt := tgt
@@ -165,9 +177,9 @@ func (s *Service) VSAToClients(from geo.RegionID, targets []geo.RegionID, msg an
 				// an earlier delivery in this same loop may fail a client;
 				// count each per-client attempt so chaos runs can see them.
 				if s.layer.DeliverToClient(id, msg) {
-					s.recordDelivery("transport/vsa-client")
+					s.kindVSAClient.Delivery()
 				} else {
-					s.recordDrop("transport/vsa-client", metrics.DropDeadClient)
+					s.kindVSAClient.Drop(metrics.DropDeadClient)
 				}
 			}
 		})
@@ -175,68 +187,63 @@ func (s *Service) VSAToClients(from geo.RegionID, targets []geo.RegionID, msg an
 	return nil
 }
 
-// VSAToVSA relays msg one hop between neighboring regions' VSAs (or
-// self-delivers when from == to), arriving after δ+e. The callback runs at
-// arrival instead of a direct subautomaton delivery, letting higher layers
-// (geocast) continue routing. Delivery is dropped only if the destination
-// VSA fails or restarts while the message is in flight. The sender's
-// emulation must merely survive the send itself: a VSA output is a physical
-// broadcast performed by whichever node emulates the VSA at send time, and
-// once that broadcast is in flight it is independent of the sender's fate —
-// the sending VSA failing afterward does not retract it.
-func (s *Service) VSAToVSA(from, to geo.RegionID, onArrive func()) error {
-	return s.VSAToVSATracked(from, to, onArrive, nil)
-}
-
-// VSAToVSATracked is VSAToVSA with a drop callback: when the in-flight
-// message dies (destination failed or restarted), onDrop runs at the
-// would-be arrival time with the cause. Higher layers (geocast) use it to
-// attribute the death of the routed message they were carrying; onDrop may
-// be nil. The hop itself is always accounted here under "transport/hop".
-func (s *Service) VSAToVSATracked(from, to geo.RegionID, onArrive func(), onDrop func(metrics.DropCause)) error {
+// SendHop is the send half of a relay hop between neighboring regions' VSAs
+// (or a self-delivery when from == to): it checks that the sender is alive
+// and the destination in range, accounts the hop under "transport/hop", and
+// returns the arrival time δ+e away together with the destination's
+// incarnation at send time. The caller schedules one kernel event at at and
+// has it call ArriveHop with that incarnation; routing layers (geocast) keep
+// their per-message state in a record of their own instead of a closure per
+// hop. The sender's emulation must merely survive the send itself: a VSA
+// output is a physical broadcast performed by whichever node emulates the
+// VSA at send time, and once that broadcast is in flight it is independent
+// of the sender's fate — the sending VSA failing afterward does not retract
+// it.
+func (s *Service) SendHop(from, to geo.RegionID) (at sim.Time, inc uint64, err error) {
 	if !s.layer.Alive(from) {
-		return fmt.Errorf("vbcast: VSA %v not alive", from)
+		return 0, 0, fmt.Errorf("vbcast: VSA %v not alive", from)
 	}
 	if to != from && !geo.AreNeighbors(s.layer.Tiling(), from, to) {
-		return fmt.Errorf("vbcast: region %v not a neighbor of %v", to, from)
+		return 0, 0, fmt.Errorf("vbcast: region %v not a neighbor of %v", to, from)
 	}
-	s.record("transport/hop", hopCount(from, to))
-	inc := s.layer.Incarnation(to)
-	at := s.deliverAt(chanHop, to, sim.Add(s.emulationLag(from), s.broadcastDelay(from, to)))
+	s.kindHop.Message(hopCount(from, to))
+	inc = s.layer.Incarnation(to)
+	at = s.deliverAt(chanHop, to, sim.Add(s.emulationLag(from), s.broadcastDelay(from, to)))
+	return at, inc, nil
+}
+
+// ArriveHop is the arrival half of a relay hop, run at the time SendHop
+// returned: the hop is delivered unless the destination VSA failed or
+// restarted while it was in flight, in which case the cause is returned. The
+// hop resolves under "transport/hop" either way; attributing the death of
+// whatever the hop was carrying is the caller's business.
+func (s *Service) ArriveHop(to geo.RegionID, inc uint64) (cause metrics.DropCause, ok bool) {
+	if s.layer.Incarnation(to) != inc {
+		s.kindHop.Drop(metrics.DropIncarnation)
+		return metrics.DropIncarnation, false
+	}
+	if !s.layer.Alive(to) {
+		s.kindHop.Drop(metrics.DropDeadVSA)
+		return metrics.DropDeadVSA, false
+	}
+	s.kindHop.Delivery()
+	return "", true
+}
+
+// VSAToVSA relays one hop and runs onArrive at arrival: SendHop, one kernel
+// event, ArriveHop. A hop that dies in flight is accounted and onArrive does
+// not run.
+func (s *Service) VSAToVSA(from, to geo.RegionID, onArrive func()) error {
+	at, inc, err := s.SendHop(from, to)
+	if err != nil {
+		return err
+	}
 	s.k.At(at, func() {
-		if s.layer.Incarnation(to) != inc || !s.layer.Alive(to) {
-			cause := metrics.DropDeadVSA
-			if s.layer.Incarnation(to) != inc {
-				cause = metrics.DropIncarnation
-			}
-			s.recordDrop("transport/hop", cause)
-			if onDrop != nil {
-				onDrop(cause)
-			}
-			return
+		if _, ok := s.ArriveHop(to, inc); ok {
+			onArrive()
 		}
-		s.recordDelivery("transport/hop")
-		onArrive()
 	})
 	return nil
-}
-
-func (s *Service) record(kind string, hops int) {
-	if s.ledger != nil {
-		s.ledger.RecordMessage(kind, hops)
-	}
-}
-
-func (s *Service) recordDelivery(kind string) {
-	if s.ledger != nil {
-		s.ledger.RecordDelivery(kind)
-	}
-}
-
-func (s *Service) recordDrop(kind string, cause metrics.DropCause) {
-	if s.ledger != nil {
-		s.ledger.RecordDrop(kind, cause)
-	}
 }
 
 // broadcastDelay returns this message's physical broadcast delay: exactly δ

@@ -34,6 +34,12 @@ func (v *recVSA) Reset() { v.levels, v.msgs = nil, nil }
 // fixture: 3x3 grid, one client per region, all VSAs alive.
 func setup(t *testing.T) (*sim.Kernel, *vsa.Layer, *Service, []*recVSA, []*recClient) {
 	t.Helper()
+	return setupLedger(t, metrics.NewLedger())
+}
+
+// setupLedger is setup recording into a ledger the test keeps.
+func setupLedger(t *testing.T, ledger *metrics.Ledger) (*sim.Kernel, *vsa.Layer, *Service, []*recVSA, []*recClient) {
+	t.Helper()
 	k := sim.New(7)
 	tiling := geo.MustGridTiling(3, 3)
 	layer := vsa.NewLayer(k, tiling)
@@ -48,13 +54,13 @@ func setup(t *testing.T) (*sim.Kernel, *vsa.Layer, *Service, []*recVSA, []*recCl
 		}
 	}
 	layer.StartAllAlive()
-	svc := New(k, layer, delta, lagE, metrics.NewLedger())
+	svc := New(k, layer, delta, lagE, ledger)
 	return k, layer, svc, vsas, clients
 }
 
 func TestClientToVSADelay(t *testing.T) {
 	k, _, svc, vsas, _ := setup(t)
-	if err := svc.ClientToVSA(4, 4, 2, "hello"); err != nil {
+	if err := svc.ClientToVSA(4, 4, 2, "hello", nil); err != nil {
 		t.Fatal(err)
 	}
 	k.RunUntil(delta - time.Millisecond)
@@ -70,11 +76,11 @@ func TestClientToVSADelay(t *testing.T) {
 func TestClientToVSANeighborAllowedFarRejected(t *testing.T) {
 	k, _, svc, vsas, _ := setup(t)
 	// Client in r0 to neighboring region r1's VSA: allowed.
-	if err := svc.ClientToVSA(0, 1, 0, "nbr"); err != nil {
+	if err := svc.ClientToVSA(0, 1, 0, "nbr", nil); err != nil {
 		t.Fatal(err)
 	}
 	// r0 to r8 (not neighbors): rejected.
-	if err := svc.ClientToVSA(0, 8, 0, "far"); err == nil {
+	if err := svc.ClientToVSA(0, 8, 0, "far", nil); err == nil {
 		t.Fatal("out-of-range broadcast accepted")
 	}
 	k.Run()
@@ -86,14 +92,14 @@ func TestClientToVSANeighborAllowedFarRejected(t *testing.T) {
 func TestClientToVSADeadSender(t *testing.T) {
 	_, layer, svc, _, _ := setup(t)
 	layer.FailClient(0)
-	if err := svc.ClientToVSA(0, 0, 0, "x"); err == nil {
+	if err := svc.ClientToVSA(0, 0, 0, "x", nil); err == nil {
 		t.Fatal("send from dead client accepted")
 	}
 }
 
 func TestClientToVSADroppedWhenVSAFails(t *testing.T) {
 	k, layer, svc, vsas, _ := setup(t)
-	if err := svc.ClientToVSA(0, 1, 0, "x"); err != nil {
+	if err := svc.ClientToVSA(0, 1, 0, "x", nil); err != nil {
 		t.Fatal(err)
 	}
 	// r1's VSA fails mid-flight (its only client leaves).
@@ -195,9 +201,8 @@ func TestAccessors(t *testing.T) {
 // A VSA→clients broadcast is one message; its hop-work is the sum of
 // per-target hop counts (self 0, each neighbor 1), not the target count.
 func TestVSAToClientsWorkAccounting(t *testing.T) {
-	_, _, svc, _, _ := setup(t)
 	ledger := metrics.NewLedger()
-	svc.ledger = ledger
+	_, _, svc, _, _ := setupLedger(t, ledger)
 	if err := svc.VSAToClients(4, []geo.RegionID{4, 1, 3}, "found"); err != nil {
 		t.Fatal(err)
 	}
@@ -253,14 +258,14 @@ func (m *scriptModel) EmulationLag(geo.RegionID, sim.Time) sim.Time { return m.l
 func TestDelayModelSampledAndClamped(t *testing.T) {
 	k, _, svc, vsas, _ := setup(t)
 	svc.SetDelayModel(&scriptModel{delays: []sim.Time{3 * time.Millisecond, 99 * delta}})
-	if err := svc.ClientToVSA(4, 4, 0, "early"); err != nil {
+	if err := svc.ClientToVSA(4, 4, 0, "early", nil); err != nil {
 		t.Fatal(err)
 	}
 	k.RunUntil(3 * time.Millisecond)
 	if len(vsas[4].msgs) != 1 {
 		t.Fatalf("sampled delivery = %v, want arrival at 3ms", vsas[4].msgs)
 	}
-	if err := svc.ClientToVSA(4, 4, 0, "late"); err != nil {
+	if err := svc.ClientToVSA(4, 4, 0, "late", nil); err != nil {
 		t.Fatal(err)
 	}
 	k.Run()
@@ -278,10 +283,10 @@ func TestDelayModelSampledAndClamped(t *testing.T) {
 func TestDelayModelPreservesSendOrder(t *testing.T) {
 	k, _, svc, vsas, _ := setup(t)
 	svc.SetDelayModel(&scriptModel{delays: []sim.Time{9 * time.Millisecond, 1 * time.Millisecond}})
-	if err := svc.ClientToVSA(4, 4, 0, "first"); err != nil {
+	if err := svc.ClientToVSA(4, 4, 0, "first", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.ClientToVSA(4, 4, 0, "second"); err != nil {
+	if err := svc.ClientToVSA(4, 4, 0, "second", nil); err != nil {
 		t.Fatal(err)
 	}
 	k.RunUntil(9*time.Millisecond - time.Microsecond)
@@ -300,11 +305,12 @@ func TestDelayModelPreservesSendOrder(t *testing.T) {
 // so only the sampled delay — which must itself lie in the [0,δ] envelope —
 // governs the new message's arrival.
 func TestDelayModelClampResetOnIncarnationChange(t *testing.T) {
-	k, layer, svc, vsas, _ := setup(t)
+	led := metrics.NewLedger()
+	k, layer, svc, vsas, _ := setupLedger(t, led)
 	svc.SetDelayModel(&scriptModel{delays: []sim.Time{delta, 1 * time.Millisecond}})
 
 	// Message to r1's original incarnation, arriving at the full δ.
-	if err := svc.ClientToVSA(0, 1, 0, "old"); err != nil {
+	if err := svc.ClientToVSA(0, 1, 0, "old", nil); err != nil {
 		t.Fatal(err)
 	}
 	k.RunFor(2 * time.Millisecond)
@@ -326,7 +332,7 @@ func TestDelayModelClampResetOnIncarnationChange(t *testing.T) {
 	// clamp (arrival δ = 10ms) must not apply: delivery happens at the
 	// sampled time, and the observed delay stays within its own envelope.
 	sendAt := k.Now()
-	if err := svc.ClientToVSA(0, 1, 0, "fresh"); err != nil {
+	if err := svc.ClientToVSA(0, 1, 0, "fresh", nil); err != nil {
 		t.Fatal(err)
 	}
 	// The fresh message must arrive at its own sampled 1ms delay — well
@@ -346,7 +352,7 @@ func TestDelayModelClampResetOnIncarnationChange(t *testing.T) {
 	if len(vsas[1].msgs) != 1 {
 		t.Fatalf("old incarnation's message delivered: %v", vsas[1].msgs)
 	}
-	if got := svc.ledger.Drops("transport/client", metrics.DropIncarnation); got != 1 {
+	if got := led.Drops("transport/client", metrics.DropIncarnation); got != 1 {
 		t.Errorf("incarnation drops = %d, want 1", got)
 	}
 }
@@ -357,12 +363,12 @@ func TestDelayModelClampResetOnIncarnationChange(t *testing.T) {
 func TestDelayModelClampStillBindsWithinIncarnation(t *testing.T) {
 	k, _, svc, vsas, _ := setup(t)
 	svc.SetDelayModel(&scriptModel{delays: []sim.Time{8 * time.Millisecond, 1 * time.Millisecond}})
-	if err := svc.ClientToVSA(0, 1, 0, "first"); err != nil {
+	if err := svc.ClientToVSA(0, 1, 0, "first", nil); err != nil {
 		t.Fatal(err)
 	}
 	k.RunFor(2 * time.Millisecond)
 	sendAt := k.Now()
-	if err := svc.ClientToVSA(0, 1, 0, "second"); err != nil {
+	if err := svc.ClientToVSA(0, 1, 0, "second", nil); err != nil {
 		t.Fatal(err)
 	}
 	k.Run()
@@ -383,13 +389,13 @@ func TestDelayModelClampStillBindsWithinIncarnation(t *testing.T) {
 // Transport conservation: every client→VSA and VSA→VSA send ends as exactly
 // one delivery or one attributed drop once the queue drains.
 func TestDropAccountingConserves(t *testing.T) {
-	k, layer, svc, _, _ := setup(t)
-	led := svc.ledger
+	led := metrics.NewLedger()
+	k, layer, svc, _, _ := setupLedger(t, led)
 
-	if err := svc.ClientToVSA(0, 1, 0, "a"); err != nil { // delivered
+	if err := svc.ClientToVSA(0, 1, 0, "a", nil); err != nil { // delivered
 		t.Fatal(err)
 	}
-	if err := svc.ClientToVSA(0, 0, 0, "b"); err != nil { // delivered
+	if err := svc.ClientToVSA(0, 0, 0, "b", nil); err != nil { // delivered
 		t.Fatal(err)
 	}
 	if err := svc.VSAToVSA(3, 4, func() {}); err != nil { // delivered
@@ -425,16 +431,21 @@ func TestDropAccountingConserves(t *testing.T) {
 	}
 }
 
-// VSAToVSATracked reports the cause of an in-flight death to the caller at
-// the would-be arrival time.
+// The two halves of a tracked hop: SendHop hands back the arrival time and
+// the destination's incarnation, and ArriveHop, run at that time, reports the
+// cause of an in-flight death to the caller.
 func TestVSAToVSATrackedOnDrop(t *testing.T) {
 	k, layer, svc, _, _ := setup(t)
 	var cause metrics.DropCause
 	arrived := false
-	err := svc.VSAToVSATracked(0, 1, func() { arrived = true }, func(c metrics.DropCause) { cause = c })
+	at, inc, err := svc.SendHop(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if at != delta+lagE {
+		t.Fatalf("arrival time %v, want %v", at, delta+lagE)
+	}
+	k.At(at, func() { cause, arrived = svc.ArriveHop(1, inc) })
 	k.RunFor(delta / 2)
 	if err := layer.MoveClient(1, 2); err != nil { // r1 VSA dies
 		t.Fatal(err)

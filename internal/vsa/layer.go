@@ -17,6 +17,7 @@
 package vsa
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -62,8 +63,16 @@ type region struct {
 	alive       bool
 	incarnation uint64
 	handler     VSAHandler
-	occupants   map[ClientID]struct{}
-	restart     *sim.Timer
+	// occupants are the alive clients in the region, ascending. The slice is
+	// replaced on every enter and leave, never written in place, so one
+	// handed out by ClientsIn stays the snapshot it was.
+	occupants []ClientID
+	restart   *sim.Timer
+}
+
+// indexOf returns where id sits, or would be inserted, among the occupants.
+func (r *region) indexOf(id ClientID) (int, bool) {
+	return sort.Find(len(r.occupants), func(i int) int { return cmp.Compare(id, r.occupants[i]) })
 }
 
 // Layer is the VSA layer: the client population, per-region VSA lifecycle,
@@ -122,7 +131,7 @@ func NewLayer(k *sim.Kernel, t geo.Tiling, opts ...Option) *Layer {
 		o.apply(l)
 	}
 	for u := range l.regions {
-		r := &region{occupants: make(map[ClientID]struct{})}
+		r := &region{}
 		if l.always {
 			r.alive = true
 		}
@@ -227,18 +236,14 @@ func (l *Layer) ClientAlive(id ClientID) bool {
 	return ok && c.alive
 }
 
-// ClientsIn returns the alive clients currently in region u, ascending.
+// ClientsIn returns the alive clients currently in region u, ascending. The
+// result is a snapshot shared with the layer: later arrivals and departures
+// do not show in it, and the caller must not write to it.
 func (l *Layer) ClientsIn(u geo.RegionID) []ClientID {
 	if !l.tiling.Contains(u) {
 		return nil
 	}
-	r := l.regions[int(u)]
-	out := make([]ClientID, 0, len(r.occupants))
-	for id := range r.occupants {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return l.regions[int(u)].occupants
 }
 
 // Alive reports whether region u's VSA is alive.
@@ -282,7 +287,10 @@ func (l *Layer) DeliverToClient(id ClientID, msg any) bool {
 // lifecycle.
 func (l *Layer) enterRegion(id ClientID, u geo.RegionID) {
 	r := l.regions[int(u)]
-	r.occupants[id] = struct{}{}
+	if i, found := r.indexOf(id); !found {
+		next := make([]ClientID, 0, len(r.occupants)+1)
+		r.occupants = append(append(append(next, r.occupants[:i]...), id), r.occupants[i:]...)
+	}
 	if l.always || r.alive {
 		return
 	}
@@ -296,7 +304,10 @@ func (l *Layer) leaveRegion(id ClientID, u geo.RegionID) {
 		return
 	}
 	r := l.regions[int(u)]
-	delete(r.occupants, id)
+	if i, found := r.indexOf(id); found {
+		next := make([]ClientID, 0, len(r.occupants)-1)
+		r.occupants = append(append(next, r.occupants[:i]...), r.occupants[i+1:]...)
+	}
 	if l.always || len(r.occupants) > 0 {
 		return
 	}

@@ -192,6 +192,39 @@ func TestClientsInSorted(t *testing.T) {
 	}
 }
 
+// A slice handed out by ClientsIn is a snapshot: clients that arrive, leave
+// or fail afterwards — say from a handler run while a broadcast loops over
+// it — change what the next call returns, never the slice in hand. And the
+// call itself costs nothing.
+func TestClientsInIsASnapshot(t *testing.T) {
+	_, l := newTestLayer(t, WithAlwaysAlive())
+	for _, id := range []ClientID{5, 1, 3} {
+		if err := l.AddClient(id, 4, &recClient{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := l.ClientsIn(4)
+	l.FailClient(3)
+	if err := l.MoveClient(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AddClient(2, 4, &recClient{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AddClient(9, 4, &recClient{}); err != nil {
+		t.Fatal(err)
+	}
+	if len(held) != 3 || held[0] != 1 || held[1] != 3 || held[2] != 5 {
+		t.Errorf("snapshot taken before the changes now reads %v, want [p1 p3 p5]", held)
+	}
+	if got := l.ClientsIn(4); len(got) != 3 || got[0] != 2 || got[1] != 5 || got[2] != 9 {
+		t.Errorf("ClientsIn = %v, want [p2 p5 p9]", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = l.ClientsIn(4) }); allocs != 0 {
+		t.Errorf("ClientsIn allocates %v times per call", allocs)
+	}
+}
+
 func TestDeliverToVSA(t *testing.T) {
 	_, l := newTestLayer(t)
 	v := &recVSA{}
