@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short shuffle race vet lint nethost-smoke multiobject-smoke bulkattach-smoke paralleltracker-smoke experiments experiments-quick experiments-smoke experiments-csv experiments-json chaos pairs fuzz cover clean
+.PHONY: all build test test-short shuffle race vet lint nethost-smoke multiobject-smoke bulkattach-smoke paralleltracker-smoke experiments experiments-quick experiments-smoke experiments-csv experiments-json chaos pairs profile fuzz cover clean
 
 all: build vet test
 
@@ -147,6 +147,36 @@ pairs:
 	done; done
 	git worktree remove --force $(PAIRS)/parent
 	$(GO) run ./benchmark -compare $(PAIRS)/A.jsonl $(PAIRS)/B.jsonl
+
+# Where the time and the memory go on one benchmark workload: the benchmark
+# program itself, unedited, under the profilers of `go test`. The non-test
+# files of benchmark/ are copied into the gitignored .bench_build/profile/
+# next to a generated test that calls the package's own run(args) — so the
+# test binary starts and flushes the profiles and no os.Exit cuts them off —
+# and the CPU profile's top 40 is printed; cpu.prof, mem.prof and the binary
+# stay there for `go tool pprof -list`, `-sample_index=alloc_space`, ….
+# W, SECONDS, SEED and ARGS are knobs of this developer tool, not of the system:
+#	make profile                                  # walk64, seed 1, 10 s
+#	make profile W=fanout128k SECONDS=6 SEED=3
+#	make profile W=daemon8 ARGS=-smoke            # what CI runs
+PROFILE := $(CURDIR)/.bench_build/profile
+profile: W := $(if $(filter file,$(origin W)),walk64,$(W))
+SECONDS ?= 10
+SEED ?= 1
+ARGS ?=
+
+profile:
+	rm -rf $(PROFILE)
+	mkdir -p $(PROFILE)
+	cp $$(ls benchmark/*.go | grep -v _test.go) $(PROFILE)/
+	printf '%s\n' 'package main' '' 'import (' '	"os"' '	"strings"' '	"testing"' ')' '' \
+		'func TestProfile(t *testing.T) {' \
+		'	if code := run(strings.Fields(os.Getenv("BENCH_ARGS"))); code != 0 {' \
+		'		t.Fatalf("benchmark exited %d", code)' '	}' '}' > $(PROFILE)/profile_test.go
+	BENCH_ARGS="-workload $(W) -seconds $(SECONDS) -seed $(SEED) $(ARGS)" \
+		$(GO) test ./.bench_build/profile -run TestProfile -count=1 -timeout 30m \
+		-o $(PROFILE)/profile.test -cpuprofile $(PROFILE)/cpu.prof -memprofile $(PROFILE)/mem.prof
+	$(GO) tool pprof -top -nodecount=40 $(PROFILE)/profile.test $(PROFILE)/cpu.prof
 
 # Write the tables as CSV into ./results.
 experiments-csv:

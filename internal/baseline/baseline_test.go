@@ -114,6 +114,35 @@ func TestFloodFindCost(t *testing.T) {
 	}
 }
 
+// A region outside the tiling is at distance -1, which is not "within the
+// first ring": a move there is refused and the next find reports the region
+// the object is really in; a find from there floods nothing.
+func TestFloodRefusesRegionsOutsideTiling(t *testing.T) {
+	k, g, gr, _ := setup(t, 8)
+	start := g.RegionAt(6, 6)
+	f, err := NewFlood(k, gr, unit, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Move(start, geo.NoRegion)
+	found, rounds := geo.NoRegion, f.Ledger().Messages("proto/flood")
+	f.Find(g.RegionAt(0, 0), func(at geo.RegionID) { found = at })
+	k.Run()
+	if found != start {
+		t.Fatalf("after a move to r⊥ the find reported %v, want %v", found, start)
+	}
+	if f.Ledger().Messages("proto/flood") <= rounds+9 {
+		t.Error("a find six hops away finished within its first ring")
+	}
+
+	before := f.Ledger().Messages("proto/flood")
+	f.Find(geo.RegionID(999), func(geo.RegionID) { t.Error("find from outside the tiling completed") })
+	k.Run()
+	if got := f.Ledger().Messages("proto/flood"); got != before {
+		t.Errorf("find from outside the tiling flooded %d messages", got-before)
+	}
+}
+
 func TestHierDirFindWalksChain(t *testing.T) {
 	k, g, _, h := setup(t, 8)
 	start := g.RegionAt(0, 0)

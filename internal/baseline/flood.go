@@ -35,14 +35,23 @@ func (f *Flood) Name() string { return "flood" }
 // Ledger implements Tracker.
 func (f *Flood) Ledger() *metrics.Ledger { return f.ledger }
 
-// Move implements Tracker: flooding keeps no state, so moves are free.
-func (f *Flood) Move(from, to geo.RegionID) { f.actual = to }
+// Move implements Tracker: flooding keeps no state, so moves are free. A
+// move to a region outside the tiling is refused, as NewFlood refuses such a
+// start: the object stays where it was.
+func (f *Flood) Move(from, to geo.RegionID) {
+	if f.g.Tiling().Contains(to) {
+		f.actual = to
+	}
+}
 
 // Find implements Tracker: rounds of flooding with doubled radius until
 // the object is inside the flooded ball; each round costs one message per
-// covered region and takes a radius round trip of time.
+// covered region and takes a radius round trip of time. A find from a region
+// outside the tiling is refused: nothing is flooded and done never runs.
 func (f *Flood) Find(origin geo.RegionID, done func(geo.RegionID)) {
-	f.round(origin, 1, done)
+	if f.g.Tiling().Contains(origin) {
+		f.round(origin, 1, done)
+	}
 }
 
 func (f *Flood) round(origin geo.RegionID, radius int, done func(geo.RegionID)) {
@@ -54,7 +63,8 @@ func (f *Flood) round(origin geo.RegionID, radius int, done func(geo.RegionID)) 
 	}
 	rtt := latency(f.unit, 2*radius)
 	target := f.actual
-	hit := f.g.Distance(origin, target) <= radius
+	d := f.g.Distance(origin, target)
+	hit := d >= 0 && d <= radius // -1: no such region, so no ball covers it
 	f.k.Schedule(rtt, func() {
 		if hit && f.actual == target {
 			done(target)

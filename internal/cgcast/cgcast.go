@@ -37,9 +37,15 @@ import (
 // answers with, a refresh's hop count) travel by value inside the frame that
 // carries the message — and Payload carries whatever does not fit them (a
 // find's payload list, a foreign caller's own type), boxed by the sender.
+//
+// Mark is not part of what the message says: it is the sender's own note on
+// this message, which the service copies with the body and never reads, so
+// that whoever consumes the delivery or the drop (OnDrop) can recognize the
+// send it resolves without looking it up. It does not go on the wire.
 type Body struct {
 	Obj     int32
 	Arg     int32
+	Mark    uint64
 	Payload any
 }
 

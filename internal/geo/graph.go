@@ -1,21 +1,51 @@
 package geo
 
-// Graph caches shortest-path information over a tiling's neighbor graph:
-// hop distances between all region pairs (the paper's notion of distance,
-// §II-A), next-hop routing tables (used by the DFS geocast substrate), and
-// the network diameter D.
+// Metric is implemented by a tiling that can answer shortest-path questions
+// about its own neighbor graph in O(1), without a table. Both methods are
+// only ever asked about regions of the tiling.
+type Metric interface {
+	// HopDistance returns the hop distance between u and v in the neighbor
+	// graph.
+	HopDistance(u, v RegionID) int
+	// FirstHop returns the first neighbor of u, in Neighbors order, that is
+	// one hop closer to v than u is; FirstHop(u, u) = u. This is what
+	// Graph.NextHop computes from distances alone, so a Graph may ask the
+	// tiling instead.
+	FirstHop(u, v RegionID) RegionID
+}
+
+// Graph answers shortest-path questions over a tiling's neighbor graph: hop
+// distances between region pairs (the paper's notion of distance, §II-A),
+// next hops (used by the DFS geocast substrate), and the network diameter D.
 //
-// Distances are computed lazily per source region and memoized, so building
-// a Graph over a large tiling is cheap until distances are requested.
-// Graph is safe for concurrent use only after Precompute (or any method)
-// has been called from a single goroutine for each source of interest;
-// the simulation kernel is single-threaded, which is how the rest of the
-// repository uses it.
+// The next hop from u toward v is the first neighbor of u, in Neighbors
+// order, that is one hop closer to v — exactly the first hop a BFS from u
+// exploring neighbors in that order assigns to v:
+//
+//   - layer 1 of that BFS is queued in neighbor order, i.e. sorted by the
+//     rank of each region's first hop (itself);
+//   - if layer k is queued sorted by first-hop rank, a layer-k+1 region is
+//     discovered by its earliest-queued layer-k neighbor, so it inherits the
+//     smallest-rank first hop among its predecessors, and layer k+1 is
+//     queued in parent order, so it is sorted too;
+//   - a neighbor f of u lies on a shortest path to w exactly when some
+//     predecessor of w has f on a shortest path to it.
+//
+// So distances determine routes and no per-pair next-hop table exists.
+//
+// A tiling that implements Metric is asked directly and the Graph holds no
+// per-pair state at all. For any other tiling, distances come from one BFS
+// row per destination region, computed lazily and memoized; nbr is symmetric
+// (Validate enforces it), so the row of v serves Distance(·, v) and
+// NextHop(·, v) alike and the consecutive hops of one routed message probe
+// one row. Such a Graph is safe for concurrent use only after Precompute;
+// Diameter and RegionsWithinCached memoize on every Graph. The simulation
+// kernel is single-threaded, which is how the rest of the repository uses it.
 type Graph struct {
-	t    Tiling
-	n    int
-	dist [][]int32    // dist[u] is nil until computed
-	next [][]RegionID // next[u][v] = first hop from u toward v
+	t      Tiling
+	n      int
+	metric Metric    // the tiling itself when it implements Metric, else nil
+	dist   [][]int32 // without a metric: dist[v][u], nil until v's BFS has run
 
 	diameter      int // memoized Diameter; valid when diameterKnown
 	diameterKnown bool
@@ -30,71 +60,85 @@ type withinKey struct {
 
 // NewGraph builds a Graph over tiling t.
 func NewGraph(t Tiling) *Graph {
-	n := t.NumRegions()
-	return &Graph{
-		t:    t,
-		n:    n,
-		dist: make([][]int32, n),
-		next: make([][]RegionID, n),
+	g := &Graph{t: t, n: t.NumRegions()}
+	if m, ok := t.(Metric); ok {
+		g.metric = m
+	} else {
+		g.dist = make([][]int32, g.n)
 	}
+	return g
 }
 
 // Tiling returns the underlying tiling.
 func (g *Graph) Tiling() Tiling { return g.t }
 
-// bfs computes single-source distances and first hops from u.
-func (g *Graph) bfs(u RegionID) {
-	if g.dist[u] != nil {
-		return
+// contains is the tiling's Contains without the dynamic call, on the
+// hop-by-hop path: a tiling's regions are the dense range [0, NumRegions).
+func (g *Graph) contains(u RegionID) bool { return uint(u) < uint(g.n) }
+
+// row returns the hop distances from v to every region (-1 where
+// unreachable), running v's BFS on first use.
+func (g *Graph) row(v RegionID) []int32 {
+	if row := g.dist[v]; row != nil {
+		return row
 	}
-	dist := make([]int32, g.n)
-	next := make([]RegionID, g.n)
-	for i := range dist {
-		dist[i] = -1
-		next[i] = NoRegion
+	row := make([]int32, g.n)
+	for i := range row {
+		row[i] = -1
 	}
-	dist[u] = 0
-	next[u] = u
+	row[v] = 0
 	queue := make([]RegionID, 0, g.n)
-	queue = append(queue, u)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.t.Neighbors(v) {
-			if dist[w] >= 0 {
-				continue
+	queue = append(queue, v)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, w := range g.t.Neighbors(u) {
+			if row[w] < 0 {
+				row[w] = row[u] + 1
+				queue = append(queue, w)
 			}
-			dist[w] = dist[v] + 1
-			if v == u {
-				next[w] = w // first hop toward w is w itself
-			} else {
-				next[w] = next[v]
-			}
-			queue = append(queue, w)
 		}
 	}
-	g.dist[u] = dist
-	g.next[u] = next
+	g.dist[v] = row
+	return row
 }
 
 // Distance returns the hop distance between u and v in the neighbor graph,
-// or -1 if v is unreachable from u.
+// or -1 if either is outside the tiling or v is unreachable from u.
 func (g *Graph) Distance(u, v RegionID) int {
-	if !g.t.Contains(u) || !g.t.Contains(v) {
+	if !g.contains(u) || !g.contains(v) {
 		return -1
 	}
-	g.bfs(u)
-	return int(g.dist[u][v])
+	if g.metric != nil {
+		return g.metric.HopDistance(u, v)
+	}
+	return int(g.row(v)[u])
 }
 
-// NextHop returns the first region on a shortest path from u toward v.
-// NextHop(u, u) = u. It returns NoRegion if v is unreachable.
+// NextHop returns the first region on a shortest path from u toward v: the
+// first neighbor of u, in Neighbors order, one hop closer to v.
+// NextHop(u, u) = u. It returns NoRegion if either region is outside the
+// tiling or v is unreachable.
 func (g *Graph) NextHop(u, v RegionID) RegionID {
-	if !g.t.Contains(u) || !g.t.Contains(v) {
+	if !g.contains(u) || !g.contains(v) {
 		return NoRegion
 	}
-	g.bfs(u)
-	return g.next[u][v]
+	if g.metric != nil {
+		return g.metric.FirstHop(u, v)
+	}
+	row := g.row(v)
+	switch d := row[u]; {
+	case d < 0:
+		return NoRegion
+	case d == 0:
+		return u
+	default:
+		for _, f := range g.t.Neighbors(u) {
+			if row[f] == d-1 {
+				return f
+			}
+		}
+		return NoRegion // unreachable: a region at distance d > 0 has a predecessor
+	}
 }
 
 // Path returns a shortest path from u to v inclusive of both endpoints, or
@@ -116,44 +160,47 @@ func (g *Graph) Path(u, v RegionID) []RegionID {
 	return path
 }
 
-// Precompute forces BFS from every region, making subsequent Distance and
-// NextHop calls O(1) lookups.
+// Precompute runs every BFS a later Distance or NextHop could need, making
+// them lookups. Over a tiling with a Metric there is nothing to compute.
 func (g *Graph) Precompute() {
-	for u := 0; u < g.n; u++ {
-		g.bfs(RegionID(u))
+	if g.metric != nil {
+		return
+	}
+	for v := 0; v < g.n; v++ {
+		g.row(RegionID(v))
 	}
 }
 
 // Diameter returns the network diameter D: the maximum hop distance between
 // any two regions (paper §II-A). The tiling is immutable, so the all-pairs
-// maximum is computed once and memoized — callers (one per sweep cell)
-// used to pay the full n² scan on every call.
+// maximum is computed once and memoized.
 func (g *Graph) Diameter() int {
 	if g.diameterKnown {
 		return g.diameter
 	}
-	max := 0
-	for u := 0; u < g.n; u++ {
-		g.bfs(RegionID(u))
-		for v := 0; v < g.n; v++ {
-			if d := int(g.dist[u][v]); d > max {
-				max = d
+	diam := 0
+	for v := RegionID(0); int(v) < g.n; v++ {
+		for u := RegionID(0); u < v; u++ {
+			if d := g.Distance(u, v); d > diam {
+				diam = d
 			}
 		}
 	}
-	g.diameter = max
+	g.diameter = diam
 	g.diameterKnown = true
-	return max
+	return diam
 }
 
 // RegionsWithin returns all regions at hop distance at most d from u, in
-// ascending identifier order.
+// ascending identifier order: none when u is outside the tiling.
 func (g *Graph) RegionsWithin(u RegionID, d int) []RegionID {
-	g.bfs(u)
+	if !g.contains(u) {
+		return nil
+	}
 	var out []RegionID
-	for v := 0; v < g.n; v++ {
-		if dd := g.dist[u][v]; dd >= 0 && int(dd) <= d {
-			out = append(out, RegionID(v))
+	for v := RegionID(0); int(v) < g.n; v++ {
+		if dd := g.Distance(v, u); dd >= 0 && dd <= d {
+			out = append(out, v)
 		}
 	}
 	return out
@@ -165,6 +212,9 @@ func (g *Graph) RegionsWithin(u RegionID, d int) []RegionID {
 // ball never changes. The returned slice is shared across calls and must
 // not be modified by the caller.
 func (g *Graph) RegionsWithinCached(u RegionID, d int) []RegionID {
+	if !g.contains(u) {
+		return nil // nothing to memoize, and no entry per hostile id
+	}
 	key := withinKey{u: u, d: d}
 	if out, ok := g.within[key]; ok {
 		return out

@@ -118,14 +118,47 @@ func TestGraphRegionsWithin(t *testing.T) {
 	}
 }
 
+// hiddenMetric is a grid without its Metric: a Graph over it answers from
+// BFS rows.
+type hiddenMetric struct{ Tiling }
+
+// After Precompute every Distance and NextHop is a lookup: a sweep over all
+// pairs allocates nothing, whether the graph has rows to build or not.
 func TestGraphPrecompute(t *testing.T) {
 	g := MustGridTiling(3, 3)
-	gr := NewGraph(g)
-	gr.Precompute()
-	for u := 0; u < g.NumRegions(); u++ {
-		if gr.dist[u] == nil {
-			t.Fatalf("Precompute left source %d uncomputed", u)
+	for name, tl := range map[string]Tiling{"grid": g, "rows": hiddenMetric{g}} {
+		gr := NewGraph(tl)
+		gr.Precompute()
+		if got := testing.AllocsPerRun(10, func() {
+			for u := RegionID(0); int(u) < g.NumRegions(); u++ {
+				for v := RegionID(0); int(v) < g.NumRegions(); v++ {
+					if gr.Distance(u, v) != g.ChebyshevDistance(u, v) {
+						t.Fatalf("%s: Distance(%v, %v) = %d", name, u, v, gr.Distance(u, v))
+					}
+					if nh := gr.NextHop(u, v); u != v && !AreNeighbors(g, u, nh) {
+						t.Fatalf("%s: NextHop(%v, %v) = %v is not a neighbor", name, u, v, nh)
+					}
+				}
+			}
+		}); got != 0 {
+			t.Errorf("%s: a full sweep after Precompute allocated %v times, want 0", name, got)
 		}
+	}
+}
+
+// A region outside the tiling has an empty ball, as it has distance -1 and
+// no next hop.
+func TestGraphRegionsWithinOutsideTiling(t *testing.T) {
+	gr := NewGraph(MustGridTiling(3, 3))
+	if got := gr.RegionsWithin(NoRegion, 1); len(got) != 0 {
+		t.Errorf("RegionsWithin(NoRegion, 1) = %v, want empty", got)
+	}
+	if got := gr.RegionsWithinCached(RegionID(99), 1); len(got) != 0 {
+		t.Errorf("RegionsWithinCached(r99, 1) = %v, want empty", got)
+	}
+	rows := NewGraph(hiddenMetric{MustGridTiling(3, 3)})
+	if got := rows.RegionsWithin(RegionID(9), 5); len(got) != 0 {
+		t.Errorf("rows: RegionsWithin(r9, 5) = %v, want empty", got)
 	}
 }
 

@@ -1,6 +1,9 @@
 package geo
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // GridTiling is the canonical tiling used throughout the paper's examples: a
 // w×h board of unit-square regions. Squares sharing an edge or touching
@@ -35,6 +38,9 @@ func NewGridTiling4(w, h int) (*GridTiling, error) {
 func newGridTiling(w, h int, diagonal bool) (*GridTiling, error) {
 	if w <= 0 || h <= 0 {
 		return nil, fmt.Errorf("geo: grid dimensions %dx%d must be positive", w, h)
+	}
+	if w > math.MaxInt32/h {
+		return nil, fmt.Errorf("geo: grid %dx%d has more than 2^31 regions", w, h)
 	}
 	g := &GridTiling{
 		w:         w,
@@ -122,17 +128,85 @@ func (g *GridTiling) Contains(u RegionID) bool {
 // coordinates. On an 8-neighbor grid this equals the hop distance in the
 // neighbor graph, which tests exploit as an independent oracle.
 func (g *GridTiling) ChebyshevDistance(u, v RegionID) int {
-	ux, uy := g.Coord(u)
-	vx, vy := g.Coord(v)
-	dx, dy := ux-vx, uy-vy
-	if dx < 0 {
-		dx = -dx
+	ux, uy := g.xy(u)
+	vx, vy := g.xy(v)
+	return max(abs(vx-ux), abs(vy-uy))
+}
+
+var _ Metric = (*GridTiling)(nil)
+
+// HopDistance implements Metric: Chebyshev distance under the paper's
+// 8-neighbor rule, Manhattan distance under the 4-neighbor rule.
+func (g *GridTiling) HopDistance(u, v RegionID) int {
+	if g.diagonal {
+		return g.ChebyshevDistance(u, v)
 	}
-	if dy < 0 {
-		dy = -dy
+	ux, uy := g.xy(u)
+	vx, vy := g.xy(v)
+	return abs(vx-ux) + abs(vy-uy)
+}
+
+// FirstHop implements Metric. Neighbors lists a square's neighbors row by
+// row (north-west first, south-east last), so among the steps that bring u
+// one hop closer to v the first is the one furthest north, then furthest
+// west.
+func (g *GridTiling) FirstHop(u, v RegionID) RegionID {
+	ux, uy := g.xy(u)
+	vx, vy := g.xy(v)
+	dx, dy := vx-ux, vy-uy
+	sx, sy := sgn(dx), sgn(dy)
+	if !g.diagonal {
+		// Every step along an axis that still has ground to cover is one hop
+		// closer; the order is north, west, east, south.
+		switch {
+		case dy < 0:
+			sx = 0
+		case dx != 0:
+			sy = 0
+		}
+		return u + RegionID(sy*g.w+sx)
 	}
-	if dx > dy {
-		return dx
+	// The long axis must shrink; the short one may move either way or stay,
+	// as long as what is left of it still fits in one fewer hops — so it steps
+	// north (resp. west) whenever that fits and the grid has such a row
+	// (column), and stays put otherwise. On the diagonal both axes must shrink.
+	switch ax, ay := abs(dx), abs(dy); {
+	case ax > ay:
+		sy = 0
+		if abs(dy+1) < ax && uy > 0 {
+			sy = -1
+		}
+	case ay > ax:
+		sx = 0
+		if abs(dx+1) < ay && ux > 0 {
+			sx = -1
+		}
 	}
-	return dy
+	return u + RegionID(sy*g.w+sx)
+}
+
+// xy is Coord for a region of the grid, on the hop-by-hop path: region ids
+// fit 32 bits (newGridTiling checked), and a 32-bit unsigned divide is the
+// cheapest the hardware has.
+func (g *GridTiling) xy(u RegionID) (x, y int) {
+	w := uint32(g.w)
+	q := uint32(u) / w
+	return int(uint32(u) - q*w), int(q)
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
+func sgn(x int) int {
+	switch {
+	case x < 0:
+		return -1
+	case x > 0:
+		return 1
+	}
+	return 0
 }

@@ -15,6 +15,7 @@ func TestNewGridTilingRejectsBadDimensions(t *testing.T) {
 		{name: "negative width", w: -1, h: 3},
 		{name: "negative height", w: 3, h: -2},
 		{name: "both zero", w: 0, h: 0},
+		{name: "too many regions", w: 1 << 20, h: 1 << 20},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -155,6 +156,22 @@ func (d disconnectedTiling) Contains(u RegionID) bool    { return u == 0 || u ==
 func TestValidateRejectsDisconnected(t *testing.T) {
 	if err := Validate(disconnectedTiling{}); err == nil {
 		t.Fatal("Validate accepted a disconnected tiling")
+	}
+}
+
+// splitTiling is a 2×1 grid that lost its one edge but still answers for the
+// grid's metric: connected by its own account, not by its neighbor lists.
+type splitTiling struct{ *GridTiling }
+
+func (splitTiling) Neighbors(RegionID) []RegionID { return nil }
+
+func TestValidateChecksConnectivityOnTheNeighborLists(t *testing.T) {
+	s := splitTiling{MustGridTiling(2, 1)}
+	if NewGraph(s).Distance(0, 1) != 1 {
+		t.Fatal("the fixture's metric should claim the regions adjacent")
+	}
+	if err := Validate(s); err == nil {
+		t.Fatal("Validate took the tiling's metric for its word")
 	}
 }
 

@@ -82,7 +82,7 @@ func Validate(t Tiling) error {
 			if v == u {
 				return fmt.Errorf("geo: region %v is its own neighbor", u)
 			}
-			if !t.Contains(v) {
+			if !t.Contains(v) || int(v) >= n {
 				return fmt.Errorf("geo: region %v has non-region neighbor %v", u, v)
 			}
 			if !AreNeighbors(t, v, u) {
@@ -93,9 +93,12 @@ func Validate(t Tiling) error {
 	if t.Contains(RegionID(n)) {
 		return fmt.Errorf("geo: tiling claims to contain out-of-range region %d", n)
 	}
-	g := NewGraph(t)
+	// Connectivity is read off the neighbor lists, whatever the tiling says
+	// about its own metric: wrapped, it has only its Tiling methods to show
+	// and the Graph runs a BFS.
+	g := NewGraph(struct{ Tiling }{t})
 	for u := RegionID(0); int(u) < n; u++ {
-		if g.Distance(0, u) < 0 {
+		if g.Distance(u, 0) < 0 {
 			return fmt.Errorf("geo: region %v unreachable from region 0; tiling not connected", u)
 		}
 	}

@@ -1,6 +1,7 @@
 package geocast
 
 import (
+	"runtime"
 	"testing"
 
 	"vinestalk/internal/geo"
@@ -43,6 +44,43 @@ func TestFailoverCacheMatchesUncached(t *testing.T) {
 			t.Fatalf("call %d: cached aliveNextHop = %v, uncached BFS = %v", i, got, want)
 		}
 	}
+}
+
+// The failover cache holds the pairs that failed over, not every pair of
+// regions: on a 256×256 grid, where an n × n table of entries would be 68 GB,
+// routing one message around one dead relay costs the BFS scratch and a few
+// table slots.
+func TestFailoverCacheIsBoundedByFailovers(t *testing.T) {
+	const side = 256
+	k, layer, svc, _ := setup(t, side, side)
+	g := geo.MustGridTiling(side, side)
+	from, to := g.RegionAt(3, side/2), g.RegionAt(side-4, side/2)
+	dead := svc.Graph().NextHop(from, to)
+	heap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := heap()
+	if err := layer.MoveClient(vsa.ClientID(dead), from); err != nil { // dead's VSA fails
+		t.Fatal(err)
+	}
+	if layer.Alive(dead) {
+		t.Fatal("static first hop still alive; the route would not fail over")
+	}
+	arrived := false
+	if err := svc.Send(from, to, func() { arrived = true }); err != nil {
+		t.Fatal(err)
+	}
+	k.Run()
+	if !arrived {
+		t.Fatal("message did not get around the dead relay")
+	}
+	if grew := heap() - before; grew > 8<<20 {
+		t.Errorf("one failover grew the heap by %d MB, want < 8 MB", grew>>20)
+	}
+	runtime.KeepAlive(svc) // the cache is measured, not collected
 }
 
 // Steady-state failover routing (cache hit) must not allocate: the cache is

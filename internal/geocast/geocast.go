@@ -44,8 +44,16 @@ type Service struct {
 	// or restarts. Crash-regime runs (E7/E11) route every hop of every
 	// message through here, and between consecutive fault events the
 	// answers repeat exactly.
-	n     int             // regions in the tiling
-	cache []failoverEntry // n×n, indexed cur*n+to; nil until first failover
+	//
+	// The cache is an open-addressed table (linear probing, at most half
+	// full) of the pairs that failed over in the current epoch — never n × n.
+	// An entry stamped with an older epoch is a free slot, so an epoch change
+	// empties the table without touching it. (A Go map cleared per epoch is
+	// less code and costs 1.7× the lookup of the flat array this replaced.)
+	n          int             // regions in the tiling
+	cache      []failoverEntry // power-of-two length; nil until first failover
+	cacheLive  int             // entries stamped cacheEpoch
+	cacheEpoch uint64          // the aliveness epoch of the last lookup
 	// BFS scratch, reused across searches so a cache miss allocates
 	// nothing: seen stamps instead of a visited map (seenGen names the
 	// current search), parent indices instead of a predecessor map, and a
@@ -57,10 +65,11 @@ type Service struct {
 }
 
 // failoverEntry is one cached detour decision: the alive-subgraph next hop
-// from cur toward to, valid while the layer's aliveness epoch equals epoch.
-// The zero value never matches a real epoch (epochs start at 1).
+// for the pair key = cur*n+to, valid while the layer's aliveness epoch equals
+// epoch. The zero value never matches a real epoch (epochs start at 1).
 type failoverEntry struct {
 	epoch uint64
+	key   int
 	next  geo.RegionID
 }
 
@@ -235,15 +244,43 @@ func (s *Service) nextHop(cur, to geo.RegionID) geo.RegionID {
 // arrival). Results are cached per (cur, to) under the VSA layer's
 // aliveness epoch, so within one epoch each pair runs its BFS at most once.
 func (s *Service) aliveNextHop(cur, to geo.RegionID) geo.RegionID {
-	if s.cache == nil {
-		s.cache = make([]failoverEntry, s.n*s.n)
+	ep := s.layer.AliveEpoch()
+	if ep != s.cacheEpoch {
+		s.cacheEpoch, s.cacheLive = ep, 0 // every entry went stale at once
 	}
-	e := &s.cache[int(cur)*s.n+int(to)]
-	if ep := s.layer.AliveEpoch(); e.epoch != ep {
-		e.next = s.aliveNextHopUncached(cur, to)
-		e.epoch = ep
+	key := int(cur)*s.n + int(to)
+	if e := s.cacheSlot(s.cache, key); e != nil && e.epoch == ep {
+		return e.next
 	}
-	return e.next
+	if 2*(s.cacheLive+1) > len(s.cache) {
+		grown := make([]failoverEntry, max(16, 2*len(s.cache)))
+		for _, e := range s.cache {
+			if e.epoch == ep {
+				*s.cacheSlot(grown, e.key) = e
+			}
+		}
+		s.cache = grown
+	}
+	next := s.aliveNextHopUncached(cur, to)
+	*s.cacheSlot(s.cache, key) = failoverEntry{epoch: ep, key: key, next: next}
+	s.cacheLive++
+	return next
+}
+
+// cacheSlot returns key's slot in table: the current epoch's entry for key,
+// or the free slot the probe sequence reaches first, where key would go. It
+// returns nil only for the empty table; any other is at most half full, so
+// the probe ends.
+func (s *Service) cacheSlot(table []failoverEntry, key int) *failoverEntry {
+	if len(table) == 0 {
+		return nil
+	}
+	mask := len(table) - 1
+	for i := int(uint64(key)*0x9E3779B97F4A7C15>>32) & mask; ; i = (i + 1) & mask {
+		if e := &table[i]; e.epoch != s.cacheEpoch || e.key == key {
+			return e
+		}
+	}
 }
 
 // aliveNextHopUncached is the BFS behind aliveNextHop, over the reusable

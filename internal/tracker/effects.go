@@ -107,18 +107,18 @@ func (n *Network) execSend(e sendEffect) {
 	}
 	// The send is noted first: a copy with no live route out of src resolves
 	// — and is taken out of the registry — before the send returns.
-	key := transitKey{obj: ObjectID(e.Body.Obj), kind: codeOfKind(e.Kind), from: e.From, to: e.To}
+	obj := ObjectID(e.Body.Obj)
 	copies := n.cg.Copies(e.To)
-	n.noteSent(key, copies)
+	e.Body.Mark = n.noteSent(obj, codeOfKind(e.Kind), e.From, e.To, copies)
 	if err := n.cg.ClusterToClusterFrom(src, e.From, e.To, e.Kind, e.Body); err != nil {
 		for ; copies > 0; copies-- {
-			n.resolve(key) // refused: nothing was sent
+			n.resolve(e.Body.Mark) // refused: nothing was sent
 		}
 		return
 	}
 	if n.tr.Enabled() {
 		n.tr.Emit(trace.Event{
-			At: n.k.Now(), Kind: "send", Op: n.opFor(key.obj, e.Kind, &e.Body), Obj: e.Body.Obj,
+			At: n.k.Now(), Kind: "send", Op: n.opFor(obj, e.Kind, &e.Body), Obj: e.Body.Obj,
 			Msg: e.Kind, From: int32(e.From), To: int32(e.To), Region: -1,
 			Level: int16(n.h.Level(e.From)),
 		})
@@ -137,7 +137,7 @@ func (n *Network) execFound(e foundEffect) {
 // execRecv consumes the in-transit registry entry for a delivered message
 // and traces the receipt.
 func (n *Network) execRecv(to hier.ClusterID, level int, d *cgcast.Delivery) {
-	n.noteResolved(d, to)
+	n.resolve(d.Mark)
 	if n.tr.Enabled() {
 		n.tr.Emit(trace.Event{
 			At: n.k.Now(), Kind: "recv", Op: n.opFor(ObjectID(d.Obj), d.Kind, &d.Body), Obj: d.Obj, Msg: d.Kind,

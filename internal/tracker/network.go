@@ -52,13 +52,26 @@ type Transit struct {
 	To   hier.ClusterID
 }
 
-// transitKey is a Transit as the in-transit registry keys it: the kind as
-// its code, so the key is four words with no string to hash.
-type transitKey struct {
+// transitSlot is one entry of the in-transit registry: a message some of
+// whose copies are still in flight, or a free slot (cnt == 0). The registry
+// is a slab of these with a free list; a message carries the ticket of its
+// slot (cgcast.Body.Mark), so noting a send and resolving a copy are an index
+// each and nothing is hashed.
+//
+// A ticket is the slot's index plus one in its low half — so the zero Mark of
+// a message nobody noted is no ticket — and the slot's generation in its high
+// half. The generation moves on whenever the slot is freed: a ticket
+// presented again after its last copy resolved matches no slot, even once the
+// slot holds another message. Ownership: a ticket is taken at noteSent and
+// each of its copies is spent by exactly one of delivery (execRecv), drop
+// (noteDropped) or a refused send; the slab belongs to one Network.
+type transitSlot struct {
 	obj  ObjectID
 	kind kindCode
 	from hier.ClusterID
 	to   hier.ClusterID
+	cnt  int32  // copies in flight: 2 under head replication, 0 when free
+	gen  uint32 // times the slot has been freed
 }
 
 // Network instantiates the Tracker automaton (one process per cluster)
@@ -81,9 +94,10 @@ type Network struct {
 	emulHost *emulHost // nil on the oracle host
 	clients  map[vsa.ClientID]*Client
 
-	inflight map[transitKey]int
-	// moveInflight is the part of inflight that belongs to the grow/shrink
-	// family: what MoveQuiescent waits for.
+	transit     []transitSlot
+	transitFree []uint32 // indices of the free slots of transit
+	// moveInflight counts the copies in transit that belong to the
+	// grow/shrink family: what MoveQuiescent waits for.
 	moveInflight int
 	findSeq      FindID
 	started      map[FindID]sim.Time
@@ -198,7 +212,6 @@ func New(cg *cgcast.Service, geom hier.Geometry, opts ...Option) (*Network, erro
 		geom:       geom,
 		sched:      DefaultSchedule(geom, cg.Unit()),
 		clients:    make(map[vsa.ClientID]*Client),
-		inflight:   make(map[transitKey]int),
 		started:    make(map[FindID]sim.Time),
 		done:       make(map[FindID]bool),
 		evaderAt:   make(map[ObjectID]func() geo.RegionID),
@@ -311,13 +324,12 @@ func (n *Network) BackupProcess(c hier.ClusterID) *Process {
 
 // sendFromClient transmits a client message to a level-0 cluster.
 func (n *Network) sendFromClient(id vsa.ClientID, to hier.ClusterID, kind string, body cgcast.Body) error {
+	obj := ObjectID(body.Obj)
+	body.Mark = n.noteSent(obj, codeOfKind(kind), hier.NoCluster, to, 1)
 	if err := n.cg.ClientToClusterBody(id, to, kind, body); err != nil {
+		n.resolve(body.Mark) // refused: nothing was sent
 		return err
 	}
-	// A client's broadcast resolves at its arrival event, never inside the
-	// send, so noting it afterwards is safe.
-	obj := ObjectID(body.Obj)
-	n.noteSent(transitKey{obj: obj, kind: codeOfKind(kind), from: hier.NoCluster, to: to}, 1)
 	if n.tr.Enabled() {
 		region := int32(-1)
 		if c, ok := n.clients[id]; ok {
@@ -353,42 +365,47 @@ func (n *Network) opFor(obj ObjectID, kind string, body *cgcast.Body) uint64 {
 // latest entry is traced under trace.OpMoveFor(obj, MoveEpoch(obj)).
 func (n *Network) MoveEpoch(obj ObjectID) uint64 { return n.moveEpochs[obj] }
 
-// noteSent enters copies of a message into the in-transit registry.
-func (n *Network) noteSent(key transitKey, copies int) {
-	n.inflight[key] += copies
-	if key.kind.moveFamily() {
+// noteSent enters copies of a message into the in-transit registry and
+// returns the ticket the message must carry.
+func (n *Network) noteSent(obj ObjectID, kind kindCode, from, to hier.ClusterID, copies int) uint64 {
+	var i uint32
+	if f := len(n.transitFree); f > 0 {
+		i, n.transitFree = n.transitFree[f-1], n.transitFree[:f-1]
+	} else {
+		i = uint32(len(n.transit))
+		n.transit = append(n.transit, transitSlot{})
+	}
+	s := &n.transit[i]
+	s.obj, s.kind, s.from, s.to, s.cnt = obj, kind, from, to, int32(copies)
+	if kind.moveFamily() {
 		n.moveInflight += copies
 	}
+	return uint64(s.gen)<<32 | uint64(i+1)
 }
 
-// noteDropped is the C-gcast service's drop consumer: a message addressed to
-// the process at (u, level) died instead of reaching it, and leaves the
-// in-transit registry here — or every later quiescence check would wait on a
-// message that can never arrive.
-func (n *Network) noteDropped(u geo.RegionID, level int, d *cgcast.Delivery) {
-	if pr := n.aut.processAt(u, level); pr != nil {
-		n.noteResolved(d, pr.id)
-	}
-}
+// noteDropped is the C-gcast service's drop consumer: a message died instead
+// of reaching the process it was addressed to, and leaves the in-transit
+// registry here — or every later quiescence check would wait on a message
+// that can never arrive.
+func (n *Network) noteDropped(_ geo.RegionID, _ int, d *cgcast.Delivery) { n.resolve(d.Mark) }
 
-// noteResolved removes a delivered or dropped message from the in-transit
-// registry.
-func (n *Network) noteResolved(d *cgcast.Delivery, to hier.ClusterID) {
-	n.resolve(transitKey{obj: ObjectID(d.Obj), kind: codeOfKind(d.Kind), from: d.From, to: to})
-}
-
-// resolve takes one copy of a message out of the in-transit registry.
-func (n *Network) resolve(key transitKey) {
-	switch cnt := n.inflight[key]; {
-	case cnt <= 0:
+// resolve takes one copy of the ticket's message out of the in-transit
+// registry. A zero, spent or stale ticket changes nothing.
+func (n *Network) resolve(ticket uint64) {
+	i := uint32(ticket) - 1 // no ticket wraps past every index
+	if uint64(i) >= uint64(len(n.transit)) {
 		return
-	case cnt == 1:
-		delete(n.inflight, key)
-	default:
-		n.inflight[key] = cnt - 1
 	}
-	if key.kind.moveFamily() {
+	s := &n.transit[i]
+	if s.cnt == 0 || s.gen != uint32(ticket>>32) {
+		return
+	}
+	if s.kind.moveFamily() {
 		n.moveInflight--
+	}
+	if s.cnt--; s.cnt == 0 {
+		s.gen++
+		n.transitFree = append(n.transitFree, i)
 	}
 }
 
@@ -569,10 +586,25 @@ func (n *Network) MoveQuiescent() bool {
 // InTransit returns the in-flight protocol messages (sorted, for
 // determinism), as the lookAhead checker consumes them.
 func (n *Network) InTransit() []Transit {
+	return n.inTransit(func(ObjectID) bool { return true })
+}
+
+// InTransitFor returns the in-flight messages concerning one object.
+func (n *Network) InTransitFor(obj ObjectID) []Transit {
+	return n.inTransit(func(o ObjectID) bool { return o == obj })
+}
+
+// inTransit lists the in-flight messages of the objects want selects, one
+// entry per copy, sorted.
+func (n *Network) inTransit(want func(ObjectID) bool) []Transit {
 	var out []Transit
-	for key, cnt := range n.inflight {
-		t := Transit{Obj: key.obj, Kind: key.kind.String(), From: key.from, To: key.to}
-		for i := 0; i < cnt; i++ {
+	for i := range n.transit {
+		s := &n.transit[i]
+		if s.cnt == 0 || !want(s.obj) {
+			continue
+		}
+		t := Transit{Obj: s.obj, Kind: s.kind.String(), From: s.from, To: s.to}
+		for c := s.cnt; c > 0; c-- {
 			out = append(out, t)
 		}
 	}
@@ -628,15 +660,3 @@ func (n *Network) MaxFindQueryLevel() int { return n.maxQueryLevel }
 
 // ResetFindQueryLevel clears the MaxFindQueryLevel instrumentation.
 func (n *Network) ResetFindQueryLevel() { n.maxQueryLevel = -1 }
-
-// InTransitFor returns the in-flight messages concerning one object.
-func (n *Network) InTransitFor(obj ObjectID) []Transit {
-	all := n.InTransit()
-	out := all[:0]
-	for _, t := range all {
-		if t.Obj == obj {
-			out = append(out, t)
-		}
-	}
-	return out
-}
