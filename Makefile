@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short shuffle race vet lint nethost-smoke multiobject-smoke bulkattach-smoke paralleltracker-smoke experiments experiments-quick experiments-smoke experiments-csv experiments-json chaos pairs profile fuzz cover clean
+.PHONY: all build test test-short shuffle race vet lint nethost-smoke experiments experiments-quick experiments-smoke experiments-csv experiments-json chaos pairs profile fuzz cover clean
 
 all: build vet test
 
@@ -46,50 +46,6 @@ nethost-smoke:
 	$(GO) test -race -run 'TestNetHost' ./internal/tracker
 	$(GO) test -run 'TestNetHostMatchesOracleOnFixedSchedule' -count=10 ./internal/tracker
 	$(GO) test -run 'FuzzDecodeRegion|FuzzDecodeClusterMessage' ./internal/tracker
-
-# Multi-object smoke: the quick E13 fan-out run (concurrent objects with
-# sampled Theorem 4.8/4.9 checks and the batching-beats-k-sends bar), the
-# object-lifecycle regression tests (quiescence eviction, stale-envelope
-# rejection, frame reduction), the paged object table's property test, the
-# host timer-table regressions and the MoveQuiescent cross-check against the
-# full scan, the E8 worker-count byte-identity check, and the multi-object
-# wire-codec fuzz seed corpora.
-multiobject-smoke:
-	$(GO) run ./cmd/experiments -quick -only E13
-	$(GO) test -run 'TestChurnEvictsToBaseline|TestStaleEnvelopeDoesNotAllocateState|TestMoveSpansSeparateConcurrentObjects|TestObjTable|TestObjStateIsPointerFree|TestChurnLeavesNoHostTimers|TestMoveQuiescentMatchesFullScan' ./internal/tracker
-	$(GO) test -run 'TestTimerTableHoldsOnlyArmedTimers' ./internal/nethost
-	$(GO) test -run 'TestBatchingReducesFrames|TestDefaultConfigRecordsNoFrames' ./internal/core
-	$(GO) test -run 'TestMultiObjectExperimentByteIdentical' ./internal/experiments
-	$(GO) test -run 'FuzzDecodeRegion|FuzzDecodeClusterMessage' ./internal/tracker
-
-# Bulk-attach smoke: the 10⁵-object scale run (bulk attach, sampled
-# Theorem 4.8, concurrent move+find round) and the service-level bulk ≡
-# sequential byte-identity proof under the race detector, plus the
-# tracker-level equivalence property tests (grid and landmark hierarchies,
-# ledger identity under frame accounting, churn back to baseline) and the
-# object-cascade determinism test on the sharded engine.
-bulkattach-smoke:
-	$(GO) test -race -run 'TestBulkAttachScaleSmoke|TestBulkAttachMatchesSequentialService' -v ./internal/core
-	$(GO) test -race -run 'TestBulkAttach' ./internal/tracker
-	$(GO) test -race -run 'TestObjectCascadeDeterministicAcrossShardCounts' ./internal/sim
-
-# Parallel-tracker smoke: the K-matrix byte-identity proofs (founds, region
-# encodings, and merged ledger identical at K ∈ {1,2,4,8} AND against the
-# sequential service; engine steps invariant in K), the conservative engine
-# they run on (determinism across K, lookahead enforcement, zero-alloc
-# send), the shard-local ledger merge property tests and the region-encoding
-# merge codec, all under the race detector — the replica stacks execute
-# concurrently, so -race is the confinement proof — plus the partition
-# invariants and the nethost conservation suite under -race (the tracker's
-# other concurrent runtime, kept honest by the same bar).
-paralleltracker-smoke:
-	$(GO) test -race -run 'TestParallelTracker' -v ./internal/core
-	$(GO) test -race -run 'TestSharded' ./internal/sim
-	$(GO) test -run 'TestPartition' ./internal/geo
-	$(GO) test -race -run 'TestLedgerMerge|TestMergedSnapshot' ./internal/metrics
-	$(GO) test -race -run 'TestMergedLedgerEqualsSharedE1E2' ./internal/experiments
-	$(GO) test -race -run 'TestMergeRegionEncodings' ./internal/tracker
-	$(GO) test -race -run 'TestNetHostChaosConservation|TestNetHostStopMidFlightConservation' ./internal/tracker
 
 # Regenerate every paper claim (EXPERIMENTS.md tables).
 experiments:

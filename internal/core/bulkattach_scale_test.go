@@ -39,8 +39,8 @@ func scatterPlacements(k, regions int) []core.ObjectPlacement {
 	return placements
 }
 
-// TestBulkAttachScaleSmoke is the reduced E13 that `make bulkattach-smoke`
-// runs under the race detector: a 10^5-object bulk attach, sampled
+// TestBulkAttachScaleSmoke is the reduced E13 that `make race` runs under
+// the race detector: a 10^5-object bulk attach, sampled
 // Theorem 4.8 checks over the population, and a concurrent move+find
 // round. Skipped under -short — the full go test ./... tier stays
 // fast.

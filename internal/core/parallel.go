@@ -26,7 +26,9 @@ const parallelHomeShards = 8
 // sim.Sharded engine: K complete replica stacks — VSA layer, V-bcast,
 // geocast, C-gcast, tracker network, one client per region — each live on
 // one engine shard's kernel, and every tracked object's entire cascade runs
-// on the stack homing its start region. Disjoint objects' cascades commute
+// on the stack homing its start region. No event on one stack ever
+// addresses another, so the K kernels run side by side with no
+// synchronisation between them. Disjoint objects' cascades commute
 // (Theorem 4.9, pinned by the PR-9 object-sharding proofs), so the union of
 // the K stacks' settled states is byte-identical to one stack tracking all
 // objects: Founds, merged region encodings (MergeRegionEncodings), and the
@@ -36,25 +38,18 @@ const parallelHomeShards = 8
 // shard-local metrics.Ledger (merged deterministically on demand), its own
 // tracker maps, and its own kernel RNG stream (seeded seed + shard·0x9E37;
 // nothing on the cascade path draws from it — chaos, the one RNG consumer,
-// is rejected in this mode). The only cross-shard effect is the find input:
-// a find issued at region u for an object homed on another logical shard
-// travels as a δ-delayed Sharded.Send frame from u's shard to the home
-// shard. The δ charge depends only on the logical shards of origin and
-// home, never on K, keeping virtual-time observables K-invariant.
-//
-// Byte-identity caveat: two finds issued back-to-back at the same settled
-// instant from *different* logical shards to the same home may be delivered
-// in engine-frame order (due, source shard, seq), which can differ from
-// call order across K. Programs wanting bit-exact pending-find lists under
-// such collisions should issue same-instant finds from one logical shard,
-// or settle between them.
+// is rejected in this mode). The only cross-shard effect is the find input,
+// which the driver hands over between runs: a find issued at region u for
+// an object homed on another logical shard is a δ-delayed Sharded.Send from
+// u's shard to the home shard. The δ charge depends only on the logical
+// shards of origin and home, never on K, and find inputs reach a stack in
+// call order at every K, keeping every observable K-invariant.
 type ParallelService struct {
 	cfg    Config
 	eng    *sim.Sharded
 	stacks []*Service
 	homes  *geo.Partition // logical 8-band home partition
 	tiling *geo.GridTiling
-	hier   *hier.Hierarchy
 
 	findSeq int64
 	findErr []error // one slot per engine shard; written only by that shard
@@ -97,8 +92,9 @@ func NewParallel(cfg Config) (*ParallelService, error) {
 	if !tiling.Contains(cfg.Start) {
 		return nil, fmt.Errorf("core: start region %v outside the %dx%d grid", cfg.Start, cfg.Width, cfg.Height)
 	}
-	// One geometry for all stacks: measurement is the expensive part of
-	// assembly, and the stacks share the hierarchy byte for byte.
+	// One tiling, hierarchy and geometry for all stacks: all three are
+	// read-only once built (a grid's routing graph holds no rows, and no
+	// stack's message path calls its two memoizing methods).
 	var geom hier.Geometry
 	if cfg.FormulaGeometry {
 		geom = hier.GridFormulas(cfg.Base, h.MaxLevel())
@@ -108,11 +104,10 @@ func NewParallel(cfg Config) (*ParallelService, error) {
 
 	ps := &ParallelService{
 		cfg:     cfg,
-		eng:     sim.NewSharded(cfg.Seed, k, cfg.Delta),
+		eng:     sim.NewSharded(cfg.Seed, k),
 		stacks:  make([]*Service, k),
 		homes:   geo.NewPartition(tiling, parallelHomeShards),
 		tiling:  tiling,
-		hier:    h,
 		findErr: make([]error, k),
 		objHome: make(map[tracker.ObjectID]int),
 	}
@@ -121,19 +116,7 @@ func NewParallel(cfg Config) (*ParallelService, error) {
 	scfg := cfg
 	scfg.ParallelTracker = 0
 	for i := range ps.stacks {
-		// Every stack gets its own tiling and hierarchy — identical by
-		// construction, but share-nothing: the hierarchy's routing graph
-		// memoizes BFS state, which engine rounds would otherwise race on.
-		// Only the geometry (plain read-only parameters) is shared.
-		st, err := geo.NewGridTiling(cfg.Width, cfg.Height)
-		if err != nil {
-			return nil, err
-		}
-		sh, err := hier.NewGrid(st, cfg.Base)
-		if err != nil {
-			return nil, err
-		}
-		s, err := buildService(sh, scfg, buildParams{
+		s, err := buildService(h, scfg, buildParams{
 			kern:        ps.eng.Shard(i).Kernel(),
 			geom:        &geom,
 			placeEvader: i == home,
@@ -151,22 +134,17 @@ func (ps *ParallelService) execOf(logical int) int {
 	return logical * ps.eng.K() / parallelHomeShards
 }
 
-// alignedNow returns the latest stack clock — the instant new inputs are
-// issued at. After Settle every stack clock equals it.
-func (ps *ParallelService) alignedNow() sim.Time {
+// Now returns the latest stack clock — the instant new inputs are issued
+// at. After Settle every stack clock equals it.
+func (ps *ParallelService) Now() sim.Time {
 	now := ps.stacks[0].kernel.Now()
 	for _, s := range ps.stacks[1:] {
-		if n := s.kernel.Now(); n > now {
-			now = n
-		}
+		now = max(now, s.kernel.Now())
 	}
 	return now
 }
 
-// K returns the engine shard count.
-func (ps *ParallelService) K() int { return ps.eng.K() }
-
-// Engine returns the conservative parallel engine.
+// Engine returns the K-kernel engine the stacks run on.
 func (ps *ParallelService) Engine() *sim.Sharded { return ps.eng }
 
 // Stack returns replica stack i, for per-stack inspection in tests.
@@ -174,12 +152,6 @@ func (ps *ParallelService) Stack(i int) *Service { return ps.stacks[i] }
 
 // Tiling returns the grid tiling.
 func (ps *ParallelService) Tiling() *geo.GridTiling { return ps.tiling }
-
-// Hierarchy returns the cluster hierarchy shared by every stack.
-func (ps *ParallelService) Hierarchy() *hier.Hierarchy { return ps.hier }
-
-// HomePartition returns the fixed logical home partition.
-func (ps *ParallelService) HomePartition() *geo.Partition { return ps.homes }
 
 // HomeOf returns the logical home shard of a tracked object.
 func (ps *ParallelService) HomeOf(obj tracker.ObjectID) (int, bool) {
@@ -192,12 +164,10 @@ func (ps *ParallelService) Evader() *evader.Evader {
 	return ps.stacks[ps.execOf(ps.objHome[tracker.DefaultObject])].ev
 }
 
-// Now returns the provably-reached engine time.
-func (ps *ParallelService) Now() sim.Time { return ps.eng.Now() }
-
 // Steps returns the total events processed across all stacks — the same
-// count the sequential service's kernel reports for the same program, at
-// every K (the event multiset is partitioned, not changed).
+// count at every K (the event multiset is partitioned, not changed), and
+// one per find more than the sequential service's kernel reports for the
+// same program: there a find input is a call, here it is an event.
 func (ps *ParallelService) Steps() uint64 { return ps.eng.Steps() }
 
 // AddObjects bulk-attaches objects across the stacks: placements are split
@@ -268,11 +238,10 @@ func (ps *ParallelService) AddObjects(placements []ObjectPlacement) (map[tracker
 }
 
 // FindObject issues a find at region u for a tracked object. The input is
-// injected at the object's home stack: directly (a kernel insertion) when
-// u's logical shard is the home shard, and as a δ-delayed cross-shard
-// engine frame otherwise. The δ charge depends only on the two logical
-// shards, so find timing — and the recorded find latency, measured from
-// input execution — is identical at every K.
+// a kernel event on the object's home stack, due now when u's logical shard
+// is the home shard and δ later otherwise. The δ charge depends only on the
+// two logical shards, so find timing — and the recorded find latency,
+// measured from input execution — is identical at every K.
 func (ps *ParallelService) FindObject(u geo.RegionID, obj tracker.ObjectID) (tracker.FindID, error) {
 	lh, ok := ps.objHome[obj]
 	if !ok {
@@ -283,7 +252,7 @@ func (ps *ParallelService) FindObject(u geo.RegionID, obj tracker.ObjectID) (tra
 	}
 	lu := ps.homes.ShardOf(u)
 	eu, eh := ps.execOf(lu), ps.execOf(lh)
-	due := ps.alignedNow()
+	due := ps.Now()
 	if lu != lh {
 		due = sim.Add(due, ps.cfg.Delta)
 	}
@@ -303,23 +272,13 @@ func (ps *ParallelService) Find(u geo.RegionID) (tracker.FindID, error) {
 	return ps.FindObject(u, tracker.DefaultObject)
 }
 
-// FindDone reports whether the find has produced its found output.
-func (ps *ParallelService) FindDone(id tracker.FindID) bool {
-	for _, s := range ps.stacks {
-		if s.net.FindDone(id) {
-			return true
-		}
-	}
-	return false
-}
-
-// Settle drains the engine — all stacks run concurrently under the
-// conservative δ barrier — then aligns every stack clock to the latest one
-// and verifies each stack is move-quiescent. Errors raised inside deferred
+// Settle drains the engine — every stack that has work runs concurrently —
+// then aligns every stack clock to the latest one and verifies each stack
+// is move-quiescent. Errors raised inside deferred
 // find inputs surface here.
 func (ps *ParallelService) Settle() error {
 	ps.eng.Run()
-	ps.eng.RunUntil(ps.alignedNow())
+	ps.eng.RunUntil(ps.Now())
 	for i, s := range ps.stacks {
 		if err := ps.findErr[i]; err != nil {
 			ps.findErr[i] = nil

@@ -116,6 +116,16 @@ func runParallelScenario(t *testing.T, k int) parallelObservables {
 		t.Fatal(err)
 	}
 
+	obs := observeParallel(t, ps)
+	if len(obs.founds) != len(placements)+1 {
+		t.Fatalf("K=%d: %d founds, want %d", k, len(obs.founds), len(placements)+1)
+	}
+	return obs
+}
+
+// observeParallel reads a settled ParallelService's observables.
+func observeParallel(t *testing.T, ps *ParallelService) parallelObservables {
+	t.Helper()
 	obs := parallelObservables{
 		founds: ps.Founds(),
 		encs:   make([][]byte, ps.Tiling().NumRegions()),
@@ -123,13 +133,10 @@ func runParallelScenario(t *testing.T, k int) parallelObservables {
 		steps:  ps.Steps(),
 		cross:  ps.Engine().CrossSends(),
 	}
-	if len(obs.founds) != len(placements)+1 {
-		t.Fatalf("K=%d: %d founds, want %d", k, len(obs.founds), len(placements)+1)
-	}
 	for u := range obs.encs {
 		enc, err := ps.EncodeRegion(geo.RegionID(u))
 		if err != nil {
-			t.Fatalf("K=%d region %d: %v", k, u, err)
+			t.Fatalf("K=%d region %d: %v", ps.Engine().K(), u, err)
 		}
 		obs.encs[u] = enc
 	}
@@ -180,7 +187,13 @@ func runSequentialScenario(t *testing.T) parallelObservables {
 	if err := svc.Settle(); err != nil {
 		t.Fatal(err)
 	}
+	return observeSequential(t, svc)
+}
 
+// observeSequential reads a settled sequential Service's observables, founds
+// in find-id order as ParallelService.Founds reports them.
+func observeSequential(t *testing.T, svc *Service) parallelObservables {
+	t.Helper()
 	founds := svc.Founds()
 	sort.Slice(founds, func(i, j int) bool { return founds[i].ID < founds[j].ID })
 	obs := parallelObservables{
@@ -204,21 +217,28 @@ func TestParallelTrackerByteIdentity(t *testing.T) {
 	seq := runSequentialScenario(t)
 	for _, k := range []int{1, 2, 4, 8} {
 		par := runParallelScenario(t, k)
-		if !reflect.DeepEqual(par.founds, seq.founds) {
-			t.Errorf("K=%d: founds differ from sequential:\n par %+v\n seq %+v", k, par.founds, seq.founds)
-		}
-		for u := range seq.encs {
-			if !bytes.Equal(par.encs[u], seq.encs[u]) {
-				t.Errorf("K=%d: region %d encoding differs from sequential", k, u)
-				break
-			}
-		}
-		if !bytes.Equal(par.ledger, seq.ledger) {
-			t.Errorf("K=%d: merged ledger differs from sequential:\n par %s\n seq %s", k, par.ledger, seq.ledger)
-		}
+		assertMatchesSequential(t, k, par, seq)
 		if k > 1 && par.cross == 0 {
 			t.Errorf("K=%d: no cross-shard engine frames; finds never exercised Sharded.Send", k)
 		}
+	}
+}
+
+// assertMatchesSequential is the identity bar: founds, every region
+// encoding and the merged ledger equal the sequential service's.
+func assertMatchesSequential(t *testing.T, k int, par, seq parallelObservables) {
+	t.Helper()
+	if !reflect.DeepEqual(par.founds, seq.founds) {
+		t.Errorf("K=%d: founds differ from sequential:\n par %+v\n seq %+v", k, par.founds, seq.founds)
+	}
+	for u := range seq.encs {
+		if !bytes.Equal(par.encs[u], seq.encs[u]) {
+			t.Errorf("K=%d: region %d encoding differs from sequential", k, u)
+			break
+		}
+	}
+	if !bytes.Equal(par.ledger, seq.ledger) {
+		t.Errorf("K=%d: merged ledger differs from sequential:\n par %s\n seq %s", k, par.ledger, seq.ledger)
 	}
 }
 
@@ -352,5 +372,69 @@ func TestParallelTrackerAddObjectsRejectsWholeBatch(t *testing.T) {
 	}
 	if got := ps.Founds(); len(got) != 1 || got[0].FoundAt != 18 {
 		t.Fatalf("founds %+v, want object 2 found at region 18", got)
+	}
+}
+
+// sameInstantOrigins is the six-origin shape: the object sits in home band 3
+// (rows 6–7 of the 16×16 grid) and six finds are issued at one settled
+// instant from six other bands, alternating between the far and the near
+// side of the home band, so call order and (source shard) order disagree.
+var sameInstantOrigins = []geo.RegionID{216, 24, 184, 56, 152, 88}
+
+const sameInstantStart = geo.RegionID(120)
+
+// Find inputs reach a stack in call order at every K: six finds issued at
+// one settled instant from origin bands on both sides of the home band are
+// answered in the same order — and leave the same founds, region encodings
+// and merged ledger — at K = 1, 2, 4, 8 and on the sequential service.
+func TestParallelTrackerSameInstantFindsKeepCallOrder(t *testing.T) {
+	cfg := parallelCfg()
+	cfg.Start = sameInstantStart
+
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range sameInstantOrigins {
+		if _, err := svc.Find(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	wantOrder := svc.Founds()
+	if len(wantOrder) != len(sameInstantOrigins) {
+		t.Fatalf("sequential: %d founds, want %d", len(wantOrder), len(sameInstantOrigins))
+	}
+	seq := observeSequential(t, svc)
+
+	for _, k := range []int{1, 2, 4, 8} {
+		cfg.ParallelTracker = k
+		ps, err := NewParallel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ps.Settle(); err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range sameInstantOrigins {
+			if _, err := ps.Find(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ps.Settle(); err != nil {
+			t.Fatal(err)
+		}
+		// One object, one home stack: that stack's report order is the
+		// order the finds were answered in.
+		home, _ := ps.HomeOf(tracker.DefaultObject)
+		if got := ps.Stack(ps.execOf(home)).Founds(); !reflect.DeepEqual(got, wantOrder) {
+			t.Errorf("K=%d: finds answered in order\n %+v\nsequential service answered\n %+v", k, got, wantOrder)
+		}
+		assertMatchesSequential(t, k, observeParallel(t, ps), seq)
 	}
 }

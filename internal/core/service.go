@@ -42,8 +42,8 @@ type Config struct {
 	// ParallelTracker, when positive, selects the replica-stack parallel
 	// tracker (NewParallel): K complete tracker stacks run on the K shards
 	// of a sim.Sharded engine, objects are homed onto stacks by the logical
-	// shard of their start region, and cross-shard finds travel as
-	// δ-delayed engine frames. K must be one of {1, 2, 4, 8} (a divisor of
+	// shard of their start region, and a cross-shard find reaches its home
+	// stack δ later. K must be one of {1, 2, 4, 8} (a divisor of
 	// the fixed logical home partition, so object→shard homing — and hence
 	// every observable — is identical at every K). New and NewWithHierarchy
 	// ignore the field: it is consumed by NewParallel, which builds each

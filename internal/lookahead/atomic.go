@@ -34,11 +34,20 @@ func Init(h *hier.Hierarchy, u geo.RegionID) *State {
 // or by one lateral link to a parent-connected path neighbor), and the
 // deserted suffix of the old path is cleaned. The input is not modified.
 func AtomicMove(s *State, oldRegion, newRegion geo.RegionID) (*State, error) {
+	out := s.Clone()
+	if err := out.atomicMove(oldRegion, newRegion); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// atomicMove applies one atomicMove step to s in place; on error s is
+// untouched.
+func (s *State) atomicMove(oldRegion, newRegion geo.RegionID) error {
 	h := s.H
 	if !geo.AreNeighbors(h.Tiling(), oldRegion, newRegion) {
-		return nil, fmt.Errorf("lookahead: atomicMove target %v is not a neighbor of %v", newRegion, oldRegion)
+		return fmt.Errorf("lookahead: atomicMove target %v is not a neighbor of %v", newRegion, oldRegion)
 	}
-	out := s.Clone()
 	max := h.MaxLevel()
 
 	// Grow phase: the new level-0 cluster joins, then climbs vertically.
@@ -46,66 +55,66 @@ func AtomicMove(s *State, oldRegion, newRegion geo.RegionID) (*State, error) {
 	// process, per the consistent-state invariant) short-circuits the climb
 	// with a single lateral link.
 	leaf := h.Cluster(newRegion, 0)
-	out.C[leaf] = leaf
+	s.C[leaf] = leaf
 	cur := leaf
-	for out.P[cur] == hier.NoCluster && h.Level(cur) != max {
-		if out.Up[cur] != hier.NoCluster {
-			out.P[cur] = out.Up[cur]
+	for s.P[cur] == hier.NoCluster && h.Level(cur) != max {
+		if s.Up[cur] != hier.NoCluster {
+			s.P[cur] = s.Up[cur]
 			for _, nb := range h.Nbrs(cur) {
-				out.Down[nb] = cur
+				s.Down[nb] = cur
 			}
 		} else {
-			out.P[cur] = h.Parent(cur)
+			s.P[cur] = h.Parent(cur)
 			for _, nb := range h.Nbrs(cur) {
-				out.Up[nb] = cur
+				s.Up[nb] = cur
 			}
 		}
-		out.C[out.P[cur]] = cur
-		cur = out.P[cur]
+		s.C[s.P[cur]] = cur
+		cur = s.P[cur]
 	}
 
 	// Shrink phase: the old leaf leaves the path (unless the new branch
 	// already re-adopted it), and the deserted suffix unwinds upward until
 	// it merges into the live path.
 	old := h.Cluster(oldRegion, 0)
-	if out.C[old] == old {
-		out.C[old] = hier.NoCluster
+	if s.C[old] == old {
+		s.C[old] = hier.NoCluster
 	}
 	cur = old
-	for out.C[cur] == hier.NoCluster && out.P[cur] != hier.NoCluster && h.Level(cur) != max {
+	for s.C[cur] == hier.NoCluster && s.P[cur] != hier.NoCluster && h.Level(cur) != max {
 		for _, nb := range h.Nbrs(cur) {
-			if out.Up[nb] == cur {
-				out.Up[nb] = hier.NoCluster
+			if s.Up[nb] == cur {
+				s.Up[nb] = hier.NoCluster
 			}
-			if out.Down[nb] == cur {
-				out.Down[nb] = hier.NoCluster
+			if s.Down[nb] == cur {
+				s.Down[nb] = hier.NoCluster
 			}
 		}
-		if out.C[out.P[cur]] == cur {
-			next := out.P[cur]
-			out.P[cur] = hier.NoCluster
-			out.C[next] = hier.NoCluster
+		if s.C[s.P[cur]] == cur {
+			next := s.P[cur]
+			s.P[cur] = hier.NoCluster
+			s.C[next] = hier.NoCluster
 			cur = next
 		} else {
-			out.P[cur] = hier.NoCluster
+			s.P[cur] = hier.NoCluster
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // AtomicMoveSeq is the derived function of §IV-C: starting from
-// init(moves[0]), fold atomicMove over the remaining locations.
+// init(moves[0]), fold atomicMove over the remaining locations. The fold
+// runs in place on that one state, so a move costs the clusters it touches,
+// not a copy of the hierarchy.
 func AtomicMoveSeq(h *hier.Hierarchy, moves []geo.RegionID) (*State, error) {
 	if len(moves) == 0 {
 		return nil, fmt.Errorf("lookahead: empty move sequence")
 	}
 	s := Init(h, moves[0])
 	for i := 1; i < len(moves); i++ {
-		next, err := AtomicMove(s, moves[i-1], moves[i])
-		if err != nil {
+		if err := s.atomicMove(moves[i-1], moves[i]); err != nil {
 			return nil, fmt.Errorf("lookahead: move %d: %w", i, err)
 		}
-		s = next
 	}
 	return s, nil
 }

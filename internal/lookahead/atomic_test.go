@@ -156,6 +156,30 @@ func TestAtomicMoveSeqRandomWalkConsistent(t *testing.T) {
 	}
 }
 
+// AtomicMoveSeq folds in place: what it allocates is the one state Init
+// builds, however long the trail (it used to clone the state per move).
+func TestAtomicMoveSeqAllocsDoNotGrowWithMoves(t *testing.T) {
+	h := grid(t, 16, 2)
+	tl := h.Tiling()
+	rng := rand.New(rand.NewSource(5))
+	trail := []geo.RegionID{0}
+	for len(trail) <= 2000 {
+		nbrs := tl.Neighbors(trail[len(trail)-1])
+		trail = append(trail, nbrs[rng.Intn(len(nbrs))])
+	}
+	allocs := func(moves []geo.RegionID) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := AtomicMoveSeq(h, moves); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(trail[:2]), allocs(trail)
+	if long != short {
+		t.Fatalf("AtomicMoveSeq allocates %.0f times over 1 move and %.0f over %d", short, long, len(trail)-1)
+	}
+}
+
 func TestLookAheadOnConsistentStateIsIdentity(t *testing.T) {
 	h := grid(t, 8, 2)
 	s := Init(h, 27)

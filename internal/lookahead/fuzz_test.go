@@ -25,12 +25,17 @@ func FuzzAtomicMoveWalk(f *testing.F) {
 		}
 		cur := geo.RegionID(0)
 		s := Init(h, cur)
+		trail := []geo.RegionID{cur}
 		for i, b := range walk {
 			nbrs := tl.Neighbors(cur)
 			next := nbrs[int(b)%len(nbrs)]
+			before := s.Clone()
 			out, err := AtomicMove(s, cur, next)
 			if err != nil {
 				t.Fatalf("step %d (%v -> %v): %v", i, cur, next, err)
+			}
+			if diff := Equal(s, before); diff != "" {
+				t.Fatalf("step %d: AtomicMove modified its input: %s", i, diff)
 			}
 			if err := out.IsConsistent(next); err != nil {
 				t.Fatalf("step %d (%v -> %v): %v", i, cur, next, err)
@@ -40,8 +45,23 @@ func FuzzAtomicMoveWalk(f *testing.F) {
 				t.Fatalf("step %d: lookAhead changed a consistent state: %s", i, diff)
 			}
 			s, cur = out, next
+			trail = append(trail, next)
 		}
+		assertFoldEqualsSteps(t, h, trail, s)
 	})
+}
+
+// assertFoldEqualsSteps requires AtomicMoveSeq's in-place fold over trail
+// to end in the state step-by-step AtomicMove reached.
+func assertFoldEqualsSteps(t *testing.T, h *hier.Hierarchy, trail []geo.RegionID, stepped *State) {
+	t.Helper()
+	folded, err := AtomicMoveSeq(h, trail)
+	if err != nil {
+		t.Fatalf("AtomicMoveSeq over %v: %v", trail, err)
+	}
+	if diff := Equal(folded, stepped); diff != "" {
+		t.Fatalf("AtomicMoveSeq over %v differs from step-by-step AtomicMove: %s", trail, diff)
+	}
 }
 
 // FuzzLookAheadTransits throws arbitrary (type-correct) single grow/shrink

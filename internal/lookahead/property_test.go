@@ -50,6 +50,7 @@ func TestAtomicMovePreservesConsistencyQuick(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(walkSeed))
 		cur := start
+		trail := []geo.RegionID{start}
 		for i := 0; i < 12; i++ {
 			nbrs := tl.Neighbors(cur)
 			next := nbrs[rng.Intn(len(nbrs))]
@@ -63,7 +64,9 @@ func TestAtomicMovePreservesConsistencyQuick(t *testing.T) {
 				return false
 			}
 			s, cur = out, next
+			trail = append(trail, next)
 		}
+		assertFoldEqualsSteps(t, h, trail, s)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

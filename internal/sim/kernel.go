@@ -241,25 +241,6 @@ func (k *Kernel) RunUntil(t Time) int {
 // RunFor is RunUntil(Now()+d), saturating at Forever.
 func (k *Kernel) RunFor(d Time) int { return k.RunUntil(Add(k.now, d)) }
 
-// RunBefore processes events with firing time strictly less than t and
-// returns the number processed. Unlike RunUntil it does not advance the
-// clock to t: the clock stays at the last executed event, so relative
-// delays keep their discrete-event meaning. It is the window primitive of
-// the sharded engine — a shard granted the conservative horizon H executes
-// exactly the events in [now, H), leaving events at H itself for the next
-// window, after cross-shard messages due at H have been merged in.
-func (k *Kernel) RunBefore(t Time) int {
-	n := 0
-	for {
-		at, ok := k.peekRunnable()
-		if !ok || at >= t {
-			return n
-		}
-		k.Step()
-		n++
-	}
-}
-
 // Pending returns the number of queued, non-cancelled, non-parked events.
 // The count is maintained incrementally on schedule/fire/cancel, so this is
 // O(1) — it used to scan the whole queue, which made idle-checking loops

@@ -1,80 +1,47 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
 
-// gridWorld is the synthetic large-grid workload shared by the sharded
-// engine's tests and the shard-scaling benchmark: a G×G board of regions
-// split into K horizontal bands, one shard per band. Every region runs a
-// resettable timer with period δ and a per-region phase; each tick mixes
-// the region's 64-byte state, and every fourth tick sends a commutative
-// update to the region's south neighbor with due = now+δ — crossing a
-// band boundary when the neighbor's row belongs to the next shard. All
-// closures are pre-bound at setup, so the steady state allocates nothing.
-type gridWorld struct {
-	eng   *Sharded
-	g     int
-	state []uint64 // 8 lanes per region (64 B)
-	ticks []uint32
+// procWorld is the engine's test program, shaped like its one consumer:
+// worldProcs share-nothing processes, process p living on shard p·K/8 (the
+// parallel tracker's band-to-shard rule), whose events reschedule and cancel
+// on their own kernel only, and inputs the driver sends between
+// runs. Every executed event is logged twice — under its process and under
+// its kernel — so a run can be compared process by process across K and
+// kernel by kernel against a standalone sim.Kernel.
+type procWorld struct {
+	kernels  []*Kernel
+	home     func(p int) int                         // index into kernels; -1: p is not part of this world
+	send     func(from, to int, due Time, fn func()) // between runs only
+	runUntil func(t Time)
+	run      func()
+
+	state  [worldProcs]uint64
+	byProc [worldProcs][]logRec
+	byKern [][]logRec // one log per kernel, written by that kernel's events only
 }
 
-const (
-	gridDelta  = 10 * time.Millisecond // δ = tick period
-	worldLanes = 8
-)
-
-func bandOf(y, g, k int) int { return y * k / g }
-
-func newGridWorld(g, k int) *gridWorld {
-	w := &gridWorld{
-		eng:   NewSharded(1, k, gridDelta),
-		g:     g,
-		state: make([]uint64, g*g*worldLanes),
-		ticks: make([]uint32, g*g),
-	}
-	for u := 0; u < g*g; u++ {
-		w.bind(u, k)
-	}
-	return w
+type logRec struct {
+	at   Time
+	proc int
+	tag  uint64
 }
 
-// bind arms region u's timer and pre-binds its tick and south-send
-// closures on the owning shard.
-func (w *gridWorld) bind(u, k int) {
-	g := w.g
-	shard := w.eng.Shard(bandOf(u/g, g, k))
-	kern := shard.Kernel()
-	st := w.state[u*worldLanes : (u+1)*worldLanes : (u+1)*worldLanes]
+const worldProcs = 8
 
-	// South-neighbor update: executes on the *destination* shard, reading
-	// the destination clock; addition commutes, so arrival order at an
-	// instant cannot change the final state across shard counts.
-	var deliver func()
-	dst := -1
-	if v := u + g; v < g*g {
-		dst = bandOf(v/g, g, k)
-		dv := w.state[v*worldLanes : (v+1)*worldLanes : (v+1)*worldLanes]
-		dstKern := w.eng.Shard(dst).Kernel()
-		src := uint64(u)
-		deliver = func() {
-			dv[0] += mix64(src ^ uint64(dstKern.Now()))
-		}
-	}
+func shardOfProc(p, k int) int { return p * k / worldProcs }
 
-	var tick func()
-	tick = func() {
-		for l := range st {
-			st[l] = st[l]*6364136223846793005 + uint64(u)*2862933555777941757 + uint64(l) + 1
-		}
-		w.ticks[u]++
-		if deliver != nil && w.ticks[u]%4 == 0 {
-			shard.Send(dst, Add(kern.Now(), gridDelta), deliver)
-		}
-		kern.Schedule(gridDelta, tick)
-	}
-	kern.At(time.Duration(u%1000)*time.Microsecond, tick)
+func (w *procWorld) log(p int, tag uint64) {
+	h := w.home(p)
+	now := w.kernels[h].Now()
+	w.state[p] = mix64(w.state[p] ^ tag ^ uint64(now))
+	r := logRec{at: now, proc: p, tag: w.state[p]}
+	w.byProc[p] = append(w.byProc[p], r)
+	w.byKern[h] = append(w.byKern[h], r)
 }
 
 func mix64(x uint64) uint64 {
@@ -86,43 +53,129 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// checksum position-weights every lane so misrouted or lost updates show.
-func (w *gridWorld) checksum() uint64 {
-	var sum uint64
-	for i, v := range w.state {
-		sum += v * (uint64(i)*2 + 1)
+// start arms process p: a tick chain whose period depends on p (so shards
+// finish at different times and same-instant ties across processes occur),
+// a follow-up event per tick, and a decoy that every other tick cancels.
+func (w *procWorld) start(p int) {
+	k := w.kernels[w.home(p)]
+	period := time.Duration(3+p%3) * time.Millisecond
+	n := 0
+	var tick func()
+	tick = func() {
+		n++
+		w.log(p, uint64(n))
+		decoy := k.Schedule(period/2, func() { w.log(p, 0xdec0) })
+		if n%2 == 0 {
+			decoy.Cancel()
+		}
+		k.Schedule(period/3, func() { w.log(p, 0xf0110) })
+		if n < 40 {
+			k.Schedule(period, tick)
+		}
 	}
-	return sum
+	k.At(time.Duration(p)*time.Millisecond, tick)
 }
 
-// The tentpole's determinism bar: the same workload run at K = 1, 2, 4, 8
-// produces identical state and identical event counts — shard count is an
-// execution detail, not a semantic one.
-func TestShardedDeterministicAcrossShardCounts(t *testing.T) {
-	const g, periods = 48, 14
-	horizon := time.Duration(periods) * gridDelta
-
-	base := newGridWorld(g, 1)
-	baseEvents := base.eng.RunUntil(horizon)
-	baseSum := base.checksum()
-	if baseEvents == 0 || baseSum == 0 {
-		t.Fatalf("degenerate baseline: events=%d checksum=%d", baseEvents, baseSum)
+// drive is the fixed program: arm every process, run to an instant, hand
+// over inputs that collide at one due time on their destinations from
+// senders on both sides, drain, and repeat once.
+func (w *procWorld) drive() {
+	w.byKern = make([][]logRec, len(w.kernels))
+	for p := 0; p < worldProcs; p++ {
+		if w.home(p) >= 0 {
+			w.start(p)
+		}
 	}
+	w.runUntil(30 * time.Millisecond)
+	for round, due := range []Time{31 * time.Millisecond, 500 * time.Millisecond} {
+		for i, from := range []int{6, 1, 7, 0, 5, 2, 3} {
+			for _, to := range []int{3, 4} {
+				to, tag := to, uint64(round<<16|i<<8|from)
+				w.send(from, to, due, func() { w.log(to, tag) })
+			}
+		}
+		if round == 0 {
+			w.runUntil(60 * time.Millisecond)
+		}
+	}
+	w.run()
+}
 
-	for _, k := range []int{2, 4, 8} {
-		w := newGridWorld(g, k)
-		events := w.eng.RunUntil(horizon)
-		if events != baseEvents {
-			t.Errorf("K=%d processed %d events, K=1 processed %d", k, events, baseEvents)
+// shardedWorld runs the program on a K-shard engine.
+func shardedWorld(k int) (*procWorld, *Sharded) {
+	e := NewSharded(1, k)
+	w := &procWorld{
+		home: func(p int) int { return shardOfProc(p, k) },
+		send: func(from, to int, due Time, fn func()) {
+			e.Shard(shardOfProc(from, k)).Send(shardOfProc(to, k), due, fn)
+		},
+		runUntil: func(t Time) { e.RunUntil(t) },
+		run:      func() { e.Run() },
+	}
+	for i := 0; i < k; i++ {
+		w.kernels = append(w.kernels, e.Shard(i).Kernel())
+	}
+	w.drive()
+	return w, e
+}
+
+// standaloneWorld runs shard i's share of the same program — its processes
+// and the inputs addressed to them, in call order — on a plain kernel.
+func standaloneWorld(i, k int) (*procWorld, *Kernel) {
+	kern := New(1)
+	mine := func(p int) bool { return shardOfProc(p, k) == i }
+	w := &procWorld{
+		kernels: []*Kernel{kern},
+		home: func(p int) int {
+			if mine(p) {
+				return 0
+			}
+			return -1
+		},
+		send: func(_, to int, due Time, fn func()) {
+			if mine(to) {
+				kern.At(due, fn)
+			}
+		},
+		runUntil: func(t Time) { kern.RunUntil(t) },
+		run:      func() { kern.Run() },
+	}
+	w.drive()
+	return w, kern
+}
+
+// Shard count is an execution detail: at K = 1, 2, 4, 8 every process runs
+// the same event sequence, and each shard's kernel executes exactly the
+// sequence — events, times, clock and step count — that a standalone
+// sim.Kernel given the same inputs executes.
+func TestShardedDeterministicAcrossShardCounts(t *testing.T) {
+	base, _ := shardedWorld(1)
+	for p := range base.byProc {
+		if len(base.byProc[p]) < 80 {
+			t.Fatalf("degenerate baseline: process %d logged %d events", p, len(base.byProc[p]))
 		}
-		if sum := w.checksum(); sum != baseSum {
-			t.Errorf("K=%d checksum %x differs from K=1 checksum %x", k, sum, baseSum)
+	}
+	for _, k := range []int{1, 2, 4, 8} {
+		w, e := shardedWorld(k)
+		if !reflect.DeepEqual(w.byProc, base.byProc) {
+			t.Errorf("K=%d: per-process event sequences differ from K=1", k)
 		}
-		if w.eng.CrossSends() == 0 {
-			t.Errorf("K=%d: no cross-shard messages; workload not exercising inboxes", k)
+		if e.Steps() != uint64(len(base.byKern[0])) {
+			t.Errorf("K=%d: %d steps, K=1 ran %d", k, e.Steps(), len(base.byKern[0]))
 		}
-		if w.eng.Now() != horizon {
-			t.Errorf("K=%d: Now()=%v after RunUntil(%v)", k, w.eng.Now(), horizon)
+		if (e.CrossSends() == 0) != (k == 1) {
+			t.Errorf("K=%d: CrossSends()=%d", k, e.CrossSends())
+		}
+		for i := 0; i < k; i++ {
+			ref, kern := standaloneWorld(i, k)
+			got := e.Shard(i).Kernel()
+			if !reflect.DeepEqual(w.byKern[i], ref.byKern[0]) {
+				t.Errorf("K=%d shard %d: event sequence differs from a standalone kernel's", k, i)
+			}
+			if got.Now() != kern.Now() || got.Steps() != kern.Steps() || got.Pending() != kern.Pending() {
+				t.Errorf("K=%d shard %d: clock %v steps %d pending %d, standalone %v %d %d",
+					k, i, got.Now(), got.Steps(), got.Pending(), kern.Now(), kern.Steps(), kern.Pending())
+			}
 		}
 	}
 }
@@ -131,79 +184,75 @@ func TestShardedDeterministicAcrossShardCounts(t *testing.T) {
 // must not leak into results); run with -race this doubles as the engine's
 // data-race exercise.
 func TestShardedRunRepeatable(t *testing.T) {
-	run := func() uint64 {
-		w := newGridWorld(32, 4)
-		w.eng.RunUntil(10 * gridDelta)
-		return w.checksum()
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("same-K runs differ: %x vs %x", a, b)
+	a, _ := shardedWorld(4)
+	for i := 0; i < 5; i++ {
+		if b, _ := shardedWorld(4); !reflect.DeepEqual(a.byProc, b.byProc) {
+			t.Fatalf("same-K runs differ (repeat %d)", i)
+		}
 	}
 }
 
-// Cross-shard messages must arrive exactly at their due time on the
-// destination clock — never in the receiver's past, never early.
-func TestShardedConservativeDelivery(t *testing.T) {
-	e := NewSharded(1, 2, time.Millisecond)
-	a, b := e.Shard(0), e.Shard(1)
-	type arrival struct{ want, got Time }
-	var arrivals []arrival
-	for i := 1; i <= 20; i++ {
-		a.Kernel().At(time.Duration(i)*2*time.Millisecond, func() {
-			at := Add(a.Kernel().Now(), time.Millisecond)
-			a.Send(1, at, func() {
-				arrivals = append(arrivals, arrival{want: at, got: b.Kernel().Now()})
-			})
+// Inputs sent between runs to one destination at one due time fire at
+// exactly that time on the destination clock, in call order, whichever
+// shards they were sent from.
+func TestShardedSendFiresInCallOrder(t *testing.T) {
+	e := NewSharded(1, 8)
+	e.RunUntil(time.Millisecond)
+	due := 2 * time.Millisecond
+	dst := e.Shard(3).Kernel()
+	var got []int
+	senders := []int{6, 1, 7, 3, 0, 5, 2, 4}
+	for _, from := range senders {
+		from := from
+		e.Shard(from).Send(3, due, func() {
+			if dst.Now() != due {
+				t.Errorf("input from shard %d fired at %v, want %v", from, dst.Now(), due)
+			}
+			got = append(got, from)
+		})
+	}
+	if n := e.Run(); n != uint64(len(senders)) {
+		t.Fatalf("Run processed %d events, want %d", n, len(senders))
+	}
+	if !reflect.DeepEqual(got, senders) {
+		t.Fatalf("inputs fired in order %v, sent in order %v", got, senders)
+	}
+	if e.CrossSends() != uint64(len(senders)-1) {
+		t.Fatalf("CrossSends()=%d, want %d (the send from shard 3 to itself does not cross)", e.CrossSends(), len(senders)-1)
+	}
+}
+
+// Send is for the driver, between runs: from inside a running event —
+// whether the shard drains on the caller's goroutine or on its own — it
+// must refuse loudly.
+func TestShardedSendDuringRunPanics(t *testing.T) {
+	e := NewSharded(1, 2)
+	panicked := [2]bool{}
+	for i := 0; i < 2; i++ {
+		i, s := i, e.Shard(i)
+		s.Kernel().At(time.Millisecond, func() {
+			defer func() { panicked[i] = recover() != nil }()
+			s.Send(1-i, 5*time.Millisecond, func() {})
 		})
 	}
 	e.Run()
-	if len(arrivals) != 20 {
-		t.Fatalf("delivered %d of 20 messages", len(arrivals))
+	if panicked != [2]bool{true, true} {
+		t.Fatalf("Send from a running event panicked on shards %v, want both", panicked)
 	}
-	for i, ar := range arrivals {
-		if ar.got != ar.want {
-			t.Errorf("message %d arrived at %v, want %v", i, ar.got, ar.want)
-		}
-		if i > 0 && ar.got < arrivals[i-1].got {
-			t.Errorf("message %d arrived out of order", i)
-		}
-	}
-}
-
-// A cross-shard send inside the δ window is a programming error the engine
-// must refuse loudly.
-func TestShardedLookaheadViolationPanics(t *testing.T) {
-	e := NewSharded(1, 2, 5*time.Millisecond)
-	s := e.Shard(0)
-	s.Kernel().At(10*time.Millisecond, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Send with due < now+δ did not panic")
-			}
-		}()
-		s.Send(1, Add(s.Kernel().Now(), 4*time.Millisecond), func() {})
-	})
-	e.Run()
-	// The boundary itself is legal: due == now+δ.
+	// Between runs the same call is legal again.
 	ok := false
-	e2 := NewSharded(1, 2, 5*time.Millisecond)
-	s0 := e2.Shard(0)
-	s0.Kernel().At(time.Millisecond, func() {
-		s0.Send(1, Add(s0.Kernel().Now(), 5*time.Millisecond), func() { ok = true })
-	})
-	e2.Run()
+	e.Shard(0).Send(1, 5*time.Millisecond, func() { ok = true })
+	e.Run()
 	if !ok {
-		t.Error("boundary send (due == now+δ) was not delivered")
+		t.Error("Send between runs was not delivered")
 	}
 }
 
-// Idle shards must not throttle busy ones: a shard whose senders are all
-// idle has horizon Forever and runs to completion, and an entirely empty
-// shard costs nothing.
+// Idle shards cost nothing and hold nobody back: a shard with no events is
+// never started, and a busy one runs to completion beside it.
 func TestShardedIdleShardsDoNotBlock(t *testing.T) {
 	// Shards 1 and 2 get no events at all.
-	e := NewSharded(1, 3, time.Millisecond)
+	e := NewSharded(1, 3)
 	n := 0
 	s := e.Shard(0)
 	var tick func()
@@ -217,19 +266,19 @@ func TestShardedIdleShardsDoNotBlock(t *testing.T) {
 	if got := e.Run(); got != 1000 {
 		t.Fatalf("processed %d events, want 1000", got)
 	}
-	if e.Now() != 0 {
-		// Shard 0's clock advanced; Now() is the min over shards and the
-		// idle shards never moved, which is fine for Run semantics.
-		t.Logf("min clock after Run: %v", e.Now())
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending()=%d after Run", e.Pending())
+	// Run leaves clocks where their last event was: the idle shards never moved.
+	want := []Time{999 * time.Microsecond, 0, 0}
+	for i := 0; i < e.K(); i++ {
+		k := e.Shard(i).Kernel()
+		if k.Now() != want[i] || k.Pending() != 0 {
+			t.Fatalf("shard %d: clock %v, Pending()=%d after Run, want %v and 0", i, k.Now(), k.Pending(), want[i])
+		}
 	}
 }
 
 // RunUntil must align every shard clock even when a shard had no events.
 func TestShardedRunUntilAlignsClocks(t *testing.T) {
-	e := NewSharded(1, 4, time.Millisecond)
+	e := NewSharded(1, 4)
 	e.Shard(2).Kernel().At(3*time.Millisecond, func() {})
 	e.RunUntil(50 * time.Millisecond)
 	for i := 0; i < e.K(); i++ {
@@ -242,24 +291,41 @@ func TestShardedRunUntilAlignsClocks(t *testing.T) {
 	}
 }
 
-// The per-shard steady state must stay allocation-free: a Send into a
-// warmed inbox (retained flip-buffer capacity, pre-bound closure) and the
-// shard-local timer path allocate nothing.
+// Rounds counts the runs in which something executed, not the calls.
+func TestShardedRoundsCountRunsThatExecuted(t *testing.T) {
+	e := NewSharded(1, 4)
+	e.Run()
+	e.RunUntil(time.Millisecond)
+	if e.Rounds() != 0 {
+		t.Fatalf("Rounds()=%d after runs of an empty engine, want 0", e.Rounds())
+	}
+	e.Shard(1).Kernel().At(10*time.Millisecond, func() {})
+	e.Shard(3).Kernel().At(10*time.Millisecond, func() {})
+	if n := e.RunUntil(5 * time.Millisecond); n != 0 || e.Rounds() != 0 {
+		t.Fatalf("RunUntil short of every event: %d events, Rounds()=%d, want 0 and 0", n, e.Rounds())
+	}
+	if n := e.Run(); n != 2 || e.Rounds() != 1 {
+		t.Fatalf("Run over two busy shards: %d events, Rounds()=%d, want 2 and 1", n, e.Rounds())
+	}
+	e.Run()
+	if e.Rounds() != 1 {
+		t.Fatalf("Rounds()=%d after a run with nothing left, want 1", e.Rounds())
+	}
+}
+
+// The path of a find that touches one stack — an input sent across shards,
+// then a run in which that shard alone has work — allocates nothing and
+// starts no goroutine.
 func TestShardedSendZeroAlloc(t *testing.T) {
-	e := NewSharded(1, 2, time.Millisecond)
+	e := NewSharded(1, 2)
 	s := e.Shard(0)
 	fn := func() {}
-	// Warm: grow the inbox and the destination spare buffer once, then
-	// drain so capacity is retained.
-	for i := 0; i < 2048; i++ {
-		s.Send(1, Add(s.Kernel().Now(), time.Millisecond), fn)
+	cycle := func() {
+		s.Send(1, Add(e.Shard(1).Kernel().Now(), time.Millisecond), fn)
+		e.Run()
 	}
-	e.RunUntil(2 * time.Millisecond)
-	due := Add(s.Kernel().Now(), time.Millisecond)
-	allocs := testing.AllocsPerRun(1000, func() {
-		s.Send(1, due, fn)
-	})
-	if allocs != 0 {
-		t.Fatalf("cross-shard Send allocates %.1f/op in steady state, want 0", allocs)
+	cycle() // warm the destination kernel's arena
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("cross-shard Send plus a one-shard Run allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -86,9 +86,10 @@ func (c *Client) evaderMove(obj ObjectID, u geo.RegionID) {
 
 // evaderLeft is the GPS left input: the object left, so broadcast shrink.
 func (c *Client) evaderLeft(obj ObjectID, u geo.RegionID) {
-	c.evaderHere[obj] = false
+	delete(c.evaderHere, obj)
 	if t, ok := c.refresh[obj]; ok {
 		t.Clear()
+		delete(c.refresh, obj)
 	}
 	_ = c.sendLocal(KindShrink, bodyFor(obj))
 }

@@ -199,3 +199,41 @@ func TestMultiObjectHeartbeatHealsBoth(t *testing.T) {
 // vsaClientFor maps a region to its stationary client id (fixture
 // convention: client id == region id).
 func vsaClientFor(u geo.RegionID) vsa.ClientID { return vsa.ClientID(int(u)) }
+
+// A client forgets an object that left: N objects pass through one region
+// and out again, heartbeats on so each detection also armed a refresh
+// timer, and afterwards the region's client holds no entry for any of them.
+func TestClientForgetsObjectsThatLeft(t *testing.T) {
+	const n = 12
+	f := newFixture(t, fixtureConfig{side: 8, start: 63, alwaysUp: true, heartbeat: 8 * unit})
+	through, out := f.tiling.RegionAt(3, 3), f.tiling.RegionAt(4, 3)
+	c := f.net.Client(vsa.ClientID(int(through)))
+	evs := make([]*evader.Evader, n)
+	for i := range evs {
+		evs[i] = addSecondEvader(t, f, ObjectID(i+1), f.tiling.RegionAt(2, 3))
+	}
+	f.k.RunFor(50 * unit)
+	for _, ev := range evs {
+		if err := ev.MoveTo(through); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.k.RunFor(50 * unit)
+	if len(c.evaderHere) != n || len(c.refresh) != n {
+		t.Fatalf("with %d objects present: %d detections, %d refresh timers", n, len(c.evaderHere), len(c.refresh))
+	}
+	for _, ev := range evs {
+		if err := ev.MoveTo(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.k.RunFor(50 * unit)
+	if len(c.evaderHere) != 0 || len(c.refresh) != 0 {
+		t.Fatalf("after every object left: %d detections and %d refresh timers kept", len(c.evaderHere), len(c.refresh))
+	}
+	for i := range evs {
+		if c.ObjectHere(ObjectID(i + 1)) {
+			t.Errorf("ObjectHere(%d) still true after the object left", i+1)
+		}
+	}
+}
