@@ -74,11 +74,15 @@ chaos:
 	@echo "chaos: E11 deterministic and violation-free at both seeds"
 
 # Performance evidence: alternating parent/change pairs of the benchmark
-# (benchmark/README.md, "Paired runs"), read with -compare. The parent
-# revision is checked out as a git worktree under the gitignored
-# .bench_build/, each side builds and runs in its own tree (so neither reads
-# the other's files or build cache), seeds run 1…N with the side that goes
-# first alternating, and the runs land in .bench_build/pairs/{A,B}.jsonl.
+# (benchmark/README.md, "Paired runs"), read with -compare. PARENT is
+# resolved to a commit of this checkout; the checkout is cloned into the
+# gitignored .bench_build/pairs/parent and that commit checked out there (a
+# clone, not a worktree: the checkout's own .git is only read). The change
+# side is the working tree. Each side builds and runs in its own tree (so
+# neither reads the other's files or build cache), seeds run 1…N with the side
+# that goes first alternating, the runs land in .bench_build/pairs/{A,B}.jsonl,
+# and every run's last line, labelled "workload seed side", is kept in
+# .bench_build/pairs/runs.txt.
 # PARENT, N and W are knobs of this developer tool, not of the system:
 #	make pairs                          # HEAD~1 vs the working tree, 10 seeds, all four workloads
 #	make pairs PARENT=08cbe4f N=3 W=walk64
@@ -89,19 +93,22 @@ PAIRS := $(CURDIR)/.bench_build/pairs
 
 pairs:
 	mkdir -p $(PAIRS)
-	-git worktree remove --force $(PAIRS)/parent 2>/dev/null
-	git worktree add --detach $(PAIRS)/parent $(PARENT)
-	rm -f $(PAIRS)/A.jsonl $(PAIRS)/B.jsonl
+	rm -rf $(PAIRS)/parent $(PAIRS)/A.jsonl $(PAIRS)/B.jsonl $(PAIRS)/runs.txt
+	rev=$$(git rev-parse --verify '$(PARENT)^{commit}') && \
+		git clone -q --shared --no-checkout $(CURDIR) $(PAIRS)/parent && \
+		git -C $(PAIRS)/parent checkout -q --detach $$rev
 	set -e; for i in $$(seq 1 $(N)); do for w in $(W); do \
 		if [ $$((i % 2)) -eq 1 ]; then sides="parent change"; else sides="change parent"; fi; \
 		for side in $$sides; do \
 			if [ $$side = parent ]; then dir=$(PAIRS)/parent; out=$(PAIRS)/A.jsonl; else dir=$(CURDIR); out=$(PAIRS)/B.jsonl; fi; \
 			echo "== $$w seed $$i: $$side"; \
 			(cd $$dir && bash benchmark/run.sh --workload $$w --seed $$i -out $$out) > $(PAIRS)/last-run.txt; \
-			tail -n 1 $(PAIRS)/last-run.txt; \
+			line=$$(tail -n 1 $(PAIRS)/last-run.txt); \
+			echo "$$line"; \
+			echo "$$w $$i $$side $$line" >> $(PAIRS)/runs.txt; \
 		done; \
 	done; done
-	git worktree remove --force $(PAIRS)/parent
+	rm -rf $(PAIRS)/parent
 	$(GO) run ./benchmark -compare $(PAIRS)/A.jsonl $(PAIRS)/B.jsonl
 
 # Where the time and the memory go on one benchmark workload: the benchmark

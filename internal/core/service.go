@@ -169,8 +169,7 @@ type Service struct {
 	ev     *evader.Evader
 	plan   *chaos.Plan
 
-	founds  []tracker.FindResult
-	foundAt map[tracker.FindID]sim.Time
+	founds []tracker.FindResult
 }
 
 // New assembles and boots a tracking service: all substrate services are
@@ -275,10 +274,8 @@ func buildService(h *hier.Hierarchy, cfg Config, p buildParams) (*Service, error
 	}
 	s.cg = cg
 
-	s.foundAt = make(map[tracker.FindID]sim.Time)
 	netOpts := []tracker.Option{tracker.WithFoundCallback(func(r tracker.FindResult) {
 		s.founds = append(s.founds, r)
-		s.foundAt[r.ID] = s.kernel.Now()
 		if t0, ok := s.net.FindIssued(r.ID); ok {
 			s.ledger.RecordLatency("find", time.Duration(s.kernel.Now()-t0))
 		}
@@ -526,15 +523,12 @@ func (s *Service) FindStats(u geo.RegionID) (msgs, work int64, latency sim.Time,
 
 // FoundTime returns the virtual time of the found output for id, if it
 // has occurred.
-func (s *Service) FoundTime(id tracker.FindID) (sim.Time, bool) {
-	t, ok := s.foundAt[id]
-	return t, ok
-}
+func (s *Service) FoundTime(id tracker.FindID) (sim.Time, bool) { return s.net.FoundTime(id) }
 
 // foundTime returns the found-output time, defaulting to now (used right
 // after a settled find, where the output has necessarily occurred).
 func (s *Service) foundTime(id tracker.FindID) sim.Time {
-	if t, ok := s.foundAt[id]; ok {
+	if t, ok := s.net.FoundTime(id); ok {
 		return t
 	}
 	return s.kernel.Now()

@@ -99,3 +99,28 @@ func TestFindErrorsWithoutClients(t *testing.T) {
 		t.Fatal("find accepted at a clientless region")
 	}
 }
+
+// A found output for a find this network never issued is reported once and
+// remembered without claiming an input; issuing the id afterwards is allowed
+// once, and its own found output is then a duplicate.
+func TestFoundWithoutRecordStillDedups(t *testing.T) {
+	f := newFixture(t, fixtureConfig{side: 4, start: 0, alwaysUp: true})
+	f.settle()
+	const id = FindID(1 << 40)
+	for i := 0; i < 2; i++ {
+		f.net.reportFound(DefaultObject, FindPayload{ID: id, Origin: 3}, 0)
+	}
+	if _, issued := f.net.FindIssued(id); len(f.founds) != 1 || !f.net.FindDone(id) || issued {
+		t.Fatalf("stray found: %d outputs, done %v, issued %v; want 1, true, false", len(f.founds), f.net.FindDone(id), issued)
+	}
+	if err := f.net.FindObjectAs(id, 5, DefaultObject); err != nil {
+		t.Fatal(err)
+	}
+	f.settle()
+	if _, issued := f.net.FindIssued(id); len(f.founds) != 1 || !issued {
+		t.Fatalf("after issuing: %d outputs, issued %v; want 1, true", len(f.founds), issued)
+	}
+	if err := f.net.FindObjectAs(id, 5, DefaultObject); err == nil {
+		t.Fatal("a find id was issued twice")
+	}
+}

@@ -1,9 +1,7 @@
 package tracker
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 
 	"vinestalk/internal/cgcast"
@@ -14,7 +12,7 @@ import (
 // Bulk attach (§VII multiple objects at production fan-out).
 //
 // Sequentially attaching k objects runs k full grow cascades to the root —
-// k·O(height) protocol messages and k log n table inserts — even when many
+// k·O(height) protocol messages and table inserts — even when many
 // objects start in the same region and therefore build the *same* tracking
 // path. Theorem 4.9's independence property licenses a collapse: the
 // settled post-attach state of an object is a deterministic function of its
@@ -25,9 +23,9 @@ import (
 // attach targets by start region, runs the real grow cascade once per
 // distinct (region → root) path through the normal event machinery for one
 // leader object, and splices every other object of the group into the
-// leader's settled footprint: one binary-search-free sorted batch merge per
-// affected process table, client detection flags planted directly, and the
-// leader's ledger delta replayed ×(group−1) so per-message "proto/"
+// leader's settled footprint: one batch insert per affected process table,
+// client detection flags planted directly, and the leader's ledger delta
+// replayed ×(group−1) so per-message "proto/"
 // accounting stays identical to sequential attach. Under C-gcast batching
 // the wire frames are *not* multiplied — attach traffic scales with
 // distinct path edges, not with objects, which is the perf claim — while
@@ -57,7 +55,7 @@ const bulkSettleBudget = 20_000_000
 type spliceJob struct {
 	pr   *Process
 	tmpl objState   // a copy: the leader's row moves when later groups insert
-	objs []ObjectID // the group's followers, sorted ascending
+	objs []ObjectID // the group's followers
 }
 
 // AttachObjects starts tracking every object in specs in one bulk pass.
@@ -206,20 +204,16 @@ func (n *Network) AttachObjects(specs []AttachSpec) error {
 }
 
 // procSplice is every group's splice jobs for one process table, coalesced
-// so the table is merged exactly once however many groups touch it. The
-// per-process coalescing is what keeps the splice linear: an upper-level
-// process (the root above all) collects jobs from every group under it, and
-// merging those batches one group at a time would walk its growing table
-// once per group — Θ(objects × groups) pointer chases. One sorted merge of
-// the combined rows is Θ(objects) there, and the sorted-unique table it
-// produces is identical whatever order the rows arrived in.
+// so the table is sized exactly once however many groups touch it: an
+// upper-level process (the root above all) collects jobs from every group
+// under it, and growing its slab one group at a time would leave it up to a
+// quarter larger than its rows.
 type procSplice struct {
 	pr   *Process
 	jobs []spliceJob
 }
 
-// runSplices executes the queued batch merges, one combined merge per
-// process.
+// runSplices executes the queued splices, one combined batch per process.
 func (n *Network) runSplices(jobs []spliceJob) {
 	order := make(map[*Process]int)
 	var procs []procSplice
@@ -237,8 +231,8 @@ func (n *Network) runSplices(jobs []spliceJob) {
 	}
 }
 
-// run clones each job's leader vector once per follower and merges all the
-// rows into the process table in a single pass. The templates are settled —
+// run clones each job's leader vector once per follower and inserts all the
+// rows into the process table as one batch. The templates are settled —
 // no armed timers, no held finds (asserted at collection) — so a clone is
 // the template under the follower's id, exactly as a sequential attach
 // would have left it.
@@ -255,6 +249,5 @@ func (p procSplice) run() {
 			rows = append(rows, row)
 		}
 	}
-	slices.SortFunc(rows, func(a, b objState) int { return cmp.Compare(a.obj, b.obj) })
 	p.pr.objs.insertBatch(rows)
 }

@@ -16,11 +16,11 @@ import (
 // (part of the machine state), and timer deadlines are the recorded
 // absolute times.
 //
-// The layout is object-major and compact: the per-process object table is
-// already sorted, so encoding is a single linear pass, and the common case
-// (an on-path object with no armed timers and no pending finds) costs 21
-// bytes — unarmed timer slots and the empty pending set are elided behind
-// a flags byte.
+// The layout is object-major and compact: the per-process object table
+// yields its rows in ascending object order (sorting them on demand), and
+// the common case (an on-path object with no armed timers and no pending
+// finds) costs 21 bytes — unarmed timer slots and the empty pending set are
+// elided behind a flags byte.
 //
 // Layout (big-endian):
 //
@@ -72,7 +72,7 @@ func (a *Automaton) EncodeRegion(u geo.RegionID) []byte {
 		pr := d.byLevel[level]
 		buf = binary.BigEndian.AppendUint16(buf, uint16(level))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(pr.objs.len()))
-		// The table iterates in ascending object id: one pass, no sort.
+		// The table iterates in ascending object id.
 		pr.objs.each(func(st *objState) {
 			buf = binary.BigEndian.AppendUint32(buf, uint32(st.obj))
 			buf = binary.BigEndian.AppendUint32(buf, uint32(st.c))
@@ -266,6 +266,7 @@ func (a *Automaton) DecodeRegion(u geo.RegionID, state []byte) error {
 			return fmt.Errorf("tracker: region %v state claims %d objects with %d bytes left", u, numObjs, r.remaining())
 		}
 		dp := decodedProc{pr: pr}
+		dp.objs.reserve(numObjs)
 		prevObj := ObjectID(0)
 		for j := 0; j < numObjs && r.err == nil; j++ {
 			obj := ObjectID(r.u32())
@@ -313,8 +314,7 @@ func (a *Automaton) DecodeRegion(u geo.RegionID, state []byte) error {
 			if st.armed(timerGrowShrink) {
 				dp.armedMove++
 			}
-			// Strictly ascending objects are exactly the order push takes.
-			dp.objs.push(st, numObjs)
+			dp.objs.insert(st)
 		}
 		decoded = append(decoded, dp)
 	}

@@ -42,8 +42,8 @@ func liveObjects(a *Automaton) int {
 //
 // Such an input also never touches the table: it runs against a scratch row
 // that leave drops. The allocation pin proves it at processes where any
-// insert has to allocate — one with no table yet (an insert builds the first
-// page) and two whose single page is at capacity (an insert grows it).
+// insert has to allocate — one that never held a row (an insert builds its
+// slab and index) and two whose one-row slab is full (an insert grows it).
 func TestStaleEnvelopeDoesNotAllocateState(t *testing.T) {
 	f := newFixture(t, fixtureConfig{side: 4, start: 5, alwaysUp: true})
 	f.settle()
@@ -64,13 +64,13 @@ func TestStaleEnvelopeDoesNotAllocateState(t *testing.T) {
 	if offPath == nil || empty == nil {
 		t.Fatalf("no off-path level-1 process (%v) or no process without state (%v)", offPath, empty)
 	}
-	if empty.objs.pages != nil {
-		t.Fatalf("stateless process %v has pages", empty.Cluster())
+	if empty.objs.idx != nil || empty.objs.rows != nil {
+		t.Fatalf("stateless process %v has a slab or an index: %+v", empty.Cluster(), empty.objs)
 	}
 	onPath := f.net.Process(f.h.Cluster(f.ev.Region(), 1))
 	for _, pr := range []*Process{offPath, onPath} {
-		if pages := pr.objs.pages; len(pages) != 1 || cap(pages[0].rows) != 1 {
-			t.Fatalf("process %v does not hold one row in a full page: %+v", pr.Cluster(), pr.objs)
+		if rows := pr.objs.rows; len(rows) != 1 || cap(rows) != 1 {
+			t.Fatalf("process %v does not hold one row in a full slab: %+v", pr.Cluster(), pr.objs)
 		}
 	}
 

@@ -100,8 +100,7 @@ type Network struct {
 	// grow/shrink family: what MoveQuiescent waits for.
 	moveInflight int
 	findSeq      FindID
-	started      map[FindID]sim.Time
-	done         map[FindID]bool
+	finds        map[FindID]findRecord
 	onFound      func(FindResult)
 	evaderAt     map[ObjectID]func() geo.RegionID
 	tr           *trace.Tracer
@@ -212,8 +211,7 @@ func New(cg *cgcast.Service, geom hier.Geometry, opts ...Option) (*Network, erro
 		geom:       geom,
 		sched:      DefaultSchedule(geom, cg.Unit()),
 		clients:    make(map[vsa.ClientID]*Client),
-		started:    make(map[FindID]sim.Time),
-		done:       make(map[FindID]bool),
+		finds:      make(map[FindID]findRecord),
 		evaderAt:   make(map[ObjectID]func() geo.RegionID),
 		moveEpochs: make(map[ObjectID]uint64),
 	}
@@ -532,7 +530,8 @@ func (n *Network) FindObject(u geo.RegionID, obj ObjectID) (FindID, error) {
 // must be unused on this network; mixing FindObjectAs ids with FindObject
 // sequence ids on one network risks collisions and is rejected.
 func (n *Network) FindObjectAs(id FindID, u geo.RegionID, obj ObjectID) error {
-	if _, dup := n.started[id]; dup {
+	prev := n.record(id)
+	if prev.issued >= 0 {
 		return fmt.Errorf("tracker: find id %d already issued", id)
 	}
 	ids := n.cg.Layer().ClientsIn(u)
@@ -543,30 +542,59 @@ func (n *Network) FindObjectAs(id FindID, u geo.RegionID, obj ObjectID) error {
 	if !ok {
 		return fmt.Errorf("tracker: client %v not part of this network", ids[0])
 	}
-	n.started[id] = n.k.Now()
+	// A found output that arrived before the input still dedups.
+	n.finds[id] = findRecord{issued: n.k.Now(), found: prev.found}
 	if err := c.find(obj, FindPayload{ID: id, Origin: u}); err != nil {
-		delete(n.started, id)
+		if prev.found >= 0 {
+			n.finds[id] = prev
+		} else {
+			delete(n.finds, id)
+		}
 		return err
 	}
 	return nil
 }
 
+// findRecord is what the network keeps of one find for the rest of the run:
+// the virtual times of its input and of its first found output, each -1 if
+// it has not occurred on this network.
+type findRecord struct {
+	issued, found sim.Time
+}
+
+// record returns the find's record; a find the network has none of has
+// neither time.
+func (n *Network) record(id FindID) findRecord {
+	if rec, ok := n.finds[id]; ok {
+		return rec
+	}
+	return findRecord{issued: -1, found: -1}
+}
+
 // FindIssued returns the virtual time the find input occurred.
 func (n *Network) FindIssued(id FindID) (sim.Time, bool) {
-	t, ok := n.started[id]
-	return t, ok
+	rec := n.record(id)
+	return rec.issued, rec.issued >= 0
+}
+
+// FoundTime returns the virtual time of the find's first found output.
+func (n *Network) FoundTime(id FindID) (sim.Time, bool) {
+	rec := n.record(id)
+	return rec.found, rec.found >= 0
 }
 
 // FindDone reports whether a found output for the find has occurred.
-func (n *Network) FindDone(id FindID) bool { return n.done[id] }
+func (n *Network) FindDone(id FindID) bool { return n.record(id).found >= 0 }
 
 // reportFound deduplicates found outputs per find id (several clients in
 // the evader's region may output simultaneously) and invokes the callback.
 func (n *Network) reportFound(obj ObjectID, p FindPayload, at geo.RegionID) {
-	if n.done[p.ID] {
+	rec := n.record(p.ID)
+	if rec.found >= 0 {
 		return
 	}
-	n.done[p.ID] = true
+	rec.found = n.k.Now()
+	n.finds[p.ID] = rec
 	n.tr.Emit(trace.Event{
 		At: n.k.Now(), Kind: "found", Op: trace.OpFind(int64(p.ID)),
 		Obj: int32(obj), From: -1, To: -1, Region: int32(at), Level: -1,

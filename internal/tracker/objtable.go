@@ -1,73 +1,70 @@
 package tracker
 
-import "slices"
-
-// Page geometry of objTable. A page never holds more than objPageRows rows;
-// pages built in bulk from sorted input are cut at objPageFill so each has
-// room for inserts before its first split; two adjacent pages are merged
-// when together they fit in objPageMerge rows.
-const (
-	objPageRows  = 256
-	objPageFill  = objPageRows * 3 / 4
-	objPageMerge = objPageRows / 2
+import (
+	"math/bits"
+	"math/rand/v2"
+	"slices"
 )
 
-// objTable is the per-process object-state table: value rows sorted by
-// ObjectID in a two-level paged layout. first[i] is the smallest key of
-// pages[i]; a lookup binary-searches first and then the page's contiguous
-// keys, so it touches two small arrays and one row however many objects the
-// process tracks, and an insert or remove shifts at most one page. Rows and
-// keys are pointer-free, so the pages are never scanned by the collector.
+// objMix is the odd multiplier that scatters object ids over an index. It is
+// drawn once per process start, so ids a networked peer chooses cannot be
+// aimed at one probe run; no output depends on where a row is indexed.
+var objMix = rand.Uint64() | 1
+
+// objSlabMin is the slab capacity at or below which a table never compacts,
+// so a process whose rows come and go one at a time keeps its small arrays.
+const objSlabMin = 8
+
+// objTable is the per-process object-state table: pointer-free value rows in
+// an unordered slab, found through an open-addressed index.
 //
-// A *objState obtained from get or each points into a page and is valid
-// only until the next insert, remove or insertBatch on the table.
+// rows is the slab. A slot is live, or free and listed in free, which insert
+// reuses before it appends. idx is a linear-probing index of the live slots:
+// an entry holds slot+1 (0 marks it empty), and its length is a power of two
+// at least twice the slab's capacity, so it is never more than half full. A
+// remove closes its probe run by shifting later entries back, so no
+// tombstones build up. get, insert and remove therefore take O(1) expected
+// steps and move no row. Rows move only when the slab grows, and when a
+// table holding at most a quarter of its capacity compacts into half of it,
+// so the footprint follows the live row count. All three arrays are
+// pointer-free and never scanned by the collector.
+//
+// A *objState obtained from get or each points into the slab and is valid
+// only until the next insert, remove, reserve or insertBatch on the table.
 type objTable struct {
-	first []ObjectID
-	pages []objPage
+	rows  []objState
+	free  []int32
+	idx   []int32
+	shift uint8 // 64 − log2(len(idx)): the top bits of a mixed id are its home entry
 	n     int
 }
 
-// objPage is one run of consecutive rows; keys[i] == rows[i].obj. Both
-// slices share one capacity, which reserve doubles up to objPageRows.
-type objPage struct {
-	keys []ObjectID
-	rows []objState
+// home returns obj's first index entry.
+func (t *objTable) home(obj ObjectID) int {
+	h := uint64(uint32(obj)) * objMix
+	h ^= h >> 29
+	return int((h * 0xbf58476d1ce4e5b9) >> t.shift)
 }
 
-// lowerBound returns the first index whose key is >= obj.
-func lowerBound(keys []ObjectID, obj ObjectID) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] < obj {
-			lo = mid + 1
-		} else {
-			hi = mid
+// lookup returns the index entry holding obj and its slot, or the empty
+// entry that ends obj's probe run and -1. The index must not be nil.
+func (t *objTable) lookup(obj ObjectID) (pos int, slot int32) {
+	mask := len(t.idx) - 1
+	for pos = t.home(obj); ; pos = (pos + 1) & mask {
+		slot = t.idx[pos] - 1
+		if slot < 0 || t.rows[slot].obj == obj {
+			return pos, slot
 		}
 	}
-	return lo
-}
-
-// find locates obj: the page that holds it or would receive it, the row
-// index there, and whether it is present (never, in an empty table).
-func (t *objTable) find(obj ObjectID) (pi, ri int, ok bool) {
-	pi = lowerBound(t.first, obj)
-	if pi < len(t.first) && t.first[pi] == obj {
-		return pi, 0, true
-	}
-	if pi == 0 {
-		return 0, 0, false // below every key: would lead page 0
-	}
-	pi--
-	keys := t.pages[pi].keys
-	ri = lowerBound(keys, obj)
-	return pi, ri, ri < len(keys) && keys[ri] == obj
 }
 
 // get returns obj's row, or nil.
 func (t *objTable) get(obj ObjectID) *objState {
-	if pi, ri, ok := t.find(obj); ok {
-		return &t.pages[pi].rows[ri]
+	if t.n == 0 {
+		return nil
+	}
+	if _, s := t.lookup(obj); s >= 0 {
+		return &t.rows[s]
 	}
 	return nil
 }
@@ -78,163 +75,140 @@ func (t *objTable) len() int { return t.n }
 // each calls fn on every row in ascending object order. fn may modify the
 // row but not the table.
 func (t *objTable) each(fn func(*objState)) {
-	for pi := range t.pages {
-		rows := t.pages[pi].rows
-		for i := range rows {
-			fn(&rows[i])
+	for _, key := range t.sorted() {
+		fn(&t.rows[uint32(key)])
+	}
+}
+
+// sorted returns the live slots in ascending object order, each in the low
+// half of a key whose high half is its row's object id with the sign bit
+// flipped, so that sorting the keys as unsigned integers sorts the ids.
+func (t *objTable) sorted() []uint64 {
+	keys := make([]uint64, 0, t.n)
+	for _, e := range t.idx {
+		if e != 0 {
+			s := uint32(e - 1)
+			keys = append(keys, uint64(uint32(t.rows[s].obj)^1<<31)<<32|uint64(s))
 		}
 	}
+	slices.Sort(keys)
+	return keys
 }
 
-// reserve makes room for n rows in the page.
-func (pg *objPage) reserve(n int) {
-	c := cap(pg.keys)
-	if n <= c {
-		return
-	}
-	for c < n {
-		c = max(2*c, 4)
-	}
-	pg.realloc(min(c, objPageRows))
-}
-
-// realloc moves the page's rows into arrays of capacity c.
-func (pg *objPage) realloc(c int) {
-	pg.keys = append(make([]ObjectID, 0, c), pg.keys...)
-	pg.rows = append(make([]objState, 0, c), pg.rows...)
-}
-
-// insert adds a row at its sorted position. The object must be absent; a
-// second row for one object is a caller bug and panics.
+// insert adds a row. The object must be absent; a second row for one object
+// is a caller bug and panics.
 func (t *objTable) insert(row objState) {
-	t.n++
-	if len(t.pages) == 0 {
-		t.first = append(t.first, row.obj)
-		t.pages = append(t.pages, objPage{keys: []ObjectID{row.obj}, rows: []objState{row}})
-		return
-	}
-	pi, ri, ok := t.find(row.obj)
-	if ok {
+	t.reserve(t.n + 1)
+	pos, s := t.lookup(row.obj)
+	if s >= 0 {
 		panic("tracker: objTable.insert of an object already present")
 	}
-	if half := objPageRows / 2; len(t.pages[pi].keys) == objPageRows {
-		t.split(pi, half)
-		if ri > half {
-			pi, ri = pi+1, ri-half
-		}
+	if f := len(t.free); f > 0 {
+		s, t.free = t.free[f-1], t.free[:f-1]
+		t.rows[s] = row
+	} else {
+		s = int32(len(t.rows))
+		t.rows = append(t.rows, row)
 	}
-	pg := &t.pages[pi]
-	pg.reserve(len(pg.keys) + 1)
-	pg.keys = slices.Insert(pg.keys, ri, row.obj)
-	pg.rows = slices.Insert(pg.rows, ri, row)
-	if ri == 0 {
-		t.first[pi] = row.obj
-	}
-}
-
-// split moves the rows of page pi from index at on into a new page pi+1.
-func (t *objTable) split(pi, at int) {
-	pg := &t.pages[pi]
-	right := objPage{
-		keys: append(make([]ObjectID, 0, objPageRows), pg.keys[at:]...),
-		rows: append(make([]objState, 0, objPageRows), pg.rows[at:]...),
-	}
-	pg.keys, pg.rows = pg.keys[:at], pg.rows[:at]
-	t.first = slices.Insert(t.first, pi+1, right.keys[0])
-	t.pages = slices.Insert(t.pages, pi+1, right)
-}
-
-// remove drops obj's row, if present. A page left empty is dropped, one left
-// small is merged with a neighbour it fits with, and one left at a quarter
-// of its capacity gives half of it back, so a table's footprint follows its
-// current row count.
-func (t *objTable) remove(obj ObjectID) {
-	pi, ri, ok := t.find(obj)
-	if !ok {
-		return
-	}
-	t.n--
-	pg := &t.pages[pi]
-	pg.keys = slices.Delete(pg.keys, ri, ri+1)
-	pg.rows = slices.Delete(pg.rows, ri, ri+1)
-	n := len(pg.keys)
-	if n == 0 {
-		t.first = slices.Delete(t.first, pi, pi+1)
-		t.pages = slices.Delete(t.pages, pi, pi+1)
-		return
-	}
-	if ri == 0 {
-		t.first[pi] = pg.keys[0]
-	}
-	switch {
-	case pi+1 < len(t.pages) && n+len(t.pages[pi+1].keys) <= objPageMerge:
-		t.merge(pi)
-	case pi > 0 && len(t.pages[pi-1].keys)+n <= objPageMerge:
-		t.merge(pi - 1)
-	default:
-		if c := cap(pg.keys); c > 4 && n <= c/4 {
-			pg.realloc(c / 2)
-		}
-	}
-}
-
-// merge appends page pi+1 to page pi and drops it.
-func (t *objTable) merge(pi int) {
-	pg, next := &t.pages[pi], &t.pages[pi+1]
-	pg.reserve(len(pg.keys) + len(next.keys))
-	pg.keys = append(pg.keys, next.keys...)
-	pg.rows = append(pg.rows, next.rows...)
-	t.first = slices.Delete(t.first, pi+1, pi+2)
-	t.pages = slices.Delete(t.pages, pi+1, pi+2)
-}
-
-// push appends a row whose object is above every key in the table — the
-// bulk path for input that arrives sorted (DecodeRegion, insertBatch).
-// total is the number of rows the table will hold when the caller is done;
-// it sizes each new page exactly, cut at objPageFill. A row out of order is
-// a caller bug and panics.
-func (t *objTable) push(row objState, total int) {
-	last := len(t.pages) - 1
-	if last >= 0 {
-		if keys := t.pages[last].keys; keys[len(keys)-1] >= row.obj {
-			panic("tracker: objTable.push out of ascending order")
-		}
-	}
-	if last < 0 || len(t.pages[last].keys) == objPageFill {
-		c := max(min(total-t.n, objPageFill), 1)
-		t.first = append(t.first, row.obj)
-		t.pages = append(t.pages, objPage{keys: make([]ObjectID, 0, c), rows: make([]objState, 0, c)})
-		last++
-	}
-	pg := &t.pages[last]
-	pg.reserve(len(pg.keys) + 1)
-	pg.keys = append(pg.keys, row.obj)
-	pg.rows = append(pg.rows, row)
+	t.idx[pos] = s + 1
 	t.n++
 }
 
-// insertBatch merges rows — sorted ascending by obj, distinct, and all
-// absent from the table — by rebuilding the pages in one pass over both
-// inputs: O(n+k) row copies instead of k searches and page shifts. This is
-// the bulk-attach path; a duplicate object is a caller bug and panics.
-func (t *objTable) insertBatch(rows []objState) {
-	if len(rows) == 0 {
+// remove drops obj's row, if present, freeing its slot. A table left at a
+// quarter of a slab above objSlabMin compacts into half of it; a smaller one
+// keeps its arrays, even when empty.
+func (t *objTable) remove(obj ObjectID) {
+	if t.n == 0 {
 		return
 	}
-	total := t.n + len(rows)
-	var merged objTable
-	j := 0
-	t.each(func(st *objState) {
-		for ; j < len(rows) && rows[j].obj < st.obj; j++ {
-			merged.push(rows[j], total)
-		}
-		if j < len(rows) && rows[j].obj == st.obj {
-			panic("tracker: insertBatch object already present")
-		}
-		merged.push(*st, total)
-	})
-	for ; j < len(rows); j++ {
-		merged.push(rows[j], total)
+	pos, s := t.lookup(obj)
+	if s < 0 {
+		return
 	}
-	*t = merged
+	t.unlink(pos)
+	t.n--
+	if c := cap(t.rows); c > objSlabMin && t.n <= c/4 {
+		t.compact(c / 2)
+	} else {
+		t.free = append(t.free, s)
+	}
+}
+
+// unlink empties index entry pos and shifts the later entries of its probe
+// run back over the hole, so every remaining slot stays reachable from its
+// home entry.
+func (t *objTable) unlink(pos int) {
+	mask := len(t.idx) - 1
+	for next := (pos + 1) & mask; t.idx[next] != 0; next = (next + 1) & mask {
+		// The entry at next may fill the hole unless its home lies
+		// cyclically after the hole.
+		if home := t.home(t.rows[t.idx[next]-1].obj); (next-home)&mask >= (next-pos)&mask {
+			t.idx[pos] = t.idx[next]
+			pos = next
+		}
+	}
+	t.idx[pos] = 0
+}
+
+// idxSize is the index length for a slab of capacity c: the smallest power
+// of two at least 2c.
+func idxSize(c int) int { return 1 << bits.Len(uint(2*c-1)) }
+
+// reserve makes room for n rows: a slab of capacity n or more, grown by
+// append's amortized policy (to n itself when that at least doubles it), and
+// an index at most half full at that capacity.
+func (t *objTable) reserve(n int) {
+	if n <= cap(t.rows) {
+		return
+	}
+	t.rows = slices.Grow(t.rows, n-len(t.rows))
+	if size := idxSize(cap(t.rows)); size > len(t.idx) {
+		old := t.idx
+		t.reindex(size)
+		for _, e := range old {
+			if e != 0 {
+				t.link(e - 1)
+			}
+		}
+	}
+}
+
+// compact moves the live rows, in ascending object order, into a slab of
+// capacity c and indexes them afresh.
+func (t *objTable) compact(c int) {
+	rows := make([]objState, 0, c)
+	for _, key := range t.sorted() {
+		rows = append(rows, t.rows[uint32(key)])
+	}
+	t.rows, t.free = rows, nil
+	t.reindex(idxSize(c))
+	for s := range rows {
+		t.link(int32(s))
+	}
+}
+
+// reindex replaces the index by an empty one of size entries.
+func (t *objTable) reindex(size int) {
+	t.idx = make([]int32, size)
+	t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+}
+
+// link enters slot at the end of its row's probe run.
+func (t *objTable) link(slot int32) {
+	mask := len(t.idx) - 1
+	pos := t.home(t.rows[slot].obj)
+	for t.idx[pos] != 0 {
+		pos = (pos + 1) & mask
+	}
+	t.idx[pos] = slot + 1
+}
+
+// insertBatch adds rows — distinct, in any order, and all absent from the
+// table — after sizing the slab for them once. This is the bulk-attach path;
+// a duplicate object is a caller bug and panics.
+func (t *objTable) insertBatch(rows []objState) {
+	t.reserve(t.n + len(rows))
+	for _, row := range rows {
+		t.insert(row)
+	}
 }
