@@ -114,10 +114,15 @@ pairs:
 # Where the time and the memory go on one benchmark workload: the benchmark
 # program itself, unedited, under the profilers of `go test`. The non-test
 # files of benchmark/ are copied into the gitignored .bench_build/profile/
-# next to a generated test that calls the package's own run(args) — so the
-# test binary starts and flushes the profiles and no os.Exit cuts them off —
-# and the CPU profile's top 40 is printed; cpu.prof, mem.prof and the binary
-# stay there for `go tool pprof -list`, `-sample_index=alloc_space`, ….
+# next to a generated test (PROFILE_TEST below) that calls the package's own
+# run(args) — so the test binary starts and flushes the profiles and no
+# os.Exit cuts them off. While the run goes, the test reads the live heap
+# every 100 ms (runtime/metrics, no stop-the-world) and, whenever it passes
+# its previous peak by 5 %, rewrites heap.prof from the heap profile, so
+# heap.prof is the heap at its peak, not mem.prof's end-of-test garbage.
+# The CPU profile's top 40 is printed, then heap.prof's in-use top 20;
+# cpu.prof, heap.prof, mem.prof and the binary stay there for
+# `go tool pprof -list`, `-sample_index=alloc_space`, ….
 # W, SECONDS, SEED and ARGS are knobs of this developer tool, not of the system:
 #	make profile                                  # walk64, seed 1, 10 s
 #	make profile W=fanout128k SECONDS=6 SEED=3
@@ -128,18 +133,76 @@ SECONDS ?= 10
 SEED ?= 1
 ARGS ?=
 
+define PROFILE_TEST
+package main
+
+import (
+	"fmt"
+	"os"
+	"runtime/metrics"
+	"runtime/pprof"
+	"strings"
+	"testing"
+	"time"
+)
+
+func TestProfile(t *testing.T) {
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		watchHeap("heap.prof", stop)
+	}()
+	code := run(strings.Fields(os.Getenv("BENCH_ARGS")))
+	close(stop)
+	<-stopped
+	if code != 0 {
+		t.Fatalf("benchmark exited %d", code)
+	}
+}
+
+// watchHeap reads the live heap every 100 ms until stop closes, and rewrites
+// path from the heap profile whenever the live heap passes its previous peak
+// by 5 %.
+func watchHeap(path string, stop <-chan struct{}) {
+	live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	var peak uint64
+	tick := time.NewTicker(100 * time.Millisecond)
+	defer tick.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-tick.C:
+		}
+		metrics.Read(live)
+		if v := live[0].Value.Uint64(); v > 0 && v >= peak+peak/20 {
+			peak = v
+			f, err := os.Create(path)
+			if err == nil {
+				err = pprof.Lookup("heap").WriteTo(f, 0)
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+			}
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "heap profile:", err)
+			}
+		}
+	}
+}
+endef
+export PROFILE_TEST
+
 profile:
 	rm -rf $(PROFILE)
 	mkdir -p $(PROFILE)
 	cp $$(ls benchmark/*.go | grep -v _test.go) $(PROFILE)/
-	printf '%s\n' 'package main' '' 'import (' '	"os"' '	"strings"' '	"testing"' ')' '' \
-		'func TestProfile(t *testing.T) {' \
-		'	if code := run(strings.Fields(os.Getenv("BENCH_ARGS"))); code != 0 {' \
-		'		t.Fatalf("benchmark exited %d", code)' '	}' '}' > $(PROFILE)/profile_test.go
+	printf '%s\n' "$$PROFILE_TEST" > $(PROFILE)/profile_test.go
 	BENCH_ARGS="-workload $(W) -seconds $(SECONDS) -seed $(SEED) $(ARGS)" \
 		$(GO) test ./.bench_build/profile -run TestProfile -count=1 -timeout 30m \
 		-o $(PROFILE)/profile.test -cpuprofile $(PROFILE)/cpu.prof -memprofile $(PROFILE)/mem.prof
 	$(GO) tool pprof -top -nodecount=40 $(PROFILE)/profile.test $(PROFILE)/cpu.prof
+	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=20 $(PROFILE)/profile.test $(PROFILE)/heap.prof
 
 # Write the tables as CSV into ./results.
 experiments-csv:

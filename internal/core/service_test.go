@@ -489,3 +489,81 @@ func TestSettledPairsRetainLittleHeap(t *testing.T) {
 		t.Errorf("find %d, %d pairs ago: issued %v (%v), found %v (%v), done %v", first, warm+pairs, issued, iok, found, fok, svc.FindDone(first))
 	}
 }
+
+// A settled fan-out is pointer tuples: every row of every process table has
+// no armed timer and no held find, and is kept at that size. On a 16×16
+// batched service with 32 768 bulk-attached objects, each moved once to a
+// seeded neighbour, what the population retains per object is its rows at
+// every process on or beside its path, their index entries, its evader and
+// its detection and epoch entries (measured: 3 424 bytes per object; 4 314
+// while each row carried its four timer deadlines, ∞ or not).
+func TestSettledFanoutRetainsLittleHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("32 768 objects on a 16×16 grid")
+	}
+	const (
+		objects           = 32_768
+		maxBytesPerObject = 3_766 // the measured figure + 10 %
+		settledRowBytes   = 21    // id, four pointers and a zero flags byte
+	)
+	svc, err := New(Config{Width: 16, Seed: 5, AlwaysAliveVSAs: true, FormulaGeometry: true, BatchCgcast: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := liveHeap()
+	regions := svc.Tiling().NumRegions()
+	rng := rand.New(rand.NewSource(5))
+	placements := make([]ObjectPlacement, objects)
+	for i := range placements {
+		placements[i] = ObjectPlacement{Obj: tracker.ObjectID(i + 1), Start: geo.RegionID(rng.Intn(regions))}
+	}
+	evs, err := svc.AddObjects(placements)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range placements {
+		ev := evs[p.Obj]
+		nbrs := svc.Tiling().Neighbors(ev.Region())
+		if err := ev.MoveTo(nbrs[rng.Intn(len(nbrs))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	perObject := float64(liveHeap()-before) / objects
+	t.Logf("a settled fan-out retains %.1f bytes per object", perObject)
+	if perObject > maxBytesPerObject {
+		t.Errorf("a settled fan-out retains %.1f bytes per object, want at most %d", perObject, maxBytesPerObject)
+	}
+	// A region encodes its header, one header per hosted level and
+	// settledRowBytes per row exactly when no row holds a timer or a find.
+	levels, rows := make([]int, regions), make([]int, regions)
+	for c := 0; c < svc.Hierarchy().NumClusters(); c++ {
+		pr := svc.Network().Process(hier.ClusterID(c))
+		levels[pr.Region()]++
+		rows[pr.Region()] += pr.LiveObjects()
+	}
+	for u := 0; u < regions; u++ {
+		enc := svc.Network().Automaton().EncodeRegion(geo.RegionID(u))
+		if want := 4 + 6*levels[u] + settledRowBytes*rows[u]; len(enc) != want {
+			t.Errorf("region %d: %d rows encode to %d bytes, want %d: some row is not settled", u, rows[u], len(enc), want)
+		}
+		if n := svc.Network().ArmedWakeups(geo.RegionID(u)); n != 0 {
+			t.Errorf("region %d: %d host wakeups armed in a settled fan-out", u, n)
+		}
+	}
+	runtime.KeepAlive(evs)
+}

@@ -177,7 +177,7 @@ func (a *Automaton) TimerFire(u geo.RegionID, id vsa.TimerID, at sim.Time) {
 		return
 	}
 	st := pr.objs.get(obj)
-	if st == nil || st.timers[kind] != at {
+	if st == nil || pr.objs.deadline(st, kind) != at {
 		return
 	}
 	pr.fire(st, kind)

@@ -39,7 +39,7 @@ type emulHost struct {
 	k   *sim.Kernel
 	em  *emul.Emulator
 
-	timers hostTimers
+	wakeups hostTimers
 
 	// collecting, while non-nil, redirects host calls into the current
 	// Step's output list instead of executing them. Steps never nest (the
@@ -83,7 +83,7 @@ func newEmulHost(n *Network, a *Automaton, delta, tRestart sim.Time) *emulHost {
 	h := &emulHost{net: n, aut: a, k: n.k}
 	// A wakeup is routed through the emulator as a regular input, carrying
 	// the deadline it was armed for.
-	h.timers = newHostTimers(n.k, func(u geo.RegionID, id vsa.TimerID, at sim.Time) {
+	h.wakeups = newHostTimers(n.k, func(u geo.RegionID, id vsa.TimerID, at sim.Time) {
 		_ = h.em.Submit(u, emulTimerFire{U: u, ID: id, At: at})
 	})
 	h.em = emul.New(n.k, n.h.Tiling(), h, delta, tRestart,
@@ -107,7 +107,7 @@ func (h *emulHost) SetTimer(u geo.RegionID, id vsa.TimerID, at sim.Time) {
 		*h.collecting = append(*h.collecting, emul.Output{Msg: timerArmOut{U: u, ID: id, At: at}})
 		return
 	}
-	h.timers.arm(u, id, at)
+	h.wakeups.arm(u, id, at)
 }
 
 func (h *emulHost) ClearTimer(u geo.RegionID, id vsa.TimerID) {
@@ -115,7 +115,7 @@ func (h *emulHost) ClearTimer(u geo.RegionID, id vsa.TimerID) {
 		*h.collecting = append(*h.collecting, emul.Output{Msg: timerClearOut{U: u, ID: id}})
 		return
 	}
-	h.timers.disarm(u, id)
+	h.wakeups.disarm(u, id)
 }
 
 func (h *emulHost) Emit(u geo.RegionID, effect any) {
@@ -164,9 +164,9 @@ func (h *emulHost) Step(state []byte, in emul.Input) (next []byte, outputs []emu
 func (h *emulHost) applyOutput(u geo.RegionID, out emul.Output) {
 	switch m := out.Msg.(type) {
 	case timerArmOut:
-		h.timers.arm(m.U, m.ID, m.At)
+		h.wakeups.arm(m.U, m.ID, m.At)
 	case timerClearOut:
-		h.timers.disarm(m.U, m.ID)
+		h.wakeups.disarm(m.U, m.ID)
 	default:
 		h.net.execEffect(out.Msg)
 	}
@@ -181,12 +181,12 @@ func (h *emulHost) onRegionEvent(ev emul.RegionEvent) {
 	case emul.RegionFailed:
 		// The region's machine state died with its nodes: drop the shared
 		// instance's mirror and every pending host wakeup for the region.
-		h.timers.disarmRegion(ev.U)
+		h.wakeups.disarmRegion(ev.U)
 		h.aut.dropRegionState(ev.U)
 		detail = "state lost with emulating nodes"
 	case emul.RegionRestarted:
 		// Replicas restart from the initial state; mirror that.
-		h.timers.disarmRegion(ev.U)
+		h.wakeups.disarmRegion(ev.U)
 		h.aut.dropRegionState(ev.U)
 		detail = fmt.Sprintf("leader %v from initial state", ev.Leader)
 	case emul.LeaderChanged:

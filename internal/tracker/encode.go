@@ -19,8 +19,10 @@ import (
 // The layout is object-major and compact: the per-process object table
 // yields its rows in ascending object order (sorting them on demand), and
 // the common case (an on-path object with no armed timers and no pending
-// finds) costs 21 bytes — unarmed timer slots and the empty pending set are
-// elided behind a flags byte.
+// finds) costs 21 bytes — timer variables that read ∞ and the empty pending
+// set are elided behind a flags byte. Its timer bits are the row's own
+// (objState.tmask), and its deadlines are the row's slot in the table's
+// deadline slab, in bit order.
 //
 // Layout (big-endian):
 //
@@ -37,7 +39,8 @@ import (
 
 const regionStateVersion = 2
 
-// encFlag bits of the per-object flags byte.
+// encFlag bits of the per-object flags byte. Bits 0..3 are timerKind order,
+// the bits of objState.tmask.
 const (
 	encFlagTimer      = 1 << 0
 	encFlagNbrTimeout = 1 << 1
@@ -53,14 +56,12 @@ func (a *Automaton) EncodeRegion(u geo.RegionID) []byte {
 	if d == nil {
 		return nil
 	}
-	// Size the buffer once from the per-process counts: the floor per row,
-	// each armed grow/shrink timer and each held find. The other timers (a
-	// searching find's nbrtimeout, the heartbeat leases) are not counted
-	// per process; where armed, append grows the buffer.
+	// Size the buffer exactly from the per-process counts: the floor per
+	// row, each armed timer of any kind and each held find.
 	size := 4
 	for _, level := range d.levels {
 		pr := d.byLevel[level]
-		size += 6 + encObjMinSize*pr.objs.len() + 8*pr.armedMove
+		size += 6 + encObjMinSize*pr.objs.len() + 8*pr.objs.armed
 		for _, finds := range pr.pending {
 			size += 4 + encPendingSize*len(finds)
 		}
@@ -79,19 +80,14 @@ func (a *Automaton) EncodeRegion(u geo.RegionID) []byte {
 			buf = binary.BigEndian.AppendUint32(buf, uint32(st.p))
 			buf = binary.BigEndian.AppendUint32(buf, uint32(st.nbrptup))
 			buf = binary.BigEndian.AppendUint32(buf, uint32(st.nbrptdown))
-			var flags byte
-			for i, at := range st.timers {
-				if at != sim.Forever {
-					flags |= 1 << i
-				}
-			}
+			flags := st.tmask
 			if st.finding {
 				flags |= encFlagPending
 			}
 			buf = append(buf, flags)
-			for _, at := range st.timers {
-				if at != sim.Forever {
-					buf = binary.BigEndian.AppendUint64(buf, uint64(at))
+			for kind := timerKind(0); kind < numTimerKinds; kind++ {
+				if st.armed(kind) {
+					buf = binary.BigEndian.AppendUint64(buf, uint64(pr.objs.deadline(st, kind)))
 				}
 			}
 			if st.finding {
@@ -202,8 +198,8 @@ const (
 )
 
 // decodeArmedTimer reads one armed deadline. The encoder only writes
-// absolute times ≥ 0 and elides unarmed slots, so a negative deadline or a
-// written ∞ marks a corrupted, hostile or non-canonical frame.
+// absolute times ≥ 0 and elides the slots that read ∞, so a negative
+// deadline or a written ∞ marks a corrupted, hostile or non-canonical frame.
 func (r *decoder) decodeArmedTimer() sim.Time {
 	at := sim.Time(r.u64())
 	if r.err == nil && at < 0 {
@@ -283,9 +279,9 @@ func (a *Automaton) DecodeRegion(u geo.RegionID, state []byte) error {
 			if r.err == nil && flags&encFlagReserved != 0 {
 				return fmt.Errorf("tracker: region %v state object %d has reserved flag bits %#x", u, obj, flags)
 			}
-			for s := range st.timers {
-				if flags&(1<<s) != 0 {
-					st.timers[s] = r.decodeArmedTimer()
+			for kind := timerKind(0); kind < numTimerKinds; kind++ {
+				if flags&(1<<kind) != 0 {
+					dp.objs.setDeadline(&st, kind, r.decodeArmedTimer())
 				}
 			}
 			if flags&encFlagPending != 0 {

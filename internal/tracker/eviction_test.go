@@ -201,7 +201,7 @@ func TestChurnLeavesNoHostTimers(t *testing.T) {
 				now += 97 * unit
 				f.k.RunUntil(now)
 			}
-			if got, want := len(host.timers.armed), armedTimers(aut); got != want || (heartbeat == 0 && got != 0) {
+			if got, want := len(host.wakeups.armed), armedTimers(aut); got != want || (heartbeat == 0 && got != 0) {
 				t.Fatalf("heartbeat %v, %s: host table holds %d timers, machine state has %d armed", heartbeat, ctx, got, want)
 			}
 		}

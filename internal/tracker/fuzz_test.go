@@ -170,7 +170,7 @@ func TestEncodeRegionElidesQuiescentSlots(t *testing.T) {
 	fx.settle()
 	aut := fx.net.Automaton()
 	// The evader's region hosts a level-0 process with c = the cluster
-	// itself, unarmed timers, nothing pending after settle.
+	// itself, no armed timer, nothing pending after settle.
 	u := fx.ev.Region()
 	pr := aut.processAt(u, 0)
 	if pr == nil || pr.objs.len() == 0 {
@@ -189,5 +189,52 @@ func TestEncodeRegionElidesQuiescentSlots(t *testing.T) {
 	if got, want := len(aut.EncodeRegion(u)), 4+levels*(6+encObjMinSize); got != want {
 		t.Fatalf("settled region %v encodes to %d bytes, want %d (%d levels of one %d-byte row)",
 			u, got, want, levels, encObjMinSize)
+	}
+}
+
+// TestEncodeRegionSizesItsBufferExactly pins EncodeRegion's size estimate:
+// with heartbeats on, the rows of a tracking path hold leases, and a find
+// searching for an object held nowhere near holds a nbrtimeout and its
+// pending finds, yet every region's encoding fills the buffer it was
+// allocated, with no append growing it. The check runs after every kernel
+// event of the find, and must meet at least one region whose rows hold all
+// three at once.
+func TestEncodeRegionSizesItsBufferExactly(t *testing.T) {
+	f := newFixture(t, fixtureConfig{side: 8, start: 0, alwaysUp: true, heartbeat: 8 * unit})
+	const far = ObjectID(7)
+	addSecondEvader(t, f, far, geo.RegionID(63))
+	f.k.RunUntil(40 * unit)
+	aut := f.net.Automaton()
+	busy := 0
+	check := func() {
+		t.Helper()
+		for u := range aut.regions {
+			enc := aut.EncodeRegion(geo.RegionID(u))
+			if cap(enc) != len(enc) {
+				t.Fatalf("at %v region %d encodes %d bytes into a buffer of %d", f.k.Now(), u, len(enc), cap(enc))
+			}
+			leased, searching := false, false
+			for _, level := range aut.regions[u].levels {
+				aut.regions[u].byLevel[level].objs.each(func(st *objState) {
+					leased = leased || st.armed(timerLease)
+					searching = searching || (st.finding && st.armed(timerNbrTimeout))
+				})
+			}
+			if leased && searching {
+				busy++
+			}
+		}
+	}
+	if _, err := f.net.FindObject(0, far); err != nil {
+		t.Fatal(err)
+	}
+	for steps := 0; len(f.founds) == 0; steps++ {
+		if steps == 100_000 || !f.k.Step() {
+			t.Fatalf("find not answered after %d events", steps)
+		}
+		check()
+	}
+	if busy == 0 {
+		t.Fatal("no region held a lease, a nbrtimeout and a pending find at once; the check proves nothing")
 	}
 }

@@ -298,9 +298,9 @@ func (n *Network) Emulator() *emul.Emulator {
 // state) holds none.
 func (n *Network) ArmedWakeups(u geo.RegionID) int {
 	if n.emulHost != nil {
-		return n.emulHost.timers.armedIn(u)
+		return n.emulHost.wakeups.armedIn(u)
 	}
-	return n.aut.host.(*oracleHost).timers.armedIn(u)
+	return n.aut.host.(*oracleHost).wakeups.armedIn(u)
 }
 
 // Process returns the (primary) Tracker process for a cluster.

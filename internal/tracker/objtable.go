@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"slices"
+
+	"vinestalk/internal/sim"
 )
 
 // objMix is the odd multiplier that scatters object ids over an index. It is
@@ -13,10 +15,12 @@ var objMix = rand.Uint64() | 1
 
 // objSlabMin is the slab capacity at or below which a table never compacts,
 // so a process whose rows come and go one at a time keeps its small arrays.
+// It also caps the deadline slab a table keeps while no row is armed.
 const objSlabMin = 8
 
 // objTable is the per-process object-state table: pointer-free value rows in
-// an unordered slab, found through an open-addressed index.
+// an unordered slab, found through an open-addressed index, and the finite
+// timer deadlines of its armed rows in a second slab.
 //
 // rows is the slab. A slot is live, or free and listed in free, which insert
 // reuses before it appends. idx is a linear-probing index of the live slots:
@@ -26,8 +30,18 @@ const objSlabMin = 8
 // tombstones build up. get, insert and remove therefore take O(1) expected
 // steps and move no row. Rows move only when the slab grows, and when a
 // table holding at most a quarter of its capacity compacts into half of it,
-// so the footprint follows the live row count. All three arrays are
-// pointer-free and never scanned by the collector.
+// so the footprint follows the live row count.
+//
+// deadlines holds the timer variables of the rows with at least one finite
+// deadline, one slot per such row (objState.dl); a slot is in use, or free
+// and listed in dlFree. Only setDeadline takes and gives back slots, for
+// any row — a scratch row of an action in progress included, before leave
+// inserts it — and it moves no row, so none moves on an arm or a clear.
+// When the last armed row clears, the slab starts afresh, keeping at most
+// objSlabMin slots. armed counts the finite deadlines (every row's tmask
+// bits).
+//
+// All five arrays are pointer-free and never scanned by the collector.
 //
 // A *objState obtained from get or each points into the slab and is valid
 // only until the next insert, remove, reserve or insertBatch on the table.
@@ -37,6 +51,10 @@ type objTable struct {
 	idx   []int32
 	shift uint8 // 64 − log2(len(idx)): the top bits of a mixed id are its home entry
 	n     int
+
+	deadlines [][numTimerKinds]sim.Time
+	dlFree    []int32
+	armed     int
 }
 
 // home returns obj's first index entry.
@@ -211,4 +229,58 @@ func (t *objTable) insertBatch(rows []objState) {
 	for _, row := range rows {
 		t.insert(row)
 	}
+}
+
+// deadline returns a timer variable of st, a row of this table or a scratch
+// row of an action on it: its finite deadline, or ∞.
+func (t *objTable) deadline(st *objState, kind timerKind) sim.Time {
+	if !st.armed(kind) {
+		return sim.Forever
+	}
+	return t.deadlines[st.dl][kind]
+}
+
+// setDeadline writes a timer variable of st — a finite deadline, or ∞ to
+// clear it. The row takes a deadline slot when its first variable is armed
+// and gives it back when its last is cleared.
+func (t *objTable) setDeadline(st *objState, kind timerKind, at sim.Time) {
+	bit := uint8(1) << kind
+	if at == sim.Forever {
+		if st.tmask&bit == 0 {
+			return
+		}
+		st.tmask &^= bit
+		t.armed--
+		if st.tmask == 0 {
+			t.freeDeadlines(st.dl)
+		}
+		return
+	}
+	if st.tmask == 0 {
+		if f := len(t.dlFree); f > 0 {
+			st.dl, t.dlFree = t.dlFree[f-1], t.dlFree[:f-1]
+		} else {
+			st.dl = int32(len(t.deadlines))
+			t.deadlines = append(t.deadlines, [numTimerKinds]sim.Time{})
+		}
+	}
+	if st.tmask&bit == 0 {
+		st.tmask |= bit
+		t.armed++
+	}
+	t.deadlines[st.dl][kind] = at
+}
+
+// freeDeadlines gives deadline slot s back. The last slot in use empties
+// the slab: one above objSlabMin is dropped, a smaller one kept for reuse.
+func (t *objTable) freeDeadlines(s int32) {
+	if len(t.dlFree)+1 < len(t.deadlines) {
+		t.dlFree = append(t.dlFree, s)
+		return
+	}
+	if cap(t.deadlines) > objSlabMin {
+		t.deadlines, t.dlFree = nil, nil
+		return
+	}
+	t.deadlines, t.dlFree = t.deadlines[:0], t.dlFree[:0]
 }

@@ -1,12 +1,51 @@
 package tracker
 
-import "slices"
+import (
+	"slices"
+
+	"vinestalk/internal/hier"
+	"vinestalk/internal/sim"
+)
 
 // pagedTable is the object table as it was before the slab — value rows
 // sorted by ObjectID in a two-level paged layout, found by two binary
 // searches and shifted on every insert and remove — kept as the reference
-// model the slab is checked against. Apart from the type's name it is the
-// retired objtable.go verbatim.
+// model the slab is checked against. Apart from the names of the type and
+// of its row it is the retired objtable.go verbatim.
+
+// modelRow is the row the model holds: the state vector as it was before
+// the deadline slab, with the four timer variables inline and ∞ where
+// unset.
+type modelRow struct {
+	obj ObjectID
+
+	c         hier.ClusterID
+	p         hier.ClusterID
+	nbrptup   hier.ClusterID
+	nbrptdown hier.ClusterID
+
+	finding bool
+
+	deadlines [numTimerKinds]sim.Time
+}
+
+// newModelRow returns the initial (quiescent) model row for obj.
+func newModelRow(obj ObjectID) modelRow {
+	return modelRow{
+		obj: obj, c: hier.NoCluster, p: hier.NoCluster, nbrptup: hier.NoCluster, nbrptdown: hier.NoCluster,
+		deadlines: [numTimerKinds]sim.Time{sim.Forever, sim.Forever, sim.Forever, sim.Forever},
+	}
+}
+
+// modelOf returns a table row, with its deadlines read through the table, as
+// the model holds it.
+func modelOf(t *objTable, st *objState) modelRow {
+	m := modelRow{obj: st.obj, c: st.c, p: st.p, nbrptup: st.nbrptup, nbrptdown: st.nbrptdown, finding: st.finding}
+	for kind := timerKind(0); kind < numTimerKinds; kind++ {
+		m.deadlines[kind] = t.deadline(st, kind)
+	}
+	return m
+}
 
 // Page geometry of pagedTable. A page never holds more than objPageRows rows;
 // pages built in bulk from sorted input are cut at objPageFill so each has
@@ -25,7 +64,7 @@ const (
 // process tracks, and an insert or remove shifts at most one page. Rows and
 // keys are pointer-free, so the pages are never scanned by the collector.
 //
-// A *objState obtained from get or each points into a page and is valid
+// A *modelRow obtained from get or each points into a page and is valid
 // only until the next insert, remove or insertBatch on the table.
 type pagedTable struct {
 	first []ObjectID
@@ -37,7 +76,7 @@ type pagedTable struct {
 // slices share one capacity, which reserve doubles up to objPageRows.
 type objPage struct {
 	keys []ObjectID
-	rows []objState
+	rows []modelRow
 }
 
 // lowerBound returns the first index whose key is >= obj.
@@ -71,7 +110,7 @@ func (t *pagedTable) find(obj ObjectID) (pi, ri int, ok bool) {
 }
 
 // get returns obj's row, or nil.
-func (t *pagedTable) get(obj ObjectID) *objState {
+func (t *pagedTable) get(obj ObjectID) *modelRow {
 	if pi, ri, ok := t.find(obj); ok {
 		return &t.pages[pi].rows[ri]
 	}
@@ -83,7 +122,7 @@ func (t *pagedTable) len() int { return t.n }
 
 // each calls fn on every row in ascending object order. fn may modify the
 // row but not the table.
-func (t *pagedTable) each(fn func(*objState)) {
+func (t *pagedTable) each(fn func(*modelRow)) {
 	for pi := range t.pages {
 		rows := t.pages[pi].rows
 		for i := range rows {
@@ -107,16 +146,16 @@ func (pg *objPage) reserve(n int) {
 // realloc moves the page's rows into arrays of capacity c.
 func (pg *objPage) realloc(c int) {
 	pg.keys = append(make([]ObjectID, 0, c), pg.keys...)
-	pg.rows = append(make([]objState, 0, c), pg.rows...)
+	pg.rows = append(make([]modelRow, 0, c), pg.rows...)
 }
 
 // insert adds a row at its sorted position. The object must be absent; a
 // second row for one object is a caller bug and panics.
-func (t *pagedTable) insert(row objState) {
+func (t *pagedTable) insert(row modelRow) {
 	t.n++
 	if len(t.pages) == 0 {
 		t.first = append(t.first, row.obj)
-		t.pages = append(t.pages, objPage{keys: []ObjectID{row.obj}, rows: []objState{row}})
+		t.pages = append(t.pages, objPage{keys: []ObjectID{row.obj}, rows: []modelRow{row}})
 		return
 	}
 	pi, ri, ok := t.find(row.obj)
@@ -143,7 +182,7 @@ func (t *pagedTable) split(pi, at int) {
 	pg := &t.pages[pi]
 	right := objPage{
 		keys: append(make([]ObjectID, 0, objPageRows), pg.keys[at:]...),
-		rows: append(make([]objState, 0, objPageRows), pg.rows[at:]...),
+		rows: append(make([]modelRow, 0, objPageRows), pg.rows[at:]...),
 	}
 	pg.keys, pg.rows = pg.keys[:at], pg.rows[:at]
 	t.first = slices.Insert(t.first, pi+1, right.keys[0])
@@ -199,7 +238,7 @@ func (t *pagedTable) merge(pi int) {
 // total is the number of rows the table will hold when the caller is done;
 // it sizes each new page exactly, cut at objPageFill. A row out of order is
 // a caller bug and panics.
-func (t *pagedTable) push(row objState, total int) {
+func (t *pagedTable) push(row modelRow, total int) {
 	last := len(t.pages) - 1
 	if last >= 0 {
 		if keys := t.pages[last].keys; keys[len(keys)-1] >= row.obj {
@@ -209,7 +248,7 @@ func (t *pagedTable) push(row objState, total int) {
 	if last < 0 || len(t.pages[last].keys) == objPageFill {
 		c := max(min(total-t.n, objPageFill), 1)
 		t.first = append(t.first, row.obj)
-		t.pages = append(t.pages, objPage{keys: make([]ObjectID, 0, c), rows: make([]objState, 0, c)})
+		t.pages = append(t.pages, objPage{keys: make([]ObjectID, 0, c), rows: make([]modelRow, 0, c)})
 		last++
 	}
 	pg := &t.pages[last]
@@ -223,14 +262,14 @@ func (t *pagedTable) push(row objState, total int) {
 // absent from the table — by rebuilding the pages in one pass over both
 // inputs: O(n+k) row copies instead of k searches and page shifts. This is
 // the bulk-attach path; a duplicate object is a caller bug and panics.
-func (t *pagedTable) insertBatch(rows []objState) {
+func (t *pagedTable) insertBatch(rows []modelRow) {
 	if len(rows) == 0 {
 		return
 	}
 	total := t.n + len(rows)
 	var merged pagedTable
 	j := 0
-	t.each(func(st *objState) {
+	t.each(func(st *modelRow) {
 		for ; j < len(rows) && rows[j].obj < st.obj; j++ {
 			merged.push(rows[j], total)
 		}

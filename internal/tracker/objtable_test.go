@@ -9,29 +9,28 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"vinestalk/internal/hier"
+	"vinestalk/internal/sim"
 )
-
-// rowsOf returns a table's rows in the order each yields them.
-func rowsOf(each func(func(*objState))) []objState {
-	var rows []objState
-	each(func(st *objState) { rows = append(rows, *st) })
-	return rows
-}
 
 // checkObjTable compares the table with the paged reference model and with a
 // map (object → the c value its row was stored with), and checks the slab
-// invariants: each yields the model's rows in the model's order, which is
-// ascending; the index is a power of two at least twice the slab's capacity;
-// every live slot is indexed once and reachable from its home entry without
-// crossing an empty one; the free slots are exactly the unindexed ones.
+// invariants: each yields the model's rows, every deadline read through the
+// table, in the model's order, which is ascending; the index is a power of
+// two at least twice the slab's capacity; every live slot is indexed once and
+// reachable from its home entry without crossing an empty one; the free
+// slots are exactly the unindexed ones. It then checks the deadline slab
+// (checkDeadlines).
 func checkObjTable(t *testing.T, step int, tab *objTable, model *pagedTable, ref map[ObjectID]hier.ClusterID) {
 	t.Helper()
 	if tab.len() != len(ref) || model.len() != len(ref) {
 		t.Fatalf("step %d: len() = %d, model %d, reference %d", step, tab.len(), model.len(), len(ref))
 	}
-	got, want := rowsOf(tab.each), rowsOf(model.each)
+	var got, want []modelRow
+	tab.each(func(st *objState) { got = append(got, modelOf(tab, st)) })
+	model.each(func(m *modelRow) { want = append(want, *m) })
 	if !slices.Equal(got, want) {
 		t.Fatalf("step %d: each yields %v,\nmodel %v", step, got, want)
 	}
@@ -75,11 +74,66 @@ func checkObjTable(t *testing.T, step int, tab *objTable, model *pagedTable, ref
 	if i := slices.Index(indexed, false); i >= 0 {
 		t.Fatalf("step %d: slot %d is neither indexed nor free", step, i)
 	}
+	checkDeadlines(t, step, tab)
+}
+
+// checkDeadlines checks the deadline slab's accounting when no scratch row
+// is out: each row with a finite deadline holds its own slot in range, the
+// slots in use are exactly those rows' slots, the free list holds each other
+// slot once, armed is the number of tmask bits set, no bit above the timer
+// kinds is set, and a table with no armed row keeps at most objSlabMin slots.
+func checkDeadlines(t *testing.T, step int, tab *objTable) {
+	t.Helper()
+	owner := make(map[int32]ObjectID)
+	armed := 0
+	for _, e := range tab.idx {
+		if e == 0 {
+			continue
+		}
+		st := &tab.rows[e-1]
+		if st.tmask>>numTimerKinds != 0 {
+			t.Fatalf("step %d: object %d has timer bits %#b", step, st.obj, st.tmask)
+		}
+		if st.tmask == 0 {
+			continue
+		}
+		armed += bits.OnesCount8(st.tmask)
+		if st.dl < 0 || int(st.dl) >= len(tab.deadlines) {
+			t.Fatalf("step %d: object %d holds deadline slot %d of %d", step, st.obj, st.dl, len(tab.deadlines))
+		}
+		if o, dup := owner[st.dl]; dup {
+			t.Fatalf("step %d: objects %d and %d share deadline slot %d", step, o, st.obj, st.dl)
+		}
+		owner[st.dl] = st.obj
+	}
+	if armed != tab.armed {
+		t.Fatalf("step %d: %d deadlines armed, the table counts %d", step, armed, tab.armed)
+	}
+	if inUse := len(tab.deadlines) - len(tab.dlFree); inUse != len(owner) {
+		t.Fatalf("step %d: %d deadline slots in use (%d, %d free) for %d armed rows", step, inUse, len(tab.deadlines), len(tab.dlFree), len(owner))
+	}
+	freed := make(map[int32]bool)
+	for _, s := range tab.dlFree {
+		if s < 0 || int(s) >= len(tab.deadlines) || freed[s] {
+			t.Fatalf("step %d: deadline free list %v of %d slots is out of range or repeats %d", step, tab.dlFree, len(tab.deadlines), s)
+		}
+		if o, live := owner[s]; live {
+			t.Fatalf("step %d: deadline free list holds slot %d of object %d", step, s, o)
+		}
+		freed[s] = true
+	}
+	if len(owner) == 0 && cap(tab.deadlines) > objSlabMin {
+		t.Fatalf("step %d: no row armed, yet the deadline slab keeps %d slots", step, cap(tab.deadlines))
+	}
 }
 
 // TestObjTableMatchesReference drives random insert / remove / get /
-// insertBatch, and writes through get's pointer, against the paged table the
-// slab replaced and a map, checking every invariant as it goes. The key space
+// insertBatch, writes through get's pointer, and timer arms, clears and
+// re-arms, against the paged table the slab replaced (whose rows keep the
+// four deadlines inline) and a map, checking every invariant as it goes. The
+// timer writes land on held rows and on scratch rows, the rows an action runs
+// against before leave inserts them, or drops them once their timers are
+// clear again; some arm a timer and clear it within one action. The key space
 // includes object 0 and both ends of the id range; a round fills the table,
 // drains it to a quarter (compacting it on the way) and then to empty, and
 // the second round refills it.
@@ -100,15 +154,41 @@ func TestObjTableMatchesReference(t *testing.T) {
 			}
 			return ObjectID(rng.Intn(span) - span/2)
 		}
-		row := func(obj ObjectID) objState {
-			st := newObjState(obj)
+		// row returns a new row for obj and the model's copy, with a random c.
+		row := func(obj ObjectID) (objState, modelRow) {
+			st, m := newObjState(obj), newModelRow(obj)
 			st.c = hier.ClusterID(rng.Intn(1 << 20))
-			ref[obj] = st.c
-			return st
+			m.c, ref[obj] = st.c, st.c
+			return st, m
 		}
-		compacted := 0
+		// timers runs the timer writes of one action on a row and its model.
+		timers := func(st *objState, m *modelRow) {
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				kind, at := timerKind(rng.Intn(int(numTimerKinds))), sim.Forever
+				if rng.Intn(3) > 0 {
+					at = sim.Time(rng.Int63n(1 << 40))
+				}
+				tab.setDeadline(st, kind, at)
+				m.deadlines[kind] = at
+			}
+			if rng.Intn(4) == 0 {
+				kind := timerKind(rng.Intn(int(numTimerKinds)))
+				tab.setDeadline(st, kind, sim.Time(rng.Int63n(1<<40)))
+				tab.setDeadline(st, kind, sim.Forever)
+				m.deadlines[kind] = sim.Forever
+			}
+		}
+		clearTimers := func(st *objState) {
+			for kind := timerKind(0); kind < numTimerKinds; kind++ {
+				tab.setDeadline(st, kind, sim.Forever)
+			}
+		}
+		compacted, peak := 0, 0
 		remove := func(obj ObjectID) {
 			before := cap(tab.rows)
+			if st := tab.get(obj); st != nil {
+				clearTimers(st) // a row leaves the table only once quiescent
+			}
 			tab.remove(obj) // an absent object too: a no-op
 			model.remove(obj)
 			delete(ref, obj)
@@ -127,11 +207,13 @@ func TestObjTableMatchesReference(t *testing.T) {
 				switch {
 				case (st != nil) != held || (mst != nil) != held:
 					t.Fatalf("step %d: get(%d) = %v, model %v, reference holds it: %v", step, obj, st, mst, held)
-				case held && (*st != *mst || st.obj != obj || st.c != ref[obj]):
-					t.Fatalf("step %d: get(%d) returned %+v, model %+v, reference c=%v", step, obj, *st, *mst, ref[obj])
+				case held && (modelOf(&tab, st) != *mst || st.obj != obj || st.c != ref[obj]):
+					t.Fatalf("step %d: get(%d) returned %+v, model %+v, reference c=%v", step, obj, modelOf(&tab, st), *mst, ref[obj])
 				case held && rng.Intn(8) == 0:
 					c := hier.ClusterID(rng.Intn(1 << 20))
 					st.c, mst.c, ref[obj] = c, c, c
+				case held && rng.Intn(3) == 0:
+					timers(st, mst)
 				}
 				grow := 3
 				if step >= steps/2 {
@@ -139,24 +221,38 @@ func TestObjTableMatchesReference(t *testing.T) {
 				}
 				switch fill := rng.Intn(4) < grow; {
 				case !held && fill:
-					r := row(obj)
+					r, m := row(obj)
+					if rng.Intn(2) == 0 {
+						timers(&r, &m) // on the scratch row, before leave inserts it
+					}
 					tab.insert(r)
-					model.insert(r)
+					model.insert(m)
 				case !fill:
+					if !held {
+						// An action that leaves its scratch row quiescent:
+						// what it armed it cleared again, and the row is
+						// dropped.
+						scratch, m := newObjState(obj), newModelRow(obj)
+						timers(&scratch, &m)
+						clearTimers(&scratch)
+					}
 					remove(obj)
 				}
+				peak = max(peak, len(tab.deadlines)-len(tab.dlFree))
 				if step%(1+steps/40) == 0 {
 					var batch []objState
+					var mbatch []modelRow
 					for n := rng.Intn(512); n > 0; n-- {
 						if obj := randObj(); !slices.ContainsFunc(batch, func(st objState) bool { return st.obj == obj }) {
 							if _, held := ref[obj]; !held {
-								batch = append(batch, row(obj))
+								r, m := row(obj)
+								batch, mbatch = append(batch, r), append(mbatch, m)
 							}
 						}
 					}
 					tab.insertBatch(batch) // in arrival order
-					slices.SortFunc(batch, func(a, b objState) int { return cmp.Compare(a.obj, b.obj) })
-					model.insertBatch(batch)
+					slices.SortFunc(mbatch, func(a, b modelRow) int { return cmp.Compare(a.obj, b.obj) })
+					model.insertBatch(mbatch)
 					checkObjTable(t, step, &tab, &model, ref)
 				} else if step == steps/2 || step == steps-1 {
 					checkObjTable(t, step, &tab, &model, ref)
@@ -172,6 +268,9 @@ func TestObjTableMatchesReference(t *testing.T) {
 		}
 		if span > 40 && compacted == 0 {
 			t.Fatalf("span %d: no remove compacted the slab", span)
+		}
+		if span > 40 && peak <= 4*objSlabMin {
+			t.Fatalf("span %d: at most %d rows armed at once; the deadline slab was never exercised", span, peak)
 		}
 	}
 }
@@ -192,7 +291,7 @@ func TestObjTableReserveSizesTheSlabOnce(t *testing.T) {
 	for _, i := range rand.New(rand.NewSource(1)).Perm(total) {
 		obj := ObjectID(2*i - total)
 		tab.insert(newObjState(obj))
-		model.insert(newObjState(obj))
+		model.insert(newModelRow(obj))
 		ref[obj] = hier.NoCluster
 		if first == nil {
 			first = &tab.rows[0]
@@ -204,7 +303,7 @@ func TestObjTableReserveSizesTheSlabOnce(t *testing.T) {
 	for i := 0; i < total; i++ {
 		obj := ObjectID(2*i - total + 1)
 		tab.insert(newObjState(obj))
-		model.insert(newObjState(obj))
+		model.insert(newModelRow(obj))
 		ref[obj] = hier.NoCluster
 	}
 	checkObjTable(t, 1, &tab, &model, ref)
@@ -289,19 +388,95 @@ func TestObjTableSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestObjStateIsPointerFree pins what makes the slab, its index and its free
-// list invisible to the collector and rows movable: no pointer, slice, map or
-// interface in a row or an entry.
+// Arming and clearing timers allocates nothing once the deadline slab is
+// warm: on the big table, cycles of 32 rows armed then cleared while a
+// standing set of rows keeps a lease armed throughout, then cycles of
+// objSlabMin rows with nothing else armed, which the slab keeps however
+// often it empties; and the lone object's table, which goes from no row to
+// one with its grow timer armed and back on every move.
+func TestObjTableDeadlinesAllocateNothing(t *testing.T) {
+	const rows, standing = 10_000, 100
+	var tab objTable
+	for i := 0; i < rows; i++ {
+		tab.insert(newObjState(ObjectID(i)))
+	}
+	for i := 0; i < standing; i++ {
+		tab.setDeadline(tab.get(ObjectID(i)), timerLease, sim.Time(i))
+	}
+	at := sim.Time(0)
+	cycle := func(first, n int) {
+		for i := first; i < first+n; i++ {
+			at++
+			st := tab.get(ObjectID(i))
+			tab.setDeadline(st, timerGrowShrink, at)
+			if i%2 == 0 {
+				tab.setDeadline(st, timerNbrTimeout, at+1)
+			}
+		}
+		for i := first; i < first+n; i++ {
+			st := tab.get(ObjectID(i))
+			tab.setDeadline(st, timerNbrTimeout, sim.Forever)
+			tab.setDeadline(st, timerGrowShrink, sim.Forever)
+		}
+	}
+	first := 0
+	if got := testing.AllocsPerRun(1000, func() {
+		first = (first + 32) % (rows - 32)
+		cycle(first, 32)
+	}); got != 0 {
+		t.Errorf("arming and clearing 32 rows beside %d leased ones allocated %v times, want 0", standing, got)
+	}
+	for i := 0; i < standing; i++ {
+		tab.setDeadline(tab.get(ObjectID(i)), timerLease, sim.Forever)
+	}
+	if got := testing.AllocsPerRun(1000, func() {
+		first = (first + objSlabMin) % (rows - objSlabMin)
+		cycle(first, objSlabMin)
+	}); got != 0 {
+		t.Errorf("arming and clearing %d rows of a table with no other timer armed allocated %v times, want 0", objSlabMin, got)
+	}
+	if tab.armed != 0 || cap(tab.deadlines) > objSlabMin {
+		t.Fatalf("every timer cleared: %d armed, a deadline slab of %d", tab.armed, cap(tab.deadlines))
+	}
+
+	var one objTable
+	if got := testing.AllocsPerRun(1000, func() {
+		at++
+		scratch := newObjState(5)
+		one.setDeadline(&scratch, timerGrowShrink, at)
+		one.insert(scratch)
+		st := one.get(5)
+		one.setDeadline(st, timerGrowShrink, sim.Forever)
+		one.remove(5)
+	}); got != 0 {
+		t.Errorf("a one-row table flipping between no row and one armed row allocated %v times, want 0", got)
+	}
+}
+
+// TestObjStateIsPointerFree pins what makes the slabs, the index and the
+// free lists invisible to the collector and rows movable: no pointer, slice,
+// map or interface in a row, a deadline slot or an entry.
 func TestObjStateIsPointerFree(t *testing.T) {
 	var tab objTable
 	for name, typ := range map[string]reflect.Type{
-		"objState":        reflect.TypeOf(tab.rows).Elem(),
-		"index entry":     reflect.TypeOf(tab.idx).Elem(),
-		"free-list entry": reflect.TypeOf(tab.free).Elem(),
+		"objState":                 reflect.TypeOf(tab.rows).Elem(),
+		"index entry":              reflect.TypeOf(tab.idx).Elem(),
+		"free-list entry":          reflect.TypeOf(tab.free).Elem(),
+		"deadline slot":            reflect.TypeOf(tab.deadlines).Elem(),
+		"deadline free-list entry": reflect.TypeOf(tab.dlFree).Elem(),
 	} {
 		if err := pointerFree(typ); err != "" {
 			t.Fatalf("%s: %s", name, err)
 		}
+	}
+}
+
+// TestObjStateSize pins the row at its settled size: the object id, four
+// pointers, the finding flag, the timer mask and the deadline slot. A
+// deadline back in the row costs 8 bytes on every row of every table.
+func TestObjStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(objState{}); got != 28 {
+		t.Fatalf("objState is %d bytes, want 28", got)
 	}
 }
 

@@ -15,15 +15,15 @@ import (
 // exactly — same kernel event sequence, hence byte-identical experiment
 // tables.
 type oracleHost struct {
-	net    *Network
-	aut    *Automaton
-	k      *sim.Kernel
-	timers hostTimers
+	net     *Network
+	aut     *Automaton
+	k       *sim.Kernel
+	wakeups hostTimers
 }
 
 func newOracleHost(n *Network, a *Automaton) *oracleHost {
 	h := &oracleHost{net: n, aut: a, k: n.k}
-	h.timers = newHostTimers(n.k, a.TimerFire)
+	h.wakeups = newHostTimers(n.k, a.TimerFire)
 	return h
 }
 
@@ -35,11 +35,11 @@ var (
 func (h *oracleHost) Now() sim.Time { return h.k.Now() }
 
 func (h *oracleHost) SetTimer(u geo.RegionID, id vsa.TimerID, at sim.Time) {
-	h.timers.arm(u, id, at)
+	h.wakeups.arm(u, id, at)
 }
 
 func (h *oracleHost) ClearTimer(u geo.RegionID, id vsa.TimerID) {
-	h.timers.disarm(u, id)
+	h.wakeups.disarm(u, id)
 }
 
 // hostTimers is the wakeup service of the two sim hosts: one kernel timer

@@ -20,7 +20,7 @@ import (
 // A Process is part of the pure Tracker Automaton: it holds no network or
 // kernel handles. Sends, found broadcasts, and instrumentation notes are
 // emitted as effects through the automaton's host, and its timer variables
-// are recorded deadlines (objState.timers) whose wakeups the host routes back
+// are recorded deadlines (objTable.deadline) whose wakeups the host routes back
 // via Automaton.TimerFire — which is what lets the same process state be
 // serialized, replicated, and replayed by the emulation host.
 type Process struct {
@@ -67,17 +67,19 @@ type objState struct {
 	// the object, kept in Process.pending[obj].
 	finding bool
 
-	// timers are the TIOA timer variables, indexed by timerKind: recorded
-	// deadlines that are either a finite virtual time or ∞ (sim.Forever).
-	// They are part of the serialized region state; Process.setTimer
-	// mirrors each write to the host's wakeup service, whose fires the
-	// automaton validates against the recorded deadline (stale wakeups are
-	// no-ops).
-	timers [numTimerKinds]sim.Time
+	// tmask says which TIOA timer variables are finite: bit k for timerKind
+	// k, the region encoding's flag bits. A variable whose bit is clear
+	// reads ∞ (sim.Forever). The finite deadlines live outside the row, in
+	// slot dl of the process table's deadline slab, which the row holds
+	// exactly while tmask ≠ 0 (objTable.setDeadline, objTable.deadline): on
+	// a settled path every variable reads ∞, and the row is its pointers.
+	// The deadlines are part of the serialized region state;
+	// Process.setTimer mirrors each write to the host's wakeup service, whose
+	// fires the automaton validates against the recorded deadline (stale
+	// wakeups are no-ops).
+	tmask uint8
+	dl    int32
 }
-
-// unarmed is the timer variables of a vector with no deadline recorded.
-var unarmed = [numTimerKinds]sim.Time{sim.Forever, sim.Forever, sim.Forever, sim.Forever}
 
 // newObjState returns the initial (quiescent) state vector for obj.
 func newObjState(obj ObjectID) objState {
@@ -87,16 +89,15 @@ func newObjState(obj ObjectID) objState {
 		p:         hier.NoCluster,
 		nbrptup:   hier.NoCluster,
 		nbrptdown: hier.NoCluster,
-		timers:    unarmed,
 	}
 }
 
 // armed reports whether the timer variable has a finite deadline.
-func (st *objState) armed(kind timerKind) bool { return st.timers[kind] != sim.Forever }
+func (st *objState) armed(kind timerKind) bool { return st.tmask&(1<<kind) != 0 }
 
 // settled reports whether the vector is a pure pointer tuple: no armed
 // timer of any kind and no held find.
-func (st *objState) settled() bool { return !st.finding && st.timers == unarmed }
+func (st *objState) settled() bool { return !st.finding && st.tmask == 0 }
 
 // quiescent reports whether the state vector equals the initial state: all
 // four pointers nil, no held find, and no armed timer of any kind. A
@@ -118,7 +119,8 @@ func newProcess(aut *Automaton, id hier.ClusterID, region geo.RegionID) *Process
 }
 
 // recordDeadline writes a timer variable without telling the host, keeping
-// the armed grow/shrink counts in step.
+// the armed grow/shrink counts in step. It is the only writer of a row's
+// deadlines, held or scratch.
 func (pr *Process) recordDeadline(st *objState, kind timerKind, at sim.Time) {
 	if kind == timerGrowShrink && st.armed(kind) != (at != sim.Forever) {
 		d := 1
@@ -128,7 +130,7 @@ func (pr *Process) recordDeadline(st *objState, kind timerKind, at sim.Time) {
 		pr.armedMove += d
 		pr.aut.armedMove += d
 	}
-	st.timers[kind] = at
+	pr.objs.setDeadline(st, kind, at)
 }
 
 // setTimer assigns a timer variable of st — an absolute virtual time, or
