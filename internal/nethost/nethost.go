@@ -79,9 +79,6 @@ type Config struct {
 	Transport Transport
 }
 
-// mailboxDepth is the per-node input queue depth.
-const mailboxDepth = 8192
-
 // Service hosts one node per region over a transport and the wall clock.
 type Service struct {
 	app App
@@ -234,7 +231,7 @@ func (s *Service) Stop() {
 	}
 	s.held = nil
 	s.mu.Unlock()
-	s.signalHold()
+	signal(s.wake)
 	for u := range s.slots {
 		s.KillRegion(geo.RegionID(u))
 	}
@@ -243,8 +240,9 @@ func (s *Service) Stop() {
 }
 
 // KillRegion crash-stops region u's node: the goroutine exits, its
-// automaton state and armed timers are gone, and frames held for it die.
-// No-op if the region is already dead.
+// automaton state, armed timers and queued inputs are gone, frames held for
+// it die, and every post to it from now on is refused. No-op if the region
+// is already dead.
 func (s *Service) KillRegion(u geo.RegionID) {
 	if int(u) < 0 || int(u) >= len(s.slots) {
 		return
@@ -258,6 +256,7 @@ func (s *Service) KillRegion(u geo.RegionID) {
 	s.slots[u].node = nil
 	s.slots[u].inc++
 	s.mu.Unlock()
+	n.mb.close()
 	close(n.dead)
 }
 
@@ -302,7 +301,7 @@ func (s *Service) Inject(u geo.RegionID, fn func(*Node)) error {
 	if n == nil {
 		return fmt.Errorf("nethost: region %v: %w", u, ErrRegionDown)
 	}
-	if !n.post(mbMsg{fn: fn}) {
+	if !n.mb.post(mbMsg{fn: fn}) {
 		return fmt.Errorf("nethost: region %v died during inject: %w", u, ErrRegionDown)
 	}
 	return nil
@@ -385,14 +384,7 @@ func (s *Service) Receive(frame []byte) {
 	earliest := s.held[0].due == due
 	s.mu.Unlock()
 	if earliest {
-		s.signalHold()
-	}
-}
-
-func (s *Service) signalHold() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
+		signal(s.wake)
 	}
 }
 
@@ -441,7 +433,7 @@ func (s *Service) deliverHeld(f *heldFrame) {
 		return
 	}
 	s.mu.Unlock()
-	if n.post(mbMsg{frame: &rxFrame{kind: f.kind, payload: f.payload}}) {
+	if n.mb.post(mbMsg{kind: f.kind, payload: f.payload}) {
 		s.mu.Lock()
 		s.ledger.RecordDelivery(netKind)
 		s.mu.Unlock()

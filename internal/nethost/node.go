@@ -21,7 +21,7 @@ type Node struct {
 	u    geo.RegionID
 	aut  vsa.Automaton
 	dead chan struct{}
-	mb   chan mbMsg
+	mb   *mailbox
 
 	// State is app-attached per-node storage (e.g. the co-located client's
 	// detection flags). Only touch it from app callbacks, which all run on
@@ -43,15 +43,13 @@ type wallTimer struct {
 	t  *time.Timer
 }
 
+// mbMsg is one mailbox input: an injected function, a timer wakeup, or
+// else a due frame.
 type mbMsg struct {
-	frame *rxFrame
-	fn    func(*Node)
-	wake  bool
-	id    vsa.TimerID
-	at    sim.Time
-}
-
-type rxFrame struct {
+	fn      func(*Node)
+	wake    bool
+	id      vsa.TimerID
+	at      sim.Time
 	kind    string
 	payload []byte
 }
@@ -61,7 +59,7 @@ func newNode(s *Service, u geo.RegionID) *Node {
 		svc:    s,
 		u:      u,
 		dead:   make(chan struct{}),
-		mb:     make(chan mbMsg, mailboxDepth),
+		mb:     newMailbox(),
 		timers: make(map[vsa.TimerID]wallTimer),
 	}
 	n.aut = s.app.NewAutomaton(u, n)
@@ -85,7 +83,9 @@ func (n *Node) run() {
 		select {
 		case <-n.dead:
 			return
-		case m := <-n.mb:
+		case <-n.mb.ready:
+		}
+		for m, ok := n.mb.pop(); ok; m, ok = n.mb.pop() {
 			n.dispatch(m)
 		}
 	}
@@ -95,8 +95,6 @@ func (n *Node) dispatch(m mbMsg) {
 	switch {
 	case m.fn != nil:
 		m.fn(n)
-	case m.frame != nil:
-		n.svc.app.DeliverFrame(n, m.frame.kind, m.frame.payload)
 	case m.wake:
 		if w, ok := n.timers[m.id]; !ok || w.at != m.at {
 			return // stale wakeup: re-armed, cleared, or from a dead timer
@@ -106,16 +104,8 @@ func (n *Node) dispatch(m mbMsg) {
 		// never a wall reading converted back — so the automaton's
 		// slot.at == at equality check cannot be lost to clock skew.
 		n.aut.TimerFire(n.u, m.id, m.at)
-	}
-}
-
-// post enqueues a mailbox message, giving up if the node dies first.
-func (n *Node) post(m mbMsg) bool {
-	select {
-	case n.mb <- m:
-		return true
-	case <-n.dead:
-		return false
+	default:
+		n.svc.app.DeliverFrame(n, m.kind, m.payload)
 	}
 }
 
@@ -131,7 +121,7 @@ func (n *Node) Send(to geo.RegionID, due sim.Time, kind string, hops int, payloa
 // first, fn never runs.
 func (n *Node) RunAt(at sim.Time, fn func(*Node)) {
 	delay := time.Duration(at - n.svc.Now())
-	time.AfterFunc(delay, func() { n.post(mbMsg{fn: fn}) })
+	time.AfterFunc(delay, func() { n.mb.post(mbMsg{fn: fn}) })
 }
 
 // --- vsa.Host ---
@@ -154,7 +144,7 @@ func (n *Node) SetTimer(u geo.RegionID, id vsa.TimerID, at sim.Time) {
 		w.t.Stop()
 	}
 	n.timers[id] = wallTimer{at: at, t: time.AfterFunc(time.Duration(at-n.svc.Now()), func() {
-		n.post(mbMsg{wake: true, id: id, at: at})
+		n.mb.post(mbMsg{wake: true, id: id, at: at})
 	})}
 }
 
@@ -172,7 +162,7 @@ func (n *Node) Emit(u geo.RegionID, effect any) {
 }
 
 // stopWallTimers cancels outstanding wall timers on node exit. Timers that
-// already fired post to the dead node and are dropped by post.
+// already fired post to the dead node's closed mailbox and are refused.
 func (n *Node) stopWallTimers() {
 	for id, w := range n.timers {
 		w.t.Stop()
