@@ -427,10 +427,12 @@ func TestSettledOperationsAllocatePerOperationNotPerMessage(t *testing.T) {
 // the rest of the run, so what a settled move+find pair retains is a
 // per-operation cost, and it is pinned here. On a 64×64 walk it is the
 // find's record on the network, its FindResult in Founds, the evader's
-// trail entry and, until every process has held a find once, the pending-find
-// map a process keeps from its first held find on (measured: 133 bytes per
-// pair; 189 while the network and the service kept three maps per find
-// between them).
+// trail entry and, until every process has held a find once and every region
+// has armed a timer once, the pending-find map a process keeps from its first
+// held find on and the wakeup map a region keeps from its first arm on
+// (measured: 144 bytes per pair, 134 while one wakeup map served every region;
+// 189 while the network and the service kept three maps per find between
+// them).
 func TestSettledPairsRetainLittleHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64×64 walk of 32 000 settled pairs")
@@ -494,8 +496,9 @@ func TestSettledPairsRetainLittleHeap(t *testing.T) {
 // no armed timer and no held find, and is kept at that size. On a 16×16
 // batched service with 32 768 bulk-attached objects, each moved once to a
 // seeded neighbour, what the population retains per object is its rows at
-// every process on or beside its path, their index entries, its evader and
-// its detection and epoch entries (measured: 3 424 bytes per object; 4 314
+// every process on or beside its path, at 3/4 of a probe array, its evader
+// and its detection and epoch entries (measured: 3 261 bytes per object;
+// 3 424 while the rows sat in a slab beside an index of slot numbers, 4 314
 // while each row carried its four timer deadlines, ∞ or not).
 func TestSettledFanoutRetainsLittleHeap(t *testing.T) {
 	if testing.Short() {
@@ -503,7 +506,7 @@ func TestSettledFanoutRetainsLittleHeap(t *testing.T) {
 	}
 	const (
 		objects           = 32_768
-		maxBytesPerObject = 3_766 // the measured figure + 10 %
+		maxBytesPerObject = 3_587 // the measured figure + 10 %
 		settledRowBytes   = 21    // id, four pointers and a zero flags byte
 	)
 	svc, err := New(Config{Width: 16, Seed: 5, AlwaysAliveVSAs: true, FormulaGeometry: true, BatchCgcast: true})

@@ -9,13 +9,15 @@
 // delays are imposed by the communication services layered on top. Every
 // run is reproducible from its seed.
 //
-// Performance: the queue is a hand-rolled 4-ary min-heap of indices into an
-// index-stable event arena with a free-list, so Schedule, Cancel, and Step
-// are allocation-free in steady state (every experiment is millions of
-// schedule/cancel/fire cycles). Ordering is exactly (at, seq) — simultaneous
-// events fire in scheduling order — so the heap layout is an implementation
-// detail that cannot perturb results: pop order, and therefore every
-// simulated table, is byte-identical to the old container/heap kernel.
+// Performance: the queue is a hand-rolled 4-ary min-heap whose entries carry
+// their own sort key (at, seq) beside the index of an index-stable arena slot
+// holding the callback, so a comparison never leaves the heap array, and
+// Schedule, Cancel, and Step are allocation-free in steady state (every
+// experiment is millions of schedule/cancel/fire cycles). Ordering is exactly
+// (at, seq) — simultaneous events fire in scheduling order — so the heap
+// layout is an implementation detail that cannot perturb results: pop order,
+// and therefore every simulated table, is byte-identical to the old
+// container/heap kernel.
 package sim
 
 import (
@@ -83,22 +85,30 @@ func (e Event) Cancel() {
 	if s.gen != e.gen {
 		return // already fired or cancelled; the slot may be someone else's
 	}
-	if s.at != Forever {
+	if e.at != Forever {
 		k.runnable--
 	}
 	k.heapRemove(int(s.pos))
 	k.release(e.idx)
 }
 
-// slot is one arena entry. A slot is queued (pos >= 0) from At until the
-// event fires or is cancelled, at which point the slot is released to the
-// free-list and its generation bumped, invalidating outstanding handles.
+// slot is one arena entry: a queued event's callback. A slot is queued (pos
+// >= 0) from At until the event fires or is cancelled, at which point the
+// slot is released to the free-list and its generation bumped, invalidating
+// outstanding handles.
 type slot struct {
-	at  Time
-	seq uint64
 	fn  func()
 	gen uint32
 	pos int32 // position in Kernel.queue, -1 when free
+}
+
+// entry is one element of the queue: the event's sort key (at, seq) and the
+// arena slot holding its callback. Sifting compares entries in place, so
+// ordering the queue reads no slot.
+type entry struct {
+	at  Time
+	seq uint64
+	idx int32
 }
 
 // Kernel is a single-threaded discrete-event scheduler. It is not safe for
@@ -109,7 +119,7 @@ type Kernel struct {
 	seq      uint64
 	arena    []slot  // index-stable event storage
 	free     []int32 // released arena slots available for reuse
-	queue    []int32 // 4-ary min-heap of arena indices, ordered by (at, seq)
+	queue    []entry // 4-ary min-heap ordered by (at, seq)
 	runnable int     // queued events with a finite firing time
 	rng      *rand.Rand
 	nsteps   uint64
@@ -153,8 +163,8 @@ func (k *Kernel) At(t Time, fn func()) Event {
 		idx = int32(len(k.arena) - 1)
 	}
 	s := &k.arena[idx]
-	s.at, s.seq, s.fn = t, k.seq, fn
-	k.heapPush(idx)
+	s.fn = fn
+	k.heapPush(entry{at: t, seq: k.seq, idx: idx})
 	if t != Forever {
 		k.runnable++
 	}
@@ -178,18 +188,17 @@ func (k *Kernel) Step() bool {
 	if len(k.queue) == 0 {
 		return false
 	}
-	idx := k.queue[0]
-	s := &k.arena[idx]
-	if s.at == Forever {
+	top := k.queue[0]
+	if top.at == Forever {
 		// Parked events never fire; nothing runnable remains at or before
 		// any finite time.
 		return false
 	}
-	fn := s.fn
-	k.now = s.at
+	fn := k.arena[top.idx].fn
+	k.now = top.at
 	k.runnable--
 	k.popMin()
-	k.release(idx)
+	k.release(top.idx)
 	k.nsteps++
 	fn()
 	return true
@@ -263,50 +272,47 @@ func (k *Kernel) peekRunnable() (Time, bool) {
 	if len(k.queue) == 0 {
 		return 0, false
 	}
-	if at := k.arena[k.queue[0]].at; at != Forever {
+	if at := k.queue[0].at; at != Forever {
 		return at, true
 	}
 	return 0, false
 }
 
-// --- 4-ary min-heap over arena indices, ordered by (at, seq) ---
+// --- 4-ary min-heap of entries, ordered by (at, seq) ---
 //
 // A 4-ary layout halves the tree depth of a binary heap and keeps the
-// children of a node in one cache line of the index slice, which measurably
+// children of a node within two cache lines of the queue, which measurably
 // helps the schedule/cancel churn of timer-heavy protocols. The comparison
 // is the total order (at, seq) — seq is unique per event — so pop order is
 // independent of heap shape and byte-identical to any other stable queue.
+// Every move of an entry writes its new position into its arena slot, which
+// Cancel needs; the sift itself reads only the queue.
 
-func (k *Kernel) less(a, b int32) bool {
-	sa, sb := &k.arena[a], &k.arena[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
+func (a entry) less(b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return sa.seq < sb.seq
+	return a.seq < b.seq
 }
 
-// heapPush appends idx and restores the heap property.
-func (k *Kernel) heapPush(idx int32) {
-	k.queue = append(k.queue, idx)
-	k.arena[idx].pos = int32(len(k.queue) - 1)
+// heapPush appends e and restores the heap property.
+func (k *Kernel) heapPush(e entry) {
+	k.queue = append(k.queue, e)
 	k.siftUp(len(k.queue) - 1)
 }
 
-// popMin removes and returns the minimum element's arena index.
-func (k *Kernel) popMin() int32 {
-	idx := k.queue[0]
+// popMin removes the minimum entry.
+func (k *Kernel) popMin() {
 	n := len(k.queue) - 1
 	last := k.queue[n]
 	k.queue = k.queue[:n]
 	if n > 0 {
 		k.queue[0] = last
-		k.arena[last].pos = 0
 		k.siftDown(0)
 	}
-	return idx
 }
 
-// heapRemove removes the element at queue position pos.
+// heapRemove removes the entry at queue position pos.
 func (k *Kernel) heapRemove(pos int) {
 	n := len(k.queue) - 1
 	last := k.queue[n]
@@ -315,61 +321,57 @@ func (k *Kernel) heapRemove(pos int) {
 		return
 	}
 	k.queue[pos] = last
-	k.arena[last].pos = int32(pos)
 	if k.siftUp(pos) == pos {
 		k.siftDown(pos)
 	}
 }
 
-// siftUp moves the element at pos toward the root until its parent is not
-// greater; it returns the element's final position.
+// siftUp moves the entry at pos toward the root until its parent is not
+// greater; it returns the entry's final position.
 func (k *Kernel) siftUp(pos int) int {
 	q := k.queue
-	idx := q[pos]
+	e := q[pos]
 	for pos > 0 {
 		parent := (pos - 1) / 4
-		if !k.less(idx, q[parent]) {
+		if !e.less(q[parent]) {
 			break
 		}
 		q[pos] = q[parent]
-		k.arena[q[pos]].pos = int32(pos)
+		k.arena[q[pos].idx].pos = int32(pos)
 		pos = parent
 	}
-	q[pos] = idx
-	k.arena[idx].pos = int32(pos)
+	q[pos] = e
+	k.arena[e.idx].pos = int32(pos)
 	return pos
 }
 
-// siftDown moves the element at pos toward the leaves until no child is
+// siftDown moves the entry at pos toward the leaves until no child is
 // smaller.
 func (k *Kernel) siftDown(pos int) {
 	q := k.queue
 	n := len(q)
-	idx := q[pos]
+	e := q[pos]
 	for {
 		first := 4*pos + 1
 		if first >= n {
 			break
 		}
 		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
+		end := min(first+4, n)
 		for c := first + 1; c < end; c++ {
-			if k.less(q[c], q[best]) {
+			if q[c].less(q[best]) {
 				best = c
 			}
 		}
-		if !k.less(q[best], idx) {
+		if !q[best].less(e) {
 			break
 		}
 		q[pos] = q[best]
-		k.arena[q[pos]].pos = int32(pos)
+		k.arena[q[pos].idx].pos = int32(pos)
 		pos = best
 	}
-	q[pos] = idx
-	k.arena[idx].pos = int32(pos)
+	q[pos] = e
+	k.arena[e.idx].pos = int32(pos)
 }
 
 // RunRealtime processes events while pacing virtual time against the wall

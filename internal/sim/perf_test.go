@@ -15,8 +15,8 @@ import (
 // queue eagerly, so scanning the heap is exhaustive).
 func bruteForcePending(k *Kernel) int {
 	n := 0
-	for _, idx := range k.queue {
-		if k.arena[idx].at != Forever {
+	for _, e := range k.queue {
+		if e.at != Forever {
 			n++
 		}
 	}

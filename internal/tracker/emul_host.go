@@ -83,7 +83,7 @@ func newEmulHost(n *Network, a *Automaton, delta, tRestart sim.Time) *emulHost {
 	h := &emulHost{net: n, aut: a, k: n.k}
 	// A wakeup is routed through the emulator as a regular input, carrying
 	// the deadline it was armed for.
-	h.wakeups = newHostTimers(n.k, func(u geo.RegionID, id vsa.TimerID, at sim.Time) {
+	h.wakeups = newHostTimers(n.k, len(a.regions), func(u geo.RegionID, id vsa.TimerID, at sim.Time) {
 		_ = h.em.Submit(u, emulTimerFire{U: u, ID: id, At: at})
 	})
 	h.em = emul.New(n.k, n.h.Tiling(), h, delta, tRestart,

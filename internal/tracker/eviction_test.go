@@ -43,7 +43,8 @@ func liveObjects(a *Automaton) int {
 // Such an input also never touches the table: it runs against a scratch row
 // that leave drops. The allocation pin proves it at processes where any
 // insert has to allocate — one that never held a row (an insert builds its
-// slab and index) and two whose one-row slab is full (an insert grows it).
+// probe array) and two whose probe array is filled with inert rows up to the
+// point where one more row grows it.
 func TestStaleEnvelopeDoesNotAllocateState(t *testing.T) {
 	f := newFixture(t, fixtureConfig{side: 4, start: 5, alwaysUp: true})
 	f.settle()
@@ -64,13 +65,20 @@ func TestStaleEnvelopeDoesNotAllocateState(t *testing.T) {
 	if offPath == nil || empty == nil {
 		t.Fatalf("no off-path level-1 process (%v) or no process without state (%v)", offPath, empty)
 	}
-	if empty.objs.idx != nil || empty.objs.rows != nil {
-		t.Fatalf("stateless process %v has a slab or an index: %+v", empty.Cluster(), empty.objs)
+	if empty.objs.rows != nil {
+		t.Fatalf("stateless process %v has a probe array: %+v", empty.Cluster(), empty.objs)
 	}
 	onPath := f.net.Process(f.h.Cluster(f.ev.Region(), 1))
 	for _, pr := range []*Process{offPath, onPath} {
-		if rows := pr.objs.rows; len(rows) != 1 || cap(rows) != 1 {
-			t.Fatalf("process %v does not hold one row in a full slab: %+v", pr.Cluster(), pr.objs)
+		if pr.LiveObjects() != 1 {
+			t.Fatalf("process %v does not hold one row: %+v", pr.Cluster(), pr.objs)
+		}
+		// Rows with a secondary pointer and no timer: nothing fires for
+		// them, and they do not concern the ghost.
+		for filler := ObjectID(1000); pr.objs.holds(pr.objs.len() + 1); filler++ {
+			row := newObjState(filler)
+			row.nbrptup = f.h.Nbrs(pr.Cluster())[0]
+			pr.objs.insert(row)
 		}
 	}
 
@@ -201,7 +209,11 @@ func TestChurnLeavesNoHostTimers(t *testing.T) {
 				now += 97 * unit
 				f.k.RunUntil(now)
 			}
-			if got, want := len(host.wakeups.armed), armedTimers(aut); got != want || (heartbeat == 0 && got != 0) {
+			got := 0
+			for _, m := range host.wakeups.armed {
+				got += len(m)
+			}
+			if want := armedTimers(aut); got != want || (heartbeat == 0 && got != 0) {
 				t.Fatalf("heartbeat %v, %s: host table holds %d timers, machine state has %d armed", heartbeat, ctx, got, want)
 			}
 		}

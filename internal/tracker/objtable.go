@@ -1,36 +1,46 @@
 package tracker
 
 import (
-	"math/bits"
+	"math"
 	"math/rand/v2"
 	"slices"
 
 	"vinestalk/internal/sim"
 )
 
-// objMix is the odd multiplier that scatters object ids over an index. It is
-// drawn once per process start, so ids a networked peer chooses cannot be
-// aimed at one probe run; no output depends on where a row is indexed.
+// objMix is the odd multiplier that scatters object ids over a probe array.
+// It is drawn once per process start, so ids a networked peer chooses cannot
+// be aimed at one probe run; no output depends on where a row sits.
 var objMix = rand.Uint64() | 1
 
-// objSlabMin is the slab capacity at or below which a table never compacts,
-// so a process whose rows come and go one at a time keeps its small arrays.
-// It also caps the deadline slab a table keeps while no row is armed.
+// objSlabMin is the probe-array length at or below which a table never
+// shrinks, so a process whose rows come and go one at a time keeps its small
+// array. It also caps the deadline slab a table keeps while no row is armed.
 const objSlabMin = 8
 
-// objTable is the per-process object-state table: pointer-free value rows in
-// an unordered slab, found through an open-addressed index, and the finite
+// objTable is the per-process object-state table: pointer-free value rows
+// held in the probe array of an open-addressed hash table, and the finite
 // timer deadlines of its armed rows in a second slab.
 //
-// rows is the slab. A slot is live, or free and listed in free, which insert
-// reuses before it appends. idx is a linear-probing index of the live slots:
-// an entry holds slot+1 (0 marks it empty), and its length is a power of two
-// at least twice the slab's capacity, so it is never more than half full. A
-// remove closes its probe run by shifting later entries back, so no
-// tombstones build up. get, insert and remove therefore take O(1) expected
-// steps and move no row. Rows move only when the slab grows, and when a
-// table holding at most a quarter of its capacity compacts into half of it,
-// so the footprint follows the live row count.
+// rows is the probe array. A row sits at or after its home slot (the top
+// bits of its mixed id, scaled to the array's length) and records in psl its
+// probe sequence length, one more than its distance from home; a psl of 0
+// marks an empty slot. Placement is Robin Hood linear probing: a row being
+// placed takes the slot of the first row nearer to its own home and that row
+// walks on in its place, so along any run psl rises by at most one from slot
+// to slot. A lookup therefore stops at the first slot whose row is nearer
+// home than the probe, and the slot where the probe lands holds the row
+// itself: the row's first cache line is the only dependent miss. A remove
+// shifts the rest of its run back one slot, so no tombstones build up.
+//
+// The array is never more than 7/8 full. It is resized when an insert
+// would fill it beyond that, when reserve announces a total that would, and
+// when a remove leaves a table above objSlabMin slots at most a quarter
+// full. A resize always makes the rows fill it 3/4 full, so the footprint
+// follows the live row count at about 37 bytes a row, and a process that
+// tracks one object holds two slots. get, insert and remove take O(1)
+// expected steps; insert and remove may move other rows, and a resize moves
+// all of them.
 //
 // deadlines holds the timer variables of the rows with at least one finite
 // deadline, one slot per such row (objState.dl); a slot is in use, or free
@@ -41,37 +51,43 @@ const objSlabMin = 8
 // objSlabMin slots. armed counts the finite deadlines (every row's tmask
 // bits).
 //
-// All five arrays are pointer-free and never scanned by the collector.
+// All three arrays are pointer-free and never scanned by the collector.
 //
-// A *objState obtained from get or each points into the slab and is valid
-// only until the next insert, remove, reserve or insertBatch on the table.
+// A *objState obtained from get or each points into the probe array and is
+// valid only until the next insert, remove, reserve or insertBatch on the
+// table.
 type objTable struct {
-	rows  []objState
-	free  []int32
-	idx   []int32
-	shift uint8 // 64 − log2(len(idx)): the top bits of a mixed id are its home entry
-	n     int
+	rows []objState
+	n    int
 
 	deadlines [][numTimerKinds]sim.Time
 	dlFree    []int32
 	armed     int
 }
 
-// home returns obj's first index entry.
+// home returns obj's home slot.
 func (t *objTable) home(obj ObjectID) int {
 	h := uint64(uint32(obj)) * objMix
 	h ^= h >> 29
-	return int((h * 0xbf58476d1ce4e5b9) >> t.shift)
+	h *= 0xbf58476d1ce4e5b9
+	return int((h >> 32) * uint64(len(t.rows)) >> 32)
 }
 
-// lookup returns the index entry holding obj and its slot, or the empty
-// entry that ends obj's probe run and -1. The index must not be nil.
-func (t *objTable) lookup(obj ObjectID) (pos int, slot int32) {
-	mask := len(t.idx) - 1
-	for pos = t.home(obj); ; pos = (pos + 1) & mask {
-		slot = t.idx[pos] - 1
-		if slot < 0 || t.rows[slot].obj == obj {
-			return pos, slot
+// lookup returns the slot holding obj and true, or the slot where a probe
+// for obj stops, with the psl obj would have there, and false. The array
+// must not be empty.
+func (t *objTable) lookup(obj ObjectID) (pos, psl int, ok bool) {
+	pos = t.home(obj)
+	for psl = 1; ; psl++ {
+		r := &t.rows[pos]
+		if int(r.psl) < psl {
+			return pos, psl, false
+		}
+		if r.obj == obj {
+			return pos, psl, true
+		}
+		if pos++; pos == len(t.rows) {
+			pos = 0
 		}
 	}
 }
@@ -81,8 +97,8 @@ func (t *objTable) get(obj ObjectID) *objState {
 	if t.n == 0 {
 		return nil
 	}
-	if _, s := t.lookup(obj); s >= 0 {
-		return &t.rows[s]
+	if pos, _, ok := t.lookup(obj); ok {
+		return &t.rows[pos]
 	}
 	return nil
 }
@@ -98,131 +114,126 @@ func (t *objTable) each(fn func(*objState)) {
 	}
 }
 
-// sorted returns the live slots in ascending object order, each in the low
-// half of a key whose high half is its row's object id with the sign bit
+// sorted returns the occupied slots in ascending object order, each in the
+// low half of a key whose high half is its row's object id with the sign bit
 // flipped, so that sorting the keys as unsigned integers sorts the ids.
 func (t *objTable) sorted() []uint64 {
 	keys := make([]uint64, 0, t.n)
-	for _, e := range t.idx {
-		if e != 0 {
-			s := uint32(e - 1)
-			keys = append(keys, uint64(uint32(t.rows[s].obj)^1<<31)<<32|uint64(s))
+	for pos := range t.rows {
+		if r := &t.rows[pos]; r.psl != 0 {
+			keys = append(keys, uint64(uint32(r.obj)^1<<31)<<32|uint64(pos))
 		}
 	}
 	slices.Sort(keys)
 	return keys
 }
 
+// holds reports whether n rows fit in the probe array at most 7/8 full.
+func (t *objTable) holds(n int) bool { return 8*n <= 7*len(t.rows) }
+
+// probeLen returns the probe-array length that n rows fill 3/4 full: two
+// slots for a lone row.
+func probeLen(n int) int { return (4*n + 2) / 3 }
+
 // insert adds a row. The object must be absent; a second row for one object
 // is a caller bug and panics.
 func (t *objTable) insert(row objState) {
 	t.reserve(t.n + 1)
-	pos, s := t.lookup(row.obj)
-	if s >= 0 {
+	pos, psl, ok := t.lookup(row.obj)
+	if ok {
 		panic("tracker: objTable.insert of an object already present")
 	}
-	if f := len(t.free); f > 0 {
-		s, t.free = t.free[f-1], t.free[:f-1]
-		t.rows[s] = row
-	} else {
-		s = int32(len(t.rows))
-		t.rows = append(t.rows, row)
-	}
-	t.idx[pos] = s + 1
+	t.place(pos, psl, row)
 	t.n++
 }
 
-// remove drops obj's row, if present, freeing its slot. A table left at a
-// quarter of a slab above objSlabMin compacts into half of it; a smaller one
-// keeps its arrays, even when empty.
+// place puts row, whose object is absent, at slot pos with probe sequence
+// length psl, where a probe for it stops. A row nearer its home there is
+// displaced and walks on; the walk ends at an empty slot. A psl past the
+// byte's range grows the array and places the row afresh.
+func (t *objTable) place(pos, psl int, row objState) {
+	for {
+		if psl > math.MaxUint8 {
+			t.resize(2 * len(t.rows))
+			pos, psl, _ = t.lookup(row.obj)
+			continue
+		}
+		row.psl = uint8(psl)
+		r := &t.rows[pos]
+		if r.psl == 0 {
+			*r = row
+			return
+		}
+		if int(r.psl) < psl {
+			*r, row = row, *r
+			psl = int(row.psl)
+		}
+		psl++
+		if pos++; pos == len(t.rows) {
+			pos = 0
+		}
+	}
+}
+
+// remove drops obj's row, if present. A table above objSlabMin slots left at
+// most a quarter full shrinks; a smaller one keeps its array, even when
+// empty.
 func (t *objTable) remove(obj ObjectID) {
 	if t.n == 0 {
 		return
 	}
-	pos, s := t.lookup(obj)
-	if s < 0 {
+	pos, _, ok := t.lookup(obj)
+	if !ok {
 		return
 	}
 	t.unlink(pos)
 	t.n--
-	if c := cap(t.rows); c > objSlabMin && t.n <= c/4 {
-		t.compact(c / 2)
-	} else {
-		t.free = append(t.free, s)
+	if size := len(t.rows); size > objSlabMin && 4*t.n <= size {
+		t.resize(probeLen(t.n))
 	}
 }
 
-// unlink empties index entry pos and shifts the later entries of its probe
-// run back over the hole, so every remaining slot stays reachable from its
-// home entry.
+// unlink empties slot pos and shifts the rest of its run back one slot,
+// each row one step nearer its home.
 func (t *objTable) unlink(pos int) {
-	mask := len(t.idx) - 1
-	for next := (pos + 1) & mask; t.idx[next] != 0; next = (next + 1) & mask {
-		// The entry at next may fill the hole unless its home lies
-		// cyclically after the hole.
-		if home := t.home(t.rows[t.idx[next]-1].obj); (next-home)&mask >= (next-pos)&mask {
-			t.idx[pos] = t.idx[next]
-			pos = next
+	for {
+		next := pos + 1
+		if next == len(t.rows) {
+			next = 0
 		}
+		r := &t.rows[next]
+		if r.psl <= 1 {
+			break
+		}
+		t.rows[pos] = *r
+		t.rows[pos].psl--
+		pos = next
 	}
-	t.idx[pos] = 0
+	t.rows[pos] = objState{}
 }
 
-// idxSize is the index length for a slab of capacity c: the smallest power
-// of two at least 2c.
-func idxSize(c int) int { return 1 << bits.Len(uint(2*c-1)) }
-
-// reserve makes room for n rows: a slab of capacity n or more, grown by
-// append's amortized policy (to n itself when that at least doubles it), and
-// an index at most half full at that capacity.
+// reserve makes room for n rows: a table they would fill beyond 7/8 is
+// resized to hold them 3/4 full.
 func (t *objTable) reserve(n int) {
-	if n <= cap(t.rows) {
-		return
+	if !t.holds(n) {
+		t.resize(probeLen(n))
 	}
-	t.rows = slices.Grow(t.rows, n-len(t.rows))
-	if size := idxSize(cap(t.rows)); size > len(t.idx) {
-		old := t.idx
-		t.reindex(size)
-		for _, e := range old {
-			if e != 0 {
-				t.link(e - 1)
-			}
+}
+
+// resize moves the rows into a probe array of size slots.
+func (t *objTable) resize(size int) {
+	old := t.rows
+	t.rows = make([]objState, size)
+	for i := range old {
+		if r := &old[i]; r.psl != 0 {
+			pos, psl, _ := t.lookup(r.obj)
+			t.place(pos, psl, *r)
 		}
 	}
-}
-
-// compact moves the live rows, in ascending object order, into a slab of
-// capacity c and indexes them afresh.
-func (t *objTable) compact(c int) {
-	rows := make([]objState, 0, c)
-	for _, key := range t.sorted() {
-		rows = append(rows, t.rows[uint32(key)])
-	}
-	t.rows, t.free = rows, nil
-	t.reindex(idxSize(c))
-	for s := range rows {
-		t.link(int32(s))
-	}
-}
-
-// reindex replaces the index by an empty one of size entries.
-func (t *objTable) reindex(size int) {
-	t.idx = make([]int32, size)
-	t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
-}
-
-// link enters slot at the end of its row's probe run.
-func (t *objTable) link(slot int32) {
-	mask := len(t.idx) - 1
-	pos := t.home(t.rows[slot].obj)
-	for t.idx[pos] != 0 {
-		pos = (pos + 1) & mask
-	}
-	t.idx[pos] = slot + 1
 }
 
 // insertBatch adds rows — distinct, in any order, and all absent from the
-// table — after sizing the slab for them once. This is the bulk-attach path;
+// table — after sizing the array for them once. This is the bulk-attach path;
 // a duplicate object is a caller bug and panics.
 func (t *objTable) insertBatch(rows []objState) {
 	t.reserve(t.n + len(rows))

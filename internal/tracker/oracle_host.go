@@ -23,7 +23,7 @@ type oracleHost struct {
 
 func newOracleHost(n *Network, a *Automaton) *oracleHost {
 	h := &oracleHost{net: n, aut: a, k: n.k}
-	h.wakeups = newHostTimers(n.k, a.TimerFire)
+	h.wakeups = newHostTimers(n.k, len(a.regions), a.TimerFire)
 	return h
 }
 
@@ -43,42 +43,43 @@ func (h *oracleHost) ClearTimer(u geo.RegionID, id vsa.TimerID) {
 }
 
 // hostTimers is the wakeup service of the two sim hosts: one kernel timer
-// per armed (region, id). An entry leaves the table when its timer fires or
-// is cleared, so the table holds exactly the armed timers however many
-// (region, level, object, kind) slots a run has ever armed; the kernel
-// timers themselves are recycled through a free list, so steady-state
+// per armed (region, id), found through the region's own table keyed by the
+// bare id, which a map hashes as one word. An entry leaves the table when its
+// timer fires or is cleared, so the tables hold exactly the armed timers
+// however many (region, level, object, kind) slots a run has ever armed; the
+// kernel timers themselves are recycled through a free list, so steady-state
 // arming allocates nothing. Arming costs one Kernel.At whether the entry is
 // new or re-armed, so the kernel's event sequence does not depend on the
-// table's history.
+// tables' history.
 type hostTimers struct {
 	k     *sim.Kernel
 	fire  func(u geo.RegionID, id vsa.TimerID, at sim.Time)
-	armed map[hostTimerKey]*hostTimer
+	armed []map[vsa.TimerID]*hostTimer // by region; nil until its first arm
 	free  []*hostTimer
-}
-
-type hostTimerKey struct {
-	u  geo.RegionID
-	id vsa.TimerID
 }
 
 // hostTimer is one kernel timer and the slot it is currently armed for.
 type hostTimer struct {
-	key hostTimerKey
-	at  sim.Time
-	t   *sim.Timer
+	u  geo.RegionID
+	id vsa.TimerID
+	at sim.Time
+	t  *sim.Timer
 }
 
-// newHostTimers builds an empty table whose wakeups call fire with the
-// deadline they were armed for.
-func newHostTimers(k *sim.Kernel, fire func(geo.RegionID, vsa.TimerID, sim.Time)) hostTimers {
-	return hostTimers{k: k, fire: fire, armed: make(map[hostTimerKey]*hostTimer)}
+// newHostTimers builds empty tables for regions 0 … regions−1 whose wakeups
+// call fire with the deadline they were armed for.
+func newHostTimers(k *sim.Kernel, regions int, fire func(geo.RegionID, vsa.TimerID, sim.Time)) hostTimers {
+	return hostTimers{k: k, fire: fire, armed: make([]map[vsa.TimerID]*hostTimer, regions)}
 }
 
 // arm sets (or re-sets) the wakeup of (u, id) to at.
 func (ht *hostTimers) arm(u geo.RegionID, id vsa.TimerID, at sim.Time) {
-	key := hostTimerKey{u: u, id: id}
-	e, ok := ht.armed[key]
+	m := ht.armed[u]
+	if m == nil {
+		m = make(map[vsa.TimerID]*hostTimer)
+		ht.armed[u] = m
+	}
+	e, ok := m[id]
 	if !ok {
 		if n := len(ht.free); n > 0 {
 			e, ht.free = ht.free[n-1], ht.free[:n-1]
@@ -86,11 +87,11 @@ func (ht *hostTimers) arm(u geo.RegionID, id vsa.TimerID, at sim.Time) {
 			e = &hostTimer{}
 			e.t = sim.NewTimer(ht.k, func() {
 				ht.release(e)
-				ht.fire(e.key.u, e.key.id, e.at)
+				ht.fire(e.u, e.id, e.at)
 			})
 		}
-		e.key = key
-		ht.armed[key] = e
+		e.u, e.id = u, id
+		m[id] = e
 	}
 	e.at = at
 	e.t.Set(at)
@@ -98,7 +99,7 @@ func (ht *hostTimers) arm(u geo.RegionID, id vsa.TimerID, at sim.Time) {
 
 // disarm cancels the wakeup of (u, id), if armed.
 func (ht *hostTimers) disarm(u geo.RegionID, id vsa.TimerID) {
-	if e, ok := ht.armed[hostTimerKey{u: u, id: id}]; ok {
+	if e, ok := ht.armed[u][id]; ok {
 		e.t.Clear()
 		ht.release(e)
 	}
@@ -106,28 +107,18 @@ func (ht *hostTimers) disarm(u geo.RegionID, id vsa.TimerID) {
 
 // disarmRegion cancels every wakeup of region u.
 func (ht *hostTimers) disarmRegion(u geo.RegionID) {
-	for key, e := range ht.armed {
-		if key.u == u {
-			e.t.Clear()
-			ht.release(e)
-		}
+	for _, e := range ht.armed[u] {
+		e.t.Clear()
+		ht.release(e)
 	}
 }
 
 // armedIn counts the wakeups armed for region u.
-func (ht *hostTimers) armedIn(u geo.RegionID) int {
-	n := 0
-	for key := range ht.armed {
-		if key.u == u {
-			n++
-		}
-	}
-	return n
-}
+func (ht *hostTimers) armedIn(u geo.RegionID) int { return len(ht.armed[u]) }
 
-// release takes a fired or cleared timer out of the table.
+// release takes a fired or cleared timer out of its region's table.
 func (ht *hostTimers) release(e *hostTimer) {
-	delete(ht.armed, e.key)
+	delete(ht.armed[e.u], e.id)
 	ht.free = append(ht.free, e)
 }
 

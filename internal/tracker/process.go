@@ -78,7 +78,11 @@ type objState struct {
 	// fires the automaton validates against the recorded deadline (stale
 	// wakeups are no-ops).
 	tmask uint8
-	dl    int32
+	// psl is the row's probe sequence length in its objTable: one more than
+	// its distance from its home slot, and 0 in an empty slot. It fills what
+	// would be padding, and only the table reads or writes it.
+	psl uint8
+	dl  int32
 }
 
 // newObjState returns the initial (quiescent) state vector for obj.
