@@ -122,9 +122,10 @@ pairs:
 # every 100 ms (runtime/metrics, no stop-the-world) and, whenever it passes
 # its previous peak by 5 %, rewrites heap.prof from the heap profile, so
 # heap.prof is the heap at its peak, not mem.prof's end-of-test garbage.
-# The CPU profile's top 40 is printed, then heap.prof's in-use top 20;
-# cpu.prof, heap.prof, mem.prof and the binary stay there for
-# `go tool pprof -list`, `-sample_index=alloc_space`, ….
+# The CPU profile's top 40 is printed, then heap.prof's in-use top 20, then
+# mem.prof's top 15 allocation sites by objects allocated over the whole run
+# (what the garbage collector is fed); cpu.prof, heap.prof, mem.prof and the
+# binary stay there for `go tool pprof -list`, `-sample_index=alloc_space`, ….
 # W, SECONDS, SEED and ARGS are knobs of this developer tool, not of the system:
 #	make profile                                  # walk64, seed 1, 10 s
 #	make profile W=fanout128k SECONDS=6 SEED=3
@@ -205,6 +206,7 @@ profile:
 		-o $(PROFILE)/profile.test -cpuprofile $(PROFILE)/cpu.prof -memprofile $(PROFILE)/mem.prof
 	$(GO) tool pprof -top -nodecount=40 $(PROFILE)/profile.test $(PROFILE)/cpu.prof
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=20 $(PROFILE)/profile.test $(PROFILE)/heap.prof
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=15 $(PROFILE)/profile.test $(PROFILE)/mem.prof
 
 # Write the tables as CSV into ./results.
 experiments-csv:

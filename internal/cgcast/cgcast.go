@@ -52,8 +52,8 @@ type Body struct {
 // Delivery is what a cluster process or client receives: the protocol tag,
 // the sender's identity (a cluster, or a client's region for schedule-(e)
 // messages), and the body. Handlers are handed a *Delivery that points into
-// the frame being delivered: it is valid for the duration of the call, and a
-// handler that keeps the message copies it.
+// the frame or client envelope being delivered: it is valid for the
+// duration of the call, and a handler that keeps the message copies it.
 type Delivery struct {
 	Kind       string
 	From       hier.ClusterID // NoCluster when sent by a client
@@ -84,14 +84,22 @@ type Service struct {
 	// totals and the FrameKind row conserves whether or not it exists.
 	frameKind metrics.Kind
 
-	// pending holds the frame under construction for each coalescing bucket
-	// (batching only); free holds the frames nothing is using.
-	pending map[batchKey]*frame
-	free    []*frame
-	made    int // frames ever allocated: made - len(free) are live
+	// open lists, per source region, the frames under construction this
+	// instant (batching only). A region opens only a few (dst, due) buckets
+	// an instant — bounded by its clusters' neighbours, parents and children
+	// — so a scan of its list replaces a hashed lookup. free holds the frames
+	// nothing is using.
+	open [][]openFrame
+	free []*frame
+	made int // frames ever allocated: made - len(free) are live
 
-	onDrop       func(u geo.RegionID, level int, d *Delivery)
-	onClientDrop func(u geo.RegionID, level int, msg any) // s.clientDropped, bound once
+	// envs holds the client envelopes nothing is using.
+	envs     []*clientEnv
+	envsMade int // client envelopes ever allocated
+	// targets is ClusterToClients' scratch list of target regions.
+	targets []geo.RegionID
+
+	onDrop func(u geo.RegionID, level int, d *Delivery)
 }
 
 // protoKind is one entry of the kind table.
@@ -119,7 +127,7 @@ type batchOption struct{}
 func (batchOption) apply(s *Service) {
 	s.batch = true
 	s.frameKind = s.ledger.Kind(FrameKind)
-	s.pending = make(map[batchKey]*frame)
+	s.open = make([][]openFrame, s.layer.Tiling().NumRegions())
 }
 
 // WithBatching coalesces same-instant cluster-to-cluster traffic per
@@ -146,12 +154,13 @@ func WithFrameAccounting() Option { return frameOption{} }
 // the per-message "proto/" kinds.
 const FrameKind = "frame/cgcast"
 
-// batchKey names one coalescing bucket: all cluster messages sent this
-// instant from srcRegion to dstRegion with the same scheduled delivery
-// time share one frame.
-type batchKey struct {
-	src, dst geo.RegionID
-	due      sim.Time
+// openFrame is one entry of a source region's open list: the coalescing
+// bucket of all cluster messages sent this instant from that region to dst
+// with delivery time due, and the frame they ride.
+type openFrame struct {
+	dst geo.RegionID
+	due sim.Time
+	f   *frame
 }
 
 // entry is one cluster message riding a frame.
@@ -166,8 +175,9 @@ type entry struct {
 // drop. It is the geocast substrate's Receiver while in transit and the
 // callback of its own flush and hold events, so a frame costs no closure;
 // its entry slice keeps its capacity across uses. A live frame belongs to
-// exactly one of: the pending table (until its flush event), the geocast
-// route carrying it, its hold event, or the deliver call iterating it.
+// exactly one of: its source region's open list (until its flush event),
+// the geocast route carrying it, its hold event, or the deliver call
+// iterating it.
 type frame struct {
 	s         *Service
 	src, dst  geo.RegionID
@@ -177,6 +187,21 @@ type frame struct {
 	entries   []entry
 	flushFn   func() // f.flush, bound once when the frame is first allocated
 	deliverFn func() // f.deliver, likewise
+}
+
+// clientEnv is one client broadcast from ClientToClusterBody to its
+// resolution: the message, the target region and its incarnation at send
+// time. It is the callback of its own arrival event, so a client broadcast
+// costs no closure and no boxed Delivery; the handler or the drop consumer
+// is handed &env.del, and the envelope goes back to the free list once that
+// call returns.
+type clientEnv struct {
+	s        *Service
+	del      Delivery
+	target   geo.RegionID
+	inc      uint64
+	live     bool
+	arriveFn func() // env.arrive, bound once when the envelope is first allocated
 }
 
 // New assembles the service. geom supplies the n and p parameters of the
@@ -199,7 +224,6 @@ func New(h *hier.Hierarchy, layer *vsa.Layer, gc *geocast.Service, vb *vbcast.Se
 	for _, o := range opts {
 		o.apply(s)
 	}
-	s.onClientDrop = s.clientDropped
 	return s, nil
 }
 
@@ -389,13 +413,17 @@ func (s *Service) release(f *frame) {
 // arriving after the flush (possible when a delivery handler itself sends
 // at the same instant) deterministically opens a second frame.
 func (s *Service) enqueue(srcRegion, dstRegion geo.RegionID, due sim.Time, e entry) {
-	key := batchKey{src: srcRegion, dst: dstRegion, due: due}
-	f, ok := s.pending[key]
-	if !ok {
-		f = s.take(srcRegion, dstRegion, due)
-		s.pending[key] = f
-		s.k.At(s.k.Now(), f.flushFn)
+	open := s.open[srcRegion]
+	for i := range open {
+		if open[i].dst == dstRegion && open[i].due == due {
+			f := open[i].f
+			f.entries = append(f.entries, e)
+			return
+		}
 	}
+	f := s.take(srcRegion, dstRegion, due)
+	s.open[srcRegion] = append(open, openFrame{dst: dstRegion, due: due, f: f})
+	s.k.At(s.k.Now(), f.flushFn)
 	f.entries = append(f.entries, e)
 }
 
@@ -404,7 +432,16 @@ func (s *Service) enqueue(srcRegion, dstRegion geo.RegionID, due sim.Time, e ent
 func (f *frame) flush() {
 	s := f.s
 	f.mustBeLive()
-	delete(s.pending, batchKey{src: f.src, dst: f.dst, due: f.due})
+	open := s.open[f.src]
+	for i := range open {
+		if open[i].f == f {
+			last := len(open) - 1
+			open[i] = open[last]
+			open[last] = openFrame{}
+			s.open[f.src] = open[:last]
+			break
+		}
+	}
 	f.send(max(s.h.Graph().Distance(f.src, f.dst), 0))
 }
 
@@ -500,7 +537,10 @@ func (s *Service) ClientToCluster(from vsa.ClientID, to hier.ClusterID, kind str
 	return s.ClientToClusterBody(from, to, kind, Body{Payload: payload})
 }
 
-// ClientToClusterBody is ClientToCluster with a typed body.
+// ClientToClusterBody is ClientToCluster with a typed body. An error means
+// the message was refused — nothing was recorded and nothing sent.
+// Otherwise the message is accepted and resolves exactly once, at the
+// cluster's VSAHandler or at the OnDrop consumer.
 func (s *Service) ClientToClusterBody(from vsa.ClientID, to hier.ClusterID, kind string, body Body) error {
 	if s.h.Level(to) != 0 {
 		return fmt.Errorf("cgcast: clients may only address level-0 clusters, got level %d", s.h.Level(to))
@@ -510,29 +550,64 @@ func (s *Service) ClientToClusterBody(from vsa.ClientID, to hier.ClusterID, kind
 		return fmt.Errorf("cgcast: client %v not alive", from)
 	}
 	dstRegion := s.h.Head(to)
+	at, inc, err := s.vb.SendClient(from, dstRegion)
+	if err != nil {
+		return err
+	}
 	s.protoKind(kind).Message(max(s.h.Graph().Distance(srcRegion, dstRegion), 0))
-	del := &Delivery{Kind: kind, From: hier.NoCluster, FromRegion: srcRegion, Body: body}
-	return s.vb.ClientToVSA(from, dstRegion, 0, del, s.onClientDrop)
+	var env *clientEnv
+	if n := len(s.envs); n > 0 {
+		env, s.envs = s.envs[n-1], s.envs[:n-1]
+	} else {
+		env = &clientEnv{s: s}
+		env.arriveFn = env.arrive
+		s.envsMade++
+	}
+	env.del = Delivery{Kind: kind, From: hier.NoCluster, FromRegion: srcRegion, Body: body}
+	env.target, env.inc, env.live = dstRegion, inc, true
+	s.k.At(at, env.arriveFn)
+	return nil
 }
 
-// clientDropped hands a client's undelivered broadcast (V-bcast has already
-// accounted the drop under its own kind) to the drop consumer.
-func (s *Service) clientDropped(u geo.RegionID, level int, msg any) {
-	if s.onDrop != nil {
-		s.onDrop(u, level, msg.(*Delivery))
+// arrive is a client broadcast's arrival event: V-bcast delivers the
+// message or accounts its drop, a drop goes on to the drop consumer, and
+// the envelope is released once the handler or the consumer has returned.
+func (env *clientEnv) arrive() {
+	s := env.s
+	if !env.live {
+		panic("cgcast: released client envelope is still referenced")
 	}
+	if !s.vb.ArriveClient(env.target, env.inc, 0, &env.del) && s.onDrop != nil {
+		s.onDrop(env.target, 0, &env.del)
+	}
+	s.releaseEnv(env)
+}
+
+// releaseEnv returns a resolved client envelope to the free list. Its
+// message is cleared so the list pins no payload.
+func (s *Service) releaseEnv(env *clientEnv) {
+	if !env.live {
+		panic("cgcast: client envelope released twice")
+	}
+	env.live = false
+	env.del = Delivery{}
+	s.envs = append(s.envs, env)
 }
 
 // ClusterToClients broadcasts from a level-0 cluster process to all clients
 // in its own and neighboring regions, delivered after δ+e (schedule case
 // d). This carries the found output of §V to the clients that answer it.
+// An error means the broadcast was refused and nothing was recorded.
 func (s *Service) ClusterToClients(from hier.ClusterID, kind string, body Body) error {
 	if s.h.Level(from) != 0 {
 		return fmt.Errorf("cgcast: only level-0 clusters broadcast to clients, got level %d", s.h.Level(from))
 	}
 	u := s.h.Head(from)
-	targets := append([]geo.RegionID{u}, s.layer.Tiling().Neighbors(u)...)
-	s.protoKind(kind).Message(len(targets) - 1)
+	s.targets = append(append(s.targets[:0], u), s.layer.Tiling().Neighbors(u)...)
 	del := &Delivery{Kind: kind, From: from, FromRegion: u, Body: body}
-	return s.vb.VSAToClients(u, targets, del)
+	if err := s.vb.VSAToClients(u, s.targets, del); err != nil {
+		return err
+	}
+	s.protoKind(kind).Message(len(s.targets) - 1)
+	return nil
 }

@@ -1,6 +1,8 @@
 package cgcast
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -356,12 +358,7 @@ func TestClusterToClusterAllocatesNothing(t *testing.T) {
 		}
 		svc := f.svc
 		if batched {
-			var err error
-			vb := vbcast.New(f.k, f.layer, delta, lagE, f.ledger)
-			gc := geocast.New(f.k, f.layer, f.h.Graph(), vb, f.ledger)
-			if svc, err = New(f.h, f.layer, gc, vb, hier.MeasureGeometry(f.h), f.ledger, WithBatching()); err != nil {
-				t.Fatal(err)
-			}
+			svc = batchedService(t, f)
 		}
 		from := f.h.Cluster(f.tiling.RegionAt(0, 0), 1)
 		to := f.h.Cluster(f.tiling.RegionAt(7, 7), 1)
@@ -380,6 +377,258 @@ func TestClusterToClusterAllocatesNothing(t *testing.T) {
 		}
 		if got := f.ledger.Delivered("proto/grow"); got != f.ledger.Messages("proto/grow") || got <= sent {
 			t.Errorf("batched=%v: %d of %d messages delivered", batched, got, f.ledger.Messages("proto/grow"))
+		}
+	}
+}
+
+// batchedService assembles a batching service over the fixture's stack.
+func batchedService(t *testing.T, f *fixture) *Service {
+	t.Helper()
+	vb := vbcast.New(f.k, f.layer, delta, lagE, f.ledger)
+	gc := geocast.New(f.k, f.layer, f.h.Graph(), vb, f.ledger)
+	svc, err := New(f.h, f.layer, gc, vb, hier.MeasureGeometry(f.h), f.ledger, WithBatching())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc
+}
+
+// In steady state a client broadcast costs no allocation from send to
+// delivery either: the envelope carrying it, with its Delivery and its
+// arrival thunk, is recycled, and the handler is handed a pointer into it.
+// A box or a closure per broadcast shows here.
+func TestClientToClusterAllocatesNothing(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		f := setup(t, 8, 2)
+		for u := 0; u < f.tiling.NumRegions(); u++ {
+			f.layer.RegisterVSA(geo.RegionID(u), nopVSA{})
+		}
+		svc := f.svc
+		if batched {
+			svc = batchedService(t, f)
+		}
+		u := f.tiling.RegionAt(3, 3)
+		targets := [2]hier.ClusterID{f.h.Cluster(u, 0), f.h.Cluster(f.tiling.RegionAt(4, 3), 0)}
+		round := func() {
+			for obj := int32(0); obj < 4; obj++ {
+				if err := svc.ClientToClusterBody(vsa.ClientID(u), targets[obj%2], "grow", Body{Obj: obj}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f.k.Run()
+		}
+		round() // warm-up: envelope free list, kind table
+		sent := f.ledger.Messages("transport/client")
+		if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+			t.Errorf("batched=%v: a round of 4 delivered client broadcasts allocates %v times", batched, allocs)
+		}
+		if got := f.ledger.Delivered("transport/client"); got != f.ledger.Messages("transport/client") || got <= sent {
+			t.Errorf("batched=%v: %d of %d client broadcasts delivered", batched, got, f.ledger.Messages("transport/client"))
+		}
+	}
+}
+
+// A refused client send or found broadcast records nothing: every way to be
+// refused returns an error and leaves the ledger as it was, so a kind's
+// sent count never runs ahead of its deliveries and drops.
+func TestRefusedClientSendsRecordNothing(t *testing.T) {
+	f := setup(t, 4, 2)
+	// Warm the kinds up, so a refused send would land in rows that exist.
+	if err := f.svc.ClientToCluster(0, f.h.Cluster(0, 0), "grow", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.svc.ClusterToClients(f.h.Cluster(0, 0), "found", Body{}); err != nil {
+		t.Fatal(err)
+	}
+	f.k.Run()
+	far := f.tiling.RegionAt(3, 3)
+	dead := f.tiling.RegionAt(2, 2)
+	moveAway(t, f, dead)
+	f.layer.FailClient(vsa.ClientID(f.tiling.RegionAt(1, 0)))
+	refused := []struct {
+		name string
+		send func() error
+	}{
+		{"client to a level-1 cluster", func() error {
+			return f.svc.ClientToClusterBody(0, f.h.Cluster(0, 1), "grow", Body{})
+		}},
+		{"client that is dead", func() error {
+			return f.svc.ClientToClusterBody(vsa.ClientID(f.tiling.RegionAt(1, 0)), f.h.Cluster(0, 0), "grow", Body{})
+		}},
+		{"client to an out-of-range level-0 cluster", func() error {
+			return f.svc.ClientToClusterBody(0, f.h.Cluster(far, 0), "grow", Body{})
+		}},
+		{"found from a level-1 cluster", func() error {
+			return f.svc.ClusterToClients(f.h.Cluster(0, 1), "found", Body{})
+		}},
+		{"found from a dead head", func() error {
+			return f.svc.ClusterToClients(f.h.Cluster(dead, 0), "found", Body{})
+		}},
+	}
+	for _, r := range refused {
+		before := f.ledger.Snapshot()
+		if err := r.send(); err == nil {
+			t.Errorf("%s: accepted", r.name)
+		}
+		if after := f.ledger.Snapshot(); !reflect.DeepEqual(before, after) {
+			t.Errorf("%s: refused, but the ledger changed:\nbefore %v\nafter  %v", r.name, before, after)
+		}
+	}
+	if pending := f.k.Pending(); pending != 0 {
+		t.Errorf("refused sends left %d kernel events", pending)
+	}
+}
+
+// A client envelope is released exactly once: a second release, or its
+// arrival event firing after the release, is a lifetime bug and panics.
+func TestClientEnvelopeReuseAfterReleasePanics(t *testing.T) {
+	f := setup(t, 4, 2)
+	if err := f.svc.ClientToCluster(5, f.h.Cluster(5, 0), "find", nil); err != nil {
+		t.Fatal(err)
+	}
+	f.k.Run()
+	if len(f.svc.envs) != 1 {
+		t.Fatalf("%d envelopes in the free list after one resolved broadcast, want 1", len(f.svc.envs))
+	}
+	env := f.svc.envs[0]
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	mustPanic("a second release", func() { f.svc.releaseEnv(env) })
+	mustPanic("an arrival on a released envelope", env.arrive)
+}
+
+// batchKey names one coalescing bucket of the reference model: all cluster
+// messages sent one instant from src to dst with the same delivery time.
+type batchKey struct {
+	src, dst geo.RegionID
+	due      sim.Time
+}
+
+// The open-frame lists against the table they replaced, a map from bucket
+// to frame: over random same-instant sequences of sends and flushes, every
+// send rides the frame the map would have put it in, a flushed frame
+// carries exactly the messages the map's frame would have, and as many
+// frames go on the wire. A send after its bucket's flush, at the same
+// instant, opens a second frame.
+func TestOpenFramesMatchMapModel(t *testing.T) {
+	type modelFrame struct {
+		key  batchKey
+		objs []int32
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		f := setup(t, 4, 2)
+		for u := 0; u < f.tiling.NumRegions(); u++ {
+			f.layer.RegisterVSA(geo.RegionID(u), nopVSA{})
+		}
+		svc := batchedService(t, f)
+		kind := svc.protoKind("m")
+		rng := rand.New(rand.NewSource(seed))
+
+		pending := map[batchKey]*modelFrame{}
+		var flushes []*modelFrame // the model's flush events, in schedule order
+		implOf := map[*modelFrame]*frame{}
+		modelFrames, next := 0, int32(0)
+
+		openFor := func(k batchKey) *frame {
+			for _, o := range svc.open[k.src] {
+				if o.dst == k.dst && o.due == k.due {
+					return o.f
+				}
+			}
+			return nil
+		}
+		openCount := func() int {
+			n := 0
+			for _, l := range svc.open {
+				n += len(l)
+			}
+			return n
+		}
+		send := func(k batchKey) {
+			next++
+			svc.enqueue(k.src, k.dst, k.due, entry{del: Delivery{Kind: "m", Body: Body{Obj: next}}, kind: kind})
+			mf := pending[k]
+			impl := openFor(k)
+			if impl == nil {
+				t.Fatalf("seed %d: message %d to %v rides no open frame", seed, next, k)
+			}
+			if mf == nil {
+				mf = &modelFrame{key: k}
+				pending[k] = mf
+				flushes = append(flushes, mf)
+				modelFrames++
+				for other, f := range implOf {
+					if f == impl && pending[other.key] == other {
+						t.Fatalf("seed %d: bucket %v joined the frame of open bucket %v", seed, k, other.key)
+					}
+				}
+				implOf[mf] = impl
+			} else if implOf[mf] != impl {
+				t.Fatalf("seed %d: message %d to %v rides another frame than its bucket's", seed, next, k)
+			}
+			mf.objs = append(mf.objs, next)
+		}
+		flush := func() {
+			mf := flushes[0]
+			flushes = flushes[1:]
+			delete(pending, mf.key)
+			impl := implOf[mf]
+			var got []int32
+			for _, e := range impl.entries {
+				got = append(got, e.del.Obj)
+			}
+			if !reflect.DeepEqual(got, mf.objs) {
+				t.Fatalf("seed %d: bucket %v flushes messages %v, the model %v", seed, mf.key, got, mf.objs)
+			}
+			if !f.k.Step() {
+				t.Fatalf("seed %d: no flush event for bucket %v", seed, mf.key)
+			}
+			if openFor(mf.key) == impl {
+				t.Fatalf("seed %d: bucket %v still open after its flush", seed, mf.key)
+			}
+		}
+
+		for round := 0; round < 6; round++ {
+			now := f.k.Now()
+			randKey := func() batchKey {
+				return batchKey{
+					src: geo.RegionID(rng.Intn(3)),
+					dst: geo.RegionID(rng.Intn(4) * 5),
+					due: now + unit*sim.Time(1+rng.Intn(3)),
+				}
+			}
+			// A send after its bucket's flush, at the same instant.
+			k := randKey()
+			send(k)
+			flush()
+			send(k)
+			for op := 0; op < 300; op++ {
+				if len(flushes) > 0 && rng.Intn(5) == 0 {
+					flush()
+				} else {
+					send(randKey())
+				}
+				if openCount() != len(pending) {
+					t.Fatalf("seed %d: %d frames open, the model %d", seed, openCount(), len(pending))
+				}
+			}
+			for len(flushes) > 0 {
+				flush()
+			}
+			f.k.Run()
+		}
+		if got := f.ledger.Messages(FrameKind); got != int64(modelFrames) {
+			t.Errorf("seed %d: %d frames on the wire, the model %d", seed, got, modelFrames)
+		}
+		if got, want := f.ledger.Delivered("proto/m"), int64(next); got != want {
+			t.Errorf("seed %d: %d messages delivered, %d sent", seed, got, want)
 		}
 	}
 }

@@ -62,6 +62,8 @@ type lifetimeWorld struct {
 	next     int32
 	copies   map[int32]int // accepted sends: copies expected to resolve
 	resolved map[int32]int // deliveries + drops seen
+
+	clientSends, refused int // accepted and refused client broadcasts
 }
 
 // send issues one numbered message; trigger != 0 makes its receiver send
@@ -75,15 +77,31 @@ func (w *lifetimeWorld) send(src geo.RegionID, from, to hier.ClusterID, trigger 
 	w.copies[id] = w.cg.Copies(to)
 }
 
-// Every frame taken from the free list goes back exactly once, and never
-// while a kernel event or a geocast route can still reach it — under crash
-// windows, client churn and injected loss, with head replication (one
-// message, two target frames), batched and unbatched, and with handlers that
-// send from inside Receive. Double releases and events firing on released
-// frames panic inside the service; leaks show as made != free once the queue
+// sendFromClient issues one numbered client broadcast to the level-0
+// cluster of region to; a dead client or a target out of its range is
+// refused.
+func (w *lifetimeWorld) sendFromClient(id vsa.ClientID, to geo.RegionID) {
+	w.next++
+	n := w.next
+	if err := w.cg.ClientToClusterBody(id, w.h.Cluster(to, 0), "client", cgcast.Body{Obj: n}); err != nil {
+		w.refused++
+		return
+	}
+	w.copies[n] = 1
+	w.clientSends++
+}
+
+// Every frame and every client envelope taken from a free list goes back
+// exactly once, and never while a kernel event or a geocast route can still
+// reach it — under crash windows, client churn and injected loss, with head
+// replication (one message, two target frames), batched and unbatched, with
+// handlers that send from inside Receive, and with client broadcasts (some
+// refused: a dead client, a target out of range) beside the cluster
+// traffic. Double releases and events firing on released envelopes panic
+// inside the service; leaks show as allocated != free once the queue
 // drains; and each accepted message copy must reach its handler or the drop
-// consumer exactly once. (The route records underneath have the same test in
-// package geocast.)
+// consumer exactly once. (The route records underneath have the same test
+// in package geocast.)
 func TestEnvelopeLifetimeUnderChaos(t *testing.T) {
 	for _, batched := range []bool{false, true} {
 		for _, seed := range []int64{1, 2, 3} {
@@ -158,6 +176,22 @@ func runLifetime(t *testing.T, seed int64, batched bool) {
 			}
 			w.send(h.Head(from), from, to, trigger)
 		}
+		// Client broadcasts: mostly to the client's own region or a
+		// neighbour, sometimes to anywhere (refused when out of range), from
+		// clients that may have failed (refused).
+		for i := 0; i < 6; i++ {
+			id := vsa.ClientID(rng.Intn(tiling.NumRegions()))
+			to := geo.RegionID(rng.Intn(tiling.NumRegions()))
+			if u := layer.ClientRegion(id); u != geo.NoRegion && rng.Intn(4) != 0 {
+				nbrs := tiling.Neighbors(u)
+				if j := rng.Intn(len(nbrs) + 1); j < len(nbrs) {
+					to = nbrs[j]
+				} else {
+					to = u
+				}
+			}
+			w.sendFromClient(id, to)
+		}
 		if k.Now() < time.Second {
 			k.Schedule(7*time.Millisecond, burst)
 		}
@@ -194,5 +228,26 @@ func runLifetime(t *testing.T, seed int64, batched bool) {
 	}
 	if dropped == 0 || twoCopies == 0 || len(w.copies) < 1000 {
 		t.Errorf("run too quiet to mean anything: %d messages, %d replicated, %d drops", len(w.copies), twoCopies, dropped)
+	}
+
+	// Client broadcasts resolve at V-bcast: each accepted one is charged
+	// once under its kinds and ends as one delivery or one named drop; a
+	// refused one is charged nothing.
+	if made, free := w.cg.EnvelopesForTest(); made != free || made == 0 {
+		t.Errorf("cgcast client envelopes: %d allocated, %d back in the free list", made, free)
+	}
+	const kind = "transport/client"
+	var clientDrops int64
+	for _, v := range snap.Drops[kind] {
+		clientDrops += v
+	}
+	if sent := snap.MsgCount[kind]; sent != int64(w.clientSends) || sent != snap.Delivered[kind]+clientDrops {
+		t.Errorf("%s: %d accepted, sent %d, delivered %d + dropped %d", kind, w.clientSends, sent, snap.Delivered[kind], clientDrops)
+	}
+	if got := snap.MsgCount["proto/client"]; got != int64(w.clientSends) {
+		t.Errorf("proto/client: charged %d, %d accepted", got, w.clientSends)
+	}
+	if clientDrops == 0 || w.refused == 0 || w.clientSends < 300 {
+		t.Errorf("client traffic too quiet to mean anything: %d accepted, %d refused, %d dropped", w.clientSends, w.refused, clientDrops)
 	}
 }

@@ -67,6 +67,20 @@ type Service struct {
 	// from a dead incarnation must not delay the restarted VSA's fresh
 	// channel (messages to the old incarnation are dropped anyway).
 	lastArrival map[channel]arrival
+	// casts holds the VSA→clients arrival records nothing is using.
+	casts []*clientCast
+}
+
+// clientCast is one target region's share of a VSA→clients broadcast, from
+// VSAToClients to its arrival event. It is the callback of that event, so a
+// target costs no closure; the thunk is bound when the record is first
+// allocated, and the record goes back to the free list when its event fires.
+type clientCast struct {
+	s      *Service
+	tgt    geo.RegionID
+	msg    any
+	live   bool
+	arrive func() // c.deliver, bound once
 }
 
 // arrival is one channel's clamp state: the latest scheduled arrival and
@@ -115,38 +129,44 @@ func (s *Service) Delta() sim.Time { return s.delta }
 // E returns the emulation lag e.
 func (s *Service) E() sim.Time { return s.e }
 
-// ClientToVSA broadcasts msg from a client to the VSA of target (the
-// client's own region or a neighbor), delivered to the subautomaton at the
-// given level after δ. It returns an error if the sender is dead or the
-// target is out of broadcast range. If the message dies instead of being
-// delivered (the VSA failed or restarted in flight, or is down at arrival),
-// onDrop — which may be nil — is handed the undelivered message at the
-// would-be arrival time, after the drop is recorded.
-func (s *Service) ClientToVSA(from vsa.ClientID, target geo.RegionID, level int, msg any, onDrop func(target geo.RegionID, level int, msg any)) error {
+// SendClient is the send half of a client's broadcast to the VSA of target
+// (the client's own region or a neighbor): it checks that the client is
+// alive and the target in range, accounts the message under
+// "transport/client", and returns the arrival time δ away together with the
+// target's incarnation at send time. The caller schedules one kernel event
+// at at and has it call ArriveClient with that incarnation, keeping the
+// message in a record of its own instead of a closure per broadcast.
+func (s *Service) SendClient(from vsa.ClientID, target geo.RegionID) (at sim.Time, inc uint64, err error) {
 	src := s.layer.ClientRegion(from)
 	if src == geo.NoRegion {
-		return fmt.Errorf("vbcast: client %v not alive", from)
+		return 0, 0, fmt.Errorf("vbcast: client %v not alive", from)
 	}
 	if target != src && !geo.AreNeighbors(s.layer.Tiling(), src, target) {
-		return fmt.Errorf("vbcast: region %v not within broadcast range of %v", target, src)
+		return 0, 0, fmt.Errorf("vbcast: region %v not within broadcast range of %v", target, src)
 	}
 	s.kindClient.Message(hopCount(src, target))
-	inc := s.layer.Incarnation(target)
-	s.k.At(s.deliverAt(chanClient, target, s.broadcastDelay(src, target)), func() {
-		cause := metrics.DropIncarnation // VSA failed or restarted in flight
-		if s.layer.Incarnation(target) == inc {
-			if s.layer.DeliverToVSA(target, level, msg) {
-				s.kindClient.Delivery()
-				return
-			}
-			cause = metrics.DropDeadVSA
+	inc = s.layer.Incarnation(target)
+	at = s.deliverAt(chanClient, target, s.broadcastDelay(src, target))
+	return at, inc, nil
+}
+
+// ArriveClient is the arrival half of a client broadcast, run at the time
+// SendClient returned: msg is delivered to the subautomaton at the given
+// level unless the target VSA failed or restarted in flight, or is down at
+// arrival. It reports whether msg was delivered; the message resolves under
+// "transport/client" either way, and handing on a message that died is the
+// caller's business.
+func (s *Service) ArriveClient(target geo.RegionID, inc uint64, level int, msg any) bool {
+	cause := metrics.DropIncarnation // VSA failed or restarted in flight
+	if s.layer.Incarnation(target) == inc {
+		if s.layer.DeliverToVSA(target, level, msg) {
+			s.kindClient.Delivery()
+			return true
 		}
-		s.kindClient.Drop(cause)
-		if onDrop != nil {
-			onDrop(target, level, msg)
-		}
-	})
-	return nil
+		cause = metrics.DropDeadVSA
+	}
+	s.kindClient.Drop(cause)
+	return false
 }
 
 // VSAToClients broadcasts msg from region from's VSA to every alive client
@@ -154,7 +174,8 @@ func (s *Service) ClientToVSA(from vsa.ClientID, target geo.RegionID, level int,
 // after δ+e. Clients that die in flight miss the message. It is one
 // broadcast: the ledger charges one message whose hop-work is the sum of
 // the per-target hop counts (the self region is 0 hops, each neighbor 1),
-// so message count and hop-work stay distinct quantities.
+// so message count and hop-work stay distinct quantities. Each target's
+// arrival is a recycled record; targets itself is not kept.
 func (s *Service) VSAToClients(from geo.RegionID, targets []geo.RegionID, msg any) error {
 	if !s.layer.Alive(from) {
 		return fmt.Errorf("vbcast: VSA %v not alive", from)
@@ -169,22 +190,39 @@ func (s *Service) VSAToClients(from geo.RegionID, targets []geo.RegionID, msg an
 	s.kindVSAClient.Message(work)
 	lag := s.emulationLag(from)
 	for _, tgt := range targets {
-		tgt := tgt
 		at := s.deliverAt(chanVSAClient, tgt, sim.Add(lag, s.broadcastDelay(from, tgt)))
-		s.k.At(at, func() {
-			for _, id := range s.layer.ClientsIn(tgt) {
-				// ClientsIn lists only alive occupants, but a handler run by
-				// an earlier delivery in this same loop may fail a client;
-				// count each per-client attempt so chaos runs can see them.
-				if s.layer.DeliverToClient(id, msg) {
-					s.kindVSAClient.Delivery()
-				} else {
-					s.kindVSAClient.Drop(metrics.DropDeadClient)
-				}
-			}
-		})
+		var c *clientCast
+		if n := len(s.casts); n > 0 {
+			c, s.casts = s.casts[n-1], s.casts[:n-1]
+		} else {
+			c = &clientCast{s: s}
+			c.arrive = c.deliver
+		}
+		c.tgt, c.msg, c.live = tgt, msg, true
+		s.k.At(at, c.arrive)
 	}
 	return nil
+}
+
+// deliver is a target region's arrival event. The record goes back to the
+// free list first, so a client handler that broadcasts reuses it.
+func (c *clientCast) deliver() {
+	s, tgt, msg := c.s, c.tgt, c.msg
+	if !c.live {
+		panic("vbcast: arrival fired for a released broadcast record")
+	}
+	c.msg, c.live = nil, false
+	s.casts = append(s.casts, c)
+	for _, id := range s.layer.ClientsIn(tgt) {
+		// ClientsIn lists only alive occupants, but a handler run by an
+		// earlier delivery in this same loop may fail a client; count each
+		// per-client attempt so chaos runs can see them.
+		if s.layer.DeliverToClient(id, msg) {
+			s.kindVSAClient.Delivery()
+		} else {
+			s.kindVSAClient.Drop(metrics.DropDeadClient)
+		}
+	}
 }
 
 // SendHop is the send half of a relay hop between neighboring regions' VSAs

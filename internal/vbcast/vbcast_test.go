@@ -58,9 +58,20 @@ func setupLedger(t *testing.T, ledger *metrics.Ledger) (*sim.Kernel, *vsa.Layer,
 	return k, layer, svc, vsas, clients
 }
 
+// clientToVSA drives the two halves of a client broadcast the way a caller
+// does: SendClient, one kernel event at the arrival time, ArriveClient.
+func clientToVSA(svc *Service, from vsa.ClientID, target geo.RegionID, level int, msg any) error {
+	at, inc, err := svc.SendClient(from, target)
+	if err != nil {
+		return err
+	}
+	svc.k.At(at, func() { svc.ArriveClient(target, inc, level, msg) })
+	return nil
+}
+
 func TestClientToVSADelay(t *testing.T) {
 	k, _, svc, vsas, _ := setup(t)
-	if err := svc.ClientToVSA(4, 4, 2, "hello", nil); err != nil {
+	if err := clientToVSA(svc, 4, 4, 2, "hello"); err != nil {
 		t.Fatal(err)
 	}
 	k.RunUntil(delta - time.Millisecond)
@@ -76,11 +87,11 @@ func TestClientToVSADelay(t *testing.T) {
 func TestClientToVSANeighborAllowedFarRejected(t *testing.T) {
 	k, _, svc, vsas, _ := setup(t)
 	// Client in r0 to neighboring region r1's VSA: allowed.
-	if err := svc.ClientToVSA(0, 1, 0, "nbr", nil); err != nil {
+	if err := clientToVSA(svc, 0, 1, 0, "nbr"); err != nil {
 		t.Fatal(err)
 	}
 	// r0 to r8 (not neighbors): rejected.
-	if err := svc.ClientToVSA(0, 8, 0, "far", nil); err == nil {
+	if err := clientToVSA(svc, 0, 8, 0, "far"); err == nil {
 		t.Fatal("out-of-range broadcast accepted")
 	}
 	k.Run()
@@ -92,24 +103,38 @@ func TestClientToVSANeighborAllowedFarRejected(t *testing.T) {
 func TestClientToVSADeadSender(t *testing.T) {
 	_, layer, svc, _, _ := setup(t)
 	layer.FailClient(0)
-	if err := svc.ClientToVSA(0, 0, 0, "x", nil); err == nil {
+	if err := clientToVSA(svc, 0, 0, 0, "x"); err == nil {
 		t.Fatal("send from dead client accepted")
 	}
 }
 
+// The two halves of a client broadcast: SendClient hands back the arrival
+// time δ away and the target's incarnation, and ArriveClient, run at that
+// time, reports a message whose VSA failed in flight as not delivered and
+// attributes the drop to the incarnation change.
 func TestClientToVSADroppedWhenVSAFails(t *testing.T) {
-	k, layer, svc, vsas, _ := setup(t)
-	if err := svc.ClientToVSA(0, 1, 0, "x", nil); err != nil {
+	led := metrics.NewLedger()
+	k, layer, svc, vsas, _ := setupLedger(t, led)
+	at, inc, err := svc.SendClient(0, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if at != delta {
+		t.Fatalf("arrival time %v, want δ = %v", at, delta)
+	}
+	delivered := true
+	k.At(at, func() { delivered = svc.ArriveClient(1, inc, 0, "x") })
 	// r1's VSA fails mid-flight (its only client leaves).
 	k.RunFor(delta / 2)
 	if err := layer.MoveClient(1, 2); err != nil {
 		t.Fatal(err)
 	}
 	k.Run()
-	if len(vsas[1].msgs) != 0 {
+	if delivered || len(vsas[1].msgs) != 0 {
 		t.Fatal("message delivered to failed VSA")
+	}
+	if got := led.Drops("transport/client", metrics.DropIncarnation); got != 1 {
+		t.Errorf("incarnation drops = %d, want 1", got)
 	}
 }
 
@@ -258,14 +283,14 @@ func (m *scriptModel) EmulationLag(geo.RegionID, sim.Time) sim.Time { return m.l
 func TestDelayModelSampledAndClamped(t *testing.T) {
 	k, _, svc, vsas, _ := setup(t)
 	svc.SetDelayModel(&scriptModel{delays: []sim.Time{3 * time.Millisecond, 99 * delta}})
-	if err := svc.ClientToVSA(4, 4, 0, "early", nil); err != nil {
+	if err := clientToVSA(svc, 4, 4, 0, "early"); err != nil {
 		t.Fatal(err)
 	}
 	k.RunUntil(3 * time.Millisecond)
 	if len(vsas[4].msgs) != 1 {
 		t.Fatalf("sampled delivery = %v, want arrival at 3ms", vsas[4].msgs)
 	}
-	if err := svc.ClientToVSA(4, 4, 0, "late", nil); err != nil {
+	if err := clientToVSA(svc, 4, 4, 0, "late"); err != nil {
 		t.Fatal(err)
 	}
 	k.Run()
@@ -283,10 +308,10 @@ func TestDelayModelSampledAndClamped(t *testing.T) {
 func TestDelayModelPreservesSendOrder(t *testing.T) {
 	k, _, svc, vsas, _ := setup(t)
 	svc.SetDelayModel(&scriptModel{delays: []sim.Time{9 * time.Millisecond, 1 * time.Millisecond}})
-	if err := svc.ClientToVSA(4, 4, 0, "first", nil); err != nil {
+	if err := clientToVSA(svc, 4, 4, 0, "first"); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.ClientToVSA(4, 4, 0, "second", nil); err != nil {
+	if err := clientToVSA(svc, 4, 4, 0, "second"); err != nil {
 		t.Fatal(err)
 	}
 	k.RunUntil(9*time.Millisecond - time.Microsecond)
@@ -310,7 +335,7 @@ func TestDelayModelClampResetOnIncarnationChange(t *testing.T) {
 	svc.SetDelayModel(&scriptModel{delays: []sim.Time{delta, 1 * time.Millisecond}})
 
 	// Message to r1's original incarnation, arriving at the full δ.
-	if err := svc.ClientToVSA(0, 1, 0, "old", nil); err != nil {
+	if err := clientToVSA(svc, 0, 1, 0, "old"); err != nil {
 		t.Fatal(err)
 	}
 	k.RunFor(2 * time.Millisecond)
@@ -332,7 +357,7 @@ func TestDelayModelClampResetOnIncarnationChange(t *testing.T) {
 	// clamp (arrival δ = 10ms) must not apply: delivery happens at the
 	// sampled time, and the observed delay stays within its own envelope.
 	sendAt := k.Now()
-	if err := svc.ClientToVSA(0, 1, 0, "fresh", nil); err != nil {
+	if err := clientToVSA(svc, 0, 1, 0, "fresh"); err != nil {
 		t.Fatal(err)
 	}
 	// The fresh message must arrive at its own sampled 1ms delay — well
@@ -363,12 +388,12 @@ func TestDelayModelClampResetOnIncarnationChange(t *testing.T) {
 func TestDelayModelClampStillBindsWithinIncarnation(t *testing.T) {
 	k, _, svc, vsas, _ := setup(t)
 	svc.SetDelayModel(&scriptModel{delays: []sim.Time{8 * time.Millisecond, 1 * time.Millisecond}})
-	if err := svc.ClientToVSA(0, 1, 0, "first", nil); err != nil {
+	if err := clientToVSA(svc, 0, 1, 0, "first"); err != nil {
 		t.Fatal(err)
 	}
 	k.RunFor(2 * time.Millisecond)
 	sendAt := k.Now()
-	if err := svc.ClientToVSA(0, 1, 0, "second", nil); err != nil {
+	if err := clientToVSA(svc, 0, 1, 0, "second"); err != nil {
 		t.Fatal(err)
 	}
 	k.Run()
@@ -392,10 +417,10 @@ func TestDropAccountingConserves(t *testing.T) {
 	led := metrics.NewLedger()
 	k, layer, svc, _, _ := setupLedger(t, led)
 
-	if err := svc.ClientToVSA(0, 1, 0, "a", nil); err != nil { // delivered
+	if err := clientToVSA(svc, 0, 1, 0, "a"); err != nil { // delivered
 		t.Fatal(err)
 	}
-	if err := svc.ClientToVSA(0, 0, 0, "b", nil); err != nil { // delivered
+	if err := clientToVSA(svc, 0, 0, 0, "b"); err != nil { // delivered
 		t.Fatal(err)
 	}
 	if err := svc.VSAToVSA(3, 4, func() {}); err != nil { // delivered
