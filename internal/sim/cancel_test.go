@@ -5,6 +5,18 @@ import (
 	"time"
 )
 
+// checkBounded fails unless the kernel queues exactly events events and has
+// never held more than slots arena slots or buckets buckets at once.
+func checkBounded(t *testing.T, k *Kernel, events, slots, buckets int) {
+	t.Helper()
+	if got, _ := queued(k); got != events {
+		t.Fatalf("queue holds %d events, want %d", got, events)
+	}
+	if len(k.arena) > slots || len(k.buckets) > buckets {
+		t.Fatalf("kernel holds %d slots and %d buckets, want at most %d and %d", len(k.arena), len(k.buckets), slots, buckets)
+	}
+}
+
 // TestCancelRemovesFromHeap is the regression test for the tombstone leak:
 // cancelled events used to stay queued until their firing time popped them,
 // so a schedule/cancel loop (exactly what a repeatedly reset lease timer
@@ -17,12 +29,10 @@ func TestCancelRemovesFromHeap(t *testing.T) {
 			t.Error("cancelled event fired")
 		})
 		ev.Cancel()
-		if got := len(k.queue); got > 1 {
-			t.Fatalf("round %d: heap holds %d events after cancel, want <= 1", i, got)
-		}
+		checkBounded(t, k, 0, 1, 1)
 	}
-	if got := len(k.queue); got != 0 {
-		t.Fatalf("heap holds %d events after %d schedule/cancel rounds, want 0", got, rounds)
+	if len(k.queue) != 0 {
+		t.Fatalf("heap holds %d buckets after %d schedule/cancel rounds, want 0", len(k.queue), rounds)
 	}
 	if k.Pending() != 0 {
 		t.Errorf("Pending = %d, want 0", k.Pending())
@@ -41,16 +51,12 @@ func TestTimerResetLoopBoundedHeap(t *testing.T) {
 		tm.Clear()
 		tm.SetAfter(10 * time.Millisecond)
 	}
-	if got := len(k.queue); got != 1 {
-		t.Fatalf("heap holds %d events after reset loop, want 1 (the live deadline)", got)
-	}
+	checkBounded(t, k, 1, 2, 2) // the live deadline
 	k.Run()
 	if fired != 1 {
 		t.Errorf("timer fired %d times, want 1", fired)
 	}
-	if got := len(k.queue); got != 0 {
-		t.Errorf("heap holds %d events after run", got)
-	}
+	checkBounded(t, k, 0, 2, 2)
 }
 
 // TestCancelParkedEvent: events parked at Forever used to be unreclaimable
@@ -58,13 +64,9 @@ func TestTimerResetLoopBoundedHeap(t *testing.T) {
 func TestCancelParkedEvent(t *testing.T) {
 	k := New(1)
 	ev := k.At(Forever, func() { t.Error("parked event fired") })
-	if got := len(k.queue); got != 1 {
-		t.Fatalf("heap holds %d events, want 1", got)
-	}
+	checkBounded(t, k, 1, 1, 1)
 	ev.Cancel()
-	if got := len(k.queue); got != 0 {
-		t.Fatalf("heap holds %d events after cancelling parked event, want 0", got)
-	}
+	checkBounded(t, k, 0, 1, 1)
 }
 
 // TestCancelMiddleOfHeapPreservesOrder removes an interior event and checks
@@ -82,6 +84,7 @@ func TestCancelMiddleOfHeapPreservesOrder(t *testing.T) {
 	evs[3].Cancel()
 	evs[7].Cancel()
 	evs[3].Cancel() // double cancel is a no-op
+	checkBounded(t, k, 8, 10, 10)
 	k.Run()
 	want := []int{0, 1, 2, 4, 5, 6, 8, 9}
 	if len(got) != len(want) {
@@ -102,7 +105,5 @@ func TestCancelAlreadyFiredEventNoop(t *testing.T) {
 	k.Schedule(time.Second, func() {})
 	k.Step()
 	ev.Cancel()
-	if got := len(k.queue); got != 1 {
-		t.Fatalf("heap holds %d events, want 1", got)
-	}
+	checkBounded(t, k, 1, 2, 2)
 }

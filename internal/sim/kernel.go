@@ -9,14 +9,20 @@
 // delays are imposed by the communication services layered on top. Every
 // run is reproducible from its seed.
 //
-// Performance: the queue is a hand-rolled 4-ary min-heap whose entries carry
-// their own sort key (at, seq) beside the index of an index-stable arena slot
-// holding the callback, so a comparison never leaves the heap array, and
-// Schedule, Cancel, and Step are allocation-free in steady state (every
-// experiment is millions of schedule/cancel/fire cycles). Ordering is exactly
-// (at, seq) — simultaneous events fire in scheduling order — so the heap
-// layout is an implementation detail that cannot perturb results: pop order,
-// and therefore every simulated table, is byte-identical to the old
+// Performance: the queue orders instants, not events. Events scheduled for
+// the same virtual time share a bucket, a FIFO linked through the arena slots
+// that hold their callbacks, and a hand-rolled 4-ary min-heap orders the
+// buckets by (at, seq when the bucket opened). At appends to the latest
+// bucket opened for its time, found through a small direct-mapped table;
+// Step takes the head of the top bucket and Cancel unlinks, both O(1) until
+// a bucket empties and leaves the heap. C-gcast's fixed delivery schedule
+// puts thousands of queued events on a handful of instants, so the heap
+// stays a few buckets deep however many events are queued. Schedule,
+// Cancel, and Step are allocation-free in steady state (every experiment is
+// millions of schedule/cancel/fire cycles). Ordering is exactly (at, seq) —
+// simultaneous events fire in scheduling order — so the queue's layout is an
+// implementation detail that cannot perturb results: pop order, and
+// therefore every simulated table, is byte-identical to the old
 // container/heap kernel.
 package sim
 
@@ -88,39 +94,67 @@ func (e Event) Cancel() {
 	if e.at != Forever {
 		k.runnable--
 	}
-	k.heapRemove(int(s.pos))
+	k.unlink(e.idx)
 	k.release(e.idx)
 }
 
-// slot is one arena entry: a queued event's callback. A slot is queued (pos
-// >= 0) from At until the event fires or is cancelled, at which point the
-// slot is released to the free-list and its generation bumped, invalidating
-// outstanding handles.
+// slot is one arena entry: a queued event's callback and its links in its
+// bucket's FIFO. A slot is queued (bkt >= 0) from At until the event fires
+// or is cancelled, at which point the slot is released to the free-list and
+// its generation bumped, invalidating outstanding handles.
 type slot struct {
-	fn  func()
-	gen uint32
-	pos int32 // position in Kernel.queue, -1 when free
+	fn         func()
+	gen        uint32
+	bkt        int32 // index in Kernel.buckets, -1 when free
+	prev, next int32 // neighbours in the bucket's FIFO, -1 at its ends
 }
 
-// entry is one element of the queue: the event's sort key (at, seq) and the
-// arena slot holding its callback. Sifting compares entries in place, so
-// ordering the queue reads no slot.
+// bucket is the FIFO of the events queued for one instant, oldest first,
+// linked through their slots. A bucket is queued (pos >= 0) while it holds
+// an event; the last unlink takes it off the heap and frees it. Its
+// instant is its heap entry's.
+type bucket struct {
+	head, tail int32 // first and last slot of the FIFO
+	pos        int32 // position in Kernel.queue, -1 when free
+}
+
+// latestBucket is one entry of Kernel.latest: a queued bucket and its
+// instant, or at < 0 when the entry names none.
+type latestBucket struct {
+	at  Time
+	bkt int32
+}
+
+// entry is one element of the heap: a bucket's sort key (its instant and
+// the seq of the event that opened it) and the bucket's index. Sifting
+// compares entries in place, so ordering the heap reads no bucket.
 type entry struct {
 	at  Time
 	seq uint64
 	idx int32
 }
 
+// latestBits is log2 of the number of entries in Kernel.latest.
+const latestBits = 3
+
 // Kernel is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; the simulated world is sequential, which is what makes
-// runs reproducible.
+// runs reproducible. Its queue is a heap of buckets, one FIFO of events per
+// queued instant (two or more only after a collision in latest), so its
+// depth follows the number of distinct instants, not of events.
 type Kernel struct {
 	now      Time
 	seq      uint64
-	arena    []slot  // index-stable event storage
-	free     []int32 // released arena slots available for reuse
-	queue    []entry // 4-ary min-heap ordered by (at, seq)
-	runnable int     // queued events with a finite firing time
+	arena    []slot   // index-stable event storage
+	free     []int32  // released arena slots available for reuse
+	buckets  []bucket // index-stable bucket storage
+	freeBkts []int32  // freed buckets available for reuse
+	queue    []entry  // 4-ary min-heap of buckets ordered by (at, seq)
+	// latest is a direct-mapped table from an instant's hash to the latest
+	// bucket opened for an instant with that hash, while it is queued. Only
+	// that bucket may receive events (see enqueue).
+	latest   [1 << latestBits]latestBucket
+	runnable int // queued events with a finite firing time
 	rng      *rand.Rand
 	nsteps   uint64
 }
@@ -128,7 +162,11 @@ type Kernel struct {
 // New returns a kernel at time zero with a deterministic random source
 // derived from seed.
 func New(seed int64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewSource(seed))}
+	k := &Kernel{rng: rand.New(rand.NewSource(seed))}
+	for i := range k.latest {
+		k.latest[i].at = -1
+	}
+	return k
 }
 
 // Now returns the current virtual time.
@@ -164,11 +202,78 @@ func (k *Kernel) At(t Time, fn func()) Event {
 	}
 	s := &k.arena[idx]
 	s.fn = fn
-	k.heapPush(entry{at: t, seq: k.seq, idx: idx})
+	k.enqueue(idx, t)
 	if t != Forever {
 		k.runnable++
 	}
 	return Event{k: k, at: t, idx: idx, gen: s.gen}
+}
+
+// enqueue appends slot idx to the latest bucket opened for t, opening one if
+// t has none queued. Appending only to the latest bucket keeps pop order
+// exactly (at, seq): when a table collision has made At open a second bucket
+// for t, every event of the first was scheduled before the second opened,
+// and the seqs the two buckets opened with order them on the heap.
+func (k *Kernel) enqueue(idx int32, t Time) {
+	l := &k.latest[latestSlot(t)]
+	if l.at != t {
+		*l = latestBucket{at: t, bkt: k.openBucket(t)}
+	}
+	bi := l.bkt
+	b := &k.buckets[bi]
+	s := &k.arena[idx]
+	s.bkt, s.prev, s.next = bi, b.tail, -1
+	if b.tail < 0 {
+		b.head = idx
+	} else {
+		k.arena[b.tail].next = idx
+	}
+	b.tail = idx
+}
+
+// latestSlot is t's entry in Kernel.latest: a Fibonacci hash, so instants
+// on a lattice (multiples of one period) spread over the table.
+func latestSlot(t Time) uint64 { return uint64(t) * 0x9e3779b97f4a7c15 >> (64 - latestBits) }
+
+// openBucket takes a bucket for instant t, empty, and pushes it onto the
+// heap keyed by the current seq.
+func (k *Kernel) openBucket(t Time) int32 {
+	var bi int32
+	if n := len(k.freeBkts); n > 0 {
+		bi = k.freeBkts[n-1]
+		k.freeBkts = k.freeBkts[:n-1]
+	} else {
+		k.buckets = append(k.buckets, bucket{})
+		bi = int32(len(k.buckets) - 1)
+	}
+	k.buckets[bi] = bucket{head: -1, tail: -1}
+	k.heapPush(entry{at: t, seq: k.seq, idx: bi})
+	return bi
+}
+
+// unlink removes slot idx from its bucket's FIFO. A bucket left empty
+// leaves the heap and Kernel.latest, and is freed.
+func (k *Kernel) unlink(idx int32) {
+	s := &k.arena[idx]
+	b := &k.buckets[s.bkt]
+	if s.prev < 0 {
+		b.head = s.next
+	} else {
+		k.arena[s.prev].next = s.next
+	}
+	if s.next < 0 {
+		b.tail = s.prev
+	} else {
+		k.arena[s.next].prev = s.prev
+	}
+	if b.head < 0 {
+		if l := &k.latest[latestSlot(k.queue[b.pos].at)]; l.bkt == s.bkt {
+			l.at = -1
+		}
+		k.heapRemove(int(b.pos))
+		b.pos = -1
+		k.freeBkts = append(k.freeBkts, s.bkt)
+	}
 }
 
 // release returns a fired or cancelled slot to the free-list, dropping its
@@ -177,7 +282,7 @@ func (k *Kernel) At(t Time, fn func()) Event {
 func (k *Kernel) release(idx int32) {
 	s := &k.arena[idx]
 	s.fn = nil
-	s.pos = -1
+	s.bkt = -1
 	s.gen++
 	k.free = append(k.free, idx)
 }
@@ -194,11 +299,12 @@ func (k *Kernel) Step() bool {
 		// any finite time.
 		return false
 	}
-	fn := k.arena[top.idx].fn
+	idx := k.buckets[top.idx].head
+	fn := k.arena[idx].fn
 	k.now = top.at
 	k.runnable--
-	k.popMin()
-	k.release(top.idx)
+	k.unlink(idx)
+	k.release(idx)
 	k.nsteps++
 	fn()
 	return true
@@ -278,15 +384,14 @@ func (k *Kernel) peekRunnable() (Time, bool) {
 	return 0, false
 }
 
-// --- 4-ary min-heap of entries, ordered by (at, seq) ---
+// --- 4-ary min-heap of buckets, ordered by (at, seq) ---
 //
 // A 4-ary layout halves the tree depth of a binary heap and keeps the
-// children of a node within two cache lines of the queue, which measurably
-// helps the schedule/cancel churn of timer-heavy protocols. The comparison
-// is the total order (at, seq) — seq is unique per event — so pop order is
-// independent of heap shape and byte-identical to any other stable queue.
-// Every move of an entry writes its new position into its arena slot, which
-// Cancel needs; the sift itself reads only the queue.
+// children of a node within two cache lines of the queue. The comparison
+// is the total order (at, seq) — seq is unique per bucket — so pop order is
+// independent of heap shape. Every move of an entry writes its new
+// position into its bucket, which unlink needs; the sift itself reads only
+// the queue.
 
 func (a entry) less(b entry) bool {
 	if a.at != b.at {
@@ -299,17 +404,6 @@ func (a entry) less(b entry) bool {
 func (k *Kernel) heapPush(e entry) {
 	k.queue = append(k.queue, e)
 	k.siftUp(len(k.queue) - 1)
-}
-
-// popMin removes the minimum entry.
-func (k *Kernel) popMin() {
-	n := len(k.queue) - 1
-	last := k.queue[n]
-	k.queue = k.queue[:n]
-	if n > 0 {
-		k.queue[0] = last
-		k.siftDown(0)
-	}
 }
 
 // heapRemove removes the entry at queue position pos.
@@ -337,11 +431,11 @@ func (k *Kernel) siftUp(pos int) int {
 			break
 		}
 		q[pos] = q[parent]
-		k.arena[q[pos].idx].pos = int32(pos)
+		k.buckets[q[pos].idx].pos = int32(pos)
 		pos = parent
 	}
 	q[pos] = e
-	k.arena[e.idx].pos = int32(pos)
+	k.buckets[e.idx].pos = int32(pos)
 	return pos
 }
 
@@ -367,11 +461,11 @@ func (k *Kernel) siftDown(pos int) {
 			break
 		}
 		q[pos] = q[best]
-		k.arena[q[pos].idx].pos = int32(pos)
+		k.buckets[q[pos].idx].pos = int32(pos)
 		pos = best
 	}
 	q[pos] = e
-	k.arena[e.idx].pos = int32(pos)
+	k.buckets[e.idx].pos = int32(pos)
 }
 
 // RunRealtime processes events while pacing virtual time against the wall

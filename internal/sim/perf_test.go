@@ -11,16 +11,11 @@ import (
 // a randomized schedule/cancel/step/park history. ---
 
 // bruteForcePending recounts what Pending maintains incrementally: queued
-// events with a finite firing time (cancelled events are removed from the
-// queue eagerly, so scanning the heap is exhaustive).
+// events with a finite firing time (cancelled events are unlinked from
+// their bucket eagerly, so walking the queued buckets is exhaustive).
 func bruteForcePending(k *Kernel) int {
-	n := 0
-	for _, e := range k.queue {
-		if e.at != Forever {
-			n++
-		}
-	}
-	return n
+	_, runnable := queued(k)
+	return runnable
 }
 
 func TestPendingMatchesBruteForceScan(t *testing.T) {
@@ -98,7 +93,7 @@ func TestTimerResetZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// The kernel orders by (at, seq) regardless of heap shape; a randomized
+// The kernel orders by (at, seq) regardless of queue layout; a randomized
 // schedule must drain in exact nondecreasing (at, seq) order. This pins the
 // byte-identity claim at the kernel level: any stable queue implementation
 // yields this exact order.
