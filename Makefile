@@ -38,13 +38,14 @@ shuffle:
 race:
 	$(GO) test -race ./...
 
-# Networked-host smoke: the nethost runtime (its mailbox and kill tests 20
-# times over, for the block-and-kill interleavings) and the tracker-over-nethost
+# Networked-host smoke: the nethost runtime (its mailbox, kill, due-order and
+# stop tests 20 times over, for the block-and-kill interleavings and the
+# service queue's release order) and the tracker-over-nethost
 # integration tests (oracle parity, heal-after-kill, chaos conservation)
 # under the race detector, plus the wire-codec fuzz seed corpora.
 nethost-smoke:
 	$(GO) test -race ./internal/nethost
-	$(GO) test -race -count=20 -run 'Mailbox|Kill' ./internal/nethost
+	$(GO) test -race -count=20 -run 'Mailbox|Kill|DueOrder|StopDrops' ./internal/nethost
 	$(GO) test -race -run 'TestNetHost' ./internal/tracker
 	$(GO) test -run 'TestNetHostMatchesOracleOnFixedSchedule' -count=10 ./internal/tracker
 	$(GO) test -run 'FuzzDecodeRegion|FuzzDecodeClusterMessage' ./internal/tracker

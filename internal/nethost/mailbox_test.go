@@ -261,7 +261,7 @@ func TestKillRefusesBlockedPosters(t *testing.T) {
 	n, _ := fillMailbox(t, s, 0)
 	s.mu.Lock()
 	s.ledger.RecordMessage("net/late", 0)
-	f := &heldFrame{to: 0, inc: s.slots[0].inc, kind: "late"}
+	f := &heldEntry{to: 0, inc: s.slots[0].inc, kind: "late"}
 	s.mu.Unlock()
 	injected, delivered := make(chan error, 1), make(chan struct{})
 	go func() { injected <- s.Inject(0, func(*Node) {}) }()

@@ -7,15 +7,16 @@
 //
 // The port contracts carry over unchanged:
 //
-//   - Virtual time is wall time since Service.Start, measured on the
-//     monotonic clock. sim.Time is an alias of time.Duration, so deadlines
-//     and delivery schedules map 1:1 with no conversion — the exact
-//     sim.Time a timer was armed for is the exact value handed back to
-//     TimerFire, preserving the advisory-wakeup equality check.
-//   - Timer wakeups are advisory. Real time.Timers, unlike the sim kernel,
-//     can fire late and race a re-arm; the node validates every wakeup
-//     against its recorded deadline and drops stale ones before they reach
-//     the automaton (which re-validates against its own state anyway).
+//   - Virtual time is wall time since Service.Start, on the monotonic
+//     clock, but a node acts at its input's instant: Node.Now is the due
+//     time of the frame or wakeup being processed, or an injected input's
+//     Inject time, never a fresh reading. sim.Time is an alias of
+//     time.Duration, so deadlines and delivery schedules map 1:1.
+//   - One queue keeps time: held frames, timer wakeups, RunAt functions
+//     and scheduled faults leave it in (due, queue) order, released by one
+//     goroutine. Wakeups are advisory: a re-armed or cleared timer's old
+//     wakeup stays queued and the node drops it against its recorded
+//     deadline (the automaton re-validates against its own state anyway).
 //   - Frames carry an absolute virtual due time. The receiving service
 //     holds a frame in the destination node's "VSA memory" until the due
 //     time and the frame dies with the node (C-gcast §II-C.3 hold
@@ -90,43 +91,45 @@ type Service struct {
 	slots   []slot
 	ledger  *metrics.Ledger
 	loss    func() bool // chaos in-window frame loss, called under mu
-	chaos   []chaosEvent
 	started bool
 	stopped bool
 	wg      sync.WaitGroup
 
-	// held is every frame in hold (§II-C.3) awaiting its due time, earliest
-	// first. holdLoop, the service's one hold goroutine, hands frames to their
-	// nodes as they come due — a burst of frames due together is a queue, not
-	// a goroutine each — and Stop resolves the rest to ledger drops. wake
-	// tells holdLoop that the earliest due time moved up or the service
-	// stopped; one pending signal is enough.
+	// held is everything awaiting its instant, earliest first: frames in
+	// hold (§II-C.3), timer wakeups, RunAt functions and scheduled faults.
+	// holdLoop, the service's one hold goroutine, releases each as it comes
+	// due — a burst due together is a queue, not a goroutine each — and Stop
+	// resolves the frames left to ledger drops. wake tells holdLoop that the
+	// earliest due time moved up or the service stopped; one pending signal
+	// is enough.
 	held    holdQueue
 	heldSeq uint64
 	wake    chan struct{}
 }
 
-// heldFrame is one frame in hold: what Receive parsed, the incarnation of
-// the destination it arrived under, and its arrival number.
-type heldFrame struct {
+// heldEntry is one entry of the service queue, numbered seq: a closure to
+// call at due (a wakeup, a RunAt function, a fault), or else a frame in
+// hold and the incarnation of the destination it arrived under.
+type heldEntry struct {
 	due     sim.Time
 	seq     uint64
+	fire    func()
 	to      geo.RegionID
 	inc     uint64
 	kind    string
 	payload []byte
 }
 
-// holdQueue is a min-heap of held frames by (due, arrival): frames due at
-// the same instant leave in the order they arrived.
-type holdQueue []*heldFrame
+// holdQueue is a min-heap of entries by (due, seq): entries due at the same
+// instant leave in the order they were queued.
+type holdQueue []*heldEntry
 
 func (q holdQueue) Len() int { return len(q) }
 func (q holdQueue) Less(i, j int) bool {
 	return q[i].due < q[j].due || q[i].due == q[j].due && q[i].seq < q[j].seq
 }
 func (q holdQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *holdQueue) Push(x any)   { *q = append(*q, x.(*heldFrame)) }
+func (q *holdQueue) Push(x any)   { *q = append(*q, x.(*heldEntry)) }
 func (q *holdQueue) Pop() any {
 	last := len(*q) - 1
 	f := (*q)[last]
@@ -140,12 +143,6 @@ func (q *holdQueue) Pop() any {
 type slot struct {
 	node *Node
 	inc  uint64
-}
-
-type chaosEvent struct {
-	at   sim.Time
-	kill bool
-	u    geo.RegionID
 }
 
 // New assembles a stopped service; call Start to boot the region nodes.
@@ -177,8 +174,8 @@ func (s *Service) Now() sim.Time {
 	return sim.Time(time.Since(s.start))
 }
 
-// Start anchors the clock, starts the transport and the hold goroutine, and
-// boots every region node (plus any installed chaos schedule).
+// Start anchors the clock, starts the transport, boots every region node,
+// and starts the hold goroutine (which runs any installed fault schedule).
 func (s *Service) Start() error {
 	s.mu.Lock()
 	if s.started {
@@ -191,24 +188,11 @@ func (s *Service) Start() error {
 		return err
 	}
 	s.start = time.Now()
-	s.wg.Add(1)
-	go s.holdLoop()
 	for u := range s.slots {
 		s.RestartRegion(geo.RegionID(u))
 	}
-	s.mu.Lock()
-	events := s.chaos
-	s.mu.Unlock()
-	for _, ev := range events {
-		ev := ev
-		time.AfterFunc(time.Duration(ev.at), func() {
-			if ev.kill {
-				s.KillRegion(ev.u)
-			} else {
-				s.RestartRegion(ev.u)
-			}
-		})
-	}
+	s.wg.Add(1)
+	go s.holdLoop()
 	return nil
 }
 
@@ -225,9 +209,11 @@ func (s *Service) Stop() {
 	}
 	s.stopped = true
 	// Frames holdLoop has already taken out are its to resolve, and wg.Wait
-	// below waits for it; everything still queued dies here.
-	for _, f := range s.held {
-		s.ledger.RecordDrop("net/"+f.kind, metrics.DropDeadVSA)
+	// below waits for it; every frame still queued dies here.
+	for _, e := range s.held {
+		if e.fire == nil {
+			s.ledger.RecordDrop("net/"+e.kind, metrics.DropDeadVSA)
+		}
 	}
 	s.held = nil
 	s.mu.Unlock()
@@ -262,7 +248,10 @@ func (s *Service) KillRegion(u geo.RegionID) {
 
 // RestartRegion boots a fresh node for region u with a fresh automaton in
 // its initial state (§II-C.2 restart). No-op if the region is alive.
-func (s *Service) RestartRegion(u geo.RegionID) {
+func (s *Service) RestartRegion(u geo.RegionID) { s.restart(u, s.Now()) }
+
+// restart is RestartRegion at instant at, the node's Now during OnStart.
+func (s *Service) restart(u geo.RegionID, at sim.Time) {
 	if int(u) < 0 || int(u) >= len(s.slots) {
 		return
 	}
@@ -271,7 +260,7 @@ func (s *Service) RestartRegion(u geo.RegionID) {
 		s.mu.Unlock()
 		return
 	}
-	n := newNode(s, u)
+	n := newNode(s, u, at)
 	s.slots[u].node = n
 	s.slots[u].inc++
 	s.wg.Add(1)
@@ -289,8 +278,9 @@ func (s *Service) RegionAlive(u geo.RegionID) bool {
 	return s.slots[u].node != nil
 }
 
-// Inject runs fn on region u's node goroutine — the entry point for
-// external inputs (GPS updates, finds). It errors if the region is dead.
+// Inject runs fn on region u's node goroutine, at the instant of the call —
+// the entry point for external inputs (GPS updates, finds). It errors if the
+// region is dead.
 func (s *Service) Inject(u geo.RegionID, fn func(*Node)) error {
 	if int(u) < 0 || int(u) >= len(s.slots) {
 		return fmt.Errorf("nethost: region %v out of range", u)
@@ -301,32 +291,52 @@ func (s *Service) Inject(u geo.RegionID, fn func(*Node)) error {
 	if n == nil {
 		return fmt.Errorf("nethost: region %v: %w", u, ErrRegionDown)
 	}
-	if !n.mb.post(mbMsg{fn: fn}) {
+	if !n.mb.post(mbMsg{fn: fn, at: s.Now()}) {
 		return fmt.Errorf("nethost: region %v died during inject: %w", u, ErrRegionDown)
 	}
 	return nil
 }
 
 // ScheduleKill arms a region crash at absolute virtual time at. Call
-// before Start; the event fires on a wall timer once the clock is
-// anchored. Fault plans (internal/chaos) compile onto these primitives.
+// before Start; the event waits in the service queue. Fault plans
+// (internal/chaos) compile onto these primitives.
 func (s *Service) ScheduleKill(at sim.Time, u geo.RegionID) error {
-	return s.scheduleEvent(chaosEvent{at: at, kill: true, u: u})
+	return s.scheduleFault(at, func() { s.KillRegion(u) })
 }
 
 // ScheduleRestart arms a region restart at absolute virtual time at.
 func (s *Service) ScheduleRestart(at sim.Time, u geo.RegionID) error {
-	return s.scheduleEvent(chaosEvent{at: at, kill: false, u: u})
+	return s.scheduleFault(at, func() { s.restart(u, at) })
 }
 
-func (s *Service) scheduleEvent(ev chaosEvent) error {
+func (s *Service) scheduleFault(at sim.Time, fire func()) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.started {
 		return fmt.Errorf("nethost: fault schedule must precede Start")
 	}
-	s.chaos = append(s.chaos, ev)
+	s.pushLocked(&heldEntry{due: at, fire: fire})
 	return nil
+}
+
+// at queues fire for holdLoop to call at virtual time due; after Stop it is
+// dropped.
+func (s *Service) at(due sim.Time, fire func()) {
+	s.mu.Lock()
+	earliest := !s.stopped && s.pushLocked(&heldEntry{due: due, fire: fire})
+	s.mu.Unlock()
+	if earliest {
+		signal(s.wake)
+	}
+}
+
+// pushLocked queues e, numbering it, and reports whether it is now the
+// earliest entry. Called with mu held.
+func (s *Service) pushLocked(e *heldEntry) bool {
+	e.seq = s.heldSeq
+	s.heldSeq++
+	heap.Push(&s.held, e)
+	return s.held[0] == e
 }
 
 // SetLoss installs the frame-loss predicate consulted once per send. The
@@ -379,18 +389,17 @@ func (s *Service) Receive(frame []byte) {
 		s.mu.Unlock()
 		return
 	}
-	heap.Push(&s.held, &heldFrame{due: due, seq: s.heldSeq, to: to, inc: s.slots[to].inc, kind: kind, payload: payload})
-	s.heldSeq++
-	earliest := s.held[0].due == due
+	earliest := s.pushLocked(&heldEntry{due: due, to: to, inc: s.slots[to].inc, kind: kind, payload: payload})
 	s.mu.Unlock()
 	if earliest {
 		signal(s.wake)
 	}
 }
 
-// holdLoop hands each held frame to its destination node once its due time
-// has come, in (due, arrival) order, and sleeps until the next due time in
-// between. It exits once the service has stopped.
+// holdLoop releases each queued entry once its due time has come, in (due,
+// seq) order — a frame to its destination node, a closure by calling it —
+// and sleeps until the next due time in between. It exits once the service
+// has stopped.
 func (s *Service) holdLoop() {
 	defer s.wg.Done()
 	for {
@@ -400,9 +409,13 @@ func (s *Service) holdLoop() {
 			wait = time.Duration(s.held[0].due - s.Now())
 		}
 		if wait <= 0 {
-			f := heap.Pop(&s.held).(*heldFrame)
+			e := heap.Pop(&s.held).(*heldEntry)
 			s.mu.Unlock()
-			s.deliverHeld(f)
+			if e.fire != nil {
+				e.fire()
+			} else {
+				s.deliverHeld(e)
+			}
 			continue
 		}
 		s.mu.Unlock()
@@ -418,7 +431,7 @@ func (s *Service) holdLoop() {
 	}
 }
 
-func (s *Service) deliverHeld(f *heldFrame) {
+func (s *Service) deliverHeld(f *heldEntry) {
 	netKind := "net/" + f.kind
 	s.mu.Lock()
 	n := s.slots[f.to].node
@@ -433,7 +446,7 @@ func (s *Service) deliverHeld(f *heldFrame) {
 		return
 	}
 	s.mu.Unlock()
-	if n.mb.post(mbMsg{kind: f.kind, payload: f.payload}) {
+	if n.mb.post(mbMsg{kind: f.kind, payload: f.payload, at: f.due}) {
 		s.mu.Lock()
 		s.ledger.RecordDelivery(netKind)
 		s.mu.Unlock()

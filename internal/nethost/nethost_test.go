@@ -3,12 +3,14 @@ package nethost
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"vinestalk/internal/geo"
+	"vinestalk/internal/metrics"
 	"vinestalk/internal/sim"
 	"vinestalk/internal/vsa"
 )
@@ -87,10 +89,10 @@ func startService(t *testing.T, app App, numRegions int) *Service {
 }
 
 // TestStaleWakeupNeverFires is the advisory-timer audit under wall clocks:
-// a wall timer that fires late — after its deadline was superseded by a
-// re-arm — must never reach the automaton. The node goroutine is blocked
-// across the first deadline so the stale wakeup is queued behind the
-// re-arm, the exact race a sim kernel can never produce.
+// a wakeup released before its deadline was superseded by a re-arm must
+// never reach the automaton. The node goroutine is blocked across the first
+// deadline so the stale wakeup is queued behind the re-arm, the exact race
+// a sim kernel can never produce.
 func TestStaleWakeupNeverFires(t *testing.T) {
 	app := &recApp{}
 	s := startService(t, app, 1)
@@ -101,10 +103,10 @@ func TestStaleWakeupNeverFires(t *testing.T) {
 	if err := s.Inject(0, func(n *Node) {
 		t1 := n.Now() + 20*time.Millisecond
 		n.SetTimer(0, id, t1)
-		// Block the node goroutine past t1: the t1 wall timer fires and its
-		// wakeup sits in the mailbox behind this function.
+		// Block the node goroutine past t1: the t1 wakeup is released and
+		// sits in the mailbox behind this function.
 		time.Sleep(60 * time.Millisecond)
-		t2 = n.Now() + 50*time.Millisecond
+		t2 = n.Now() + 100*time.Millisecond
 		n.SetTimer(0, id, t2)
 		close(done)
 	}); err != nil {
@@ -139,11 +141,11 @@ func TestClearTimerSuppressesWakeup(t *testing.T) {
 	}
 }
 
-// TestTimerTableHoldsOnlyArmedTimers is the regression test for the wall
-// timer leak: a dispatched wakeup used to leave its *time.Timer in the
-// node's table for good. After a churn of arms, re-arms and clears has
-// fired out, the table is empty again, and it counts exactly the timers
-// still armed.
+// TestTimerTableHoldsOnlyArmedTimers is the regression test for the timer
+// leak: a dispatched wakeup used to leave its entry in the node's table for
+// good. After a churn of arms, re-arms and clears has fired out, the table
+// and the service queue are empty again, and the table counts exactly the
+// timers still armed.
 func TestTimerTableHoldsOnlyArmedTimers(t *testing.T) {
 	app := &recApp{}
 	s := startService(t, app, 1)
@@ -178,6 +180,9 @@ func TestTimerTableHoldsOnlyArmedTimers(t *testing.T) {
 	if got := tableSize(); got != 0 {
 		t.Fatalf("table holds %d timers after every wakeup was dispatched", got)
 	}
+	if got := queueLen(s); got != 0 {
+		t.Fatalf("service queue holds %d entries after every wakeup was dispatched", got)
+	}
 	if err := s.Inject(0, func(n *Node) {
 		for id := vsa.TimerID(0); id < 3; id++ {
 			n.SetTimer(0, id, n.Now()+time.Hour)
@@ -187,6 +192,173 @@ func TestTimerTableHoldsOnlyArmedTimers(t *testing.T) {
 	}
 	if got := tableSize(); got != 3 {
 		t.Fatalf("table holds %d timers with 3 armed", got)
+	}
+}
+
+// queueLen reads how many entries wait in s's queue.
+func queueLen(s *Service) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.held)
+}
+
+// orderApp logs every input its nodes dispatch — timer fires, frames, and
+// the functions a test runs on them — with the node's Now at that input.
+type orderApp struct {
+	recApp
+	logMu sync.Mutex
+	log   []string
+}
+
+func (a *orderApp) record(what string, now sim.Time) {
+	a.logMu.Lock()
+	a.log = append(a.log, fmt.Sprintf("%s@%v", what, now))
+	a.logMu.Unlock()
+}
+
+func (a *orderApp) recorded() []string {
+	a.logMu.Lock()
+	defer a.logMu.Unlock()
+	return append([]string(nil), a.log...)
+}
+
+func (a *orderApp) NewAutomaton(u geo.RegionID, host vsa.Host) vsa.Automaton {
+	return &orderAut{app: a, host: host}
+}
+
+func (a *orderApp) DeliverFrame(n *Node, kind string, payload []byte) {
+	a.record("frame "+kind, n.Now())
+}
+
+type orderAut struct {
+	recAut
+	app  *orderApp
+	host vsa.Host
+}
+
+func (r *orderAut) TimerFire(u geo.RegionID, id vsa.TimerID, at sim.Time) {
+	r.app.record(fmt.Sprintf("timer %d", id), r.host.Now())
+}
+
+// TestQueueDispatchesInDueOrder: with the node goroutine blocked, a timer,
+// a RunAt function and a frame due at one instant, and two inputs due
+// later, reach the node in (due, queue) order, and inside each one Now is
+// that input's instant. Inside the blocked injected function, Now stays at
+// its Inject instant.
+func TestQueueDispatchesInDueOrder(t *testing.T) {
+	app := &orderApp{}
+	s := startService(t, app, 1)
+	wants := make(chan []string, 1)
+	if err := s.Inject(0, func(n *Node) {
+		at := n.Now()
+		due := at + 20*time.Millisecond
+		n.RunAt(due+20*time.Millisecond, func(n *Node) { app.record("late fn", n.Now()) })
+		n.SetTimer(0, 1, due)
+		n.RunAt(due, func(n *Node) { app.record("fn", n.Now()) })
+		n.Send(0, due, "probe", 0, nil)
+		n.SetTimer(0, 2, due+10*time.Millisecond)
+		// Block past every instant queued above, so all five are released
+		// into the mailbox behind this function.
+		time.Sleep(80 * time.Millisecond)
+		app.record("inject", n.Now())
+		wants <- []string{
+			fmt.Sprintf("inject@%v", at),
+			fmt.Sprintf("timer 1@%v", due),
+			fmt.Sprintf("fn@%v", due),
+			fmt.Sprintf("frame probe@%v", due),
+			fmt.Sprintf("timer 2@%v", due+10*time.Millisecond),
+			fmt.Sprintf("late fn@%v", due+20*time.Millisecond),
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := <-wants
+	waitFor(t, "every queued input", func() bool { return len(app.recorded()) >= len(want) })
+	if got := app.recorded(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("dispatched\n  %v\nwant\n  %v", got, want)
+	}
+}
+
+// TestKillDropsQueuedWakeupsAndFunctions: a wakeup and a RunAt function a
+// node queued die with it. Neither reaches the node a restart boots, even
+// when that node arms the same timer id for the same instant: it sees its
+// own wakeup once.
+func TestKillDropsQueuedWakeupsAndFunctions(t *testing.T) {
+	app := &recApp{}
+	s := startService(t, app, 1)
+	armed := make(chan sim.Time)
+	ran := make(chan struct{}, 1)
+	if err := s.Inject(0, func(n *Node) {
+		at := n.Now() + 40*time.Millisecond
+		n.SetTimer(0, 3, at)
+		n.RunAt(at, func(*Node) { ran <- struct{}{} })
+		armed <- at
+	}); err != nil {
+		t.Fatal(err)
+	}
+	at := <-armed
+	s.KillRegion(0)
+	s.RestartRegion(0)
+	if err := s.Inject(0, func(n *Node) { n.SetTimer(0, 3, at) }); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the queue to drain", func() bool { return queueLen(s) == 0 })
+	// Everything the queue released is in the mailbox ahead of this input.
+	synced := make(chan struct{})
+	if err := s.Inject(0, func(*Node) { close(synced) }); err != nil {
+		t.Fatal(err)
+	}
+	<-synced
+	if fires := app.recordedFires(); len(fires) != 1 || fires[0] != (fireRec{u: 0, id: 3, at: at}) {
+		t.Fatalf("restarted node saw fires %v, want its own one wakeup at %v", fires, at)
+	}
+	select {
+	case <-ran:
+		t.Fatal("a RunAt function queued by the killed node ran on its successor")
+	default:
+	}
+}
+
+// TestStopDropsOnlyHeldFrames: Stop with far-future wakeups, functions,
+// kills and restarts queued records no drop for them; only the held frame
+// becomes a DropDeadVSA, so sent == delivered + drops.
+func TestStopDropsOnlyHeldFrames(t *testing.T) {
+	s, err := New(&recApp{}, Config{NumRegions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ScheduleKill(time.Hour, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ScheduleRestart(2*time.Hour, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	queued := make(chan struct{})
+	if err := s.Inject(0, func(n *Node) {
+		n.SetTimer(0, 1, n.Now()+time.Hour)
+		n.RunAt(n.Now()+time.Hour, func(*Node) {})
+		n.Send(1, n.Now()+time.Hour, "held", 1, nil)
+		close(queued)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	<-queued
+	if got := queueLen(s); got != 5 {
+		t.Fatalf("queue holds %d entries, want 5", got)
+	}
+	s.Stop()
+	if got := queueLen(s); got != 0 {
+		t.Fatalf("queue holds %d entries after Stop", got)
+	}
+	snap := s.LedgerSnapshot()
+	if snap.MsgCount["net/held"] != 1 || snap.TotalMessages() != 1 {
+		t.Fatalf("sent %v, want one net/held frame", snap.MsgCount)
+	}
+	if snap.Drops["net/held"][metrics.DropDeadVSA] != 1 || snap.TotalDrops() != 1 {
+		t.Fatalf("drops %v, want one DropDeadVSA of net/held", snap.Drops)
 	}
 }
 

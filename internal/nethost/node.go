@@ -1,8 +1,6 @@
 package nethost
 
 import (
-	"time"
-
 	"vinestalk/internal/geo"
 	"vinestalk/internal/sim"
 	"vinestalk/internal/vsa"
@@ -15,7 +13,7 @@ import (
 //
 // Node implements vsa.Host for its automaton. The host methods are only
 // ever called from the node goroutine (the automaton steps there), which
-// is what lets the timer table be plain maps.
+// is what lets the timer table be a plain map.
 type Node struct {
 	svc  *Service
 	u    geo.RegionID
@@ -28,23 +26,21 @@ type Node struct {
 	// the node goroutine.
 	State any
 
+	// now is the instant of the input being processed (the restart instant
+	// during OnStart): what Now returns. Node-goroutine only.
+	now sim.Time
+
 	// timers mirrors the automaton's recorded deadlines at the host level,
 	// one entry per armed id (an entry leaves when its wakeup is dispatched
-	// or the id is cleared): a wall-clock wakeup is dropped unless it
-	// carries exactly the deadline currently armed for its id. Wall timers
-	// can fire late and race a re-arm; this check (plus the automaton's own
-	// slot validation) makes stale wakeups no-ops. Node-goroutine only.
-	timers map[vsa.TimerID]wallTimer
+	// or the id is cleared): a wakeup is dropped unless it carries exactly
+	// the deadline currently armed for its id. A re-armed or cleared id
+	// leaves its old wakeup queued; this check (plus the automaton's own
+	// slot validation) makes it a no-op. Node-goroutine only.
+	timers map[vsa.TimerID]sim.Time
 }
 
-// wallTimer is one armed deadline and the wall timer that will post it.
-type wallTimer struct {
-	at sim.Time
-	t  *time.Timer
-}
-
-// mbMsg is one mailbox input: an injected function, a timer wakeup, or
-// else a due frame.
+// mbMsg is one mailbox input, for instant at: an injected or RunAt
+// function, a timer wakeup, or else a due frame.
 type mbMsg struct {
 	fn      func(*Node)
 	wake    bool
@@ -54,13 +50,14 @@ type mbMsg struct {
 	payload []byte
 }
 
-func newNode(s *Service, u geo.RegionID) *Node {
+func newNode(s *Service, u geo.RegionID, at sim.Time) *Node {
 	n := &Node{
 		svc:    s,
 		u:      u,
 		dead:   make(chan struct{}),
 		mb:     newMailbox(),
-		timers: make(map[vsa.TimerID]wallTimer),
+		now:    at,
+		timers: make(map[vsa.TimerID]sim.Time),
 	}
 	n.aut = s.app.NewAutomaton(u, n)
 	return n
@@ -77,7 +74,6 @@ func (n *Node) Service() *Service { return n.svc }
 
 func (n *Node) run() {
 	defer n.svc.wg.Done()
-	defer n.stopWallTimers()
 	n.svc.app.OnStart(n)
 	for {
 		select {
@@ -92,17 +88,15 @@ func (n *Node) run() {
 }
 
 func (n *Node) dispatch(m mbMsg) {
+	n.now = m.at
 	switch {
 	case m.fn != nil:
 		m.fn(n)
 	case m.wake:
-		if w, ok := n.timers[m.id]; !ok || w.at != m.at {
-			return // stale wakeup: re-armed, cleared, or from a dead timer
+		if at, ok := n.timers[m.id]; !ok || at != m.at {
+			return // stale wakeup: re-armed, cleared, or armed by a dead node
 		}
 		delete(n.timers, m.id)
-		// The wakeup carries the exact sim.Time the slot was armed for —
-		// never a wall reading converted back — so the automaton's
-		// slot.at == at equality check cannot be lost to clock skew.
 		n.aut.TimerFire(n.u, m.id, m.at)
 	default:
 		n.svc.app.DeliverFrame(n, m.kind, m.payload)
@@ -117,55 +111,37 @@ func (n *Node) Send(to geo.RegionID, due sim.Time, kind string, hops int, payloa
 }
 
 // RunAt schedules fn on this node's goroutine at absolute virtual time at
-// (app-level timers: heartbeat loops, load generators). If the node dies
-// first, fn never runs.
+// (app-level timers: heartbeat loops, load generators), in the service
+// queue's order; inside fn, Now returns at. If the node dies first, fn
+// never runs.
 func (n *Node) RunAt(at sim.Time, fn func(*Node)) {
-	delay := time.Duration(at - n.svc.Now())
-	time.AfterFunc(delay, func() { n.mb.post(mbMsg{fn: fn}) })
+	n.svc.at(at, func() { n.mb.post(mbMsg{fn: fn, at: at}) })
 }
 
 // --- vsa.Host ---
 
 var _ vsa.Host = (*Node)(nil)
 
-// Now implements vsa.Host: virtual time is wall time since service start.
-func (n *Node) Now() sim.Time { return n.svc.Now() }
+// Now implements vsa.Host: the instant of the input being processed — a
+// frame's or wakeup's due time, an injected function's Inject time, the
+// restart instant during OnStart — not a fresh reading of the clock.
+func (n *Node) Now() sim.Time { return n.now }
 
-// SetTimer implements vsa.Host: record the deadline and arm a wall timer
-// that posts an advisory wakeup carrying exactly the recorded sim.Time.
+// SetTimer implements vsa.Host: record the deadline and queue a wakeup
+// carrying exactly that sim.Time; dispatch drops it unless id still holds it.
 func (n *Node) SetTimer(u geo.RegionID, id vsa.TimerID, at sim.Time) {
 	if at == sim.Forever {
 		n.ClearTimer(u, id)
 		return
 	}
-	if w, ok := n.timers[id]; ok {
-		// Best-effort cancel; if the old timer already fired, its wakeup
-		// carries the old deadline and fails the armed check.
-		w.t.Stop()
-	}
-	n.timers[id] = wallTimer{at: at, t: time.AfterFunc(time.Duration(at-n.svc.Now()), func() {
-		n.mb.post(mbMsg{wake: true, id: id, at: at})
-	})}
+	n.timers[id] = at
+	n.svc.at(at, func() { n.mb.post(mbMsg{wake: true, id: id, at: at}) })
 }
 
 // ClearTimer implements vsa.Host.
-func (n *Node) ClearTimer(u geo.RegionID, id vsa.TimerID) {
-	if w, ok := n.timers[id]; ok {
-		w.t.Stop()
-		delete(n.timers, id)
-	}
-}
+func (n *Node) ClearTimer(u geo.RegionID, id vsa.TimerID) { delete(n.timers, id) }
 
 // Emit implements vsa.Host: effects go to the app for interpretation.
 func (n *Node) Emit(u geo.RegionID, effect any) {
 	n.svc.app.HandleEffect(n, effect)
-}
-
-// stopWallTimers cancels outstanding wall timers on node exit. Timers that
-// already fired post to the dead node's closed mailbox and are refused.
-func (n *Node) stopWallTimers() {
-	for id, w := range n.timers {
-		w.t.Stop()
-		delete(n.timers, id)
-	}
 }

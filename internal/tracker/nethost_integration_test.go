@@ -40,11 +40,11 @@ const (
 const scheduleSlack = 4 * netUnit
 
 // oracleRun drives the fixed schedule through the oracle-hosted sim stack
-// and returns its found outputs and quiescent pointer state. In phase i the
-// object moves at i·phase and a find is issued findAt later. The schedule
-// checks itself: every move's updates must have settled, and every find
-// must have been answered, scheduleSlack before the next input.
-func oracleRun(t *testing.T, side int, start geo.RegionID, walk, finds []geo.RegionID, phase, findAt sim.Time) (map[tracker.FindID]tracker.FindResult, map[int][4]int32) {
+// and returns its found outputs, quiescent pointer state and ledger. In
+// phase i the object moves at i·phase and a find is issued findAt later.
+// The schedule checks itself: every move's updates must have settled, and
+// every find must have been answered, scheduleSlack before the next input.
+func oracleRun(t *testing.T, side int, start geo.RegionID, walk, finds []geo.RegionID, phase, findAt sim.Time) (map[tracker.FindID]tracker.FindResult, map[int][4]int32, metrics.Snapshot) {
 	t.Helper()
 	k := sim.New(42)
 	tiling := geo.MustGridTiling(side, side)
@@ -103,7 +103,7 @@ func oracleRun(t *testing.T, side int, start geo.RegionID, walk, finds []geo.Reg
 		c1, p1, u1, d1 := net.Process(hier.ClusterID(c)).Pointers()
 		ptrs[c] = [4]int32{int32(c1), int32(p1), int32(u1), int32(d1)}
 	}
-	return founds, ptrs
+	return founds, ptrs, ledger.Snapshot()
 }
 
 // netStack assembles a NetHost over an in-process transport.
@@ -172,7 +172,7 @@ func TestNetHostMatchesOracleOnFixedSchedule(t *testing.T) {
 	walk := []geo.RegionID{1, 5, 6, 10, 11, 15, 14, 10}
 	finds := []geo.RegionID{0, 3, 12, 15, 6}
 
-	oFounds, oPtrs := oracleRun(t, side, start, walk, finds, phase, findAt)
+	oFounds, oPtrs, oLedger := oracleRun(t, side, start, walk, finds, phase, findAt)
 	if len(oFounds) != len(walk) {
 		t.Fatalf("oracle completed %d finds, want %d", len(oFounds), len(walk))
 	}
@@ -245,6 +245,17 @@ func TestNetHostMatchesOracleOnFixedSchedule(t *testing.T) {
 		gotP := [4]int32{int32(netState.C[c]), int32(netState.P[c]), int32(netState.Up[c]), int32(netState.Down[c])}
 		if gotP != want {
 			t.Errorf("cluster %d pointers: networked %v, oracle %v", c, gotP, want)
+		}
+	}
+
+	// Message parity on the find path. An ack due exactly at its
+	// nbrtimeout's round-trip bound wins on the wall clock as in the kernel:
+	// an ack that lost would escalate the find up the hierarchy, and these
+	// counts would differ.
+	nLedger := svc.LedgerSnapshot()
+	for _, kind := range []string{tracker.KindFind, tracker.KindFindQuery, tracker.KindFindAck} {
+		if got, want := nLedger.MsgCount["net/"+kind], oLedger.MsgCount["proto/"+kind]; got != want {
+			t.Errorf("%s sent: networked %d, oracle %d", kind, got, want)
 		}
 	}
 

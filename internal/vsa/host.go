@@ -36,7 +36,11 @@ type TimerID uint64
 
 // Host is the substrate-side port an Automaton runs against.
 type Host interface {
-	// Now returns the current virtual time.
+	// Now returns the instant of the input being processed — the time the
+	// delivery or timer fire was due, or an external input's arrival —
+	// on all three hosts, so state stays a function of inputs and their
+	// times. It is not a fresh clock reading: the networked host may run an
+	// input after its instant.
 	Now() sim.Time
 
 	// SetTimer arms (or re-arms) timer id of region u to fire at absolute
