@@ -21,6 +21,7 @@ package cgcast
 
 import (
 	"fmt"
+	"math"
 
 	"vinestalk/internal/geo"
 	"vinestalk/internal/geocast"
@@ -34,9 +35,11 @@ import (
 // Body is what a message says beyond its kind and sender. The fixed fields
 // cover the Tracker alphabet without an allocation — the tracked object the
 // message concerns and the one scalar some kinds add (the pointer a findAck
-// answers with, a refresh's hop count) travel by value inside the frame that
-// carries the message — and Payload carries whatever does not fit them (a
-// find's payload list, a foreign caller's own type), boxed by the sender.
+// answers with, a refresh's hop count) travel by value in the message's
+// packed entry inside the frame that carries it — and Payload carries
+// whatever does not fit them (a find's payload list, a foreign caller's own
+// type), boxed by the sender. The body is copied whole from the send into
+// the entry and from the entry into the Delivery a handler is handed.
 //
 // Mark is not part of what the message says: it is the sender's own note on
 // this message, which the service copies with the body and never reads, so
@@ -51,9 +54,11 @@ type Body struct {
 
 // Delivery is what a cluster process or client receives: the protocol tag,
 // the sender's identity (a cluster, or a client's region for schedule-(e)
-// messages), and the body. Handlers are handed a *Delivery that points into
-// the frame or client envelope being delivered: it is valid for the
-// duration of the call, and a handler that keeps the message copies it.
+// messages), and the body. Handlers are handed a *Delivery that the service
+// owns — a cluster message is unpacked from its packed frame entry into a
+// Delivery the service holds for the call, a client broadcast's points into
+// its envelope — so it is valid for the duration of the call, and a handler
+// that keeps the message copies it.
 type Delivery struct {
 	Kind       string
 	From       hier.ClusterID // NoCluster when sent by a client
@@ -74,10 +79,18 @@ type Service struct {
 	replicate bool
 	batch     bool
 
-	// kinds maps each protocol kind seen to its "proto/" ledger handle: the
-	// alphabet is small and closed, so a scan of this table replaces a string
-	// concatenation and a hashed ledger lookup per message.
+	// kinds is the kind table: each protocol kind seen, with its "proto/"
+	// ledger handle. A message carries its kind as an index into it, so no
+	// send or delivery pays a string concatenation, a hashed ledger lookup or
+	// a string comparison; at most maxKinds kinds fit a KindIndex.
 	kinds []protoKind
+	// held holds the Deliveries that handlers and the drop consumer are
+	// handed, one per call depth: a frame entry is unpacked into
+	// held[depth] for the call, and a message resolved during that call (a
+	// handler's send that dies at once) is unpacked one level deeper, so no
+	// call sees its Delivery overwritten.
+	held  []*Delivery
+	depth int
 	// frameKind is FrameKind's handle under frame accounting (batching, or
 	// WithFrameAccounting) and the zero handle — which records nothing —
 	// otherwise, so default configurations keep their historical ledger
@@ -107,6 +120,15 @@ type protoKind struct {
 	name string
 	kind metrics.Kind
 }
+
+// KindIndex names a protocol kind by its place in a service's kind table
+// (InternKind). A cluster message carries its kind as this one byte from
+// send to delivery.
+type KindIndex uint8
+
+// maxKinds bounds the kind table at the range of a KindIndex, so an index
+// never wraps onto another kind's "proto/" row.
+const maxKinds = math.MaxUint8 + 1
 
 // Option configures the service.
 type Option interface{ apply(*Service) }
@@ -163,11 +185,18 @@ type openFrame struct {
 	f   *frame
 }
 
-// entry is one cluster message riding a frame.
+// entry is one cluster message riding a frame, packed: the sender and the
+// body, with the kind and the destination level one byte each. Every send
+// writes one into its frame's entry slice, often a cold line, and those
+// stores hold the store buffer until the line arrives, so the record is kept
+// to 48 bytes (TestEntryFits). deliver and drop unpack it into a Delivery
+// the service holds for the call.
 type entry struct {
-	del   Delivery
-	level int
-	kind  metrics.Kind // the message's "proto/" accounting kind
+	from       hier.ClusterID
+	fromRegion int32 // the sending region
+	body       Body
+	kind       KindIndex
+	level      uint8 // the destination cluster's level
 }
 
 // frame is one wire frame from the moment its first message is enqueued to
@@ -210,6 +239,9 @@ type clientEnv struct {
 func New(h *hier.Hierarchy, layer *vsa.Layer, gc *geocast.Service, vb *vbcast.Service, geom hier.Geometry, ledger *metrics.Ledger, opts ...Option) (*Service, error) {
 	if geom.MaxLevel() < h.MaxLevel() {
 		return nil, fmt.Errorf("cgcast: geometry covers %d levels, hierarchy has %d", geom.MaxLevel()+1, h.MaxLevel()+1)
+	}
+	if h.MaxLevel() > math.MaxUint8 {
+		return nil, fmt.Errorf("cgcast: hierarchy has %d levels, a frame entry holds at most %d", h.MaxLevel()+1, math.MaxUint8+1)
 	}
 	s := &Service{
 		k:      layer.Kernel(),
@@ -333,6 +365,22 @@ func (s *Service) ClusterToCluster(from, to hier.ClusterID, kind string, payload
 // consumer; a copy with no live route out of the sender's region resolves
 // before this call returns.
 func (s *Service) ClusterToClusterFrom(srcRegion geo.RegionID, from, to hier.ClusterID, kind string, body Body) error {
+	k, err := s.InternKind(kind)
+	if err != nil {
+		return err
+	}
+	return s.ClusterToClusterIndexed(srcRegion, from, to, k, body)
+}
+
+// ClusterToClusterIndexed is ClusterToClusterFrom with the kind given by its
+// index in the kind table, for senders that resolve their alphabet once
+// (InternKind) instead of naming the kind on every send. An index the table
+// does not hold is refused.
+func (s *Service) ClusterToClusterIndexed(srcRegion geo.RegionID, from, to hier.ClusterID, kind KindIndex, body Body) error {
+	pk, err := s.kindAt(kind)
+	if err != nil {
+		return err
+	}
 	if !from.Valid() || !to.Valid() {
 		return fmt.Errorf("cgcast: invalid route %v -> %v", from, to)
 	}
@@ -347,15 +395,11 @@ func (s *Service) ClusterToClusterFrom(srcRegion geo.RegionID, from, to hier.Clu
 			n = 2
 		}
 	}
-	e := entry{
-		del:   Delivery{Kind: kind, From: from, FromRegion: srcRegion, Body: body},
-		level: s.h.Level(to),
-		kind:  s.protoKind(kind),
-	}
+	e := entry{from: from, fromRegion: int32(srcRegion), body: body, kind: kind, level: uint8(s.h.Level(to))}
 	due := s.k.Now() + s.ScheduleDelay(from, to)
 	for _, dstRegion := range targets[:n] {
 		hops := max(s.h.Graph().Distance(srcRegion, dstRegion), 0)
-		e.kind.Message(hops)
+		pk.kind.Message(hops)
 		if s.batch {
 			s.enqueue(srcRegion, dstRegion, due, e)
 			continue
@@ -367,16 +411,30 @@ func (s *Service) ClusterToClusterFrom(srcRegion geo.RegionID, from, to hier.Clu
 	return nil
 }
 
-// protoKind returns the ledger handle of kind's "proto/" accounting kind.
-func (s *Service) protoKind(kind string) metrics.Kind {
+// InternKind returns kind's index in the kind table, adding the kind — and
+// interning its "proto/" ledger kind, which records nothing — the first time
+// it is seen. The table holds at most 256 kinds, the range of a KindIndex:
+// past that, a new kind is refused with an error and nothing changes.
+func (s *Service) InternKind(kind string) (KindIndex, error) {
 	for i := range s.kinds {
 		if s.kinds[i].name == kind {
-			return s.kinds[i].kind
+			return KindIndex(i), nil
 		}
 	}
-	k := s.ledger.Kind("proto/" + kind)
-	s.kinds = append(s.kinds, protoKind{name: kind, kind: k})
-	return k
+	if len(s.kinds) == maxKinds {
+		return 0, fmt.Errorf("cgcast: kind table full (%d kinds), kind %q refused", maxKinds, kind)
+	}
+	s.kinds = append(s.kinds, protoKind{name: kind, kind: s.ledger.Kind("proto/" + kind)})
+	return KindIndex(len(s.kinds) - 1), nil
+}
+
+// kindAt returns the kind table's entry at index k; an index the table does
+// not hold is refused.
+func (s *Service) kindAt(k KindIndex) (protoKind, error) {
+	if int(k) >= len(s.kinds) {
+		return protoKind{}, fmt.Errorf("cgcast: kind index %d not in the kind table", k)
+	}
+	return s.kinds[k], nil
 }
 
 // take returns a live, empty frame for the given edge and due time.
@@ -496,11 +554,14 @@ func (f *frame) deliver() {
 	s.frameKind.Delivery()
 	for i := range f.entries {
 		e := &f.entries[i]
-		if !s.layer.DeliverToVSA(f.dst, e.level, &e.del) {
+		d := s.unpack(e)
+		ok := s.layer.DeliverToVSA(f.dst, int(e.level), d)
+		s.unhold(d)
+		if !ok {
 			s.drop(f.dst, e, metrics.DropDeadVSA)
 			continue
 		}
-		e.kind.Delivery()
+		s.kinds[e.kind].kind.Delivery()
 	}
 	s.release(f)
 }
@@ -525,10 +586,37 @@ func (f *frame) mustBeLive() {
 
 // drop resolves one message addressed to region u as dropped.
 func (s *Service) drop(u geo.RegionID, e *entry, cause metrics.DropCause) {
-	e.kind.Drop(cause)
+	s.kinds[e.kind].kind.Drop(cause)
 	if s.onDrop != nil {
-		s.onDrop(u, e.level, &e.del)
+		d := s.unpack(e)
+		s.onDrop(u, int(e.level), d)
+		s.unhold(d)
 	}
+}
+
+// unpack writes a frame entry out as the Delivery the service holds at the
+// current call depth and enters that depth; unhold(d) leaves it once the
+// handler or drop consumer handed d has returned.
+func (s *Service) unpack(e *entry) *Delivery {
+	if s.depth == len(s.held) {
+		s.held = append(s.held, new(Delivery))
+	}
+	d := s.held[s.depth]
+	s.depth++
+	// Field by field: a Delivery literal would be built on the stack and
+	// copied, and that copy's wide loads wait on the literal's narrow stores.
+	d.Kind = s.kinds[e.kind].name
+	d.From = e.from
+	d.FromRegion = geo.RegionID(e.fromRegion)
+	d.Body = e.body
+	return d
+}
+
+// unhold leaves the call depth unpack entered for d, and drops d's payload
+// so the service pins nothing between messages.
+func (s *Service) unhold(d *Delivery) {
+	d.Payload = nil
+	s.depth--
 }
 
 // ClientToCluster sends from a client to a level-0 cluster in its own or a
@@ -542,6 +630,21 @@ func (s *Service) ClientToCluster(from vsa.ClientID, to hier.ClusterID, kind str
 // Otherwise the message is accepted and resolves exactly once, at the
 // cluster's VSAHandler or at the OnDrop consumer.
 func (s *Service) ClientToClusterBody(from vsa.ClientID, to hier.ClusterID, kind string, body Body) error {
+	k, err := s.InternKind(kind)
+	if err != nil {
+		return err
+	}
+	return s.ClientToClusterIndexed(from, to, k, body)
+}
+
+// ClientToClusterIndexed is ClientToClusterBody with the kind given by its
+// index in the kind table (InternKind). An index the table does not hold
+// is refused.
+func (s *Service) ClientToClusterIndexed(from vsa.ClientID, to hier.ClusterID, kind KindIndex, body Body) error {
+	pk, err := s.kindAt(kind)
+	if err != nil {
+		return err
+	}
 	if s.h.Level(to) != 0 {
 		return fmt.Errorf("cgcast: clients may only address level-0 clusters, got level %d", s.h.Level(to))
 	}
@@ -554,7 +657,7 @@ func (s *Service) ClientToClusterBody(from vsa.ClientID, to hier.ClusterID, kind
 	if err != nil {
 		return err
 	}
-	s.protoKind(kind).Message(max(s.h.Graph().Distance(srcRegion, dstRegion), 0))
+	pk.kind.Message(max(s.h.Graph().Distance(srcRegion, dstRegion), 0))
 	var env *clientEnv
 	if n := len(s.envs); n > 0 {
 		env, s.envs = s.envs[n-1], s.envs[:n-1]
@@ -563,7 +666,7 @@ func (s *Service) ClientToClusterBody(from vsa.ClientID, to hier.ClusterID, kind
 		env.arriveFn = env.arrive
 		s.envsMade++
 	}
-	env.del = Delivery{Kind: kind, From: hier.NoCluster, FromRegion: srcRegion, Body: body}
+	env.del = Delivery{Kind: pk.name, From: hier.NoCluster, FromRegion: srcRegion, Body: body}
 	env.target, env.inc, env.live = dstRegion, inc, true
 	s.k.At(at, env.arriveFn)
 	return nil
@@ -599,15 +702,30 @@ func (s *Service) releaseEnv(env *clientEnv) {
 // d). This carries the found output of §V to the clients that answer it.
 // An error means the broadcast was refused and nothing was recorded.
 func (s *Service) ClusterToClients(from hier.ClusterID, kind string, body Body) error {
+	k, err := s.InternKind(kind)
+	if err != nil {
+		return err
+	}
+	return s.ClusterToClientsIndexed(from, k, body)
+}
+
+// ClusterToClientsIndexed is ClusterToClients with the kind given by its
+// index in the kind table (InternKind). An index the table does not hold
+// is refused.
+func (s *Service) ClusterToClientsIndexed(from hier.ClusterID, kind KindIndex, body Body) error {
+	pk, err := s.kindAt(kind)
+	if err != nil {
+		return err
+	}
 	if s.h.Level(from) != 0 {
 		return fmt.Errorf("cgcast: only level-0 clusters broadcast to clients, got level %d", s.h.Level(from))
 	}
 	u := s.h.Head(from)
 	s.targets = append(append(s.targets[:0], u), s.layer.Tiling().Neighbors(u)...)
-	del := &Delivery{Kind: kind, From: from, FromRegion: u, Body: body}
+	del := &Delivery{Kind: pk.name, From: from, FromRegion: u, Body: body}
 	if err := s.vb.VSAToClients(u, s.targets, del); err != nil {
 		return err
 	}
-	s.protoKind(kind).Message(len(s.targets) - 1)
+	pk.kind.Message(len(s.targets) - 1)
 	return nil
 }

@@ -1,6 +1,7 @@
 package cgcast
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -348,8 +349,9 @@ func (nopVSA) Reset()           {}
 // delivery, unbatched (one frame per message) or batched (several messages
 // of one instant riding one frame): the frame, its entry slice, the geocast
 // route under it and every thunk are recycled, the proto kind comes out of
-// the kind table, and the handler is handed a pointer into the frame. A box
-// per message, a closure per hop or a concatenated kind name shows here.
+// the kind table, and the handler is handed a Delivery the service holds.
+// A box per message, a closure per hop or a concatenated kind name shows
+// here.
 func TestClusterToClusterAllocatesNothing(t *testing.T) {
 	for _, batched := range []bool{false, true} {
 		f := setup(t, 8, 2)
@@ -528,7 +530,10 @@ func TestOpenFramesMatchMapModel(t *testing.T) {
 			f.layer.RegisterVSA(geo.RegionID(u), nopVSA{})
 		}
 		svc := batchedService(t, f)
-		kind := svc.protoKind("m")
+		kind, err := svc.InternKind("m")
+		if err != nil {
+			t.Fatal(err)
+		}
 		rng := rand.New(rand.NewSource(seed))
 
 		pending := map[batchKey]*modelFrame{}
@@ -553,7 +558,7 @@ func TestOpenFramesMatchMapModel(t *testing.T) {
 		}
 		send := func(k batchKey) {
 			next++
-			svc.enqueue(k.src, k.dst, k.due, entry{del: Delivery{Kind: "m", Body: Body{Obj: next}}, kind: kind})
+			svc.enqueue(k.src, k.dst, k.due, entry{body: Body{Obj: next}, kind: kind})
 			mf := pending[k]
 			impl := openFor(k)
 			if impl == nil {
@@ -582,7 +587,7 @@ func TestOpenFramesMatchMapModel(t *testing.T) {
 			impl := implOf[mf]
 			var got []int32
 			for _, e := range impl.entries {
-				got = append(got, e.del.Obj)
+				got = append(got, e.body.Obj)
 			}
 			if !reflect.DeepEqual(got, mf.objs) {
 				t.Fatalf("seed %d: bucket %v flushes messages %v, the model %v", seed, mf.key, got, mf.objs)
@@ -630,5 +635,63 @@ func TestOpenFramesMatchMapModel(t *testing.T) {
 		if got, want := f.ledger.Delivered("proto/m"), int64(next); got != want {
 			t.Errorf("seed %d: %d messages delivered, %d sent", seed, got, want)
 		}
+	}
+}
+
+// A message carries its kind as a one-byte index into the kind table, so
+// the table holds 256 kinds: a 257th would wrap onto another kind's
+// "proto/" row. Every string entry point refuses it instead, and records
+// nothing; an index the table does not hold is refused the same way.
+func TestKindTableHolds256Kinds(t *testing.T) {
+	f := setup(t, 4, 2)
+	c := f.h.Cluster(0, 0)
+	nb := f.h.Nbrs(c)[0]
+	if err := f.svc.ClusterToClusterIndexed(f.h.Head(c), c, nb, 0, Body{}); err == nil {
+		t.Error("an index into the empty kind table accepted")
+	}
+	for i := 0; i < 256; i++ {
+		if err := f.svc.ClusterToCluster(c, nb, fmt.Sprintf("k%d", i), nil); err != nil {
+			t.Fatalf("kind %d of 256 refused: %v", i, err)
+		}
+	}
+	f.k.Run()
+	for i := 0; i < 256; i++ {
+		kind := fmt.Sprintf("proto/k%d", i)
+		if sent, got := f.ledger.Messages(kind), f.ledger.Delivered(kind); sent != 1 || got != 1 {
+			t.Errorf("%s: %d sent, %d delivered, want 1 and 1", kind, sent, got)
+		}
+	}
+	refused := []struct {
+		name string
+		send func() error
+	}{
+		{"cluster to cluster", func() error { return f.svc.ClusterToCluster(c, nb, "k256", nil) }},
+		{"cluster to cluster from a region", func() error {
+			return f.svc.ClusterToClusterFrom(f.h.Head(c), c, nb, "k256", Body{Obj: 1})
+		}},
+		{"client to cluster", func() error { return f.svc.ClientToCluster(0, c, "k256", nil) }},
+		{"found broadcast", func() error { return f.svc.ClusterToClients(c, "k256", Body{}) }},
+	}
+	for _, r := range refused {
+		before := f.ledger.Snapshot()
+		if err := r.send(); err == nil {
+			t.Errorf("%s: the 257th kind accepted", r.name)
+		}
+		if after := f.ledger.Snapshot(); !reflect.DeepEqual(before, after) {
+			t.Errorf("%s: refused, but the ledger changed:\nbefore %v\nafter  %v", r.name, before, after)
+		}
+	}
+	if pending := f.k.Pending(); pending != 0 {
+		t.Errorf("refused sends left %d kernel events", pending)
+	}
+	// The same sends with a kind the full table holds go through.
+	if err := f.svc.ClusterToCluster(c, nb, "k0", nil); err != nil {
+		t.Errorf("cluster to cluster: a kind in the full table refused: %v", err)
+	}
+	if err := f.svc.ClientToCluster(0, c, "k0", nil); err != nil {
+		t.Errorf("client to cluster: a kind in the full table refused: %v", err)
+	}
+	if err := f.svc.ClusterToClients(c, "k0", Body{}); err != nil {
+		t.Errorf("found broadcast: a kind in the full table refused: %v", err)
 	}
 }

@@ -78,7 +78,7 @@ func (c *Client) Receive(msg any) {
 // region, so broadcast a detection (grow) to the local level-0 cluster.
 func (c *Client) evaderMove(obj ObjectID, u geo.RegionID) {
 	c.evaderHere[obj] = true
-	_ = c.sendLocal(KindGrow, bodyFor(obj))
+	_ = c.sendLocal(kindGrow, bodyFor(obj))
 	if hb := c.net.hb; hb != nil {
 		c.refreshTimer(obj).SetAfter(hb.Period)
 	}
@@ -91,17 +91,17 @@ func (c *Client) evaderLeft(obj ObjectID, u geo.RegionID) {
 		t.Clear()
 		delete(c.refresh, obj)
 	}
-	_ = c.sendLocal(KindShrink, bodyFor(obj))
+	_ = c.sendLocal(kindShrink, bodyFor(obj))
 }
 
 // find is the find input from the outside (§V): forward to the local
 // level-0 cluster as a find broadcast.
 func (c *Client) find(obj ObjectID, p FindPayload) error {
-	return c.sendLocal(KindFind, findsBody(obj, []FindPayload{p}))
+	return c.sendLocal(kindFind, findsBody(obj, []FindPayload{p}))
 }
 
 // sendLocal broadcasts to the client's own region's level-0 cluster.
-func (c *Client) sendLocal(kind string, body cgcast.Body) error {
+func (c *Client) sendLocal(kind kindCode, body cgcast.Body) error {
 	c0 := c.net.h.Cluster(c.region, 0)
 	if c0 == hier.NoCluster {
 		return fmt.Errorf("tracker: client %v has no region", c.id)
@@ -122,7 +122,7 @@ func (c *Client) refreshTimer(obj ObjectID) *sim.Timer {
 			if !c.evaderHere[obj] || c.net.hb == nil {
 				return
 			}
-			_ = c.sendLocal(KindRefresh, bodyFor(obj))
+			_ = c.sendLocal(kindRefresh, bodyFor(obj))
 			c.refresh[obj].SetAfter(c.net.hb.Period)
 		})
 		c.refresh[obj] = t

@@ -41,12 +41,14 @@ func (o emitOutlet) noteQuery(u geo.RegionID, level int) {
 	o.host.Emit(u, queryNoteEffect{Level: level})
 }
 
-// sendEffect transmits a protocol message from a cluster process.
+// sendEffect transmits a protocol message from a cluster process. Every
+// send builds one and hands it on by value, so it is kept to 48 bytes
+// (TestSendEffectFits): the kind travels as its code, not its name.
 type sendEffect struct {
 	From   hier.ClusterID
 	Backup bool // emitted by the alternate-head replica (§VII quorum)
+	Kind   kindCode
 	To     hier.ClusterID
-	Kind   string
 	Body   cgcast.Body
 }
 
@@ -109,8 +111,8 @@ func (n *Network) execSend(e sendEffect) {
 	// — and is taken out of the registry — before the send returns.
 	obj := ObjectID(e.Body.Obj)
 	copies := n.cg.Copies(e.To)
-	e.Body.Mark = n.noteSent(obj, codeOfKind(e.Kind), e.From, e.To, copies)
-	if err := n.cg.ClusterToClusterFrom(src, e.From, e.To, e.Kind, e.Body); err != nil {
+	e.Body.Mark = n.noteSent(obj, e.Kind, e.From, e.To, copies)
+	if err := n.cg.ClusterToClusterIndexed(src, e.From, e.To, n.cgKinds[e.Kind], e.Body); err != nil {
 		for ; copies > 0; copies-- {
 			n.resolve(e.Body.Mark) // refused: nothing was sent
 		}
@@ -118,8 +120,8 @@ func (n *Network) execSend(e sendEffect) {
 	}
 	if n.tr.Enabled() {
 		n.tr.Emit(trace.Event{
-			At: n.k.Now(), Kind: "send", Op: n.opFor(obj, e.Kind, &e.Body), Obj: e.Body.Obj,
-			Msg: e.Kind, From: int32(e.From), To: int32(e.To), Region: -1,
+			At: n.k.Now(), Kind: "send", Op: n.opFor(obj, e.Kind.String(), &e.Body), Obj: e.Body.Obj,
+			Msg: e.Kind.String(), From: int32(e.From), To: int32(e.To), Region: -1,
 			Level: int16(n.h.Level(e.From)),
 		})
 	}
@@ -131,7 +133,7 @@ func (n *Network) execFound(e foundEffect) {
 	if e.Backup && n.cg.Layer().Alive(n.h.Head(e.From)) {
 		return
 	}
-	_ = n.cg.ClusterToClients(e.From, KindFound, findsBody(e.Obj, e.Payloads))
+	_ = n.cg.ClusterToClientsIndexed(e.From, n.cgKinds[kindFound], findsBody(e.Obj, e.Payloads))
 }
 
 // execRecv consumes the in-transit registry entry for a delivered message

@@ -43,9 +43,10 @@ const (
 	KindRefresh = "refresh"
 )
 
-// kindCode is a message kind as a small integer, for registries that key by
-// kind. The alphabet above is closed; any other string maps to kindUnknown.
-type kindCode uint32
+// kindCode is a message kind as a small integer: what a process's send and
+// the in-transit registry carry instead of the kind's name. The alphabet
+// above is closed; kindUnknown names no kind.
+type kindCode uint8
 
 const (
 	kindUnknown kindCode = iota
@@ -73,15 +74,6 @@ var kindNames = [...]string{
 	kindFindAck:   KindFindAck,
 	kindFound:     KindFound,
 	kindRefresh:   KindRefresh,
-}
-
-func codeOfKind(kind string) kindCode {
-	for c := kindGrow; int(c) < len(kindNames); c++ {
-		if kindNames[c] == kind {
-			return c
-		}
-	}
-	return kindUnknown
 }
 
 // String returns the kind's name in the Fig. 2 alphabet.

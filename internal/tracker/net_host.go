@@ -171,12 +171,13 @@ func (nh *NetHost) HandleEffect(n *nethost.Node, effect any) {
 	switch e := effect.(type) {
 	case sendEffect:
 		to := nh.h.Head(e.To)
-		payload, err := EncodeClusterMsg(e.From, n.Region(), nh.h.Level(e.To), ObjectID(e.Body.Obj), e.Kind, wireBody(e.Kind, &e.Body))
+		kind := e.Kind.String()
+		payload, err := EncodeClusterMsg(e.From, n.Region(), nh.h.Level(e.To), ObjectID(e.Body.Obj), kind, wireBody(kind, &e.Body))
 		if err != nil {
 			return
 		}
 		due := n.Now() + cgcast.ScheduleDelayIn(nh.h, nh.geom, nh.unit, e.From, e.To)
-		n.Send(to, due, e.Kind, nh.hops(n.Region(), to), payload)
+		n.Send(to, due, kind, nh.hops(n.Region(), to), payload)
 	case foundEffect:
 		u := nh.h.Head(e.From)
 		payload, err := EncodeClusterMsg(e.From, u, 0, e.Obj, KindFound, e.Payloads)

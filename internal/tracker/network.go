@@ -93,6 +93,9 @@ type Network struct {
 	aut      *Automaton
 	emulHost *emulHost // nil on the oracle host
 	clients  map[vsa.ClientID]*Client
+	// cgKinds maps the Fig. 2 alphabet to the C-gcast kind table, resolved
+	// once in New, so no send names its kind by a string.
+	cgKinds [len(kindNames)]cgcast.KindIndex
 
 	transit     []transitSlot
 	transitFree []uint32 // indices of the free slots of transit
@@ -228,6 +231,14 @@ func New(cg *cgcast.Service, geom hier.Geometry, opts ...Option) (*Network, erro
 		return nil, fmt.Errorf("tracker: head replication mismatch: network %v, C-gcast %v", n.replicated, cg.Replicated())
 	}
 
+	for c := kindGrow; int(c) < len(kindNames); c++ {
+		k, err := cg.InternKind(kindNames[c])
+		if err != nil {
+			return nil, err
+		}
+		n.cgKinds[c] = k
+	}
+
 	n.aut = newAutomaton(n)
 	cg.OnDrop(n.noteDropped)
 	if n.emulCfg != nil {
@@ -321,10 +332,10 @@ func (n *Network) BackupProcess(c hier.ClusterID) *Process {
 }
 
 // sendFromClient transmits a client message to a level-0 cluster.
-func (n *Network) sendFromClient(id vsa.ClientID, to hier.ClusterID, kind string, body cgcast.Body) error {
+func (n *Network) sendFromClient(id vsa.ClientID, to hier.ClusterID, kind kindCode, body cgcast.Body) error {
 	obj := ObjectID(body.Obj)
-	body.Mark = n.noteSent(obj, codeOfKind(kind), hier.NoCluster, to, 1)
-	if err := n.cg.ClientToClusterBody(id, to, kind, body); err != nil {
+	body.Mark = n.noteSent(obj, kind, hier.NoCluster, to, 1)
+	if err := n.cg.ClientToClusterIndexed(id, to, n.cgKinds[kind], body); err != nil {
 		n.resolve(body.Mark) // refused: nothing was sent
 		return err
 	}
@@ -334,8 +345,8 @@ func (n *Network) sendFromClient(id vsa.ClientID, to hier.ClusterID, kind string
 			region = int32(c.region)
 		}
 		n.tr.Emit(trace.Event{
-			At: n.k.Now(), Kind: "send", Op: n.opFor(obj, kind, &body), Obj: int32(obj),
-			Msg: kind, From: -1, To: int32(to), Region: region, Level: -1,
+			At: n.k.Now(), Kind: "send", Op: n.opFor(obj, kind.String(), &body), Obj: int32(obj),
+			Msg: kind.String(), From: -1, To: int32(to), Region: region, Level: -1,
 		})
 	}
 	return nil

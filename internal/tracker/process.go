@@ -287,17 +287,17 @@ func (pr *Process) fire(st *objState, kind timerKind) {
 
 // send emits a protocol message about the row's object that says nothing
 // beyond its kind.
-func (pr *Process) send(st *objState, to hier.ClusterID, kind string) {
+func (pr *Process) send(st *objState, to hier.ClusterID, kind kindCode) {
 	pr.sendBody(to, kind, bodyFor(st.obj))
 }
 
 // sendArg emits a message carrying one scalar (findAck's pointer, refresh's
 // hop count).
-func (pr *Process) sendArg(st *objState, to hier.ClusterID, kind string, arg int32) {
+func (pr *Process) sendArg(st *objState, to hier.ClusterID, kind kindCode, arg int32) {
 	pr.sendBody(to, kind, cgcast.Body{Obj: int32(st.obj), Arg: arg})
 }
 
-func (pr *Process) sendBody(to hier.ClusterID, kind string, body cgcast.Body) {
+func (pr *Process) sendBody(to hier.ClusterID, kind kindCode, body cgcast.Body) {
 	pr.aut.out.send(pr.region, sendEffect{From: pr.id, Backup: pr.backup, To: to, Kind: kind, Body: body})
 }
 
@@ -373,10 +373,10 @@ func (pr *Process) onTimer(st *objState) {
 			par = h.Parent(pr.id)
 		}
 		st.p = par
-		pr.send(st, par, KindGrow)
-		kind := KindGrowPar
+		pr.send(st, par, kindGrow)
+		kind := kindGrowPar
 		if lateral {
-			kind = KindGrowNbr
+			kind = kindGrowNbr
 		}
 		for _, b := range h.Nbrs(pr.id) {
 			pr.send(st, b, kind)
@@ -385,9 +385,9 @@ func (pr *Process) onTimer(st *objState) {
 	case st.c == hier.NoCluster && st.p != hier.NoCluster:
 		dest := st.p
 		st.p = hier.NoCluster
-		pr.send(st, dest, KindShrink)
+		pr.send(st, dest, kindShrink)
 		for _, b := range h.Nbrs(pr.id) {
-			pr.send(st, b, KindShrinkUpd)
+			pr.send(st, b, kindShrinkUpd)
 		}
 		pr.clearTimer(st, timerLease)
 	}
@@ -426,11 +426,11 @@ func (pr *Process) takeFinds(st *objState) []FindPayload {
 func (pr *Process) onFindQuery(st *objState, cid hier.ClusterID) {
 	switch {
 	case st.c != hier.NoCluster:
-		pr.sendArg(st, cid, KindFindAck, int32(st.c))
+		pr.sendArg(st, cid, kindFindAck, int32(st.c))
 	case st.nbrptdown != hier.NoCluster:
-		pr.sendArg(st, cid, KindFindAck, int32(st.nbrptdown))
+		pr.sendArg(st, cid, kindFindAck, int32(st.nbrptdown))
 	case st.nbrptup != hier.NoCluster:
-		pr.sendArg(st, cid, KindFindAck, int32(st.nbrptup))
+		pr.sendArg(st, cid, kindFindAck, int32(st.nbrptup))
 	}
 }
 
@@ -481,7 +481,7 @@ func (pr *Process) evaluateFind(st *objState) {
 			if b == st.p {
 				continue
 			}
-			pr.send(st, b, KindFindQuery)
+			pr.send(st, b, kindFindQuery)
 		}
 	}
 }
@@ -511,7 +511,7 @@ func (pr *Process) onNbrTimeout(st *objState) {
 
 // forwardFind sends every held find to dest and clears the searching state.
 func (pr *Process) forwardFind(st *objState, dest hier.ClusterID) {
-	pr.sendBody(dest, KindFind, findsBody(st.obj, pr.takeFinds(st)))
+	pr.sendBody(dest, kindFind, findsBody(st.obj, pr.takeFinds(st)))
 }
 
 // --- §VII heartbeat extension ---
@@ -534,12 +534,12 @@ func (pr *Process) onRefresh(st *objState, cid hier.ClusterID, hops int) {
 	pr.renewLease(st)
 	switch {
 	case st.p != hier.NoCluster:
-		pr.sendArg(st, st.p, KindRefresh, int32(hops+1))
+		pr.sendArg(st, st.p, kindRefresh, int32(hops+1))
 		// Re-announce the connection kind so neighbors' secondary
 		// pointers (and their leases) stay fresh.
-		kind := KindGrowPar
+		kind := kindGrowPar
 		if pr.aut.h.AreNbrs(pr.id, st.p) {
-			kind = KindGrowNbr
+			kind = kindGrowNbr
 		}
 		for _, b := range pr.aut.h.Nbrs(pr.id) {
 			pr.send(st, b, kind)
@@ -620,10 +620,10 @@ func (pr *Process) onLeaseExpired(st *objState) {
 	if st.p != hier.NoCluster {
 		dest := st.p
 		st.p = hier.NoCluster
-		pr.send(st, dest, KindShrink)
+		pr.send(st, dest, kindShrink)
 	}
 	for _, b := range pr.aut.h.Nbrs(pr.id) {
-		pr.send(st, b, KindShrinkUpd)
+		pr.send(st, b, kindShrinkUpd)
 	}
 	pr.clearTimer(st, timerGrowShrink)
 }
