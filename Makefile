@@ -218,11 +218,15 @@ experiments-csv:
 experiments-json:
 	$(GO) run ./cmd/experiments -json results
 
-# Short exploratory fuzz sessions over the spec and the hierarchy builder.
+# Short exploratory fuzz sessions over the spec, the hierarchy builder and
+# the two tracker codecs (region state, decoded on an oracle host so its
+# wakeups are reconciled too, and cluster wire messages).
 fuzz:
 	$(GO) test -fuzz=FuzzAtomicMoveWalk -fuzztime=30s ./internal/lookahead
 	$(GO) test -fuzz=FuzzGridHierarchy -fuzztime=30s ./internal/hier
 	$(GO) test -fuzz=FuzzLandmarkHierarchy -fuzztime=30s ./internal/hier
+	$(GO) test -run '^FuzzDecodeRegion$$' -fuzz='^FuzzDecodeRegion$$' -fuzztime=30s ./internal/tracker
+	$(GO) test -run '^FuzzDecodeClusterMessage$$' -fuzz='^FuzzDecodeClusterMessage$$' -fuzztime=30s ./internal/tracker
 
 cover:
 	$(GO) test -cover ./...

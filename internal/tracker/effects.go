@@ -4,6 +4,7 @@ import (
 	"vinestalk/internal/cgcast"
 	"vinestalk/internal/geo"
 	"vinestalk/internal/hier"
+	"vinestalk/internal/sim"
 	"vinestalk/internal/trace"
 	"vinestalk/internal/vsa"
 )
@@ -26,6 +27,11 @@ type outlet interface {
 	recv(u geo.RegionID, to hier.ClusterID, level int, d *cgcast.Delivery)
 	noteGrow(u geo.RegionID, level int)
 	noteQuery(u geo.RegionID, level int)
+	// timer mirrors a write of timer variable id to at (∞ clears it). ref is
+	// the value the variable's deadline slot kept from the outlet's last
+	// return for it while armed, and 0 when it was not armed; the return is
+	// what the slot keeps if at is finite.
+	timer(u geo.RegionID, id vsa.TimerID, at sim.Time, ref int32) int32
 }
 
 // emitOutlet hands effects to a generic host as values.
@@ -39,6 +45,17 @@ func (o emitOutlet) recv(u geo.RegionID, to hier.ClusterID, level int, d *cgcast
 func (o emitOutlet) noteGrow(u geo.RegionID, level int) { o.host.Emit(u, growNoteEffect{Level: level}) }
 func (o emitOutlet) noteQuery(u geo.RegionID, level int) {
 	o.host.Emit(u, queryNoteEffect{Level: level})
+}
+
+// timer forwards to the host's keyed calls; a generic host keeps its own
+// index, so no ref is kept.
+func (o emitOutlet) timer(u geo.RegionID, id vsa.TimerID, at sim.Time, _ int32) int32 {
+	if at == sim.Forever {
+		o.host.ClearTimer(u, id)
+	} else {
+		o.host.SetTimer(u, id, at)
+	}
+	return 0
 }
 
 // sendEffect transmits a protocol message from a cluster process. Every

@@ -39,7 +39,7 @@ type emulHost struct {
 	k   *sim.Kernel
 	em  *emul.Emulator
 
-	wakeups hostTimers
+	wakeups *keyedWakeups
 
 	// collecting, while non-nil, redirects host calls into the current
 	// Step's output list instead of executing them. Steps never nest (the
@@ -83,7 +83,7 @@ func newEmulHost(n *Network, a *Automaton, delta, tRestart sim.Time) *emulHost {
 	h := &emulHost{net: n, aut: a, k: n.k}
 	// A wakeup is routed through the emulator as a regular input, carrying
 	// the deadline it was armed for.
-	h.wakeups = newHostTimers(n.k, len(a.regions), func(u geo.RegionID, id vsa.TimerID, at sim.Time) {
+	h.wakeups = newKeyedWakeups(n.k, len(a.regions), func(u geo.RegionID, id vsa.TimerID, at sim.Time) {
 		_ = h.em.Submit(u, emulTimerFire{U: u, ID: id, At: at})
 	})
 	h.em = emul.New(n.k, n.h.Tiling(), h, delta, tRestart,
@@ -97,6 +97,53 @@ var (
 	_ vsa.Host     = (*emulHost)(nil)
 	_ emul.Program = (*emulHost)(nil)
 )
+
+// keyedWakeups is the emulated host's wakeup service: the pool of
+// hostTimers, found through a (region, id) → ref map. The emulated host's
+// rows are decoded afresh for every input, so a ref cannot live in them;
+// this map is the only (region, id) index of wakeups. An entry is present
+// exactly while its wakeup is armed.
+type keyedWakeups struct {
+	hostTimers
+	refs []map[vsa.TimerID]int32 // by region; nil until its first arm
+}
+
+// newKeyedWakeups builds an empty service for regions 0 … regions−1 whose
+// wakeups call fire with the deadline they were armed for.
+func newKeyedWakeups(k *sim.Kernel, regions int, fire func(geo.RegionID, vsa.TimerID, sim.Time)) *keyedWakeups {
+	kw := &keyedWakeups{refs: make([]map[vsa.TimerID]int32, regions)}
+	kw.hostTimers = newHostTimers(k, regions, func(u geo.RegionID, id vsa.TimerID, at sim.Time) {
+		delete(kw.refs[u], id)
+		fire(u, id, at)
+	})
+	return kw
+}
+
+// arm sets (or re-sets) the wakeup of (u, id) to at.
+func (kw *keyedWakeups) arm(u geo.RegionID, id vsa.TimerID, at sim.Time) {
+	m := kw.refs[u]
+	if m == nil {
+		m = make(map[vsa.TimerID]int32)
+		kw.refs[u] = m
+	}
+	m[id] = kw.hostTimers.arm(m[id], u, id, at)
+}
+
+// disarm cancels the wakeup of (u, id), if armed.
+func (kw *keyedWakeups) disarm(u geo.RegionID, id vsa.TimerID) {
+	if ref, ok := kw.refs[u][id]; ok {
+		kw.hostTimers.disarm(ref, u, id)
+		delete(kw.refs[u], id)
+	}
+}
+
+// disarmRegion cancels every wakeup of region u.
+func (kw *keyedWakeups) disarmRegion(u geo.RegionID) {
+	for id, ref := range kw.refs[u] {
+		kw.hostTimers.disarm(ref, u, id)
+	}
+	clear(kw.refs[u])
+}
 
 // --- vsa.Host ---
 

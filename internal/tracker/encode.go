@@ -22,7 +22,8 @@ import (
 // finds) costs 21 bytes — timer variables that read ∞ and the empty pending
 // set are elided behind a flags byte. Its timer bits are the row's own
 // (objState.tmask), and its deadlines are the row's slot in the table's
-// deadline slab, in bit order.
+// deadline slab, in bit order; the slot's wakeup refs are the oracle host's
+// bookkeeping, not machine state, and are not encoded.
 //
 // Layout (big-endian):
 //
@@ -212,10 +213,14 @@ func (r *decoder) decodeArmedTimer() sim.Time {
 }
 
 // DecodeRegion implements vsa.Automaton: it replaces region u's machine
-// state with a previously encoded value. Host timers are deliberately not
-// touched — the decoded deadlines are authoritative and host wakeups are
-// validated against them, so a replica adopting a checkpoint needs no
-// timer reconciliation.
+// state with a previously encoded value. The decoded deadlines are
+// authoritative and every wakeup is validated against them, so the
+// emulated and networked hosts, whose wakeups are advisory, reconcile
+// nothing. The oracle host keeps its wakeups' refs in the rows the decode
+// replaces, so there the decode ends by making region u's wakeups exactly
+// its decoded armed variables (oracleHost.rewake): a wakeup keeps its event
+// when its deadline still stands, and an armed deadline already past fires
+// at once.
 //
 // The input is untrusted (a networked host receives checkpoints over the
 // wire): length-prefixed counts are bounded against the remaining bytes
@@ -323,6 +328,9 @@ func (a *Automaton) DecodeRegion(u geo.RegionID, state []byte) error {
 	// Commit only after a fully successful parse.
 	for _, dp := range decoded {
 		dp.pr.adopt(dp.objs, dp.pending, dp.armedMove)
+	}
+	if h, ok := a.out.(*oracleHost); ok {
+		h.rewake(u)
 	}
 	return nil
 }

@@ -177,16 +177,26 @@ func TestChurnEvictsToBaseline(t *testing.T) {
 // armedTimers counts the finite deadlines recorded in the machine state.
 func armedTimers(a *Automaton) int {
 	total := 0
-	eachProcess(a, func(pr *Process) {
-		pr.objs.each(func(st *objState) {
+	for u := range a.regions {
+		total += armedIn(a, geo.RegionID(u))
+	}
+	return total
+}
+
+// armedIn counts the armed timer variables of the rows region u hosts.
+func armedIn(a *Automaton, u geo.RegionID) int {
+	n := 0
+	d := a.regions[u]
+	for _, level := range d.levels {
+		d.byLevel[level].objs.each(func(st *objState) {
 			for kind := timerKind(0); kind < numTimerKinds; kind++ {
 				if st.armed(kind) {
-					total++
+					n++
 				}
 			}
 		})
-	})
-	return total
+	}
+	return n
 }
 
 // TestChurnLeavesNoHostTimers is the regression test for the host timer
@@ -199,7 +209,6 @@ func TestChurnLeavesNoHostTimers(t *testing.T) {
 	for _, heartbeat := range []sim.Time{0, 40 * unit} {
 		f := newFixture(t, fixtureConfig{side: 4, start: 5, alwaysUp: heartbeat == 0, heartbeat: heartbeat, tRestart: unit})
 		aut := f.net.Automaton()
-		host := aut.host.(*oracleHost)
 		now := sim.Time(0)
 		check := func(ctx string) {
 			t.Helper()
@@ -210,8 +219,8 @@ func TestChurnLeavesNoHostTimers(t *testing.T) {
 				f.k.RunUntil(now)
 			}
 			got := 0
-			for _, m := range host.wakeups.armed {
-				got += len(m)
+			for u := 0; u < f.tiling.NumRegions(); u++ {
+				got += f.net.ArmedWakeups(geo.RegionID(u))
 			}
 			if want := armedTimers(aut); got != want || (heartbeat == 0 && got != 0) {
 				t.Fatalf("heartbeat %v, %s: host table holds %d timers, machine state has %d armed", heartbeat, ctx, got, want)

@@ -80,19 +80,30 @@ func FuzzDecodeRegion(f *testing.F) {
 
 	const region = geo.RegionID(0)
 	before := aut.EncodeRegion(region)
+	// The fixture runs on the oracle host, so an accepted frame also
+	// re-attaches, re-arms or disarms the region's wakeups: afterwards they
+	// must be exactly the decoded armed timer variables.
+	wakeupsMatch := func(t *testing.T, ctx string) {
+		if got, want := fx.net.ArmedWakeups(region), armedIn(aut, region); got != want {
+			t.Fatalf("%s: %d wakeups armed for %d armed timer variables", ctx, got, want)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := aut.DecodeRegion(region, data); err != nil {
 			if got := aut.EncodeRegion(region); !bytes.Equal(got, before) {
 				t.Fatalf("rejected frame mutated region state (err %v)", err)
 			}
+			wakeupsMatch(t, "rejected frame")
 			return
 		}
 		if got := aut.EncodeRegion(region); !bytes.Equal(got, data) {
 			t.Fatalf("accepted frame is not canonical:\n in  %x\n out %x", data, got)
 		}
+		wakeupsMatch(t, "accepted frame")
 		if err := aut.DecodeRegion(region, before); err != nil {
 			t.Fatalf("restoring pristine state: %v", err)
 		}
+		wakeupsMatch(t, "restored state")
 	})
 }
 

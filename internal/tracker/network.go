@@ -304,9 +304,12 @@ func (n *Network) Emulator() *emul.Emulator {
 	return n.emulHost.em
 }
 
-// ArmedWakeups returns the number of host wakeups armed for region u. A
-// region whose machine state is gone (failed, or restarted into its initial
-// state) holds none.
+// ArmedWakeups returns the number of host wakeups armed for region u, read
+// from the wakeup pool's per-region count. A region whose machine state is
+// gone (failed, or restarted into its initial state) holds none. On the
+// oracle host the count is exactly the armed timer variables of u's rows,
+// a decoded region's included; on the emulated host it is the timer writes
+// the region's leaders have committed and not yet seen fire or clear.
 func (n *Network) ArmedWakeups(u geo.RegionID) int {
 	if n.emulHost != nil {
 		return n.emulHost.wakeups.armedIn(u)

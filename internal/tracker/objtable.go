@@ -44,9 +44,11 @@ const objSlabMin = 8
 //
 // deadlines holds the timer variables of the rows with at least one finite
 // deadline, one slot per such row (objState.dl); a slot is in use, or free
-// and listed in dlFree. Only setDeadline takes and gives back slots, for
-// any row — a scratch row of an action in progress included, before leave
-// inserts it — and it moves no row, so none moves on an arm or a clear.
+// and listed in dlFree. Beside each finite deadline a slot keeps the ref of
+// the host wakeup armed for it (timerSlot.wake). Only setDeadline takes and
+// gives back slots, for any row — a scratch row of an action in progress
+// included, before leave inserts it — and it moves no row, so none moves on
+// an arm or a clear.
 // When the last armed row clears, the slab starts afresh, keeping at most
 // objSlabMin slots. armed counts the finite deadlines (every row's tmask
 // bits).
@@ -60,9 +62,21 @@ type objTable struct {
 	rows []objState
 	n    int
 
-	deadlines [][numTimerKinds]sim.Time
+	deadlines []timerSlot
 	dlFree    []int32
 	armed     int
+}
+
+// timerSlot is one row's timer variables in the deadline slab: at[k] is the
+// deadline of an armed variable k, and wake[k] the ref of its wakeup in the
+// oracle host's pool (hostTimers), handed back to the host to re-arm or
+// clear it. setDeadline zeroes wake[k] when it arms variable k; only
+// Process.setTimer and the oracle host's rewake set it. It is not machine
+// state, so the region encoding leaves it out. The entries of a variable
+// that reads ∞ are stale and never read.
+type timerSlot struct {
+	at   [numTimerKinds]sim.Time
+	wake [numTimerKinds]int32
 }
 
 // home returns obj's home slot.
@@ -248,7 +262,18 @@ func (t *objTable) deadline(st *objState, kind timerKind) sim.Time {
 	if !st.armed(kind) {
 		return sim.Forever
 	}
-	return t.deadlines[st.dl][kind]
+	return t.deadlines[st.dl].at[kind]
+}
+
+// wake returns the wakeup ref kept for an armed timer variable of st: 0
+// until one is set.
+func (t *objTable) wake(st *objState, kind timerKind) int32 {
+	return t.deadlines[st.dl].wake[kind]
+}
+
+// setWake keeps ref for an armed timer variable of st.
+func (t *objTable) setWake(st *objState, kind timerKind, ref int32) {
+	t.deadlines[st.dl].wake[kind] = ref
 }
 
 // setDeadline writes a timer variable of st — a finite deadline, or ∞ to
@@ -272,14 +297,16 @@ func (t *objTable) setDeadline(st *objState, kind timerKind, at sim.Time) {
 			st.dl, t.dlFree = t.dlFree[f-1], t.dlFree[:f-1]
 		} else {
 			st.dl = int32(len(t.deadlines))
-			t.deadlines = append(t.deadlines, [numTimerKinds]sim.Time{})
+			t.deadlines = append(t.deadlines, timerSlot{})
 		}
 	}
+	s := &t.deadlines[st.dl]
 	if st.tmask&bit == 0 {
 		st.tmask |= bit
 		t.armed++
+		s.wake[kind] = 0
 	}
-	t.deadlines[st.dl][kind] = at
+	s.at[kind] = at
 }
 
 // freeDeadlines gives deadline slot s back. The last slot in use empties

@@ -76,7 +76,9 @@ type objState struct {
 	// The deadlines are part of the serialized region state;
 	// Process.setTimer mirrors each write to the host's wakeup service, whose
 	// fires the automaton validates against the recorded deadline (stale
-	// wakeups are no-ops).
+	// wakeups are no-ops). Beside each finite deadline the slot keeps the
+	// ref of its wakeup in the oracle host's pool (timerSlot.wake), so that
+	// host finds a wakeup through its row and keeps no index of its own.
 	tmask uint8
 	// psl is the row's probe sequence length in its objTable: one more than
 	// its distance from its home slot, and 0 in an empty slot. It fills what
@@ -138,15 +140,19 @@ func (pr *Process) recordDeadline(st *objState, kind timerKind, at sim.Time) {
 }
 
 // setTimer assigns a timer variable of st — an absolute virtual time, or
-// Forever to clear it — and mirrors the write to the host.
+// Forever to clear it — and mirrors the write to the host through the
+// outlet, handing over the wakeup ref the variable's deadline slot keeps and
+// keeping the one the outlet returns while the variable is armed.
 func (pr *Process) setTimer(st *objState, kind timerKind, at sim.Time) {
-	pr.recordDeadline(st, kind, at)
-	id := packTimerID(pr.level, st.obj, kind)
-	if at == sim.Forever {
-		pr.aut.host.ClearTimer(pr.region, id)
-		return
+	var ref int32
+	if st.armed(kind) {
+		ref = pr.objs.wake(st, kind) // before the write: a clear may free the slot
 	}
-	pr.aut.host.SetTimer(pr.region, id, at)
+	pr.recordDeadline(st, kind, at)
+	ref = pr.aut.out.timer(pr.region, packTimerID(pr.level, st.obj, kind), at, ref)
+	if at != sim.Forever {
+		pr.objs.setWake(st, kind, ref)
+	}
 }
 
 // setTimerAfter arms a timer delay after the current time, saturating at ∞.

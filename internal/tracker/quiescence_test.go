@@ -30,7 +30,10 @@ func moveQuiescentByScan(n *Network) bool {
 // at a time and compares the counter answer with the full scan after each —
 // through bulk attach, concurrent moves and finds, region state round-tripped
 // through the codec, a stale busy snapshot decoded over a quiet region, and
-// region resets.
+// region resets. Every region's host wakeups must be exactly its armed timer
+// variables after each step and each disturbance: none left over from a
+// clear, from the state a decode replaced or from a reset, none missing for
+// a decoded deadline.
 func TestMoveQuiescentMatchesFullScan(t *testing.T) {
 	f := newReplicatedFixture(t, 4, 5, true)
 	aut := f.net.Automaton()
@@ -46,6 +49,11 @@ func TestMoveQuiescentMatchesFullScan(t *testing.T) {
 		}
 		if !want {
 			busySteps++
+		}
+		for u := geo.RegionID(0); int(u) < regions; u++ {
+			if got, want := f.net.ArmedWakeups(u), armedIn(aut, u); got != want {
+				t.Fatalf("step %d (%s): region %d has %d wakeups armed for %d armed timer variables", steps, ctx, u, got, want)
+			}
 		}
 	}
 	// drain steps the kernel dry; every 50th event it disturbs a random

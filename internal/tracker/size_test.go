@@ -14,3 +14,14 @@ func TestSendEffectFits(t *testing.T) {
 		t.Errorf("a send effect takes %d bytes, more than 48", size)
 	}
 }
+
+// Every arm writes its row's deadline slot, deadline and wakeup ref, and on
+// a big table that slot's line is cold: a stall on such a store holds the
+// store buffer, as the send effect's did, and each byte added to the slot
+// spreads more slots over two lines. The slot is kept to 48 bytes — four
+// deadlines and four 32-bit refs.
+func TestTimerSlotFits(t *testing.T) {
+	if size := unsafe.Sizeof(timerSlot{}); size > 48 {
+		t.Errorf("a deadline slot takes %d bytes, more than 48", size)
+	}
+}
