@@ -47,6 +47,7 @@ nethost-smoke:
 	$(GO) test -race ./internal/nethost
 	$(GO) test -race -count=20 -run 'Mailbox|Kill|DueOrder|StopDrops' ./internal/nethost
 	$(GO) test -race -run 'TestNetHost' ./internal/tracker
+	$(GO) test -race -count=5 -run 'OutsideNeighbourhood' ./internal/tracker
 	$(GO) test -run 'TestNetHostMatchesOracleOnFixedSchedule' -count=10 ./internal/tracker
 	$(GO) test -run 'FuzzDecodeRegion|FuzzDecodeClusterMessage' ./internal/tracker
 

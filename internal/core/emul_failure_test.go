@@ -145,3 +145,37 @@ func TestEmulatedRegionFailureMidMoveHeals(t *testing.T) {
 		t.Errorf("healed Theorem 5.1: %v", err)
 	}
 }
+
+// A delivery the emulated region accepted but had not committed when every
+// emulating node failed dies with the region, so it is resolved as a drop:
+// for every instant of a move's first 100 ms at which region 10 may fail, the
+// network settles with nothing left in transit. Region 10 is on the growNbr
+// fan-out of the move 15 → 11; before the fix, failing it inside the commit
+// window of such a delivery left the delivery "in transit" for good.
+func TestEmulatedRegionFailureResolvesUncommittedDeliveries(t *testing.T) {
+	const victim = geo.RegionID(10)
+	for k := 0; k < 400; k++ {
+		s, err := New(Config{
+			Width: 4, AlwaysAliveVSAs: true, Start: 15,
+			Emulation: &EmulationConfig{Delta: time.Millisecond, TRestart: 50 * time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Settle(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.MoveEvader(11); err != nil {
+			t.Fatal(err)
+		}
+		s.RunFor(time.Duration(k) * 250 * time.Microsecond)
+		em := s.Emulator()
+		for _, id := range em.Members(victim) {
+			em.FailNode(id)
+		}
+		if err := s.Settle(); err != nil {
+			t.Fatalf("region %v failed %v into the move: %v (in transit: %v)",
+				victim, time.Duration(k)*250*time.Microsecond, err, s.Network().InTransit())
+		}
+	}
+}

@@ -73,16 +73,20 @@ type automatonConfig struct {
 }
 
 // newAutomaton builds the automaton from a network's validated
-// configuration.
-func newAutomaton(n *Network) *Automaton {
+// configuration. It refuses a hierarchy a row's pointers cannot index.
+func newAutomaton(n *Network) (*Automaton, error) {
+	if err := checkHoods(n.h); err != nil {
+		return nil, err
+	}
 	return buildAutomaton(automatonConfig{
 		h: n.h, geom: n.geom, sched: n.sched, unit: n.cg.Unit(),
 		hb: n.hb, noLateral: n.noLateral, replicated: n.replicated,
-	})
+	}), nil
 }
 
 // buildAutomaton builds every cluster process and the per-region dispatch
-// tables. The host is attached by the caller before any input flows.
+// tables, over a hierarchy that has passed checkHoods. The host is attached
+// by the caller before any input flows.
 func buildAutomaton(cfg automatonConfig) *Automaton {
 	h := cfg.h
 	a := &Automaton{

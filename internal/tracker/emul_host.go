@@ -2,6 +2,7 @@ package tracker
 
 import (
 	"fmt"
+	"slices"
 
 	"vinestalk/internal/cgcast"
 	"vinestalk/internal/emul"
@@ -40,6 +41,12 @@ type emulHost struct {
 	em  *emul.Emulator
 
 	wakeups *keyedWakeups
+
+	// uncommitted holds, per region, the in-transit tickets of the
+	// deliveries submitted to the region and not yet committed: a ticket
+	// leaves at its recv commit, or is resolved as a drop when the region's
+	// failure or restart discards its input.
+	uncommitted [][]uint64
 
 	// collecting, while non-nil, redirects host calls into the current
 	// Step's output list instead of executing them. Steps never nest (the
@@ -80,7 +87,7 @@ type timerClearOut struct {
 }
 
 func newEmulHost(n *Network, a *Automaton, delta, tRestart sim.Time) *emulHost {
-	h := &emulHost{net: n, aut: a, k: n.k}
+	h := &emulHost{net: n, aut: a, k: n.k, uncommitted: make([][]uint64, len(a.regions))}
 	// A wakeup is routed through the emulator as a regular input, carrying
 	// the deadline it was armed for.
 	h.wakeups = newKeyedWakeups(n.k, len(a.regions), func(u geo.RegionID, id vsa.TimerID, at sim.Time) {
@@ -214,6 +221,12 @@ func (h *emulHost) applyOutput(u geo.RegionID, out emul.Output) {
 		h.wakeups.arm(m.U, m.ID, m.At)
 	case timerClearOut:
 		h.wakeups.disarm(m.U, m.ID)
+	case recvNoteEffect:
+		marks := h.uncommitted[u]
+		if i := slices.Index(marks, m.Del.Mark); i >= 0 {
+			h.uncommitted[u] = slices.Delete(marks, i, i+1)
+		}
+		h.net.execEffect(out.Msg)
 	default:
 		h.net.execEffect(out.Msg)
 	}
@@ -227,14 +240,13 @@ func (h *emulHost) onRegionEvent(ev emul.RegionEvent) {
 	switch ev.Kind {
 	case emul.RegionFailed:
 		// The region's machine state died with its nodes: drop the shared
-		// instance's mirror and every pending host wakeup for the region.
-		h.wakeups.disarmRegion(ev.U)
-		h.aut.dropRegionState(ev.U)
+		// instance's mirror, every pending host wakeup for the region and
+		// every input it had not committed.
+		h.dropRegion(ev.U)
 		detail = "state lost with emulating nodes"
 	case emul.RegionRestarted:
 		// Replicas restart from the initial state; mirror that.
-		h.wakeups.disarmRegion(ev.U)
-		h.aut.dropRegionState(ev.U)
+		h.dropRegion(ev.U)
 		detail = fmt.Sprintf("leader %v from initial state", ev.Leader)
 	case emul.LeaderChanged:
 		detail = fmt.Sprintf("leader %v took over", ev.Leader)
@@ -243,6 +255,18 @@ func (h *emulHost) onRegionEvent(ev emul.RegionEvent) {
 		At: h.k.Now(), Kind: "emul", Obj: -1, Msg: ev.Kind.String(),
 		From: -1, To: -1, Region: int32(ev.U), Level: -1, Detail: detail,
 	})
+}
+
+// dropRegion forgets region u's machine state, its host wakeups and its
+// uncommitted inputs. The emulator discards those inputs with the region, so
+// their deliveries resolve as drops, as at a delivery to a dead region.
+func (h *emulHost) dropRegion(u geo.RegionID) {
+	h.wakeups.disarmRegion(u)
+	h.aut.dropRegionState(u)
+	for _, mark := range h.uncommitted[u] {
+		h.net.resolve(mark)
+	}
+	h.uncommitted[u] = h.uncommitted[u][:0]
 }
 
 // emulRegionHandler bridges the abstract VSA layer to the emulator: a
@@ -271,7 +295,9 @@ func (rh emulRegionHandler) Receive(level int, msg any) {
 		h.net.noteDropped(rh.u, level, del)
 		return
 	}
-	_ = h.em.Submit(rh.u, emulDeliver{U: rh.u, Level: level, Del: *del})
+	if h.em.Submit(rh.u, emulDeliver{U: rh.u, Level: level, Del: *del}) == nil && del.Mark != 0 {
+		h.uncommitted[rh.u] = append(h.uncommitted[rh.u], del.Mark)
+	}
 }
 
 // Reset is a no-op: in emulation mode the abstract layer is always alive

@@ -77,10 +77,10 @@ func (a *Automaton) EncodeRegion(u geo.RegionID) []byte {
 		// The table iterates in ascending object id.
 		pr.objs.each(func(st *objState) {
 			buf = binary.BigEndian.AppendUint32(buf, uint32(st.obj))
-			buf = binary.BigEndian.AppendUint32(buf, uint32(st.c))
-			buf = binary.BigEndian.AppendUint32(buf, uint32(st.p))
-			buf = binary.BigEndian.AppendUint32(buf, uint32(st.nbrptup))
-			buf = binary.BigEndian.AppendUint32(buf, uint32(st.nbrptdown))
+			buf = binary.BigEndian.AppendUint32(buf, uint32(pr.cluster(st.c)))
+			buf = binary.BigEndian.AppendUint32(buf, uint32(pr.cluster(st.p)))
+			buf = binary.BigEndian.AppendUint32(buf, uint32(pr.cluster(st.nbrptup)))
+			buf = binary.BigEndian.AppendUint32(buf, uint32(pr.cluster(st.nbrptdown)))
 			flags := st.tmask
 			if st.finding {
 				flags |= encFlagPending
@@ -212,6 +212,18 @@ func (r *decoder) decodeArmedTimer() sim.Time {
 	return at
 }
 
+// pointer reads one of pr's pointers as its index in pr's neighbourhood. A
+// cluster outside the neighbourhood fails the decode: no row can hold it,
+// and only a corrupted or hostile frame carries it.
+func (r *decoder) pointer(pr *Process) hoodIdx {
+	c := hier.ClusterID(r.u32())
+	i, ok := pr.index(c)
+	if r.err == nil && !ok {
+		r.err = fmt.Errorf("tracker: pointer %v at offset %d is outside the neighbourhood of cluster %v", c, r.off-4, pr.id)
+	}
+	return i
+}
+
 // DecodeRegion implements vsa.Automaton: it replaces region u's machine
 // state with a previously encoded value. The decoded deadlines are
 // authoritative and every wakeup is validated against them, so the
@@ -226,9 +238,11 @@ func (r *decoder) decodeArmedTimer() sim.Time {
 // wire): length-prefixed counts are bounded against the remaining bytes
 // before any allocation, canonical form is enforced (levels in host order,
 // object ids strictly ascending, deadlines non-negative, no reserved flag
-// bits, armed slots finite, a pending section only when non-empty), and
-// nothing is committed until the whole frame parses — so every accepted
-// frame is one EncodeRegion could have produced, byte for byte.
+// bits, armed slots finite, a pending section only when non-empty), every
+// pointer must name a member of its process's neighbourhood (a row keeps
+// pointers as indices into it, Process.hood), and nothing is committed
+// until the whole frame parses — so every accepted frame is one
+// EncodeRegion could have produced, byte for byte.
 func (a *Automaton) DecodeRegion(u geo.RegionID, state []byte) error {
 	d := a.region(u)
 	if d == nil {
@@ -275,11 +289,11 @@ func (a *Automaton) DecodeRegion(u geo.RegionID, state []byte) error {
 				return fmt.Errorf("tracker: region %v state object %d after %d, want strictly ascending", u, obj, prevObj)
 			}
 			prevObj = obj
-			st := newObjState(obj)
-			st.c = hier.ClusterID(r.u32())
-			st.p = hier.ClusterID(r.u32())
-			st.nbrptup = hier.ClusterID(r.u32())
-			st.nbrptdown = hier.ClusterID(r.u32())
+			st := objState{obj: obj}
+			st.c = r.pointer(pr)
+			st.p = r.pointer(pr)
+			st.nbrptup = r.pointer(pr)
+			st.nbrptdown = r.pointer(pr)
 			flags := r.u8()
 			if r.err == nil && flags&encFlagReserved != 0 {
 				return fmt.Errorf("tracker: region %v state object %d has reserved flag bits %#x", u, obj, flags)

@@ -76,8 +76,8 @@ func TestStaleEnvelopeDoesNotAllocateState(t *testing.T) {
 		// Rows with a secondary pointer and no timer: nothing fires for
 		// them, and they do not concern the ghost.
 		for filler := ObjectID(1000); pr.objs.holds(pr.objs.len() + 1); filler++ {
-			row := newObjState(filler)
-			row.nbrptup = f.h.Nbrs(pr.Cluster())[0]
+			row := objState{obj: filler}
+			row.nbrptup, _ = pr.index(f.h.Nbrs(pr.Cluster())[0])
 			pr.objs.insert(row)
 		}
 	}

@@ -53,7 +53,8 @@ func FuzzDecodeRegion(f *testing.F) {
 	// Seeds: every live region encoding, the same bytes under the retired
 	// version-1 header, plus hostile shapes — truncations (including one
 	// cut mid-object-table and a bare version-1 word), an implausible object
-	// count, a reserved flag bit, and a bad version.
+	// count, a reserved flag bit, a pointer outside its process's
+	// neighbourhood, and a bad version.
 	for u := 0; u < fx.tiling.NumRegions(); u++ {
 		f.Add(aut.EncodeRegion(geo.RegionID(u)))
 		f.Add(underV1Header(aut.EncodeRegion(geo.RegionID(u))))
@@ -73,6 +74,11 @@ func FuzzDecodeRegion(f *testing.F) {
 		badFlags := bytes.Clone(enc)
 		badFlags[10+20] |= 0x80 // reserved flag bit of the first object
 		f.Add(badFlags)
+		// The first object's c names the root, which is outside the
+		// neighbourhood of region 0's level-0 process.
+		outside := bytes.Clone(enc)
+		binary.BigEndian.PutUint32(outside[10+4:], uint32(fx.h.Root()))
+		f.Add(outside)
 	}
 	badVersion := bytes.Clone(enc)
 	binary.BigEndian.PutUint16(badVersion[0:], 99)

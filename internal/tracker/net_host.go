@@ -73,6 +73,10 @@ func NewNetHost(h *hier.Hierarchy, cfg NetConfig) (*NetHost, error) {
 	if err := sched.Validate(cfg.Geom, cfg.Unit); err != nil {
 		return nil, err
 	}
+	// Every node builds its automaton in NewAutomaton, which cannot fail.
+	if err := checkHoods(h); err != nil {
+		return nil, err
+	}
 	nh := &NetHost{
 		h:       h,
 		geom:    cfg.Geom,

@@ -239,7 +239,11 @@ func New(cg *cgcast.Service, geom hier.Geometry, opts ...Option) (*Network, erro
 		n.cgKinds[c] = k
 	}
 
-	n.aut = newAutomaton(n)
+	aut, err := newAutomaton(n)
+	if err != nil {
+		return nil, err
+	}
+	n.aut = aut
 	cg.OnDrop(n.noteDropped)
 	if n.emulCfg != nil {
 		eh := newEmulHost(n, n.aut, n.emulCfg.delta, n.emulCfg.tRestart)

@@ -15,7 +15,7 @@ var objMix = rand.Uint64() | 1
 
 // objSlabMin is the probe-array length at or below which a table never
 // shrinks, so a process whose rows come and go one at a time keeps its small
-// array. It also caps the deadline slab a table keeps while no row is armed.
+// array. It is also the least capacity slabCap allows a deadline slab.
 const objSlabMin = 8
 
 // objTable is the per-process object-state table: pointer-free value rows
@@ -37,8 +37,8 @@ const objSlabMin = 8
 // would fill it beyond that, when reserve announces a total that would, and
 // when a remove leaves a table above objSlabMin slots at most a quarter
 // full. A resize always makes the rows fill it 3/4 full, so the footprint
-// follows the live row count at about 37 bytes a row, and a process that
-// tracks one object holds two slots. get, insert and remove take O(1)
+// follows the live row count at about 21 bytes a 16-byte row, and a process
+// that tracks one object holds two slots. get, insert and remove take O(1)
 // expected steps; insert and remove may move other rows, and a resize moves
 // all of them.
 //
@@ -49,9 +49,14 @@ const objSlabMin = 8
 // gives back slots, for any row — a scratch row of an action in progress
 // included, before leave inserts it — and it moves no row, so none moves on
 // an arm or a clear.
-// When the last armed row clears, the slab starts afresh, keeping at most
-// objSlabMin slots. armed counts the finite deadlines (every row's tmask
-// bits).
+// The slab grows to at most the probe array's length (objSlabMin at
+// least), which bounds the rows that can be armed at once. When the last
+// armed row clears, the slab empties and keeps its capacity, so the next
+// burst of arms allocates nothing; it gives the capacity back only once the
+// table has shrunk below it, when the probe array shrinks with the slab
+// empty or when the slab empties after such a shrink. A table replaced
+// whole (decode, reset) takes its slab with it. armed counts the finite
+// deadlines (every row's tmask bits).
 //
 // All three arrays are pointer-free and never scanned by the collector.
 //
@@ -244,6 +249,9 @@ func (t *objTable) resize(size int) {
 			t.place(pos, psl, *r)
 		}
 	}
+	if len(t.deadlines) == 0 {
+		t.trimDeadlines()
+	}
 }
 
 // insertBatch adds rows — distinct, in any order, and all absent from the
@@ -297,6 +305,9 @@ func (t *objTable) setDeadline(st *objState, kind timerKind, at sim.Time) {
 			st.dl, t.dlFree = t.dlFree[f-1], t.dlFree[:f-1]
 		} else {
 			st.dl = int32(len(t.deadlines))
+			if len(t.deadlines) == cap(t.deadlines) {
+				t.growDeadlines()
+			}
 			t.deadlines = append(t.deadlines, timerSlot{})
 		}
 	}
@@ -309,16 +320,33 @@ func (t *objTable) setDeadline(st *objState, kind timerKind, at sim.Time) {
 	s.at[kind] = at
 }
 
+// slabCap is the most slots the deadline slab grows to: the rows the probe
+// array can hold, plus an action's scratch row, fit in it.
+func (t *objTable) slabCap() int { return max(len(t.rows), objSlabMin) }
+
+// growDeadlines doubles the full deadline slab's capacity, up to slabCap.
+func (t *objTable) growDeadlines() {
+	n := len(t.deadlines)
+	grown := make([]timerSlot, n, max(min(2*n, t.slabCap()), n+1))
+	copy(grown, t.deadlines)
+	t.deadlines = grown
+}
+
 // freeDeadlines gives deadline slot s back. The last slot in use empties
-// the slab: one above objSlabMin is dropped, a smaller one kept for reuse.
+// the slab (trimDeadlines).
 func (t *objTable) freeDeadlines(s int32) {
 	if len(t.dlFree)+1 < len(t.deadlines) {
 		t.dlFree = append(t.dlFree, s)
 		return
 	}
-	if cap(t.deadlines) > objSlabMin {
-		t.deadlines, t.dlFree = nil, nil
-		return
-	}
 	t.deadlines, t.dlFree = t.deadlines[:0], t.dlFree[:0]
+	t.trimDeadlines()
+}
+
+// trimDeadlines gives back the capacity of an empty deadline slab that
+// exceeds slabCap, which only a shrunk probe array leaves behind.
+func (t *objTable) trimDeadlines() {
+	if cap(t.deadlines) > t.slabCap() {
+		t.deadlines, t.dlFree = nil, nil
+	}
 }

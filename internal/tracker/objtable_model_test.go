@@ -3,7 +3,6 @@ package tracker
 import (
 	"slices"
 
-	"vinestalk/internal/hier"
 	"vinestalk/internal/sim"
 )
 
@@ -15,14 +14,14 @@ import (
 
 // modelRow is the row the model holds: the state vector as it was before
 // the deadline slab, with the four timer variables inline and ∞ where
-// unset.
+// unset, and its pointers the table's one-byte indices.
 type modelRow struct {
 	obj ObjectID
 
-	c         hier.ClusterID
-	p         hier.ClusterID
-	nbrptup   hier.ClusterID
-	nbrptdown hier.ClusterID
+	c         hoodIdx
+	p         hoodIdx
+	nbrptup   hoodIdx
+	nbrptdown hoodIdx
 
 	finding bool
 
@@ -32,7 +31,7 @@ type modelRow struct {
 // newModelRow returns the initial (quiescent) model row for obj.
 func newModelRow(obj ObjectID) modelRow {
 	return modelRow{
-		obj: obj, c: hier.NoCluster, p: hier.NoCluster, nbrptup: hier.NoCluster, nbrptdown: hier.NoCluster,
+		obj:       obj,
 		deadlines: [numTimerKinds]sim.Time{sim.Forever, sim.Forever, sim.Forever, sim.Forever},
 	}
 }

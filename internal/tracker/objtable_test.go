@@ -11,7 +11,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"vinestalk/internal/hier"
 	"vinestalk/internal/sim"
 )
 
@@ -23,7 +22,7 @@ import (
 // distance from its home slot, and every slot from its home up to it holds a
 // row at least as far from its own home as a probe for it would be there, so
 // a lookup reaches it. It then checks the deadline slab (checkDeadlines).
-func checkObjTable(t *testing.T, step int, tab *objTable, model *pagedTable, ref map[ObjectID]hier.ClusterID) {
+func checkObjTable(t *testing.T, step int, tab *objTable, model *pagedTable, ref map[ObjectID]hoodIdx) {
 	t.Helper()
 	if tab.len() != len(ref) || model.len() != len(ref) {
 		t.Fatalf("step %d: len() = %d, model %d, reference %d", step, tab.len(), model.len(), len(ref))
@@ -73,7 +72,8 @@ func checkObjTable(t *testing.T, step int, tab *objTable, model *pagedTable, ref
 // is out: each row with a finite deadline holds its own slot in range, the
 // slots in use are exactly those rows' slots, the free list holds each other
 // slot once, armed is the number of tmask bits set, no bit above the timer
-// kinds is set, and a table with no armed row keeps at most objSlabMin slots.
+// kinds is set, and a table with no armed row holds an empty slab whose
+// capacity is at most slabCap.
 func checkDeadlines(t *testing.T, step int, tab *objTable) {
 	t.Helper()
 	owner := make(map[int32]ObjectID)
@@ -114,8 +114,9 @@ func checkDeadlines(t *testing.T, step int, tab *objTable) {
 		}
 		freed[s] = true
 	}
-	if len(owner) == 0 && cap(tab.deadlines) > objSlabMin {
-		t.Fatalf("step %d: no row armed, yet the deadline slab keeps %d slots", step, cap(tab.deadlines))
+	if len(owner) == 0 && (len(tab.deadlines) != 0 || cap(tab.deadlines) > tab.slabCap()) {
+		t.Fatalf("step %d: no row armed, yet the deadline slab holds %d slots of %d (at most %d kept)",
+			step, len(tab.deadlines), cap(tab.deadlines), tab.slabCap())
 	}
 }
 
@@ -134,7 +135,7 @@ func TestObjTableMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(span)))
 		var tab objTable
 		var model pagedTable
-		ref := make(map[ObjectID]hier.ClusterID)
+		ref := make(map[ObjectID]hoodIdx)
 		randObj := func() ObjectID {
 			switch rng.Intn(64) {
 			case 0:
@@ -148,8 +149,8 @@ func TestObjTableMatchesReference(t *testing.T) {
 		}
 		// row returns a new row for obj and the model's copy, with a random c.
 		row := func(obj ObjectID) (objState, modelRow) {
-			st, m := newObjState(obj), newModelRow(obj)
-			st.c = hier.ClusterID(rng.Intn(1 << 20))
+			st, m := objState{obj: obj}, newModelRow(obj)
+			st.c = hoodIdx(rng.Intn(1 << 8))
 			m.c, ref[obj] = st.c, st.c
 			return st, m
 		}
@@ -202,7 +203,7 @@ func TestObjTableMatchesReference(t *testing.T) {
 				case held && (modelOf(&tab, st) != *mst || st.obj != obj || st.c != ref[obj]):
 					t.Fatalf("step %d: get(%d) returned %+v, model %+v, reference c=%v", step, obj, modelOf(&tab, st), *mst, ref[obj])
 				case held && rng.Intn(8) == 0:
-					c := hier.ClusterID(rng.Intn(1 << 20))
+					c := hoodIdx(rng.Intn(1 << 8))
 					st.c, mst.c, ref[obj] = c, c, c
 				case held && rng.Intn(3) == 0:
 					timers(st, mst)
@@ -224,7 +225,7 @@ func TestObjTableMatchesReference(t *testing.T) {
 						// An action that leaves its scratch row quiescent:
 						// what it armed it cleared again, and the row is
 						// dropped.
-						scratch, m := newObjState(obj), newModelRow(obj)
+						scratch, m := objState{obj: obj}, newModelRow(obj)
 						timers(&scratch, &m)
 						clearTimers(&scratch)
 					}
@@ -275,7 +276,7 @@ func TestObjTableReserveSizesTheSlabOnce(t *testing.T) {
 	const total = 5*192 + 7
 	var tab objTable
 	var model pagedTable
-	ref := make(map[ObjectID]hier.ClusterID)
+	ref := make(map[ObjectID]hoodIdx)
 	tab.reserve(total)
 	if size := len(tab.rows); size < total*4/3 || size > total*4/3+1 {
 		t.Fatalf("a probe array reserved for %d rows has %d slots", total, size)
@@ -283,9 +284,9 @@ func TestObjTableReserveSizesTheSlabOnce(t *testing.T) {
 	first := &tab.rows[0]
 	for _, i := range rand.New(rand.NewSource(1)).Perm(total) {
 		obj := ObjectID(2*i - total)
-		tab.insert(newObjState(obj))
+		tab.insert(objState{obj: obj})
 		model.insert(newModelRow(obj))
-		ref[obj] = hier.NoCluster
+		ref[obj] = hoodNone
 		if first != &tab.rows[0] {
 			t.Fatalf("insert of row %d of %d reallocated the probe array", tab.len(), total)
 		}
@@ -293,9 +294,9 @@ func TestObjTableReserveSizesTheSlabOnce(t *testing.T) {
 	checkObjTable(t, 0, &tab, &model, ref)
 	for i := 0; i < total; i++ {
 		obj := ObjectID(2*i - total + 1)
-		tab.insert(newObjState(obj))
+		tab.insert(objState{obj: obj})
 		model.insert(newModelRow(obj))
-		ref[obj] = hier.NoCluster
+		ref[obj] = hoodNone
 	}
 	checkObjTable(t, 1, &tab, &model, ref)
 }
@@ -330,7 +331,7 @@ func TestObjTableProbesStayShort(t *testing.T) {
 		name, count := f.name, f.count
 		var tab objTable
 		for i := 0; i < count; i++ {
-			tab.insert(newObjState(f.id(i)))
+			tab.insert(objState{obj: f.id(i)})
 		}
 		longest, total := 0, 0
 		for _, r := range tab.rows {
@@ -352,7 +353,7 @@ func TestObjTableProbesStayShort(t *testing.T) {
 func TestObjTableGrowsPastALongRun(t *testing.T) {
 	var tab objTable
 	var model pagedTable
-	ref := make(map[ObjectID]hier.ClusterID)
+	ref := make(map[ObjectID]hoodIdx)
 	tab.reserve(400)
 	size := len(tab.rows)
 	var ids []ObjectID
@@ -362,9 +363,9 @@ func TestObjTableGrowsPastALongRun(t *testing.T) {
 		}
 	}
 	for _, obj := range ids {
-		tab.insert(newObjState(obj))
+		tab.insert(objState{obj: obj})
 		model.insert(newModelRow(obj))
-		ref[obj] = hier.NoCluster
+		ref[obj] = hoodNone
 	}
 	if len(tab.rows) == size {
 		t.Fatalf("%d rows sharing a home slot left the probe array at %d slots", len(ids), size)
@@ -384,7 +385,7 @@ func TestObjTableSteadyStateAllocatesNothing(t *testing.T) {
 	const rows = 10_000
 	var tab objTable
 	for i := 0; i < rows; i++ {
-		tab.insert(newObjState(ObjectID(i * 7)))
+		tab.insert(objState{obj: ObjectID(i * 7)})
 	}
 	i := 0
 	next := func() ObjectID { i = (i + 1) % rows; return ObjectID(i * 7) }
@@ -398,15 +399,15 @@ func TestObjTableSteadyStateAllocatesNothing(t *testing.T) {
 	if got := testing.AllocsPerRun(1000, func() {
 		obj := next()
 		tab.remove(obj)
-		tab.insert(newObjState(obj))
+		tab.insert(objState{obj: obj})
 	}); got != 0 {
 		t.Errorf("remove + insert allocated %v times, want 0", got)
 	}
 	var one objTable
-	one.insert(newObjState(5))
+	one.insert(objState{obj: 5})
 	if got := testing.AllocsPerRun(1000, func() {
 		one.remove(5)
-		one.insert(newObjState(5))
+		one.insert(objState{obj: 5})
 	}); got != 0 {
 		t.Errorf("emptying and refilling a one-row table allocated %v times, want 0", got)
 	}
@@ -422,7 +423,7 @@ func TestObjTableDeadlinesAllocateNothing(t *testing.T) {
 	const rows, standing = 10_000, 100
 	var tab objTable
 	for i := 0; i < rows; i++ {
-		tab.insert(newObjState(ObjectID(i)))
+		tab.insert(objState{obj: ObjectID(i)})
 	}
 	for i := 0; i < standing; i++ {
 		tab.setDeadline(tab.get(ObjectID(i)), timerLease, sim.Time(i))
@@ -459,14 +460,14 @@ func TestObjTableDeadlinesAllocateNothing(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("arming and clearing %d rows of a table with no other timer armed allocated %v times, want 0", objSlabMin, got)
 	}
-	if tab.armed != 0 || cap(tab.deadlines) > objSlabMin {
-		t.Fatalf("every timer cleared: %d armed, a deadline slab of %d", tab.armed, cap(tab.deadlines))
+	if tab.armed != 0 || len(tab.deadlines) != 0 || cap(tab.deadlines) < standing {
+		t.Fatalf("every timer cleared: %d armed, a deadline slab of %d slots kept of %d", tab.armed, len(tab.deadlines), cap(tab.deadlines))
 	}
 
 	var one objTable
 	if got := testing.AllocsPerRun(1000, func() {
 		at++
-		scratch := newObjState(5)
+		scratch := objState{obj: 5}
 		one.setDeadline(&scratch, timerGrowShrink, at)
 		one.insert(scratch)
 		st := one.get(5)
@@ -475,6 +476,39 @@ func TestObjTableDeadlinesAllocateNothing(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("a one-row table flipping between no row and one armed row allocated %v times, want 0", got)
 	}
+}
+
+// A burst of arms that empties again leaves the deadline slab's capacity
+// with the table, so the next burst, a fan-out's next lap, allocates
+// nothing; the slab goes once the table shrinks below it.
+func TestObjTableKeepsDeadlineSlabAcrossLaps(t *testing.T) {
+	const rows, armed = 4096, 3000
+	var tab objTable
+	for i := 0; i < rows; i++ {
+		tab.insert(objState{obj: ObjectID(i)})
+	}
+	lap := func() {
+		for i := 0; i < armed; i++ {
+			tab.setDeadline(tab.get(ObjectID(i)), timerGrowShrink, sim.Time(i+1))
+		}
+		for i := 0; i < armed; i++ {
+			tab.setDeadline(tab.get(ObjectID(i)), timerGrowShrink, sim.Forever)
+		}
+	}
+	lap()
+	if got := testing.AllocsPerRun(100, lap); got != 0 {
+		t.Errorf("a lap of %d arms and clears over a kept slab allocated %v times, want 0", armed, got)
+	}
+	if len(tab.deadlines) != 0 || cap(tab.deadlines) < armed {
+		t.Fatalf("after the laps the slab holds %d of %d slots, want 0 of at least %d", len(tab.deadlines), cap(tab.deadlines), armed)
+	}
+	for i := rows - 1; i >= objSlabMin; i-- {
+		tab.remove(ObjectID(i))
+	}
+	if cap(tab.deadlines) > tab.slabCap() {
+		t.Fatalf("a table shrunk to %d slots keeps a slab of %d", len(tab.rows), cap(tab.deadlines))
+	}
+	checkDeadlines(t, 0, &tab)
 }
 
 // TestObjStateIsPointerFree pins what makes the probe array, the deadline
@@ -493,13 +527,15 @@ func TestObjStateIsPointerFree(t *testing.T) {
 	}
 }
 
-// TestObjStateSize pins the row at its settled size: the object id, four
-// pointers, the finding flag, the timer mask, the probe sequence length and
-// the deadline slot. A deadline back in the row costs 8 bytes on every row
-// of every table, and so would a field that did not fit the padding.
+// TestObjStateSize pins the row at its settled size, 16 bytes, so four rows
+// share a 64-byte line and none straddles two: the int32 object id, the
+// four one-byte pointers (indices into the process's neighbourhood), the
+// finding flag, the timer mask, the probe sequence length and the int32
+// deadline slot. A deadline back in the row costs 8 bytes on every row of
+// every table, and so would a field that did not fit the padding.
 func TestObjStateSize(t *testing.T) {
-	if got := unsafe.Sizeof(objState{}); got != 28 {
-		t.Fatalf("objState is %d bytes, want 28", got)
+	if got := unsafe.Sizeof(objState{}); got != 16 {
+		t.Fatalf("objState is %d bytes, want 16", got)
 	}
 }
 

@@ -1,6 +1,8 @@
 package tracker
 
 import (
+	"fmt"
+
 	"vinestalk/internal/cgcast"
 	"vinestalk/internal/geo"
 	"vinestalk/internal/hier"
@@ -30,6 +32,15 @@ type Process struct {
 	level  int
 	backup bool // replica at the alternate head (§VII quorum extension)
 
+	// hood is the process's neighbourhood, every cluster Fig. 2 lets its
+	// pointers name, ordered by role: ⊥, the cluster itself, its parent
+	// (below level MAX), its neighbours hood[nbrLo:nbrHi], then its
+	// children. A row keeps each pointer as an index into it (hoodIdx),
+	// read through cluster and written through index; nothing outside
+	// Process and the region codec sees the index form.
+	hood         []hier.ClusterID
+	nbrLo, nbrHi hoodIdx
+
 	objs objTable
 	// pending holds the finds a row with its finding bit set is holding, in
 	// arrival order (part of the machine state). It is a side map because
@@ -40,15 +51,53 @@ type Process struct {
 	armedMove int
 }
 
+// hoodIdx is a pointer of a row: an index into its process's neighbourhood
+// (Process.hood). Fig. 2 types every pointer over that neighbourhood, so one
+// byte holds it.
+type hoodIdx uint8
+
+// The first entries of every neighbourhood.
+const (
+	hoodNone   hoodIdx = iota // ⊥
+	hoodSelf                  // the process's own cluster
+	hoodParent                // its parent; below level MAX only
+)
+
+// maxHood is the most entries a neighbourhood's one-byte indices reach: ⊥
+// and 255 clusters.
+const maxHood = 1 << 8
+
+// hoodSize returns the number of entries of cluster c's neighbourhood.
+func hoodSize(h *hier.Hierarchy, c hier.ClusterID) int {
+	n := 2 + len(h.Nbrs(c)) + len(h.Children(c))
+	if h.Parent(c) != hier.NoCluster {
+		n++
+	}
+	return n
+}
+
+// checkHoods refuses a hierarchy with a neighbourhood too large for a row's
+// one-byte pointers.
+func checkHoods(h *hier.Hierarchy) error {
+	for c := 0; c < h.NumClusters(); c++ {
+		if n := hoodSize(h, hier.ClusterID(c)); n > maxHood {
+			return fmt.Errorf("tracker: cluster %v has %d clusters in its neighbourhood, more than the %d a row's pointer can name",
+				hier.ClusterID(c), n-1, maxHood-1)
+		}
+	}
+	return nil
+}
+
 // objState is one object's Fig. 2 state vector at this process: a
-// pointer-free value row of the process's objTable. Field names mirror the
-// figure: c (child pointer), p (path parent), nbrptup and nbrptdown
-// (secondary tracking pointers), finding, and the timer variables — the
-// single grow/shrink timer, nbrtimeout, and the two §VII heartbeat leases
-// (inert when the network has no heartbeat configuration: lease guards the
-// primary pointers c and p, nbrLease the secondary pointers, which are
-// renewed by the growPar/growNbr re-announcements that refresh propagation
-// triggers).
+// pointer-free 16-byte value row of the process's objTable. Field names
+// mirror the figure: c (child pointer), p (path parent), nbrptup and
+// nbrptdown (secondary tracking pointers), each an index into the process's
+// neighbourhood (Process.hood, hoodNone for ⊥), finding, and the timer
+// variables — the single grow/shrink timer, nbrtimeout, and the two §VII
+// heartbeat leases (inert when the network has no heartbeat configuration:
+// lease guards the primary pointers c and p, nbrLease the secondary
+// pointers, which are renewed by the growPar/growNbr re-announcements that
+// refresh propagation triggers).
 //
 // A row does not know its process: every action is a Process method taking
 // the row. An input action looks the row up once on entry and uses that
@@ -58,10 +107,7 @@ type Process struct {
 type objState struct {
 	obj ObjectID
 
-	c         hier.ClusterID
-	p         hier.ClusterID
-	nbrptup   hier.ClusterID
-	nbrptdown hier.ClusterID
+	c, p, nbrptup, nbrptdown hoodIdx
 
 	// finding is Fig. 2's flag: the process holds at least one find for
 	// the object, kept in Process.pending[obj].
@@ -87,17 +133,6 @@ type objState struct {
 	dl  int32
 }
 
-// newObjState returns the initial (quiescent) state vector for obj.
-func newObjState(obj ObjectID) objState {
-	return objState{
-		obj:       obj,
-		c:         hier.NoCluster,
-		p:         hier.NoCluster,
-		nbrptup:   hier.NoCluster,
-		nbrptdown: hier.NoCluster,
-	}
-}
-
 // armed reports whether the timer variable has a finite deadline.
 func (st *objState) armed(kind timerKind) bool { return st.tmask&(1<<kind) != 0 }
 
@@ -110,19 +145,51 @@ func (st *objState) settled() bool { return !st.finding && st.tmask == 0 }
 // quiescent vector carries no information the initial state would not
 // reproduce, which is what makes dropping it semantics-preserving.
 func (st *objState) quiescent() bool {
-	return st.c == hier.NoCluster && st.p == hier.NoCluster &&
-		st.nbrptup == hier.NoCluster && st.nbrptdown == hier.NoCluster &&
+	return st.c == hoodNone && st.p == hoodNone &&
+		st.nbrptup == hoodNone && st.nbrptdown == hoodNone &&
 		st.settled()
 }
 
+// newProcess builds the process of cluster id hosted at region. The
+// hierarchy has passed checkHoods.
 func newProcess(aut *Automaton, id hier.ClusterID, region geo.RegionID) *Process {
+	h := aut.h
+	hood := make([]hier.ClusterID, 0, hoodSize(h, id))
+	hood = append(hood, hier.NoCluster, id)
+	if par := h.Parent(id); par != hier.NoCluster {
+		hood = append(hood, par)
+	}
+	nbrLo := hoodIdx(len(hood))
+	hood = append(hood, h.Nbrs(id)...)
+	nbrHi := hoodIdx(len(hood))
+	hood = append(hood, h.Children(id)...)
 	return &Process{
 		aut:    aut,
 		id:     id,
 		region: region,
-		level:  aut.h.Level(id),
+		level:  h.Level(id),
+		hood:   hood,
+		nbrLo:  nbrLo,
+		nbrHi:  nbrHi,
 	}
 }
+
+// cluster reads a pointer: the cluster index i names, NoCluster for ⊥.
+func (pr *Process) cluster(i hoodIdx) hier.ClusterID { return pr.hood[i] }
+
+// index makes a pointer to cluster c: its index in the neighbourhood, and
+// false when c is outside it (and NoCluster is ⊥).
+func (pr *Process) index(c hier.ClusterID) (hoodIdx, bool) {
+	for i, m := range pr.hood {
+		if m == c {
+			return hoodIdx(i), true
+		}
+	}
+	return hoodNone, false
+}
+
+// isNbr reports whether i names a neighbour of the process.
+func (pr *Process) isNbr(i hoodIdx) bool { return pr.nbrLo <= i && i < pr.nbrHi }
 
 // recordDeadline writes a timer variable without telling the host, keeping
 // the armed grow/shrink counts in step. It is the only writer of a row's
@@ -170,7 +237,7 @@ func (pr *Process) enter(obj ObjectID, scratch *objState) (st *objState, held bo
 	if st := pr.objs.get(obj); st != nil {
 		return st, true
 	}
-	*scratch = newObjState(obj)
+	*scratch = objState{obj: obj}
 	return scratch, false
 }
 
@@ -226,7 +293,7 @@ func (pr *Process) PointersFor(obj ObjectID) (c, p, up, down hier.ClusterID) {
 	if st == nil {
 		return hier.NoCluster, hier.NoCluster, hier.NoCluster, hier.NoCluster
 	}
-	return st.c, st.p, st.nbrptup, st.nbrptdown
+	return pr.cluster(st.c), pr.cluster(st.p), pr.cluster(st.nbrptup), pr.cluster(st.nbrptdown)
 }
 
 // LiveObjects returns how many objects currently hold a state vector at
@@ -236,6 +303,11 @@ func (pr *Process) LiveObjects() int { return pr.objs.len() }
 
 // receive dispatches a C-gcast delivery to the Fig. 2 input actions of the
 // addressed object's state vector.
+//
+// A grow, growNbr, growPar, shrink, shrinkUpd or refresh names its sender
+// in a pointer, and Fig. 2's signature takes them only from the process's
+// neighbourhood. One from outside it, which only hostile or corrupt input
+// carries, is ignored; its delivery is already accounted.
 func (pr *Process) receive(d *cgcast.Delivery) {
 	// Client-originated grow/shrink name the level-0 cluster itself (the
 	// client broadcast an object detection for this region).
@@ -243,21 +315,29 @@ func (pr *Process) receive(d *cgcast.Delivery) {
 	if cid == hier.NoCluster {
 		cid = pr.id
 	}
+	var from hoodIdx
+	switch d.Kind {
+	case KindGrow, KindGrowNbr, KindGrowPar, KindShrink, KindShrinkUpd, KindRefresh:
+		var inHood bool
+		if from, inHood = pr.index(cid); !inHood {
+			return
+		}
+	}
 	var scratch objState
 	st, held := pr.enter(ObjectID(d.Obj), &scratch)
 	pr.sanitize(st)
 	switch d.Kind {
 	case KindGrow:
 		pr.aut.out.noteGrow(pr.region, pr.level)
-		pr.onGrow(st, cid)
+		pr.onGrow(st, from)
 	case KindGrowNbr:
-		pr.onGrowNbr(st, cid)
+		pr.onGrowNbr(st, from)
 	case KindGrowPar:
-		pr.onGrowPar(st, cid)
+		pr.onGrowPar(st, from)
 	case KindShrink:
-		pr.onShrink(st, cid)
+		pr.onShrink(st, from)
 	case KindShrinkUpd:
-		pr.onShrinkUpd(st, cid)
+		pr.onShrinkUpd(st, from)
 	case KindFind:
 		pr.onFind(st, findsOf(&d.Body))
 	case KindFindQuery:
@@ -265,7 +345,7 @@ func (pr *Process) receive(d *cgcast.Delivery) {
 	case KindFindAck:
 		pr.onFindAck(st, hier.ClusterID(d.Arg))
 	case KindRefresh:
-		pr.onRefresh(st, cid, int(d.Arg))
+		pr.onRefresh(st, from, int(d.Arg))
 	}
 	// TIOA semantics: any newly-enabled find output fires (zero-time local
 	// steps), so re-evaluate after every state change.
@@ -313,35 +393,47 @@ func (pr *Process) sendBody(to hier.ClusterID, kind kindCode, body cgcast.Body) 
 // process is off the path entirely (c = p = ⊥) and below MAX; c always
 // adopts the sender (a newer path supersedes what a pending grow will
 // report upward).
-func (pr *Process) onGrow(st *objState, cid hier.ClusterID) {
-	if st.c == hier.NoCluster && st.p == hier.NoCluster && pr.level != pr.aut.maxLevel {
+func (pr *Process) onGrow(st *objState, from hoodIdx) {
+	if st.c == hoodNone && st.p == hoodNone && pr.level != pr.aut.maxLevel {
 		pr.setTimerAfter(st, timerGrowShrink, pr.aut.sched.G[pr.level])
 	}
-	st.c = cid
+	st.c = from
 	pr.renewLease(st)
 }
 
 // onGrowNbr is Input cTOBrcv(〈growNbr, cid〉): the sender connected to the
-// path via a lateral link.
-func (pr *Process) onGrowNbr(st *objState, cid hier.ClusterID) {
-	st.nbrptdown = cid
+// path via a lateral link. A neighbour has one connection kind, so an
+// nbrptup naming the sender is stale and goes. Without failures a shrinkUpd
+// always clears it first; a sender whose state was lost or corrupted never
+// sent one, and its re-announcements renew the shared secondary lease, so
+// without this the stale pointer would outlive every lease and could lead a
+// grow into a lateral cycle.
+func (pr *Process) onGrowNbr(st *objState, from hoodIdx) {
+	if st.nbrptup == from {
+		st.nbrptup = hoodNone
+	}
+	st.nbrptdown = from
 	pr.renewNbrLease(st)
 }
 
 // onGrowPar is Input cTOBrcv(〈growPar, cid〉): the sender connected to the
-// path via its hierarchy parent.
-func (pr *Process) onGrowPar(st *objState, cid hier.ClusterID) {
-	st.nbrptup = cid
+// path via its hierarchy parent, so an nbrptdown naming it is stale
+// (onGrowNbr).
+func (pr *Process) onGrowPar(st *objState, from hoodIdx) {
+	if st.nbrptdown == from {
+		st.nbrptdown = hoodNone
+	}
+	st.nbrptup = from
 	pr.renewNbrLease(st)
 }
 
 // onShrink is Input cTOBrcv(〈shrink, cid〉): only deadwood is cleaned — the
 // message is ignored unless c still names the shrinking child.
-func (pr *Process) onShrink(st *objState, cid hier.ClusterID) {
-	if st.c != cid {
+func (pr *Process) onShrink(st *objState, from hoodIdx) {
+	if st.c != from {
 		return
 	}
-	st.c = hier.NoCluster
+	st.c = hoodNone
 	if pr.level != pr.aut.maxLevel {
 		pr.setTimerAfter(st, timerGrowShrink, pr.aut.sched.S[pr.level])
 	}
@@ -349,12 +441,12 @@ func (pr *Process) onShrink(st *objState, cid hier.ClusterID) {
 
 // onShrinkUpd is Input cTOBrcv(〈shrinkUpd, cid〉): drop secondary pointers
 // to a process that left the path.
-func (pr *Process) onShrinkUpd(st *objState, cid hier.ClusterID) {
-	if st.nbrptup == cid {
-		st.nbrptup = hier.NoCluster
+func (pr *Process) onShrinkUpd(st *objState, from hoodIdx) {
+	if st.nbrptup == from {
+		st.nbrptup = hoodNone
 	}
-	if st.nbrptdown == cid {
-		st.nbrptdown = hier.NoCluster
+	if st.nbrptdown == from {
+		st.nbrptdown = hoodNone
 	}
 }
 
@@ -372,14 +464,13 @@ func (pr *Process) onTimer(st *objState) {
 	pr.sanitize(st)
 	h := pr.aut.h
 	switch {
-	case st.c != hier.NoCluster && st.p == hier.NoCluster && pr.level != pr.aut.maxLevel:
-		lateral := st.nbrptup != hier.NoCluster && !pr.aut.noLateral
-		par := st.nbrptup
+	case st.c != hoodNone && st.p == hoodNone && pr.level != pr.aut.maxLevel:
+		lateral := st.nbrptup != hoodNone && !pr.aut.noLateral
+		st.p = st.nbrptup
 		if !lateral {
-			par = h.Parent(pr.id)
+			st.p = hoodParent
 		}
-		st.p = par
-		pr.send(st, par, kindGrow)
+		pr.send(st, pr.cluster(st.p), kindGrow)
 		kind := kindGrowPar
 		if lateral {
 			kind = kindGrowNbr
@@ -388,9 +479,9 @@ func (pr *Process) onTimer(st *objState) {
 			pr.send(st, b, kind)
 		}
 		pr.renewLease(st)
-	case st.c == hier.NoCluster && st.p != hier.NoCluster:
-		dest := st.p
-		st.p = hier.NoCluster
+	case st.c == hoodNone && st.p != hoodNone:
+		dest := pr.cluster(st.p)
+		st.p = hoodNone
 		pr.send(st, dest, kindShrink)
 		for _, b := range h.Nbrs(pr.id) {
 			pr.send(st, b, kindShrinkUpd)
@@ -431,12 +522,12 @@ func (pr *Process) takeFinds(st *objState) []FindPayload {
 // pointer toward the path, or stay silent.
 func (pr *Process) onFindQuery(st *objState, cid hier.ClusterID) {
 	switch {
-	case st.c != hier.NoCluster:
-		pr.sendArg(st, cid, kindFindAck, int32(st.c))
-	case st.nbrptdown != hier.NoCluster:
-		pr.sendArg(st, cid, kindFindAck, int32(st.nbrptdown))
-	case st.nbrptup != hier.NoCluster:
-		pr.sendArg(st, cid, kindFindAck, int32(st.nbrptup))
+	case st.c != hoodNone:
+		pr.sendArg(st, cid, kindFindAck, int32(pr.cluster(st.c)))
+	case st.nbrptdown != hoodNone:
+		pr.sendArg(st, cid, kindFindAck, int32(pr.cluster(st.nbrptdown)))
+	case st.nbrptup != hoodNone:
+		pr.sendArg(st, cid, kindFindAck, int32(pr.cluster(st.nbrptup)))
 	}
 }
 
@@ -447,10 +538,10 @@ func (pr *Process) onFindAck(st *objState, dest hier.ClusterID) {
 	if !st.finding || dest == pr.id {
 		return
 	}
-	if st.c != hier.NoCluster || st.nbrptdown != hier.NoCluster {
+	if st.c != hoodNone || st.nbrptdown != hoodNone {
 		return
 	}
-	if st.nbrptup != hier.NoCluster && st.nbrptup != st.p {
+	if st.nbrptup != hoodNone && st.nbrptup != st.p {
 		return
 	}
 	pr.forwardFind(st, dest)
@@ -465,16 +556,16 @@ func (pr *Process) evaluateFind(st *objState) {
 	}
 	h := pr.aut.h
 	switch {
-	case st.c == pr.id:
+	case st.c == hoodSelf:
 		// Tracing complete: broadcast found to clients in this and
 		// neighboring regions.
 		pr.aut.out.found(pr.region, foundEffect{From: pr.id, Backup: pr.backup, Obj: st.obj, Payloads: pr.takeFinds(st)})
-	case st.c != hier.NoCluster:
-		pr.forwardFind(st, st.c)
-	case st.nbrptdown != hier.NoCluster:
-		pr.forwardFind(st, st.nbrptdown)
-	case st.nbrptup != hier.NoCluster && st.nbrptup != st.p:
-		pr.forwardFind(st, st.nbrptup)
+	case st.c != hoodNone:
+		pr.forwardFind(st, pr.cluster(st.c))
+	case st.nbrptdown != hoodNone:
+		pr.forwardFind(st, pr.cluster(st.nbrptdown))
+	case st.nbrptup != hoodNone && st.nbrptup != st.p:
+		pr.forwardFind(st, pr.cluster(st.nbrptup))
 	case !st.armed(timerNbrTimeout):
 		// Internal findquery: ask every neighbor except the path parent,
 		// and wait one neighbor round trip. The +1ns margin makes an ack
@@ -483,8 +574,9 @@ func (pr *Process) evaluateFind(st *objState) {
 		// ack to count as "received before nbrtimeout expires").
 		pr.aut.out.noteQuery(pr.region, pr.level)
 		pr.setTimerAfter(st, timerNbrTimeout, 2*pr.aut.unit*sim.Time(pr.aut.geom.N[pr.level])+1)
+		p := pr.cluster(st.p)
 		for _, b := range h.Nbrs(pr.id) {
-			if b == st.p {
+			if b == p {
 				continue
 			}
 			pr.send(st, b, kindFindQuery)
@@ -499,13 +591,13 @@ func (pr *Process) onNbrTimeout(st *objState) {
 	if !st.finding {
 		return
 	}
-	if st.c != hier.NoCluster || st.nbrptdown != hier.NoCluster {
+	if st.c != hoodNone || st.nbrptdown != hoodNone {
 		// A pointer appeared as the timeout fired; the direct forwards
 		// handle it.
 		pr.evaluateFind(st)
 		return
 	}
-	dest := st.nbrptup
+	dest := pr.cluster(st.nbrptup)
 	if dest == hier.NoCluster {
 		dest = pr.aut.h.Parent(pr.id)
 	}
@@ -525,7 +617,7 @@ func (pr *Process) forwardFind(st *objState, dest hier.ClusterID) {
 // onRefresh renews the lease and heals path breaks: a process that lost its
 // state to a VSA failure re-adopts the refreshing child and re-grows toward
 // the root; an intact process forwards the refresh along its path parent.
-func (pr *Process) onRefresh(st *objState, cid hier.ClusterID, hops int) {
+func (pr *Process) onRefresh(st *objState, from hoodIdx, hops int) {
 	if pr.aut.hb == nil {
 		return
 	}
@@ -536,15 +628,15 @@ func (pr *Process) onRefresh(st *objState, cid hier.ClusterID, hops int) {
 	if hops > 2*pr.aut.maxLevel+3 {
 		return
 	}
-	st.c = cid
+	st.c = from
 	pr.renewLease(st)
 	switch {
-	case st.p != hier.NoCluster:
-		pr.sendArg(st, st.p, kindRefresh, int32(hops+1))
+	case st.p != hoodNone:
+		pr.sendArg(st, pr.cluster(st.p), kindRefresh, int32(hops+1))
 		// Re-announce the connection kind so neighbors' secondary
 		// pointers (and their leases) stay fresh.
 		kind := kindGrowPar
-		if pr.aut.h.AreNbrs(pr.id, st.p) {
+		if pr.isNbr(st.p) {
 			kind = kindGrowNbr
 		}
 		for _, b := range pr.aut.h.Nbrs(pr.id) {
@@ -558,30 +650,29 @@ func (pr *Process) onRefresh(st *objState, cid hier.ClusterID, hops int) {
 // sanitize enforces the per-process type invariants on pointer state, the
 // local-checking half of the §VII stabilization recipe: c must be a child,
 // a neighbor, or (at level 0) the process itself; p must be a neighbor or
-// the hierarchy parent; secondary pointers must be neighbors. Values
-// outside these sets can only arise from corruption and are dropped on the
-// spot. Only active in heartbeat mode (in normal operation the protocol
-// preserves the invariants, which the E5 checker verifies).
+// the hierarchy parent; secondary pointers must be neighbors. A pointer
+// names a member of the neighbourhood, whose roles are index ranges, so
+// each test is a comparison of indices. A member in the wrong role (p a
+// child, c the process itself above level 0) can only arise from
+// corruption and is dropped on the spot; a value outside the neighbourhood
+// is not representable, and is refused where it would enter (receive,
+// DecodeRegion). Only active in heartbeat mode (in normal operation the
+// protocol preserves the invariants, which the E5 checker verifies).
 func (pr *Process) sanitize(st *objState) {
 	if pr.aut.hb == nil {
 		return
 	}
-	h := pr.aut.h
-	if c := st.c; c != hier.NoCluster {
-		if !(h.IsChild(c, pr.id) || h.AreNbrs(c, pr.id) || (c == pr.id && pr.level == 0)) {
-			st.c = hier.NoCluster
-		}
+	if c := st.c; c != hoodNone && c < pr.nbrLo && !(c == hoodSelf && pr.level == 0) {
+		st.c = hoodNone // the process itself or its parent
 	}
-	if p := st.p; p != hier.NoCluster {
-		if !(h.Parent(pr.id) == p || h.AreNbrs(p, pr.id)) {
-			st.p = hier.NoCluster
-		}
+	if p := st.p; p == hoodSelf || p >= pr.nbrHi {
+		st.p = hoodNone // the process itself or a child
 	}
-	if up := st.nbrptup; up != hier.NoCluster && !h.AreNbrs(up, pr.id) {
-		st.nbrptup = hier.NoCluster
+	if !pr.isNbr(st.nbrptup) {
+		st.nbrptup = hoodNone
 	}
-	if down := st.nbrptdown; down != hier.NoCluster && !h.AreNbrs(down, pr.id) {
-		st.nbrptdown = hier.NoCluster
+	if !pr.isNbr(st.nbrptdown) {
+		st.nbrptdown = hoodNone
 	}
 }
 
@@ -608,8 +699,8 @@ func (pr *Process) onNbrLeaseExpired(st *objState) {
 	if pr.aut.hb == nil {
 		return
 	}
-	st.nbrptup = hier.NoCluster
-	st.nbrptdown = hier.NoCluster
+	st.nbrptup = hoodNone
+	st.nbrptdown = hoodNone
 }
 
 // onLeaseExpired tears down stale path state that stopped receiving
@@ -619,13 +710,13 @@ func (pr *Process) onLeaseExpired(st *objState) {
 		return
 	}
 	pr.sanitize(st)
-	if st.c == hier.NoCluster && st.p == hier.NoCluster {
+	if st.c == hoodNone && st.p == hoodNone {
 		return
 	}
-	st.c = hier.NoCluster
-	if st.p != hier.NoCluster {
-		dest := st.p
-		st.p = hier.NoCluster
+	st.c = hoodNone
+	if st.p != hoodNone {
+		dest := pr.cluster(st.p)
+		st.p = hoodNone
 		pr.send(st, dest, kindShrink)
 	}
 	for _, b := range pr.aut.h.Nbrs(pr.id) {

@@ -16,24 +16,27 @@ import (
 // require the heartbeat machinery to converge back to a working structure.
 
 // corrupt sets random pointers and arms the state leases with random
-// deadlines, at k randomly chosen processes. Timers are part of the state
-// being corrupted: a corrupted-on lease models an arbitrary timer value,
-// which is what lets the cleanup machinery see the garbage.
+// deadlines, at k randomly chosen processes. Each pointer is ⊥ or any
+// member of the process's neighbourhood, whatever its role: a row can hold
+// no other value (one from outside the neighbourhood is refused where it
+// enters). Timers are part of the state being corrupted: a corrupted-on
+// lease models an arbitrary timer value, which is what lets the cleanup
+// machinery see the garbage.
 func corrupt(f *fixture, rng *rand.Rand, k int) {
 	n := f.h.NumClusters()
-	randomCluster := func() hier.ClusterID {
-		if rng.Intn(4) == 0 {
-			return hier.NoCluster
-		}
-		return hier.ClusterID(rng.Intn(n))
-	}
 	for i := 0; i < k; i++ {
 		pr := f.net.Process(hier.ClusterID(rng.Intn(n)))
+		randomPointer := func() hoodIdx {
+			if rng.Intn(4) == 0 {
+				return hoodNone
+			}
+			return hoodIdx(1 + rng.Intn(len(pr.hood)-1))
+		}
 		withState(pr, DefaultObject, func(st *objState) {
-			st.c = randomCluster()
-			st.p = randomCluster()
-			st.nbrptup = randomCluster()
-			st.nbrptdown = randomCluster()
+			st.c = randomPointer()
+			st.p = randomPointer()
+			st.nbrptup = randomPointer()
+			st.nbrptdown = randomPointer()
 			deadline := sim.Time(rng.Int63n(int64(f.net.hb.leaseFor(pr.level))))
 			pr.setTimerAfter(st, timerLease, deadline)
 			pr.setTimerAfter(st, timerNbrLease, deadline)
@@ -135,12 +138,13 @@ func TestNoStabilizationWithoutHeartbeat(t *testing.T) {
 		c := f.h.Cluster(f.ev.Region(), lvl)
 		f.net.Process(c).reset()
 		for _, nb := range f.h.Nbrs(c) {
-			withState(f.net.Process(nb), DefaultObject, func(st *objState) {
-				if st.nbrptup == c {
-					st.nbrptup = hier.NoCluster
+			pr := f.net.Process(nb)
+			withState(pr, DefaultObject, func(st *objState) {
+				if pr.cluster(st.nbrptup) == c {
+					st.nbrptup = hoodNone
 				}
-				if st.nbrptdown == c {
-					st.nbrptdown = hier.NoCluster
+				if pr.cluster(st.nbrptdown) == c {
+					st.nbrptdown = hoodNone
 				}
 			})
 		}

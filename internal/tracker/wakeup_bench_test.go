@@ -21,9 +21,7 @@ func BenchmarkWakeup(b *testing.B) {
 	f.settle()
 	pr := f.net.Automaton().regions[0].byLevel[0]
 	for i := 0; i < rows; i++ {
-		st := newObjState(ObjectID(1000 + i))
-		st.c = pr.id
-		pr.objs.insert(st)
+		pr.objs.insert(objState{obj: ObjectID(1000 + i), c: hoodSelf})
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
