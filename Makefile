@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short shuffle race vet lint nethost-smoke experiments experiments-quick experiments-smoke experiments-csv experiments-json chaos pairs profile fuzz cover clean
+.PHONY: all build test test-short shuffle race vet lint nethost-smoke retention experiments experiments-quick experiments-smoke experiments-csv experiments-json chaos pairs profile fuzz cover clean
 
 all: build vet test
 
@@ -50,6 +50,14 @@ nethost-smoke:
 	$(GO) test -race -count=5 -run 'OutsideNeighbourhood' ./internal/tracker
 	$(GO) test -run 'TestNetHostMatchesOracleOnFixedSchedule' -count=10 ./internal/tracker
 	$(GO) test -run 'FuzzDecodeRegion|FuzzDecodeClusterMessage' ./internal/tracker
+
+# The heap pins: what settled move+find pairs, a settled fan-out and
+# fan-out laps retain, what an idle networked node keeps, and that a move
+# and a spec-fold step allocate nothing and a Theorem 4.8 check costs the
+# same after any number of moves. Without -race: under the race detector
+# these heap figures include the race runtime's own bookkeeping.
+retention:
+	$(GO) test -count=1 -run 'Retain|SpecFold|KeepsNoHistory|CostDoesNotGrow' ./...
 
 # Regenerate every paper claim (EXPERIMENTS.md tables).
 experiments:

@@ -22,6 +22,7 @@ package cgcast
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"vinestalk/internal/geo"
 	"vinestalk/internal/geocast"
@@ -109,7 +110,7 @@ type Service struct {
 	// envs holds the client envelopes nothing is using.
 	envs     []*clientEnv
 	envsMade int // client envelopes ever allocated
-	// targets is ClusterToClients' scratch list of target regions.
+	// targets is ClusterToClientsIndexed's scratch list of target regions.
 	targets []geo.RegionID
 
 	onDrop func(u geo.RegionID, level int, d *Delivery)
@@ -218,7 +219,7 @@ type frame struct {
 	deliverFn func() // f.deliver, likewise
 }
 
-// clientEnv is one client broadcast from ClientToClusterBody to its
+// clientEnv is one client broadcast from ClientToClusterIndexed to its
 // resolution: the message, the target region and its incarnation at send
 // time. It is the callback of its own arrival event, so a client broadcast
 // costs no closure and no boxed Delivery; the handler or the drop consumer
@@ -353,29 +354,24 @@ func isNbrOfNbrIn(h *hier.Hierarchy, from, to hier.ClusterID) bool {
 // returns an error only if the sender's own VSA is dead; loss en route is
 // silent, as in the layer's failure model.
 func (s *Service) ClusterToCluster(from, to hier.ClusterID, kind string, payload any) error {
-	return s.ClusterToClusterFrom(s.h.Head(from), from, to, kind, Body{Payload: payload})
-}
-
-// ClusterToClusterFrom is ClusterToCluster with an explicit sending
-// region and a typed body: under head replication, a backup replica of
-// cluster from sends from its own (alternate-head) region rather than the
-// primary head. An error means the message was refused — nothing was
-// recorded and nothing sent. Otherwise every copy (Copies(to) of them) is
-// accepted and resolves exactly once, at its VSAHandler or at the OnDrop
-// consumer; a copy with no live route out of the sender's region resolves
-// before this call returns.
-func (s *Service) ClusterToClusterFrom(srcRegion geo.RegionID, from, to hier.ClusterID, kind string, body Body) error {
 	k, err := s.InternKind(kind)
 	if err != nil {
 		return err
 	}
-	return s.ClusterToClusterIndexed(srcRegion, from, to, k, body)
+	return s.ClusterToClusterIndexed(s.h.Head(from), from, to, k, Body{Payload: payload})
 }
 
-// ClusterToClusterIndexed is ClusterToClusterFrom with the kind given by its
-// index in the kind table, for senders that resolve their alphabet once
-// (InternKind) instead of naming the kind on every send. An index the table
-// does not hold is refused.
+// ClusterToClusterIndexed sends from cluster from to cluster to, with an
+// explicit sending region and a typed body, and the kind given by its index
+// in the kind table (InternKind): senders resolve their alphabet once
+// instead of naming the kind on every send. Under head replication, a
+// backup replica of cluster from sends from its own (alternate-head) region
+// rather than the primary head. An error means the message was refused —
+// an index the table does not hold, an invalid route or a dead sender —
+// and nothing was recorded or sent. Otherwise every copy (Copies(to) of
+// them) is accepted and resolves exactly once, at its VSAHandler or at the
+// OnDrop consumer; a copy with no live route out of the sender's region
+// resolves before this call returns.
 func (s *Service) ClusterToClusterIndexed(srcRegion geo.RegionID, from, to hier.ClusterID, kind KindIndex, body Body) error {
 	pk, err := s.kindAt(kind)
 	if err != nil {
@@ -622,24 +618,20 @@ func (s *Service) unhold(d *Delivery) {
 // ClientToCluster sends from a client to a level-0 cluster in its own or a
 // neighboring region, delivered after δ (schedule case e).
 func (s *Service) ClientToCluster(from vsa.ClientID, to hier.ClusterID, kind string, payload any) error {
-	return s.ClientToClusterBody(from, to, kind, Body{Payload: payload})
-}
-
-// ClientToClusterBody is ClientToCluster with a typed body. An error means
-// the message was refused — nothing was recorded and nothing sent.
-// Otherwise the message is accepted and resolves exactly once, at the
-// cluster's VSAHandler or at the OnDrop consumer.
-func (s *Service) ClientToClusterBody(from vsa.ClientID, to hier.ClusterID, kind string, body Body) error {
 	k, err := s.InternKind(kind)
 	if err != nil {
 		return err
 	}
-	return s.ClientToClusterIndexed(from, to, k, body)
+	return s.ClientToClusterIndexed(from, to, k, Body{Payload: payload})
 }
 
-// ClientToClusterIndexed is ClientToClusterBody with the kind given by its
-// index in the kind table (InternKind). An index the table does not hold
-// is refused.
+// ClientToClusterIndexed sends a typed body from a client to a level-0
+// cluster in its own or a neighboring region, the kind given by its index
+// in the kind table (InternKind). An error means the message was refused —
+// an index the table does not hold, a cluster above level 0 or out of
+// range, or a dead client — and nothing was recorded or sent. Otherwise the
+// message is accepted and resolves exactly once, at the cluster's
+// VSAHandler or at the OnDrop consumer.
 func (s *Service) ClientToClusterIndexed(from vsa.ClientID, to hier.ClusterID, kind KindIndex, body Body) error {
 	pk, err := s.kindAt(kind)
 	if err != nil {
@@ -697,21 +689,13 @@ func (s *Service) releaseEnv(env *clientEnv) {
 	s.envs = append(s.envs, env)
 }
 
-// ClusterToClients broadcasts from a level-0 cluster process to all clients
-// in its own and neighboring regions, delivered after δ+e (schedule case
-// d). This carries the found output of §V to the clients that answer it.
-// An error means the broadcast was refused and nothing was recorded.
-func (s *Service) ClusterToClients(from hier.ClusterID, kind string, body Body) error {
-	k, err := s.InternKind(kind)
-	if err != nil {
-		return err
-	}
-	return s.ClusterToClientsIndexed(from, k, body)
-}
-
-// ClusterToClientsIndexed is ClusterToClients with the kind given by its
-// index in the kind table (InternKind). An index the table does not hold
-// is refused.
+// ClusterToClientsIndexed broadcasts from a level-0 cluster process to all
+// clients in its own and neighboring regions, delivered after δ+e
+// (schedule case d), the kind given by its index in the kind table
+// (InternKind). This carries the found output of §V to the clients that
+// answer it. An error means the broadcast was refused — an index the table
+// does not hold, a cluster above level 0 or a dead head — and nothing was
+// recorded.
 func (s *Service) ClusterToClientsIndexed(from hier.ClusterID, kind KindIndex, body Body) error {
 	pk, err := s.kindAt(kind)
 	if err != nil {
@@ -728,4 +712,16 @@ func (s *Service) ClusterToClientsIndexed(from hier.ClusterID, kind KindIndex, b
 	}
 	pk.kind.Message(len(s.targets) - 1)
 	return nil
+}
+
+// FramePoolBytes returns the bytes the free frames' entry buffers keep
+// between batched sends. Each pooled frame keeps the largest capacity it has
+// held, so the figure is a high-water mark bounded by frames × the largest
+// frame, reached only as frames rotate through the largest roles.
+func (s *Service) FramePoolBytes() int {
+	n := 0
+	for _, f := range s.free {
+		n += cap(f.entries)
+	}
+	return n * int(unsafe.Sizeof(entry{}))
 }

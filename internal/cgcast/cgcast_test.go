@@ -240,7 +240,7 @@ func TestClusterToClients(t *testing.T) {
 	f := setup(t, 3, 2)
 	center := f.tiling.RegionAt(1, 1)
 	c0 := f.h.Cluster(center, 0)
-	if err := f.svc.ClusterToClients(c0, "found", Body{Payload: 7}); err != nil {
+	if err := f.svc.ClusterToClientsIndexed(c0, kindOf(f.svc, "found"), Body{Payload: 7}); err != nil {
 		t.Fatal(err)
 	}
 	f.k.Run()
@@ -256,7 +256,7 @@ func TestClusterToClients(t *testing.T) {
 	}
 	// Level restriction.
 	c1 := f.h.Cluster(center, 1)
-	if err := f.svc.ClusterToClients(c1, "found", Body{}); err == nil {
+	if err := f.svc.ClusterToClientsIndexed(c1, kindOf(f.svc, "found"), Body{}); err == nil {
 		t.Error("broadcast from level-1 cluster accepted")
 	}
 }
@@ -364,9 +364,10 @@ func TestClusterToClusterAllocatesNothing(t *testing.T) {
 		}
 		from := f.h.Cluster(f.tiling.RegionAt(0, 0), 1)
 		to := f.h.Cluster(f.tiling.RegionAt(7, 7), 1)
+		grow := kindOf(svc, "grow")
 		round := func() {
 			for obj := int32(0); obj < 4; obj++ {
-				if err := svc.ClusterToClusterFrom(f.h.Head(from), from, to, "grow", Body{Obj: obj}); err != nil {
+				if err := svc.ClusterToClusterIndexed(f.h.Head(from), from, to, grow, Body{Obj: obj}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -381,6 +382,15 @@ func TestClusterToClusterAllocatesNothing(t *testing.T) {
 			t.Errorf("batched=%v: %d of %d messages delivered", batched, got, f.ledger.Messages("proto/grow"))
 		}
 	}
+}
+
+// kindOf interns kind for the indexed sends; a refusal is a test bug.
+func kindOf(svc *Service, kind string) KindIndex {
+	k, err := svc.InternKind(kind)
+	if err != nil {
+		panic(err)
+	}
+	return k
 }
 
 // batchedService assembles a batching service over the fixture's stack.
@@ -411,9 +421,10 @@ func TestClientToClusterAllocatesNothing(t *testing.T) {
 		}
 		u := f.tiling.RegionAt(3, 3)
 		targets := [2]hier.ClusterID{f.h.Cluster(u, 0), f.h.Cluster(f.tiling.RegionAt(4, 3), 0)}
+		grow := kindOf(svc, "grow")
 		round := func() {
 			for obj := int32(0); obj < 4; obj++ {
-				if err := svc.ClientToClusterBody(vsa.ClientID(u), targets[obj%2], "grow", Body{Obj: obj}); err != nil {
+				if err := svc.ClientToClusterIndexed(vsa.ClientID(u), targets[obj%2], grow, Body{Obj: obj}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -439,7 +450,7 @@ func TestRefusedClientSendsRecordNothing(t *testing.T) {
 	if err := f.svc.ClientToCluster(0, f.h.Cluster(0, 0), "grow", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.svc.ClusterToClients(f.h.Cluster(0, 0), "found", Body{}); err != nil {
+	if err := f.svc.ClusterToClientsIndexed(f.h.Cluster(0, 0), kindOf(f.svc, "found"), Body{}); err != nil {
 		t.Fatal(err)
 	}
 	f.k.Run()
@@ -452,19 +463,19 @@ func TestRefusedClientSendsRecordNothing(t *testing.T) {
 		send func() error
 	}{
 		{"client to a level-1 cluster", func() error {
-			return f.svc.ClientToClusterBody(0, f.h.Cluster(0, 1), "grow", Body{})
+			return f.svc.ClientToClusterIndexed(0, f.h.Cluster(0, 1), kindOf(f.svc, "grow"), Body{})
 		}},
 		{"client that is dead", func() error {
-			return f.svc.ClientToClusterBody(vsa.ClientID(f.tiling.RegionAt(1, 0)), f.h.Cluster(0, 0), "grow", Body{})
+			return f.svc.ClientToClusterIndexed(vsa.ClientID(f.tiling.RegionAt(1, 0)), f.h.Cluster(0, 0), kindOf(f.svc, "grow"), Body{})
 		}},
 		{"client to an out-of-range level-0 cluster", func() error {
-			return f.svc.ClientToClusterBody(0, f.h.Cluster(far, 0), "grow", Body{})
+			return f.svc.ClientToClusterIndexed(0, f.h.Cluster(far, 0), kindOf(f.svc, "grow"), Body{})
 		}},
 		{"found from a level-1 cluster", func() error {
-			return f.svc.ClusterToClients(f.h.Cluster(0, 1), "found", Body{})
+			return f.svc.ClusterToClientsIndexed(f.h.Cluster(0, 1), kindOf(f.svc, "found"), Body{})
 		}},
 		{"found from a dead head", func() error {
-			return f.svc.ClusterToClients(f.h.Cluster(dead, 0), "found", Body{})
+			return f.svc.ClusterToClientsIndexed(f.h.Cluster(dead, 0), kindOf(f.svc, "found"), Body{})
 		}},
 	}
 	for _, r := range refused {
@@ -666,11 +677,11 @@ func TestKindTableHolds256Kinds(t *testing.T) {
 		send func() error
 	}{
 		{"cluster to cluster", func() error { return f.svc.ClusterToCluster(c, nb, "k256", nil) }},
-		{"cluster to cluster from a region", func() error {
-			return f.svc.ClusterToClusterFrom(f.h.Head(c), c, nb, "k256", Body{Obj: 1})
-		}},
 		{"client to cluster", func() error { return f.svc.ClientToCluster(0, c, "k256", nil) }},
-		{"found broadcast", func() error { return f.svc.ClusterToClients(c, "k256", Body{}) }},
+		{"interning", func() error {
+			_, err := f.svc.InternKind("k256")
+			return err
+		}},
 	}
 	for _, r := range refused {
 		before := f.ledger.Snapshot()
@@ -691,7 +702,7 @@ func TestKindTableHolds256Kinds(t *testing.T) {
 	if err := f.svc.ClientToCluster(0, c, "k0", nil); err != nil {
 		t.Errorf("client to cluster: a kind in the full table refused: %v", err)
 	}
-	if err := f.svc.ClusterToClients(c, "k0", Body{}); err != nil {
+	if err := f.svc.ClusterToClientsIndexed(c, kindOf(f.svc, "k0"), Body{}); err != nil {
 		t.Errorf("found broadcast: a kind in the full table refused: %v", err)
 	}
 }

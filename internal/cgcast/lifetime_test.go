@@ -66,12 +66,21 @@ type lifetimeWorld struct {
 	clientSends, refused int // accepted and refused client broadcasts
 }
 
+// kindOf interns kind for the indexed sends; a refusal is a test bug.
+func kindOf(svc *cgcast.Service, kind string) cgcast.KindIndex {
+	k, err := svc.InternKind(kind)
+	if err != nil {
+		panic(err)
+	}
+	return k
+}
+
 // send issues one numbered message; trigger != 0 makes its receiver send
 // from inside Receive.
 func (w *lifetimeWorld) send(src geo.RegionID, from, to hier.ClusterID, trigger int32) {
 	w.next++
 	id := w.next
-	if err := w.cg.ClusterToClusterFrom(src, from, to, "probe", cgcast.Body{Obj: id, Arg: trigger}); err != nil {
+	if err := w.cg.ClusterToClusterIndexed(src, from, to, kindOf(w.cg, "probe"), cgcast.Body{Obj: id, Arg: trigger}); err != nil {
 		return // sender's VSA is down: nothing was sent
 	}
 	w.copies[id] = w.cg.Copies(to)
@@ -83,7 +92,7 @@ func (w *lifetimeWorld) send(src geo.RegionID, from, to hier.ClusterID, trigger 
 func (w *lifetimeWorld) sendFromClient(id vsa.ClientID, to geo.RegionID) {
 	w.next++
 	n := w.next
-	if err := w.cg.ClientToClusterBody(id, w.h.Cluster(to, 0), "client", cgcast.Body{Obj: n}); err != nil {
+	if err := w.cg.ClientToClusterIndexed(id, w.h.Cluster(to, 0), kindOf(w.cg, "client"), cgcast.Body{Obj: n}); err != nil {
 		w.refused++
 		return
 	}

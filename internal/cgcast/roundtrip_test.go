@@ -185,7 +185,7 @@ func TestWhatWasSentArrives(t *testing.T) {
 					if sc.before != nil {
 						sc.before(w, from, to)
 					}
-					if err := w.cg.ClusterToClusterFrom(w.h.Head(from), from, to, want.Kind, want.Body); err != nil {
+					if err := w.cg.ClusterToClusterIndexed(w.h.Head(from), from, to, kindOf(w.cg, want.Kind), want.Body); err != nil {
 						t.Fatal(err)
 					}
 					if sc.after != nil {
@@ -237,7 +237,7 @@ func TestWhatWasSentArrives(t *testing.T) {
 						Body: cgcast.Body{Obj: int32(i), Arg: 9, Mark: 5, Payload: &roundTripPayload{n: i}},
 					}
 					w.got = w.got[:0]
-					if err := w.cg.ClientToClusterBody(vsa.ClientID(u), w.h.Cluster(dst, 0), want.Kind, want.Body); err != nil {
+					if err := w.cg.ClientToClusterIndexed(vsa.ClientID(u), w.h.Cluster(dst, 0), kindOf(w.cg, want.Kind), want.Body); err != nil {
 						t.Fatal(err)
 					}
 					drop := i == 1 // the second broadcast's target fails in flight
@@ -297,7 +297,7 @@ func (v *echoVSA) Receive(level int, msg any) {
 	}
 	before := *d
 	v.w.gc.SetLoss(func(cur, next geo.RegionID) bool { return true })
-	if err := v.w.cg.ClusterToClusterFrom(v.w.h.Head(v.from), v.from, d.From, "echo", cgcast.Body{Obj: -1, Arg: -1, Mark: 1}); err != nil {
+	if err := v.w.cg.ClusterToClusterIndexed(v.w.h.Head(v.from), v.from, d.From, kindOf(v.w.cg, "echo"), cgcast.Body{Obj: -1, Arg: -1, Mark: 1}); err != nil {
 		v.t.Fatal(err)
 	}
 	v.w.gc.SetLoss(nil)
@@ -317,7 +317,7 @@ func TestDeliveryOutlivesHandlerSends(t *testing.T) {
 	v := &echoVSA{w: w, t: t, from: to}
 	w.layer.RegisterVSA(w.h.Head(to), v)
 	want := cgcast.Body{Obj: 7, Arg: 3, Mark: 11, Payload: &roundTripPayload{n: 1}}
-	if err := w.cg.ClusterToClusterFrom(w.h.Head(from), from, to, "probe", want); err != nil {
+	if err := w.cg.ClusterToClusterIndexed(w.h.Head(from), from, to, kindOf(w.cg, "probe"), want); err != nil {
 		t.Fatal(err)
 	}
 	w.k.Run()

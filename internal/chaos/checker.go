@@ -18,14 +18,16 @@ const maxRecordedViolations = 16
 // every found output must name a region the evader occupied between the
 // find input and the found output (the atomic find semantics behind
 // Theorem 5.1), and at quiescent points lookAhead(captured state) must
-// equal atomicMoveSeq(trail) (Theorem 4.8). Drive it from the experiment:
-// call NoteMove after each evader move, wire OnFound into the network's
-// found callback, and call CheckQuiescent when the network is
-// move-quiescent.
+// equal atomicMoveSeq(moves so far) (Theorem 4.8). The checker observes
+// the evader itself: it logs each move's time and folds the spec state
+// (lookahead.Fold) as the moves happen, so the evader keeps no trail. Drive
+// it from the experiment: create it before the evader's first move, wire
+// OnFound into the network's found callback, and call CheckQuiescent when
+// the network is move-quiescent.
 type Checker struct {
-	k   *sim.Kernel
-	net *tracker.Network
-	ev  *evader.Evader
+	k    *sim.Kernel
+	net  *tracker.Network
+	spec *lookahead.Fold
 
 	occ        []occSample
 	count      int
@@ -41,17 +43,17 @@ type occSample struct {
 }
 
 // NewChecker starts checking the given network and evader, sampling the
-// evader's current position as its initial occupancy.
+// evader's current position as its initial occupancy and as the start of
+// the spec fold. Create it before the evader's first move: the fold of
+// the moves starts where they do.
 func NewChecker(k *sim.Kernel, net *tracker.Network, ev *evader.Evader) *Checker {
-	c := &Checker{k: k, net: net, ev: ev}
+	c := &Checker{k: k, net: net}
 	c.occ = append(c.occ, occSample{at: k.Now(), u: ev.Region()})
+	c.spec = lookahead.Follow(net.Hierarchy(), ev)
+	ev.Observe(func(_, to geo.RegionID) {
+		c.occ = append(c.occ, occSample{at: c.k.Now(), u: to})
+	})
 	return c
-}
-
-// NoteMove records the evader's position after a move; call it immediately
-// after every MoveTo so the occupancy log matches the trail.
-func (c *Checker) NoteMove() {
-	c.occ = append(c.occ, occSample{at: c.k.Now(), u: c.ev.Region()})
 }
 
 // OnFound replays one found output against the atomic find spec. Wire it
@@ -85,9 +87,9 @@ func (c *Checker) occupiedDuring(from, to sim.Time, u geo.RegionID) bool {
 }
 
 // CheckQuiescent checks Theorem 4.8 at a quiescent point: capture the live
-// state, apply lookAhead, and compare with the atomic move sequence over
-// the evader's trail. Call it only when the network is move-quiescent and
-// no protocol message has been lost (always-alive VSAs); after crashes use
+// state, apply lookAhead, and compare with the spec folded over the
+// evader's moves. Call it only when the network is move-quiescent and no
+// protocol message has been lost (always-alive VSAs); after crashes use
 // the stabilization probes instead.
 func (c *Checker) CheckQuiescent() {
 	snap := lookahead.Capture(c.net)
@@ -95,13 +97,13 @@ func (c *Checker) CheckQuiescent() {
 		c.violate("invariants: %v", err)
 	}
 	got := lookahead.LookAhead(snap)
-	want, err := lookahead.AtomicMoveSeq(c.net.Hierarchy(), c.ev.Trail())
+	want, err := c.spec.State()
 	if err != nil {
 		c.violate("atomicMoveSeq: %v", err)
 		return
 	}
 	if diff := lookahead.Equal(got, want); diff != "" {
-		c.violate("lookAhead(state) ≠ atomicMoveSeq(trail) at %v: %s", c.k.Now(), diff)
+		c.violate("lookAhead(state) ≠ atomicMoveSeq(moves) at %v: %s", c.k.Now(), diff)
 	}
 }
 

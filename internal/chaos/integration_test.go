@@ -39,13 +39,14 @@ func jitterWalk(t *testing.T, seed int64) (*chaos.Checker, []geo.RegionID, []tra
 		t.Fatal(err)
 	}
 	ck = chaos.NewChecker(svc.Kernel(), svc.Network(), svc.Evader())
+	trail := []geo.RegionID{svc.Evader().Region()}
+	svc.Evader().Observe(func(_, to geo.RegionID) { trail = append(trail, to) })
 	model := evader.RandomWalk{Tiling: svc.Tiling()}
 	for i := 0; i < 12; i++ {
 		next := model.Next(svc.Kernel().Rand(), svc.Evader().Region())
 		if err := svc.MoveEvader(next); err != nil {
 			t.Fatal(err)
 		}
-		ck.NoteMove()
 		if err := svc.Settle(); err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +60,7 @@ func jitterWalk(t *testing.T, seed int64) (*chaos.Checker, []geo.RegionID, []tra
 			}
 		}
 	}
-	return ck, svc.Evader().Trail(), svc.Founds()
+	return ck, trail, svc.Founds()
 }
 
 // Under sampled delays in [0,δ]/[0,e] the protocol must still satisfy the
@@ -128,7 +129,6 @@ func TestCrashScheduleStabilizes(t *testing.T) {
 		if err := svc.MoveEvader(next); err != nil {
 			t.Fatal(err)
 		}
-		ck.NoteMove()
 		svc.RunFor(10 * unit)
 	}
 	// Faults have ceased; give the heartbeat extension its healing time.

@@ -63,9 +63,9 @@ func TestBulkAttachScaleSmoke(t *testing.T) {
 	t.Logf("attached %d objects in %.2fs", k, time.Since(start).Seconds())
 
 	// Sampled Theorem 4.8: spliced objects' state vectors look-ahead to the
-	// atomic spec of their (one-region) trails.
+	// atomic spec of their (one-region, not yet moved) paths.
 	for obj := tracker.ObjectID(1); int(obj) < k; obj += k / 32 {
-		want, err := lookahead.AtomicMoveSeq(svc.Hierarchy(), evaders[obj].Trail())
+		want, err := lookahead.AtomicMoveSeq(svc.Hierarchy(), []geo.RegionID{evaders[obj].Region()})
 		if err != nil {
 			t.Fatal(err)
 		}

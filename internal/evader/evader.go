@@ -45,14 +45,21 @@ func (e Event) String() string {
 // the region's level-0 cluster.
 type Sink func(u geo.RegionID, ev Event)
 
+// Observer sees one region change of an evader: it left from and entered
+// to, a neighbour of from.
+type Observer func(from, to geo.RegionID)
+
 // Evader is the mobile object. Moves are driven either directly (MoveTo)
-// or by a Walker running a mobility model.
+// or by a Walker running a mobility model. It keeps only its current
+// region: the path it has walked is not recorded. A checker that needs
+// the history folds it as the moves happen (lookahead.Follow), and a test
+// that wants the path itself records it with Observe.
 type Evader struct {
-	tiling   geo.Tiling
-	region   geo.RegionID
-	sink     Sink
-	distance int
-	trail    []geo.RegionID
+	tiling    geo.Tiling
+	region    geo.RegionID
+	sink      Sink
+	distance  int
+	observers []Observer
 }
 
 // New places the evader at start and delivers the initial move input. The
@@ -79,12 +86,7 @@ func NewPlaced(tiling geo.Tiling, start geo.RegionID, sink Sink) (*Evader, error
 	if sink == nil {
 		return nil, fmt.Errorf("evader: nil sink")
 	}
-	return &Evader{
-		tiling: tiling,
-		region: start,
-		sink:   sink,
-		trail:  []geo.RegionID{start},
-	}, nil
+	return &Evader{tiling: tiling, region: start, sink: sink}, nil
 }
 
 // Region returns the evader's current region.
@@ -95,11 +97,10 @@ func (e *Evader) Region() geo.RegionID { return e.region }
 // paper's sense).
 func (e *Evader) TotalDistance() int { return e.distance }
 
-// Trail returns the sequence of regions visited, starting region first.
-// The returned slice is a copy.
-func (e *Evader) Trail() []geo.RegionID {
-	return append([]geo.RegionID(nil), e.trail...)
-}
+// Observe registers o to see every later region change, after the evader
+// has moved and before the sink receives the left and move inputs.
+// Observers run in the order they were registered.
+func (e *Evader) Observe(o Observer) { e.observers = append(e.observers, o) }
 
 // MoveTo relocates the evader to a neighboring region, triggering the left
 // input at the old region and the move input at the new one (in that
@@ -114,7 +115,9 @@ func (e *Evader) MoveTo(v geo.RegionID) error {
 	old := e.region
 	e.region = v
 	e.distance++
-	e.trail = append(e.trail, v)
+	for _, o := range e.observers {
+		o(old, v)
+	}
 	e.sink(old, EventLeft)
 	e.sink(v, EventMove)
 	return nil

@@ -79,14 +79,24 @@ func TestMoveToRejectsNonNeighbor(t *testing.T) {
 	}
 }
 
+// The evader records no trail; a caller that wants the path observes it.
+// Observers see each region change in order, before the sink's inputs.
 func TestFollowPathAndTrail(t *testing.T) {
 	g := geo.MustGridTiling(4, 1)
 	var r rec
 	e, _ := New(g, 0, r.sink)
+	trail := []geo.RegionID{e.Region()}
+	sinkSeen := 0
+	e.Observe(func(from, to geo.RegionID) {
+		if from != trail[len(trail)-1] {
+			t.Errorf("observed a move from %v, but the evader was at %v", from, trail[len(trail)-1])
+		}
+		sinkSeen = len(r.events)
+		trail = append(trail, to)
+	})
 	if err := e.FollowPath([]geo.RegionID{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	trail := e.Trail()
 	want := []geo.RegionID{0, 1, 2, 3}
 	if len(trail) != len(want) {
 		t.Fatalf("Trail = %v, want %v", trail, want)
@@ -96,11 +106,28 @@ func TestFollowPathAndTrail(t *testing.T) {
 			t.Fatalf("Trail = %v, want %v", trail, want)
 		}
 	}
+	if sinkSeen != 1+2*2 {
+		t.Errorf("the last observer call saw %d sink inputs, want 5 (it runs before the move's own left and move)", sinkSeen)
+	}
 	if e.TotalDistance() != 3 {
 		t.Errorf("TotalDistance = %d, want 3", e.TotalDistance())
 	}
 	if err := e.FollowPath([]geo.RegionID{0}); err == nil {
 		t.Error("FollowPath accepted a jump (r3 -> r0)")
+	}
+	if err := e.MoveTo(3); err != nil || len(trail) != len(want) {
+		t.Errorf("a move to the current region was observed: %v (err %v)", trail, err)
+	}
+}
+
+// With no observer, a move keeps nothing: it allocates nothing.
+func TestMoveToKeepsNoHistory(t *testing.T) {
+	g := geo.MustGridTiling(4, 1)
+	e, _ := NewPlaced(g, 0, func(geo.RegionID, Event) {})
+	if allocs := testing.AllocsPerRun(100, func() {
+		_ = e.MoveTo(1 - e.Region())
+	}); allocs != 0 {
+		t.Errorf("MoveTo allocates %v times per move, want 0", allocs)
 	}
 }
 

@@ -87,11 +87,19 @@ func E11Adversarial(env Env) (*Result, error) {
 	run := func(j job, cc *chaos.Config) (runOut, error) {
 		var out runOut
 		var ck *chaos.Checker
+		var svc *core.Service
+		// The find doFind waits on, and the virtual time of its found
+		// output (-1 until it occurs).
+		var awaited tracker.FindID
+		awaitedAt := sim.Time(-1)
 		cfg := core.Config{
 			Width: side,
 			Start: geo.RegionID(9),
 			Seed:  j.seed*1009 + 17,
 			OnFound: func(r tracker.FindResult) {
+				if r.ID == awaited {
+					awaitedAt = svc.Kernel().Now()
+				}
 				if ck != nil {
 					ck.OnFound(r)
 				}
@@ -128,6 +136,7 @@ func E11Adversarial(env Env) (*Result, error) {
 			if err != nil {
 				return err
 			}
+			awaited, awaitedAt = id, -1
 			out.finds++
 			if settleStyle {
 				if err := svc.Settle(); err != nil {
@@ -138,9 +147,7 @@ func E11Adversarial(env Env) (*Result, error) {
 			}
 			if svc.FindDone(id) {
 				out.found++
-				if at, ok := svc.FoundTime(id); ok {
-					out.latSum += at - t0
-				}
+				out.latSum += awaitedAt - t0
 			}
 			return nil
 		}
@@ -154,7 +161,6 @@ func E11Adversarial(env Env) (*Result, error) {
 			if err := svc.MoveEvader(next); err != nil {
 				return out, err
 			}
-			ck.NoteMove()
 			if settleStyle {
 				if err := svc.Settle(); err != nil {
 					return out, err

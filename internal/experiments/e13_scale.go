@@ -10,6 +10,7 @@ import (
 	"vinestalk/internal/core"
 	"vinestalk/internal/evader"
 	"vinestalk/internal/geo"
+	"vinestalk/internal/hier"
 	"vinestalk/internal/lookahead"
 	"vinestalk/internal/metrics"
 	"vinestalk/internal/sim"
@@ -227,6 +228,7 @@ type scaleSvc interface {
 	FindObject(geo.RegionID, tracker.ObjectID) (tracker.FindID, error)
 	Settle() error
 	Tiling() *geo.GridTiling
+	Hierarchy() *hier.Hierarchy
 	Evader() *evader.Evader
 	Founds() []tracker.FindResult
 	Now() sim.Time
@@ -247,15 +249,17 @@ func (s seqScale) EncodeRegion(u geo.RegionID) ([]byte, error) {
 type parScale struct{ *core.ParallelService }
 
 func (p parScale) snapshot() metrics.Snapshot { return p.MergedLedger().Snapshot() }
+func (p parScale) Hierarchy() *hier.Hierarchy { return p.Stack(0).Hierarchy() }
 
 // scaleRun is what one run of the E13 workload leaves behind, on either
 // service type.
 type scaleRun struct {
-	sampled   []*evader.Evader // evaders of scaleSample(k), in sample order
-	frames    int64            // cgcast.FrameKind messages over the whole run
-	moveWork  int64            // proto hop work of the move rounds
-	moveSteps int              // sampled moves performed
-	roundMax  time.Duration    // slowest concurrent-move round (virtual)
+	sampled   []*evader.Evader  // evaders of scaleSample(k), in sample order
+	specs     []*lookahead.Fold // atomicMoveSeq of each sampled evader's moves
+	frames    int64             // cgcast.FrameKind messages over the whole run
+	moveWork  int64             // proto hop work of the move rounds
+	moveSteps int               // sampled moves performed
+	roundMax  time.Duration     // slowest concurrent-move round (virtual)
 	findsOK   int
 	findsAll  int
 	steps     uint64
@@ -278,6 +282,7 @@ func driveScale(svc scaleSvc, k int) (scaleRun, error) {
 	sample := scaleSample(k)
 	for _, obj := range sample {
 		run.sampled = append(run.sampled, added[obj])
+		run.specs = append(run.specs, lookahead.Follow(svc.Hierarchy(), added[obj]))
 	}
 
 	beforeMoves := svc.snapshot()
@@ -396,10 +401,10 @@ func runScaleWorkload(k int, batch bool) (scaleStats, error) {
 	st := scaleStats{scaleRun: run}
 
 	// Sampled Theorem 4.8: each sampled object's settled state vector
-	// look-aheads to the atomic spec of its own trail.
+	// look-aheads to the atomic spec of its own moves.
 	for i, obj := range scaleSample(k) {
 		st.thm48All++
-		want, err := lookahead.AtomicMoveSeq(svc.Hierarchy(), run.sampled[i].Trail())
+		want, err := run.specs[i].State()
 		if err != nil {
 			return scaleStats{}, err
 		}

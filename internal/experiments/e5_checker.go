@@ -58,6 +58,7 @@ func E5Checker(env Env) (*Result, error) {
 		if err := svc.Settle(); err != nil {
 			return cell{}, err
 		}
+		spec := lookahead.Follow(svc.Hierarchy(), svc.Evader())
 		rng := rand.New(rand.NewSource(17))
 		var c cell
 		for step := 0; step < cfg.steps; step++ {
@@ -67,7 +68,7 @@ func E5Checker(env Env) (*Result, error) {
 			}
 			// Mid-flight: step the kernel event by event, checking the
 			// invariants and the lookAhead equality at each boundary.
-			want, err := lookahead.AtomicMoveSeq(svc.Hierarchy(), svc.Evader().Trail())
+			want, err := spec.State()
 			if err != nil {
 				return cell{}, err
 			}

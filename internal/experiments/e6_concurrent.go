@@ -54,11 +54,16 @@ func E6Concurrent(env Env) (*Result, error) {
 	}
 	points, err := cells(env, periods, func(p int) (point, error) {
 		period := sim.Time(p) * unit
+		var svc *core.Service
+		// found holds the found-output time of each find this cell issued,
+		// read in the found callback.
+		found := make(map[tracker.FindID]sim.Time, findCount)
 		svc, err := core.New(core.Config{
 			Width:           side,
 			AlwaysAliveVSAs: true,
 			Start:           centerRegion(side),
 			Seed:            int64(p),
+			OnFound:         func(r tracker.FindResult) { found[r.ID] = svc.Kernel().Now() },
 		})
 		if err != nil {
 			return point{}, err
@@ -90,7 +95,7 @@ func E6Concurrent(env Env) (*Result, error) {
 				done++
 			}
 		}
-		totalLat, cnt := foundLatencies(svc, issued, starts)
+		totalLat, cnt := foundLatencies(issued, starts, found)
 		avg := time.Duration(0)
 		stretch := 0.0
 		if cnt > 0 {
@@ -148,11 +153,11 @@ func atomicFindReference(side int) (sim.Time, int, error) {
 }
 
 // foundLatencies sums found-output latencies for the given finds.
-func foundLatencies(svc *core.Service, ids []tracker.FindID, starts map[tracker.FindID]sim.Time) (sim.Time, int) {
+func foundLatencies(ids []tracker.FindID, starts, found map[tracker.FindID]sim.Time) (sim.Time, int) {
 	var total sim.Time
 	n := 0
 	for _, id := range ids {
-		if t, ok := svc.FoundTime(id); ok {
+		if t, ok := found[id]; ok {
 			total += t - starts[id]
 			n++
 		}

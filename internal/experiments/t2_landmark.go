@@ -78,6 +78,7 @@ func T2Landmark(env Env) (*Result, error) {
 		if err != nil {
 			return row{}, err
 		}
+		spec := lookahead.Follow(h, ev)
 		settle := func() error {
 			if _, err := k.RunLimited(5_000_000); err != nil {
 				return err
@@ -100,7 +101,7 @@ func T2Landmark(env Env) (*Result, error) {
 				return row{}, err
 			}
 			work += protoWork(ledger.Snapshot().Sub(before))
-			want, err := lookahead.AtomicMoveSeq(h, ev.Trail())
+			want, err := spec.State()
 			if err != nil {
 				return row{}, err
 			}

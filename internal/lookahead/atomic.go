@@ -3,6 +3,7 @@ package lookahead
 import (
 	"fmt"
 
+	"vinestalk/internal/evader"
 	"vinestalk/internal/geo"
 	"vinestalk/internal/hier"
 )
@@ -118,3 +119,53 @@ func AtomicMoveSeq(h *hier.Hierarchy, moves []geo.RegionID) (*State, error) {
 	}
 	return s, nil
 }
+
+// Fold is atomicMoveSeq kept as a running state: init(start) when it is
+// made, then atomicMove applied in place for each move it is told of. It
+// is the Theorem 4.8 reference of a running execution. Its state equals
+// AtomicMoveSeq over the moves so far, yet it keeps no record of them, and
+// a move costs the clusters it touches and allocates nothing, so a check
+// costs the same after the millionth move as after the first.
+type Fold struct {
+	s   *State
+	at  geo.RegionID
+	err error
+}
+
+// newFold starts a fold at init(start).
+func newFold(h *hier.Hierarchy, start geo.RegionID) *Fold {
+	return &Fold{s: Init(h, start), at: start}
+}
+
+// Follow starts a fold at the evader's current region and registers it as
+// the evader's observer, so it steps on every later move. The fold of a
+// history must start where the history does: call Follow before the
+// evader's first move.
+func Follow(h *hier.Hierarchy, ev *evader.Evader) *Fold {
+	f := newFold(h, ev.Region())
+	ev.Observe(f.Move)
+	return f
+}
+
+// Move applies atomicMove(from, to) in place; it is an evader.Observer. A
+// move that does not leave the region the fold is at, or does not enter a
+// neighbour of it, stops the fold: State reports the error from then on.
+func (f *Fold) Move(from, to geo.RegionID) {
+	if f.err != nil {
+		return
+	}
+	if from != f.at {
+		f.err = fmt.Errorf("lookahead: fold at %v told of a move from %v", f.at, from)
+		return
+	}
+	if err := f.s.atomicMove(from, to); err != nil {
+		f.err = err
+		return
+	}
+	f.at = to
+}
+
+// State returns atomicMoveSeq over the moves folded so far, or the error
+// that stopped the fold. The state is the fold's own and changes with the
+// next move: compare it, do not keep or modify it.
+func (f *Fold) State() (*State, error) { return f.s, f.err }

@@ -146,6 +146,7 @@ func TestTheorem48PerObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	trail2 := recordPath(ev2)
 	s.settle(t)
 	rng := rand.New(rand.NewSource(17))
 	for step := 0; step < 10; step++ {
@@ -159,8 +160,8 @@ func TestTheorem48PerObject(t *testing.T) {
 		}
 		s.settle(t)
 		for obj, trail := range map[tracker.ObjectID][]geo.RegionID{
-			tracker.DefaultObject: s.ev.Trail(),
-			1:                     ev2.Trail(),
+			tracker.DefaultObject: *s.trail,
+			1:                     *trail2,
 		} {
 			want, err := AtomicMoveSeq(s.h, trail)
 			if err != nil {

@@ -100,9 +100,12 @@ func TestFindErrorsWithoutClients(t *testing.T) {
 	}
 }
 
-// A found output for a find this network never issued is reported once and
-// remembered without claiming an input; issuing the id afterwards is allowed
-// once, and its own found output is then a duplicate.
+// The parallel tracker issues caller-chosen ids through FindObjectAs, and
+// a found output may reach a network before its find's input has run
+// there. Such a found is for an id that is not outstanding, so it is
+// dropped and leaves no record; the input then opens the find's record,
+// its own found output is reported once and retires it, and nothing is
+// left. An id that is outstanding cannot be issued again.
 func TestFoundWithoutRecordStillDedups(t *testing.T) {
 	f := newFixture(t, fixtureConfig{side: 4, start: 0, alwaysUp: true})
 	f.settle()
@@ -110,17 +113,29 @@ func TestFoundWithoutRecordStillDedups(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		f.net.reportFound(DefaultObject, FindPayload{ID: id, Origin: 3}, 0)
 	}
-	if _, issued := f.net.FindIssued(id); len(f.founds) != 1 || !f.net.FindDone(id) || issued {
-		t.Fatalf("stray found: %d outputs, done %v, issued %v; want 1, true, false", len(f.founds), f.net.FindDone(id), issued)
+	if _, issued := f.net.FindIssued(id); len(f.founds) != 0 || f.net.FindDone(id) || issued || f.net.OutstandingFinds() != 0 {
+		t.Fatalf("found before input: %d outputs, done %v, issued %v, %d records; want 0, false, false, 0",
+			len(f.founds), f.net.FindDone(id), issued, f.net.OutstandingFinds())
 	}
 	if err := f.net.FindObjectAs(id, 5, DefaultObject); err != nil {
 		t.Fatal(err)
 	}
-	f.settle()
-	if _, issued := f.net.FindIssued(id); len(f.founds) != 1 || !issued {
-		t.Fatalf("after issuing: %d outputs, issued %v; want 1, true", len(f.founds), issued)
-	}
 	if err := f.net.FindObjectAs(id, 5, DefaultObject); err == nil {
-		t.Fatal("a find id was issued twice")
+		t.Fatal("an outstanding find id was issued twice")
+	}
+	if _, issued := f.net.FindIssued(id); !issued || f.net.FindDone(id) {
+		t.Fatalf("after its input: issued %v, done %v; want true, false", issued, f.net.FindDone(id))
+	}
+	f.settle()
+	if len(f.founds) != 1 || f.founds[0].ID != id || !f.net.FindDone(id) || f.net.OutstandingFinds() != 0 {
+		t.Fatalf("after its found: %d outputs, done %v, %d records; want 1, true, 0",
+			len(f.founds), f.net.FindDone(id), f.net.OutstandingFinds())
+	}
+	next, err := f.net.Find(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next != id+1 {
+		t.Errorf("FindObject issued %d after a caller-chosen %d, want the next id above it", next, id)
 	}
 }

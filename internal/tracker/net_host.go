@@ -315,7 +315,8 @@ func (nh *NetHost) Find(origin geo.RegionID) (FindID, error) {
 	return nh.FindObject(origin, DefaultObject)
 }
 
-// FindObject is Find for one of several tracked objects.
+// FindObject is Find for one of several tracked objects. A refused find
+// does not keep its id (see below), so FindDone reads false for it.
 func (nh *NetHost) FindObject(origin geo.RegionID, obj ObjectID) (FindID, error) {
 	nh.mu.Lock()
 	nh.findSeq++
@@ -327,8 +328,13 @@ func (nh *NetHost) FindObject(origin geo.RegionID, obj ObjectID) (FindID, error)
 		nh.clientSend(n, obj, KindFind, []FindPayload{p})
 	})
 	if err != nil {
+		// A refused find gives its id back, as on the sim hosts, unless a
+		// concurrent find has taken the next one meanwhile.
 		nh.mu.Lock()
 		delete(nh.started, id)
+		if nh.findSeq == id {
+			nh.findSeq--
+		}
 		nh.mu.Unlock()
 		return 0, err
 	}

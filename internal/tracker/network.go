@@ -102,11 +102,18 @@ type Network struct {
 	// moveInflight counts the copies in transit that belong to the
 	// grow/shrink family: what MoveQuiescent waits for.
 	moveInflight int
-	findSeq      FindID
-	finds        map[FindID]findRecord
-	onFound      func(FindResult)
-	evaderAt     map[ObjectID]func() geo.RegionID
-	tr           *trace.Tracer
+	// findSeq is the largest find id issued on this network: FindObject's
+	// sequence, raised by any larger id FindObjectAs issues.
+	findSeq FindID
+	// finds holds the outstanding finds and nothing else: an id is a key,
+	// valued at its input's virtual time, from its input until its first
+	// found output has been reported, when the key is deleted. What the
+	// network keeps of finds is thus bounded by how many are in flight,
+	// not by how many the run has issued.
+	finds    map[FindID]sim.Time
+	onFound  func(FindResult)
+	evaderAt map[ObjectID]func() geo.RegionID
+	tr       *trace.Tracer
 	// moveEpochs counts region changes per object for trace op
 	// correlation: concurrent cascades of different objects carry
 	// distinct OpMoveFor ids instead of sharing one global counter.
@@ -214,7 +221,7 @@ func New(cg *cgcast.Service, geom hier.Geometry, opts ...Option) (*Network, erro
 		geom:       geom,
 		sched:      DefaultSchedule(geom, cg.Unit()),
 		clients:    make(map[vsa.ClientID]*Client),
-		finds:      make(map[FindID]findRecord),
+		finds:      make(map[FindID]sim.Time),
 		evaderAt:   make(map[ObjectID]func() geo.RegionID),
 		moveEpochs: make(map[ObjectID]uint64),
 	}
@@ -530,10 +537,11 @@ func (n *Network) Find(u geo.RegionID) (FindID, error) {
 	return n.FindObject(u, DefaultObject)
 }
 
-// FindObject is Find for one of several tracked objects.
+// FindObject is Find for one of several tracked objects. A refused find
+// does not take an id: the next find is issued under the id it would have
+// had.
 func (n *Network) FindObject(u geo.RegionID, obj ObjectID) (FindID, error) {
-	n.findSeq++
-	id := n.findSeq
+	id := n.findSeq + 1
 	if err := n.FindObjectAs(id, u, obj); err != nil {
 		return 0, err
 	}
@@ -544,12 +552,15 @@ func (n *Network) FindObject(u geo.RegionID, obj ObjectID) (FindID, error) {
 // network's own sequence. The parallel tracker needs this: each home
 // shard's stack runs its own Network, and a shared global id space keeps
 // find ids — and therefore found outputs and per-find latency samples —
-// identical no matter how the objects are split across shards. The id
-// must be unused on this network; mixing FindObjectAs ids with FindObject
-// sequence ids on one network risks collisions and is rejected.
+// identical no matter how the objects are split across shards. An id that
+// is outstanding is refused. The network keeps no record of a retired
+// find, so not reusing an id once its find has retired is the caller's
+// part; FindObject's ids start above every id issued here.
 func (n *Network) FindObjectAs(id FindID, u geo.RegionID, obj ObjectID) error {
-	prev := n.record(id)
-	if prev.issued >= 0 {
+	if id < 1 {
+		return fmt.Errorf("tracker: find id %d is not positive", id)
+	}
+	if _, outstanding := n.finds[id]; outstanding {
 		return fmt.Errorf("tracker: find id %d already issued", id)
 	}
 	ids := n.cg.Layer().ClientsIn(u)
@@ -560,59 +571,40 @@ func (n *Network) FindObjectAs(id FindID, u geo.RegionID, obj ObjectID) error {
 	if !ok {
 		return fmt.Errorf("tracker: client %v not part of this network", ids[0])
 	}
-	// A found output that arrived before the input still dedups.
-	n.finds[id] = findRecord{issued: n.k.Now(), found: prev.found}
+	n.finds[id] = n.k.Now()
 	if err := c.find(obj, FindPayload{ID: id, Origin: u}); err != nil {
-		if prev.found >= 0 {
-			n.finds[id] = prev
-		} else {
-			delete(n.finds, id)
-		}
+		delete(n.finds, id)
 		return err
+	}
+	if id > n.findSeq {
+		n.findSeq = id
 	}
 	return nil
 }
 
-// findRecord is what the network keeps of one find for the rest of the run:
-// the virtual times of its input and of its first found output, each -1 if
-// it has not occurred on this network.
-type findRecord struct {
-	issued, found sim.Time
-}
-
-// record returns the find's record; a find the network has none of has
-// neither time.
-func (n *Network) record(id FindID) findRecord {
-	if rec, ok := n.finds[id]; ok {
-		return rec
-	}
-	return findRecord{issued: -1, found: -1}
-}
-
-// FindIssued returns the virtual time the find input occurred.
+// FindIssued returns the virtual time of the find's input while the find
+// is outstanding, and inside the found callback that retires it.
 func (n *Network) FindIssued(id FindID) (sim.Time, bool) {
-	rec := n.record(id)
-	return rec.issued, rec.issued >= 0
+	at, ok := n.finds[id]
+	return at, ok
 }
 
-// FoundTime returns the virtual time of the find's first found output.
-func (n *Network) FoundTime(id FindID) (sim.Time, bool) {
-	rec := n.record(id)
-	return rec.found, rec.found >= 0
+// FindDone reports whether a found output for the find has occurred: the
+// id was issued on this network (it is at most the largest id issued here)
+// and is no longer outstanding. This is NetHost's rule.
+func (n *Network) FindDone(id FindID) bool {
+	_, outstanding := n.finds[id]
+	return id >= 1 && id <= n.findSeq && !outstanding
 }
 
-// FindDone reports whether a found output for the find has occurred.
-func (n *Network) FindDone(id FindID) bool { return n.record(id).found >= 0 }
-
-// reportFound deduplicates found outputs per find id (several clients in
-// the evader's region may output simultaneously) and invokes the callback.
+// reportFound reports the first found output of an outstanding find and
+// then retires the find. Several clients in the evader's region may output
+// for one find; a found for an id that is not outstanding, whether such a
+// duplicate or one that arrives before its find's input, is dropped.
 func (n *Network) reportFound(obj ObjectID, p FindPayload, at geo.RegionID) {
-	rec := n.record(p.ID)
-	if rec.found >= 0 {
+	if _, outstanding := n.finds[p.ID]; !outstanding {
 		return
 	}
-	rec.found = n.k.Now()
-	n.finds[p.ID] = rec
 	n.tr.Emit(trace.Event{
 		At: n.k.Now(), Kind: "found", Op: trace.OpFind(int64(p.ID)),
 		Obj: int32(obj), From: -1, To: -1, Region: int32(at), Level: -1,
@@ -620,7 +612,12 @@ func (n *Network) reportFound(obj ObjectID, p FindPayload, at geo.RegionID) {
 	if n.onFound != nil {
 		n.onFound(FindResult{ID: p.ID, Object: obj, Origin: p.Origin, FoundAt: at})
 	}
+	delete(n.finds, p.ID)
 }
+
+// OutstandingFinds returns how many finds are outstanding: the number of
+// find records the network holds.
+func (n *Network) OutstandingFinds() int { return len(n.finds) }
 
 // MoveQuiescent reports whether all move-related activity has settled: no
 // grow/shrink-family messages in flight and no armed grow/shrink timers.
