@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short shuffle race vet lint nethost-smoke retention experiments experiments-quick experiments-smoke experiments-csv experiments-json chaos pairs profile fuzz cover clean
+.PHONY: all build test test-short shuffle race vet lint nethost-smoke retention experiments experiments-quick experiments-smoke experiments-csv experiments-json chaos pairs profile profile-daemon fuzz cover clean
 
 all: build vet test
 
@@ -38,14 +38,18 @@ shuffle:
 race:
 	$(GO) test -race ./...
 
-# Networked-host smoke: the nethost runtime (its mailbox, kill, due-order and
-# stop tests 20 times over, for the block-and-kill interleavings and the
-# service queue's release order) and the tracker-over-nethost
-# integration tests (oracle parity, heal-after-kill, chaos conservation)
-# under the race detector, plus the wire-codec fuzz seed corpora.
+# Networked-host smoke: the nethost runtime (its mailbox, kill, due-order,
+# stop and hold-queue tests 20 times over, for the block-and-kill
+# interleavings and the service queue's release order), the daemon's control
+# server (every line whole, replies in command order, every found on every
+# connection, a stalled client cut off without stalling the others; 5 times
+# over) and the tracker-over-nethost integration tests (oracle parity,
+# heal-after-kill, chaos conservation) under the race detector, plus the
+# wire-codec fuzz seed corpora.
 nethost-smoke:
 	$(GO) test -race ./internal/nethost
-	$(GO) test -race -count=20 -run 'Mailbox|Kill|DueOrder|StopDrops' ./internal/nethost
+	$(GO) test -race -count=20 -run 'Mailbox|Kill|DueOrder|StopDrops|HoldQueue' ./internal/nethost
+	$(GO) test -race -count=5 -run 'TestControlProtocolIntegrity|TestStalledControlClientDoesNotStallDaemon' ./cmd/vinestalkd
 	$(GO) test -race -run 'TestNetHost' ./internal/tracker
 	$(GO) test -race -count=5 -run 'OutsideNeighbourhood' ./internal/tracker
 	$(GO) test -run 'TestNetHostMatchesOracleOnFixedSchedule' -count=10 ./internal/tracker
@@ -217,6 +221,25 @@ profile:
 	$(GO) tool pprof -top -nodecount=40 $(PROFILE)/profile.test $(PROFILE)/cpu.prof
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=20 $(PROFILE)/profile.test $(PROFILE)/heap.prof
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=15 $(PROFILE)/profile.test $(PROFILE)/mem.prof
+
+# Where the daemon's CPU goes: BenchmarkDaemonFinds (cmd/vinestalkd's
+# server_test.go: daemon8's shape in one process — 8×8, 2 048 objects, two
+# loopback control connections, a closed loop of finds) under the CPU
+# profiler, then the profile's top 40. It reports cpu-µs/find, the process's
+# CPU per find, daemon and clients together. cpu.prof and the test binary
+# stay in the gitignored .bench_build/profile-daemon/ for `go tool pprof
+# -list`. FINDS is a knob of this developer tool, not of the system:
+#	make profile-daemon                 # 20 000 finds, ≈ 10 s
+#	make profile-daemon FINDS=2000
+PROFILE_DAEMON := $(CURDIR)/.bench_build/profile-daemon
+FINDS ?= 20000
+
+profile-daemon:
+	rm -rf $(PROFILE_DAEMON)
+	mkdir -p $(PROFILE_DAEMON)
+	$(GO) test ./cmd/vinestalkd -run '^$$' -bench '^BenchmarkDaemonFinds$$' -benchtime $(FINDS)x -count=1 \
+		-o $(PROFILE_DAEMON)/vinestalkd.test -cpuprofile $(PROFILE_DAEMON)/cpu.prof
+	$(GO) tool pprof -top -nodecount=40 $(PROFILE_DAEMON)/vinestalkd.test $(PROFILE_DAEMON)/cpu.prof
 
 # Write the tables as CSV into ./results.
 experiments-csv:

@@ -15,9 +15,12 @@
 //	stats                         replies one-line JSON ledger export
 //	quit                          close this control connection
 //
-// Every command gets exactly one "ok ..." or "err ..." reply line.
-// Completed finds are pushed asynchronously to every control connection
-// as "found <id> <obj> <origin> <foundAt>" lines.
+// Every command gets exactly one "ok ..." or "err ..." reply line, in
+// command order on the connection that sent it. Completed finds are pushed
+// asynchronously to every control connection as
+// "found <id> <obj> <origin> <foundAt>" lines. Lines are never split or
+// interleaved. A client that stops reading is disconnected once 8 MB of
+// output waits for it (one line on stderr), so it cannot stall the daemon.
 //
 // Usage:
 //
@@ -72,13 +75,68 @@ func main() {
 	}
 }
 
+// maxPendingOutput bounds the output queued on one control connection. A
+// client that stops reading is disconnected once this much waits for it,
+// so it cannot hold up the founds and replies of every other connection.
+const maxPendingOutput = 8 << 20
+
+// keepWriteBuffer is the largest buffer a connection's writer keeps after
+// writing it; a larger one, left by a burst, goes back to the collector.
+const keepWriteBuffer = 64 << 10
+
 // server fans found outputs out to every control connection.
 type server struct {
 	nh  *tracker.NetHost
 	svc *nethost.Service
 
+	// maxPending is the bound on each connection's queued output,
+	// maxPendingOutput outside tests.
+	maxPending int
+
 	mu    sync.Mutex
-	conns map[net.Conn]bool
+	conns map[*conn]struct{}
+}
+
+// conn is one control connection. Its commands run in order on its handle
+// goroutine. Every line it is sent, replies and founds alike, is appended
+// whole to out and written by the connection's own writer goroutine, which
+// writes everything queued while its previous write was in flight in one
+// call. So a reply never waits for another connection, and a found never
+// waits for any socket.
+type conn struct {
+	nc    net.Conn
+	limit int
+
+	mu     sync.Mutex
+	out    []byte // queued lines, not yet taken by the writer
+	closed bool   // nothing more is queued: finished, over limit, or write failed
+
+	ready chan struct{} // one pending wakeup for the writer
+	done  chan struct{} // closed when the writer has exited
+}
+
+// newServer builds the tracker on hierarchy h over transport tr (nil: the
+// in-process channel transport), with a control server whose connections
+// receive every found. The service is not started.
+func newServer(h *hier.Hierarchy, delta, lag, heartbeat time.Duration, tr nethost.Transport) (*server, error) {
+	srv := &server{maxPending: maxPendingOutput, conns: make(map[*conn]struct{})}
+	nh, err := tracker.NewNetHost(h, tracker.NetConfig{
+		Geom:      hier.MeasureGeometry(h),
+		Delta:     delta,
+		Unit:      delta + lag,
+		Heartbeat: heartbeat,
+		OnFound:   srv.broadcastFound,
+	})
+	if err != nil {
+		return nil, err
+	}
+	svc, err := nethost.New(nh, nethost.Config{NumRegions: h.Tiling().NumRegions(), Transport: tr})
+	if err != nil {
+		return nil, err
+	}
+	nh.Attach(svc)
+	srv.nh, srv.svc = nh, svc
+	return srv, nil
 }
 
 func run(side, base int, delta, lag, heartbeat time.Duration, listen, transport, dataAddr string,
@@ -88,17 +146,6 @@ func run(side, base int, delta, lag, heartbeat time.Duration, listen, transport,
 		return err
 	}
 	h, err := hier.NewGrid(tiling, base)
-	if err != nil {
-		return err
-	}
-	srv := &server{conns: make(map[net.Conn]bool)}
-	nh, err := tracker.NewNetHost(h, tracker.NetConfig{
-		Geom:      hier.MeasureGeometry(h),
-		Delta:     delta,
-		Unit:      delta + lag,
-		Heartbeat: heartbeat,
-		OnFound:   srv.broadcastFound,
-	})
 	if err != nil {
 		return err
 	}
@@ -113,12 +160,11 @@ func run(side, base int, delta, lag, heartbeat time.Duration, listen, transport,
 	} else if transport != "chan" {
 		return fmt.Errorf("unknown transport %q (chan or tcp)", transport)
 	}
-	svc, err := nethost.New(nh, nethost.Config{NumRegions: tiling.NumRegions(), Transport: tr})
+	srv, err := newServer(h, delta, lag, heartbeat, tr)
 	if err != nil {
 		return err
 	}
-	nh.Attach(svc)
-	srv.nh, srv.svc = nh, svc
+	svc := srv.svc
 
 	if chaosWindows > 0 {
 		plan, err := chaos.NewPlan(chaos.Config{
@@ -146,44 +192,141 @@ func run(side, base int, delta, lag, heartbeat time.Duration, listen, transport,
 	defer svc.Stop()
 	fmt.Printf("vinestalkd: serving %dx%d grid (r=%d, %d clusters, max level %d) on %s\n",
 		side, side, base, h.NumClusters(), h.MaxLevel(), ln.Addr())
+	return srv.serve(ln)
+}
+
+// serve accepts control connections on ln, each handled on its own
+// goroutine, until ln is closed.
+func (s *server) serve(ln net.Listener) error {
 	for {
 		c, err := ln.Accept()
 		if err != nil {
 			return err
 		}
-		srv.mu.Lock()
-		srv.conns[c] = true
-		srv.mu.Unlock()
-		go srv.handle(c)
+		go s.handle(c)
 	}
 }
 
+// broadcastFound queues one found line on every control connection. It
+// runs on the region goroutine that completed the find, so it formats the
+// line once, on the stack, and never touches a socket.
 func (s *server) broadcastFound(r tracker.FindResult) {
-	line := fmt.Sprintf("found %d %d %d %d\n", r.ID, r.Object, r.Origin, r.FoundAt)
+	var b [64]byte
+	line := append(b[:0], "found "...)
+	line = strconv.AppendInt(line, int64(r.ID), 10)
+	line = append(line, ' ')
+	line = strconv.AppendInt(line, int64(r.Object), 10)
+	line = append(line, ' ')
+	line = strconv.AppendInt(line, int64(r.Origin), 10)
+	line = append(line, ' ')
+	line = strconv.AppendInt(line, int64(r.FoundAt), 10)
+	line = append(line, '\n')
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	for c := range s.conns {
-		fmt.Fprint(c, line)
+		c.queue(line)
 	}
+	s.mu.Unlock()
 }
 
-func (s *server) handle(c net.Conn) {
+// handle runs one connection's commands in order, queueing each reply on
+// the connection, until the client quits or the connection fails.
+func (s *server) handle(nc net.Conn) {
+	c := &conn{nc: nc, limit: s.maxPending, ready: make(chan struct{}, 1), done: make(chan struct{})}
+	go c.write()
+	s.mu.Lock()
+	s.conns[c] = struct{}{}
+	s.mu.Unlock()
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, c)
 		s.mu.Unlock()
-		c.Close()
+		c.finish()
 	}()
-	sc := bufio.NewScanner(c)
+	var line []byte
+	sc := bufio.NewScanner(nc)
 	for sc.Scan() {
 		reply := s.exec(strings.Fields(sc.Text()))
 		if reply == "" {
 			return // quit
 		}
-		// Serialize replies against found pushes so lines never interleave.
-		s.mu.Lock()
-		fmt.Fprintln(c, reply)
-		s.mu.Unlock()
+		line = append(append(line[:0], reply...), '\n')
+		c.queue(line)
+	}
+}
+
+// queue appends one whole line for the writer. A connection whose queued
+// output would pass its limit is closed instead, with one line on stderr:
+// its client has stopped reading.
+func (c *conn) queue(line []byte) {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return
+	}
+	if len(c.out)+len(line) > c.limit {
+		c.closed = true
+		queued := len(c.out)
+		c.mu.Unlock()
+		fmt.Fprintf(os.Stderr, "vinestalkd: control connection %v stopped reading with %d bytes queued; closed\n",
+			c.nc.RemoteAddr(), queued)
+		c.nc.Close()
+		signal(c.ready)
+		return
+	}
+	first := len(c.out) == 0
+	c.out = append(c.out, line...)
+	c.mu.Unlock()
+	if first {
+		signal(c.ready)
+	}
+}
+
+// write is the connection's writer goroutine: each time lines are queued it
+// takes all of them and writes them in one call. It exits once the
+// connection is closed and its last lines are written, or a write fails.
+func (c *conn) write() {
+	defer close(c.done)
+	var buf []byte
+	for {
+		<-c.ready
+		c.mu.Lock()
+		buf, c.out = c.out, buf[:0]
+		closed := c.closed
+		c.mu.Unlock()
+		if len(buf) > 0 {
+			if _, err := c.nc.Write(buf); err != nil {
+				c.mu.Lock()
+				c.closed, c.out = true, nil
+				c.mu.Unlock()
+				c.nc.Close()
+				return
+			}
+		}
+		if closed {
+			return
+		}
+		if cap(buf) > keepWriteBuffer {
+			buf = nil
+		}
+	}
+}
+
+// finish stops queueing, waits for the writer to write what is queued, and
+// closes the connection.
+func (c *conn) finish() {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
+	signal(c.ready)
+	<-c.done
+	c.nc.Close()
+}
+
+// signal leaves one pending wakeup on ch unless one is already there.
+func signal(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
 	}
 }
 
@@ -244,7 +387,7 @@ func (s *server) exec(fields []string) string {
 		if err != nil {
 			return "err " + err.Error()
 		}
-		return fmt.Sprintf("ok find %d", id)
+		return "ok find " + strconv.FormatInt(int64(id), 10)
 	case "kill", "restart", "alive":
 		if len(fields) != 2 {
 			return "err usage: " + fields[0] + " <region>"

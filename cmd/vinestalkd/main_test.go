@@ -1,15 +1,12 @@
 package main
 
 import (
-	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"vinestalk/internal/geo"
 	"vinestalk/internal/hier"
-	"vinestalk/internal/nethost"
-	"vinestalk/internal/tracker"
 )
 
 // FuzzControlExec feeds arbitrary control lines to a running 2×2 daemon:
@@ -17,26 +14,14 @@ import (
 // "" (quit) or starts with "ok " / "err ". Each seed is also held to the
 // reply it must begin with ("" only for quit).
 func FuzzControlExec(f *testing.F) {
-	tiling := geo.MustGridTiling(2, 2)
-	h := hier.MustGrid(tiling, 2)
-	nh, err := tracker.NewNetHost(h, tracker.NetConfig{
-		Geom:  hier.MeasureGeometry(h),
-		Delta: 10 * time.Millisecond,
-		Unit:  15 * time.Millisecond,
-	})
+	srv, err := newServer(hier.MustGrid(geo.MustGridTiling(2, 2), 2), 10*time.Millisecond, 5*time.Millisecond, 0, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	svc, err := nethost.New(nh, nethost.Config{NumRegions: tiling.NumRegions()})
-	if err != nil {
+	if err := srv.svc.Start(); err != nil {
 		f.Fatal(err)
 	}
-	nh.Attach(svc)
-	if err := svc.Start(); err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(svc.Stop)
-	srv := &server{nh: nh, svc: svc, conns: make(map[net.Conn]bool)}
+	f.Cleanup(srv.svc.Stop)
 
 	for _, seed := range []struct{ line, want string }{
 		{"place 1 1", "ok place"},

@@ -260,12 +260,13 @@ func TestKillRefusesBlockedPosters(t *testing.T) {
 	s := startService(t, &recApp{}, 1)
 	n, _ := fillMailbox(t, s, 0)
 	s.mu.Lock()
-	s.ledger.RecordMessage("net/late", 0)
-	f := &heldEntry{to: 0, inc: s.slots[0].inc, kind: "late"}
+	k := s.kinds[s.kindLocked("late")]
+	k.row.Message(0)
 	s.mu.Unlock()
+	batch := []release{{n: n, kind: k.name, row: k.row}}
 	injected, delivered := make(chan error, 1), make(chan struct{})
 	go func() { injected <- s.Inject(0, func(*Node) {}) }()
-	go func() { s.deliverHeld(f); close(delivered) }()
+	go func() { s.deliver(batch); close(delivered) }()
 	waitFor(t, "both posters to block", func() bool { return blockedPosters(n.mb) == 2 })
 
 	s.KillRegion(0)

@@ -29,7 +29,6 @@
 package nethost
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"sync"
@@ -105,44 +104,112 @@ type Service struct {
 	held    holdQueue
 	heldSeq uint64
 	wake    chan struct{}
+
+	// kinds holds every wire kind the service has sent or received, with
+	// its ledger row "net/<kind>"; kindIDs maps a kind to its index there,
+	// which is what a held frame carries. malformed is the row of frames
+	// that fail to parse. Guarded by mu.
+	kinds     []frameKind
+	kindIDs   map[string]uint32
+	malformed metrics.Kind
+}
+
+// frameKind is one interned wire kind and its ledger row.
+type frameKind struct {
+	name string
+	row  metrics.Kind
 }
 
 // heldEntry is one entry of the service queue, numbered seq: a closure to
 // call at due (a wakeup, a RunAt function, a fault), or else a frame in
-// hold and the incarnation of the destination it arrived under.
+// hold, its interned kind and the incarnation of the destination it arrived
+// under. It is 64 bytes and the queue holds it by value.
 type heldEntry struct {
 	due     sim.Time
 	seq     uint64
 	fire    func()
-	to      geo.RegionID
-	inc     uint64
-	kind    string
 	payload []byte
+	to      int32
+	inc     uint32
+	kind    uint32
 }
 
-// holdQueue is a min-heap of entries by (due, seq): entries due at the same
-// instant leave in the order they were queued.
-type holdQueue []*heldEntry
-
-func (q holdQueue) Len() int { return len(q) }
-func (q holdQueue) Less(i, j int) bool {
-	return q[i].due < q[j].due || q[i].due == q[j].due && q[i].seq < q[j].seq
-}
-func (q holdQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *holdQueue) Push(x any)   { *q = append(*q, x.(*heldEntry)) }
-func (q *holdQueue) Pop() any {
-	last := len(*q) - 1
-	f := (*q)[last]
-	(*q)[last] = nil
-	*q = (*q)[:last]
-	return f
+// before orders entries by (due, seq).
+func (e *heldEntry) before(f *heldEntry) bool {
+	return e.due < f.due || e.due == f.due && e.seq < f.seq
 }
 
-// slot tracks one region's current node. inc counts lifecycle transitions;
-// a held frame recorded under an older incarnation dies as DropVSAReset.
+// holdQueue is a 4-ary min-heap of entries by (due, seq), held by value:
+// entries due at the same instant leave in the order they were queued. A
+// push or pop moves entries within one slice and allocates nothing once
+// the slice has grown to the queue's depth. A pop that leaves the queue
+// below a quarter of a capacity over holdQueueMinCap moves it to half that
+// capacity, so the memory the queue keeps follows its depth, not the
+// deepest burst it has held.
+type holdQueue []heldEntry
+
+// holdQueueMinCap is the capacity a queue keeps however shallow it gets
+// (64 KB of entries).
+const holdQueueMinCap = 1024
+
+// push adds e.
+func (q *holdQueue) push(e heldEntry) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+	*q = h
+}
+
+// pop removes and returns the earliest entry; the queue must not be empty.
+func (q *holdQueue) pop() heldEntry {
+	h := *q
+	top := h[0]
+	last := len(h) - 1
+	e := h[last]
+	h[last] = heldEntry{} // drop the slot's closure and payload
+	h = h[:last]
+	if last > 0 {
+		i := 0
+		for {
+			c := 4*i + 1
+			if c >= last {
+				break
+			}
+			m := c
+			for k := c + 1; k < c+4 && k < last; k++ {
+				if h[k].before(&h[m]) {
+					m = k
+				}
+			}
+			if !h[m].before(&e) {
+				break
+			}
+			h[i] = h[m]
+			i = m
+		}
+		h[i] = e
+	}
+	if c := cap(h); c > holdQueueMinCap && len(h) < c/4 {
+		h = append(make(holdQueue, 0, c/2), h...)
+	}
+	*q = h
+	return top
+}
+
+// slot tracks one region's current node. inc counts lifecycle transitions
+// (modulo 2³²); a held frame recorded under an older incarnation dies as
+// DropVSAReset.
 type slot struct {
 	node *Node
-	inc  uint64
+	inc  uint32
 }
 
 // New assembles a stopped service; call Start to boot the region nodes.
@@ -151,12 +218,14 @@ func New(app App, cfg Config) (*Service, error) {
 		return nil, fmt.Errorf("nethost: need a positive region count, got %d", cfg.NumRegions)
 	}
 	s := &Service{
-		app:    app,
-		tr:     cfg.Transport,
-		slots:  make([]slot, cfg.NumRegions),
-		ledger: metrics.NewLedger(),
-		wake:   make(chan struct{}, 1),
+		app:     app,
+		tr:      cfg.Transport,
+		slots:   make([]slot, cfg.NumRegions),
+		ledger:  metrics.NewLedger(),
+		wake:    make(chan struct{}, 1),
+		kindIDs: make(map[string]uint32),
 	}
+	s.malformed = s.ledger.Kind("net/malformed")
 	if s.tr == nil {
 		s.tr = NewChanTransport()
 	}
@@ -210,9 +279,9 @@ func (s *Service) Stop() {
 	s.stopped = true
 	// Frames holdLoop has already taken out are its to resolve, and wg.Wait
 	// below waits for it; every frame still queued dies here.
-	for _, e := range s.held {
-		if e.fire == nil {
-			s.ledger.RecordDrop("net/"+e.kind, metrics.DropDeadVSA)
+	for i := range s.held {
+		if e := &s.held[i]; e.fire == nil {
+			s.kinds[e.kind].row.Drop(metrics.DropDeadVSA)
 		}
 	}
 	s.held = nil
@@ -315,7 +384,7 @@ func (s *Service) scheduleFault(at sim.Time, fire func()) error {
 	if s.started {
 		return fmt.Errorf("nethost: fault schedule must precede Start")
 	}
-	s.pushLocked(&heldEntry{due: at, fire: fire})
+	s.pushLocked(heldEntry{due: at, fire: fire})
 	return nil
 }
 
@@ -323,7 +392,7 @@ func (s *Service) scheduleFault(at sim.Time, fire func()) error {
 // dropped.
 func (s *Service) at(due sim.Time, fire func()) {
 	s.mu.Lock()
-	earliest := !s.stopped && s.pushLocked(&heldEntry{due: due, fire: fire})
+	earliest := !s.stopped && s.pushLocked(heldEntry{due: due, fire: fire})
 	s.mu.Unlock()
 	if earliest {
 		signal(s.wake)
@@ -332,11 +401,23 @@ func (s *Service) at(due sim.Time, fire func()) {
 
 // pushLocked queues e, numbering it, and reports whether it is now the
 // earliest entry. Called with mu held.
-func (s *Service) pushLocked(e *heldEntry) bool {
+func (s *Service) pushLocked(e heldEntry) bool {
 	e.seq = s.heldSeq
 	s.heldSeq++
-	heap.Push(&s.held, e)
-	return s.held[0] == e
+	s.held.push(e)
+	return s.held[0].seq == e.seq
+}
+
+// kindLocked returns the index of wire kind name in s.kinds, interning it
+// and its ledger row on first sight. Called with mu held.
+func (s *Service) kindLocked(name string) uint32 {
+	i, ok := s.kindIDs[name]
+	if !ok {
+		i = uint32(len(s.kinds))
+		s.kinds = append(s.kinds, frameKind{name: name, row: s.ledger.Kind("net/" + name)})
+		s.kindIDs[name] = i
+	}
+	return i
 }
 
 // SetLoss installs the frame-loss predicate consulted once per send. The
@@ -354,18 +435,18 @@ func (s *Service) SetLoss(loss func() bool) error {
 
 // send charges, possibly chaos-drops, encodes, and transmits one frame.
 func (s *Service) send(to geo.RegionID, due sim.Time, kind string, hops int, payload []byte) {
-	netKind := "net/" + kind
 	s.mu.Lock()
-	s.ledger.RecordMessage(netKind, hops)
+	row := s.kinds[s.kindLocked(kind)].row
+	row.Message(hops)
 	if s.loss != nil && s.loss() {
-		s.ledger.RecordDrop(netKind, metrics.DropLoss)
+		row.Drop(metrics.DropLoss)
 		s.mu.Unlock()
 		return
 	}
 	s.mu.Unlock()
 	if err := s.tr.Send(to, encodeFrame(to, due, kind, payload)); err != nil {
 		s.mu.Lock()
-		s.ledger.RecordDrop(netKind, metrics.DropNoRoute)
+		row.Drop(metrics.DropNoRoute)
 		s.mu.Unlock()
 	}
 }
@@ -376,85 +457,129 @@ func (s *Service) send(to geo.RegionID, due sim.Time, kind string, hops int, pay
 // time dies as DropVSAReset — exactly the C-gcast hold semantics.
 func (s *Service) Receive(frame []byte) {
 	to, due, kind, payload, err := parseFrame(frame)
-	if err != nil || int(to) >= len(s.slots) {
-		s.mu.Lock()
-		s.ledger.RecordDrop("net/malformed", metrics.DropNoRoute)
-		s.mu.Unlock()
-		return
-	}
-	netKind := "net/" + kind
 	s.mu.Lock()
-	if s.stopped || s.slots[to].node == nil {
-		s.ledger.RecordDrop(netKind, metrics.DropDeadVSA)
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if err != nil || int(to) >= len(s.slots) {
+		s.malformed.Drop(metrics.DropNoRoute)
 		return
 	}
-	earliest := s.pushLocked(&heldEntry{due: due, to: to, inc: s.slots[to].inc, kind: kind, payload: payload})
-	s.mu.Unlock()
-	if earliest {
+	k, ok := s.kindIDs[string(kind)] // a lookup by the bytes allocates nothing
+	if !ok {
+		k = s.kindLocked(string(kind))
+	}
+	if s.stopped || s.slots[to].node == nil {
+		s.kinds[k].row.Drop(metrics.DropDeadVSA)
+		return
+	}
+	if s.pushLocked(heldEntry{due: due, to: int32(to), inc: s.slots[to].inc, kind: k, payload: payload}) {
 		signal(s.wake)
 	}
 }
 
+// maxBatch bounds the frames holdLoop takes out of the queue in one critical
+// section, and so the batch buffer it keeps: a burst larger than this is
+// released in several batches.
+const maxBatch = 256
+
+// release is one due frame holdLoop has taken out of the queue, with the
+// node it goes to, resolved when it was taken.
+type release struct {
+	n       *Node
+	kind    string
+	row     metrics.Kind
+	payload []byte
+	due     sim.Time
+	posted  bool
+}
+
 // holdLoop releases each queued entry once its due time has come, in (due,
 // seq) order — a frame to its destination node, a closure by calling it —
-// and sleeps until the next due time in between. It exits once the service
-// has stopped.
+// and sleeps until the next due time in between. What is due is taken in
+// one critical section, up to and including the first closure or up to
+// maxBatch frames: the frames before it are resolved against their destination's node and
+// incarnation there, posted, and their outcomes recorded in one more; then
+// the closure runs. So a kill or restart in the middle of a burst still
+// finds every frame behind it. It exits once the service has stopped.
 func (s *Service) holdLoop() {
 	defer s.wg.Done()
+	batch := make([]release, 0, maxBatch)
+	t := time.NewTimer(time.Hour)
+	defer t.Stop()
 	for {
+		var fire func()
 		s.mu.Lock()
-		wait, stopped := time.Hour, s.stopped
-		if len(s.held) > 0 {
-			wait = time.Duration(s.held[0].due - s.Now())
-		}
-		if wait <= 0 {
-			e := heap.Pop(&s.held).(*heldEntry)
-			s.mu.Unlock()
+		now := s.Now()
+		for len(s.held) > 0 && s.held[0].due <= now && len(batch) < maxBatch {
+			e := s.held.pop()
 			if e.fire != nil {
-				e.fire()
-			} else {
-				s.deliverHeld(e)
+				fire = e.fire
+				break
 			}
-			continue
+			k := &s.kinds[e.kind]
+			switch sl := &s.slots[e.to]; {
+			case sl.node == nil:
+				k.row.Drop(metrics.DropDeadVSA)
+			case sl.inc != e.inc:
+				k.row.Drop(metrics.DropVSAReset)
+			default:
+				batch = append(batch, release{n: sl.node, kind: k.name, row: k.row, payload: e.payload, due: e.due})
+			}
+		}
+		var next sim.Time
+		queued, stopped := len(s.held) > 0, s.stopped
+		if queued {
+			next = s.held[0].due
 		}
 		s.mu.Unlock()
+		if len(batch) > 0 {
+			s.deliver(batch)
+			clear(batch)
+			batch = batch[:0]
+		}
+		if fire != nil {
+			fire()
+			continue
+		}
 		if stopped {
 			return
 		}
-		t := time.NewTimer(wait)
+		wait := time.Hour
+		if queued {
+			if wait = time.Duration(next - s.Now()); wait <= 0 {
+				continue
+			}
+		}
+		if !t.Stop() {
+			select {
+			case <-t.C:
+			default:
+			}
+		}
+		t.Reset(wait)
 		select {
 		case <-s.wake:
 		case <-t.C:
 		}
-		t.Stop()
 	}
 }
 
-func (s *Service) deliverHeld(f *heldEntry) {
-	netKind := "net/" + f.kind
+// deliver posts each frame of a batch to its node's mailbox, then records
+// every outcome: a delivery, or a DropDeadVSA for a node that died since the
+// batch was taken.
+func (s *Service) deliver(batch []release) {
+	for i := range batch {
+		r := &batch[i]
+		r.posted = r.n.mb.post(mbMsg{kind: r.kind, payload: r.payload, at: r.due})
+	}
 	s.mu.Lock()
-	n := s.slots[f.to].node
-	switch {
-	case n == nil:
-		s.ledger.RecordDrop(netKind, metrics.DropDeadVSA)
-		s.mu.Unlock()
-		return
-	case s.slots[f.to].inc != f.inc:
-		s.ledger.RecordDrop(netKind, metrics.DropVSAReset)
-		s.mu.Unlock()
-		return
+	for i := range batch {
+		if r := &batch[i]; r.posted {
+			r.row.Delivery()
+		} else {
+			r.row.Drop(metrics.DropDeadVSA)
+		}
 	}
 	s.mu.Unlock()
-	if n.mb.post(mbMsg{kind: f.kind, payload: f.payload, at: f.due}) {
-		s.mu.Lock()
-		s.ledger.RecordDelivery(netKind)
-		s.mu.Unlock()
-	} else {
-		s.mu.Lock()
-		s.ledger.RecordDrop(netKind, metrics.DropDeadVSA)
-		s.mu.Unlock()
-	}
 }
 
 // RecordLatency adds a latency sample to the service ledger (serialized).

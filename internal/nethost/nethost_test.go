@@ -472,7 +472,7 @@ func TestKillDropsHeldFrames(t *testing.T) {
 func TestParseFrameRejectsHostileInput(t *testing.T) {
 	good := encodeFrame(3, 17*time.Millisecond, "grow", []byte("payload"))
 	to, due, kind, payload, err := parseFrame(good)
-	if err != nil || to != 3 || due != 17*time.Millisecond || kind != "grow" || string(payload) != "payload" {
+	if err != nil || to != 3 || due != 17*time.Millisecond || string(kind) != "grow" || string(payload) != "payload" {
 		t.Fatalf("round trip = (%v %v %q %q %v)", to, due, kind, payload, err)
 	}
 	bad := [][]byte{

@@ -2,7 +2,7 @@ package nethost
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"vinestalk/internal/geo"
 )
@@ -25,11 +25,11 @@ type Transport interface {
 // ChanTransport is the in-process transport: Send hands the frame to the
 // sink inline. That is safe with Service.Receive, which only records the
 // frame and schedules its due-time delivery — it never blocks on node
-// mailboxes from the transport path.
+// mailboxes from the transport path. Send reads the sink through an atomic
+// pointer, so concurrent senders share no lock.
 type ChanTransport struct {
-	mu     sync.Mutex
-	sink   func([]byte)
-	closed bool
+	sink   atomic.Pointer[func([]byte)]
+	closed atomic.Bool
 }
 
 // NewChanTransport returns an in-process transport.
@@ -37,35 +37,29 @@ func NewChanTransport() *ChanTransport { return &ChanTransport{} }
 
 // Start implements Transport.
 func (t *ChanTransport) Start(sink func(frame []byte)) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
+	if t.closed.Load() {
 		return fmt.Errorf("nethost: transport closed")
 	}
-	t.sink = sink
+	t.sink.Store(&sink)
 	return nil
 }
 
 // Send implements Transport: the frame reaches the sink inline.
 func (t *ChanTransport) Send(to geo.RegionID, frame []byte) error {
-	t.mu.Lock()
-	sink, closed := t.sink, t.closed
-	t.mu.Unlock()
-	if closed {
+	if t.closed.Load() {
 		return fmt.Errorf("nethost: transport closed")
 	}
+	sink := t.sink.Load()
 	if sink == nil {
 		return fmt.Errorf("nethost: transport not started")
 	}
-	sink(frame)
+	(*sink)(frame)
 	return nil
 }
 
 // Close implements Transport.
 func (t *ChanTransport) Close() error {
-	t.mu.Lock()
-	t.closed = true
-	t.sink = nil
-	t.mu.Unlock()
+	t.closed.Store(true)
+	t.sink.Store(nil)
 	return nil
 }
