@@ -45,12 +45,16 @@ race:
 # connection, a stalled client cut off without stalling the others; 5 times
 # over) and the tracker-over-nethost integration tests (oracle parity,
 # heal-after-kill, chaos conservation) under the race detector, plus the
-# wire-codec fuzz seed corpora.
+# wire-codec fuzz seed corpora. The allocation and aliasing pins run under
+# -race too: a frame costs one allocation from the outlet to Deliver, a
+# wakeup and a TCP send none, a find held pending survives the next
+# frame's decode into the node's scratch, and the frames match the
+# reference wire encoding.
 nethost-smoke:
 	$(GO) test -race ./internal/nethost
-	$(GO) test -race -count=20 -run 'Mailbox|Kill|DueOrder|StopDrops|HoldQueue' ./internal/nethost
+	$(GO) test -race -count=20 -run 'Mailbox|Kill|DueOrder|StopDrops|HoldQueue|Wakeup' ./internal/nethost
 	$(GO) test -race -count=5 -run 'TestControlProtocolIntegrity|TestStalledControlClientDoesNotStallDaemon' ./cmd/vinestalkd
-	$(GO) test -race -run 'TestNetHost' ./internal/tracker
+	$(GO) test -race -run 'TestNetHost|NetFrame|PendingFindSurvives' ./internal/tracker
 	$(GO) test -race -count=5 -run 'OutsideNeighbourhood' ./internal/tracker
 	$(GO) test -run 'TestNetHostMatchesOracleOnFixedSchedule' -count=10 ./internal/tracker
 	$(GO) test -run 'FuzzDecodeRegion|FuzzDecodeClusterMessage' ./internal/tracker
@@ -222,13 +226,15 @@ profile:
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=20 $(PROFILE)/profile.test $(PROFILE)/heap.prof
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=15 $(PROFILE)/profile.test $(PROFILE)/mem.prof
 
-# Where the daemon's CPU goes: BenchmarkDaemonFinds (cmd/vinestalkd's
-# server_test.go: daemon8's shape in one process — 8×8, 2 048 objects, two
-# loopback control connections, a closed loop of finds) under the CPU
-# profiler, then the profile's top 40. It reports cpu-µs/find, the process's
-# CPU per find, daemon and clients together. cpu.prof and the test binary
-# stay in the gitignored .bench_build/profile-daemon/ for `go tool pprof
-# -list`. FINDS is a knob of this developer tool, not of the system:
+# Where the daemon's CPU and allocations go: BenchmarkDaemonFinds
+# (cmd/vinestalkd's server_test.go: daemon8's shape in one process — 8×8,
+# 2 048 objects, two loopback control connections, a closed loop of finds)
+# under the CPU and memory profilers, then the CPU profile's top 40 and the
+# top 20 allocation sites by objects allocated. It reports cpu-µs/find, the
+# process's CPU per find, daemon and clients together, and allocations per
+# find (-benchmem). cpu.prof, mem.prof and the test binary stay in the
+# gitignored .bench_build/profile-daemon/ for `go tool pprof -list`. FINDS
+# is a knob of this developer tool, not of the system:
 #	make profile-daemon                 # 20 000 finds, ≈ 10 s
 #	make profile-daemon FINDS=2000
 PROFILE_DAEMON := $(CURDIR)/.bench_build/profile-daemon
@@ -237,9 +243,10 @@ FINDS ?= 20000
 profile-daemon:
 	rm -rf $(PROFILE_DAEMON)
 	mkdir -p $(PROFILE_DAEMON)
-	$(GO) test ./cmd/vinestalkd -run '^$$' -bench '^BenchmarkDaemonFinds$$' -benchtime $(FINDS)x -count=1 \
-		-o $(PROFILE_DAEMON)/vinestalkd.test -cpuprofile $(PROFILE_DAEMON)/cpu.prof
+	$(GO) test ./cmd/vinestalkd -run '^$$' -bench '^BenchmarkDaemonFinds$$' -benchtime $(FINDS)x -count=1 -benchmem \
+		-o $(PROFILE_DAEMON)/vinestalkd.test -cpuprofile $(PROFILE_DAEMON)/cpu.prof -memprofile $(PROFILE_DAEMON)/mem.prof
 	$(GO) tool pprof -top -nodecount=40 $(PROFILE_DAEMON)/vinestalkd.test $(PROFILE_DAEMON)/cpu.prof
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=20 $(PROFILE_DAEMON)/vinestalkd.test $(PROFILE_DAEMON)/mem.prof
 
 # Write the tables as CSV into ./results.
 experiments-csv:

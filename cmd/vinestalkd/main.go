@@ -9,16 +9,17 @@
 //	place <obj> <region>          introduce object <obj> at <region>
 //	move <obj> <from> <to>        GPS transition input
 //	find <origin> [obj]           issue a find; replies "ok find <id>"
+//	                              (refused for an object never placed)
 //	kill <region>                 crash-stop the region's goroutine
 //	restart <region>              boot the region fresh (initial state)
 //	alive <region>                replies "ok alive true|false"
 //	stats                         replies one-line JSON ledger export
 //	quit                          close this control connection
 //
-// Every command gets exactly one "ok ..." or "err ..." reply line, in
-// command order on the connection that sent it. Completed finds are pushed
-// asynchronously to every control connection as
-// "found <id> <obj> <origin> <foundAt>" lines. Lines are never split or
+// Fields are separated by ASCII white space. Every command gets exactly
+// one "ok ..." or "err ..." reply line, in command order on the connection
+// that sent it. Completed finds are pushed asynchronously to every control
+// connection as "found <id> <obj> <origin> <foundAt>" lines. Lines are never split or
 // interleaved. A client that stops reading is disconnected once 8 MB of
 // output waits for it (one line on stderr), so it cannot stall the daemon.
 //
@@ -39,7 +40,6 @@ import (
 	"net"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -243,15 +243,39 @@ func (s *server) handle(nc net.Conn) {
 		c.finish()
 	}()
 	var line []byte
+	var fields [][]byte
 	sc := bufio.NewScanner(nc)
 	for sc.Scan() {
-		reply := s.exec(strings.Fields(sc.Text()))
-		if reply == "" {
-			return // quit
+		fields = splitFields(fields[:0], sc.Bytes())
+		var quit bool
+		if line, quit = s.exec(line[:0], fields); quit {
+			return
 		}
-		line = append(append(line[:0], reply...), '\n')
-		c.queue(line)
+		c.queue(append(line, '\n'))
 	}
+}
+
+// splitFields appends the fields of line, separated by runs of ASCII white
+// space, to dst; each field aliases line.
+func splitFields(dst [][]byte, line []byte) [][]byte {
+	start := -1
+	for i, b := range line {
+		switch b {
+		case ' ', '\t', '\n', '\v', '\f', '\r':
+			if start >= 0 {
+				dst = append(dst, line[start:i])
+				start = -1
+			}
+		default:
+			if start < 0 {
+				start = i
+			}
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
 }
 
 // queue appends one whole line for the writer. A connection whose queued
@@ -330,49 +354,53 @@ func signal(ch chan struct{}) {
 	}
 }
 
-// exec runs one control command and returns its reply line ("" for quit).
-func (s *server) exec(fields []string) string {
+// exec runs one control command, given as its fields, and appends its
+// reply line, without the newline, to reply; quit reports the quit command,
+// which has no reply. A number is parsed from its field's bytes, so a find
+// allocates nothing here.
+func (s *server) exec(reply []byte, fields [][]byte) (out []byte, quit bool) {
 	if len(fields) == 0 {
-		return "err empty command"
+		return append(reply, "err empty command"...), false
 	}
-	argN := func(i int) (int, error) { return strconv.Atoi(fields[i]) }
+	failed := func(err error) []byte { return append(append(reply, "err "...), err.Error()...) }
+	argN := func(i int) (int, error) { return strconv.Atoi(string(fields[i])) }
 	// Object ids are int32 on the wire: a negative or wider number is
 	// refused, not wrapped onto another object's id.
 	objN := func(i int) (tracker.ObjectID, error) {
-		v, err := strconv.ParseUint(fields[i], 10, 31)
+		v, err := strconv.ParseUint(string(fields[i]), 10, 31)
 		return tracker.ObjectID(v), err
 	}
-	switch fields[0] {
+	switch cmd := string(fields[0]); cmd {
 	case "place":
 		if len(fields) != 3 {
-			return "err usage: place <obj> <region>"
+			return append(reply, "err usage: place <obj> <region>"...), false
 		}
 		obj, e1 := objN(1)
 		at, e2 := argN(2)
 		if e1 != nil || e2 != nil {
-			return "err bad arguments"
+			return append(reply, "err bad arguments"...), false
 		}
 		if err := s.nh.PlaceObject(obj, geo.RegionID(at)); err != nil {
-			return "err " + err.Error()
+			return failed(err), false
 		}
-		return "ok place"
+		return append(reply, "ok place"...), false
 	case "move":
 		if len(fields) != 4 {
-			return "err usage: move <obj> <from> <to>"
+			return append(reply, "err usage: move <obj> <from> <to>"...), false
 		}
 		obj, e1 := objN(1)
 		from, e2 := argN(2)
 		to, e3 := argN(3)
 		if e1 != nil || e2 != nil || e3 != nil {
-			return "err bad arguments"
+			return append(reply, "err bad arguments"...), false
 		}
 		if err := s.nh.MoveObject(obj, geo.RegionID(from), geo.RegionID(to)); err != nil {
-			return "err " + err.Error()
+			return failed(err), false
 		}
-		return "ok move"
+		return append(reply, "ok move"...), false
 	case "find":
 		if len(fields) != 2 && len(fields) != 3 {
-			return "err usage: find <origin> [obj]"
+			return append(reply, "err usage: find <origin> [obj]"...), false
 		}
 		origin, e1 := argN(1)
 		obj := tracker.DefaultObject
@@ -381,43 +409,43 @@ func (s *server) exec(fields []string) string {
 			obj, e2 = objN(2)
 		}
 		if e1 != nil || e2 != nil {
-			return "err bad arguments"
+			return append(reply, "err bad arguments"...), false
 		}
 		id, err := s.nh.FindObject(geo.RegionID(origin), obj)
 		if err != nil {
-			return "err " + err.Error()
+			return failed(err), false
 		}
-		return "ok find " + strconv.FormatInt(int64(id), 10)
+		return strconv.AppendInt(append(reply, "ok find "...), int64(id), 10), false
 	case "kill", "restart", "alive":
 		if len(fields) != 2 {
-			return "err usage: " + fields[0] + " <region>"
+			return append(append(append(reply, "err usage: "...), cmd...), " <region>"...), false
 		}
 		u, e1 := argN(1)
 		if e1 != nil {
-			return "err bad arguments"
+			return append(reply, "err bad arguments"...), false
 		}
 		region := geo.RegionID(u)
 		if !s.nh.Hierarchy().Tiling().Contains(region) {
-			return "err region out of range"
+			return append(reply, "err region out of range"...), false
 		}
-		switch fields[0] {
+		switch cmd {
 		case "kill":
 			s.svc.KillRegion(region)
 		case "restart":
 			s.svc.RestartRegion(region)
 		case "alive":
-			return fmt.Sprintf("ok alive %v", s.svc.RegionAlive(region))
+			return strconv.AppendBool(append(reply, "ok alive "...), s.svc.RegionAlive(region)), false
 		}
-		return "ok " + fields[0]
+		return append(append(reply, "ok "...), cmd...), false
 	case "stats":
 		data, err := json.Marshal(s.svc.LedgerExport())
 		if err != nil {
-			return "err " + err.Error()
+			return failed(err), false
 		}
-		return "ok stats " + string(data)
+		return append(append(reply, "ok stats "...), data...), false
 	case "quit":
-		return ""
+		return reply, true
 	default:
-		return fmt.Sprintf("err unknown command %q", fields[0])
+		return strconv.AppendQuote(append(reply, "err unknown command "...), cmd), false
 	}
 }

@@ -9,10 +9,11 @@ import (
 	"vinestalk/internal/hier"
 )
 
-// FuzzControlExec feeds arbitrary control lines to a running 2×2 daemon:
-// whatever the line, exec returns (no panic) exactly one reply line that is
-// "" (quit) or starts with "ok " / "err ". Each seed is also held to the
-// reply it must begin with ("" only for quit).
+// FuzzControlExec feeds arbitrary control lines to a running 2×2 daemon,
+// split as the connection handler splits them: whatever the line, exec
+// returns (no panic) exactly one reply line that is "" (quit) or starts
+// with "ok " / "err ". Each seed is also held to the reply it must begin
+// with ("" only for quit).
 func FuzzControlExec(f *testing.F) {
 	srv, err := newServer(hier.MustGrid(geo.MustGridTiling(2, 2), 2), 10*time.Millisecond, 5*time.Millisecond, 0, nil)
 	if err != nil {
@@ -43,7 +44,7 @@ func FuzzControlExec(f *testing.F) {
 		{"", "err empty command"},
 		{"place " + strings.Repeat("9", 70_000) + " 0", "err bad arguments"},
 	} {
-		got := srv.exec(strings.Fields(seed.line))
+		got := execLine(srv, seed.line)
 		if !strings.HasPrefix(got, seed.want) || (seed.want == "") != (got == "") {
 			f.Errorf("exec(%.40q) = %.80q, want %q…", seed.line, got, seed.want)
 		}
@@ -51,7 +52,7 @@ func FuzzControlExec(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, line string) {
-		reply := srv.exec(strings.Fields(line))
+		reply := execLine(srv, line)
 		if strings.ContainsAny(reply, "\r\n") {
 			t.Fatalf("exec(%q) reply spans lines: %q", line, reply)
 		}
@@ -59,4 +60,58 @@ func FuzzControlExec(f *testing.F) {
 			t.Fatalf("exec(%q) = %q, want \"\", \"ok …\" or \"err …\"", line, reply)
 		}
 	})
+}
+
+// execLine runs one control line through splitFields and exec, as handle
+// does, and returns the reply, "" for quit.
+func execLine(srv *server, line string) string {
+	reply, quit := srv.exec(nil, splitFields(nil, []byte(line)))
+	if quit {
+		return ""
+	}
+	return string(reply)
+}
+
+// TestSplitFieldsMatchesStringsFields: on ASCII lines, splitFields cuts the
+// same fields as strings.Fields, and a find line is split and executed
+// without allocating.
+func TestSplitFieldsMatchesStringsFields(t *testing.T) {
+	for _, line := range []string{
+		"", " ", "find 3 7", "  find\t3   7  ", "place 1 2\r", "\v\fstats\n", "a", "a  b\tc",
+	} {
+		var got []string
+		for _, f := range splitFields(nil, []byte(line)) {
+			got = append(got, string(f))
+		}
+		if want := strings.Fields(line); strings.Join(got, "|") != strings.Join(want, "|") || len(got) != len(want) {
+			t.Errorf("splitFields(%q) = %q, want %q", line, got, want)
+		}
+	}
+}
+
+// TestControlLineAllocatesNothing: splitting a control line and building
+// its reply allocate nothing — checked on alive, whose command does not
+// allocate either (a find's own cost is the tracker's).
+func TestControlLineAllocatesNothing(t *testing.T) {
+	srv, err := newServer(hier.MustGrid(geo.MustGridTiling(2, 2), 2), 10*time.Millisecond, 5*time.Millisecond, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.svc.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.svc.Stop)
+	line := []byte("  alive\t3 ")
+	fields := splitFields(nil, line)
+	reply := make([]byte, 0, 64)
+	allocs := testing.AllocsPerRun(1000, func() {
+		fields = splitFields(fields[:0], line)
+		reply, _ = srv.exec(reply[:0], fields)
+	})
+	if string(reply) != "ok alive true" {
+		t.Fatalf("alive 3: %q", reply)
+	}
+	if allocs != 0 {
+		t.Fatalf("a control line allocates %.1f times, want 0", allocs)
+	}
 }

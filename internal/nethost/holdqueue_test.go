@@ -45,7 +45,7 @@ func TestHoldQueueMatchesSortedReference(t *testing.T) {
 			if rng.Intn(10) == 0 {
 				due = sim.Time(rng.Int63n(int64(time.Hour)))
 			}
-			e := heldEntry{due: due, seq: seq, to: int32(rng.Intn(64)), kind: uint32(op), payload: []byte{byte(op)}}
+			e := heldEntry{due: due, seq: seq, to: int32(rng.Intn(64)), arg: uint64(op), payload: []byte{byte(op)}}
 			seq++
 			q.push(e)
 			heap.Push(&ref, &e)
@@ -59,7 +59,7 @@ func TestHoldQueueMatchesSortedReference(t *testing.T) {
 			if r := heap.Pop(&ref).(*heldEntry); r.seq != want.seq {
 				t.Fatalf("op %d: reference heap popped seq %d, sorted model %d", op, r.seq, want.seq)
 			}
-			if got.due != want.due || got.seq != want.seq || got.to != want.to || got.kind != want.kind ||
+			if got.due != want.due || got.seq != want.seq || got.to != want.to || got.arg != want.arg ||
 				len(got.payload) != 1 || got.payload[0] != want.payload[0] {
 				t.Fatalf("op %d: popped (due %v, seq %d), want (due %v, seq %d)", op, got.due, got.seq, want.due, want.seq)
 			}

@@ -46,14 +46,16 @@ import (
 var ErrRegionDown = errors.New("region is down")
 
 // App is the algorithm-side plug: it builds each region's automaton and
-// interprets its effects and inbound frames. All App callbacks for one
-// region run on that region's node goroutine; state reached only through
-// a Node (Node.State, the automaton) needs no locking, shared App state
-// does.
+// interprets its inbound frames. All App callbacks for one region run on
+// that region's node goroutine; state reached only through a Node
+// (Node.State, the automaton) needs no locking, shared App state does.
 type App interface {
 	// NewAutomaton builds a fresh automaton instance for region u, wired to
-	// the given host. Each node owns an independent instance (initial
-	// state, §II-C.2); only region u's slice of it will ever be driven.
+	// the given host, which is u's *Node: the automaton sends through its
+	// Send or SendFrame and arms timers through its SetTimer (Node.Emit
+	// drops what it is given). Each node owns an independent instance
+	// (initial state, §II-C.2); only region u's slice of it will ever be
+	// driven.
 	NewAutomaton(u geo.RegionID, host vsa.Host) vsa.Automaton
 
 	// OnStart runs as the node's first action, on the node goroutine —
@@ -61,12 +63,9 @@ type App interface {
 	// co-located objects, like a GPS update to a restarted client).
 	OnStart(n *Node)
 
-	// HandleEffect interprets one effect the region's automaton emitted —
-	// typically by encoding it and calling n.Send.
-	HandleEffect(n *Node, effect any)
-
 	// DeliverFrame hands the node one frame that reached its due time —
-	// typically decoded and fed to the automaton's Deliver.
+	// typically decoded and fed to the automaton's Deliver. payload is
+	// valid for the call: an app that keeps any of it copies it.
 	DeliverFrame(n *Node, kind string, payload []byte)
 }
 
@@ -121,18 +120,23 @@ type frameKind struct {
 }
 
 // heldEntry is one entry of the service queue, numbered seq: a closure to
-// call at due (a wakeup, a RunAt function, a fault), or else a frame in
-// hold, its interned kind and the incarnation of the destination it arrived
-// under. It is 64 bytes and the queue holds it by value.
+// call at due (a RunAt function, a fault); or else, for the node of region
+// to in incarnation inc, a frame in hold with its interned kind or a timer
+// wakeup with its id. A frame's payload is never nil (parseFrame's
+// guarantee), which is what tells a frame from a wakeup. It is 64 bytes and
+// the queue holds it by value.
 type heldEntry struct {
 	due     sim.Time
 	seq     uint64
 	fire    func()
 	payload []byte
+	arg     uint64 // a frame's index in Service.kinds, a wakeup's vsa.TimerID
 	to      int32
 	inc     uint32
-	kind    uint32
 }
+
+// frame reports whether the entry holds a frame.
+func (e *heldEntry) frame() bool { return e.fire == nil && e.payload != nil }
 
 // before orders entries by (due, seq).
 func (e *heldEntry) before(f *heldEntry) bool {
@@ -280,8 +284,8 @@ func (s *Service) Stop() {
 	// Frames holdLoop has already taken out are its to resolve, and wg.Wait
 	// below waits for it; every frame still queued dies here.
 	for i := range s.held {
-		if e := &s.held[i]; e.fire == nil {
-			s.kinds[e.kind].row.Drop(metrics.DropDeadVSA)
+		if e := &s.held[i]; e.frame() {
+			s.kinds[e.arg].row.Drop(metrics.DropDeadVSA)
 		}
 	}
 	s.held = nil
@@ -332,6 +336,7 @@ func (s *Service) restart(u geo.RegionID, at sim.Time) {
 	n := newNode(s, u, at)
 	s.slots[u].node = n
 	s.slots[u].inc++
+	n.inc = s.slots[u].inc
 	s.wg.Add(1)
 	s.mu.Unlock()
 	go n.run()
@@ -388,11 +393,10 @@ func (s *Service) scheduleFault(at sim.Time, fire func()) error {
 	return nil
 }
 
-// at queues fire for holdLoop to call at virtual time due; after Stop it is
-// dropped.
-func (s *Service) at(due sim.Time, fire func()) {
+// queue adds e for holdLoop to release at e.due; after Stop it is dropped.
+func (s *Service) queue(e heldEntry) {
 	s.mu.Lock()
-	earliest := !s.stopped && s.pushLocked(heldEntry{due: due, fire: fire})
+	earliest := !s.stopped && s.pushLocked(e)
 	s.mu.Unlock()
 	if earliest {
 		signal(s.wake)
@@ -406,6 +410,15 @@ func (s *Service) pushLocked(e heldEntry) bool {
 	s.heldSeq++
 	s.held.push(e)
 	return s.held[0].seq == e.seq
+}
+
+// kindOf is kindLocked for a kind read off a frame: looking the bytes up
+// allocates nothing. Called with mu held.
+func (s *Service) kindOf(kind []byte) uint32 {
+	if i, ok := s.kindIDs[string(kind)]; ok {
+		return i
+	}
+	return s.kindLocked(string(kind))
 }
 
 // kindLocked returns the index of wire kind name in s.kinds, interning it
@@ -433,18 +446,29 @@ func (s *Service) SetLoss(loss func() bool) error {
 	return nil
 }
 
-// send charges, possibly chaos-drops, encodes, and transmits one frame.
-func (s *Service) send(to geo.RegionID, due sim.Time, kind string, hops int, payload []byte) {
+// send charges, possibly chaos-drops, and transmits one frame. A frame
+// whose header does not parse is charged to, and dropped on, the malformed
+// row.
+func (s *Service) send(frame []byte, hops int) {
+	to, _, kind, _, err := parseFrame(frame)
 	s.mu.Lock()
-	row := s.kinds[s.kindLocked(kind)].row
+	row := s.malformed
+	if err == nil {
+		row = s.kinds[s.kindOf(kind)].row
+	}
 	row.Message(hops)
+	if err != nil {
+		row.Drop(metrics.DropNoRoute)
+		s.mu.Unlock()
+		return
+	}
 	if s.loss != nil && s.loss() {
 		row.Drop(metrics.DropLoss)
 		s.mu.Unlock()
 		return
 	}
 	s.mu.Unlock()
-	if err := s.tr.Send(to, encodeFrame(to, due, kind, payload)); err != nil {
+	if err := s.tr.Send(to, frame); err != nil {
 		s.mu.Lock()
 		row.Drop(metrics.DropNoRoute)
 		s.mu.Unlock()
@@ -463,43 +487,44 @@ func (s *Service) Receive(frame []byte) {
 		s.malformed.Drop(metrics.DropNoRoute)
 		return
 	}
-	k, ok := s.kindIDs[string(kind)] // a lookup by the bytes allocates nothing
-	if !ok {
-		k = s.kindLocked(string(kind))
-	}
+	k := s.kindOf(kind)
 	if s.stopped || s.slots[to].node == nil {
 		s.kinds[k].row.Drop(metrics.DropDeadVSA)
 		return
 	}
-	if s.pushLocked(heldEntry{due: due, to: int32(to), inc: s.slots[to].inc, kind: k, payload: payload}) {
+	if s.pushLocked(heldEntry{due: due, to: int32(to), inc: s.slots[to].inc, arg: uint64(k), payload: payload}) {
 		signal(s.wake)
 	}
 }
 
-// maxBatch bounds the frames holdLoop takes out of the queue in one critical
-// section, and so the batch buffer it keeps: a burst larger than this is
-// released in several batches.
+// maxBatch bounds the frames and wakeups holdLoop takes out of the queue in
+// one critical section, and so the batch buffer it keeps: a burst larger
+// than this is released in several batches.
 const maxBatch = 256
 
-// release is one due frame holdLoop has taken out of the queue, with the
-// node it goes to, resolved when it was taken.
+// release is one due frame or wakeup holdLoop has taken out of the queue,
+// with the node it goes to, resolved when it was taken.
 type release struct {
 	n       *Node
 	kind    string
 	row     metrics.Kind
 	payload []byte
 	due     sim.Time
+	wake    bool
+	id      vsa.TimerID
 	posted  bool
 }
 
 // holdLoop releases each queued entry once its due time has come, in (due,
-// seq) order — a frame to its destination node, a closure by calling it —
+// seq) order — a frame or a wakeup to its node, a closure by calling it —
 // and sleeps until the next due time in between. What is due is taken in
 // one critical section, up to and including the first closure or up to
-// maxBatch frames: the frames before it are resolved against their destination's node and
-// incarnation there, posted, and their outcomes recorded in one more; then
-// the closure runs. So a kill or restart in the middle of a burst still
-// finds every frame behind it. It exits once the service has stopped.
+// maxBatch entries: the frames and wakeups before it are resolved against
+// their node's slot and incarnation there, posted, and the frames' outcomes
+// recorded in one more; then the closure runs. So a kill or restart in the
+// middle of a burst still finds every frame behind it, and a wakeup armed
+// by a node that has died since is dropped. It exits once the service has
+// stopped.
 func (s *Service) holdLoop() {
 	defer s.wg.Done()
 	batch := make([]release, 0, maxBatch)
@@ -515,8 +540,15 @@ func (s *Service) holdLoop() {
 				fire = e.fire
 				break
 			}
-			k := &s.kinds[e.kind]
-			switch sl := &s.slots[e.to]; {
+			sl := &s.slots[e.to]
+			if !e.frame() {
+				if sl.node != nil && sl.inc == e.inc {
+					batch = append(batch, release{n: sl.node, due: e.due, wake: true, id: vsa.TimerID(e.arg)})
+				}
+				continue
+			}
+			k := &s.kinds[e.arg]
+			switch {
 			case sl.node == nil:
 				k.row.Drop(metrics.DropDeadVSA)
 			case sl.inc != e.inc:
@@ -563,19 +595,25 @@ func (s *Service) holdLoop() {
 	}
 }
 
-// deliver posts each frame of a batch to its node's mailbox, then records
-// every outcome: a delivery, or a DropDeadVSA for a node that died since the
-// batch was taken.
+// deliver posts each frame and wakeup of a batch to its node's mailbox, in
+// order, then records every frame's outcome: a delivery, or a DropDeadVSA
+// for a node that died since the batch was taken.
 func (s *Service) deliver(batch []release) {
 	for i := range batch {
 		r := &batch[i]
-		r.posted = r.n.mb.post(mbMsg{kind: r.kind, payload: r.payload, at: r.due})
+		if r.wake {
+			r.n.mb.post(mbMsg{wake: true, id: r.id, at: r.due})
+		} else {
+			r.posted = r.n.mb.post(mbMsg{kind: r.kind, payload: r.payload, at: r.due})
+		}
 	}
 	s.mu.Lock()
 	for i := range batch {
-		if r := &batch[i]; r.posted {
+		switch r := &batch[i]; {
+		case r.wake:
+		case r.posted:
 			r.row.Delivery()
-		} else {
+		default:
 			r.row.Drop(metrics.DropDeadVSA)
 		}
 	}

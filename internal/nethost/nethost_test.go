@@ -67,8 +67,7 @@ func (a *recApp) NewAutomaton(u geo.RegionID, host vsa.Host) vsa.Automaton {
 	return &recAut{app: a, u: u}
 }
 
-func (a *recApp) OnStart(n *Node)               {}
-func (a *recApp) HandleEffect(n *Node, eff any) {}
+func (a *recApp) OnStart(n *Node) {}
 func (a *recApp) DeliverFrame(n *Node, kind string, payload []byte) {
 	a.mu.Lock()
 	a.frames = append(a.frames, frameRec{u: n.Region(), kind: kind, payload: append([]byte(nil), payload...)})
@@ -464,6 +463,11 @@ func TestKillDropsHeldFrames(t *testing.T) {
 	if drops != 1 {
 		t.Fatalf("doomed frame was delivered across the incarnation change: %+v", snap)
 	}
+}
+
+// encodeFrame builds a whole frame from its header fields and payload.
+func encodeFrame(to geo.RegionID, due sim.Time, kind string, payload []byte) []byte {
+	return append(NewFrame(to, due, kind, len(payload)), payload...)
 }
 
 // TestParseFrameRejectsHostileInput: the frame header is untrusted wire

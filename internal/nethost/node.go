@@ -17,6 +17,7 @@ import (
 type Node struct {
 	svc  *Service
 	u    geo.RegionID
+	inc  uint32 // the slot's incarnation this node runs as; set before run
 	aut  vsa.Automaton
 	dead chan struct{}
 	mb   *mailbox
@@ -105,9 +106,18 @@ func (n *Node) dispatch(m mbMsg) {
 
 // Send transmits an app frame to region to, due (held at the destination)
 // at absolute virtual time due. kind names the frame for accounting and
-// hops charges its hop-work.
+// hops charges its hop-work. It copies payload behind the header; an app
+// that builds its payload in place uses NewFrame and SendFrame instead.
 func (n *Node) Send(to geo.RegionID, due sim.Time, kind string, hops int, payload []byte) {
-	n.svc.send(to, due, kind, hops, payload)
+	n.SendFrame(append(NewFrame(to, due, kind, len(payload)), payload...), hops)
+}
+
+// SendFrame transmits a frame NewFrame began, to the region and at the due
+// time and kind its header names, charging hops to the kind's hop-work. The
+// frame belongs to the service from the call on: the caller must not touch
+// it again (the Transport contract).
+func (n *Node) SendFrame(frame []byte, hops int) {
+	n.svc.send(frame, hops)
 }
 
 // RunAt schedules fn on this node's goroutine at absolute virtual time at
@@ -115,7 +125,7 @@ func (n *Node) Send(to geo.RegionID, due sim.Time, kind string, hops int, payloa
 // queue's order; inside fn, Now returns at. If the node dies first, fn
 // never runs.
 func (n *Node) RunAt(at sim.Time, fn func(*Node)) {
-	n.svc.at(at, func() { n.mb.post(mbMsg{fn: fn, at: at}) })
+	n.svc.queue(heldEntry{due: at, fire: func() { n.mb.post(mbMsg{fn: fn, at: at}) }})
 }
 
 // --- vsa.Host ---
@@ -129,19 +139,22 @@ func (n *Node) Now() sim.Time { return n.now }
 
 // SetTimer implements vsa.Host: record the deadline and queue a wakeup
 // carrying exactly that sim.Time; dispatch drops it unless id still holds it.
+// The wakeup is a queue entry naming the node's region, incarnation and id,
+// so arming a timer allocates nothing.
 func (n *Node) SetTimer(u geo.RegionID, id vsa.TimerID, at sim.Time) {
 	if at == sim.Forever {
 		n.ClearTimer(u, id)
 		return
 	}
 	n.timers[id] = at
-	n.svc.at(at, func() { n.mb.post(mbMsg{wake: true, id: id, at: at}) })
+	n.svc.queue(heldEntry{due: at, to: int32(n.u), inc: n.inc, arg: uint64(id)})
 }
 
 // ClearTimer implements vsa.Host.
 func (n *Node) ClearTimer(u geo.RegionID, id vsa.TimerID) { delete(n.timers, id) }
 
-// Emit implements vsa.Host: effects go to the app for interpretation.
-func (n *Node) Emit(u geo.RegionID, effect any) {
-	n.svc.app.HandleEffect(n, effect)
-}
+// Emit implements vsa.Host and drops the effect: the networked host takes
+// no effect values. An app wires its automaton to the node through its own
+// typed calls (Send, SendFrame, SetTimer), so no effect is boxed on the way
+// to the wire.
+func (n *Node) Emit(u geo.RegionID, effect any) {}

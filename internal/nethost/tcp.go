@@ -29,6 +29,13 @@ type TCPTransport struct {
 	sink   func([]byte)
 	closed bool
 	wg     sync.WaitGroup
+
+	// prefix, iov and out are Send's: the length prefix and the frame go
+	// out in one writev, so the frame is not copied behind its prefix and
+	// nothing is allocated. Guarded by mu.
+	prefix [4]byte
+	iov    [2][]byte
+	out    net.Buffers
 }
 
 // NewTCPTransport listens on addr (e.g. "127.0.0.1:0") and routes every
@@ -104,9 +111,10 @@ func (t *TCPTransport) readLoop(c net.Conn) {
 	}
 }
 
-// Send implements Transport: frame the bytes and write them over the
-// pooled connection to the destination's address, dialing on first use.
-// A write error evicts the connection so the next send redials.
+// Send implements Transport: write the length prefix and the frame in one
+// call over the pooled connection to the destination's address, dialing on
+// first use. The frame is not kept past the call. A write error evicts the
+// connection so the next send redials.
 func (t *TCPTransport) Send(to geo.RegionID, frame []byte) error {
 	if len(frame) > maxTCPFrame {
 		return fmt.Errorf("nethost: frame of %d bytes exceeds limit", len(frame))
@@ -126,10 +134,12 @@ func (t *TCPTransport) Send(to geo.RegionID, frame []byte) error {
 		}
 		t.conns[addr] = c
 	}
-	buf := make([]byte, 0, 4+len(frame))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(frame)))
-	buf = append(buf, frame...)
-	if _, err := c.Write(buf); err != nil {
+	binary.BigEndian.PutUint32(t.prefix[:], uint32(len(frame)))
+	t.iov = [2][]byte{t.prefix[:], frame}
+	t.out = t.iov[:]
+	_, err := t.out.WriteTo(c)
+	t.iov[1] = nil // WriteTo consumes what it wrote; a failed write may leave the frame
+	if err != nil {
 		c.Close()
 		delete(t.conns, addr)
 		return err

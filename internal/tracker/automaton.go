@@ -27,7 +27,7 @@ type Automaton struct {
 	maxLevel  int
 
 	host vsa.Host
-	out  outlet // host itself when it is one (the oracle), else emitOutlet{host}
+	out  outlet // the oracle host itself, emitOutlet{host} or the node's netOutlet
 
 	// armedMove is the number of armed grow/shrink timers across all
 	// processes (the sum of Process.armedMove).
@@ -158,15 +158,10 @@ func (a *Automaton) Deliver(u geo.RegionID, level int, msg any) {
 	pr.receive(del)
 }
 
-// attach wires the automaton to the host that will run it; the caller does
-// so before any input flows.
-func (a *Automaton) attach(host vsa.Host) {
-	a.host = host
-	if out, ok := host.(outlet); ok {
-		a.out = out
-	} else {
-		a.out = emitOutlet{host: host}
-	}
+// attach wires the automaton to the host that will run it and the outlet
+// its effects go to; the caller does so before any input flows.
+func (a *Automaton) attach(host vsa.Host, out outlet) {
+	a.host, a.out = host, out
 }
 
 // TimerFire implements vsa.Automaton: a host wakeup for one recorded

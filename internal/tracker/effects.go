@@ -13,10 +13,12 @@ import (
 // through effects handed to its outlet. The oracle host is an outlet
 // itself and executes each effect synchronously at emission, as a typed
 // call (preserving the exact call ordering of the pre-refactor direct-call
-// design, and boxing nothing per message); every other vsa.Host receives
-// them as self-contained values through Host.Emit — the emulation host
-// collects a step's effects as emul outputs and executes the leader's copy
-// once at commit time, the networked host turns them into wire frames.
+// design, and boxing nothing per message); the networked host gives each
+// node's automaton a netOutlet, which turns sends and founds into wire
+// frames as typed calls too. The emulation host receives effects as
+// self-contained values through Host.Emit (emitOutlet): it collects a
+// step's effects as emul outputs and executes the leader's copy once at
+// commit time.
 
 // outlet is where a region's machine sends its effects; u is the region.
 type outlet interface {
@@ -34,7 +36,7 @@ type outlet interface {
 	timer(u geo.RegionID, id vsa.TimerID, at sim.Time, ref int32) int32
 }
 
-// emitOutlet hands effects to a generic host as values.
+// emitOutlet hands effects to the emulation host as values.
 type emitOutlet struct{ host vsa.Host }
 
 func (o emitOutlet) send(u geo.RegionID, e sendEffect)   { o.host.Emit(u, e) }

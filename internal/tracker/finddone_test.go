@@ -95,11 +95,11 @@ func netFindHost(t *testing.T, at geo.RegionID) findHost {
 
 // One script, both hosts, one FindDone rule: a find is done when it was
 // issued on the host and is no longer outstanding. The script is an
-// answered find, a duplicate found for it from the evader's region, a
-// refused find (it takes no id), and a find for an object nobody tracks,
-// which is never answered. Both hosts must answer FindDone identically for
-// every id, report one found output, and hold exactly one find record:
-// the never-answered find's.
+// answered find, a duplicate found for it from the evader's region, a find
+// outside the tiling and a find for an object no input has placed; both of
+// the last are refused and take no id. Both hosts must answer FindDone
+// identically for every id, report one found output, and hold no find
+// record: none outlives its find.
 func TestFindDoneRuleIsTheSameOnBothHosts(t *testing.T) {
 	const (
 		at       = geo.RegionID(5)
@@ -124,19 +124,22 @@ func TestFindDoneRuleIsTheSameOnBothHosts(t *testing.T) {
 			if id, err := h.find(outside, DefaultObject); err == nil {
 				t.Fatalf("a find at %v, outside the tiling, was issued as %d", outside, id)
 			}
-			lost, err := h.find(origin, untraced)
+			if id, err := h.find(origin, untraced); err == nil {
+				t.Fatalf("a find for object %v, which no input placed, was issued as %d", untraced, id)
+			}
+			next, err := h.find(origin, DefaultObject)
 			if err != nil {
 				t.Fatal(err)
 			}
-			h.settle(nil)
-			if answered != 1 || lost != 2 {
-				t.Errorf("ids: answered %d, never answered %d; want 1 and 2 (a refused find takes no id)", answered, lost)
+			h.settle(func() bool { return h.done(next) })
+			if answered != 1 || next != 2 {
+				t.Errorf("ids: first find %d, next find %d; want 1 and 2 (a refused find takes no id)", answered, next)
 			}
-			if n := h.founds(); n != 1 {
-				t.Errorf("%d found outputs, want 1 (the duplicate is dropped)", n)
+			if n := h.founds(); n != 2 {
+				t.Errorf("%d found outputs, want 2 (the duplicate is dropped)", n)
 			}
-			if n := h.records(); n != 1 {
-				t.Errorf("%d find records, want 1: the never-answered find's", n)
+			if n := h.records(); n != 0 {
+				t.Errorf("%d find records, want 0: every issued find was answered", n)
 			}
 			var table string
 			for id := FindID(0); id <= 4; id++ {
@@ -148,7 +151,7 @@ func TestFindDoneRuleIsTheSameOnBothHosts(t *testing.T) {
 	if answers["oracle"] != answers["networked"] {
 		t.Errorf("FindDone differs across hosts:\noracle    %s\nnetworked %s", answers["oracle"], answers["networked"])
 	}
-	if want := "0:false 1:true 2:false 3:false 4:false "; answers["oracle"] != want {
+	if want := "0:false 1:true 2:true 3:false 4:false "; answers["oracle"] != want {
 		t.Errorf("FindDone table %q, want %q", answers["oracle"], want)
 	}
 }

@@ -9,7 +9,6 @@ package tracker
 import (
 	"vinestalk/internal/cgcast"
 	"vinestalk/internal/geo"
-	"vinestalk/internal/hier"
 )
 
 // Protocol message kinds, exactly the alphabet of Fig. 2.
@@ -100,32 +99,26 @@ const DefaultObject ObjectID = 0
 
 // A protocol message's body is a cgcast.Body, which travels by value inside
 // the C-gcast frame: Obj is the object the message concerns, Arg the pointer
-// a findAck answers with or a refresh's hop count, and Payload the
-// []FindPayload of a find or found (the one body that is boxed).
+// a findAck answers with or a refresh's hop count, and Payload the finds of
+// a find or found, as a *[]FindPayload on every host. A pointer is what the
+// networked host needs to decode a frame's finds into a slice it keeps per
+// node and hand them on without boxing a slice header per frame; findsBody,
+// which a process sends through, boxes its slice behind a fresh pointer,
+// just as boxing the slice itself did. So findsOf has one reading. Whoever
+// receives a body reads its finds for the call and copies what it keeps.
 
 // bodyFor is the body of a kind that says nothing beyond its object.
 func bodyFor(obj ObjectID) cgcast.Body { return cgcast.Body{Obj: int32(obj)} }
 
 // findsBody is the body of a find or found carrying the given operations.
 func findsBody(obj ObjectID, ps []FindPayload) cgcast.Body {
-	return cgcast.Body{Obj: int32(obj), Payload: ps}
+	return cgcast.Body{Obj: int32(obj), Payload: &ps}
 }
 
 // findsOf returns the operations a find or found body carries.
 func findsOf(b *cgcast.Body) []FindPayload {
-	ps, _ := b.Payload.([]FindPayload)
-	return ps
-}
-
-// wireBody returns a body in the form EncodeClusterMsg takes it.
-func wireBody(kind string, b *cgcast.Body) any {
-	switch kind {
-	case KindFind, KindFound:
-		return findsOf(b)
-	case KindFindAck:
-		return hier.ClusterID(b.Arg)
-	case KindRefresh:
-		return int(b.Arg)
+	if ps, ok := b.Payload.(*[]FindPayload); ok {
+		return *ps
 	}
 	return nil
 }

@@ -105,14 +105,19 @@ func (nh *NetHost) Attach(svc *nethost.Service) { nh.svc = svc }
 // Hierarchy returns the cluster hierarchy.
 func (nh *NetHost) Hierarchy() *hier.Hierarchy { return nh.h }
 
-// netRegionState is the per-node client state (Node.State): the §IV-A
-// client algorithm's detection flags for the region's co-located sensor.
-// here maps a detected object to the epoch of its current detection (absent
-// or 0 = not here); every detection takes a fresh epoch, which is what ends
-// the heartbeat loop of an earlier one. Node-goroutine only.
+// netRegionState is the per-node state (Node.State): the §IV-A client
+// algorithm's detection flags for the region's co-located sensor, and the
+// scratch each inbound frame is decoded into. here maps a detected object
+// to the epoch of its current detection (absent or 0 = not here); every
+// detection takes a fresh epoch, which is what ends the heartbeat loop of
+// an earlier one. del and finds are overwritten by the next frame: the
+// automaton and reportFound copy what they keep of a delivery. Node-goroutine
+// only.
 type netRegionState struct {
 	here  map[ObjectID]uint64
 	epoch uint64
+	del   cgcast.Delivery
+	finds []FindPayload
 }
 
 func regionState(n *nethost.Node) *netRegionState {
@@ -139,13 +144,14 @@ func (nh *NetHost) detect(n *nethost.Node, obj ObjectID) {
 var _ nethost.App = (*NetHost)(nil)
 
 // NewAutomaton implements nethost.App: each region node gets its own full
-// automaton instance in initial state, wired to the node as its host. Only
-// the processes headed at that region are ever driven; the instance-per-
-// region split is what a real deployment has, and a node restart therefore
-// comes back with exactly the §II-C.2 initial state.
+// automaton instance in initial state, wired to the node as its host and to
+// a netOutlet on the node as its outlet. Only the processes headed at that
+// region are ever driven; the instance-per-region split is what a real
+// deployment has, and a node restart therefore comes back with exactly the
+// §II-C.2 initial state.
 func (nh *NetHost) NewAutomaton(u geo.RegionID, host vsa.Host) vsa.Automaton {
 	a := buildAutomaton(nh.aCfg)
-	a.attach(host)
+	a.attach(host, netOutlet{nh: nh, n: host.(*nethost.Node)})
 	return a
 }
 
@@ -168,52 +174,85 @@ func (nh *NetHost) OnStart(n *nethost.Node) {
 	}
 }
 
-// HandleEffect implements nethost.App: automaton effects become wire
-// frames. Accounting notes are host-internal on the sim substrate and
-// have no networked counterpart.
-func (nh *NetHost) HandleEffect(n *nethost.Node, effect any) {
-	switch e := effect.(type) {
-	case sendEffect:
-		to := nh.h.Head(e.To)
-		kind := e.Kind.String()
-		payload, err := EncodeClusterMsg(e.From, n.Region(), nh.h.Level(e.To), ObjectID(e.Body.Obj), kind, wireBody(kind, &e.Body))
-		if err != nil {
-			return
-		}
-		due := n.Now() + cgcast.ScheduleDelayIn(nh.h, nh.geom, nh.unit, e.From, e.To)
-		n.Send(to, due, kind, nh.hops(n.Region(), to), payload)
-	case foundEffect:
-		u := nh.h.Head(e.From)
-		payload, err := EncodeClusterMsg(e.From, u, 0, e.Obj, KindFound, e.Payloads)
-		if err != nil {
-			return
-		}
-		due := n.Now() + nh.unit
-		for _, target := range append([]geo.RegionID{u}, nh.h.Tiling().Neighbors(u)...) {
-			n.Send(target, due, KindFound, nh.hops(u, target), payload)
-		}
+// netOutlet is one node's outlet, called on the node goroutine: its
+// automaton's sends and founds become frames, each message encoded straight
+// into its frame's buffer, and its timers go to the node. Receipts and the
+// §VI notes are accounting of the sim substrate, with no networked
+// counterpart.
+type netOutlet struct {
+	nh *NetHost
+	n  *nethost.Node
+}
+
+func (o netOutlet) send(u geo.RegionID, e sendEffect) {
+	nh, h := o.nh, o.nh.h
+	to := h.Head(e.To)
+	due := o.n.Now() + cgcast.ScheduleDelayIn(h, nh.geom, nh.unit, e.From, e.To)
+	nh.sendMsg(o.n, to, due, nh.hops(u, to), e.From, u, h.Level(e.To), e.Kind.String(), &e.Body)
+}
+
+// found broadcasts found to the clients of the cluster head's region and of
+// its neighbours: one frame each, all due one unit from now.
+func (o netOutlet) found(_ geo.RegionID, e foundEffect) {
+	nh := o.nh
+	head := nh.h.Head(e.From)
+	due := o.n.Now() + nh.unit
+	body := findsBody(e.Obj, e.Payloads)
+	nh.sendMsg(o.n, head, due, 0, e.From, head, 0, KindFound, &body)
+	for _, target := range nh.h.Tiling().Neighbors(head) {
+		nh.sendMsg(o.n, target, due, nh.hops(head, target), e.From, head, 0, KindFound, &body)
 	}
 }
 
-// DeliverFrame implements nethost.App: decode one due frame and feed it to
-// the region's machine — or, for found broadcasts, to the region's client.
-// The bytes are untrusted; a frame that fails the wire codec is dropped.
+func (netOutlet) recv(geo.RegionID, hier.ClusterID, int, *cgcast.Delivery) {}
+func (netOutlet) noteGrow(geo.RegionID, int)                               {}
+func (netOutlet) noteQuery(geo.RegionID, int)                              {}
+
+// timer arms or clears the node's timer; the node keeps its own index, so
+// no ref is kept.
+func (o netOutlet) timer(u geo.RegionID, id vsa.TimerID, at sim.Time, _ int32) int32 {
+	if at == sim.Forever {
+		o.n.ClearTimer(u, id)
+	} else {
+		o.n.SetTimer(u, id, at)
+	}
+	return 0
+}
+
+// sendMsg sends the message of the given kind from cluster from (in region
+// fromRegion) to the process at level, with body b, to region to in a frame
+// of its own due at due, charging hops. The frame's buffer is the one
+// allocation: the message is written into it behind the header.
+func (nh *NetHost) sendMsg(n *nethost.Node, to geo.RegionID, due sim.Time, hops int,
+	from hier.ClusterID, fromRegion geo.RegionID, level int, kind string, b *cgcast.Body) {
+	frame, err := AppendClusterMsg(nethost.NewFrame(to, due, kind, msgSize(kind, b)), from, fromRegion, level, kind, b)
+	if err != nil {
+		return
+	}
+	n.SendFrame(frame, hops)
+}
+
+// DeliverFrame implements nethost.App: decode one due frame into the node's
+// scratch and feed it to the region's machine — or, for found broadcasts,
+// to the region's client. The bytes are untrusted; a frame that fails the
+// wire codec is dropped.
 func (nh *NetHost) DeliverFrame(n *nethost.Node, kind string, payload []byte) {
-	level, del, err := DecodeClusterMsg(kind, payload)
+	st := regionState(n)
+	level, err := decodeClusterMsg(kind, payload, &st.del, &st.finds)
 	if err != nil {
 		return
 	}
 	if kind == KindFound {
-		obj := ObjectID(del.Obj)
-		if regionState(n).here[obj] == 0 {
+		obj := ObjectID(st.del.Obj)
+		if st.here[obj] == 0 {
 			return
 		}
-		for _, p := range findsOf(&del.Body) {
+		for _, p := range findsOf(&st.del.Body) {
 			nh.reportFound(obj, p, n.Region())
 		}
 		return
 	}
-	n.Automaton().Deliver(n.Region(), level, &del)
+	n.Automaton().Deliver(n.Region(), level, &st.del)
 }
 
 // hops charges the head-to-head hop distance for the ledger's hop-work
@@ -231,18 +270,19 @@ func (nh *NetHost) hops(from, to geo.RegionID) int {
 
 // clientSend broadcasts a client message to the node's region's level-0
 // cluster (cgcast ClientToCluster over the wire): due δ from now, from
-// NoCluster so the receiving process treats it as a local detection.
-func (nh *NetHost) clientSend(n *nethost.Node, obj ObjectID, kind string, body any) {
+// NoCluster so the receiving process treats it as a local detection. finds
+// is a find's payload, nil for every other kind.
+func (nh *NetHost) clientSend(n *nethost.Node, obj ObjectID, kind string, finds []FindPayload) {
 	c0 := nh.h.Cluster(n.Region(), 0)
 	if c0 == hier.NoCluster {
 		return
 	}
 	head := nh.h.Head(c0)
-	payload, err := EncodeClusterMsg(hier.NoCluster, n.Region(), 0, obj, kind, body)
-	if err != nil {
-		return
+	body := bodyFor(obj)
+	if finds != nil {
+		body = findsBody(obj, finds)
 	}
-	n.Send(head, n.Now()+nh.delta, kind, nh.hops(n.Region(), head), payload)
+	nh.sendMsg(n, head, n.Now()+nh.delta, nh.hops(n.Region(), head), hier.NoCluster, n.Region(), 0, kind, &body)
 }
 
 // armRefresh starts the §VII heartbeat loop of one detection: every period,
@@ -259,7 +299,7 @@ func (nh *NetHost) armRefresh(n *nethost.Node, obj ObjectID, epoch uint64) {
 		if regionState(n).here[obj] != epoch {
 			return
 		}
-		nh.clientSend(n, obj, KindRefresh, 0)
+		nh.clientSend(n, obj, KindRefresh, nil)
 		nh.armRefresh(n, obj, epoch)
 	})
 }
@@ -315,10 +355,16 @@ func (nh *NetHost) Find(origin geo.RegionID) (FindID, error) {
 	return nh.FindObject(origin, DefaultObject)
 }
 
-// FindObject is Find for one of several tracked objects. A refused find
-// does not keep its id (see below), so FindDone reads false for it.
+// FindObject is Find for one of several tracked objects. A find for an
+// object no input has placed is refused: nothing could answer it, so its
+// record would outlive it. A refused find does not keep its id (see below),
+// so FindDone reads false for it.
 func (nh *NetHost) FindObject(origin geo.RegionID, obj ObjectID) (FindID, error) {
 	nh.mu.Lock()
+	if _, placed := nh.objAt[obj]; !placed {
+		nh.mu.Unlock()
+		return 0, fmt.Errorf("tracker: find for object %v, which no input has placed", obj)
+	}
 	nh.findSeq++
 	id := nh.findSeq
 	nh.started[id] = nh.svc.Now()

@@ -255,14 +255,14 @@ func New(cg *cgcast.Service, geom hier.Geometry, opts ...Option) (*Network, erro
 	if n.emulCfg != nil {
 		eh := newEmulHost(n, n.aut, n.emulCfg.delta, n.emulCfg.tRestart)
 		n.emulHost = eh
-		n.aut.attach(eh)
+		n.aut.attach(eh, emitOutlet{host: eh})
 		for u := 0; u < h.Tiling().NumRegions(); u++ {
 			region := geo.RegionID(u)
 			cg.Layer().RegisterVSA(region, emulRegionHandler{host: eh, u: region})
 		}
 	} else {
 		oh := newOracleHost(n, n.aut)
-		n.aut.attach(oh)
+		n.aut.attach(oh, oh)
 		for u := 0; u < h.Tiling().NumRegions(); u++ {
 			region := geo.RegionID(u)
 			cg.Layer().RegisterVSA(region, oracleRegionHandler{host: oh, u: region})
@@ -537,9 +537,9 @@ func (n *Network) Find(u geo.RegionID) (FindID, error) {
 	return n.FindObject(u, DefaultObject)
 }
 
-// FindObject is Find for one of several tracked objects. A refused find
-// does not take an id: the next find is issued under the id it would have
-// had.
+// FindObject is Find for one of several tracked objects. A find for an
+// object that no GPS input has placed is refused. A refused find does not
+// take an id: the next find is issued under the id it would have had.
 func (n *Network) FindObject(u geo.RegionID, obj ObjectID) (FindID, error) {
 	id := n.findSeq + 1
 	if err := n.FindObjectAs(id, u, obj); err != nil {
@@ -562,6 +562,10 @@ func (n *Network) FindObjectAs(id FindID, u geo.RegionID, obj ObjectID) error {
 	}
 	if _, outstanding := n.finds[id]; outstanding {
 		return fmt.Errorf("tracker: find id %d already issued", id)
+	}
+	if n.moveEpochs[obj] == 0 {
+		// Nothing could answer the find, so its record would outlive it.
+		return fmt.Errorf("tracker: find for object %v, which no input has placed", obj)
 	}
 	ids := n.cg.Layer().ClientsIn(u)
 	if len(ids) == 0 {

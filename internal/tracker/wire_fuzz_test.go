@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+	"time"
 
 	"vinestalk/internal/hier"
+	"vinestalk/internal/nethost"
 )
 
 // wireFuzzKinds maps a fuzz selector byte onto a message kind, covering
@@ -24,7 +26,9 @@ var wireFuzzKinds = []string{
 //     is bounded against the remaining bytes before the slice is made);
 //  2. an accepted message is canonical: re-encoding the decoded fields
 //     reproduces the input byte for byte, so every accepted frame is one
-//     EncodeClusterMsg could have produced;
+//     EncodeClusterMsg could have produced — and appended behind a frame
+//     header, the header stays as it was and the message follows it
+//     unchanged;
 //  3. unknown kinds, version mismatches, and trailing bytes are rejected.
 func FuzzDecodeClusterMessage(f *testing.F) {
 	// Seeds: a well-formed message of every kind, plus hostile shapes —
@@ -65,6 +69,19 @@ func FuzzDecodeClusterMessage(f *testing.F) {
 	binary.BigEndian.PutUint16(badVersion[0:], 99)
 	f.Add(kindSel(KindFind), badVersion)
 	f.Add(kindSel(KindGrow), append(seed(KindGrow, nil), 0xAA))
+	// Whole frames as the networked host sends them, header first: a frame
+	// mistaken for a bare message must be rejected, not misread.
+	for _, k := range []string{KindFind, KindFound, KindFindAck, KindRefresh, KindGrow} {
+		body := bodyFor(DefaultObject)
+		if k == KindFind || k == KindFound {
+			body = findsBody(DefaultObject, payloads)
+		}
+		frame, err := AppendClusterMsg(nethost.NewFrame(5, 17*time.Millisecond, k, 64), 3, 7, 1, k, &body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(kindSel(k), frame)
+	}
 	// Multi-object encodings: the same schemas with nonzero object ids, so
 	// the corpus exercises the object field rather than pinning it to the
 	// default object.
@@ -93,12 +110,16 @@ func FuzzDecodeClusterMessage(f *testing.F) {
 		if err != nil {
 			return
 		}
-		reenc, err := EncodeClusterMsg(del.From, del.FromRegion, level, ObjectID(del.Obj), kind, wireBody(kind, &del.Body))
+		header := nethost.NewFrame(5, 17*time.Millisecond, kind, len(data))
+		reenc, err := AppendClusterMsg(header, del.From, del.FromRegion, level, kind, &del.Body)
 		if err != nil {
 			t.Fatalf("re-encoding accepted %s message: %v", kind, err)
 		}
-		if !bytes.Equal(reenc, data) {
-			t.Fatalf("accepted %s frame is not canonical:\n in  %x\n out %x", kind, data, reenc)
+		if !bytes.Equal(reenc[:len(header)], nethost.NewFrame(5, 17*time.Millisecond, kind, 0)) {
+			t.Fatalf("appending a %s message changed the header before it: %x", kind, reenc[:len(header)])
+		}
+		if !bytes.Equal(reenc[len(header):], data) {
+			t.Fatalf("accepted %s frame is not canonical:\n in  %x\n out %x", kind, data, reenc[len(header):])
 		}
 	})
 }
