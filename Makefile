@@ -42,8 +42,8 @@ race:
 # stop and hold-queue tests 20 times over, for the block-and-kill
 # interleavings and the service queue's release order), the daemon's control
 # server (every line whole, replies in command order, every found on every
-# connection, a stalled client cut off without stalling the others; 5 times
-# over) and the tracker-over-nethost integration tests (oracle parity,
+# connection, a stalled client cut off without stalling the others, a line
+# past 64 KB answered and skipped; 5 times over) and the tracker-over-nethost integration tests (oracle parity,
 # heal-after-kill, chaos conservation) under the race detector, plus the
 # wire-codec fuzz seed corpora. The allocation and aliasing pins run under
 # -race too: a frame costs one allocation from the outlet to Deliver, a
@@ -53,16 +53,16 @@ race:
 nethost-smoke:
 	$(GO) test -race ./internal/nethost
 	$(GO) test -race -count=20 -run 'Mailbox|Kill|DueOrder|StopDrops|HoldQueue|Wakeup' ./internal/nethost
-	$(GO) test -race -count=5 -run 'TestControlProtocolIntegrity|TestStalledControlClientDoesNotStallDaemon' ./cmd/vinestalkd
+	$(GO) test -race -count=5 -run 'TestControlProtocolIntegrity|TestStalledControlClientDoesNotStallDaemon|TestLongControlLineIsAnswered' ./cmd/vinestalkd
 	$(GO) test -race -run 'TestNetHost|NetFrame|PendingFindSurvives' ./internal/tracker
 	$(GO) test -race -count=5 -run 'OutsideNeighbourhood' ./internal/tracker
 	$(GO) test -run 'TestNetHostMatchesOracleOnFixedSchedule' -count=10 ./internal/tracker
 	$(GO) test -run 'FuzzDecodeRegion|FuzzDecodeClusterMessage' ./internal/tracker
 
-# The heap pins: what settled move+find pairs, a settled fan-out and
-# fan-out laps retain, what an idle networked node keeps, and that a move
-# and a spec-fold step allocate nothing and a Theorem 4.8 check costs the
-# same after any number of moves. Without -race: under the race detector
+# The heap pins: what settled move+find pairs, a settled fan-out, fan-out
+# laps and laps on the emulated host retain, what an idle networked node
+# keeps, and that a move and a spec-fold step allocate nothing and a
+# Theorem 4.8 check costs the same after any number of moves. Without -race: under the race detector
 # these heap figures include the race runtime's own bookkeeping.
 retention:
 	$(GO) test -count=1 -run 'Retain|SpecFold|KeepsNoHistory|CostDoesNotGrow' ./...

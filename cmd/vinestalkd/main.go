@@ -20,7 +20,8 @@
 // one "ok ..." or "err ..." reply line, in command order on the connection
 // that sent it. Completed finds are pushed asynchronously to every control
 // connection as "found <id> <obj> <origin> <foundAt>" lines. Lines are never split or
-// interleaved. A client that stops reading is disconnected once 8 MB of
+// interleaved. A command line longer than 64 KB is answered "err line too
+// long" and skipped. A client that stops reading is disconnected once 8 MB of
 // output waits for it (one line on stderr), so it cannot stall the daemon.
 //
 // Usage:
@@ -37,6 +38,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"strconv"
@@ -79,6 +81,10 @@ func main() {
 // client that stops reading is disconnected once this much waits for it,
 // so it cannot hold up the founds and replies of every other connection.
 const maxPendingOutput = 8 << 20
+
+// maxLine is the longest control line, its newline included. A longer
+// line is answered with one err line and skipped up to its newline.
+const maxLine = 64 << 10
 
 // keepWriteBuffer is the largest buffer a connection's writer keeps after
 // writing it; a larger one, left by a burst, goes back to the collector.
@@ -244,14 +250,29 @@ func (s *server) handle(nc net.Conn) {
 	}()
 	var line []byte
 	var fields [][]byte
-	sc := bufio.NewScanner(nc)
-	for sc.Scan() {
-		fields = splitFields(fields[:0], sc.Bytes())
-		var quit bool
-		if line, quit = s.exec(line[:0], fields); quit {
+	r := bufio.NewReaderSize(nc, maxLine)
+	for {
+		cmd, err := r.ReadSlice('\n')
+		switch {
+		case err == bufio.ErrBufferFull:
+			for err == bufio.ErrBufferFull {
+				_, err = r.ReadSlice('\n') // skip the rest of the line
+			}
+			line = append(line[:0], "err line too long\n"...)
+		case len(cmd) == 0 || (err != nil && err != io.EOF):
+			return // the connection ended or failed
+		default:
+			fields = splitFields(fields[:0], cmd)
+			var quit bool
+			if line, quit = s.exec(line[:0], fields); quit {
+				return
+			}
+			line = append(line, '\n')
+		}
+		c.queue(line)
+		if err != nil {
 			return
 		}
-		c.queue(append(line, '\n'))
 	}
 }
 

@@ -452,3 +452,35 @@ func BenchmarkDaemonFinds(b *testing.B) {
 	wg.Wait()
 	b.ReportMetric(float64(cpu.Microseconds())/float64(b.N), "cpu-µs/find")
 }
+
+// TestLongControlLineIsAnswered: a control line longer than maxLine gets
+// one err reply and is skipped up to its newline, and the connection goes
+// on serving the commands after it, in order.
+func TestLongControlLineIsAnswered(t *testing.T) {
+	srv, _ := startDaemon(t, 2)
+	client, peer := net.Pipe()
+	t.Cleanup(func() {
+		client.Close()
+		peer.Close()
+	})
+	go srv.handle(peer)
+	if err := client.SetDeadline(time.Now().Add(20 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	long := "place 1 " + strings.Repeat("9", maxLine+6_000) + "\n"
+	go func() {
+		_, _ = client.Write([]byte("alive 0\n" + long + "alive 1\n" + long + long + "quit\n"))
+	}()
+	r := bufio.NewReader(client)
+	for _, want := range []string{
+		"ok alive true", "err line too long", "ok alive true", "err line too long", "err line too long",
+	} {
+		got, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("read %q so far, then %v; want the reply %q", got, err, want)
+		}
+		if got = strings.TrimSuffix(got, "\n"); got != want {
+			t.Fatalf("reply %q, want %q", got, want)
+		}
+	}
+}

@@ -383,7 +383,7 @@ func (s *Service) Network() *tracker.Network { return s.net }
 
 // Emulator returns the replicated mobile-node emulator hosting the
 // tracker, or nil when the service runs on the oracle host.
-func (s *Service) Emulator() *emul.Emulator { return s.net.Emulator() }
+func (s *Service) Emulator() *tracker.Emulator { return s.net.Emulator() }
 
 // Evader returns the mobile object.
 func (s *Service) Evader() *evader.Evader { return s.ev }

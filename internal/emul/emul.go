@@ -46,45 +46,33 @@ type NodeID int
 // String returns a compact textual form.
 func (n NodeID) String() string { return fmt.Sprintf("n%d", int(n)) }
 
-// Program is the deterministic machine emulated for a region. State is a
-// byte encoding so replicas and checkpoints are plain copies; Step must be
-// a pure function of (state, input).
-type Program interface {
+// Program is the deterministic machine emulated for a region, taking
+// inputs of type I and emitting outputs of type O. State is a byte encoding
+// so replicas and checkpoints are plain copies; Step must be a pure
+// function of (state, input).
+//
+// The outputs Step returns may live in a buffer the program reuses on its
+// next Step: the emulator hands the leader's outputs to the sink, in order,
+// before any replica runs Step again, and keeps none of them.
+type Program[I, O any] interface {
 	// Init returns the initial state for region u.
 	Init(u geo.RegionID) []byte
 	// Step applies one input, returning the successor state and any
 	// outputs the machine emits.
-	Step(state []byte, input Input) (next []byte, outputs []Output)
+	Step(state []byte, input Input[I]) (next []byte, outputs []O)
 }
 
 // Input is one message delivered to a region's VSA.
-type Input struct {
+type Input[I any] struct {
 	// ID orders concurrent inputs deterministically (assigned by the
 	// emulator at submission, unique per region).
 	ID uint64
 	// Msg is the payload.
-	Msg any
-}
-
-// Output is a message the emulated VSA emits.
-type Output struct {
-	Msg any
-}
-
-// Trace records the observable behavior of one region's VSA: the outputs
-// in emission order with their virtual emission times.
-type Trace struct {
-	Outputs []TracedOutput
-}
-
-// TracedOutput is one emitted output with its emission time.
-type TracedOutput struct {
-	Msg any
-	At  sim.Time
+	Msg I
 }
 
 // node is one physical node's replica state for the region it occupies.
-type node struct {
+type node[I any] struct {
 	id     NodeID
 	region geo.RegionID // NoRegion when outside/failed
 	alive  bool
@@ -92,42 +80,39 @@ type node struct {
 	// Replica of the occupied region's VSA.
 	hasReplica bool
 	state      []byte
-	applied    uint64            // commits applied
-	buffered   map[uint64]Input  // inputs heard but not yet committed
-	committed  map[uint64]uint64 // input id -> commit seq (dedup)
+	buffered   map[uint64]Input[I] // inputs heard but not yet committed
+	committed  map[uint64]uint64   // input id -> commit seq (dedup)
 }
 
-// Emulator runs the leader-based emulation for every region of a tiling
-// on the shared simulation kernel.
-type Emulator struct {
+// Emulator runs the leader-based emulation of a Program[I, O] for every
+// region of a tiling on the shared simulation kernel.
+type Emulator[I, O any] struct {
 	k        *sim.Kernel
 	tiling   geo.Tiling
-	prog     Program
+	prog     Program[I, O]
 	delta    sim.Time // local broadcast delay between nodes in a region
 	tRestart sim.Time
 
-	nodes   map[NodeID]*node
+	nodes   map[NodeID]*node[I]
 	regions []*regionState
 	inputID uint64
 
-	sink   func(u geo.RegionID, out Output)
+	sink   func(u geo.RegionID, out O)
 	events func(ev RegionEvent)
 }
 
 // fireEvent invokes the region-events hook, if any.
-func (e *Emulator) fireEvent(ev RegionEvent) {
+func (e *Emulator[I, O]) fireEvent(ev RegionEvent) {
 	if e.events != nil {
 		e.events(ev)
 	}
 }
 
 type regionState struct {
-	alive       bool
-	leader      NodeID // NoNode when failed
-	restart     *sim.Timer
-	trace       Trace
-	nextCommit  uint64
-	pendingBoot bool
+	alive      bool
+	leader     NodeID // NoNode when failed
+	restart    *sim.Timer
+	nextCommit uint64
 }
 
 // NoNode is the sentinel leader value for a failed VSA.
@@ -169,38 +154,31 @@ type RegionEvent struct {
 	Leader NodeID // the new leader; NoNode on failure
 }
 
-// Option configures an Emulator.
-type Option func(*Emulator)
-
-// WithOutputSink registers a callback invoked for every output the leader
-// commits, at commit time, in emission order. This is how a hosted program
-// acts on the world: sends, timer arming and other external effects are
-// returned from Step as Outputs (keeping Step pure) and executed by the
-// sink exactly once — follower replicas re-execute Step but their outputs
-// are discarded.
-func WithOutputSink(fn func(u geo.RegionID, out Output)) Option {
-	return func(e *Emulator) { e.sink = fn }
-}
-
-// WithRegionEvents registers a callback for VSA lifecycle transitions
-// (leader handoff, failure, restart). Hosts use it to reconcile external
-// state — dropping timers for a failed region, tracing handoffs.
-func WithRegionEvents(fn func(ev RegionEvent)) Option {
-	return func(e *Emulator) { e.events = fn }
-}
-
 // New creates an emulator for tiling t running prog at every region.
 // delta is the intra-region broadcast delay (the dominant term of the
 // emulation lag e) and tRestart the §II-C.2 restart delay.
-func New(k *sim.Kernel, t geo.Tiling, prog Program, delta, tRestart sim.Time, opts ...Option) *Emulator {
-	e := &Emulator{
+//
+// sink, if not nil, is the emulator's only output path: it is called for
+// every output the leader commits, at commit time, in emission order. This
+// is how a hosted program acts on the world: sends, timer arming and other
+// external effects are returned from Step as outputs (keeping Step pure)
+// and executed by the sink exactly once — follower replicas re-execute Step
+// but their outputs are discarded. events, if not nil, is called for each
+// VSA lifecycle transition (leader handoff, failure, restart); hosts use it
+// to reconcile external state — dropping timers for a failed region,
+// tracing handoffs.
+func New[I, O any](k *sim.Kernel, t geo.Tiling, prog Program[I, O], delta, tRestart sim.Time,
+	sink func(u geo.RegionID, out O), events func(ev RegionEvent)) *Emulator[I, O] {
+	e := &Emulator[I, O]{
 		k:        k,
 		tiling:   t,
 		prog:     prog,
 		delta:    delta,
 		tRestart: tRestart,
-		nodes:    make(map[NodeID]*node),
+		nodes:    make(map[NodeID]*node[I]),
 		regions:  make([]*regionState, t.NumRegions()),
+		sink:     sink,
+		events:   events,
 	}
 	for u := range e.regions {
 		rs := &regionState{leader: NoNode}
@@ -208,21 +186,18 @@ func New(k *sim.Kernel, t geo.Tiling, prog Program, delta, tRestart sim.Time, op
 		rs.restart = sim.NewTimer(k, func() { e.completeRestart(u) })
 		e.regions[int(u)] = rs
 	}
-	for _, o := range opts {
-		o(e)
-	}
 	return e
 }
 
 // AddNode places a new physical node at region u.
-func (e *Emulator) AddNode(id NodeID, u geo.RegionID) error {
+func (e *Emulator[I, O]) AddNode(id NodeID, u geo.RegionID) error {
 	if _, dup := e.nodes[id]; dup {
 		return fmt.Errorf("emul: node %v already exists", id)
 	}
 	if !e.tiling.Contains(u) {
 		return fmt.Errorf("emul: region %v outside tiling", u)
 	}
-	n := &node{id: id, alive: true, region: geo.NoRegion}
+	n := &node[I]{id: id, alive: true, region: geo.NoRegion}
 	e.nodes[id] = n
 	e.enter(n, u)
 	return nil
@@ -230,7 +205,7 @@ func (e *Emulator) AddNode(id NodeID, u geo.RegionID) error {
 
 // MoveNode relocates a node; its old region may lose its VSA, its new
 // region may gain a replica (after a checkpoint transfer).
-func (e *Emulator) MoveNode(id NodeID, u geo.RegionID) error {
+func (e *Emulator[I, O]) MoveNode(id NodeID, u geo.RegionID) error {
 	n, ok := e.nodes[id]
 	if !ok || !n.alive {
 		return fmt.Errorf("emul: node %v not alive", id)
@@ -247,7 +222,7 @@ func (e *Emulator) MoveNode(id NodeID, u geo.RegionID) error {
 }
 
 // FailNode crash-stops a node (its replica is lost with it).
-func (e *Emulator) FailNode(id NodeID) {
+func (e *Emulator[I, O]) FailNode(id NodeID) {
 	n, ok := e.nodes[id]
 	if !ok || !n.alive {
 		return
@@ -257,13 +232,13 @@ func (e *Emulator) FailNode(id NodeID) {
 }
 
 // Alive reports whether region u's emulated VSA is up.
-func (e *Emulator) Alive(u geo.RegionID) bool {
+func (e *Emulator[I, O]) Alive(u geo.RegionID) bool {
 	return e.tiling.Contains(u) && e.regions[int(u)].alive
 }
 
 // Leader returns the node currently executing region u's VSA (NoNode if
 // the VSA is down).
-func (e *Emulator) Leader(u geo.RegionID) NodeID {
+func (e *Emulator[I, O]) Leader(u geo.RegionID) NodeID {
 	if !e.tiling.Contains(u) {
 		return NoNode
 	}
@@ -271,7 +246,7 @@ func (e *Emulator) Leader(u geo.RegionID) NodeID {
 }
 
 // Members returns the alive nodes currently in region u, ascending.
-func (e *Emulator) Members(u geo.RegionID) []NodeID {
+func (e *Emulator[I, O]) Members(u geo.RegionID) []NodeID {
 	if !e.tiling.Contains(u) {
 		return nil
 	}
@@ -283,32 +258,23 @@ func (e *Emulator) Members(u geo.RegionID) []NodeID {
 	return out
 }
 
-// TraceOf returns the output trace of region u's VSA so far.
-func (e *Emulator) TraceOf(u geo.RegionID) Trace {
-	if !e.tiling.Contains(u) {
-		return Trace{}
-	}
-	t := e.regions[int(u)].trace
-	return Trace{Outputs: append([]TracedOutput(nil), t.Outputs...)}
-}
-
 // Submit delivers an input to region u's VSA: it is broadcast within the
 // region (taking delta), buffered by every present node, and executed by
 // the leader one more delta later (sequencing + commit broadcast) — a
 // total emulation lag of 2·delta, which instantiates the paper's e.
 // Inputs submitted while the VSA is down are lost, as in the abstract
 // layer.
-func (e *Emulator) Submit(u geo.RegionID, msg any) error {
+func (e *Emulator[I, O]) Submit(u geo.RegionID, msg I) error {
 	if !e.tiling.Contains(u) {
 		return fmt.Errorf("emul: region %v outside tiling", u)
 	}
 	e.inputID++
-	in := Input{ID: e.inputID, Msg: msg}
+	in := Input[I]{ID: e.inputID, Msg: msg}
 	e.k.Schedule(e.delta, func() {
 		// The broadcast reaches whatever nodes are present now.
 		for _, n := range e.membersOf(u) {
 			if n.buffered == nil {
-				n.buffered = make(map[uint64]Input)
+				n.buffered = make(map[uint64]Input[I])
 			}
 			n.buffered[in.ID] = in
 		}
@@ -324,12 +290,12 @@ func (e *Emulator) Submit(u geo.RegionID, msg any) error {
 
 // MaxLag returns the worst-case emulation output lag (the paper's e) for
 // this configuration.
-func (e *Emulator) MaxLag() sim.Time { return 2 * e.delta }
+func (e *Emulator[I, O]) MaxLag() sim.Time { return 2 * e.delta }
 
 // --- internals ---
 
-func (e *Emulator) membersOf(u geo.RegionID) []*node {
-	var out []*node
+func (e *Emulator[I, O]) membersOf(u geo.RegionID) []*node[I] {
+	var out []*node[I]
 	for _, n := range e.nodes {
 		if n.alive && n.region == u {
 			out = append(out, n)
@@ -339,10 +305,10 @@ func (e *Emulator) membersOf(u geo.RegionID) []*node {
 	return out
 }
 
-func (e *Emulator) enter(n *node, u geo.RegionID) {
+func (e *Emulator[I, O]) enter(n *node[I], u geo.RegionID) {
 	n.region = u
 	n.hasReplica = false
-	n.buffered = make(map[uint64]Input)
+	n.buffered = make(map[uint64]Input[I])
 	n.committed = make(map[uint64]uint64)
 	rs := e.regions[int(u)]
 	if rs.alive {
@@ -361,7 +327,7 @@ func (e *Emulator) enter(n *node, u geo.RegionID) {
 // one broadcast round. The state is read at *arrival* time (the leader
 // streams updates until the joiner is synced), so commits during the
 // transfer are not lost on the new replica.
-func (e *Emulator) scheduleCheckpoint(n *node, u geo.RegionID) {
+func (e *Emulator[I, O]) scheduleCheckpoint(n *node[I], u geo.RegionID) {
 	e.k.Schedule(e.delta, func() {
 		if !n.alive || n.region != u || n.hasReplica {
 			return
@@ -375,7 +341,6 @@ func (e *Emulator) scheduleCheckpoint(n *node, u geo.RegionID) {
 			return
 		}
 		n.state = append([]byte(nil), leader.state...)
-		n.applied = leader.applied
 		n.committed = make(map[uint64]uint64, len(leader.committed))
 		for id, seq := range leader.committed {
 			n.committed[id] = seq
@@ -389,7 +354,7 @@ func (e *Emulator) scheduleCheckpoint(n *node, u geo.RegionID) {
 	})
 }
 
-func (e *Emulator) leave(n *node) {
+func (e *Emulator[I, O]) leave(n *node[I]) {
 	u := n.region
 	n.region = geo.NoRegion
 	n.hasReplica = false
@@ -416,7 +381,7 @@ func (e *Emulator) leave(n *node) {
 
 // promote elects the lowest-id replica-holding node as leader; it
 // re-executes any inputs it buffered that the old leader never committed.
-func (e *Emulator) promote(u geo.RegionID) {
+func (e *Emulator[I, O]) promote(u geo.RegionID) {
 	rs := e.regions[int(u)]
 	for _, cand := range e.membersOf(u) {
 		if cand.hasReplica {
@@ -437,7 +402,7 @@ func (e *Emulator) promote(u geo.RegionID) {
 	}
 }
 
-func (e *Emulator) completeRestart(u geo.RegionID) {
+func (e *Emulator[I, O]) completeRestart(u geo.RegionID) {
 	rs := e.regions[int(u)]
 	members := e.membersOf(u)
 	if rs.alive || len(members) == 0 {
@@ -446,15 +411,13 @@ func (e *Emulator) completeRestart(u geo.RegionID) {
 	rs.alive = true
 	rs.leader = members[0].id
 	rs.nextCommit = 0
-	rs.trace = Trace{}
 	for _, n := range members {
 		n.state = e.prog.Init(u)
-		n.applied = 0
 		n.hasReplica = true
 		n.committed = make(map[uint64]uint64)
 		// Buffered inputs from before the restart belong to the dead
 		// incarnation and are dropped.
-		n.buffered = make(map[uint64]Input)
+		n.buffered = make(map[uint64]Input[I])
 	}
 	e.fireEvent(RegionEvent{U: u, Kind: RegionRestarted, Leader: rs.leader})
 	e.leaderExecute(u)
@@ -462,7 +425,7 @@ func (e *Emulator) completeRestart(u geo.RegionID) {
 
 // Boot marks every currently-occupied region's VSA alive immediately (the
 // correctly-initialized system start of the paper's executions).
-func (e *Emulator) Boot() {
+func (e *Emulator[I, O]) Boot() {
 	for u := range e.regions {
 		rs := e.regions[u]
 		members := e.membersOf(geo.RegionID(u))
@@ -474,7 +437,6 @@ func (e *Emulator) Boot() {
 		rs.leader = members[0].id
 		for _, n := range members {
 			n.state = e.prog.Init(geo.RegionID(u))
-			n.applied = 0
 			n.hasReplica = true
 		}
 	}
@@ -485,13 +447,13 @@ func (e *Emulator) Boot() {
 // all replicas (the commit broadcast is modeled as immediate application
 // at the replicas; replica divergence windows are covered by the
 // checkpoint join protocol).
-func (e *Emulator) leaderExecute(u geo.RegionID) {
+func (e *Emulator[I, O]) leaderExecute(u geo.RegionID) {
 	e.leaderExecuteUpTo(u, ^uint64(0))
 }
 
 // leaderExecuteUpTo is leaderExecute bounded to inputs with id <= maxID —
 // the per-input commit round of the normal (failure-free) path.
-func (e *Emulator) leaderExecuteUpTo(u geo.RegionID, maxID uint64) {
+func (e *Emulator[I, O]) leaderExecuteUpTo(u geo.RegionID, maxID uint64) {
 	rs := e.regions[int(u)]
 	if !rs.alive || rs.leader == NoNode {
 		return
@@ -501,7 +463,7 @@ func (e *Emulator) leaderExecuteUpTo(u geo.RegionID, maxID uint64) {
 		return
 	}
 	// Deterministic order: ascending input id.
-	var todo []Input
+	var todo []Input[I]
 	for id, in := range leader.buffered {
 		if id > maxID {
 			continue
@@ -515,9 +477,8 @@ func (e *Emulator) leaderExecuteUpTo(u geo.RegionID, maxID uint64) {
 		next, outs := e.prog.Step(leader.state, in)
 		rs.nextCommit++
 		seq := rs.nextCommit
-		for _, out := range outs {
-			rs.trace.Outputs = append(rs.trace.Outputs, TracedOutput{Msg: out.Msg, At: e.k.Now()})
-			if e.sink != nil {
+		if e.sink != nil {
+			for _, out := range outs {
 				e.sink(u, out)
 			}
 		}
@@ -532,7 +493,6 @@ func (e *Emulator) leaderExecuteUpTo(u geo.RegionID, maxID uint64) {
 				st, _ := e.prog.Step(n.state, in)
 				n.state = st
 			}
-			n.applied = seq
 			n.committed[in.ID] = seq
 			delete(n.buffered, in.ID)
 		}

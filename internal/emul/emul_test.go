@@ -24,63 +24,87 @@ func (counterProgram) Init(u geo.RegionID) []byte {
 	return make([]byte, 8)
 }
 
-func (counterProgram) Step(state []byte, in Input) ([]byte, []Output) {
-	cur := binary.BigEndian.Uint64(state)
-	k, ok := in.Msg.(uint64)
-	if !ok {
-		return state, nil
-	}
-	cur += k
+func (counterProgram) Step(state []byte, in Input[uint64]) ([]byte, []uint64) {
+	cur := binary.BigEndian.Uint64(state) + in.Msg
 	next := make([]byte, 8)
 	binary.BigEndian.PutUint64(next, cur)
-	return next, []Output{{Msg: cur}}
+	return next, []uint64{cur}
 }
 
 // oracle executes the program directly, returning the expected output
 // sequence for a list of input payloads.
-func oracle(u geo.RegionID, inputs []uint64) []any {
+func oracle(u geo.RegionID, inputs []uint64) []uint64 {
 	var prog counterProgram
 	state := prog.Init(u)
-	var outs []any
+	var outs []uint64
 	for i, k := range inputs {
-		var o []Output
-		state, o = prog.Step(state, Input{ID: uint64(i + 1), Msg: k})
-		for _, out := range o {
-			outs = append(outs, out.Msg)
-		}
+		var o []uint64
+		state, o = prog.Step(state, Input[uint64]{ID: uint64(i + 1), Msg: k})
+		outs = append(outs, o...)
 	}
 	return outs
 }
 
-func outputs(tr Trace) []any {
-	var out []any
-	for _, o := range tr.Outputs {
-		out = append(out, o.Msg)
+// traced is one committed output with its commit time.
+type traced struct {
+	total uint64
+	at    sim.Time
+}
+
+// recorder keeps each region's committed outputs as the sink hands them
+// over; a region that restarts begins a fresh trace, since its new
+// incarnation starts from the initial state.
+type recorder struct {
+	k    *sim.Kernel
+	outs map[geo.RegionID][]traced
+}
+
+func newRecorder(k *sim.Kernel) *recorder {
+	return &recorder{k: k, outs: make(map[geo.RegionID][]traced)}
+}
+
+func (r *recorder) sink(u geo.RegionID, total uint64) {
+	r.outs[u] = append(r.outs[u], traced{total: total, at: r.k.Now()})
+}
+
+func (r *recorder) event(ev RegionEvent) {
+	if ev.Kind == RegionRestarted {
+		delete(r.outs, ev.U)
+	}
+}
+
+// totals returns region u's committed outputs so far.
+func (r *recorder) totals(u geo.RegionID) []uint64 {
+	var out []uint64
+	for _, o := range r.outs[u] {
+		out = append(out, o.total)
 	}
 	return out
 }
 
-func assertTraceEqual(t *testing.T, got Trace, want []any) {
+func assertTraceEqual(t *testing.T, got, want []uint64) {
 	t.Helper()
-	g := outputs(got)
-	if len(g) != len(want) {
-		t.Fatalf("trace = %v, want %v", g, want)
-	}
-	for i := range want {
-		if g[i] != want[i] {
-			t.Fatalf("trace[%d] = %v, want %v (full: %v vs %v)", i, g[i], want[i], g, want)
-		}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("trace = %v, want %v", got, want)
 	}
 }
 
-func newEmulator(t *testing.T, side int) (*sim.Kernel, *Emulator) {
+// newRecorded builds an emulator of counterProgram on t whose outputs rec
+// records.
+func newRecorded(k *sim.Kernel, t geo.Tiling) (*Emulator[uint64, uint64], *recorder) {
+	rec := newRecorder(k)
+	return New[uint64](k, t, counterProgram{}, delta, tRestart, rec.sink, rec.event), rec
+}
+
+func newEmulator(t *testing.T, side int) (*sim.Kernel, *Emulator[uint64, uint64], *recorder) {
 	t.Helper()
 	k := sim.New(1)
-	return k, New(k, geo.MustGridTiling(side, side), counterProgram{}, delta, tRestart)
+	e, rec := newRecorded(k, geo.MustGridTiling(side, side))
+	return k, e, rec
 }
 
 func TestSingleNodeEmulationMatchesOracle(t *testing.T) {
-	k, e := newEmulator(t, 2)
+	k, e, rec := newEmulator(t, 2)
 	if err := e.AddNode(1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +119,14 @@ func TestSingleNodeEmulationMatchesOracle(t *testing.T) {
 		}
 		k.Run()
 	}
-	assertTraceEqual(t, e.TraceOf(0), oracle(0, inputs))
+	assertTraceEqual(t, rec.totals(0), oracle(0, inputs))
 	if got := e.Leader(0); got != 1 {
 		t.Errorf("Leader = %v, want n1", got)
 	}
 }
 
 func TestEmulationLagBounded(t *testing.T) {
-	k, e := newEmulator(t, 2)
+	k, e, rec := newEmulator(t, 2)
 	if err := e.AddNode(1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +136,11 @@ func TestEmulationLagBounded(t *testing.T) {
 	}
 	submitted := k.Now()
 	k.Run()
-	tr := e.TraceOf(0)
-	if len(tr.Outputs) != 1 {
+	tr := rec.outs[0]
+	if len(tr) != 1 {
 		t.Fatalf("trace = %v", tr)
 	}
-	lag := tr.Outputs[0].At - submitted
+	lag := tr[0].at - submitted
 	if lag > e.MaxLag() {
 		t.Errorf("output lag %v exceeds MaxLag %v", lag, e.MaxLag())
 	}
@@ -126,7 +150,7 @@ func TestEmulationLagBounded(t *testing.T) {
 }
 
 func TestLeaderIsLowestID(t *testing.T) {
-	k, e := newEmulator(t, 2)
+	k, e, _ := newEmulator(t, 2)
 	for _, id := range []NodeID{5, 2, 9} {
 		if err := e.AddNode(id, 0); err != nil {
 			t.Fatal(err)
@@ -140,7 +164,7 @@ func TestLeaderIsLowestID(t *testing.T) {
 }
 
 func TestLeaderHandoffLosesNothing(t *testing.T) {
-	k, e := newEmulator(t, 2)
+	k, e, rec := newEmulator(t, 2)
 	if err := e.AddNode(1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +192,11 @@ func TestLeaderHandoffLosesNothing(t *testing.T) {
 		t.Fatalf("Leader after handoff = %v, want n2", got)
 	}
 	k.Run()
-	assertTraceEqual(t, e.TraceOf(0), oracle(0, inputs))
+	assertTraceEqual(t, rec.totals(0), oracle(0, inputs))
 }
 
 func TestLeaderCrashHandoff(t *testing.T) {
-	k, e := newEmulator(t, 2)
+	k, e, rec := newEmulator(t, 2)
 	if err := e.AddNode(1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -186,14 +210,14 @@ func TestLeaderCrashHandoff(t *testing.T) {
 	k.RunFor(delta + delta/2)
 	e.FailNode(1)
 	k.Run()
-	assertTraceEqual(t, e.TraceOf(0), oracle(0, []uint64{4}))
+	assertTraceEqual(t, rec.totals(0), oracle(0, []uint64{4}))
 	if !e.Alive(0) {
 		t.Fatal("VSA died despite surviving replica")
 	}
 }
 
 func TestNoDuplicateExecutionAcrossHandoff(t *testing.T) {
-	k, e := newEmulator(t, 2)
+	k, e, rec := newEmulator(t, 2)
 	if err := e.AddNode(1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +235,11 @@ func TestNoDuplicateExecutionAcrossHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.Run()
-	assertTraceEqual(t, e.TraceOf(0), oracle(0, []uint64{6}))
+	assertTraceEqual(t, rec.totals(0), oracle(0, []uint64{6}))
 }
 
 func TestJoinerCheckpointsAndCanLead(t *testing.T) {
-	k, e := newEmulator(t, 2)
+	k, e, rec := newEmulator(t, 2)
 	if err := e.AddNode(1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -243,11 +267,11 @@ func TestJoinerCheckpointsAndCanLead(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.Run()
-	assertTraceEqual(t, e.TraceOf(0), oracle(0, []uint64{2, 8, 5}))
+	assertTraceEqual(t, rec.totals(0), oracle(0, []uint64{2, 8, 5}))
 }
 
 func TestRegionEmptyFailsVSAAndRestartsFresh(t *testing.T) {
-	k, e := newEmulator(t, 2)
+	k, e, rec := newEmulator(t, 2)
 	if err := e.AddNode(1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -280,11 +304,11 @@ func TestRegionEmptyFailsVSAAndRestartsFresh(t *testing.T) {
 	}
 	k.Run()
 	// Fresh incarnation: the counter restarted from zero.
-	assertTraceEqual(t, e.TraceOf(0), oracle(0, []uint64{1}))
+	assertTraceEqual(t, rec.totals(0), oracle(0, []uint64{1}))
 }
 
 func TestUnsyncedJoinerCannotSaveVSA(t *testing.T) {
-	k, e := newEmulator(t, 2)
+	k, e, _ := newEmulator(t, 2)
 	if err := e.AddNode(1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +332,7 @@ func TestUnsyncedJoinerCannotSaveVSA(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	k, e := newEmulator(t, 2)
+	k, e, _ := newEmulator(t, 2)
 	if err := e.AddNode(1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -330,9 +354,6 @@ func TestValidation(t *testing.T) {
 	if e.Alive(geo.RegionID(99)) || e.Leader(geo.RegionID(99)) != NoNode {
 		t.Error("queries outside tiling misbehave")
 	}
-	if len(e.TraceOf(geo.RegionID(99)).Outputs) != 0 {
-		t.Error("TraceOf outside tiling non-empty")
-	}
 	e.FailNode(42) // unknown: no-op
 	_ = k
 }
@@ -344,7 +365,7 @@ func TestChurnPreservesTrace(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		k := sim.New(int64(trial))
 		tiling := geo.MustGridTiling(2, 2)
-		e := New(k, tiling, counterProgram{}, delta, tRestart)
+		e, rec := newRecorded(k, tiling)
 		// Node 1 is the anchor that never leaves region 0; nodes 2-4 churn.
 		for id := NodeID(1); id <= 4; id++ {
 			if err := e.AddNode(id, 0); err != nil {
@@ -375,7 +396,7 @@ func TestChurnPreservesTrace(t *testing.T) {
 		}
 		k.Run()
 		want := oracle(0, inputs)
-		got := outputs(e.TraceOf(0))
+		got := rec.totals(0)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("trial %d: trace %v != oracle %v", trial, got, want)
 		}
@@ -385,7 +406,7 @@ func TestChurnPreservesTrace(t *testing.T) {
 // Property: two runs with identical schedules produce identical traces.
 func TestEmulatorDeterminism(t *testing.T) {
 	run := func() string {
-		k, e := newEmulator(t, 2)
+		k, e, rec := newEmulator(t, 2)
 		for id := NodeID(1); id <= 3; id++ {
 			if err := e.AddNode(id, 0); err != nil {
 				t.Fatal(err)
@@ -403,7 +424,7 @@ func TestEmulatorDeterminism(t *testing.T) {
 			}
 			k.Run()
 		}
-		return fmt.Sprint(outputs(e.TraceOf(0)))
+		return fmt.Sprint(rec.outs[0])
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("runs diverged: %s vs %s", a, b)

@@ -20,16 +20,17 @@ type counterProgram struct{}
 func (counterProgram) Init(u geo.RegionID) []byte { return make([]byte, 8) }
 
 // Step adds the input and emits the new total.
-func (counterProgram) Step(state []byte, in emul.Input) ([]byte, []emul.Output) {
-	cur := binary.BigEndian.Uint64(state)
-	k, ok := in.Msg.(uint64)
-	if !ok {
-		return state, nil
-	}
-	cur += k
+func (counterProgram) Step(state []byte, in emul.Input[uint64]) ([]byte, []uint64) {
+	cur := binary.BigEndian.Uint64(state) + in.Msg
 	next := make([]byte, 8)
 	binary.BigEndian.PutUint64(next, cur)
-	return next, []emul.Output{{Msg: cur}}
+	return next, []uint64{cur}
+}
+
+// committedTotal is one output of region 0's VSA with its commit time.
+type committedTotal struct {
+	total uint64
+	at    sim.Time
 }
 
 // E9Emulation regenerates the substrate assumption the whole analysis
@@ -69,7 +70,21 @@ func E9Emulation(env Env) (*Result, error) {
 	measured, err := cells(env, trialIDs, func(trial int) (cell, error) {
 		k := sim.New(int64(trial) + 7)
 		tiling := geo.MustGridTiling(2, 2)
-		e := emul.New(k, tiling, counterProgram{}, delta, 3*delta)
+		// Region 0's outputs as the leader commits them; a restarted
+		// incarnation starts from the initial state, so its trace starts
+		// afresh.
+		var outs []committedTotal
+		sink := func(u geo.RegionID, total uint64) {
+			if u == 0 {
+				outs = append(outs, committedTotal{total: total, at: k.Now()})
+			}
+		}
+		events := func(ev emul.RegionEvent) {
+			if ev.U == 0 && ev.Kind == emul.RegionRestarted {
+				outs = outs[:0]
+			}
+		}
+		e := emul.New[uint64](k, tiling, counterProgram{}, delta, 3*delta, sink, events)
 		for id := emul.NodeID(1); id <= 4; id++ {
 			if err := e.AddNode(id, 0); err != nil {
 				return cell{}, err
@@ -115,17 +130,16 @@ func E9Emulation(env Env) (*Result, error) {
 		k.Run()
 
 		// Oracle comparison plus per-output lag.
-		trace := e.TraceOf(0)
-		ok := len(trace.Outputs) == len(inputs)
+		ok := len(outs) == len(inputs)
 		var maxLag sim.Time
 		sum := uint64(0)
-		for i, out := range trace.Outputs {
+		for i, out := range outs {
 			sum += inputs[i]
-			if got, okCast := out.Msg.(uint64); !okCast || got != sum {
+			if out.total != sum {
 				ok = false
 				break
 			}
-			if lag := out.At - submitTimes[i]; lag > maxLag {
+			if lag := out.at - submitTimes[i]; lag > maxLag {
 				maxLag = lag
 			}
 		}

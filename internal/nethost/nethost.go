@@ -51,11 +51,15 @@ var ErrRegionDown = errors.New("region is down")
 // (Node.State, the automaton) needs no locking, shared App state does.
 type App interface {
 	// NewAutomaton builds a fresh automaton instance for region u, wired to
-	// the given host, which is u's *Node: the automaton sends through its
-	// Send or SendFrame and arms timers through its SetTimer (Node.Emit
-	// drops what it is given). Each node owns an independent instance
-	// (initial state, §II-C.2); only region u's slice of it will ever be
-	// driven.
+	// the given host, which is u's *Node: the automaton reads its inputs'
+	// instants from Now, and the app hands it a typed port whose effects
+	// become calls of the node's Send or SendFrame and SetTimer or
+	// ClearTimer. Each node owns an independent instance (initial state,
+	// §II-C.2); only region u's slice of it will ever be driven. host is a
+	// vsa.Host, not a *Node, because the benchmark's echo app
+	// (benchmark/micro.go) implements App with this signature, and the
+	// benchmark's code is held fixed so that its runs compare across
+	// commits.
 	NewAutomaton(u geo.RegionID, host vsa.Host) vsa.Automaton
 
 	// OnStart runs as the node's first action, on the node goroutine —

@@ -11,9 +11,11 @@ import (
 // mailbox and is processed sequentially, so the automaton instance and
 // Node.State are single-threaded without locks.
 //
-// Node implements vsa.Host for its automaton. The host methods are only
-// ever called from the node goroutine (the automaton steps there), which
-// is what lets the timer table be a plain map.
+// Node implements vsa.Host for its automaton, and its app turns the
+// automaton's effects into calls of Send, SendFrame, SetTimer and
+// ClearTimer. These are only ever called from the node goroutine (the
+// automaton steps there), which is what lets the timer table be a plain
+// map.
 type Node struct {
 	svc  *Service
 	u    geo.RegionID
@@ -137,10 +139,14 @@ var _ vsa.Host = (*Node)(nil)
 // restart instant during OnStart — not a fresh reading of the clock.
 func (n *Node) Now() sim.Time { return n.now }
 
-// SetTimer implements vsa.Host: record the deadline and queue a wakeup
-// carrying exactly that sim.Time; dispatch drops it unless id still holds it.
-// The wakeup is a queue entry naming the node's region, incarnation and id,
-// so arming a timer allocates nothing.
+// --- timers ---
+
+// SetTimer arms (or re-arms) timer id of the node's region to fire at at:
+// record the deadline and queue a wakeup carrying exactly that sim.Time;
+// dispatch drops it unless id still holds it, and hands the automaton
+// TimerFire(u, id, at) otherwise. at = ∞ clears the timer. The wakeup is
+// a queue entry naming the node's region, incarnation and id, so arming a
+// timer allocates nothing.
 func (n *Node) SetTimer(u geo.RegionID, id vsa.TimerID, at sim.Time) {
 	if at == sim.Forever {
 		n.ClearTimer(u, id)
@@ -150,11 +156,5 @@ func (n *Node) SetTimer(u geo.RegionID, id vsa.TimerID, at sim.Time) {
 	n.svc.queue(heldEntry{due: at, to: int32(n.u), inc: n.inc, arg: uint64(id)})
 }
 
-// ClearTimer implements vsa.Host.
+// ClearTimer disarms timer id of the node's region (deadline ← ∞).
 func (n *Node) ClearTimer(u geo.RegionID, id vsa.TimerID) { delete(n.timers, id) }
-
-// Emit implements vsa.Host and drops the effect: the networked host takes
-// no effect values. An app wires its automaton to the node through its own
-// typed calls (Send, SendFrame, SetTimer), so no effect is boxed on the way
-// to the wire.
-func (n *Node) Emit(u geo.RegionID, effect any) {}

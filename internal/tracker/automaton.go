@@ -13,10 +13,11 @@ import (
 // Automaton is the pure Tracker machine: every cluster process of Fig. 2,
 // grouped by the region that hosts it, with all mutable state confined to
 // the per-region objState vectors and all external actions (sends, found
-// broadcasts, accounting notes, timer arming) routed through a vsa.Host.
+// broadcasts, accounting notes, timer arming) routed through its outlet.
 // It holds no *Network pointer, no sim.Timers, and no scheduled closures,
-// so the same machine runs on the oracle VSA layer (oracleHost) and on the
-// replicated mobile-node emulator (emulHost) unchanged.
+// so the same machine runs unchanged on the oracle VSA layer (oracleHost),
+// on the replicated mobile-node emulator (emulHost) and on the networked
+// host (NetHost).
 type Automaton struct {
 	h         *hier.Hierarchy
 	geom      hier.Geometry
@@ -26,8 +27,8 @@ type Automaton struct {
 	noLateral bool
 	maxLevel  int
 
-	host vsa.Host
-	out  outlet // the oracle host itself, emitOutlet{host} or the node's netOutlet
+	host vsa.Host // the clock of the input being processed
+	out  outlet   // the oracle or emulated host itself, or the node's netOutlet
 
 	// armedMove is the number of armed grow/shrink timers across all
 	// processes (the sum of Process.armedMove).

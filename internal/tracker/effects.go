@@ -10,15 +10,14 @@ import (
 )
 
 // The Tracker automaton communicates with its substrate exclusively
-// through effects handed to its outlet. The oracle host is an outlet
-// itself and executes each effect synchronously at emission, as a typed
-// call (preserving the exact call ordering of the pre-refactor direct-call
-// design, and boxing nothing per message); the networked host gives each
-// node's automaton a netOutlet, which turns sends and founds into wire
-// frames as typed calls too. The emulation host receives effects as
-// self-contained values through Host.Emit (emitOutlet): it collects a
-// step's effects as emul outputs and executes the leader's copy once at
-// commit time.
+// through typed calls on its outlet, and every host is one:
+//   - the oracle host executes each effect synchronously at emission
+//     (preserving the exact call ordering of the pre-refactor direct-call
+//     design, and boxing nothing per message);
+//   - the emulated host logs a Step's effects as tagged values and executes
+//     the leader's log once, at commit time;
+//   - the networked host gives each node's automaton a netOutlet, which
+//     turns sends and founds into wire frames.
 
 // outlet is where a region's machine sends its effects; u is the region.
 type outlet interface {
@@ -34,30 +33,6 @@ type outlet interface {
 	// return for it while armed, and 0 when it was not armed; the return is
 	// what the slot keeps if at is finite.
 	timer(u geo.RegionID, id vsa.TimerID, at sim.Time, ref int32) int32
-}
-
-// emitOutlet hands effects to the emulation host as values.
-type emitOutlet struct{ host vsa.Host }
-
-func (o emitOutlet) send(u geo.RegionID, e sendEffect)   { o.host.Emit(u, e) }
-func (o emitOutlet) found(u geo.RegionID, e foundEffect) { o.host.Emit(u, e) }
-func (o emitOutlet) recv(u geo.RegionID, to hier.ClusterID, level int, d *cgcast.Delivery) {
-	o.host.Emit(u, recvNoteEffect{To: to, Level: level, Del: *d})
-}
-func (o emitOutlet) noteGrow(u geo.RegionID, level int) { o.host.Emit(u, growNoteEffect{Level: level}) }
-func (o emitOutlet) noteQuery(u geo.RegionID, level int) {
-	o.host.Emit(u, queryNoteEffect{Level: level})
-}
-
-// timer forwards to the host's keyed calls; a generic host keeps its own
-// index, so no ref is kept.
-func (o emitOutlet) timer(u geo.RegionID, id vsa.TimerID, at sim.Time, _ int32) int32 {
-	if at == sim.Forever {
-		o.host.ClearTimer(u, id)
-	} else {
-		o.host.SetTimer(u, id, at)
-	}
-	return 0
 }
 
 // sendEffect transmits a protocol message from a cluster process. Every
@@ -78,39 +53,6 @@ type foundEffect struct {
 	Backup   bool
 	Obj      ObjectID
 	Payloads []FindPayload
-}
-
-// recvNoteEffect accounts a C-gcast delivery: the in-transit registry
-// entry is consumed and the receipt traced.
-type recvNoteEffect struct {
-	To    hier.ClusterID
-	Level int
-	Del   cgcast.Delivery
-}
-
-// growNoteEffect counts a grow receipt for the Theorem 4.9 amortization
-// instrumentation.
-type growNoteEffect struct{ Level int }
-
-// queryNoteEffect records an internal findquery action's level for the §VI
-// instrumentation.
-type queryNoteEffect struct{ Level int }
-
-// execEffect performs one effect value against the live network substrate:
-// the emulator's committed leader outputs come through here.
-func (n *Network) execEffect(eff any) {
-	switch e := eff.(type) {
-	case sendEffect:
-		n.execSend(e)
-	case foundEffect:
-		n.execFound(e)
-	case recvNoteEffect:
-		n.execRecv(e.To, e.Level, &e.Del)
-	case growNoteEffect:
-		n.noteGrow(e.Level)
-	case queryNoteEffect:
-		n.noteFindQuery(e.Level)
-	}
 }
 
 // execSend transmits a protocol message between cluster processes, keeping

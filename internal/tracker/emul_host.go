@@ -7,13 +7,14 @@ import (
 	"vinestalk/internal/cgcast"
 	"vinestalk/internal/emul"
 	"vinestalk/internal/geo"
+	"vinestalk/internal/hier"
 	"vinestalk/internal/sim"
 	"vinestalk/internal/trace"
 	"vinestalk/internal/vsa"
 )
 
 // emulHost runs the Tracker automaton on the replicated mobile-node
-// emulator: it is simultaneously the automaton's vsa.Host and the
+// emulator: it is at once the automaton's vsa.Host and outlet and the
 // emulator's emul.Program.
 //
 // Data path inward: a C-gcast delivery reaches emulRegionHandler.Receive,
@@ -22,13 +23,13 @@ import (
 // the region's replicated state into the shared Automaton instance,
 // dispatches the input, and re-encodes.
 //
-// Data path outward: effects and timer (re)arms the automaton emits during
-// a Step are collected as the Step's outputs (keeping Step a pure state
-// transformer). The emulator invokes the output sink exactly once per
-// output — for the leader's execution, at commit time — and only then does
-// the host act on the world: protocol sends go out, host wakeup timers are
-// armed. Follower replicas re-execute Step to advance their state copies;
-// their outputs are discarded by the emulator.
+// Data path outward: the effects and timer writes the automaton hands its
+// outlet during a Step are logged, in emission order, as the Step's outputs
+// (keeping Step a pure state transformer). The emulator invokes the output
+// sink exactly once per output — for the leader's execution, at commit
+// time — and only then does the host act on the world: protocol sends go
+// out, host wakeup timers are armed. Follower replicas re-execute Step to
+// advance their state copies; their outputs are discarded by the emulator.
 //
 // Timer wakeups are advisory: a fired host timer submits an input carrying
 // the armed deadline, and Automaton.TimerFire ignores it unless the slot
@@ -38,7 +39,7 @@ type emulHost struct {
 	net *Network
 	aut *Automaton
 	k   *sim.Kernel
-	em  *emul.Emulator
+	em  *Emulator
 
 	wakeups *keyedWakeups
 
@@ -48,42 +49,52 @@ type emulHost struct {
 	// failure or restart discards its input.
 	uncommitted [][]uint64
 
-	// collecting, while non-nil, redirects host calls into the current
-	// Step's output list instead of executing them. Steps never nest (the
-	// emulator commits inputs sequentially), but the pointer is
-	// saved/restored around each Step regardless.
-	collecting *[]emul.Output
+	// log is the running Step's effects, in emission order; its array is
+	// reused by every Step, since the emulator hands the leader's outputs to
+	// the sink before the next Step runs. stepping is set while a Step runs:
+	// an effect emitted outside one is executed at once.
+	log      []emulEffect
+	stepping bool
 }
 
-// emulDeliver is the emulator input carrying one C-gcast delivery: a copy,
-// since the emulator keeps inputs past the call that delivered them.
-type emulDeliver struct {
-	U     geo.RegionID
-	Level int
-	Del   cgcast.Delivery
-}
-
-// emulTimerFire is the emulator input carrying one host timer wakeup. At
-// is the deadline the wakeup was armed for; the automaton validates it
+// emulInput is one input of a region's emulated machine: a C-gcast
+// delivery to the process at level (a copy, since the emulator keeps inputs
+// past the call that delivered them), or, when wakeup is set, a host timer
+// wakeup of timer id armed for deadline at, which the automaton validates
 // against the slot's recorded deadline.
-type emulTimerFire struct {
-	U  geo.RegionID
-	ID vsa.TimerID
-	At sim.Time
+type emulInput struct {
+	u      geo.RegionID
+	level  int
+	del    cgcast.Delivery
+	wakeup bool
+	id     vsa.TimerID
+	at     sim.Time
 }
 
-// timerArmOut and timerClearOut are Step outputs mirroring the automaton's
-// timer-slot writes; the sink applies them to the host's wakeup service at
-// commit time.
-type timerArmOut struct {
-	U  geo.RegionID
-	ID vsa.TimerID
-	At sim.Time
-}
+// effectTag names which outlet call an emulEffect records.
+type effectTag uint8
 
-type timerClearOut struct {
-	U  geo.RegionID
-	ID vsa.TimerID
+const (
+	effSend effectTag = iota
+	effFound
+	effRecv
+	effGrow
+	effQuery
+	effTimer
+)
+
+// emulEffect is one outlet call of a Step, deferred to the leader's commit:
+// tag says which call, and so which fields are set. A recv keeps a copy of
+// its delivery; a timer write keeps id and at, with at = ∞ for a clear.
+type emulEffect struct {
+	tag   effectTag
+	level int            // recv, grow, query
+	to    hier.ClusterID // recv
+	id    vsa.TimerID    // timer
+	at    sim.Time       // timer
+	send  sendEffect
+	found foundEffect
+	del   cgcast.Delivery // recv
 }
 
 func newEmulHost(n *Network, a *Automaton, delta, tRestart sim.Time) *emulHost {
@@ -91,18 +102,16 @@ func newEmulHost(n *Network, a *Automaton, delta, tRestart sim.Time) *emulHost {
 	// A wakeup is routed through the emulator as a regular input, carrying
 	// the deadline it was armed for.
 	h.wakeups = newKeyedWakeups(n.k, len(a.regions), func(u geo.RegionID, id vsa.TimerID, at sim.Time) {
-		_ = h.em.Submit(u, emulTimerFire{U: u, ID: id, At: at})
+		_ = h.em.Submit(u, emulInput{u: u, wakeup: true, id: id, at: at})
 	})
-	h.em = emul.New(n.k, n.h.Tiling(), h, delta, tRestart,
-		emul.WithOutputSink(h.applyOutput),
-		emul.WithRegionEvents(h.onRegionEvent),
-	)
+	h.em = emul.New[emulInput](n.k, n.h.Tiling(), h, delta, tRestart, h.applyOutput, h.onRegionEvent)
 	return h
 }
 
 var (
-	_ vsa.Host     = (*emulHost)(nil)
-	_ emul.Program = (*emulHost)(nil)
+	_ vsa.Host                            = (*emulHost)(nil)
+	_ outlet                              = (*emulHost)(nil)
+	_ emul.Program[emulInput, emulEffect] = (*emulHost)(nil)
 )
 
 // keyedWakeups is the emulated host's wakeup service: the pool of
@@ -152,32 +161,38 @@ func (kw *keyedWakeups) disarmRegion(u geo.RegionID) {
 	clear(kw.refs[u])
 }
 
-// --- vsa.Host ---
-
 func (h *emulHost) Now() sim.Time { return h.k.Now() }
 
-func (h *emulHost) SetTimer(u geo.RegionID, id vsa.TimerID, at sim.Time) {
-	if h.collecting != nil {
-		*h.collecting = append(*h.collecting, emul.Output{Msg: timerArmOut{U: u, ID: id, At: at}})
+// --- outlet ---
+
+// effect logs e while a Step runs and executes it at once otherwise.
+func (h *emulHost) effect(u geo.RegionID, e emulEffect) {
+	if h.stepping {
+		h.log = append(h.log, e)
 		return
 	}
-	h.wakeups.arm(u, id, at)
+	h.applyOutput(u, e)
 }
 
-func (h *emulHost) ClearTimer(u geo.RegionID, id vsa.TimerID) {
-	if h.collecting != nil {
-		*h.collecting = append(*h.collecting, emul.Output{Msg: timerClearOut{U: u, ID: id}})
-		return
-	}
-	h.wakeups.disarm(u, id)
+func (h *emulHost) send(u geo.RegionID, e sendEffect) { h.effect(u, emulEffect{tag: effSend, send: e}) }
+func (h *emulHost) found(u geo.RegionID, e foundEffect) {
+	h.effect(u, emulEffect{tag: effFound, found: e})
+}
+func (h *emulHost) recv(u geo.RegionID, to hier.ClusterID, level int, d *cgcast.Delivery) {
+	h.effect(u, emulEffect{tag: effRecv, to: to, level: level, del: *d})
+}
+func (h *emulHost) noteGrow(u geo.RegionID, level int) {
+	h.effect(u, emulEffect{tag: effGrow, level: level})
+}
+func (h *emulHost) noteQuery(u geo.RegionID, level int) {
+	h.effect(u, emulEffect{tag: effQuery, level: level})
 }
 
-func (h *emulHost) Emit(u geo.RegionID, effect any) {
-	if h.collecting != nil {
-		*h.collecting = append(*h.collecting, emul.Output{Msg: effect})
-		return
-	}
-	h.net.execEffect(effect)
+// timer logs the timer write; the host keeps its own (region, id) index of
+// wakeups, so no ref is kept.
+func (h *emulHost) timer(u geo.RegionID, id vsa.TimerID, at sim.Time, _ int32) int32 {
+	h.effect(u, emulEffect{tag: effTimer, id: id, at: at})
+	return 0
 }
 
 // --- emul.Program ---
@@ -186,49 +201,49 @@ func (h *emulHost) Init(u geo.RegionID) []byte {
 	return h.aut.encodeInitialRegion(u)
 }
 
-func (h *emulHost) Step(state []byte, in emul.Input) (next []byte, outputs []emul.Output) {
-	var outs []emul.Output
-	prev := h.collecting
-	h.collecting = &outs
-	defer func() { h.collecting = prev }()
-
-	var u geo.RegionID
-	switch m := in.Msg.(type) {
-	case emulDeliver:
-		u = m.U
-		if err := h.aut.DecodeRegion(u, state); err != nil {
-			return state, nil
-		}
-		h.aut.Deliver(u, m.Level, &m.Del)
-	case emulTimerFire:
-		u = m.U
-		if err := h.aut.DecodeRegion(u, state); err != nil {
-			return state, nil
-		}
-		h.aut.TimerFire(u, m.ID, m.At)
-	default:
+func (h *emulHost) Step(state []byte, in emul.Input[emulInput]) (next []byte, outputs []emulEffect) {
+	m := &in.Msg
+	h.log, h.stepping = h.log[:0], true
+	err := h.aut.DecodeRegion(m.u, state)
+	if err == nil && m.wakeup {
+		h.aut.TimerFire(m.u, m.id, m.at)
+	} else if err == nil {
+		h.aut.Deliver(m.u, m.level, &m.del)
+	}
+	h.stepping = false
+	if err != nil {
 		return state, nil
 	}
-	return h.aut.EncodeRegion(u), outs
+	return h.aut.EncodeRegion(m.u), h.log
 }
 
 // --- emulator callbacks ---
 
-// applyOutput executes one committed leader output against the world.
-func (h *emulHost) applyOutput(u geo.RegionID, out emul.Output) {
-	switch m := out.Msg.(type) {
-	case timerArmOut:
-		h.wakeups.arm(m.U, m.ID, m.At)
-	case timerClearOut:
-		h.wakeups.disarm(m.U, m.ID)
-	case recvNoteEffect:
+// applyOutput executes one committed leader effect of region u against the
+// world.
+func (h *emulHost) applyOutput(u geo.RegionID, e emulEffect) {
+	n := h.net
+	switch e.tag {
+	case effSend:
+		n.execSend(e.send)
+	case effFound:
+		n.execFound(e.found)
+	case effRecv:
 		marks := h.uncommitted[u]
-		if i := slices.Index(marks, m.Del.Mark); i >= 0 {
+		if i := slices.Index(marks, e.del.Mark); i >= 0 {
 			h.uncommitted[u] = slices.Delete(marks, i, i+1)
 		}
-		h.net.execEffect(out.Msg)
-	default:
-		h.net.execEffect(out.Msg)
+		n.execRecv(e.to, e.level, &e.del)
+	case effGrow:
+		n.noteGrow(e.level)
+	case effQuery:
+		n.noteFindQuery(e.level)
+	case effTimer:
+		if e.at == sim.Forever {
+			h.wakeups.disarm(u, e.id)
+		} else {
+			h.wakeups.arm(u, e.id, e.at)
+		}
 	}
 }
 
@@ -295,7 +310,7 @@ func (rh emulRegionHandler) Receive(level int, msg any) {
 		h.net.noteDropped(rh.u, level, del)
 		return
 	}
-	if h.em.Submit(rh.u, emulDeliver{U: rh.u, Level: level, Del: *del}) == nil && del.Mark != 0 {
+	if h.em.Submit(rh.u, emulInput{u: rh.u, level: level, del: *del}) == nil && del.Mark != 0 {
 		h.uncommitted[rh.u] = append(h.uncommitted[rh.u], del.Mark)
 	}
 }

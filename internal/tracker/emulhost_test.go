@@ -2,9 +2,11 @@ package tracker
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
+	"vinestalk/internal/cgcast"
 	"vinestalk/internal/emul"
 	"vinestalk/internal/geo"
 	"vinestalk/internal/hier"
@@ -241,5 +243,101 @@ func TestLeaseForEmptyGuard(t *testing.T) {
 	}
 	if got := hb.leaseFor(99); got != 2*time.Second {
 		t.Errorf("leaseFor(99) = %v, want clamp to top level", got)
+	}
+}
+
+// emulLapSteps builds a 4×4 network on the emulated host, 3 nodes per
+// region and the evader at region 0, and returns its step: the next move of
+// an out-and-back lap to region 15 and back (12 moves), settled, then a
+// find, settled. Laps are identical, so each leaves the tracking structure
+// as it found it; the fixture keeps no found.
+func emulLapSteps(t *testing.T) (f *fixture, step func(), lapLen int) {
+	f = newFixture(t, fixtureConfig{side: 4, start: 0, alwaysUp: true,
+		netOptions: []Option{WithEmulation(time.Millisecond, 50*time.Millisecond)}})
+	deployEmulNodes(t, f, 3)
+	f.settle()
+	path := []geo.RegionID{1, 2, 3, 7, 11, 15, 11, 7, 3, 2, 1, 0}
+	origins := []geo.RegionID{15, 12, 3, 0, 5, 10}
+	i := 0
+	return f, func() {
+		if err := f.ev.MoveTo(path[i%len(path)]); err != nil {
+			t.Fatal(err)
+		}
+		f.settle()
+		if _, err := f.net.Find(origins[i%len(origins)]); err != nil {
+			t.Fatal(err)
+		}
+		f.settle()
+		f.founds = f.founds[:0]
+		i++
+	}, len(path)
+}
+
+// liveHeap is the heap that survives a forced collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// Laps on the emulated host retain no output: the emulator hands each
+// committed output to its sink and keeps none. What a lap still leaves is
+// each replica's dedup record of the inputs it committed (measured: 24.1 kB
+// per lap; 74.6 kB while the emulator also kept every output it had
+// committed, 686 boxed effects a lap).
+func TestEmulatedLapsRetainNoOutputs(t *testing.T) {
+	const (
+		warm, laps     = 4, 40
+		maxBytesPerLap = 40 << 10
+	)
+	_, step, lapLen := emulLapSteps(t)
+	for i := 0; i < warm*lapLen; i++ {
+		step()
+	}
+	before := liveHeap()
+	for i := 0; i < laps*lapLen; i++ {
+		step()
+	}
+	perLap := float64(liveHeap()-before) / laps
+	runtime.KeepAlive(step) // the network, until it has been measured
+	t.Logf("live heap grew %.0f bytes per lap of %d settled move+find pairs", perLap, lapLen)
+	if perLap > maxBytesPerLap {
+		t.Errorf("live heap grew %.0f bytes per lap, want at most %d", perLap, maxBytesPerLap)
+	}
+}
+
+// TestEmulatedMoveFindAllocs pins the allocations of one settled move+find
+// on the emulated host, averaged over a lap: decoding and re-encoding the
+// region for every replica's Step, the emulator's commit rounds and the
+// substrate's messages (measured: 757; 1 104 while every effect was boxed
+// into an emulator output, and kept). The effects a Step emits go to a log
+// the host reuses, so logging one allocates nothing.
+func TestEmulatedMoveFindAllocs(t *testing.T) {
+	const maxAllocs = 800
+	f, step, lapLen := emulLapSteps(t)
+	for i := 0; i < 2*lapLen; i++ {
+		step()
+	}
+	allocs := testing.AllocsPerRun(lapLen, step)
+	t.Logf("%.1f allocations per settled move+find", allocs)
+	if allocs > maxAllocs {
+		t.Errorf("%.1f allocations per settled move+find, want at most %d", allocs, maxAllocs)
+	}
+
+	h := f.net.emulHost
+	var del cgcast.Delivery
+	logged := testing.AllocsPerRun(100, func() {
+		h.log, h.stepping = h.log[:0], true
+		h.send(0, sendEffect{})
+		h.found(0, foundEffect{})
+		h.recv(0, 0, 0, &del)
+		h.noteGrow(0, 0)
+		h.noteQuery(0, 0)
+		h.timer(0, 1, time.Second, 0)
+		h.stepping = false
+	})
+	if logged != 0 {
+		t.Errorf("logging a Step's six effects allocated %.1f times, want 0", logged)
 	}
 }

@@ -208,14 +208,10 @@ func (netOutlet) recv(geo.RegionID, hier.ClusterID, int, *cgcast.Delivery) {}
 func (netOutlet) noteGrow(geo.RegionID, int)                               {}
 func (netOutlet) noteQuery(geo.RegionID, int)                              {}
 
-// timer arms or clears the node's timer; the node keeps its own index, so
-// no ref is kept.
+// timer arms or clears (at = ∞) the node's timer; the node keeps its own
+// index, so no ref is kept.
 func (o netOutlet) timer(u geo.RegionID, id vsa.TimerID, at sim.Time, _ int32) int32 {
-	if at == sim.Forever {
-		o.n.ClearTimer(u, id)
-	} else {
-		o.n.SetTimer(u, id, at)
-	}
+	o.n.SetTimer(u, id, at)
 	return 0
 }
 

@@ -90,9 +90,10 @@ type Network struct {
 	replicated bool
 	emulCfg    *emulationConfig
 
-	aut      *Automaton
-	emulHost *emulHost // nil on the oracle host
-	clients  map[vsa.ClientID]*Client
+	aut        *Automaton
+	oracleHost *oracleHost // nil on the emulated host
+	emulHost   *emulHost   // nil on the oracle host
+	clients    map[vsa.ClientID]*Client
 	// cgKinds maps the Fig. 2 alphabet to the C-gcast kind table, resolved
 	// once in New, so no send names its kind by a string.
 	cgKinds [len(kindNames)]cgcast.KindIndex
@@ -255,13 +256,14 @@ func New(cg *cgcast.Service, geom hier.Geometry, opts ...Option) (*Network, erro
 	if n.emulCfg != nil {
 		eh := newEmulHost(n, n.aut, n.emulCfg.delta, n.emulCfg.tRestart)
 		n.emulHost = eh
-		n.aut.attach(eh, emitOutlet{host: eh})
+		n.aut.attach(eh, eh)
 		for u := 0; u < h.Tiling().NumRegions(); u++ {
 			region := geo.RegionID(u)
 			cg.Layer().RegisterVSA(region, emulRegionHandler{host: eh, u: region})
 		}
 	} else {
 		oh := newOracleHost(n, n.aut)
+		n.oracleHost = oh
 		n.aut.attach(oh, oh)
 		for u := 0; u < h.Tiling().NumRegions(); u++ {
 			region := geo.RegionID(u)
@@ -306,9 +308,13 @@ func (n *Network) Schedule() Schedule { return n.sched }
 // Automaton returns the pure Tracker machine the network hosts.
 func (n *Network) Automaton() *Automaton { return n.aut }
 
+// Emulator is the replicated mobile-node emulator, running the Tracker
+// automaton as its program.
+type Emulator = emul.Emulator[emulInput, emulEffect]
+
 // Emulator returns the replicated mobile-node emulator hosting the
 // automaton, or nil when the network runs on the oracle host.
-func (n *Network) Emulator() *emul.Emulator {
+func (n *Network) Emulator() *Emulator {
 	if n.emulHost == nil {
 		return nil
 	}
@@ -325,7 +331,7 @@ func (n *Network) ArmedWakeups(u geo.RegionID) int {
 	if n.emulHost != nil {
 		return n.emulHost.wakeups.armedIn(u)
 	}
-	return n.aut.host.(*oracleHost).wakeups.armedIn(u)
+	return n.oracleHost.wakeups.armedIn(u)
 }
 
 // Process returns the (primary) Tracker process for a cluster.

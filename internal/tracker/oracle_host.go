@@ -35,18 +35,6 @@ var (
 
 func (h *oracleHost) Now() sim.Time { return h.k.Now() }
 
-// SetTimer and ClearTimer complete vsa.Host, but nothing calls them: the
-// automaton arms and clears its wakeups through timer, which is handed the
-// ref the timer variable's row keeps. A keyed call has no ref to use, and
-// this host keeps no (region, id) index to find one.
-func (h *oracleHost) SetTimer(geo.RegionID, vsa.TimerID, sim.Time) {
-	panic("tracker: the oracle host arms wakeups through its outlet only")
-}
-
-func (h *oracleHost) ClearTimer(geo.RegionID, vsa.TimerID) {
-	panic("tracker: the oracle host clears wakeups through its outlet only")
-}
-
 // timer is the automaton's timer-variable write: ref is the wakeup the
 // variable's row holds (0 when it holds none), and the ref returned is the
 // one the row keeps while the variable is armed.
@@ -206,13 +194,6 @@ func (ht *hostTimers) release(ref int32) {
 	w.armed = false
 	ht.armed[w.u]--
 	ht.free = append(ht.free, ref)
-}
-
-// Emit executes the effect immediately against the live network. The
-// automaton itself reaches the oracle host through the outlet methods below,
-// which do the same without boxing the effect.
-func (h *oracleHost) Emit(u geo.RegionID, effect any) {
-	h.net.execEffect(effect)
 }
 
 func (h *oracleHost) send(_ geo.RegionID, e sendEffect)   { h.net.execSend(e) }

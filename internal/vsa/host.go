@@ -11,16 +11,22 @@ import (
 // An Automaton is a deterministic machine partitioned per region: all of
 // its state for region u is explicit and serializable (EncodeRegion /
 // DecodeRegion), every state change is driven by an input the host hands
-// it (Deliver, TimerFire), and every externally-visible action it takes is
-// routed back through its Host (Emit, SetTimer, ClearTimer). The automaton
-// holds no timers, network handles, or scheduled closures of its own —
-// which is what makes one automaton runnable on different substrates:
+// it (Deliver, TimerFire), and it reads the time of that input from its
+// Host (Now). It holds no timers, network handles, or scheduled closures
+// of its own, and its effects (sends, outputs, timer writes) leave through
+// one typed port that each host implements — which is what makes one
+// automaton runnable on different substrates:
 //
 //   - an oracle host executes each region's machine directly and
-//     atomically (the abstract layer this package implements), and
+//     atomically (the abstract layer this package implements), executing
+//     each effect as it is emitted;
 //   - a replicated-emulation host (internal/emul) runs each region's
 //     machine on the mobile nodes currently in the region, surviving
-//     leader handoff and node churn by replaying the serialized state.
+//     leader handoff and node churn by replaying the serialized state, and
+//     executes the effects of the leader's replica at its commit point;
+//   - a networked host (internal/nethost) runs each region's machine on
+//     its own goroutine and turns its effects into wire frames and
+//     wall-clock timers.
 //
 // Determinism contract: a region's state after processing a sequence of
 // inputs must be a pure function of (initial state, input sequence, input
@@ -34,7 +40,9 @@ import (
 // its previous deadline, exactly like assigning a TIOA timer variable.
 type TimerID uint64
 
-// Host is the substrate-side port an Automaton runs against.
+// Host is the substrate-side port an Automaton runs against: the clock of
+// its inputs. Effects do not pass through it; each host hands its
+// automaton a typed port for them.
 type Host interface {
 	// Now returns the instant of the input being processed — the time the
 	// delivery or timer fire was due, or an external input's arrival —
@@ -42,33 +50,19 @@ type Host interface {
 	// times. It is not a fresh clock reading: the networked host may run an
 	// input after its instant.
 	Now() sim.Time
-
-	// SetTimer arms (or re-arms) timer id of region u to fire at absolute
-	// virtual time at. The host will eventually call the automaton's
-	// TimerFire(u, id, at); the wakeup is advisory — the automaton
-	// re-validates the deadline against its own recorded state, so a stale
-	// wakeup (superseded deadline, state lost to a failure) is a no-op.
-	SetTimer(u geo.RegionID, id TimerID, at sim.Time)
-
-	// ClearTimer disarms timer id of region u (deadline ← ∞).
-	ClearTimer(u geo.RegionID, id TimerID)
-
-	// Emit hands the host an effect the region's machine produced: a
-	// protocol message to transmit, an output, an accounting note. The
-	// host decides when the effect takes place — an oracle host executes
-	// it synchronously, a replicated host defers it to the leader's commit
-	// point (follower replicas produce the same effects, which are
-	// discarded). Effects must therefore be self-contained values.
-	Emit(u geo.RegionID, effect any)
 }
 
 // Automaton is the algorithm-side port: a deterministic, serializable
 // per-region machine. Implementations must confine all mutable state to
 // what EncodeRegion captures, and perform all external actions through
-// the Host they were built with.
+// the port their host gave them.
 type Automaton interface {
 	// Deliver hands the region's machine one message addressed to the
-	// subautomaton at the given hierarchy level.
+	// subautomaton at the given hierarchy level. The tracker's hosts hand
+	// it a *cgcast.Delivery. msg is untyped because the benchmark's idle
+	// automaton (benchmark/micro.go) implements this port with this
+	// signature, and the benchmark's code is held fixed so that its runs
+	// compare across commits.
 	Deliver(u geo.RegionID, level int, msg any)
 
 	// TimerFire reports that timer id, armed for deadline at, has come
@@ -79,7 +73,7 @@ type Automaton interface {
 
 	// ResetRegion returns region u's machine to its initial state (VSA
 	// failure or restart, §II-C.2), clearing any armed timers through the
-	// host.
+	// port its effects take.
 	ResetRegion(u geo.RegionID)
 
 	// EncodeRegion serializes region u's complete machine state. Two
