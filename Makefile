@@ -38,9 +38,10 @@ shuffle:
 race:
 	$(GO) test -race ./...
 
-# Networked-host smoke: the nethost runtime (its mailbox, kill, due-order,
-# stop and hold-queue tests 20 times over, for the block-and-kill
-# interleavings and the service queue's release order), the daemon's control
+# Networked-host smoke: the nethost runtime (its executor's kill, due-order,
+# stop, inject-bound, goroutine-count, kind-table and hold-queue tests 20
+# times over, for the block-and-kill interleavings and the service queue's
+# run order), the daemon's control
 # server (every line whole, replies in command order, every found on every
 # connection, a stalled client cut off without stalling the others, a line
 # past 64 KB answered and skipped; 5 times over) and the tracker-over-nethost integration tests (oracle parity,
@@ -52,7 +53,7 @@ race:
 # reference wire encoding.
 nethost-smoke:
 	$(GO) test -race ./internal/nethost
-	$(GO) test -race -count=20 -run 'Mailbox|Kill|DueOrder|StopDrops|HoldQueue|Wakeup' ./internal/nethost
+	$(GO) test -race -count=20 -run 'Kill|DueOrder|Stop|HoldQueue|Wakeup|Inject|StartAdds|ReceiveInterns' ./internal/nethost
 	$(GO) test -race -count=5 -run 'TestControlProtocolIntegrity|TestStalledControlClientDoesNotStallDaemon|TestLongControlLineIsAnswered' ./cmd/vinestalkd
 	$(GO) test -race -run 'TestNetHost|NetFrame|PendingFindSurvives' ./internal/tracker
 	$(GO) test -race -count=5 -run 'OutsideNeighbourhood' ./internal/tracker

@@ -1,8 +1,9 @@
 // Command vinestalkd serves a VINESTALK tracking hierarchy as a real
-// networked host: one goroutine per grid region (internal/nethost), the
-// Tracker automaton per region, wall-clock timers, and the versioned wire
-// codec between regions — over an in-process transport by default, or a
-// real TCP loopback transport with -transport tcp.
+// networked host: the Tracker automaton per grid region, all run by the
+// service's one executor goroutine (internal/nethost), wall-clock timers,
+// and the versioned wire codec between regions — over an in-process
+// transport by default, or a real TCP loopback transport with -transport
+// tcp.
 //
 // A newline text protocol on the control port drives it:
 //
@@ -10,7 +11,7 @@
 //	move <obj> <from> <to>        GPS transition input
 //	find <origin> [obj]           issue a find; replies "ok find <id>"
 //	                              (refused for an object never placed)
-//	kill <region>                 crash-stop the region's goroutine
+//	kill <region>                 crash-stop the region's node
 //	restart <region>              boot the region fresh (initial state)
 //	alive <region>                replies "ok alive true|false"
 //	stats                         replies one-line JSON ledger export
@@ -214,8 +215,8 @@ func (s *server) serve(ln net.Listener) error {
 }
 
 // broadcastFound queues one found line on every control connection. It
-// runs on the region goroutine that completed the find, so it formats the
-// line once, on the stack, and never touches a socket.
+// runs on the service's executor, in the input that completed the find,
+// so it formats the line once, on the stack, and never touches a socket.
 func (s *server) broadcastFound(r tracker.FindResult) {
 	var b [64]byte
 	line := append(b[:0], "found "...)

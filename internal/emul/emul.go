@@ -33,7 +33,9 @@
 package emul
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"vinestalk/internal/geo"
@@ -96,6 +98,11 @@ type Emulator[I, O any] struct {
 	nodes   map[NodeID]*node[I]
 	regions []*regionState
 	inputID uint64
+
+	// members holds each region's alive nodes, ascending by id: a node
+	// enters its region's slice on enter and leaves it on leave, which
+	// every move and failure goes through.
+	members [][]*node[I]
 
 	sink   func(u geo.RegionID, out O)
 	events func(ev RegionEvent)
@@ -177,6 +184,7 @@ func New[I, O any](k *sim.Kernel, t geo.Tiling, prog Program[I, O], delta, tRest
 		tRestart: tRestart,
 		nodes:    make(map[NodeID]*node[I]),
 		regions:  make([]*regionState, t.NumRegions()),
+		members:  make([][]*node[I], t.NumRegions()),
 		sink:     sink,
 		events:   events,
 	}
@@ -294,19 +302,21 @@ func (e *Emulator[I, O]) MaxLag() sim.Time { return 2 * e.delta }
 
 // --- internals ---
 
-func (e *Emulator[I, O]) membersOf(u geo.RegionID) []*node[I] {
-	var out []*node[I]
-	for _, n := range e.nodes {
-		if n.alive && n.region == u {
-			out = append(out, n)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+// membersOf returns region u's alive nodes, ascending by id. The slice is
+// the emulator's own: callers read it and must not hold it across a move or
+// failure.
+func (e *Emulator[I, O]) membersOf(u geo.RegionID) []*node[I] { return e.members[int(u)] }
+
+// memberIndex returns where node id is, or belongs, in members.
+func memberIndex[I any](members []*node[I], id NodeID) int {
+	i, _ := slices.BinarySearchFunc(members, id, func(n *node[I], id NodeID) int { return cmp.Compare(n.id, id) })
+	return i
 }
 
 func (e *Emulator[I, O]) enter(n *node[I], u geo.RegionID) {
 	n.region = u
+	m := e.members[int(u)]
+	e.members[int(u)] = slices.Insert(m, memberIndex(m, n.id), n)
 	n.hasReplica = false
 	n.buffered = make(map[uint64]Input[I])
 	n.committed = make(map[uint64]uint64)
@@ -361,6 +371,9 @@ func (e *Emulator[I, O]) leave(n *node[I]) {
 	if u == geo.NoRegion {
 		return
 	}
+	m := e.members[int(u)]
+	i := memberIndex(m, n.id)
+	e.members[int(u)] = slices.Delete(m, i, i+1)
 	rs := e.regions[int(u)]
 	members := e.membersOf(u)
 	if len(members) == 0 {

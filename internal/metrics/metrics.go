@@ -40,6 +40,9 @@ const (
 	// DropVSAReset: a message held in VSA memory (cgcast delivery schedule)
 	// died when the holding VSA failed or reset.
 	DropVSAReset DropCause = "vsa-reset"
+	// DropUnknownKind: a networked host received a frame whose kind is not
+	// in its alphabet.
+	DropUnknownKind DropCause = "unknown-kind"
 )
 
 // Ledger accumulates message counts, hop-work, delivery/drop counters, and

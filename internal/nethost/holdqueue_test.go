@@ -77,18 +77,18 @@ func TestHoldQueueMatchesSortedReference(t *testing.T) {
 }
 
 // TestHoldQueuePopClearsTheSlot: the slot a pop vacates keeps neither the
-// closure nor the payload, so a drained queue pins nothing for the GC.
+// function nor the payload, so a drained queue pins nothing for the GC.
 func TestHoldQueuePopClearsTheSlot(t *testing.T) {
 	var q holdQueue
 	for i := 0; i < 9; i++ {
-		q.push(heldEntry{due: sim.Time(i), seq: uint64(i), fire: func() {}, payload: []byte{1}})
+		q.push(heldEntry{due: sim.Time(i), seq: uint64(i), fn: func(*Node) {}, payload: []byte{1}})
 	}
 	for len(q) > 0 {
 		q.pop()
 	}
 	for i, e := range q[:cap(q)] {
-		if e.fire != nil || e.payload != nil {
-			t.Fatalf("vacated slot %d still holds its closure or payload", i)
+		if e.fn != nil || e.payload != nil {
+			t.Fatalf("vacated slot %d still holds its function or payload", i)
 		}
 	}
 }

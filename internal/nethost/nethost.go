@@ -1,9 +1,9 @@
 // Package nethost is the third substrate a vsa.Automaton can run on: a
 // real networked host. Where the oracle host executes region machines
 // atomically inside a discrete-event kernel and the emulation host
-// replicates them over simulated mobile nodes, nethost runs one goroutine
-// per region against the wall clock, moving frames over a real Transport
-// (an in-process channel transport, or TCP between vinestalkd processes).
+// replicates them over simulated mobile nodes, nethost runs every region's
+// node against the wall clock, moving frames over a real Transport (an
+// in-process channel transport, or TCP between vinestalkd processes).
 //
 // The port contracts carry over unchanged:
 //
@@ -12,11 +12,16 @@
 //     time of the frame or wakeup being processed, or an injected input's
 //     Inject time, never a fresh reading. sim.Time is an alias of
 //     time.Duration, so deadlines and delivery schedules map 1:1.
-//   - One queue keeps time: held frames, timer wakeups, RunAt functions
-//     and scheduled faults leave it in (due, queue) order, released by one
-//     goroutine. Wakeups are advisory: a re-armed or cleared timer's old
-//     wakeup stays queued and the node drops it against its recorded
-//     deadline (the automaton re-validates against its own state anyway).
+//   - One queue keeps time and runs the regions: held frames, timer
+//     wakeups, injected and RunAt functions, restarts and scheduled faults
+//     leave it in (due, queue) order, and one goroutine, the executor,
+//     runs each on its node as it comes due. A region takes its inputs one
+//     at a time, in atomic steps (§II-C), and so does the whole process:
+//     concurrency between regions is across processes (the TCP
+//     transport), not inside one. Wakeups are advisory: a re-armed or
+//     cleared timer's old wakeup stays queued and the node drops it
+//     against its recorded deadline (the automaton re-validates against
+//     its own state anyway).
 //   - Frames carry an absolute virtual due time. The receiving service
 //     holds a frame in the destination node's "VSA memory" until the due
 //     time and the frame dies with the node (C-gcast §II-C.3 hold
@@ -46,9 +51,11 @@ import (
 var ErrRegionDown = errors.New("region is down")
 
 // App is the algorithm-side plug: it builds each region's automaton and
-// interprets its inbound frames. All App callbacks for one region run on
-// that region's node goroutine; state reached only through a Node
-// (Node.State, the automaton) needs no locking, shared App state does.
+// interprets its inbound frames. OnStart, DeliverFrame and every injected
+// or RunAt function run on the service's executor goroutine, one input at
+// a time; state reached only through a Node (Node.State, the automaton)
+// needs no locking, and App state shared with other goroutines (the
+// callers of Inject) does.
 type App interface {
 	// NewAutomaton builds a fresh automaton instance for region u, wired to
 	// the given host, which is u's *Node: the automaton reads its inputs'
@@ -62,14 +69,15 @@ type App interface {
 	// commits.
 	NewAutomaton(u geo.RegionID, host vsa.Host) vsa.Automaton
 
-	// OnStart runs as the node's first action, on the node goroutine —
-	// both at boot and after a restart (where it typically re-detects
-	// co-located objects, like a GPS update to a restarted client).
+	// OnStart runs as the node's first input, on the executor — both at
+	// boot and after a restart (where it typically re-detects co-located
+	// objects, like a GPS update to a restarted client).
 	OnStart(n *Node)
 
 	// DeliverFrame hands the node one frame that reached its due time —
 	// typically decoded and fed to the automaton's Deliver. payload is
-	// valid for the call: an app that keeps any of it copies it.
+	// valid for the call: an app that keeps any of it copies it (the
+	// Transport doc says who owns the frame).
 	DeliverFrame(n *Node, kind string, payload []byte)
 }
 
@@ -95,23 +103,32 @@ type Service struct {
 	loss    func() bool // chaos in-window frame loss, called under mu
 	started bool
 	stopped bool
-	wg      sync.WaitGroup
+	wg      sync.WaitGroup // the executor
 
 	// held is everything awaiting its instant, earliest first: frames in
-	// hold (§II-C.3), timer wakeups, RunAt functions and scheduled faults.
-	// holdLoop, the service's one hold goroutine, releases each as it comes
-	// due — a burst due together is a queue, not a goroutine each — and Stop
-	// resolves the frames left to ledger drops. wake tells holdLoop that the
-	// earliest due time moved up or the service stopped; one pending signal
-	// is enough.
+	// hold (§II-C.3), timer wakeups, functions to run on a node (injected,
+	// RunAt, a restart's) and scheduled faults. holdLoop, the service's one
+	// executor goroutine, runs each as it comes due — a burst due together
+	// is a queue, not a goroutine each — and Stop resolves the frames left
+	// to ledger drops. wake tells holdLoop that the earliest due time moved
+	// up or the service stopped; one pending signal is enough.
 	held    holdQueue
 	heldSeq uint64
 	wake    chan struct{}
 
-	// kinds holds every wire kind the service has sent or received, with
-	// its ledger row "net/<kind>"; kindIDs maps a kind to its index there,
-	// which is what a held frame carries. malformed is the row of frames
-	// that fail to parse. Guarded by mu.
+	// injected counts the Injected functions in held. An Inject that finds
+	// maxInjected there waits on space (whose lock is mu) until the
+	// executor takes one, its region dies or the service stops; waiting
+	// counts the Injects waiting.
+	injected int
+	waiting  int
+	space    sync.Cond
+
+	// kinds holds every wire kind the service has sent or had registered,
+	// with its ledger row "net/<kind>"; kindIDs maps a kind to its index
+	// there, which is what a held frame carries. malformed is the row of
+	// received frames that fail to parse or carry a kind not in the table.
+	// Guarded by mu.
 	kinds     []frameKind
 	kindIDs   map[string]uint32
 	malformed metrics.Kind
@@ -123,24 +140,36 @@ type frameKind struct {
 	row  metrics.Kind
 }
 
-// heldEntry is one entry of the service queue, numbered seq: a closure to
-// call at due (a RunAt function, a fault); or else, for the node of region
-// to in incarnation inc, a frame in hold with its interned kind or a timer
-// wakeup with its id. A frame's payload is never nil (parseFrame's
-// guarantee), which is what tells a frame from a wakeup. It is 64 bytes and
-// the queue holds it by value.
+// heldEntry is one entry of the service queue, numbered seq. For the node
+// of region to in incarnation inc it is an input: a function to run on the
+// node (injected, RunAt, a restart's), a frame in hold with its interned
+// kind, or a timer wakeup with its id. With to < 0 it is a scheduled
+// fault, a function called with no node. A frame's payload is never nil
+// (parseFrame's guarantee), which is what tells a frame from a wakeup. It
+// is 64 bytes and the queue holds it by value.
 type heldEntry struct {
 	due     sim.Time
 	seq     uint64
-	fire    func()
+	fn      func(*Node)
 	payload []byte
-	arg     uint64 // a frame's index in Service.kinds, a wakeup's vsa.TimerID
+	arg     uint64 // a frame's index in Service.kinds, a wakeup's vsa.TimerID, injectedArg for an Injected function
 	to      int32
 	inc     uint32
 }
 
+// injectedArg marks the function entries Inject queues: they count towards
+// maxInjected.
+const injectedArg = 1
+
+// maxInjected bounds the Injected functions waiting in the queue: an Inject
+// past it blocks until the executor takes one, so a caller that floods
+// inputs is slowed, not buffered without limit. Wakeups and RunAt functions
+// are queued by the executor itself, which must never wait on its own
+// queue, and frames are held as they arrive; neither counts.
+const maxInjected = 8192
+
 // frame reports whether the entry holds a frame.
-func (e *heldEntry) frame() bool { return e.fire == nil && e.payload != nil }
+func (e *heldEntry) frame() bool { return e.fn == nil && e.payload != nil }
 
 // before orders entries by (due, seq).
 func (e *heldEntry) before(f *heldEntry) bool {
@@ -182,7 +211,7 @@ func (q *holdQueue) pop() heldEntry {
 	top := h[0]
 	last := len(h) - 1
 	e := h[last]
-	h[last] = heldEntry{} // drop the slot's closure and payload
+	h[last] = heldEntry{} // drop the slot's function and payload
 	h = h[:last]
 	if last > 0 {
 		i := 0
@@ -213,8 +242,8 @@ func (q *holdQueue) pop() heldEntry {
 }
 
 // slot tracks one region's current node. inc counts lifecycle transitions
-// (modulo 2³²); a held frame recorded under an older incarnation dies as
-// DropVSAReset.
+// (modulo 2³²); an input queued under an older incarnation dies with it, a
+// held frame as DropVSAReset.
 type slot struct {
 	node *Node
 	inc  uint32
@@ -233,6 +262,7 @@ func New(app App, cfg Config) (*Service, error) {
 		wake:    make(chan struct{}, 1),
 		kindIDs: make(map[string]uint32),
 	}
+	s.space.L = &s.mu
 	s.malformed = s.ledger.Kind("net/malformed")
 	if s.tr == nil {
 		s.tr = NewChanTransport()
@@ -252,7 +282,7 @@ func (s *Service) Now() sim.Time {
 }
 
 // Start anchors the clock, starts the transport, boots every region node,
-// and starts the hold goroutine (which runs any installed fault schedule).
+// and starts the executor (which runs any installed fault schedule).
 func (s *Service) Start() error {
 	s.mu.Lock()
 	if s.started {
@@ -273,11 +303,11 @@ func (s *Service) Start() error {
 	return nil
 }
 
-// Stop kills every node and waits for their goroutines and the hold
-// goroutine to exit. Every frame still held at stop time is resolved —
-// recorded as a DropDeadVSA against its kind — before Stop returns, so the
-// conservation invariant (sent == delivered + drops) holds on the ledger the
-// moment Stop is done.
+// Stop kills every node and waits for the executor to exit. Every frame
+// still held at stop time is resolved — recorded as a DropDeadVSA against
+// its kind — before Stop returns, so the conservation invariant (sent ==
+// delivered + drops) holds on the ledger the moment Stop is done. Every
+// Inject waiting for room is refused.
 func (s *Service) Stop() {
 	s.mu.Lock()
 	if s.stopped {
@@ -285,14 +315,16 @@ func (s *Service) Stop() {
 		return
 	}
 	s.stopped = true
-	// Frames holdLoop has already taken out are its to resolve, and wg.Wait
-	// below waits for it; every frame still queued dies here.
+	// The frames the executor has taken out are resolved already; every
+	// frame still queued dies here.
 	for i := range s.held {
 		if e := &s.held[i]; e.frame() {
 			s.kinds[e.arg].row.Drop(metrics.DropDeadVSA)
 		}
 	}
 	s.held = nil
+	s.injected = 0
+	s.space.Broadcast()
 	s.mu.Unlock()
 	signal(s.wake)
 	for u := range s.slots {
@@ -302,32 +334,34 @@ func (s *Service) Stop() {
 	_ = s.tr.Close()
 }
 
-// KillRegion crash-stops region u's node: the goroutine exits, its
-// automaton state, armed timers and queued inputs are gone, frames held for
-// it die, and every post to it from now on is refused. No-op if the region
+// KillRegion crash-stops region u's node: its automaton state and armed
+// timers are gone, every input queued for it dies (a held frame as a
+// DropDeadVSA), it takes no input after this returns but the one it may be
+// in, and every Inject to it from now on is refused. No-op if the region
 // is already dead.
 func (s *Service) KillRegion(u geo.RegionID) {
 	if int(u) < 0 || int(u) >= len(s.slots) {
 		return
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	n := s.slots[u].node
 	if n == nil {
-		s.mu.Unlock()
 		return
 	}
 	s.slots[u].node = nil
 	s.slots[u].inc++
-	s.mu.Unlock()
-	n.mb.close()
-	close(n.dead)
+	n.killed.Store(true)
+	s.space.Broadcast() // an Inject waiting for room may be for u
 }
 
 // RestartRegion boots a fresh node for region u with a fresh automaton in
 // its initial state (§II-C.2 restart). No-op if the region is alive.
 func (s *Service) RestartRegion(u geo.RegionID) { s.restart(u, s.Now()) }
 
-// restart is RestartRegion at instant at, the node's Now during OnStart.
+// restart is RestartRegion at instant at, the node's Now during OnStart:
+// the slot takes the node at once, and the executor runs OnStart as the
+// node's first input.
 func (s *Service) restart(u geo.RegionID, at sim.Time) {
 	if int(u) < 0 || int(u) >= len(s.slots) {
 		return
@@ -341,9 +375,11 @@ func (s *Service) restart(u geo.RegionID, at sim.Time) {
 	s.slots[u].node = n
 	s.slots[u].inc++
 	n.inc = s.slots[u].inc
-	s.wg.Add(1)
+	earliest := s.pushLocked(heldEntry{due: at, fn: boot, to: int32(u), inc: n.inc})
 	s.mu.Unlock()
-	go n.run()
+	if earliest {
+		signal(s.wake)
+	}
 }
 
 // RegionAlive reports whether region u's node is running.
@@ -356,21 +392,32 @@ func (s *Service) RegionAlive(u geo.RegionID) bool {
 	return s.slots[u].node != nil
 }
 
-// Inject runs fn on region u's node goroutine, at the instant of the call —
-// the entry point for external inputs (GPS updates, finds). It errors if the
-// region is dead.
+// Inject queues fn to run on region u's node at the instant of the call,
+// behind every input already due — the entry point for external inputs
+// (GPS updates, finds). It errors if the region is dead; if the region
+// dies before fn's turn, fn never runs. While maxInjected injected
+// functions wait in the queue, Inject blocks until the executor takes one,
+// so an input must not call it: an input schedules with Node.RunAt.
 func (s *Service) Inject(u geo.RegionID, fn func(*Node)) error {
 	if int(u) < 0 || int(u) >= len(s.slots) {
 		return fmt.Errorf("nethost: region %v out of range", u)
 	}
 	s.mu.Lock()
-	n := s.slots[u].node
-	s.mu.Unlock()
-	if n == nil {
+	for s.injected >= maxInjected && s.slots[u].node != nil && !s.stopped {
+		s.waiting++
+		s.space.Wait()
+		s.waiting--
+	}
+	sl := &s.slots[u]
+	if sl.node == nil || s.stopped {
+		s.mu.Unlock()
 		return fmt.Errorf("nethost: region %v: %w", u, ErrRegionDown)
 	}
-	if !n.mb.post(mbMsg{fn: fn, at: s.Now()}) {
-		return fmt.Errorf("nethost: region %v died during inject: %w", u, ErrRegionDown)
+	s.injected++
+	earliest := s.pushLocked(heldEntry{due: s.Now(), fn: fn, to: int32(u), inc: sl.inc, arg: injectedArg})
+	s.mu.Unlock()
+	if earliest {
+		signal(s.wake)
 	}
 	return nil
 }
@@ -379,25 +426,25 @@ func (s *Service) Inject(u geo.RegionID, fn func(*Node)) error {
 // before Start; the event waits in the service queue. Fault plans
 // (internal/chaos) compile onto these primitives.
 func (s *Service) ScheduleKill(at sim.Time, u geo.RegionID) error {
-	return s.scheduleFault(at, func() { s.KillRegion(u) })
+	return s.scheduleFault(at, func(*Node) { s.KillRegion(u) })
 }
 
 // ScheduleRestart arms a region restart at absolute virtual time at.
 func (s *Service) ScheduleRestart(at sim.Time, u geo.RegionID) error {
-	return s.scheduleFault(at, func() { s.restart(u, at) })
+	return s.scheduleFault(at, func(*Node) { s.restart(u, at) })
 }
 
-func (s *Service) scheduleFault(at sim.Time, fire func()) error {
+func (s *Service) scheduleFault(at sim.Time, fire func(*Node)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.started {
 		return fmt.Errorf("nethost: fault schedule must precede Start")
 	}
-	s.pushLocked(heldEntry{due: at, fire: fire})
+	s.pushLocked(heldEntry{due: at, fn: fire, to: -1})
 	return nil
 }
 
-// queue adds e for holdLoop to release at e.due; after Stop it is dropped.
+// queue adds e for the executor to run at e.due; after Stop it is dropped.
 func (s *Service) queue(e heldEntry) {
 	s.mu.Lock()
 	earliest := !s.stopped && s.pushLocked(e)
@@ -416,8 +463,29 @@ func (s *Service) pushLocked(e heldEntry) bool {
 	return s.held[0].seq == e.seq
 }
 
-// kindOf is kindLocked for a kind read off a frame: looking the bytes up
-// allocates nothing. Called with mu held.
+// signal leaves one pending wakeup on c unless one is already there.
+func signal(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
+	}
+}
+
+// RegisterKinds adds wire kinds to the table, each with its ledger row
+// "net/<kind>". Receive accepts a frame only if its kind is in the table,
+// and a kind gets there by being registered or by a send of this service;
+// so an app whose regions may be hosted by other processes registers its
+// alphabet before Start.
+func (s *Service) RegisterKinds(kinds ...string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, k := range kinds {
+		s.kindLocked(k)
+	}
+}
+
+// kindOf is kindLocked for the kind of a frame the service sends: looking
+// the bytes up allocates nothing. Called with mu held.
 func (s *Service) kindOf(kind []byte) uint32 {
 	if i, ok := s.kindIDs[string(kind)]; ok {
 		return i
@@ -482,7 +550,10 @@ func (s *Service) send(frame []byte, hops int) {
 // Receive is the transport sink: parse the frame, then hold it in the
 // destination node's memory until its due time. A frame addressed to a
 // dead region dies at arrival; one whose holder restarts before the due
-// time dies as DropVSAReset — exactly the C-gcast hold semantics.
+// time dies as DropVSAReset — exactly the C-gcast hold semantics. A frame
+// that does not parse, or whose kind is not in the table, dies on the
+// malformed row before anything of it is kept: a peer's bytes never grow
+// the table.
 func (s *Service) Receive(frame []byte) {
 	to, due, kind, payload, err := parseFrame(frame)
 	s.mu.Lock()
@@ -491,7 +562,11 @@ func (s *Service) Receive(frame []byte) {
 		s.malformed.Drop(metrics.DropNoRoute)
 		return
 	}
-	k := s.kindOf(kind)
+	k, ok := s.kindIDs[string(kind)]
+	if !ok {
+		s.malformed.Drop(metrics.DropUnknownKind)
+		return
+	}
 	if s.stopped || s.slots[to].node == nil {
 		s.kinds[k].row.Drop(metrics.DropDeadVSA)
 		return
@@ -501,33 +576,37 @@ func (s *Service) Receive(frame []byte) {
 	}
 }
 
-// maxBatch bounds the frames and wakeups holdLoop takes out of the queue in
-// one critical section, and so the batch buffer it keeps: a burst larger
-// than this is released in several batches.
+// maxBatch bounds the entries the executor takes out of the queue in one
+// critical section, and so the batch buffer it keeps: a burst larger than
+// this runs in several batches.
 const maxBatch = 256
 
-// release is one due frame or wakeup holdLoop has taken out of the queue,
-// with the node it goes to, resolved when it was taken.
+// release is one due input the executor has taken out of the queue, with
+// the node it goes to, resolved when it was taken: a function to run, a
+// frame of kind, or else a wakeup of timer id.
 type release struct {
 	n       *Node
+	fn      func(*Node)
 	kind    string
-	row     metrics.Kind
 	payload []byte
 	due     sim.Time
-	wake    bool
 	id      vsa.TimerID
-	posted  bool
 }
 
-// holdLoop releases each queued entry once its due time has come, in (due,
-// seq) order — a frame or a wakeup to its node, a closure by calling it —
-// and sleeps until the next due time in between. What is due is taken in
-// one critical section, up to and including the first closure or up to
-// maxBatch entries: the frames and wakeups before it are resolved against
-// their node's slot and incarnation there, posted, and the frames' outcomes
-// recorded in one more; then the closure runs. So a kill or restart in the
-// middle of a burst still finds every frame behind it, and a wakeup armed
-// by a node that has died since is dropped. It exits once the service has
+// holdLoop is the service's executor: it runs each queued entry once its
+// due time has come, in (due, seq) order — an input on its node, a fault
+// by calling it — and sleeps until the next due time in between. What is
+// due is taken in one critical section, up to and including the first
+// function (an input's or a fault's) or up to maxBatch entries. There each
+// input is resolved against its node's slot and incarnation, each frame's
+// outcome is recorded (a delivery, or a drop for a node that died or
+// restarted since the frame was held), and an Injected function frees its
+// place. Then the batch runs, in order. Frames and wakeups do not kill or
+// restart regions, so a function that does, queued in the middle of a
+// burst, still finds every input behind it; a wakeup armed by a node that
+// has died since is dropped; and a node that another goroutine kills
+// while the batch runs takes none of the inputs the batch still holds for
+// it, as a node's memory dies with it. It exits once the service has
 // stopped.
 func (s *Service) holdLoop() {
 	defer s.wg.Done()
@@ -535,19 +614,32 @@ func (s *Service) holdLoop() {
 	t := time.NewTimer(time.Hour)
 	defer t.Stop()
 	for {
-		var fire func()
+		var fault func(*Node)
 		s.mu.Lock()
 		now := s.Now()
 		for len(s.held) > 0 && s.held[0].due <= now && len(batch) < maxBatch {
 			e := s.held.pop()
-			if e.fire != nil {
-				fire = e.fire
+			if e.to < 0 {
+				fault = e.fn
 				break
 			}
 			sl := &s.slots[e.to]
+			live := sl.node != nil && sl.inc == e.inc
+			if e.fn != nil {
+				if e.arg == injectedArg {
+					s.injected--
+					if s.waiting > 0 {
+						s.space.Signal()
+					}
+				}
+				if live {
+					batch = append(batch, release{n: sl.node, fn: e.fn, due: e.due})
+				}
+				break
+			}
 			if !e.frame() {
-				if sl.node != nil && sl.inc == e.inc {
-					batch = append(batch, release{n: sl.node, due: e.due, wake: true, id: vsa.TimerID(e.arg)})
+				if live {
+					batch = append(batch, release{n: sl.node, due: e.due, id: vsa.TimerID(e.arg)})
 				}
 				continue
 			}
@@ -555,10 +647,11 @@ func (s *Service) holdLoop() {
 			switch {
 			case sl.node == nil:
 				k.row.Drop(metrics.DropDeadVSA)
-			case sl.inc != e.inc:
+			case !live:
 				k.row.Drop(metrics.DropVSAReset)
 			default:
-				batch = append(batch, release{n: sl.node, kind: k.name, row: k.row, payload: e.payload, due: e.due})
+				k.row.Delivery()
+				batch = append(batch, release{n: sl.node, kind: k.name, payload: e.payload, due: e.due})
 			}
 		}
 		var next sim.Time
@@ -567,13 +660,13 @@ func (s *Service) holdLoop() {
 			next = s.held[0].due
 		}
 		s.mu.Unlock()
-		if len(batch) > 0 {
-			s.deliver(batch)
-			clear(batch)
-			batch = batch[:0]
+		for i := range batch {
+			batch[i].n.dispatch(&batch[i])
 		}
-		if fire != nil {
-			fire()
+		clear(batch)
+		batch = batch[:0]
+		if fault != nil {
+			fault(nil)
 			continue
 		}
 		if stopped {
@@ -597,31 +690,6 @@ func (s *Service) holdLoop() {
 		case <-t.C:
 		}
 	}
-}
-
-// deliver posts each frame and wakeup of a batch to its node's mailbox, in
-// order, then records every frame's outcome: a delivery, or a DropDeadVSA
-// for a node that died since the batch was taken.
-func (s *Service) deliver(batch []release) {
-	for i := range batch {
-		r := &batch[i]
-		if r.wake {
-			r.n.mb.post(mbMsg{wake: true, id: r.id, at: r.due})
-		} else {
-			r.posted = r.n.mb.post(mbMsg{kind: r.kind, payload: r.payload, at: r.due})
-		}
-	}
-	s.mu.Lock()
-	for i := range batch {
-		switch r := &batch[i]; {
-		case r.wake:
-		case r.posted:
-			r.row.Delivery()
-		default:
-			r.row.Drop(metrics.DropDeadVSA)
-		}
-	}
-	s.mu.Unlock()
 }
 
 // RecordLatency adds a latency sample to the service ledger (serialized).

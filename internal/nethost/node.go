@@ -1,36 +1,45 @@
 package nethost
 
 import (
+	"sync/atomic"
+
 	"vinestalk/internal/geo"
 	"vinestalk/internal/sim"
 	"vinestalk/internal/vsa"
 )
 
-// Node runs one region's automaton on its own goroutine. Every input —
-// due frames, timer wakeups, injected functions — arrives through the
-// mailbox and is processed sequentially, so the automaton instance and
-// Node.State are single-threaded without locks.
+// Node is one region's automaton and the host it runs on. The service's
+// executor runs every input of the node — due frames, timer wakeups,
+// injected and RunAt functions — one at a time, so the automaton instance
+// and Node.State are single-threaded without locks.
 //
 // Node implements vsa.Host for its automaton, and its app turns the
 // automaton's effects into calls of Send, SendFrame, SetTimer and
-// ClearTimer. These are only ever called from the node goroutine (the
+// ClearTimer. These are only ever called from the node's inputs (the
 // automaton steps there), which is what lets the timer table be a plain
 // map.
 type Node struct {
-	svc  *Service
-	u    geo.RegionID
-	inc  uint32 // the slot's incarnation this node runs as; set before run
-	aut  vsa.Automaton
-	dead chan struct{}
-	mb   *mailbox
+	svc *Service
+	u   geo.RegionID
+	inc uint32 // the slot's incarnation this node runs as; set before its first input
+	aut vsa.Automaton
+
+	// killed is set by KillRegion, under the service lock; the executor
+	// reads it before each input, so a killed node takes no input that a
+	// batch still holds for it.
+	killed atomic.Bool
+
+	// booted is set once OnStart has run, as the first input. Executor
+	// only.
+	booted bool
 
 	// State is app-attached per-node storage (e.g. the co-located client's
-	// detection flags). Only touch it from app callbacks, which all run on
-	// the node goroutine.
+	// detection flags). Only touch it from app callbacks and the node's
+	// inputs.
 	State any
 
 	// now is the instant of the input being processed (the restart instant
-	// during OnStart): what Now returns. Node-goroutine only.
+	// during OnStart): what Now returns. Executor only.
 	now sim.Time
 
 	// timers mirrors the automaton's recorded deadlines at the host level,
@@ -38,27 +47,14 @@ type Node struct {
 	// or the id is cleared): a wakeup is dropped unless it carries exactly
 	// the deadline currently armed for its id. A re-armed or cleared id
 	// leaves its old wakeup queued; this check (plus the automaton's own
-	// slot validation) makes it a no-op. Node-goroutine only.
+	// slot validation) makes it a no-op. Executor only.
 	timers map[vsa.TimerID]sim.Time
-}
-
-// mbMsg is one mailbox input, for instant at: an injected or RunAt
-// function, a timer wakeup, or else a due frame.
-type mbMsg struct {
-	fn      func(*Node)
-	wake    bool
-	id      vsa.TimerID
-	at      sim.Time
-	kind    string
-	payload []byte
 }
 
 func newNode(s *Service, u geo.RegionID, at sim.Time) *Node {
 	n := &Node{
 		svc:    s,
 		u:      u,
-		dead:   make(chan struct{}),
-		mb:     newMailbox(),
 		now:    at,
 		timers: make(map[vsa.TimerID]sim.Time),
 	}
@@ -75,34 +71,33 @@ func (n *Node) Automaton() vsa.Automaton { return n.aut }
 // Service returns the hosting service.
 func (n *Node) Service() *Service { return n.svc }
 
-func (n *Node) run() {
-	defer n.svc.wg.Done()
-	n.svc.app.OnStart(n)
-	for {
-		select {
-		case <-n.dead:
-			return
-		case <-n.mb.ready:
-		}
-		for m, ok := n.mb.pop(); ok; m, ok = n.mb.pop() {
-			n.dispatch(m)
-		}
-	}
-}
+// boot is a restart's queue entry. Whatever input reaches a node first
+// runs OnStart before it, so boot itself has nothing left to do; it is
+// there so that OnStart runs at the restart instant.
+func boot(*Node) {}
 
-func (n *Node) dispatch(m mbMsg) {
-	n.now = m.at
+// dispatch runs one input on the node, at its instant, unless the node has
+// been killed; the node's first input runs OnStart first.
+func (n *Node) dispatch(r *release) {
+	if n.killed.Load() {
+		return
+	}
+	if !n.booted {
+		n.booted = true
+		n.svc.app.OnStart(n)
+	}
+	n.now = r.due
 	switch {
-	case m.fn != nil:
-		m.fn(n)
-	case m.wake:
-		if at, ok := n.timers[m.id]; !ok || at != m.at {
-			return // stale wakeup: re-armed, cleared, or armed by a dead node
-		}
-		delete(n.timers, m.id)
-		n.aut.TimerFire(n.u, m.id, m.at)
+	case r.fn != nil:
+		r.fn(n)
+	case r.payload != nil:
+		n.svc.app.DeliverFrame(n, r.kind, r.payload)
 	default:
-		n.svc.app.DeliverFrame(n, m.kind, m.payload)
+		if at, ok := n.timers[r.id]; !ok || at != r.due {
+			return // stale wakeup: re-armed or cleared
+		}
+		delete(n.timers, r.id)
+		n.aut.TimerFire(n.u, r.id, r.due)
 	}
 }
 
@@ -122,12 +117,12 @@ func (n *Node) SendFrame(frame []byte, hops int) {
 	n.svc.send(frame, hops)
 }
 
-// RunAt schedules fn on this node's goroutine at absolute virtual time at
+// RunAt schedules fn as an input of this node at absolute virtual time at
 // (app-level timers: heartbeat loops, load generators), in the service
 // queue's order; inside fn, Now returns at. If the node dies first, fn
 // never runs.
 func (n *Node) RunAt(at sim.Time, fn func(*Node)) {
-	n.svc.queue(heldEntry{due: at, fire: func() { n.mb.post(mbMsg{fn: fn, at: at}) }})
+	n.svc.queue(heldEntry{due: at, fn: fn, to: int32(n.u), inc: n.inc})
 }
 
 // --- vsa.Host ---

@@ -17,8 +17,16 @@ import (
 // must not touch it again, and the transport may keep it or pass the very
 // same bytes to the destination's sink (ChanTransport does; TCPTransport
 // writes it out and keeps nothing). The sink owns each frame it is handed,
-// and the service holds the frame's payload until it is delivered, so a
-// transport must not reuse a buffer it has passed to the sink.
+// so a transport must not reuse a buffer it has passed to the sink.
+//
+// On the receiving service the frame's payload is held in the queue until
+// its due time. Then one of two things ends the service's use of it: the
+// executor's call of App.DeliverFrame returns (the app copies what it
+// keeps), or the frame dies without a delivery — at arrival, when the
+// executor takes it for a dead node or an old incarnation or skips it for
+// a node killed meanwhile, or in Stop.
+// After that nothing of the service reads the frame; a receiver that
+// recycles frames may reuse the buffer from that point.
 type Transport interface {
 	// Start registers the receive sink and begins accepting frames. The
 	// sink may be called from any goroutine, including inline from Send.
@@ -32,10 +40,10 @@ type Transport interface {
 }
 
 // ChanTransport is the in-process transport: Send hands the frame itself,
-// not a copy, to the sink inline. That is safe with Service.Receive, which only records the
-// frame and schedules its due-time delivery — it never blocks on node
-// mailboxes from the transport path. Send reads the sink through an atomic
-// pointer, so concurrent senders share no lock.
+// not a copy, to the sink inline. That is safe with Service.Receive, which
+// only queues the frame for its due time and never runs a node, so a send
+// from inside an input does not re-enter the executor. Send reads the sink
+// through an atomic pointer, so concurrent senders share no lock.
 type ChanTransport struct {
 	sink   atomic.Pointer[func([]byte)]
 	closed atomic.Bool

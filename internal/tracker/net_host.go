@@ -15,12 +15,14 @@ import (
 )
 
 // NetHost runs the Tracker automaton on the networked host
-// (internal/nethost): one goroutine per region, wall-clock timers, and the
-// versioned wire codec as the message format. It plays the role the
-// Network plays on the sim hosts — client algorithm, find bookkeeping,
-// found deduplication — but against real concurrency: every region's
-// machine and client state live on that region's node goroutine, and the
-// host's own registries sit behind a mutex.
+// (internal/nethost): one node per region, run by the service's executor,
+// wall-clock timers, and the versioned wire codec as the message format.
+// It plays the role the Network plays on the sim hosts — client algorithm,
+// find bookkeeping, found deduplication — but against real concurrency:
+// every region's machine and client state are touched only by that
+// region's inputs, on the executor, and the host's own registries, which
+// the callers of PlaceObject, MoveObject and Find share with it, sit
+// behind a mutex.
 //
 // The paper's delivery schedule survives the near-instant transport
 // because every frame carries an absolute due time computed from the same
@@ -57,8 +59,8 @@ type NetConfig struct {
 	// Heartbeat, when positive, enables the §VII refresh extension with
 	// this client re-broadcast period.
 	Heartbeat sim.Time
-	// OnFound is invoked once per completed find (off the node goroutines'
-	// critical state, but concurrently with them).
+	// OnFound is invoked once per completed find, on the service's
+	// executor: it must not block, nor call back into the host.
 	OnFound func(FindResult)
 }
 
@@ -98,9 +100,14 @@ func NewNetHost(h *hier.Hierarchy, cfg NetConfig) (*NetHost, error) {
 	return nh, nil
 }
 
-// Attach binds the hosting service. Call after nethost.New and before
-// Start (find and move inputs need it to reach node goroutines).
-func (nh *NetHost) Attach(svc *nethost.Service) { nh.svc = svc }
+// Attach binds the hosting service and registers the Fig. 2 alphabet with
+// it, the only kinds its Receive accepts from a peer. Call after
+// nethost.New and before Start (find and move inputs need it to reach the
+// nodes).
+func (nh *NetHost) Attach(svc *nethost.Service) {
+	nh.svc = svc
+	svc.RegisterKinds(kindNames[kindGrow:]...)
+}
 
 // Hierarchy returns the cluster hierarchy.
 func (nh *NetHost) Hierarchy() *hier.Hierarchy { return nh.h }
@@ -111,8 +118,8 @@ func (nh *NetHost) Hierarchy() *hier.Hierarchy { return nh.h }
 // to the epoch of its current detection (absent or 0 = not here); every
 // detection takes a fresh epoch, which is what ends the heartbeat loop of
 // an earlier one. del and finds are overwritten by the next frame: the
-// automaton and reportFound copy what they keep of a delivery. Node-goroutine
-// only.
+// automaton and reportFound copy what they keep of a delivery. Touched only
+// in the node's inputs.
 type netRegionState struct {
 	here  map[ObjectID]uint64
 	epoch uint64
@@ -174,7 +181,7 @@ func (nh *NetHost) OnStart(n *nethost.Node) {
 	}
 }
 
-// netOutlet is one node's outlet, called on the node goroutine: its
+// netOutlet is one node's outlet, called in the node's inputs: its
 // automaton's sends and founds become frames, each message encoded straight
 // into its frame's buffer, and its timers go to the node. Receipts and the
 // §VI notes are accounting of the sim substrate, with no networked
@@ -412,8 +419,8 @@ func (nh *NetHost) reportFound(obj ObjectID, p FindPayload, at geo.RegionID) {
 }
 
 // ClusterPointers snapshots (c, p, nbrptup, nbrptdown) of one cluster's
-// process for the default object, by querying the head region's node on
-// its own goroutine (the only place the automaton may be read).
+// process for the default object, by querying the head region's node in
+// an input of its own (the only place the automaton may be read).
 func (nh *NetHost) ClusterPointers(c hier.ClusterID) (cp, pp, up, down hier.ClusterID, err error) {
 	return nh.ClusterPointersFor(c, DefaultObject)
 }
