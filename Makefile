@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short shuffle race vet lint nethost-smoke retention experiments experiments-quick experiments-smoke experiments-csv experiments-json chaos pairs profile profile-daemon fuzz cover clean
+.PHONY: all build test test-short shuffle race vet cross lint nethost-smoke retention experiments experiments-quick experiments-smoke experiments-csv experiments-json chaos pairs profile profile-daemon fuzz cover clean
 
 all: build vet test
 
@@ -12,6 +12,14 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# vet for two more architectures: arm64 checks internal/prefetch's PRFM
+# stub against its Go declaration (vet's asmdecl), and riscv64, which has no
+# stub, builds the no-op fallback. The Go toolchain cross-compiles on its
+# own; nothing is downloaded.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=riscv64 $(GO) vet ./...
 
 # vet and gofmt, plus staticcheck when it is installed (CI installs it;
 # locally it is optional — the toolchain stays stdlib-only).

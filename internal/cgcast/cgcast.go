@@ -22,7 +22,6 @@ package cgcast
 import (
 	"fmt"
 	"math"
-	"unsafe"
 
 	"vinestalk/internal/geo"
 	"vinestalk/internal/geocast"
@@ -106,6 +105,15 @@ type Service struct {
 	open [][]openFrame
 	free []*frame
 	made int // frames ever allocated: made - len(free) are live
+	// segs holds the entry segments no frame is using, by size class: class
+	// j holds segments of capacity 1<<j. A frame's first segment is of class
+	// first: one entry unbatched, where a frame carries one message, and
+	// batchFirst's class when batching. A frame keeps its first segment and
+	// holds the others only while it is live, so what the pool keeps of a
+	// class is the most segments of that class ever in use at once, not the
+	// largest frame times the frames.
+	segs  [][][]entry
+	first int
 
 	// envs holds the client envelopes nothing is using.
 	envs     []*clientEnv
@@ -113,7 +121,8 @@ type Service struct {
 	// targets is ClusterToClientsIndexed's scratch list of target regions.
 	targets []geo.RegionID
 
-	onDrop func(u geo.RegionID, level int, d *Delivery)
+	onDrop     func(u geo.RegionID, level int, d *Delivery)
+	onPrefetch func(u geo.RegionID, level int, b *Body)
 }
 
 // protoKind is one entry of the kind table.
@@ -149,6 +158,7 @@ type batchOption struct{}
 
 func (batchOption) apply(s *Service) {
 	s.batch = true
+	s.first = batchFirst
 	s.frameKind = s.ledger.Kind(FrameKind)
 	s.open = make([][]openFrame, s.layer.Tiling().NumRegions())
 }
@@ -172,6 +182,11 @@ func (frameOption) apply(s *Service) { s.frameKind = s.ledger.Kind(FrameKind) }
 // unbatched run of the same workload measures exactly what batching saves.
 func WithFrameAccounting() Option { return frameOption{} }
 
+// batchFirst is the class of a batched frame's first entry segment: 16
+// entries, more than the 13.3 messages the average frame carries on a 16×16
+// fan-out of 131 072 objects, so most frames take one segment.
+const batchFirst = 4
+
 // FrameKind is the ledger kind for cluster-to-cluster wire frames. Each
 // recorded frame resolves to exactly one delivery or one named drop, like
 // the per-message "proto/" kinds.
@@ -188,10 +203,11 @@ type openFrame struct {
 
 // entry is one cluster message riding a frame, packed: the sender and the
 // body, with the kind and the destination level one byte each. Every send
-// writes one into its frame's entry slice, often a cold line, and those
-// stores hold the store buffer until the line arrives, so the record is kept
-// to 48 bytes (TestEntryFits). deliver and drop unpack it into a Delivery
-// the service holds for the call.
+// writes one in place, field by field, into the next slot of its frame
+// (push), often a cold line, and those stores hold the store buffer until
+// the line arrives, so the record is kept to 48 bytes (TestEntryFits).
+// deliver and drop unpack it into a Delivery the service holds for the
+// call.
 type entry struct {
 	from       hier.ClusterID
 	fromRegion int32 // the sending region
@@ -203,20 +219,22 @@ type entry struct {
 // frame is one wire frame from the moment its first message is enqueued to
 // the moment every message riding it has resolved to a delivery or a named
 // drop. It is the geocast substrate's Receiver while in transit and the
-// callback of its own flush and hold events, so a frame costs no closure;
-// its entry slice keeps its capacity across uses. A live frame belongs to
-// exactly one of: its source region's open list (until its flush event),
-// the geocast route carrying it, its hold event, or the deliver call
-// iterating it.
+// callback of its own flush and hold events, so a frame costs no closure.
+// Its entries sit in segments of doubling size: its own first segment, then
+// segments it takes from the service's size classes as it fills and gives
+// back when it is released. A live frame belongs to exactly one of: its
+// source region's open list (until its flush event), the geocast route
+// carrying it, its hold event, or the deliver call iterating it.
 type frame struct {
 	s         *Service
 	src, dst  geo.RegionID
 	due       sim.Time
 	inc       uint64 // dst's incarnation when the frame arrived there
 	live      bool
-	entries   []entry
-	flushFn   func() // f.flush, bound once when the frame is first allocated
-	deliverFn func() // f.deliver, likewise
+	n         int       // messages riding the frame
+	segs      [][]entry // their entries in send order, segment j of class first+j
+	flushFn   func()    // f.flush, bound once when the frame is first allocated
+	deliverFn func()    // f.deliver, likewise
 }
 
 // clientEnv is one client broadcast from ClientToClusterIndexed to its
@@ -269,6 +287,16 @@ func New(h *hier.Hierarchy, layer *vsa.Layer, gc *geocast.Service, vb *vbcast.Se
 // after the drop is recorded. Every message accepted by a send therefore
 // reaches either its VSAHandler or fn, exactly once. d is valid for the call.
 func (s *Service) OnDrop(fn func(u geo.RegionID, level int, d *Delivery)) { s.onDrop = fn }
+
+// OnPrefetch registers the service's look-ahead consumer: when a frame of
+// two or more messages is due, fn runs for each of them, with the region
+// and level it is addressed to and its body, before the first is delivered.
+// The messages of a frame are independent and known in advance, so fn can
+// start loading what their deliveries will read, and their cache misses
+// overlap instead of being paid one at a time. fn is a hint: it must change
+// no state, and a service without one delivers the same messages in the
+// same order. b is valid for the call.
+func (s *Service) OnPrefetch(fn func(u geo.RegionID, level int, b *Body)) { s.onPrefetch = fn }
 
 // Replicated reports whether head replication is enabled.
 func (s *Service) Replicated() bool { return s.replicate }
@@ -358,21 +386,22 @@ func (s *Service) ClusterToCluster(from, to hier.ClusterID, kind string, payload
 	if err != nil {
 		return err
 	}
-	return s.ClusterToClusterIndexed(s.h.Head(from), from, to, k, Body{Payload: payload})
+	return s.ClusterToClusterIndexed(s.h.Head(from), from, to, k, &Body{Payload: payload})
 }
 
 // ClusterToClusterIndexed sends from cluster from to cluster to, with an
 // explicit sending region and a typed body, and the kind given by its index
 // in the kind table (InternKind): senders resolve their alphabet once
-// instead of naming the kind on every send. Under head replication, a
-// backup replica of cluster from sends from its own (alternate-head) region
-// rather than the primary head. An error means the message was refused —
-// an index the table does not hold, an invalid route or a dead sender —
-// and nothing was recorded or sent. Otherwise every copy (Copies(to) of
-// them) is accepted and resolves exactly once, at its VSAHandler or at the
-// OnDrop consumer; a copy with no live route out of the sender's region
-// resolves before this call returns.
-func (s *Service) ClusterToClusterIndexed(srcRegion geo.RegionID, from, to hier.ClusterID, kind KindIndex, body Body) error {
+// instead of naming the kind on every send. The body is copied into the
+// frame, so the service keeps no pointer to it once the call returns. Under
+// head replication, a backup replica of cluster from sends from its own
+// (alternate-head) region rather than the primary head. An error means the
+// message was refused — an index the table does not hold, an invalid route
+// or a dead sender — and nothing was recorded or sent. Otherwise every copy
+// (Copies(to) of them) is accepted and resolves exactly once, at its
+// VSAHandler or at the OnDrop consumer; a copy with no live route out of the
+// sender's region resolves before this call returns.
+func (s *Service) ClusterToClusterIndexed(srcRegion geo.RegionID, from, to hier.ClusterID, kind KindIndex, body *Body) error {
 	pk, err := s.kindAt(kind)
 	if err != nil {
 		return err
@@ -391,18 +420,26 @@ func (s *Service) ClusterToClusterIndexed(srcRegion geo.RegionID, from, to hier.
 			n = 2
 		}
 	}
-	e := entry{from: from, fromRegion: int32(srcRegion), body: body, kind: kind, level: uint8(s.h.Level(to))}
+	level := uint8(s.h.Level(to))
 	due := s.k.Now() + s.ScheduleDelay(from, to)
 	for _, dstRegion := range targets[:n] {
 		hops := max(s.h.Graph().Distance(srcRegion, dstRegion), 0)
 		pk.kind.Message(hops)
+		var f *frame
 		if s.batch {
-			s.enqueue(srcRegion, dstRegion, due, e)
-			continue
+			f = s.enqueue(srcRegion, dstRegion, due)
+		} else {
+			f = s.take(srcRegion, dstRegion, due)
 		}
-		f := s.take(srcRegion, dstRegion, due)
-		f.entries = append(f.entries, e)
-		f.send(hops)
+		// Field by field, in place: an entry literal would be built on the
+		// stack and copied with wide loads, and a wide load of the sender's
+		// narrow stores waits until every older store has reached the cache.
+		e := f.push()
+		e.from, e.fromRegion, e.kind, e.level = from, int32(srcRegion), kind, level
+		e.body.Obj, e.body.Arg, e.body.Mark, e.body.Payload = body.Obj, body.Arg, body.Mark, body.Payload
+		if !s.batch {
+			f.send(hops)
+		}
 	}
 	return nil
 }
@@ -447,38 +484,77 @@ func (s *Service) take(src, dst geo.RegionID, due sim.Time) *frame {
 	return f
 }
 
-// release returns a resolved frame to the free list. Its entries are
-// cleared so the list pins no payload.
+// release returns a resolved frame to the free list, cleared so the pool
+// pins no payload. The frame keeps its first segment, which every use
+// fills first, and gives the others back to their size classes.
 func (s *Service) release(f *frame) {
 	if !f.live {
 		panic("cgcast: frame released twice")
 	}
 	f.live = false
-	clear(f.entries)
-	f.entries = f.entries[:0]
+	for j, seg := range f.segs {
+		clear(seg)
+		if j > 0 {
+			s.segs[s.first+j] = append(s.segs[s.first+j], seg[:0])
+		}
+	}
+	if len(f.segs) > 0 {
+		clear(f.segs[1:])
+		f.segs = f.segs[:1]
+		f.segs[0] = f.segs[0][:0]
+	}
+	f.n = 0
 	s.free = append(s.free, f)
 }
 
-// enqueue adds one cluster message to the (src, dst, due) frame under
-// construction, opening the frame — and scheduling its end-of-instant
-// flush — if this is the bucket's first message. Kernel events at one
-// timestamp run in schedule order, so every same-instant send for this
+// push extends the frame by one entry and returns it, for the sender to
+// fill. When the last segment is full, the frame takes a segment of the
+// next class, twice its size, so a frame that outgrows its first segment
+// holds fewer than twice the slots it fills, and no entry is ever copied.
+func (f *frame) push() *entry {
+	j := len(f.segs) - 1
+	if j < 0 || len(f.segs[j]) == cap(f.segs[j]) {
+		j++
+		f.segs = append(f.segs, f.s.takeSeg(f.s.first+j))
+	}
+	seg := f.segs[j]
+	f.segs[j] = seg[:len(seg)+1]
+	f.n++
+	return &f.segs[j][len(seg)]
+}
+
+// takeSeg returns an empty segment of class j, from the pool if it holds
+// one.
+func (s *Service) takeSeg(j int) []entry {
+	for j >= len(s.segs) {
+		s.segs = append(s.segs, nil)
+	}
+	free := s.segs[j]
+	if n := len(free); n > 0 {
+		s.segs[j] = free[:n-1]
+		return free[n-1]
+	}
+	return make([]entry, 0, 1<<j)
+}
+
+// enqueue returns the (src, dst, due) frame under construction, opening the
+// frame — and scheduling its end-of-instant flush — if no message has taken
+// the bucket yet; the caller pushes its message onto it. Kernel events at
+// one timestamp run in schedule order, so every same-instant send for this
 // edge and round enqueued before the flush rides the same frame; a send
 // arriving after the flush (possible when a delivery handler itself sends
 // at the same instant) deterministically opens a second frame.
-func (s *Service) enqueue(srcRegion, dstRegion geo.RegionID, due sim.Time, e entry) {
+func (s *Service) enqueue(srcRegion, dstRegion geo.RegionID, due sim.Time) *frame {
 	open := s.open[srcRegion]
 	for i := range open {
 		if open[i].dst == dstRegion && open[i].due == due {
-			f := open[i].f
-			f.entries = append(f.entries, e)
-			return
+			return open[i].f
 		}
 	}
 	f := s.take(srcRegion, dstRegion, due)
 	s.open[srcRegion] = append(open, openFrame{dst: dstRegion, due: due, f: f})
 	s.k.At(s.k.Now(), f.flushFn)
-	f.entries = append(f.entries, e)
+	return f
 }
 
 // flush is the end-of-instant event of a batched frame: close the bucket
@@ -548,16 +624,25 @@ func (f *frame) deliver() {
 		return
 	}
 	s.frameKind.Delivery()
-	for i := range f.entries {
-		e := &f.entries[i]
-		d := s.unpack(e)
-		ok := s.layer.DeliverToVSA(f.dst, int(e.level), d)
-		s.unhold(d)
-		if !ok {
-			s.drop(f.dst, e, metrics.DropDeadVSA)
-			continue
+	if s.onPrefetch != nil && f.n > 1 {
+		for _, seg := range f.segs {
+			for i := range seg {
+				s.onPrefetch(f.dst, int(seg[i].level), &seg[i].body)
+			}
 		}
-		s.kinds[e.kind].kind.Delivery()
+	}
+	for _, seg := range f.segs {
+		for i := range seg {
+			e := &seg[i]
+			d := s.unpack(e)
+			ok := s.layer.DeliverToVSA(f.dst, int(e.level), d)
+			s.unhold(d)
+			if !ok {
+				s.drop(f.dst, e, metrics.DropDeadVSA)
+				continue
+			}
+			s.kinds[e.kind].kind.Delivery()
+		}
 	}
 	s.release(f)
 }
@@ -566,8 +651,10 @@ func (f *frame) deliver() {
 func (f *frame) dropAll(cause metrics.DropCause) {
 	s := f.s
 	s.frameKind.Drop(cause)
-	for i := range f.entries {
-		s.drop(f.dst, &f.entries[i], cause)
+	for _, seg := range f.segs {
+		for i := range seg {
+			s.drop(f.dst, &seg[i], cause)
+		}
 	}
 	s.release(f)
 }
@@ -712,16 +799,4 @@ func (s *Service) ClusterToClientsIndexed(from hier.ClusterID, kind KindIndex, b
 	}
 	pk.kind.Message(len(s.targets) - 1)
 	return nil
-}
-
-// FramePoolBytes returns the bytes the free frames' entry buffers keep
-// between batched sends. Each pooled frame keeps the largest capacity it has
-// held, so the figure is a high-water mark bounded by frames × the largest
-// frame, reached only as frames rotate through the largest roles.
-func (s *Service) FramePoolBytes() int {
-	n := 0
-	for _, f := range s.free {
-		n += cap(f.entries)
-	}
-	return n * int(unsafe.Sizeof(entry{}))
 }

@@ -367,7 +367,7 @@ func TestClusterToClusterAllocatesNothing(t *testing.T) {
 		grow := kindOf(svc, "grow")
 		round := func() {
 			for obj := int32(0); obj < 4; obj++ {
-				if err := svc.ClusterToClusterIndexed(f.h.Head(from), from, to, grow, Body{Obj: obj}); err != nil {
+				if err := svc.ClusterToClusterIndexed(f.h.Head(from), from, to, grow, &Body{Obj: obj}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -569,7 +569,7 @@ func TestOpenFramesMatchMapModel(t *testing.T) {
 		}
 		send := func(k batchKey) {
 			next++
-			svc.enqueue(k.src, k.dst, k.due, entry{body: Body{Obj: next}, kind: kind})
+			*svc.enqueue(k.src, k.dst, k.due).push() = entry{body: Body{Obj: next}, kind: kind}
 			mf := pending[k]
 			impl := openFor(k)
 			if impl == nil {
@@ -597,8 +597,10 @@ func TestOpenFramesMatchMapModel(t *testing.T) {
 			delete(pending, mf.key)
 			impl := implOf[mf]
 			var got []int32
-			for _, e := range impl.entries {
-				got = append(got, e.body.Obj)
+			for _, seg := range impl.segs {
+				for _, e := range seg {
+					got = append(got, e.body.Obj)
+				}
 			}
 			if !reflect.DeepEqual(got, mf.objs) {
 				t.Fatalf("seed %d: bucket %v flushes messages %v, the model %v", seed, mf.key, got, mf.objs)
@@ -657,7 +659,7 @@ func TestKindTableHolds256Kinds(t *testing.T) {
 	f := setup(t, 4, 2)
 	c := f.h.Cluster(0, 0)
 	nb := f.h.Nbrs(c)[0]
-	if err := f.svc.ClusterToClusterIndexed(f.h.Head(c), c, nb, 0, Body{}); err == nil {
+	if err := f.svc.ClusterToClusterIndexed(f.h.Head(c), c, nb, 0, &Body{}); err == nil {
 		t.Error("an index into the empty kind table accepted")
 	}
 	for i := 0; i < 256; i++ {

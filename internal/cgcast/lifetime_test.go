@@ -80,7 +80,7 @@ func kindOf(svc *cgcast.Service, kind string) cgcast.KindIndex {
 func (w *lifetimeWorld) send(src geo.RegionID, from, to hier.ClusterID, trigger int32) {
 	w.next++
 	id := w.next
-	if err := w.cg.ClusterToClusterIndexed(src, from, to, kindOf(w.cg, "probe"), cgcast.Body{Obj: id, Arg: trigger}); err != nil {
+	if err := w.cg.ClusterToClusterIndexed(src, from, to, kindOf(w.cg, "probe"), &cgcast.Body{Obj: id, Arg: trigger}); err != nil {
 		return // sender's VSA is down: nothing was sent
 	}
 	w.copies[id] = w.cg.Copies(to)

@@ -185,7 +185,7 @@ func TestWhatWasSentArrives(t *testing.T) {
 					if sc.before != nil {
 						sc.before(w, from, to)
 					}
-					if err := w.cg.ClusterToClusterIndexed(w.h.Head(from), from, to, kindOf(w.cg, want.Kind), want.Body); err != nil {
+					if err := w.cg.ClusterToClusterIndexed(w.h.Head(from), from, to, kindOf(w.cg, want.Kind), &want.Body); err != nil {
 						t.Fatal(err)
 					}
 					if sc.after != nil {
@@ -297,7 +297,7 @@ func (v *echoVSA) Receive(level int, msg any) {
 	}
 	before := *d
 	v.w.gc.SetLoss(func(cur, next geo.RegionID) bool { return true })
-	if err := v.w.cg.ClusterToClusterIndexed(v.w.h.Head(v.from), v.from, d.From, kindOf(v.w.cg, "echo"), cgcast.Body{Obj: -1, Arg: -1, Mark: 1}); err != nil {
+	if err := v.w.cg.ClusterToClusterIndexed(v.w.h.Head(v.from), v.from, d.From, kindOf(v.w.cg, "echo"), &cgcast.Body{Obj: -1, Arg: -1, Mark: 1}); err != nil {
 		v.t.Fatal(err)
 	}
 	v.w.gc.SetLoss(nil)
@@ -317,7 +317,7 @@ func TestDeliveryOutlivesHandlerSends(t *testing.T) {
 	v := &echoVSA{w: w, t: t, from: to}
 	w.layer.RegisterVSA(w.h.Head(to), v)
 	want := cgcast.Body{Obj: 7, Arg: 3, Mark: 11, Payload: &roundTripPayload{n: 1}}
-	if err := w.cg.ClusterToClusterIndexed(w.h.Head(from), from, to, kindOf(w.cg, "probe"), want); err != nil {
+	if err := w.cg.ClusterToClusterIndexed(w.h.Head(from), from, to, kindOf(w.cg, "probe"), &want); err != nil {
 		t.Fatal(err)
 	}
 	w.k.Run()

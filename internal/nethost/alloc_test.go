@@ -30,8 +30,8 @@ func (a *wakeApp) NewAutomaton(u geo.RegionID, host vsa.Host) vsa.Automaton {
 }
 
 // TestWakeupAllocatesNothing: a timer armed on a warmed node and fired —
-// the queue entry, its release, the mailbox post and the dispatch — costs
-// no allocation.
+// the queue entry, the executor taking it and the dispatch — costs no
+// allocation.
 func TestWakeupAllocatesNothing(t *testing.T) {
 	app := &wakeApp{fired: make(chan vsa.TimerID)}
 	s := startService(t, app, 1)

@@ -89,9 +89,9 @@ func startService(t *testing.T, app App, numRegions int) *Service {
 
 // TestStaleWakeupNeverFires is the advisory-timer audit under wall clocks:
 // a wakeup released before its deadline was superseded by a re-arm must
-// never reach the automaton. The node goroutine is blocked across the first
-// deadline so the stale wakeup is queued behind the re-arm, the exact race
-// a sim kernel can never produce.
+// never reach the automaton. The executor is blocked across the first
+// deadline so the stale wakeup falls due before the re-arm runs, the exact
+// race a sim kernel can never produce.
 func TestStaleWakeupNeverFires(t *testing.T) {
 	app := &recApp{}
 	s := startService(t, app, 1)
@@ -102,8 +102,8 @@ func TestStaleWakeupNeverFires(t *testing.T) {
 	if err := s.Inject(0, func(n *Node) {
 		t1 := n.Now() + 20*time.Millisecond
 		n.SetTimer(0, id, t1)
-		// Block the node goroutine past t1: the t1 wakeup is released and
-		// sits in the mailbox behind this function.
+		// Block the executor past t1: the t1 wakeup falls due in the queue
+		// and is taken only after this function returns.
 		time.Sleep(60 * time.Millisecond)
 		t2 = n.Now() + 100*time.Millisecond
 		n.SetTimer(0, id, t2)
@@ -256,8 +256,8 @@ func TestQueueDispatchesInDueOrder(t *testing.T) {
 		n.RunAt(due, func(n *Node) { app.record("fn", n.Now()) })
 		n.Send(0, due, "probe", 0, nil)
 		n.SetTimer(0, 2, due+10*time.Millisecond)
-		// Block past every instant queued above, so all five are released
-		// into the mailbox behind this function.
+		// Block past every instant queued above, so all five fall due in
+		// the queue while this function runs and are taken after it.
 		time.Sleep(80 * time.Millisecond)
 		app.record("inject", n.Now())
 		wants <- []string{
@@ -302,7 +302,8 @@ func TestKillDropsQueuedWakeupsAndFunctions(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "the queue to drain", func() bool { return queueLen(s) == 0 })
-	// Everything the queue released is in the mailbox ahead of this input.
+	// Everything the queue held has been taken by the executor ahead of
+	// this input.
 	synced := make(chan struct{})
 	if err := s.Inject(0, func(*Node) { close(synced) }); err != nil {
 		t.Fatal(err)

@@ -29,6 +29,9 @@ type Automaton struct {
 
 	host vsa.Host // the clock of the input being processed
 	out  outlet   // the oracle or emulated host itself, or the node's netOutlet
+	// sending is the scratch every process's send is filled into and handed
+	// to out by pointer; it is valid only until out.send returns.
+	sending sendEffect
 
 	// armedMove is the number of armed grow/shrink timers across all
 	// processes (the sum of Process.armedMove).

@@ -21,7 +21,10 @@ import (
 
 // outlet is where a region's machine sends its effects; u is the region.
 type outlet interface {
-	send(u geo.RegionID, e sendEffect)
+	// send transmits e, which is valid for the call only: the automaton
+	// fills the next send into the same scratch, so an outlet that keeps a
+	// send keeps a copy.
+	send(u geo.RegionID, e *sendEffect)
 	found(u geo.RegionID, e foundEffect)
 	// recv accounts the delivery of d to cluster to's process; d is valid for
 	// the call.
@@ -36,8 +39,12 @@ type outlet interface {
 }
 
 // sendEffect transmits a protocol message from a cluster process. Every
-// send builds one and hands it on by value, so it is kept to 48 bytes
-// (TestSendEffectFits): the kind travels as its code, not its name.
+// send fills one field by field, in a scratch its automaton keeps, and
+// hands the outlet a pointer to it. The oracle host copies the body into
+// its frame entry (cgcast.ClusterToClusterIndexed), the networked host
+// encodes it into a wire frame, and the emulated host, which keeps sends
+// until commit, logs a copy. It is kept to 48 bytes (TestSendEffectFits),
+// the size of a frame entry: the kind travels as its code, not its name.
 type sendEffect struct {
 	From   hier.ClusterID
 	Backup bool // emitted by the alternate-head replica (§VII quorum)
@@ -60,7 +67,7 @@ type foundEffect struct {
 // sends are suppressed while the primary head's VSA is alive (its state
 // still evolves identically, since both replicas consume the same
 // duplicated message stream).
-func (n *Network) execSend(e sendEffect) {
+func (n *Network) execSend(e *sendEffect) {
 	src := n.h.Head(e.From)
 	if e.Backup {
 		if n.cg.Layer().Alive(src) {
@@ -73,7 +80,7 @@ func (n *Network) execSend(e sendEffect) {
 	obj := ObjectID(e.Body.Obj)
 	copies := n.cg.Copies(e.To)
 	e.Body.Mark = n.noteSent(obj, e.Kind, e.From, e.To, copies)
-	if err := n.cg.ClusterToClusterIndexed(src, e.From, e.To, n.cgKinds[e.Kind], e.Body); err != nil {
+	if err := n.cg.ClusterToClusterIndexed(src, e.From, e.To, n.cgKinds[e.Kind], &e.Body); err != nil {
 		for ; copies > 0; copies-- {
 			n.resolve(e.Body.Mark) // refused: nothing was sent
 		}

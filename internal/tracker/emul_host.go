@@ -174,7 +174,10 @@ func (h *emulHost) effect(u geo.RegionID, e emulEffect) {
 	h.applyOutput(u, e)
 }
 
-func (h *emulHost) send(u geo.RegionID, e sendEffect) { h.effect(u, emulEffect{tag: effSend, send: e}) }
+// send logs a copy of e: the automaton reuses e for its next send.
+func (h *emulHost) send(u geo.RegionID, e *sendEffect) {
+	h.effect(u, emulEffect{tag: effSend, send: *e})
+}
 func (h *emulHost) found(u geo.RegionID, e foundEffect) {
 	h.effect(u, emulEffect{tag: effFound, found: e})
 }
@@ -225,7 +228,7 @@ func (h *emulHost) applyOutput(u geo.RegionID, e emulEffect) {
 	n := h.net
 	switch e.tag {
 	case effSend:
-		n.execSend(e.send)
+		n.execSend(&e.send)
 	case effFound:
 		n.execFound(e.found)
 	case effRecv:

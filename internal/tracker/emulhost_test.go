@@ -331,7 +331,7 @@ func TestEmulatedMoveFindAllocs(t *testing.T) {
 	var del cgcast.Delivery
 	logged := testing.AllocsPerRun(100, func() {
 		h.log, h.stepping = h.log[:0], true
-		h.send(0, sendEffect{})
+		h.send(0, &sendEffect{})
 		h.found(0, foundEffect{})
 		h.recv(0, 0, 0, &del)
 		h.noteGrow(0, 0)

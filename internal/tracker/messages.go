@@ -112,8 +112,12 @@ func bodyFor(obj ObjectID) cgcast.Body { return cgcast.Body{Obj: int32(obj)} }
 
 // findsBody is the body of a find or found carrying the given operations.
 func findsBody(obj ObjectID, ps []FindPayload) cgcast.Body {
-	return cgcast.Body{Obj: int32(obj), Payload: &ps}
+	return cgcast.Body{Obj: int32(obj), Payload: findsPayload(ps)}
 }
+
+// findsPayload boxes the operations a find or found body carries as the
+// body's Payload.
+func findsPayload(ps []FindPayload) any { return &ps }
 
 // findsOf returns the operations a find or found body carries.
 func findsOf(b *cgcast.Body) []FindPayload {

@@ -191,7 +191,7 @@ type netOutlet struct {
 	n  *nethost.Node
 }
 
-func (o netOutlet) send(u geo.RegionID, e sendEffect) {
+func (o netOutlet) send(u geo.RegionID, e *sendEffect) {
 	nh, h := o.nh, o.nh.h
 	to := h.Head(e.To)
 	due := o.n.Now() + cgcast.ScheduleDelayIn(h, nh.geom, nh.unit, e.From, e.To)

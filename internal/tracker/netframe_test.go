@@ -143,7 +143,7 @@ func TestNetFramesMatchTheReferenceEncoding(t *testing.T) {
 				body.Arg = 3
 			}
 			e := sendEffect{From: c0, Kind: k, To: to, Body: body}
-			got, gotTo, now := run(func(o netOutlet, _ *nethost.Node) { o.send(u, e) })
+			got, gotTo, now := run(func(o netOutlet, _ *nethost.Node) { o.send(u, &e) })
 			due := now + cgcast.ScheduleDelayIn(h, geom, netTestUnit, c0, to)
 			head := h.Head(to)
 			check(fmt.Sprintf("%s to level %d", k, h.Level(to)), got, gotTo,
@@ -247,7 +247,7 @@ func TestNetFramePathAllocatesOnlyTheFrame(t *testing.T) {
 				body.Arg = 2
 			}
 			e := sendEffect{From: c0, Kind: k, To: h.Nbrs(c0)[0], Body: body}
-			step = func(n *nethost.Node) { netOutlet{nh: nh, n: n}.send(u, e) }
+			step = func(n *nethost.Node) { netOutlet{nh: nh, n: n}.send(u, &e) }
 		}
 		round := func() {
 			if err := svc.Inject(u, step); err != nil {

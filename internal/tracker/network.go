@@ -3,12 +3,14 @@ package tracker
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"vinestalk/internal/cgcast"
 	"vinestalk/internal/emul"
 	"vinestalk/internal/evader"
 	"vinestalk/internal/geo"
 	"vinestalk/internal/hier"
+	"vinestalk/internal/prefetch"
 	"vinestalk/internal/sim"
 	"vinestalk/internal/trace"
 	"vinestalk/internal/vsa"
@@ -265,6 +267,9 @@ func New(cg *cgcast.Service, geom hier.Geometry, opts ...Option) (*Network, erro
 		oh := newOracleHost(n, n.aut)
 		n.oracleHost = oh
 		n.aut.attach(oh, oh)
+		// Only here do the tables a delivery reads outlive the call: the
+		// emulated host decodes each region's rows afresh for every input.
+		cg.OnPrefetch(n.prefetch)
 		for u := 0; u < h.Tiling().NumRegions(); u++ {
 			region := geo.RegionID(u)
 			cg.Layer().RegisterVSA(region, oracleRegionHandler{host: oh, u: region})
@@ -417,6 +422,24 @@ func (n *Network) noteSent(obj ObjectID, kind kindCode, from, to hier.ClusterID,
 // registry here — or every later quiescence check would wait on a message
 // that can never arrive.
 func (n *Network) noteDropped(_ geo.RegionID, _ int, d *cgcast.Delivery) { n.resolve(d.Mark) }
+
+// prefetch is the C-gcast service's look-ahead consumer on the oracle host.
+// Before a frame of several messages is delivered, it asks for the two lines
+// each delivery reads first: the message's home slot in the addressed
+// process's table, where the lookup of its object starts, and its ticket's
+// slot in the in-transit registry, which execRecv resolves. The frame's
+// misses then overlap instead of being paid one message at a time. It is
+// only a hint and writes nothing: a region outside the tiling, a level the
+// region does not host, an empty table or a ticket past the registry asks
+// for nothing, and a zero, spent or stale ticket at most warms a slot.
+func (n *Network) prefetch(u geo.RegionID, level int, b *cgcast.Body) {
+	if pr := n.aut.processAt(u, level); pr != nil {
+		pr.objs.prefetch(ObjectID(b.Obj))
+	}
+	if i := uint32(b.Mark) - 1; uint64(i) < uint64(len(n.transit)) {
+		prefetch.Line(unsafe.Pointer(&n.transit[i]))
+	}
+}
 
 // resolve takes one copy of the ticket's message out of the in-transit
 // registry. A zero, spent or stale ticket changes nothing.

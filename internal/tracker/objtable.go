@@ -4,7 +4,9 @@ import (
 	"math"
 	"math/rand/v2"
 	"slices"
+	"unsafe"
 
+	"vinestalk/internal/prefetch"
 	"vinestalk/internal/sim"
 )
 
@@ -108,6 +110,14 @@ func (t *objTable) lookup(obj ObjectID) (pos, psl int, ok bool) {
 		if pos++; pos == len(t.rows) {
 			pos = 0
 		}
+	}
+}
+
+// prefetch asks for obj's home slot, where a lookup of obj starts, to be
+// loaded into the cache. It changes nothing; an empty table has no slot.
+func (t *objTable) prefetch(obj ObjectID) {
+	if len(t.rows) > 0 {
+		prefetch.Line(unsafe.Pointer(&t.rows[t.home(obj)]))
 	}
 }
 

@@ -196,7 +196,7 @@ func (ht *hostTimers) release(ref int32) {
 	ht.free = append(ht.free, ref)
 }
 
-func (h *oracleHost) send(_ geo.RegionID, e sendEffect)   { h.net.execSend(e) }
+func (h *oracleHost) send(_ geo.RegionID, e *sendEffect)  { h.net.execSend(e) }
 func (h *oracleHost) found(_ geo.RegionID, e foundEffect) { h.net.execFound(e) }
 func (h *oracleHost) recv(_ geo.RegionID, to hier.ClusterID, level int, d *cgcast.Delivery) {
 	h.net.execRecv(to, level, d)

@@ -374,17 +374,26 @@ func (pr *Process) fire(st *objState, kind timerKind) {
 // send emits a protocol message about the row's object that says nothing
 // beyond its kind.
 func (pr *Process) send(st *objState, to hier.ClusterID, kind kindCode) {
-	pr.sendBody(to, kind, bodyFor(st.obj))
+	pr.sendBody(to, kind, st.obj, 0, nil)
 }
 
 // sendArg emits a message carrying one scalar (findAck's pointer, refresh's
 // hop count).
 func (pr *Process) sendArg(st *objState, to hier.ClusterID, kind kindCode, arg int32) {
-	pr.sendBody(to, kind, cgcast.Body{Obj: int32(st.obj), Arg: arg})
+	pr.sendBody(to, kind, st.obj, arg, nil)
 }
 
-func (pr *Process) sendBody(to hier.ClusterID, kind kindCode, body cgcast.Body) {
-	pr.aut.out.send(pr.region, sendEffect{From: pr.id, Backup: pr.backup, To: to, Kind: kind, Body: body})
+// sendBody fills the automaton's send scratch field by field and hands it to
+// the outlet. A sendEffect literal would be built on the stack and copied
+// into the call with wide loads, and a wide load of narrow stores waits
+// until every older store — the last send's frame entry, often on a cold
+// line — has reached the cache.
+func (pr *Process) sendBody(to hier.ClusterID, kind kindCode, obj ObjectID, arg int32, payload any) {
+	e := &pr.aut.sending
+	e.From, e.Backup, e.Kind, e.To = pr.id, pr.backup, kind, to
+	e.Body.Obj, e.Body.Arg, e.Body.Mark, e.Body.Payload = int32(obj), arg, 0, payload
+	pr.aut.out.send(pr.region, e)
+	e.Body.Payload = nil // the scratch pins no find payload between sends
 }
 
 // --- Move-related actions (Fig. 2, left column) ---
@@ -609,7 +618,7 @@ func (pr *Process) onNbrTimeout(st *objState) {
 
 // forwardFind sends every held find to dest and clears the searching state.
 func (pr *Process) forwardFind(st *objState, dest hier.ClusterID) {
-	pr.sendBody(dest, kindFind, findsBody(st.obj, pr.takeFinds(st)))
+	pr.sendBody(dest, kindFind, st.obj, 0, findsPayload(pr.takeFinds(st)))
 }
 
 // --- §VII heartbeat extension ---
