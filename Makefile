@@ -58,13 +58,17 @@ race:
 # -race too: a frame costs one allocation from the outlet to Deliver, a
 # wakeup and a TCP send none, a find held pending survives the next
 # frame's decode into the node's scratch, and the frames match the
-# reference wire encoding.
+# reference wire encoding. The client-half parity test (one seeded client
+# script on the oracle host and on NetHost: same sends, founds and find
+# records) and the FindDone rule run 5 times over under -race, since control
+# goroutines and the executor both reach NetHost's find registry.
 nethost-smoke:
 	$(GO) test -race ./internal/nethost
 	$(GO) test -race -count=20 -run 'Kill|DueOrder|Stop|HoldQueue|Wakeup|Inject|StartAdds|ReceiveInterns' ./internal/nethost
 	$(GO) test -race -count=5 -run 'TestControlProtocolIntegrity|TestStalledControlClientDoesNotStallDaemon|TestLongControlLineIsAnswered' ./cmd/vinestalkd
 	$(GO) test -race -run 'TestNetHost|NetFrame|PendingFindSurvives' ./internal/tracker
 	$(GO) test -race -count=5 -run 'OutsideNeighbourhood' ./internal/tracker
+	$(GO) test -race -count=5 -run 'TestClientHalvesMatchOnBothHosts|TestFindDoneRuleIsTheSameOnBothHosts' ./internal/tracker
 	$(GO) test -run 'TestNetHostMatchesOracleOnFixedSchedule' -count=10 ./internal/tracker
 	$(GO) test -run 'FuzzDecodeRegion|FuzzDecodeClusterMessage' ./internal/tracker
 

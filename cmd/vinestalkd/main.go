@@ -7,8 +7,10 @@
 //
 // A newline text protocol on the control port drives it:
 //
-//	place <obj> <region>          introduce object <obj> at <region>
-//	move <obj> <from> <to>        GPS transition input
+//	place <obj> <region>          introduce object <obj> at <region>, or
+//	                              teleport it there from where it is
+//	move <obj> <from> <to>        GPS transition input (refused unless
+//	                              <from> is where the object is)
 //	find <origin> [obj]           issue a find; replies "ok find <id>"
 //	                              (refused for an object never placed)
 //	kill <region>                 crash-stop the region's node

@@ -3,6 +3,7 @@ package tracker
 import (
 	"testing"
 
+	"vinestalk/internal/evader"
 	"vinestalk/internal/geo"
 	"vinestalk/internal/hier"
 	"vinestalk/internal/trace"
@@ -46,7 +47,7 @@ func TestNetworkAndClientAccessors(t *testing.T) {
 	if c.ID() != 0 || c.Region() != geo.RegionID(0) {
 		t.Errorf("client identity = (%v, %v)", c.ID(), c.Region())
 	}
-	if !c.EvaderHere() || !c.ObjectHere(DefaultObject) {
+	if !c.ObjectHere(DefaultObject) {
 		t.Error("client at evader region should report detection")
 	}
 	if c.ObjectHere(5) {
@@ -68,9 +69,8 @@ func TestNetworkAndClientAccessors(t *testing.T) {
 	}
 	f.settle()
 
-	// HandleEvaderEvent routes a raw GPS input (the legacy single-object
-	// entry point).
-	f.net.HandleEvaderEvent(f.ev.Region(), true)
+	// Sink routes a raw GPS input for the default object.
+	f.net.Sink()(f.ev.Region(), evader.EventMove)
 	f.settle()
 
 	// The automaton ignores payloads that are not deliveries and levels a

@@ -176,11 +176,11 @@ func (n *Network) AttachObjects(specs []AttachSpec) error {
 			// the followers, and each follower opens its first move epoch.
 			for _, id := range n.cg.Layer().ClientsIn(u) {
 				c, ok := n.clients[id]
-				if !ok || !c.evaderHere[leader] {
+				if !ok || !c.core.detects(leader) {
 					continue
 				}
 				for _, obj := range followers {
-					c.evaderHere[obj] = true
+					c.core.adopt(obj)
 				}
 			}
 			for _, obj := range followers {

@@ -87,7 +87,7 @@ func netFindHost(t *testing.T, at geo.RegionID) findHost {
 		records: func() int {
 			nh.mu.Lock()
 			defer nh.mu.Unlock()
-			return len(nh.started)
+			return len(nh.finds.open)
 		},
 		founds: count,
 	}

@@ -167,7 +167,7 @@ func TestRestartInPlaceClearsStaleDetection(t *testing.T) {
 	f.k.RunFor(100 * unit)
 
 	detector := vsa.ClientID(9) // the stationary client of the evader's region
-	if !f.net.Client(detector).EvaderHere() {
+	if !f.net.Client(detector).ObjectHere(DefaultObject) {
 		t.Fatal("detector has not detected the co-located evader; test setup broken")
 	}
 	oldRegion := f.ev.Region()
@@ -180,7 +180,7 @@ func TestRestartInPlaceClearsStaleDetection(t *testing.T) {
 	if err := f.layer.RestartClient(detector, oldRegion); err != nil {
 		t.Fatal(err)
 	}
-	if f.net.Client(detector).EvaderHere() {
+	if f.net.Client(detector).ObjectHere(DefaultObject) {
 		t.Fatal("restarted client kept its pre-crash detection state")
 	}
 	// With the stale detection cleared, leases at the old leaf expire and

@@ -1,11 +1,13 @@
 package tracker
 
 import (
+	"fmt"
 	"testing"
 
 	"vinestalk/internal/evader"
 	"vinestalk/internal/geo"
 	"vinestalk/internal/hier"
+	"vinestalk/internal/trace"
 	"vinestalk/internal/vsa"
 )
 
@@ -201,12 +203,22 @@ func TestMultiObjectHeartbeatHealsBoth(t *testing.T) {
 func vsaClientFor(u geo.RegionID) vsa.ClientID { return vsa.ClientID(int(u)) }
 
 // A client forgets an object that left: N objects pass through one region
-// and out again, heartbeats on so each detection also armed a refresh
-// timer, and afterwards the region's client holds no entry for any of them.
+// and out again, heartbeats on so each detection also started a refresh
+// tick loop, and afterwards the region's client holds no entry for any of
+// them and sends no refresh: each loop ended at its next tick.
 func TestClientForgetsObjectsThatLeft(t *testing.T) {
 	const n = 12
-	f := newFixture(t, fixtureConfig{side: 8, start: 63, alwaysUp: true, heartbeat: 8 * unit})
+	period := 8 * unit
+	tr := trace.New(16)
+	f := newFixture(t, fixtureConfig{side: 8, start: 63, alwaysUp: true, heartbeat: period,
+		netOptions: []Option{WithTracer(tr)}})
 	through, out := f.tiling.RegionAt(3, 3), f.tiling.RegionAt(4, 3)
+	refreshes := 0
+	tr.Attach(func(e trace.Event) {
+		if e.Kind == "send" && e.Msg == KindRefresh && e.From == -1 && geo.RegionID(e.Region) == through {
+			refreshes++
+		}
+	})
 	c := f.net.Client(vsa.ClientID(int(through)))
 	evs := make([]*evader.Evader, n)
 	for i := range evs {
@@ -219,21 +231,54 @@ func TestClientForgetsObjectsThatLeft(t *testing.T) {
 		}
 	}
 	f.k.RunFor(50 * unit)
-	if len(c.evaderHere) != n || len(c.refresh) != n {
-		t.Fatalf("with %d objects present: %d detections, %d refresh timers", n, len(c.evaderHere), len(c.refresh))
+	if len(c.core.here) != n || refreshes == 0 {
+		t.Fatalf("with %d objects present: %d detections, %d refreshes sent", n, len(c.core.here), refreshes)
 	}
 	for _, ev := range evs {
 		if err := ev.MoveTo(out); err != nil {
 			t.Fatal(err)
 		}
 	}
+	f.k.RunFor(period)
+	refreshes = 0
 	f.k.RunFor(50 * unit)
-	if len(c.evaderHere) != 0 || len(c.refresh) != 0 {
-		t.Fatalf("after every object left: %d detections and %d refresh timers kept", len(c.evaderHere), len(c.refresh))
+	if len(c.core.here) != 0 || refreshes != 0 {
+		t.Fatalf("after every object left: %d detections kept, %d refreshes sent", len(c.core.here), refreshes)
 	}
 	for i := range evs {
 		if c.ObjectHere(ObjectID(i + 1)) {
 			t.Errorf("ObjectHere(%d) still true after the object left", i+1)
 		}
+	}
+}
+
+// A client re-detects the objects present where its GPS puts it in
+// ascending id order, not in the order of a map: a client added where five
+// objects sit sends their grows in one order on every run.
+func TestRedetectionRunsInObjectOrder(t *testing.T) {
+	const (
+		at   = geo.RegionID(5)
+		runs = 30
+	)
+	orders := make(map[string]int)
+	for run := 0; run < runs; run++ {
+		tr := trace.New(16)
+		f := newFixture(t, fixtureConfig{side: 4, start: 0, alwaysUp: true, netOptions: []Option{WithTracer(tr)}})
+		for obj := ObjectID(1); obj <= 5; obj++ {
+			f.net.AttachObject(obj, func() geo.RegionID { return at })
+		}
+		var order string
+		tr.Attach(func(e trace.Event) {
+			if e.Kind == "send" && e.Msg == KindGrow && e.From == -1 {
+				order += fmt.Sprintf(" %d", e.Obj)
+			}
+		})
+		if _, err := f.net.AddClient(vsa.ClientID(100), at); err != nil {
+			t.Fatal(err)
+		}
+		orders[order]++
+	}
+	if want := " 1 2 3 4 5"; len(orders) != 1 || orders[want] != runs {
+		t.Errorf("re-detection grows over %d runs: %v, want %q every run", runs, orders, want)
 	}
 }

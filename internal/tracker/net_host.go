@@ -14,15 +14,13 @@ import (
 	"vinestalk/internal/vsa"
 )
 
-// NetHost runs the Tracker automaton on the networked host
-// (internal/nethost): one node per region, run by the service's executor,
-// wall-clock timers, and the versioned wire codec as the message format.
-// It plays the role the Network plays on the sim hosts — client algorithm,
-// find bookkeeping, found deduplication — but against real concurrency:
-// every region's machine and client state are touched only by that
-// region's inputs, on the executor, and the host's own registries, which
-// the callers of PlaceObject, MoveObject and Find share with it, sit
-// behind a mutex.
+// NetHost hosts the Tracker automaton and the client algorithm (clientCore)
+// on the networked host (internal/nethost): one node per region, with its
+// region's stationary client, run by the service's executor, wall-clock
+// timers, and the versioned wire codec as the message format. A region's
+// machine and client are touched only by its node's inputs; the host's
+// find registry and object positions, shared with the callers of
+// PlaceObject, MoveObject and Find, sit behind a mutex.
 //
 // The paper's delivery schedule survives the near-instant transport
 // because every frame carries an absolute due time computed from the same
@@ -39,12 +37,10 @@ type NetHost struct {
 	svc *nethost.Service
 
 	// mu guards the host registries below, never node or automaton state.
-	// started is the only find registry: a find is outstanding iff its id is
-	// a key (the value is its issue time), and its first found removes it.
+	// objAt is each placed object's region; finds is in wall-clock time.
 	mu      sync.Mutex
 	objAt   map[ObjectID]geo.RegionID
-	findSeq FindID
-	started map[FindID]sim.Time
+	finds   findRegistry
 	onFound func(FindResult)
 }
 
@@ -86,7 +82,7 @@ func NewNetHost(h *hier.Hierarchy, cfg NetConfig) (*NetHost, error) {
 		delta:   cfg.Delta,
 		onFound: cfg.OnFound,
 		objAt:   make(map[ObjectID]geo.RegionID),
-		started: make(map[FindID]sim.Time),
+		finds:   findRegistry{open: make(map[FindID]sim.Time)},
 	}
 	if cfg.Heartbeat > 0 {
 		nh.hb = &HeartbeatConfig{
@@ -112,38 +108,45 @@ func (nh *NetHost) Attach(svc *nethost.Service) {
 // Hierarchy returns the cluster hierarchy.
 func (nh *NetHost) Hierarchy() *hier.Hierarchy { return nh.h }
 
-// netRegionState is the per-node state (Node.State): the §IV-A client
-// algorithm's detection flags for the region's co-located sensor, and the
-// scratch each inbound frame is decoded into. here maps a detected object
-// to the epoch of its current detection (absent or 0 = not here); every
-// detection takes a fresh epoch, which is what ends the heartbeat loop of
-// an earlier one. del and finds are overwritten by the next frame: the
-// automaton and reportFound copy what they keep of a delivery. Touched only
-// in the node's inputs.
+// netRegionState is a node's State, made on its first input: the region's
+// client, whose port it is, and the scratch each inbound frame is decoded
+// into, which the next frame overwrites (its readers copy what they keep).
 type netRegionState struct {
-	here  map[ObjectID]uint64
-	epoch uint64
-	del   cgcast.Delivery
-	finds []FindPayload
+	nh     *NetHost
+	n      *nethost.Node
+	client clientCore
+	del    cgcast.Delivery
+	finds  []FindPayload
 }
 
-func regionState(n *nethost.Node) *netRegionState {
+func (nh *NetHost) region(n *nethost.Node) *netRegionState {
 	st, ok := n.State.(*netRegionState)
 	if !ok {
-		st = &netRegionState{here: make(map[ObjectID]uint64)}
+		st = &netRegionState{nh: nh, n: n}
+		st.client = clientCore{port: st, heartbeat: nh.hb != nil, region: n.Region(), here: make(map[ObjectID]uint64)}
 		n.State = st
 	}
 	return st
 }
 
-// detect is the client's GPS "entered" input: record a fresh detection
-// epoch, broadcast grow, and start the detection's heartbeat loop.
-func (nh *NetHost) detect(n *nethost.Node, obj ObjectID) {
-	st := regionState(n)
-	st.epoch++
-	st.here[obj] = st.epoch
-	nh.clientSend(n, obj, KindGrow, nil)
-	nh.armRefresh(n, obj, st.epoch)
+// send is ClientToCluster over the wire: a frame due δ after the input's
+// instant, from NoCluster, which the receiver takes for a local detection.
+func (st *netRegionState) send(u geo.RegionID, kind kindCode, body cgcast.Body) error {
+	nh, c0 := st.nh, st.nh.h.Cluster(u, 0)
+	if c0 == hier.NoCluster {
+		return fmt.Errorf("tracker: region %v has no level-0 cluster", u)
+	}
+	head := nh.h.Head(c0)
+	return nh.sendMsg(st.n, head, st.n.Now()+nh.delta, nh.hops(u, head), hier.NoCluster, u, 0, kind.String(), &body)
+}
+
+// tickAfter runs the tick as an input of the node; it dies with the node.
+func (st *netRegionState) tickAfter(obj ObjectID, epoch uint64) {
+	st.n.RunAt(st.n.Now()+st.nh.hb.Period, func(*nethost.Node) { st.client.tick(obj, epoch) })
+}
+
+func (st *netRegionState) found(obj ObjectID, p FindPayload, u geo.RegionID) {
+	st.nh.reportFound(obj, p, u)
 }
 
 // --- nethost.App ---
@@ -162,23 +165,23 @@ func (nh *NetHost) NewAutomaton(u geo.RegionID, host vsa.Host) vsa.Automaton {
 	return a
 }
 
-// OnStart implements nethost.App: the region's co-located client re-runs
-// its GPS detection, exactly like Client.GPSUpdate after a restart — if
-// the tracked object sits here, broadcast a fresh detection and start the
-// heartbeat. This is what lets a killed-and-restarted evader region
-// re-seed the tracking structure.
-func (nh *NetHost) OnStart(n *nethost.Node) {
-	nh.mu.Lock()
+// OnStart implements nethost.App: the GPS input of the region's client at
+// boot and after a restart, which lets a restarted evader region re-seed
+// the tracking structure.
+func (nh *NetHost) OnStart(n *nethost.Node) { nh.gps(n, n.Region()) }
+
+// gps is a GPS input reporting u to node n's client, with the objects objAt
+// places at u.
+func (nh *NetHost) gps(n *nethost.Node, u geo.RegionID) {
 	var present []ObjectID
+	nh.mu.Lock()
 	for obj, at := range nh.objAt {
-		if at == n.Region() {
+		if at == u {
 			present = append(present, obj)
 		}
 	}
 	nh.mu.Unlock()
-	for _, obj := range present {
-		nh.detect(n, obj)
-	}
+	nh.region(n).client.reset(u, present)
 }
 
 // netOutlet is one node's outlet, called in the node's inputs: its
@@ -195,7 +198,7 @@ func (o netOutlet) send(u geo.RegionID, e *sendEffect) {
 	nh, h := o.nh, o.nh.h
 	to := h.Head(e.To)
 	due := o.n.Now() + cgcast.ScheduleDelayIn(h, nh.geom, nh.unit, e.From, e.To)
-	nh.sendMsg(o.n, to, due, nh.hops(u, to), e.From, u, h.Level(e.To), e.Kind.String(), &e.Body)
+	_ = nh.sendMsg(o.n, to, due, nh.hops(u, to), e.From, u, h.Level(e.To), e.Kind.String(), &e.Body)
 }
 
 // found broadcasts found to the clients of the cluster head's region and of
@@ -205,9 +208,9 @@ func (o netOutlet) found(_ geo.RegionID, e foundEffect) {
 	head := nh.h.Head(e.From)
 	due := o.n.Now() + nh.unit
 	body := findsBody(e.Obj, e.Payloads)
-	nh.sendMsg(o.n, head, due, 0, e.From, head, 0, KindFound, &body)
+	_ = nh.sendMsg(o.n, head, due, 0, e.From, head, 0, KindFound, &body)
 	for _, target := range nh.h.Tiling().Neighbors(head) {
-		nh.sendMsg(o.n, target, due, nh.hops(head, target), e.From, head, 0, KindFound, &body)
+		_ = nh.sendMsg(o.n, target, due, nh.hops(head, target), e.From, head, 0, KindFound, &body)
 	}
 }
 
@@ -225,14 +228,16 @@ func (o netOutlet) timer(u geo.RegionID, id vsa.TimerID, at sim.Time, _ int32) i
 // sendMsg sends the message of the given kind from cluster from (in region
 // fromRegion) to the process at level, with body b, to region to in a frame
 // of its own due at due, charging hops. The frame's buffer is the one
-// allocation: the message is written into it behind the header.
+// allocation: the message is written into it behind the header. A message
+// the wire codec refuses is not sent.
 func (nh *NetHost) sendMsg(n *nethost.Node, to geo.RegionID, due sim.Time, hops int,
-	from hier.ClusterID, fromRegion geo.RegionID, level int, kind string, b *cgcast.Body) {
+	from hier.ClusterID, fromRegion geo.RegionID, level int, kind string, b *cgcast.Body) error {
 	frame, err := AppendClusterMsg(nethost.NewFrame(to, due, kind, msgSize(kind, b)), from, fromRegion, level, kind, b)
 	if err != nil {
-		return
+		return err
 	}
 	n.SendFrame(frame, hops)
+	return nil
 }
 
 // DeliverFrame implements nethost.App: decode one due frame into the node's
@@ -240,19 +245,13 @@ func (nh *NetHost) sendMsg(n *nethost.Node, to geo.RegionID, due sim.Time, hops 
 // to the region's client. The bytes are untrusted; a frame that fails the
 // wire codec is dropped.
 func (nh *NetHost) DeliverFrame(n *nethost.Node, kind string, payload []byte) {
-	st := regionState(n)
+	st := nh.region(n)
 	level, err := decodeClusterMsg(kind, payload, &st.del, &st.finds)
 	if err != nil {
 		return
 	}
 	if kind == KindFound {
-		obj := ObjectID(st.del.Obj)
-		if st.here[obj] == 0 {
-			return
-		}
-		for _, p := range findsOf(&st.del.Body) {
-			nh.reportFound(obj, p, n.Region())
-		}
+		st.client.deliverFound(ObjectID(st.del.Obj), &st.del.Body)
 		return
 	}
 	n.Automaton().Deliver(n.Region(), level, &st.del)
@@ -264,86 +263,51 @@ func (nh *NetHost) hops(from, to geo.RegionID) int {
 	if from == to {
 		return 0
 	}
-	d := nh.h.Graph().Distance(from, to)
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
-// clientSend broadcasts a client message to the node's region's level-0
-// cluster (cgcast ClientToCluster over the wire): due δ from now, from
-// NoCluster so the receiving process treats it as a local detection. finds
-// is a find's payload, nil for every other kind.
-func (nh *NetHost) clientSend(n *nethost.Node, obj ObjectID, kind string, finds []FindPayload) {
-	c0 := nh.h.Cluster(n.Region(), 0)
-	if c0 == hier.NoCluster {
-		return
-	}
-	head := nh.h.Head(c0)
-	body := bodyFor(obj)
-	if finds != nil {
-		body = findsBody(obj, finds)
-	}
-	nh.sendMsg(n, head, n.Now()+nh.delta, nh.hops(n.Region(), head), hier.NoCluster, n.Region(), 0, kind, &body)
-}
-
-// armRefresh starts the §VII heartbeat loop of one detection: every period,
-// while that detection (epoch) is still the object's current one here,
-// re-broadcast a refresh. A departure or a newer detection ends the loop at
-// its next tick, so an object has one loop per region however often it is
-// placed or returns. The loop is node-local state — it dies with the node
-// and OnStart revives it.
-func (nh *NetHost) armRefresh(n *nethost.Node, obj ObjectID, epoch uint64) {
-	if nh.hb == nil {
-		return
-	}
-	n.RunAt(n.Now()+nh.hb.Period, func(n *nethost.Node) {
-		if regionState(n).here[obj] != epoch {
-			return
-		}
-		nh.clientSend(n, obj, KindRefresh, nil)
-		nh.armRefresh(n, obj, epoch)
-	})
+	return max(nh.h.Graph().Distance(from, to), 0)
 }
 
 // --- external inputs ---
 
-// PlaceObject introduces (or teleports) a tracked object at region at:
-// the region's client detects it and grows the initial path.
+// PlaceObject introduces a tracked object at region at, or teleports one
+// already placed: the region the host records for it gets the left input,
+// and at detects the object and grows the path.
 func (nh *NetHost) PlaceObject(obj ObjectID, at geo.RegionID) error {
-	return nh.moveObject(obj, geo.NoRegion, at)
+	return nh.moveObject(obj, geo.NoRegion, at, true)
 }
 
 // MoveObject is the GPS transition input: the object leaves from (its
 // client broadcasts shrink) and enters to (grow). It mirrors the sim
-// evader's Sink events.
+// evader's Sink events. from must be the object's region, geo.NoRegion for
+// an object not yet placed; a move from anywhere else is refused.
 func (nh *NetHost) MoveObject(obj ObjectID, from, to geo.RegionID) error {
-	return nh.moveObject(obj, from, to)
+	return nh.moveObject(obj, from, to, false)
 }
 
-func (nh *NetHost) moveObject(obj ObjectID, from, to geo.RegionID) error {
-	// Both ends are checked before the first mutation: a refused move must
-	// not have shrunk the path at from or repointed objAt.
+// moveObject moves obj to region to from the region objAt records for it,
+// which gets the left input. Unless teleport is set, from must name that
+// region. Everything is checked before objAt is written: a refused move must
+// not have shrunk the path anywhere.
+func (nh *NetHost) moveObject(obj ObjectID, from, to geo.RegionID, teleport bool) error {
 	if t := nh.h.Tiling(); !t.Contains(to) || (from != geo.NoRegion && !t.Contains(from)) {
 		return fmt.Errorf("tracker: move %v → %v: region out of range", from, to)
 	}
 	nh.mu.Lock()
+	cur, placed := nh.objAt[obj]
+	if !placed {
+		cur = geo.NoRegion
+	}
+	if !teleport && from != cur {
+		nh.mu.Unlock()
+		return fmt.Errorf("tracker: move of object %v from %v: it is at %v", obj, from, cur)
+	}
 	nh.objAt[obj] = to
 	nh.mu.Unlock()
-	if from != geo.NoRegion && from != to {
-		// A dead origin region simply misses the left input — its restart
-		// resets detection anyway (OnStart only re-detects present objects).
-		_ = nh.svc.Inject(from, func(n *nethost.Node) {
-			st := regionState(n)
-			if st.here[obj] == 0 {
-				return
-			}
-			delete(st.here, obj)
-			nh.clientSend(n, obj, KindShrink, nil)
-		})
+	if cur != geo.NoRegion && cur != to {
+		// A dead origin region simply misses the left input: its restart
+		// resets detection anyway.
+		_ = nh.svc.Inject(cur, func(n *nethost.Node) { nh.region(n).client.leave(obj) })
 	}
-	err := nh.svc.Inject(to, func(n *nethost.Node) { nh.detect(n, obj) })
+	err := nh.svc.Inject(to, func(n *nethost.Node) { nh.region(n).client.enter(obj) })
 	if errors.Is(err, nethost.ErrRegionDown) {
 		// The object entered a crashed region: detection is lost until the
 		// region restarts, when OnStart re-detects it from objAt.
@@ -360,34 +324,34 @@ func (nh *NetHost) Find(origin geo.RegionID) (FindID, error) {
 
 // FindObject is Find for one of several tracked objects. A find for an
 // object no input has placed is refused: nothing could answer it, so its
-// record would outlive it. A refused find does not keep its id (see below),
-// so FindDone reads false for it.
+// record would outlive it. A refused find gives its id back, as on the sim
+// hosts, unless a concurrent find has taken the next one meanwhile.
 func (nh *NetHost) FindObject(origin geo.RegionID, obj ObjectID) (FindID, error) {
-	nh.mu.Lock()
-	if _, placed := nh.objAt[obj]; !placed {
-		nh.mu.Unlock()
-		return 0, fmt.Errorf("tracker: find for object %v, which no input has placed", obj)
-	}
-	nh.findSeq++
-	id := nh.findSeq
-	nh.started[id] = nh.svc.Now()
-	nh.mu.Unlock()
-	p := FindPayload{ID: id, Origin: origin}
-	err := nh.svc.Inject(origin, func(n *nethost.Node) {
-		nh.clientSend(n, obj, KindFind, []FindPayload{p})
-	})
+	id, prev, err := nh.openFind(obj, nh.svc.Now())
 	if err != nil {
-		// A refused find gives its id back, as on the sim hosts, unless a
-		// concurrent find has taken the next one meanwhile.
+		return 0, err
+	}
+	p := FindPayload{ID: id, Origin: origin}
+	if err := nh.svc.Inject(origin, func(n *nethost.Node) { _ = nh.region(n).client.find(obj, p) }); err != nil {
 		nh.mu.Lock()
-		delete(nh.started, id)
-		if nh.findSeq == id {
-			nh.findSeq--
-		}
+		nh.finds.withdraw(id, prev)
 		nh.mu.Unlock()
 		return 0, err
 	}
 	return id, nil
+}
+
+// openFind issues the next find id for obj at instant at; prev is what
+// withdraw needs.
+func (nh *NetHost) openFind(obj ObjectID, at sim.Time) (id, prev FindID, err error) {
+	nh.mu.Lock()
+	defer nh.mu.Unlock()
+	if _, placed := nh.objAt[obj]; !placed {
+		return 0, 0, fmt.Errorf("tracker: find for object %v, which no input has placed", obj)
+	}
+	id = nh.finds.seq + 1
+	prev, err = nh.finds.issue(id, at)
+	return id, prev, err
 }
 
 // FindDone reports whether a found output for the find has occurred: the
@@ -395,19 +359,16 @@ func (nh *NetHost) FindObject(origin geo.RegionID, obj ObjectID) (FindID, error)
 func (nh *NetHost) FindDone(id FindID) bool {
 	nh.mu.Lock()
 	defer nh.mu.Unlock()
-	_, outstanding := nh.started[id]
-	return id >= 1 && id <= nh.findSeq && !outstanding
+	return nh.finds.done(id)
 }
 
 // reportFound completes an outstanding find on its first found output (the
 // broadcast reaches the evader's region and its neighbors, so later copies
-// find the id gone) and records the find-completion latency in the service
-// ledger. A found for an id that is not outstanding — a duplicate, or a
-// frame for a find nobody issued — is ignored.
+// find it retired and are dropped) and records the find-completion latency
+// in the service ledger.
 func (nh *NetHost) reportFound(obj ObjectID, p FindPayload, at geo.RegionID) {
 	nh.mu.Lock()
-	start, outstanding := nh.started[p.ID]
-	delete(nh.started, p.ID)
+	start, outstanding := nh.finds.retire(p.ID)
 	nh.mu.Unlock()
 	if !outstanding {
 		return

@@ -74,7 +74,7 @@ func TestNetHostRejectedMoveLeavesObjectTracked(t *testing.T) {
 		t.Errorf("objAt[%d] = %v (present %v) after rejected moves, want %v", obj, got, ok, at)
 	}
 	here := make(chan bool, 1)
-	if err := svc.Inject(at, func(n *nethost.Node) { here <- regionState(n).here[obj] != 0 }); err != nil {
+	if err := svc.Inject(at, func(n *nethost.Node) { here <- nh.region(n).client.detects(obj) }); err != nil {
 		t.Fatal(err)
 	}
 	if !<-here {
@@ -177,7 +177,7 @@ func TestNetHostOneRefreshLoopPerDetection(t *testing.T) {
 	})
 }
 
-// started is the only find registry and it holds outstanding finds only: a
+// The find registry holds outstanding finds only: a
 // found frame for an id nobody issued — any peer of the data port can send
 // one — is ignored and retains nothing, and an answered find leaves no entry.
 func TestNetHostFindRegistryHoldsOnlyOutstandingFinds(t *testing.T) {
@@ -196,7 +196,7 @@ func TestNetHostFindRegistryHoldsOnlyOutstandingFinds(t *testing.T) {
 	outstanding := func() int {
 		nh.mu.Lock()
 		defer nh.mu.Unlock()
-		return len(nh.started)
+		return len(nh.finds.open)
 	}
 
 	c0 := nh.h.Cluster(at, 0)
@@ -249,4 +249,57 @@ func TestNetHostFindRegistryHoldsOnlyOutstandingFinds(t *testing.T) {
 	if n := outstanding(); n != 0 {
 		t.Errorf("%d registry entries after %d answered finds, want 0", n, finds)
 	}
+}
+
+// The host knows where each object is, so the left input of a move goes
+// there: a move naming another origin is refused before anything changes,
+// and placing an object that is already placed (a teleport) sends the left
+// input to the region it was at. Either way one level-0 process tracks the
+// object once the cascade has settled, not one at each region that detected
+// it (a level-0 process whose c points at itself).
+func TestNetHostMoveLeavesFromWhereTheObjectIs(t *testing.T) {
+	const (
+		obj    = ObjectID(1)
+		settle = 40 * netTestUnit
+	)
+	nh, _ := startNetHost(t, NetConfig{})
+	leaves := func() []geo.RegionID {
+		var out []geo.RegionID
+		for u := geo.RegionID(0); int(u) < nh.h.Tiling().NumRegions(); u++ {
+			c0 := nh.h.Cluster(u, 0)
+			c, _, _, _, err := nh.ClusterPointersFor(c0, obj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c == c0 { // a detection, not a lateral link through u
+				out = append(out, u)
+			}
+		}
+		return out
+	}
+	expect := func(what string, want geo.RegionID) {
+		t.Helper()
+		time.Sleep(settle)
+		if got := leaves(); !reflect.DeepEqual(got, []geo.RegionID{want}) {
+			t.Errorf("%s: level-0 processes tracking the object at %v, want only %v", what, got, want)
+		}
+	}
+	if err := nh.MoveObject(obj, 3, 5); err == nil {
+		t.Error("a move of an object no input placed, from region 3, was accepted")
+	}
+	if err := nh.PlaceObject(obj, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := nh.MoveObject(obj, 9, 10); err == nil {
+		t.Error("a move from region 9 of an object at 5 was accepted")
+	}
+	expect("after a move from the wrong region", 5)
+	if err := nh.PlaceObject(obj, 10); err != nil {
+		t.Fatal(err)
+	}
+	expect("after a teleport from 5 to 10", 10)
+	if err := nh.MoveObject(obj, 10, 11); err != nil {
+		t.Fatal(err)
+	}
+	expect("after a move from 10 to 11", 11)
 }

@@ -163,14 +163,20 @@ func TestNetFramesMatchTheReferenceEncoding(t *testing.T) {
 	}
 	check("found fan-out", got, gotTo, want, wantTo)
 
-	for _, kind := range []string{KindGrow, KindShrink, KindFind, KindRefresh} {
+	for _, kind := range []kindCode{kindGrow, kindShrink, kindFind, kindRefresh} {
 		var ps []FindPayload
-		if kind == KindFind {
+		body := bodyFor(obj)
+		if kind == kindFind {
 			ps = finds[:1]
+			body = findsBody(obj, ps)
 		}
-		got, gotTo, now := run(func(_ netOutlet, n *nethost.Node) { nh.clientSend(n, obj, kind, ps) })
-		check("client "+kind, got, gotTo,
-			[][]byte{refFrame(u, now+netTestDelta, hier.NoCluster, u, 0, obj, kind, 0, ps)},
+		got, gotTo, now := run(func(_ netOutlet, n *nethost.Node) {
+			if err := nh.region(n).send(u, kind, body); err != nil {
+				t.Error(err)
+			}
+		})
+		check("client "+kind.String(), got, gotTo,
+			[][]byte{refFrame(u, now+netTestDelta, hier.NoCluster, u, 0, obj, kind.String(), 0, ps)},
 			[]geo.RegionID{u})
 	}
 }

@@ -78,9 +78,9 @@ type transitSlot struct {
 
 // Network instantiates the Tracker automaton (one process per cluster)
 // over a C-gcast service, hosts it on a substrate host (the oracle VSA
-// layer, or the replicated mobile-node emulator under WithEmulation), runs
-// the client algorithm, and exposes the find API plus state snapshots for
-// the correctness checkers.
+// layer, or the replicated mobile-node emulator under WithEmulation), hosts
+// the client algorithm on the VSA layer's clients, and exposes the find API
+// plus state snapshots for the correctness checkers.
 type Network struct {
 	cg         *cgcast.Service
 	h          *hier.Hierarchy
@@ -105,15 +105,9 @@ type Network struct {
 	// moveInflight counts the copies in transit that belong to the
 	// grow/shrink family: what MoveQuiescent waits for.
 	moveInflight int
-	// findSeq is the largest find id issued on this network: FindObject's
-	// sequence, raised by any larger id FindObjectAs issues.
-	findSeq FindID
-	// finds holds the outstanding finds and nothing else: an id is a key,
-	// valued at its input's virtual time, from its input until its first
-	// found output has been reported, when the key is deleted. What the
-	// network keeps of finds is thus bounded by how many are in flight,
-	// not by how many the run has issued.
-	finds    map[FindID]sim.Time
+	// finds is the find registry, in virtual time: FindObject's sequence,
+	// raised by any larger id FindObjectAs issues.
+	finds    findRegistry
 	onFound  func(FindResult)
 	evaderAt map[ObjectID]func() geo.RegionID
 	tr       *trace.Tracer
@@ -224,7 +218,7 @@ func New(cg *cgcast.Service, geom hier.Geometry, opts ...Option) (*Network, erro
 		geom:       geom,
 		sched:      DefaultSchedule(geom, cg.Unit()),
 		clients:    make(map[vsa.ClientID]*Client),
-		finds:      make(map[FindID]sim.Time),
+		finds:      findRegistry{open: make(map[FindID]sim.Time)},
 		evaderAt:   make(map[ObjectID]func() geo.RegionID),
 		moveEpochs: make(map[ObjectID]uint64),
 	}
@@ -235,7 +229,7 @@ func New(cg *cgcast.Service, geom hier.Geometry, opts ...Option) (*Network, erro
 		return nil, err
 	}
 	if n.hb != nil {
-		n.hb.leases = n.computeLeases()
+		n.hb.leases = computeLeases(h, geom, n.sched, cg.Unit(), n.hb.Period)
 	}
 	if n.replicated != cg.Replicated() {
 		return nil, fmt.Errorf("tracker: head replication mismatch: network %v, C-gcast %v", n.replicated, cg.Replicated())
@@ -278,16 +272,9 @@ func New(cg *cgcast.Service, geom hier.Geometry, opts ...Option) (*Network, erro
 	return n, nil
 }
 
-// computeLeases derives per-level lease durations: two refresh periods plus
-// the worst-case time for a refresh to climb to that level (grow waits plus
-// parent-hop delays).
-func (n *Network) computeLeases() []sim.Time {
-	return computeLeases(n.h, n.geom, n.sched, n.cg.Unit(), n.hb.Period)
-}
-
 // computeLeases is the lease derivation shared by every host: leases[l] is
-// generous enough for a refresh issued every period to climb to level l
-// between renewals.
+// two refresh periods plus twice the worst-case time for a refresh to climb
+// to level l (grow waits plus parent-hop delays), plus a unit.
 func computeLeases(h *hier.Hierarchy, geom hier.Geometry, sched Schedule, unit, period sim.Time) []sim.Time {
 	m := h.MaxLevel()
 	leases := make([]sim.Time, m+1)
@@ -354,27 +341,6 @@ func (n *Network) BackupProcess(c hier.ClusterID) *Process {
 		return nil
 	}
 	return n.aut.backups[c]
-}
-
-// sendFromClient transmits a client message to a level-0 cluster.
-func (n *Network) sendFromClient(id vsa.ClientID, to hier.ClusterID, kind kindCode, body cgcast.Body) error {
-	obj := ObjectID(body.Obj)
-	body.Mark = n.noteSent(obj, kind, hier.NoCluster, to, 1)
-	if err := n.cg.ClientToClusterIndexed(id, to, n.cgKinds[kind], body); err != nil {
-		n.resolve(body.Mark) // refused: nothing was sent
-		return err
-	}
-	if n.tr.Enabled() {
-		region := int32(-1)
-		if c, ok := n.clients[id]; ok {
-			region = int32(c.region)
-		}
-		n.tr.Emit(trace.Event{
-			At: n.k.Now(), Kind: "send", Op: n.opFor(obj, kind.String(), &body), Obj: int32(obj),
-			Msg: kind.String(), From: -1, To: int32(to), Region: region, Level: -1,
-		})
-	}
-	return nil
 }
 
 // opFor derives the trace operation id a protocol message belongs to:
@@ -468,6 +434,7 @@ func (n *Network) AddClient(id vsa.ClientID, u geo.RegionID) (*Client, error) {
 		return nil, fmt.Errorf("tracker: client %v already exists", id)
 	}
 	c := &Client{net: n, id: id}
+	c.core = clientCore{port: c, heartbeat: n.hb != nil, here: make(map[ObjectID]uint64)}
 	if err := n.cg.Layer().AddClient(id, u, c); err != nil {
 		return nil, err
 	}
@@ -536,12 +503,6 @@ func (n *Network) RemoveObject(obj ObjectID) error {
 	return nil
 }
 
-// HandleEvaderEvent delivers a GPS detection input to the clients of region
-// u (paper §III: move on entry, left on exit). Wire it as the evader.Sink.
-func (n *Network) HandleEvaderEvent(u geo.RegionID, entered bool) {
-	n.handleObjectEvent(DefaultObject, u, entered)
-}
-
 func (n *Network) handleObjectEvent(obj ObjectID, u geo.RegionID, entered bool) {
 	if entered {
 		// A new move epoch for this object: the grow/shrink cascade the
@@ -551,9 +512,9 @@ func (n *Network) handleObjectEvent(obj ObjectID, u geo.RegionID, entered bool) 
 	for _, id := range n.cg.Layer().ClientsIn(u) {
 		if c, ok := n.clients[id]; ok {
 			if entered {
-				c.evaderMove(obj, u)
+				c.core.enter(obj)
 			} else {
-				c.evaderLeft(obj, u)
+				c.core.leave(obj)
 			}
 		}
 	}
@@ -570,7 +531,7 @@ func (n *Network) Find(u geo.RegionID) (FindID, error) {
 // object that no GPS input has placed is refused. A refused find does not
 // take an id: the next find is issued under the id it would have had.
 func (n *Network) FindObject(u geo.RegionID, obj ObjectID) (FindID, error) {
-	id := n.findSeq + 1
+	id := n.finds.seq + 1
 	if err := n.FindObjectAs(id, u, obj); err != nil {
 		return 0, err
 	}
@@ -586,12 +547,17 @@ func (n *Network) FindObject(u geo.RegionID, obj ObjectID) (FindID, error) {
 // find, so not reusing an id once its find has retired is the caller's
 // part; FindObject's ids start above every id issued here.
 func (n *Network) FindObjectAs(id FindID, u geo.RegionID, obj ObjectID) error {
-	if id < 1 {
-		return fmt.Errorf("tracker: find id %d is not positive", id)
+	prev, err := n.finds.issue(id, n.k.Now())
+	if err == nil {
+		if err = n.findAt(id, u, obj); err != nil {
+			n.finds.withdraw(id, prev)
+		}
 	}
-	if _, outstanding := n.finds[id]; outstanding {
-		return fmt.Errorf("tracker: find id %d already issued", id)
-	}
+	return err
+}
+
+// findAt hands find id's input to the first alive client in region u.
+func (n *Network) findAt(id FindID, u geo.RegionID, obj ObjectID) error {
 	if n.moveEpochs[obj] == 0 {
 		// Nothing could answer the find, so its record would outlive it.
 		return fmt.Errorf("tracker: find for object %v, which no input has placed", obj)
@@ -604,38 +570,26 @@ func (n *Network) FindObjectAs(id FindID, u geo.RegionID, obj ObjectID) error {
 	if !ok {
 		return fmt.Errorf("tracker: client %v not part of this network", ids[0])
 	}
-	n.finds[id] = n.k.Now()
-	if err := c.find(obj, FindPayload{ID: id, Origin: u}); err != nil {
-		delete(n.finds, id)
-		return err
-	}
-	if id > n.findSeq {
-		n.findSeq = id
-	}
-	return nil
+	return c.core.find(obj, FindPayload{ID: id, Origin: u})
 }
 
 // FindIssued returns the virtual time of the find's input while the find
 // is outstanding, and inside the found callback that retires it.
 func (n *Network) FindIssued(id FindID) (sim.Time, bool) {
-	at, ok := n.finds[id]
+	at, ok := n.finds.open[id]
 	return at, ok
 }
 
 // FindDone reports whether a found output for the find has occurred: the
-// id was issued on this network (it is at most the largest id issued here)
-// and is no longer outstanding. This is NetHost's rule.
-func (n *Network) FindDone(id FindID) bool {
-	_, outstanding := n.finds[id]
-	return id >= 1 && id <= n.findSeq && !outstanding
-}
+// id was issued on this network and is no longer outstanding.
+func (n *Network) FindDone(id FindID) bool { return n.finds.done(id) }
 
 // reportFound reports the first found output of an outstanding find and
 // then retires the find. Several clients in the evader's region may output
 // for one find; a found for an id that is not outstanding, whether such a
 // duplicate or one that arrives before its find's input, is dropped.
 func (n *Network) reportFound(obj ObjectID, p FindPayload, at geo.RegionID) {
-	if _, outstanding := n.finds[p.ID]; !outstanding {
+	if _, outstanding := n.finds.open[p.ID]; !outstanding {
 		return
 	}
 	n.tr.Emit(trace.Event{
@@ -645,12 +599,12 @@ func (n *Network) reportFound(obj ObjectID, p FindPayload, at geo.RegionID) {
 	if n.onFound != nil {
 		n.onFound(FindResult{ID: p.ID, Object: obj, Origin: p.Origin, FoundAt: at})
 	}
-	delete(n.finds, p.ID)
+	n.finds.retire(p.ID)
 }
 
 // OutstandingFinds returns how many finds are outstanding: the number of
 // find records the network holds.
-func (n *Network) OutstandingFinds() int { return len(n.finds) }
+func (n *Network) OutstandingFinds() int { return len(n.finds.open) }
 
 // MoveQuiescent reports whether all move-related activity has settled: no
 // grow/shrink-family messages in flight and no armed grow/shrink timers.
