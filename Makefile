@@ -270,15 +270,18 @@ experiments-csv:
 experiments-json:
 	$(GO) run ./cmd/experiments -json results
 
-# Short exploratory fuzz sessions over the spec, the hierarchy builder and
-# the two tracker codecs (region state, decoded on an oracle host so its
-# wakeups are reconciled too, and cluster wire messages).
+# Short exploratory fuzz sessions over the spec, lookAhead under injected
+# transit sets, the hierarchy builder, the two tracker codecs (region state,
+# decoded on an oracle host so its wakeups are reconciled too, and cluster
+# wire messages) and the daemon's control-line parser.
 fuzz:
 	$(GO) test -fuzz=FuzzAtomicMoveWalk -fuzztime=30s ./internal/lookahead
+	$(GO) test -run '^FuzzLookAheadTransits$$' -fuzz='^FuzzLookAheadTransits$$' -fuzztime=30s ./internal/lookahead
 	$(GO) test -fuzz=FuzzGridHierarchy -fuzztime=30s ./internal/hier
 	$(GO) test -fuzz=FuzzLandmarkHierarchy -fuzztime=30s ./internal/hier
 	$(GO) test -run '^FuzzDecodeRegion$$' -fuzz='^FuzzDecodeRegion$$' -fuzztime=30s ./internal/tracker
 	$(GO) test -run '^FuzzDecodeClusterMessage$$' -fuzz='^FuzzDecodeClusterMessage$$' -fuzztime=30s ./internal/tracker
+	$(GO) test -run '^FuzzControlExec$$' -fuzz='^FuzzControlExec$$' -fuzztime=30s ./cmd/vinestalkd
 
 cover:
 	$(GO) test -cover ./...

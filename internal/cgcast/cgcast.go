@@ -40,15 +40,9 @@ import (
 // whatever does not fit them (a find's payload list, a foreign caller's own
 // type), boxed by the sender. The body is copied whole from the send into
 // the entry and from the entry into the Delivery a handler is handed.
-//
-// Mark is not part of what the message says: it is the sender's own note on
-// this message, which the service copies with the body and never reads, so
-// that whoever consumes the delivery or the drop (OnDrop) can recognize the
-// send it resolves without looking it up. It does not go on the wire.
 type Body struct {
 	Obj     int32
 	Arg     int32
-	Mark    uint64
 	Payload any
 }
 
@@ -101,10 +95,11 @@ type Service struct {
 	// instant (batching only). A region opens only a few (dst, due) buckets
 	// an instant — bounded by its clusters' neighbours, parents and children
 	// — so a scan of its list replaces a hashed lookup. free holds the frames
-	// nothing is using.
-	open [][]openFrame
-	free []*frame
-	made int // frames ever allocated: made - len(free) are live
+	// nothing is using; frames holds every frame ever allocated, live or
+	// free, so InFlight finds the live ones without a link per message.
+	open   [][]openFrame
+	free   []*frame
+	frames []*frame
 	// segs holds the entry segments no frame is using, by size class: class
 	// j holds segments of capacity 1<<j. A frame's first segment is of class
 	// first: one entry unbatched, where a frame carries one message, and
@@ -115,9 +110,10 @@ type Service struct {
 	segs  [][][]entry
 	first int
 
-	// envs holds the client envelopes nothing is using.
-	envs     []*clientEnv
-	envsMade int // client envelopes ever allocated
+	// envs holds the client envelopes nothing is using, and envelopes every
+	// envelope ever allocated, as free and frames do for frames.
+	envs      []*clientEnv
+	envelopes []*clientEnv
 	// targets is ClusterToClientsIndexed's scratch list of target regions.
 	targets []geo.RegionID
 
@@ -205,7 +201,7 @@ type openFrame struct {
 // body, with the kind and the destination level one byte each. Every send
 // writes one in place, field by field, into the next slot of its frame
 // (push), often a cold line, and those stores hold the store buffer until
-// the line arrives, so the record is kept to 48 bytes (TestEntryFits).
+// the line arrives, so the record is kept to 40 bytes (TestEntryFits).
 // deliver and drop unpack it into a Delivery the service holds for the
 // call.
 type entry struct {
@@ -224,7 +220,8 @@ type entry struct {
 // segments it takes from the service's size classes as it fills and gives
 // back when it is released. A live frame belongs to exactly one of: its
 // source region's open list (until its flush event), the geocast route
-// carrying it, its hold event, or the deliver call iterating it.
+// carrying it, its hold event, or the deliver call iterating it. Every
+// message riding a live frame is in flight (InFlight).
 type frame struct {
 	s         *Service
 	src, dst  geo.RegionID
@@ -297,6 +294,33 @@ func (s *Service) OnDrop(fn func(u geo.RegionID, level int, d *Delivery)) { s.on
 // no state, and a service without one delivers the same messages in the
 // same order. b is valid for the call.
 func (s *Service) OnPrefetch(fn func(u geo.RegionID, level int, b *Body)) { s.onPrefetch = fn }
+
+// InFlight calls fn for every message the service has accepted and not yet
+// resolved — each message riding a live frame, whether the frame is open, on
+// the wire or held, and each client broadcast not yet arrived — with the
+// region and level it is addressed to. It walks every frame and envelope
+// ever allocated, so it is for checkers, not for the message path. Call it
+// between kernel events: inside a frame's delivery, the messages already
+// handed to their handlers are still listed. d is valid for the call.
+func (s *Service) InFlight(fn func(u geo.RegionID, level int, d *Delivery)) {
+	for _, f := range s.frames {
+		if !f.live {
+			continue
+		}
+		for _, seg := range f.segs {
+			for i := range seg {
+				d := s.unpack(&seg[i])
+				fn(f.dst, int(seg[i].level), d)
+				s.unhold(d)
+			}
+		}
+	}
+	for _, env := range s.envelopes {
+		if env.live {
+			fn(env.target, 0, &env.del)
+		}
+	}
+}
 
 // Replicated reports whether head replication is enabled.
 func (s *Service) Replicated() bool { return s.replicate }
@@ -436,7 +460,7 @@ func (s *Service) ClusterToClusterIndexed(srcRegion geo.RegionID, from, to hier.
 		// narrow stores waits until every older store has reached the cache.
 		e := f.push()
 		e.from, e.fromRegion, e.kind, e.level = from, int32(srcRegion), kind, level
-		e.body.Obj, e.body.Arg, e.body.Mark, e.body.Payload = body.Obj, body.Arg, body.Mark, body.Payload
+		e.body.Obj, e.body.Arg, e.body.Payload = body.Obj, body.Arg, body.Payload
 		if !s.batch {
 			f.send(hops)
 		}
@@ -478,7 +502,7 @@ func (s *Service) take(src, dst geo.RegionID, due sim.Time) *frame {
 	} else {
 		f = &frame{s: s}
 		f.flushFn, f.deliverFn = f.flush, f.deliver
-		s.made++
+		s.frames = append(s.frames, f)
 	}
 	f.src, f.dst, f.due, f.live = src, dst, due, true
 	return f
@@ -743,7 +767,7 @@ func (s *Service) ClientToClusterIndexed(from vsa.ClientID, to hier.ClusterID, k
 	} else {
 		env = &clientEnv{s: s}
 		env.arriveFn = env.arrive
-		s.envsMade++
+		s.envelopes = append(s.envelopes, env)
 	}
 	env.del = Delivery{Kind: pk.name, From: hier.NoCluster, FromRegion: srcRegion, Body: body}
 	env.target, env.inc, env.live = dstRegion, inc, true

@@ -126,8 +126,9 @@ type roundTripPayload struct{ n int }
 // head replication or without — reaches its handler, or the drop consumer
 // on every path a message dies by, as a Delivery equal field by field to the
 // send, at the level it was addressed to, and its "proto/" kind conserves
-// (sent == delivered + drops). A client broadcast, delivered or dropped,
-// does the same, conserving under transport/client.
+// (sent == delivered + drops). Until it resolves, InFlight lists each copy
+// where it is addressed, and nothing else. A client broadcast, delivered or
+// dropped, does the same, conserving under transport/client.
 func TestWhatWasSentArrives(t *testing.T) {
 	type scenario struct {
 		name  string
@@ -180,7 +181,7 @@ func TestWhatWasSentArrives(t *testing.T) {
 					from, to := w.slackRoute(t)
 					want := cgcast.Delivery{
 						Kind: "probe", From: from, FromRegion: w.h.Head(from),
-						Body: cgcast.Body{Obj: 7, Arg: -3, Mark: 0xfeed<<32 | 1, Payload: &roundTripPayload{n: 42}},
+						Body: cgcast.Body{Obj: 7, Arg: -3, Payload: &roundTripPayload{n: 42}},
 					}
 					if sc.before != nil {
 						sc.before(w, from, to)
@@ -191,12 +192,12 @@ func TestWhatWasSentArrives(t *testing.T) {
 					if sc.after != nil {
 						sc.after(w, from, to)
 					}
-					w.k.Run()
-
 					dsts := map[geo.RegionID]bool{w.h.Head(to): true}
 					if replicated && w.h.AltHead(to) != geo.NoRegion {
 						dsts[w.h.AltHead(to)] = true
 					}
+					w.run(t, want, w.h.Level(to), dsts)
+
 					if len(w.got) != len(dsts) {
 						t.Fatalf("%d copies resolved, want %d: %+v", len(w.got), len(dsts), w.got)
 					}
@@ -234,7 +235,7 @@ func TestWhatWasSentArrives(t *testing.T) {
 				for i, dst := range []geo.RegionID{u, w.tiling.RegionAt(4, 3)} {
 					want := cgcast.Delivery{
 						Kind: "client", From: hier.NoCluster, FromRegion: u,
-						Body: cgcast.Body{Obj: int32(i), Arg: 9, Mark: 5, Payload: &roundTripPayload{n: i}},
+						Body: cgcast.Body{Obj: int32(i), Arg: 9, Payload: &roundTripPayload{n: i}},
 					}
 					w.got = w.got[:0]
 					if err := w.cg.ClientToClusterIndexed(vsa.ClientID(u), w.h.Cluster(dst, 0), kindOf(w.cg, want.Kind), want.Body); err != nil {
@@ -244,7 +245,7 @@ func TestWhatWasSentArrives(t *testing.T) {
 					if drop {
 						w.fail(dst)
 					}
-					w.k.Run()
+					w.run(t, want, 0, map[geo.RegionID]bool{dst: true})
 					if len(w.got) != 1 {
 						t.Fatalf("broadcast %d resolved %d times", i, len(w.got))
 					}
@@ -262,6 +263,28 @@ func TestWhatWasSentArrives(t *testing.T) {
 					t.Errorf("proto/client: %d sends charged, 2 accepted", got)
 				}
 			})
+		}
+	}
+}
+
+// run steps the kernel dry. After the send and after every event, each copy
+// of the message sent not yet resolved is listed by InFlight, at a region in
+// dsts and at level, saying what was sent, and nothing else is listed.
+func (w *roundTripWorld) run(t *testing.T, want cgcast.Delivery, level int, dsts map[geo.RegionID]bool) {
+	t.Helper()
+	for {
+		listed := 0
+		w.cg.InFlight(func(u geo.RegionID, l int, d *cgcast.Delivery) {
+			listed++
+			if !dsts[u] || l != level || !reflect.DeepEqual(*d, want) {
+				t.Errorf("in flight at %v level %d: %+v; sent to %v at level %d: %+v", u, l, *d, dsts, level, want)
+			}
+		})
+		if listed+len(w.got) != len(dsts) {
+			t.Fatalf("at %v: %d copies in flight and %d resolved, %d sent", w.k.Now(), listed, len(w.got), len(dsts))
+		}
+		if !w.k.Step() {
+			return
 		}
 	}
 }
@@ -297,7 +320,7 @@ func (v *echoVSA) Receive(level int, msg any) {
 	}
 	before := *d
 	v.w.gc.SetLoss(func(cur, next geo.RegionID) bool { return true })
-	if err := v.w.cg.ClusterToClusterIndexed(v.w.h.Head(v.from), v.from, d.From, kindOf(v.w.cg, "echo"), &cgcast.Body{Obj: -1, Arg: -1, Mark: 1}); err != nil {
+	if err := v.w.cg.ClusterToClusterIndexed(v.w.h.Head(v.from), v.from, d.From, kindOf(v.w.cg, "echo"), &cgcast.Body{Obj: -1, Arg: -1}); err != nil {
 		v.t.Fatal(err)
 	}
 	v.w.gc.SetLoss(nil)
@@ -316,7 +339,7 @@ func TestDeliveryOutlivesHandlerSends(t *testing.T) {
 	from, to := w.slackRoute(t)
 	v := &echoVSA{w: w, t: t, from: to}
 	w.layer.RegisterVSA(w.h.Head(to), v)
-	want := cgcast.Body{Obj: 7, Arg: 3, Mark: 11, Payload: &roundTripPayload{n: 1}}
+	want := cgcast.Body{Obj: 7, Arg: 3, Payload: &roundTripPayload{n: 1}}
 	if err := w.cg.ClusterToClusterIndexed(w.h.Head(from), from, to, kindOf(w.cg, "probe"), &want); err != nil {
 		t.Fatal(err)
 	}

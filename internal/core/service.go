@@ -170,7 +170,6 @@ type Service struct {
 	// spec is atomicMoveSeq over the primary evader's moves, folded by the
 	// evader's observer as they happen: CheckTheorem48's reference.
 	spec *lookahead.Fold
-	plan *chaos.Plan
 
 	founds []tracker.FindResult
 	// awaited is the find FindStats waits on, and awaitedAt the virtual
@@ -250,12 +249,12 @@ func buildService(h *hier.Hierarchy, cfg Config, p buildParams) (*Service, error
 	s.ledger = metrics.NewLedger()
 	vb := vbcast.New(s.kernel, s.layer, cfg.Delta, cfg.E, s.ledger)
 	gc := geocast.New(s.kernel, s.layer, h.Graph(), vb, s.ledger)
+	var plan *chaos.Plan
 	if cfg.Chaos != nil && cfg.Chaos.Enabled() {
-		plan, err := chaos.NewPlan(*cfg.Chaos)
-		if err != nil {
+		var err error
+		if plan, err = chaos.NewPlan(*cfg.Chaos); err != nil {
 			return nil, err
 		}
-		s.plan = plan
 		vb.SetDelayModel(plan.DelayModel())
 		gc.SetLoss(plan.LossFunc(s.kernel))
 	}
@@ -342,7 +341,7 @@ func buildService(h *hier.Hierarchy, cfg Config, p buildParams) (*Service, error
 		s.spec = lookahead.Follow(h, ev)
 		net.AttachEvader(ev.Region)
 	}
-	if s.plan != nil {
+	if plan != nil {
 		// Churn client ids start above the stationary clients (one per
 		// region, ids 0..NumRegions-1).
 		firstID := vsa.ClientID(tiling.NumRegions())
@@ -350,15 +349,12 @@ func buildService(h *hier.Hierarchy, cfg Config, p buildParams) (*Service, error
 			_, err := net.AddClient(id, u)
 			return err
 		}
-		if err := s.plan.Install(s.kernel, s.layer, addClient, firstID); err != nil {
+		if err := plan.Install(s.kernel, s.layer, addClient, firstID); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
 }
-
-// ChaosPlan returns the installed fault plan, or nil when chaos is off.
-func (s *Service) ChaosPlan() *chaos.Plan { return s.plan }
 
 // Kernel returns the simulation kernel.
 func (s *Service) Kernel() *sim.Kernel { return s.kernel }

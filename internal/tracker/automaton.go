@@ -147,7 +147,7 @@ func (a *Automaton) processAt(u geo.RegionID, level int) *Process {
 
 // Deliver implements vsa.Automaton: route a C-gcast delivery to the
 // addressed level's process, emitting the delivery-accounting effect first
-// (the host's substrate decrements the in-transit registry and traces the
+// (the host counts the message off its in-flight counters and traces the
 // receipt when the effect executes).
 func (a *Automaton) Deliver(u geo.RegionID, level int, msg any) {
 	del, ok := msg.(*cgcast.Delivery)

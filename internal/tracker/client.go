@@ -187,17 +187,16 @@ func (c *Client) Receive(msg any) {
 	}
 }
 
-// send is C-gcast's ClientToCluster, with the message noted in transit.
+// send is C-gcast's ClientToCluster, with the message counted in flight.
 func (c *Client) send(u geo.RegionID, kind kindCode, body cgcast.Body) error {
 	n, to, obj := c.net, c.net.h.Cluster(u, 0), ObjectID(body.Obj)
 	if to == hier.NoCluster {
 		return fmt.Errorf("tracker: client %v has no region", c.id)
 	}
-	body.Mark = n.noteSent(obj, kind, hier.NoCluster, to, 1)
 	if err := n.cg.ClientToClusterIndexed(c.id, to, n.cgKinds[kind], body); err != nil {
-		n.resolve(body.Mark) // refused: nothing was sent
-		return err
+		return err // refused: nothing was sent
 	}
+	n.count(kind.String(), 1)
 	if n.tr.Enabled() {
 		n.tr.Emit(trace.Event{
 			At: n.k.Now(), Kind: "send", Op: n.opFor(obj, kind.String(), &body), Obj: int32(obj),

@@ -43,7 +43,7 @@ type outlet interface {
 // hands the outlet a pointer to it. The oracle host copies the body into
 // its frame entry (cgcast.ClusterToClusterIndexed), the networked host
 // encodes it into a wire frame, and the emulated host, which keeps sends
-// until commit, logs a copy. It is kept to 48 bytes (TestSendEffectFits),
+// until commit, logs a copy. It is kept to 40 bytes (TestSendEffectFits),
 // the size of a frame entry: the kind travels as its code, not its name.
 type sendEffect struct {
 	From   hier.ClusterID
@@ -62,11 +62,10 @@ type foundEffect struct {
 	Payloads []FindPayload
 }
 
-// execSend transmits a protocol message between cluster processes, keeping
-// the in-transit registry consistent for the checker. A backup replica's
-// sends are suppressed while the primary head's VSA is alive (its state
-// still evolves identically, since both replicas consume the same
-// duplicated message stream).
+// execSend transmits a protocol message between cluster processes and
+// counts its copies in flight. A backup replica's sends are suppressed while
+// the primary head's VSA is alive (its state still evolves identically,
+// since both replicas consume the same duplicated message stream).
 func (n *Network) execSend(e *sendEffect) {
 	src := n.h.Head(e.From)
 	if e.Backup {
@@ -75,20 +74,16 @@ func (n *Network) execSend(e *sendEffect) {
 		}
 		src = n.h.AltHead(e.From)
 	}
-	// The send is noted first: a copy with no live route out of src resolves
-	// — and is taken out of the registry — before the send returns.
-	obj := ObjectID(e.Body.Obj)
-	copies := n.cg.Copies(e.To)
-	e.Body.Mark = n.noteSent(obj, e.Kind, e.From, e.To, copies)
+	// A copy with no live route out of src is dropped, and counted off,
+	// before the send returns and is counted on: the count is right again
+	// once it does.
 	if err := n.cg.ClusterToClusterIndexed(src, e.From, e.To, n.cgKinds[e.Kind], &e.Body); err != nil {
-		for ; copies > 0; copies-- {
-			n.resolve(e.Body.Mark) // refused: nothing was sent
-		}
-		return
+		return // refused: nothing was sent
 	}
+	n.count(e.Kind.String(), n.cg.Copies(e.To))
 	if n.tr.Enabled() {
 		n.tr.Emit(trace.Event{
-			At: n.k.Now(), Kind: "send", Op: n.opFor(obj, e.Kind.String(), &e.Body), Obj: e.Body.Obj,
+			At: n.k.Now(), Kind: "send", Op: n.opFor(ObjectID(e.Body.Obj), e.Kind.String(), &e.Body), Obj: e.Body.Obj,
 			Msg: e.Kind.String(), From: int32(e.From), To: int32(e.To), Region: -1,
 			Level: int16(n.h.Level(e.From)),
 		})
@@ -104,10 +99,10 @@ func (n *Network) execFound(e foundEffect) {
 	_ = n.cg.ClusterToClientsIndexed(e.From, n.cgKinds[kindFound], findsBody(e.Obj, e.Payloads))
 }
 
-// execRecv consumes the in-transit registry entry for a delivered message
-// and traces the receipt.
+// execRecv traces the receipt of a delivered message. The host counts the
+// delivery off itself: the emulated host only when the commit is of an
+// input its region still holds.
 func (n *Network) execRecv(to hier.ClusterID, level int, d *cgcast.Delivery) {
-	n.resolve(d.Mark)
 	if n.tr.Enabled() {
 		n.tr.Emit(trace.Event{
 			At: n.k.Now(), Kind: "recv", Op: n.opFor(ObjectID(d.Obj), d.Kind, &d.Body), Obj: d.Obj, Msg: d.Kind,

@@ -343,3 +343,84 @@ func TestEmulatedMoveFindAllocs(t *testing.T) {
 		t.Errorf("logging a Step's six effects allocated %.1f times, want 0", logged)
 	}
 }
+
+// An emulated region's failure counts off the deliveries it accepted and had
+// not committed. With tRestart < delta, one of them still commits: the
+// region restarts before the emulator's broadcast of the input lands, and
+// the new incarnation buffers and commits it. That commit is not counted
+// again, and it does not take the place of an identical delivery the new
+// incarnation accepted: here a second grow from the same sender for the
+// same object is pending when the first one's stale commit runs, and it must
+// stay listed and counted until its own commit. The grows come from a
+// cluster outside the addressee's neighbourhood, so they change no row.
+func TestStaleCommitIsCountedOnce(t *testing.T) {
+	const emulDelta, tRestart = 200 * time.Millisecond, time.Millisecond
+	const obj = 77
+	tr := trace.New(1)
+	f := newFixture(t, fixtureConfig{side: 4, start: 0, alwaysUp: true,
+		netOptions: []Option{WithEmulation(emulDelta, tRestart), WithTracer(tr)}})
+	deployEmulNodes(t, f, 2)
+	f.settle()
+	n, h, em := f.net, f.net.emulHost, f.net.Emulator()
+	const u = geo.RegionID(15)
+	from, to := f.h.Cluster(0, 0), f.h.Cluster(u, 0)
+	if _, inHood := n.Process(to).index(from); inHood {
+		t.Fatalf("%v is in %v's neighbourhood; the grows would change its rows", from, to)
+	}
+	if d := n.cg.ScheduleDelay(from, to); d+tRestart >= emulDelta {
+		t.Fatalf("a grow takes %v; the second must reach the region before the first commits", d)
+	}
+	grow := func() {
+		e := sendEffect{From: from, To: to, Kind: kindGrow, Body: cgcast.Body{Obj: obj}}
+		n.execSend(&e)
+	}
+	var commits []int // at each commit of a grow: the deliveries u still holds
+	tr.Attach(func(e trace.Event) {
+		if e.Kind == "recv" && e.Obj == obj {
+			commits = append(commits, len(h.uncommitted[u]))
+		}
+	})
+	want := 0 // copies of a grow in flight: in C-gcast or held by u
+	check := func(ctx string) {
+		t.Helper()
+		if want == 1 && len(commits) == 2 {
+			want = 0 // the second grow committed
+		}
+		if got := len(n.InTransitFor(obj)); got != want || n.moveInflight != want {
+			t.Fatalf("at %v (%s): %d copies listed, %d counted, want %d", f.k.Now(), ctx, got, n.moveInflight, want)
+		}
+	}
+	stepUntil := func(ctx string, done func() bool) {
+		t.Helper()
+		for !done() {
+			if !f.k.Step() {
+				t.Fatalf("the queue drained before %s", ctx)
+			}
+			check(ctx)
+		}
+	}
+
+	grow()
+	want = 1
+	check("first grow sent")
+	stepUntil("the first grow reaches u", func() bool { return len(h.uncommitted[u]) == 1 })
+	for _, id := range em.Members(u) {
+		em.FailNode(id)
+	}
+	want = 0
+	check("u failed")
+	for id := emul.NodeID(1000); id < 1002; id++ {
+		if err := em.AddNode(id, u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stepUntil("u restarts", func() bool { return em.Alive(u) })
+	grow()
+	want = 1
+	check("second grow sent")
+	stepUntil("the queue drains", func() bool { return f.k.Pending() == 0 })
+	if len(commits) != 2 || commits[0] != 1 || commits[1] != 0 {
+		t.Fatalf("deliveries u held at each commit of a grow: %v, want [1 0] — the first grow's stale commit, with the second pending, then the second's", commits)
+	}
+	check("drained")
+}

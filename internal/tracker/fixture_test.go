@@ -30,6 +30,7 @@ type fixture struct {
 	tiling *geo.GridTiling
 	h      *hier.Hierarchy
 	layer  *vsa.Layer
+	gc     *geocast.Service
 	ledger *metrics.Ledger
 	net    *Network
 	ev     *evader.Evader
@@ -65,9 +66,9 @@ func newFixture(t testing.TB, cfg fixtureConfig) *fixture {
 	f.layer = vsa.NewLayer(f.k, f.tiling, layerOpts...)
 	f.ledger = metrics.NewLedger()
 	vb := vbcast.New(f.k, f.layer, delta, lagE, f.ledger)
-	gc := geocast.New(f.k, f.layer, f.h.Graph(), vb, f.ledger)
+	f.gc = geocast.New(f.k, f.layer, f.h.Graph(), vb, f.ledger)
 	geom := hier.MeasureGeometry(f.h)
-	cg, err := cgcast.New(f.h, f.layer, gc, vb, geom, f.ledger, cfg.cgOptions...)
+	cg, err := cgcast.New(f.h, f.layer, f.gc, vb, geom, f.ledger, cfg.cgOptions...)
 	if err != nil {
 		t.Fatal(err)
 	}

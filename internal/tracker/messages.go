@@ -42,9 +42,9 @@ const (
 	KindRefresh = "refresh"
 )
 
-// kindCode is a message kind as a small integer: what a process's send and
-// the in-transit registry carry instead of the kind's name. The alphabet
-// above is closed; kindUnknown names no kind.
+// kindCode is a message kind as a small integer: what a process's send
+// carries instead of the kind's name. The alphabet above is closed;
+// kindUnknown names no kind.
 type kindCode uint8
 
 const (
@@ -78,15 +78,15 @@ var kindNames = [...]string{
 // String returns the kind's name in the Fig. 2 alphabet.
 func (c kindCode) String() string { return kindNames[c] }
 
-// moveFamily reports whether the kind belongs to the move side of Fig. 2
-// (everything but the find family and the §VII refresh): the messages whose
-// absence from the channels MoveQuiescent waits for.
-func (c kindCode) moveFamily() bool {
-	switch c {
-	case kindFind, kindFindQuery, kindFindAck, kindRefresh:
-		return false
+// moveFamily reports whether a message of the named kind belongs to the
+// move side of Fig. 2 (grow, shrink and their announcements): the messages
+// whose absence from the channels MoveQuiescent waits for.
+func moveFamily(kind string) bool {
+	switch kind {
+	case KindGrow, KindGrowNbr, KindGrowPar, KindShrink, KindShrinkUpd:
+		return true
 	}
-	return true
+	return false
 }
 
 // ObjectID identifies a tracked mobile object. The paper tracks one

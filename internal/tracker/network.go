@@ -1,16 +1,16 @@
 package tracker
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"unsafe"
+	"slices"
+	"strings"
 
 	"vinestalk/internal/cgcast"
 	"vinestalk/internal/emul"
 	"vinestalk/internal/evader"
 	"vinestalk/internal/geo"
 	"vinestalk/internal/hier"
-	"vinestalk/internal/prefetch"
 	"vinestalk/internal/sim"
 	"vinestalk/internal/trace"
 	"vinestalk/internal/vsa"
@@ -54,28 +54,6 @@ type Transit struct {
 	To   hier.ClusterID
 }
 
-// transitSlot is one entry of the in-transit registry: a message some of
-// whose copies are still in flight, or a free slot (cnt == 0). The registry
-// is a slab of these with a free list; a message carries the ticket of its
-// slot (cgcast.Body.Mark), so noting a send and resolving a copy are an index
-// each and nothing is hashed.
-//
-// A ticket is the slot's index plus one in its low half — so the zero Mark of
-// a message nobody noted is no ticket — and the slot's generation in its high
-// half. The generation moves on whenever the slot is freed: a ticket
-// presented again after its last copy resolved matches no slot, even once the
-// slot holds another message. Ownership: a ticket is taken at noteSent and
-// each of its copies is spent by exactly one of delivery (execRecv), drop
-// (noteDropped) or a refused send; the slab belongs to one Network.
-type transitSlot struct {
-	obj  ObjectID
-	kind kindCode
-	from hier.ClusterID
-	to   hier.ClusterID
-	cnt  int32  // copies in flight: 2 under head replication, 0 when free
-	gen  uint32 // times the slot has been freed
-}
-
 // Network instantiates the Tracker automaton (one process per cluster)
 // over a C-gcast service, hosts it on a substrate host (the oracle VSA
 // layer, or the replicated mobile-node emulator under WithEmulation), hosts
@@ -100,10 +78,9 @@ type Network struct {
 	// once in New, so no send names its kind by a string.
 	cgKinds [len(kindNames)]cgcast.KindIndex
 
-	transit     []transitSlot
-	transitFree []uint32 // indices of the free slots of transit
-	// moveInflight counts the copies in transit that belong to the
-	// grow/shrink family: what MoveQuiescent waits for.
+	// moveInflight counts the grow/shrink-family copies sent and not yet
+	// delivered or dropped: what MoveQuiescent waits for. It rises at a
+	// send and falls at a delivery or a drop, by the delivery's kind.
 	moveInflight int
 	// finds is the find registry, in virtual time: FindObject's sequence,
 	// raised by any larger id FindObjectAs issues.
@@ -360,70 +337,30 @@ func (n *Network) opFor(obj ObjectID, kind string, body *cgcast.Body) uint64 {
 	return 0
 }
 
-// MoveEpoch returns the object's current move-epoch counter (the number of
-// region entries its GPS sink has reported). The cascade triggered by the
-// latest entry is traced under trace.OpMoveFor(obj, MoveEpoch(obj)).
-func (n *Network) MoveEpoch(obj ObjectID) uint64 { return n.moveEpochs[obj] }
-
-// noteSent enters copies of a message into the in-transit registry and
-// returns the ticket the message must carry.
-func (n *Network) noteSent(obj ObjectID, kind kindCode, from, to hier.ClusterID, copies int) uint64 {
-	var i uint32
-	if f := len(n.transitFree); f > 0 {
-		i, n.transitFree = n.transitFree[f-1], n.transitFree[:f-1]
-	} else {
-		i = uint32(len(n.transit))
-		n.transit = append(n.transit, transitSlot{})
+// count moves the in-flight count by d copies of a message of the named
+// kind: +Copies at a send C-gcast accepted, −1 at a delivery or a drop.
+func (n *Network) count(kind string, d int) {
+	if moveFamily(kind) {
+		n.moveInflight += d
 	}
-	s := &n.transit[i]
-	s.obj, s.kind, s.from, s.to, s.cnt = obj, kind, from, to, int32(copies)
-	if kind.moveFamily() {
-		n.moveInflight += copies
-	}
-	return uint64(s.gen)<<32 | uint64(i+1)
 }
 
 // noteDropped is the C-gcast service's drop consumer: a message died instead
-// of reaching the process it was addressed to, and leaves the in-transit
-// registry here — or every later quiescence check would wait on a message
-// that can never arrive.
-func (n *Network) noteDropped(_ geo.RegionID, _ int, d *cgcast.Delivery) { n.resolve(d.Mark) }
+// of reaching the process it was addressed to, and is counted off here
+// — or every later quiescence check would wait on a message that can never
+// arrive.
+func (n *Network) noteDropped(_ geo.RegionID, _ int, d *cgcast.Delivery) { n.count(d.Kind, -1) }
 
 // prefetch is the C-gcast service's look-ahead consumer on the oracle host.
-// Before a frame of several messages is delivered, it asks for the two lines
+// Before a frame of several messages is delivered, it asks for the line
 // each delivery reads first: the message's home slot in the addressed
-// process's table, where the lookup of its object starts, and its ticket's
-// slot in the in-transit registry, which execRecv resolves. The frame's
-// misses then overlap instead of being paid one message at a time. It is
-// only a hint and writes nothing: a region outside the tiling, a level the
-// region does not host, an empty table or a ticket past the registry asks
-// for nothing, and a zero, spent or stale ticket at most warms a slot.
+// process's table, where the lookup of its object starts. The frame's misses
+// then overlap instead of being paid one message at a time. It is only a
+// hint and writes nothing: a region outside the tiling, a level the region
+// does not host or an empty table asks for nothing.
 func (n *Network) prefetch(u geo.RegionID, level int, b *cgcast.Body) {
 	if pr := n.aut.processAt(u, level); pr != nil {
 		pr.objs.prefetch(ObjectID(b.Obj))
-	}
-	if i := uint32(b.Mark) - 1; uint64(i) < uint64(len(n.transit)) {
-		prefetch.Line(unsafe.Pointer(&n.transit[i]))
-	}
-}
-
-// resolve takes one copy of the ticket's message out of the in-transit
-// registry. A zero, spent or stale ticket changes nothing.
-func (n *Network) resolve(ticket uint64) {
-	i := uint32(ticket) - 1 // no ticket wraps past every index
-	if uint64(i) >= uint64(len(n.transit)) {
-		return
-	}
-	s := &n.transit[i]
-	if s.cnt == 0 || s.gen != uint32(ticket>>32) {
-		return
-	}
-	if s.kind.moveFamily() {
-		n.moveInflight--
-	}
-	if s.cnt--; s.cnt == 0 {
-		s.gen++
-		n.transitFree = append(n.transitFree, i)
 	}
 }
 
@@ -614,7 +551,10 @@ func (n *Network) MoveQuiescent() bool {
 }
 
 // InTransit returns the in-flight protocol messages (sorted, for
-// determinism), as the lookAhead checker consumes them.
+// determinism), as the lookAhead checker consumes them: every message
+// C-gcast holds (cgcast.Service.InFlight) and, on the emulated host, every
+// delivery a region took and has not committed. Call it between kernel
+// events, as InFlight asks.
 func (n *Network) InTransit() []Transit {
 	return n.inTransit(func(ObjectID) bool { return true })
 }
@@ -628,30 +568,36 @@ func (n *Network) InTransitFor(obj ObjectID) []Transit {
 // entry per copy, sorted.
 func (n *Network) inTransit(want func(ObjectID) bool) []Transit {
 	var out []Transit
-	for i := range n.transit {
-		s := &n.transit[i]
-		if s.cnt == 0 || !want(s.obj) {
-			continue
+	n.cg.InFlight(func(u geo.RegionID, level int, d *cgcast.Delivery) {
+		if want(ObjectID(d.Obj)) {
+			out = append(out, n.transitOf(u, level, d))
 		}
-		t := Transit{Obj: s.obj, Kind: s.kind.String(), From: s.from, To: s.to}
-		for c := s.cnt; c > 0; c-- {
-			out = append(out, t)
+	})
+	if n.emulHost != nil {
+		for _, ts := range n.emulHost.uncommitted {
+			for _, t := range ts {
+				if want(t.Obj) {
+					out = append(out, t)
+				}
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Obj != b.Obj {
-			return a.Obj < b.Obj
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		return a.To < b.To
+	slices.SortFunc(out, func(a, b Transit) int {
+		return cmp.Or(cmp.Compare(a.Obj, b.Obj), strings.Compare(a.Kind, b.Kind),
+			cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 	})
 	return out
+}
+
+// transitOf describes delivery d addressed to the process at (u, level): To
+// is that process's cluster, which names a cluster's backup at its
+// alternate head too.
+func (n *Network) transitOf(u geo.RegionID, level int, d *cgcast.Delivery) Transit {
+	to := hier.NoCluster
+	if pr := n.aut.processAt(u, level); pr != nil {
+		to = pr.id
+	}
+	return Transit{Obj: ObjectID(d.Obj), Kind: d.Kind, From: d.From, To: to}
 }
 
 // noteGrow counts a grow receipt at the given level — the pointer-update

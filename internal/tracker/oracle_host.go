@@ -199,6 +199,7 @@ func (ht *hostTimers) release(ref int32) {
 func (h *oracleHost) send(_ geo.RegionID, e *sendEffect)  { h.net.execSend(e) }
 func (h *oracleHost) found(_ geo.RegionID, e foundEffect) { h.net.execFound(e) }
 func (h *oracleHost) recv(_ geo.RegionID, to hier.ClusterID, level int, d *cgcast.Delivery) {
+	h.net.count(d.Kind, -1)
 	h.net.execRecv(to, level, d)
 }
 func (h *oracleHost) noteGrow(_ geo.RegionID, level int)  { h.net.noteGrow(level) }

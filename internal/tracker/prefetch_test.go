@@ -45,7 +45,7 @@ func TestBatchedFrameDeliveryAllocatesNothing(t *testing.T) {
 		}
 		f.k.Run()
 	}
-	round() // warm-up: the frame, its entry buffer and the registry's slots
+	round() // warm-up: the frame and its entry buffer
 	enc := f.net.aut.EncodeRegion(f.h.Head(dst))
 	hinted = 0
 	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
@@ -63,9 +63,9 @@ func TestBatchedFrameDeliveryAllocatesNothing(t *testing.T) {
 }
 
 // The oracle host's look-ahead consumer is only a hint. Handed a region
-// outside the tiling, a level its region does not host, a process with an
-// empty table, or a zero, spent, stale or garbage ticket, it must not panic,
-// and it changes no region's encoding and nothing in transit.
+// outside the tiling, a level its region does not host, or a process with
+// an empty table, it must not panic, and it changes no region's encoding and
+// nothing in transit.
 func TestPrefetchIsOnlyAHint(t *testing.T) {
 	f := newFixture(t, fixtureConfig{side: 4, start: 5, alwaysUp: true})
 	f.settle()
@@ -79,17 +79,13 @@ func TestPrefetchIsOnlyAHint(t *testing.T) {
 		return encs
 	}
 
-	// One message in flight; a stale ticket, whose slot now carries that
-	// message; and a spent ticket, whose slot is free.
-	stale := n.noteSent(1, kindGrow, 0, 1, 1)
-	n.resolve(stale)
-	live := n.noteSent(2, kindShrink, 1, 0, 1)
-	if uint32(live) != uint32(stale) {
-		t.Fatal("the registry did not reuse the resolved slot; the stale ticket needs it")
-	}
-	spent := n.noteSent(3, kindGrow, 0, 1, 1)
-	n.resolve(spent)
+	// One message in flight.
+	e := sendEffect{From: f.h.Cluster(0, 0), To: f.h.Cluster(1, 0), Kind: kindFindAck, Body: cgcast.Body{Obj: 2, Arg: int32(hier.NoCluster)}}
+	n.execSend(&e)
 	inTransit, before := n.InTransit(), encodings()
+	if len(inTransit) != 1 {
+		t.Fatalf("InTransit() = %v, want the one message sent", inTransit)
+	}
 
 	empty := geo.RegionID(-1)
 	for u := 0; u < regions; u++ {
@@ -101,7 +97,6 @@ func TestPrefetchIsOnlyAHint(t *testing.T) {
 	if empty < 0 {
 		t.Fatal("no level-0 process with an empty table")
 	}
-	tickets := []uint64{0, spent, stale, live, 1 << 40, ^uint64(0), uint64(len(n.transit)) + 1}
 	places := []struct {
 		u     geo.RegionID
 		level int
@@ -112,10 +107,8 @@ func TestPrefetchIsOnlyAHint(t *testing.T) {
 		{f.h.Head(f.h.Root()), f.h.MaxLevel()}, // a table with rows
 	}
 	for _, p := range places {
-		for _, ticket := range tickets {
-			for _, obj := range []int32{0, 1, 2, -1, 1 << 30} {
-				n.prefetch(p.u, p.level, &cgcast.Body{Obj: obj, Mark: ticket})
-			}
+		for _, obj := range []int32{0, 1, 2, -1, 1 << 30} {
+			n.prefetch(p.u, p.level, &cgcast.Body{Obj: obj})
 		}
 	}
 	if got := n.InTransit(); !reflect.DeepEqual(got, inTransit) {
@@ -126,7 +119,7 @@ func TestPrefetchIsOnlyAHint(t *testing.T) {
 			t.Errorf("region %d's encoding changed under the hints", u)
 		}
 	}
-	n.resolve(live)
+	f.settle()
 }
 
 // A process fills every send into one scratch and hands the outlet a

@@ -391,7 +391,7 @@ func (pr *Process) sendArg(st *objState, to hier.ClusterID, kind kindCode, arg i
 func (pr *Process) sendBody(to hier.ClusterID, kind kindCode, obj ObjectID, arg int32, payload any) {
 	e := &pr.aut.sending
 	e.From, e.Backup, e.Kind, e.To = pr.id, pr.backup, kind, to
-	e.Body.Obj, e.Body.Arg, e.Body.Mark, e.Body.Payload = int32(obj), arg, 0, payload
+	e.Body.Obj, e.Body.Arg, e.Body.Payload = int32(obj), arg, payload
 	pr.aut.out.send(pr.region, e)
 	e.Body.Payload = nil // the scratch pins no find payload between sends
 }

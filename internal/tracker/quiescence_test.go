@@ -3,6 +3,7 @@ package tracker
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"vinestalk/internal/geo"
 )
@@ -124,5 +125,30 @@ func TestMoveQuiescentMatchesFullScan(t *testing.T) {
 	}
 	if busySteps < steps/4 || steps < 1000 {
 		t.Fatalf("run too quiet to mean anything: %d of %d steps were non-quiescent", busySteps, steps)
+	}
+}
+
+// TestEmulatedMoveQuiescentMatchesFullScan is TestMoveQuiescentMatchesFullScan
+// on the emulated host, where a delivery is in flight from its send until
+// its region commits it: a seeded multi-object run steps one kernel event at
+// a time through region failures and restarts, which discard the deliveries
+// their regions accepted and had not committed, and the counter answer must
+// equal the scan over InTransit() and the armed timers after every event.
+func TestEmulatedMoveQuiescentMatchesFullScan(t *testing.T) {
+	f := newFixture(t, fixtureConfig{side: 4, start: 0, alwaysUp: true,
+		netOptions: []Option{WithEmulation(time.Millisecond, 50*time.Millisecond)}})
+	deployEmulNodes(t, f, 2)
+	aut := f.net.Automaton()
+	events := 0
+	busy := emulatedRun(t, f, 7, func(ctx string) {
+		t.Helper()
+		events++
+		if got, want := f.net.MoveQuiescent(), moveQuiescentByScan(f.net); got != want {
+			t.Fatalf("event %d (%s): MoveQuiescent() = %v, full scan says %v (armed %d, in flight %d, listed %v)",
+				events, ctx, got, want, aut.armedMove, f.net.moveInflight, f.net.InTransit())
+		}
+	})
+	if busy < events/10 || events < 1000 {
+		t.Fatalf("run too quiet to mean anything: %d of %d events were non-quiescent", busy, events)
 	}
 }

@@ -21,7 +21,7 @@ import (
 // replica mirrors each multi-member cluster's process, and it speaks for
 // the cluster while the primary head's VSA is down.
 
-func newReplicatedFixture(t *testing.T, side int, start geo.RegionID, alwaysUp bool) *fixture {
+func newReplicatedFixture(t *testing.T, side int, start geo.RegionID, alwaysUp bool, opts ...Option) *fixture {
 	t.Helper()
 	f := &fixture{t: t, k: sim.New(42)}
 	f.tiling = geo.MustGridTiling(side, side)
@@ -41,9 +41,9 @@ func newReplicatedFixture(t *testing.T, side int, start geo.RegionID, alwaysUp b
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := New(cg, geom,
+	net, err := New(cg, geom, append([]Option{
 		WithHeadReplication(),
-		WithFoundCallback(func(r FindResult) { f.founds = append(f.founds, r) }))
+		WithFoundCallback(func(r FindResult) { f.founds = append(f.founds, r) })}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}

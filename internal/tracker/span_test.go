@@ -80,17 +80,17 @@ func TestMoveSpanCorrelatesCascade(t *testing.T) {
 	f := newFixture(t, fixtureConfig{side: 4, start: 0, alwaysUp: true,
 		netOptions: []Option{WithTracer(tr)}})
 	f.settle()
-	epochsBefore := f.net.MoveEpoch(DefaultObject)
+	epochsBefore := f.net.moveEpochs[DefaultObject]
 
 	if err := f.ev.MoveTo(f.tiling.RegionAt(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	f.settle()
 
-	if got := f.net.MoveEpoch(DefaultObject); got != epochsBefore+1 {
-		t.Fatalf("MoveEpoch = %d, want %d", got, epochsBefore+1)
+	if got := f.net.moveEpochs[DefaultObject]; got != epochsBefore+1 {
+		t.Fatalf("move epoch = %d, want %d", got, epochsBefore+1)
 	}
-	span := tr.Span(trace.OpMove(f.net.MoveEpoch(DefaultObject)))
+	span := tr.Span(trace.OpMove(f.net.moveEpochs[DefaultObject]))
 	if len(span) == 0 {
 		t.Fatal("move epoch produced no correlated events")
 	}
@@ -133,7 +133,7 @@ func TestMoveSpansSeparateConcurrentObjects(t *testing.T) {
 	f.settle()
 
 	for obj, want := range map[ObjectID]int32{DefaultObject: int32(DefaultObject), 1: 1} {
-		op := trace.OpMoveFor(int32(obj), f.net.MoveEpoch(obj))
+		op := trace.OpMoveFor(int32(obj), f.net.moveEpochs[obj])
 		span := tr.Span(op)
 		if len(span) == 0 {
 			t.Fatalf("object %v's move epoch produced no correlated events", obj)
@@ -146,8 +146,8 @@ func TestMoveSpansSeparateConcurrentObjects(t *testing.T) {
 	}
 	// The two ops differ even though both objects are on their first
 	// post-settle epoch.
-	a := trace.OpMoveFor(int32(DefaultObject), f.net.MoveEpoch(DefaultObject))
-	b := trace.OpMoveFor(1, f.net.MoveEpoch(1))
+	a := trace.OpMoveFor(int32(DefaultObject), f.net.moveEpochs[DefaultObject])
+	b := trace.OpMoveFor(1, f.net.moveEpochs[1])
 	if a == b {
 		t.Fatalf("objects share one move op id %d", a)
 	}
