@@ -54,7 +54,7 @@ race:
 # connection, a stalled client cut off without stalling the others, a line
 # past 64 KB answered and skipped; 5 times over) and the tracker-over-nethost integration tests (oracle parity,
 # heal-after-kill, chaos conservation) under the race detector, plus the
-# wire-codec fuzz seed corpora. The allocation and aliasing pins run under
+# seed corpora of the wire-codec fuzzers and of FuzzServiceReceive. The allocation and aliasing pins run under
 # -race too: a frame costs one allocation from the outlet to Deliver, a
 # wakeup and a TCP send none, a find held pending survives the next
 # frame's decode into the node's scratch, and the frames match the
@@ -70,7 +70,7 @@ nethost-smoke:
 	$(GO) test -race -count=5 -run 'OutsideNeighbourhood' ./internal/tracker
 	$(GO) test -race -count=5 -run 'TestClientHalvesMatchOnBothHosts|TestFindDoneRuleIsTheSameOnBothHosts' ./internal/tracker
 	$(GO) test -run 'TestNetHostMatchesOracleOnFixedSchedule' -count=10 ./internal/tracker
-	$(GO) test -run 'FuzzDecodeRegion|FuzzDecodeClusterMessage' ./internal/tracker
+	$(GO) test -run 'FuzzDecodeRegion|FuzzDecodeClusterMessage|FuzzServiceReceive' ./internal/tracker ./internal/nethost
 
 # The heap pins: what settled move+find pairs, a settled fan-out, fan-out
 # laps and laps on the emulated host retain, what an idle networked node
@@ -273,7 +273,8 @@ experiments-json:
 # Short exploratory fuzz sessions over the spec, lookAhead under injected
 # transit sets, the hierarchy builder, the two tracker codecs (region state,
 # decoded on an oracle host so its wakeups are reconciled too, and cluster
-# wire messages) and the daemon's control-line parser.
+# wire messages), the daemon's control-line parser and a started networked
+# service receiving arbitrary frames.
 fuzz:
 	$(GO) test -fuzz=FuzzAtomicMoveWalk -fuzztime=30s ./internal/lookahead
 	$(GO) test -run '^FuzzLookAheadTransits$$' -fuzz='^FuzzLookAheadTransits$$' -fuzztime=30s ./internal/lookahead
@@ -282,6 +283,7 @@ fuzz:
 	$(GO) test -run '^FuzzDecodeRegion$$' -fuzz='^FuzzDecodeRegion$$' -fuzztime=30s ./internal/tracker
 	$(GO) test -run '^FuzzDecodeClusterMessage$$' -fuzz='^FuzzDecodeClusterMessage$$' -fuzztime=30s ./internal/tracker
 	$(GO) test -run '^FuzzControlExec$$' -fuzz='^FuzzControlExec$$' -fuzztime=30s ./cmd/vinestalkd
+	$(GO) test -run '^FuzzServiceReceive$$' -fuzz='^FuzzServiceReceive$$' -fuzztime=30s ./internal/nethost
 
 cover:
 	$(GO) test -cover ./...

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"time"
@@ -123,6 +124,11 @@ func (c *Config) fillDefaults() error {
 	if c.Width <= 0 {
 		return errors.New("core: Width must be positive")
 	}
+	// A negative δ+e would put every C-gcast due time in the past.
+	if err := cmp.Or(nonNegative("Delta", c.Delta), nonNegative("E", c.E),
+		nonNegative("TRestart", c.TRestart), nonNegative("Heartbeat", c.Heartbeat)); err != nil {
+		return err
+	}
 	if c.Height == 0 {
 		c.Height = c.Width
 	}
@@ -142,6 +148,12 @@ func (c *Config) fillDefaults() error {
 		return errors.New("core: ParallelTracker must be nonnegative")
 	}
 	if c.Emulation != nil {
+		// The emulator's buffers stay in input-id order only under one
+		// fixed, non-negative broadcast delay.
+		if err := cmp.Or(nonNegative("Emulation.Delta", c.Emulation.Delta),
+			nonNegative("Emulation.TRestart", c.Emulation.TRestart)); err != nil {
+			return err
+		}
 		if c.Emulation.TRestart == 0 {
 			c.Emulation.TRestart = 50 * time.Millisecond
 		}
@@ -151,6 +163,14 @@ func (c *Config) fillDefaults() error {
 		if c.Emulation.NodesPerRegion < 0 {
 			return errors.New("core: Emulation.NodesPerRegion must be positive")
 		}
+	}
+	return nil
+}
+
+// nonNegative refuses a negative delay, naming its field.
+func nonNegative(field string, d sim.Time) error {
+	if d < 0 {
+		return fmt.Errorf("core: %s must be nonnegative, got %v", field, d)
 	}
 	return nil
 }

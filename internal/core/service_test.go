@@ -29,6 +29,34 @@ func TestNewValidatesConfig(t *testing.T) {
 	}
 }
 
+// TestNegativeTimingIsRefused: each timing parameter, set negative, makes
+// New and NewParallel fail and name it.
+func TestNegativeTimingIsRefused(t *testing.T) {
+	const neg = -time.Millisecond
+	emulated := func(e EmulationConfig) *EmulationConfig { return &e }
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"Delta", Config{Delta: neg}},
+		{"E", Config{E: neg}},
+		{"TRestart", Config{TRestart: neg}},
+		{"Heartbeat", Config{Heartbeat: neg}},
+		{"Emulation.Delta", Config{Emulation: emulated(EmulationConfig{Delta: neg})}},
+		{"Emulation.TRestart", Config{Emulation: emulated(EmulationConfig{TRestart: neg})}},
+	} {
+		cfg := tc.cfg
+		cfg.Width, cfg.AlwaysAliveVSAs = 4, true
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.field+" must be nonnegative") {
+			t.Errorf("New with a negative %s: error %v, want one naming it", tc.field, err)
+		}
+		cfg.ParallelTracker = 2
+		if _, err := NewParallel(cfg); err == nil || !strings.Contains(err.Error(), tc.field+" must be nonnegative") {
+			t.Errorf("NewParallel with a negative %s: error %v, want one naming it", tc.field, err)
+		}
+	}
+}
+
 func TestServiceDefaultsAndAccessors(t *testing.T) {
 	s, err := New(Config{Width: 8, AlwaysAliveVSAs: true})
 	if err != nil {

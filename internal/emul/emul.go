@@ -6,23 +6,29 @@
 // the region, with one node (the leader) executing the machine and the
 // rest mirroring it so the VSA survives node churn.
 //
-// The emulator here is leader-sequenced replicated execution:
+// The emulator here is leader-sequenced replicated execution, and a replica
+// keeps state, not history:
 //
-//   - inputs for a region's VSA are broadcast locally and buffered by all
-//     nodes in the region;
-//   - the leader (lowest-id present node) assigns each input a sequence
-//     number, executes the program, emits its outputs, and broadcasts a
-//     commit record; followers apply committed inputs to their replicas
-//     in order;
-//   - a joining node asks for a state checkpoint and mirrors from there;
-//   - when the leader leaves or fails, the next-lowest node promotes
-//     itself, re-executes any buffered-but-uncommitted inputs in
-//     deterministic order, and continues — no input is lost while the
+//   - an input for a region's VSA belongs to the incarnation it was
+//     submitted to; it is broadcast locally and appended to every
+//     replica's buffer: every broadcast takes the same delta, so a buffer
+//     stays in input-id order;
+//   - the leader (lowest-id replica holder) executes its buffer's prefix in
+//     id order, hands the outputs to the sink and broadcasts a commit; every
+//     replica applies the input and pops it, and keeps no record of it;
+//   - a joining node's checkpoint is the leader's state and the leader's
+//     buffer, in place of its own: every input a member has heard is either
+//     still in the leader's buffer or already in the leader's state;
+//   - when the leader leaves or fails, the next-lowest replica promotes
+//     itself and commits its whole buffer, so no input is lost while the
 //     region stays occupied;
-//   - if the region empties, the VSA fails (its state is lost with the
-//     nodes); when nodes return, it restarts from the program's initial
-//     state after t_restart, exactly the §II-C.2 failure semantics that
-//     internal/vsa exposes abstractly.
+//   - if the region empties, the VSA fails and its incarnation ends: its
+//     state and the inputs submitted to it and not committed are lost with
+//     the nodes, a broadcast for an ended incarnation buffers nothing and a
+//     Submit to a down region is lost at once, so an input commits only in
+//     the incarnation it was submitted to. When nodes return, the VSA
+//     restarts from the program's initial state after t_restart, exactly
+//     the §II-C.2 failure semantics that internal/vsa exposes abstractly.
 //
 // The package demonstrates that the abstract layer the tracker runs on is
 // implementable over unreliable mobile nodes, and measures the emulation
@@ -36,7 +42,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"vinestalk/internal/geo"
 	"vinestalk/internal/sim"
@@ -66,24 +71,24 @@ type Program[I, O any] interface {
 
 // Input is one message delivered to a region's VSA.
 type Input[I any] struct {
-	// ID orders concurrent inputs deterministically (assigned by the
-	// emulator at submission, unique per region).
+	// ID orders inputs deterministically (assigned by the emulator at
+	// submission, unique and increasing).
 	ID uint64
 	// Msg is the payload.
 	Msg I
 }
 
-// node is one physical node's replica state for the region it occupies.
+// node is one physical node. While it holds a replica of its region's VSA
+// it keeps the machine state and buffer, the inputs it has heard and the
+// region has not committed, in id order; it keeps neither otherwise.
 type node[I any] struct {
 	id     NodeID
 	region geo.RegionID // NoRegion when outside/failed
 	alive  bool
 
-	// Replica of the occupied region's VSA.
 	hasReplica bool
 	state      []byte
-	buffered   map[uint64]Input[I] // inputs heard but not yet committed
-	committed  map[uint64]uint64   // input id -> commit seq (dedup)
+	buffer     []Input[I]
 }
 
 // Emulator runs the leader-based emulation of a Program[I, O] for every
@@ -96,7 +101,7 @@ type Emulator[I, O any] struct {
 	tRestart sim.Time
 
 	nodes   map[NodeID]*node[I]
-	regions []*regionState
+	regions []*regionState[I]
 	inputID uint64
 
 	// members holds each region's alive nodes, ascending by id: a node
@@ -115,11 +120,15 @@ func (e *Emulator[I, O]) fireEvent(ev RegionEvent) {
 	}
 }
 
-type regionState struct {
-	alive      bool
-	leader     NodeID // NoNode when failed
-	restart    *sim.Timer
-	nextCommit uint64
+// regionState is one region's VSA. inc counts its ended incarnations, and
+// pending is every input submitted to the current one and not committed, in
+// id order: the one record of what the region holds.
+type regionState[I any] struct {
+	alive   bool
+	leader  NodeID // NoNode when failed
+	restart *sim.Timer
+	inc     uint64
+	pending []Input[I]
 }
 
 // NoNode is the sentinel leader value for a failed VSA.
@@ -183,16 +192,14 @@ func New[I, O any](k *sim.Kernel, t geo.Tiling, prog Program[I, O], delta, tRest
 		delta:    delta,
 		tRestart: tRestart,
 		nodes:    make(map[NodeID]*node[I]),
-		regions:  make([]*regionState, t.NumRegions()),
+		regions:  make([]*regionState[I], t.NumRegions()),
 		members:  make([][]*node[I], t.NumRegions()),
 		sink:     sink,
 		events:   events,
 	}
 	for u := range e.regions {
-		rs := &regionState{leader: NoNode}
 		u := geo.RegionID(u)
-		rs.restart = sim.NewTimer(k, func() { e.completeRestart(u) })
-		e.regions[int(u)] = rs
+		e.regions[u] = &regionState[I]{leader: NoNode, restart: sim.NewTimer(k, func() { e.completeRestart(u) })}
 	}
 	return e
 }
@@ -231,12 +238,10 @@ func (e *Emulator[I, O]) MoveNode(id NodeID, u geo.RegionID) error {
 
 // FailNode crash-stops a node (its replica is lost with it).
 func (e *Emulator[I, O]) FailNode(id NodeID) {
-	n, ok := e.nodes[id]
-	if !ok || !n.alive {
-		return
+	if n, ok := e.nodes[id]; ok && n.alive {
+		e.leave(n)
+		n.alive = false
 	}
-	e.leave(n)
-	n.alive = false
 }
 
 // Alive reports whether region u's emulated VSA is up.
@@ -267,33 +272,52 @@ func (e *Emulator[I, O]) Members(u geo.RegionID) []NodeID {
 }
 
 // Submit delivers an input to region u's VSA: it is broadcast within the
-// region (taking delta), buffered by every present node, and executed by
-// the leader one more delta later (sequencing + commit broadcast) — a
-// total emulation lag of 2·delta, which instantiates the paper's e.
-// Inputs submitted while the VSA is down are lost, as in the abstract
+// region (taking delta), buffered by every replica, and executed by the
+// leader one more delta later (sequencing + commit broadcast) — a total
+// emulation lag of 2·delta, which instantiates the paper's e. An input
+// submitted while the VSA is down is lost at once, and one whose
+// incarnation ends before it commits is lost with it, as in the abstract
 // layer.
 func (e *Emulator[I, O]) Submit(u geo.RegionID, msg I) error {
 	if !e.tiling.Contains(u) {
 		return fmt.Errorf("emul: region %v outside tiling", u)
 	}
+	rs := e.regions[int(u)]
+	if !rs.alive {
+		return nil
+	}
 	e.inputID++
-	in := Input[I]{ID: e.inputID, Msg: msg}
+	in, inc := Input[I]{ID: e.inputID, Msg: msg}, rs.inc
+	rs.pending = append(rs.pending, in)
 	e.k.Schedule(e.delta, func() {
-		// The broadcast reaches whatever nodes are present now.
+		if rs.inc != inc {
+			return // the incarnation ended and lost the input
+		}
+		// The broadcast reaches the replicas present now; with one delta
+		// for every input, broadcasts land in id order.
 		for _, n := range e.membersOf(u) {
-			if n.buffered == nil {
-				n.buffered = make(map[uint64]Input[I])
+			if n.hasReplica {
+				n.buffer = append(n.buffer, in)
 			}
-			n.buffered[in.ID] = in
 		}
 		// Commit only up to this input's sequence point: later inputs wait
 		// for their own commit rounds, so each input's lag is exactly
 		// 2·delta and cross-region interleaving matches a direct execution
-		// when delta is 0. (Promote/restart sweep with no bound instead:
-		// a recovering leader catches up on everything it has buffered.)
+		// when delta is 0. (A promoted leader commits its whole buffer.)
 		e.k.Schedule(e.delta, func() { e.leaderExecuteUpTo(u, in.ID) })
 	})
 	return nil
+}
+
+// Uncommitted calls fn for each input submitted to region u's current
+// incarnation and not yet committed, in id order. When the region fails,
+// its RegionFailed hook is the last to see them.
+func (e *Emulator[I, O]) Uncommitted(u geo.RegionID, fn func(Input[I])) {
+	if e.tiling.Contains(u) {
+		for _, in := range e.regions[int(u)].pending {
+			fn(in)
+		}
+	}
 }
 
 // MaxLag returns the worst-case emulation output lag (the paper's e) for
@@ -313,13 +337,31 @@ func memberIndex[I any](members []*node[I], id NodeID) int {
 	return i
 }
 
+// leaderOf returns region u's leader while its VSA is up, else nil.
+func (e *Emulator[I, O]) leaderOf(u geo.RegionID) *node[I] {
+	rs := e.regions[int(u)]
+	if !rs.alive || rs.leader == NoNode {
+		return nil
+	}
+	if l := e.nodes[rs.leader]; l != nil && l.alive && l.region == u && l.hasReplica {
+		return l
+	}
+	return nil
+}
+
+// popThrough drops buf's prefix of inputs with id at most id, in place.
+func popThrough[I any](buf []Input[I], id uint64) []Input[I] {
+	i := 0
+	for i < len(buf) && buf[i].ID <= id {
+		i++
+	}
+	return buf[:copy(buf, buf[i:])]
+}
+
 func (e *Emulator[I, O]) enter(n *node[I], u geo.RegionID) {
 	n.region = u
 	m := e.members[int(u)]
 	e.members[int(u)] = slices.Insert(m, memberIndex(m, n.id), n)
-	n.hasReplica = false
-	n.buffered = make(map[uint64]Input[I])
-	n.committed = make(map[uint64]uint64)
 	rs := e.regions[int(u)]
 	if rs.alive {
 		// Joining an up VSA: fetch a checkpoint from the leader (one
@@ -333,41 +375,28 @@ func (e *Emulator[I, O]) enter(n *node[I], u geo.RegionID) {
 	}
 }
 
-// scheduleCheckpoint transfers the leader's state to a joining node after
-// one broadcast round. The state is read at *arrival* time (the leader
-// streams updates until the joiner is synced), so commits during the
+// scheduleCheckpoint transfers the leader's state and buffer to a joining
+// node after one broadcast round. They are read at *arrival* time (the
+// leader streams updates until the joiner is synced), so commits during the
 // transfer are not lost on the new replica.
 func (e *Emulator[I, O]) scheduleCheckpoint(n *node[I], u geo.RegionID) {
 	e.k.Schedule(e.delta, func() {
 		if !n.alive || n.region != u || n.hasReplica {
 			return
 		}
-		rs := e.regions[int(u)]
-		if !rs.alive || rs.leader == NoNode {
-			return
+		if leader := e.leaderOf(u); leader != nil {
+			n.state = append([]byte(nil), leader.state...)
+			n.buffer = append([]Input[I](nil), leader.buffer...)
+			n.hasReplica = true
 		}
-		leader := e.nodes[rs.leader]
-		if leader == nil || !leader.alive || leader.region != u || !leader.hasReplica {
-			return
-		}
-		n.state = append([]byte(nil), leader.state...)
-		n.committed = make(map[uint64]uint64, len(leader.committed))
-		for id, seq := range leader.committed {
-			n.committed[id] = seq
-		}
-		// Share the leader's input buffer too (models retransmission of
-		// broadcasts the joiner missed).
-		for id, in := range leader.buffered {
-			n.buffered[id] = in
-		}
-		n.hasReplica = true
 	})
 }
 
+// leave takes n out of its region; n's replica, if any, is lost with it.
 func (e *Emulator[I, O]) leave(n *node[I]) {
 	u := n.region
 	n.region = geo.NoRegion
-	n.hasReplica = false
+	n.hasReplica, n.state, n.buffer = false, nil, nil
 	if u == geo.NoRegion {
 		return
 	}
@@ -375,15 +404,11 @@ func (e *Emulator[I, O]) leave(n *node[I]) {
 	i := memberIndex(m, n.id)
 	e.members[int(u)] = slices.Delete(m, i, i+1)
 	rs := e.regions[int(u)]
-	members := e.membersOf(u)
-	if len(members) == 0 {
+	if len(e.membersOf(u)) == 0 {
 		// Region clientless: VSA fails, state lost.
 		rs.restart.Clear()
-		wasAlive := rs.alive
-		rs.alive = false
-		rs.leader = NoNode
-		if wasAlive {
-			e.fireEvent(RegionEvent{U: u, Kind: RegionFailed, Leader: NoNode})
+		if rs.alive {
+			e.fail(u)
 		}
 		return
 	}
@@ -392,110 +417,84 @@ func (e *Emulator[I, O]) leave(n *node[I]) {
 	}
 }
 
-// promote elects the lowest-id replica-holding node as leader; it
-// re-executes any inputs it buffered that the old leader never committed.
+// fail ends region u's incarnation: the VSA is down, and its state and
+// uncommitted inputs are lost. The RegionFailed hook still lists them.
+func (e *Emulator[I, O]) fail(u geo.RegionID) {
+	rs := e.regions[int(u)]
+	rs.alive, rs.leader = false, NoNode
+	rs.inc++
+	e.fireEvent(RegionEvent{U: u, Kind: RegionFailed, Leader: NoNode})
+	clear(rs.pending)
+	rs.pending = rs.pending[:0]
+}
+
+// promote elects the lowest-id replica-holding node as leader; it commits
+// every input it buffered that the old leader never committed.
 func (e *Emulator[I, O]) promote(u geo.RegionID) {
 	rs := e.regions[int(u)]
 	for _, cand := range e.membersOf(u) {
 		if cand.hasReplica {
 			rs.leader = cand.id
 			e.fireEvent(RegionEvent{U: u, Kind: LeaderChanged, Leader: cand.id})
-			e.leaderExecute(u)
+			e.leaderExecuteUpTo(u, ^uint64(0))
 			return
 		}
 	}
 	// No node holds a replica (all mirrors were still checkpointing):
 	// the VSA state is unrecoverable — treat as failure.
-	rs.alive = false
-	rs.leader = NoNode
-	rs.restart.Clear()
-	e.fireEvent(RegionEvent{U: u, Kind: RegionFailed, Leader: NoNode})
-	if len(e.membersOf(u)) > 0 {
-		rs.restart.SetAfter(e.tRestart)
-	}
+	e.fail(u)
+	rs.restart.SetAfter(e.tRestart)
 }
 
 func (e *Emulator[I, O]) completeRestart(u geo.RegionID) {
 	rs := e.regions[int(u)]
-	members := e.membersOf(u)
-	if rs.alive || len(members) == 0 {
+	if rs.alive || len(e.membersOf(u)) == 0 {
 		return
 	}
-	rs.alive = true
-	rs.leader = members[0].id
-	rs.nextCommit = 0
-	for _, n := range members {
-		n.state = e.prog.Init(u)
-		n.hasReplica = true
-		n.committed = make(map[uint64]uint64)
-		// Buffered inputs from before the restart belong to the dead
-		// incarnation and are dropped.
-		n.buffered = make(map[uint64]Input[I])
-	}
+	e.start(u)
 	e.fireEvent(RegionEvent{U: u, Kind: RegionRestarted, Leader: rs.leader})
-	e.leaderExecute(u)
 }
 
 // Boot marks every currently-occupied region's VSA alive immediately (the
 // correctly-initialized system start of the paper's executions).
 func (e *Emulator[I, O]) Boot() {
-	for u := range e.regions {
-		rs := e.regions[u]
-		members := e.membersOf(geo.RegionID(u))
-		if len(members) == 0 || rs.alive {
-			continue
-		}
-		rs.restart.Clear()
-		rs.alive = true
-		rs.leader = members[0].id
-		for _, n := range members {
-			n.state = e.prog.Init(geo.RegionID(u))
-			n.hasReplica = true
+	for u, rs := range e.regions {
+		if !rs.alive && len(e.members[u]) > 0 {
+			rs.restart.Clear()
+			e.start(geo.RegionID(u))
 		}
 	}
 }
 
-// leaderExecute lets region u's leader commit every input it has buffered
-// but not yet executed, in input-id order, emitting outputs and updating
-// all replicas (the commit broadcast is modeled as immediate application
-// at the replicas; replica divergence windows are covered by the
-// checkpoint join protocol).
-func (e *Emulator[I, O]) leaderExecute(u geo.RegionID) {
-	e.leaderExecuteUpTo(u, ^uint64(0))
+// start brings region u's VSA up from the program's initial state, led by
+// its lowest-id node, with every present node a replica.
+func (e *Emulator[I, O]) start(u geo.RegionID) {
+	rs, members := e.regions[int(u)], e.membersOf(u)
+	rs.alive, rs.leader = true, members[0].id
+	for _, n := range members {
+		n.state, n.hasReplica = e.prog.Init(u), true
+	}
 }
 
-// leaderExecuteUpTo is leaderExecute bounded to inputs with id <= maxID —
-// the per-input commit round of the normal (failure-free) path.
+// leaderExecuteUpTo lets region u's leader commit its buffer's prefix of
+// inputs with id <= maxID, in id order: it executes each, hands its outputs
+// to the sink, and every present replica applies it and pops it (the commit
+// broadcast is modeled as immediate application at the replicas; replica
+// divergence windows are covered by the checkpoint join protocol).
 func (e *Emulator[I, O]) leaderExecuteUpTo(u geo.RegionID, maxID uint64) {
+	leader := e.leaderOf(u)
+	if leader == nil {
+		return
+	}
 	rs := e.regions[int(u)]
-	if !rs.alive || rs.leader == NoNode {
-		return
-	}
-	leader := e.nodes[rs.leader]
-	if leader == nil || !leader.alive || leader.region != u || !leader.hasReplica {
-		return
-	}
-	// Deterministic order: ascending input id.
-	var todo []Input[I]
-	for id, in := range leader.buffered {
-		if id > maxID {
-			continue
-		}
-		if _, done := leader.committed[id]; !done {
-			todo = append(todo, in)
-		}
-	}
-	sort.Slice(todo, func(i, j int) bool { return todo[i].ID < todo[j].ID })
-	for _, in := range todo {
+	for len(leader.buffer) > 0 && leader.buffer[0].ID <= maxID {
+		in := leader.buffer[0]
 		next, outs := e.prog.Step(leader.state, in)
-		rs.nextCommit++
-		seq := rs.nextCommit
 		if e.sink != nil {
 			for _, out := range outs {
 				e.sink(u, out)
 			}
 		}
-		// Commit: every present replica applies the same input.
 		for _, n := range e.membersOf(u) {
 			if !n.hasReplica {
 				continue
@@ -503,11 +502,10 @@ func (e *Emulator[I, O]) leaderExecuteUpTo(u geo.RegionID, maxID uint64) {
 			if n == leader {
 				n.state = next
 			} else {
-				st, _ := e.prog.Step(n.state, in)
-				n.state = st
+				n.state, _ = e.prog.Step(n.state, in)
 			}
-			n.committed[in.ID] = seq
-			delete(n.buffered, in.ID)
+			n.buffer = popThrough(n.buffer, in.ID)
 		}
+		rs.pending = popThrough(rs.pending, in.ID)
 	}
 }

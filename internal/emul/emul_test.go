@@ -3,9 +3,12 @@ package emul
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"vinestalk/internal/geo"
 	"vinestalk/internal/sim"
@@ -429,4 +432,223 @@ func TestEmulatorDeterminism(t *testing.T) {
 	if a, b := run(), run(); a != b {
 		t.Fatalf("runs diverged: %s vs %s", a, b)
 	}
+}
+
+// TestEveryCommitPointLosesNothing proves the replica rule by exhaustion on
+// one script: 12 inputs to region 0 of a 2×2 tiling with 3 nodes a region,
+// submitted half a delta apart, so that at every commit point inputs are
+// buffered and uncommitted and more are on their way. For every commit
+// point k — after the k-th output — one run crashes the leader, and
+// another joins a node and, once its checkpoint has landed, crashes every
+// original node of the region, the leader last, so the joiner leads on what
+// the checkpoint gave it. Each run's trace must equal the direct execution's: no input
+// lost, none applied twice (the inputs are powers of two, so either shows
+// in every later total).
+func TestEveryCommitPointLosesNothing(t *testing.T) {
+	inputs := make([]uint64, 12)
+	for i := range inputs {
+		inputs[i] = 1 << i
+	}
+	run := func(k int, join bool) {
+		kern := sim.New(1)
+		e, rec := newRecorded(kern, geo.MustGridTiling(2, 2))
+		for id := NodeID(0); id < 12; id++ {
+			if err := e.AddNode(id, geo.RegionID(id/3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Boot()
+		for i, v := range inputs {
+			kern.At(sim.Time(i)*delta/2, func() {
+				if err := e.Submit(0, v); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		// Commit point k: k outputs, and an input buffered and uncommitted
+		// unless all have committed.
+		held := func() bool { l := e.leaderOf(0); return l != nil && len(l.buffer) > 0 }
+		for (len(rec.outs[0]) < k || k < len(inputs) && !held()) && kern.Step() {
+		}
+		if len(rec.outs[0]) != k {
+			t.Fatalf("commit point %d: %d outputs", k, len(rec.outs[0]))
+		}
+		if join {
+			const joiner = 100
+			if err := e.AddNode(joiner, 0); err != nil {
+				t.Fatal(err)
+			}
+			for !e.nodes[joiner].hasReplica && kern.Step() {
+			}
+			// Followers first, so that no original node is promoted and
+			// commits its buffer before the joiner leads.
+			for id := NodeID(2); id >= 0; id-- {
+				e.FailNode(id)
+			}
+			if got := e.Leader(0); got != joiner {
+				t.Fatalf("k=%d: leader after the originals crashed = %v, want the joiner", k, got)
+			}
+		} else {
+			e.FailNode(e.Leader(0))
+			if !e.Alive(0) {
+				t.Fatalf("k=%d: the region died with its leader", k)
+			}
+		}
+		kern.Run()
+		if got, want := fmt.Sprint(rec.totals(0)), fmt.Sprint(oracle(0, inputs)); got != want {
+			t.Fatalf("k=%d, join=%v: trace %s, direct execution %s", k, join, got, want)
+		}
+	}
+	for k := 0; k <= len(inputs); k++ {
+		run(k, false)
+		run(k, true)
+	}
+}
+
+// paddedProgram is counterProgram with a 64-byte state, so that what a
+// checkpoint copies falls in fixed size classes.
+type paddedProgram struct{}
+
+func (paddedProgram) Init(geo.RegionID) []byte { return make([]byte, 64) }
+
+func (paddedProgram) Step(state []byte, in Input[uint64]) ([]byte, []uint64) {
+	cur := binary.BigEndian.Uint64(state) + in.Msg
+	next := make([]byte, 64)
+	binary.BigEndian.PutUint64(next, cur)
+	return next, []uint64{cur}
+}
+
+// TestEmulatorJoinKeepsNoHistory: a replica keeps its state and the inputs
+// not yet committed, and no record of what it has committed, so a joiner's
+// checkpoint copies the same bytes after 10 committed inputs as after
+// 10 000: the 64-byte state and two pending inputs, 16 bytes each.
+func TestEmulatorJoinKeepsNoHistory(t *testing.T) {
+	checkpoint := func(history int) uint64 {
+		k := sim.New(1)
+		e := New[uint64](k, geo.MustGridTiling(2, 1), paddedProgram{}, delta, tRestart, nil, nil)
+		for id := NodeID(1); id <= 2; id++ {
+			if err := e.AddNode(id, geo.RegionID(id-1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Boot()
+		for i := 0; i < history; i++ {
+			_ = e.Submit(0, 1)
+		}
+		k.Run()
+		// Node 2 joins region 0 with two inputs broadcast and not committed
+		// when its checkpoint lands, delta later, and leaves again. The
+		// least of five joins is the checkpoint's own cost: anything else
+		// the process allocates meanwhile only adds to a reading.
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			_ = e.Submit(0, 1)
+			_ = e.Submit(0, 1)
+			k.RunFor(delta / 2)
+			if err := e.MoveNode(2, 0); err != nil {
+				t.Fatal(err)
+			}
+			k.RunFor(delta / 2)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			k.RunFor(delta / 2)
+			runtime.ReadMemStats(&after)
+			if n := e.nodes[2]; !n.hasReplica || len(n.buffer) != 2 {
+				t.Fatalf("after %d inputs: the joiner holds a replica %v with %d buffered inputs, want 2", history, n.hasReplica, len(n.buffer))
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+			k.Run()
+			if err := e.MoveNode(2, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return least
+	}
+	small, large := checkpoint(10), checkpoint(10_000)
+	t.Logf("a checkpoint copies %d bytes after 10 inputs, %d after 10 000", small, large)
+	if want := uint64(64 + 2*unsafe.Sizeof(Input[uint64]{})); small != want || large != want {
+		t.Errorf("a checkpoint copies %d bytes after 10 inputs and %d after 10 000, want %d for both", small, large, want)
+	}
+}
+
+// TestLostReplicaKeepsNothing crashes and replaces region 0's leader again
+// and again, moving a follower out and back in between, and requires that
+// no node without a replica — crashed, departed or still checkpointing —
+// holds a state or a buffered input.
+func TestLostReplicaKeepsNothing(t *testing.T) {
+	k, e, rec := newEmulator(t, 2)
+	for id := NodeID(1); id <= 3; id++ {
+		if err := e.AddNode(id, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Boot()
+	check := func(ctx string) {
+		t.Helper()
+		for _, n := range e.nodes {
+			if !n.hasReplica && (n.state != nil || len(n.buffer) > 0) {
+				t.Fatalf("%s: %v has no replica but keeps %d state bytes and %d inputs", ctx, n.id, len(n.state), len(n.buffer))
+			}
+		}
+	}
+	var inputs []uint64
+	next := NodeID(4)
+	for round := 0; round < 20; round++ {
+		v := uint64(round + 1)
+		inputs = append(inputs, v)
+		_ = e.Submit(0, v)
+		k.RunFor(delta + delta/2) // buffered, not committed
+		if err := e.AddNode(next, 0); err != nil {
+			t.Fatal(err)
+		}
+		next++
+		e.FailNode(e.Leader(0))
+		check("leader crashed")
+		follower := e.Members(0)[len(e.Members(0))-1]
+		if err := e.MoveNode(follower, 1); err != nil {
+			t.Fatal(err)
+		}
+		check("follower left")
+		k.Run()
+		if err := e.MoveNode(follower, 0); err != nil {
+			t.Fatal(err)
+		}
+		k.Run()
+		check("round over")
+	}
+	assertTraceEqual(t, rec.totals(0), oracle(0, inputs))
+}
+
+// An input belongs to the incarnation it was submitted to. Here the region
+// fails after a Submit and restarts (tRestart < delta) before the input's
+// broadcast would land: the new incarnation must not commit it. A Submit
+// while the region is down is lost at once.
+func TestInputCommitsOnlyInItsIncarnation(t *testing.T) {
+	k := sim.New(1)
+	e, rec := newRecorded(k, geo.MustGridTiling(2, 1))
+	e.tRestart = delta / 4
+	if err := e.AddNode(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	e.Boot()
+	_ = e.Submit(0, 5)
+	k.RunFor(delta / 4)
+	if err := e.MoveNode(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	_ = e.Submit(0, 7) // down: lost
+	if err := e.MoveNode(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	k.RunFor(delta / 2)
+	if !e.Alive(0) {
+		t.Fatal("the region did not restart before the input's broadcast")
+	}
+	k.Run()
+	if got := rec.totals(0); len(got) != 0 {
+		t.Fatalf("the restarted region committed %v, inputs of an ended incarnation", got)
+	}
+	_ = e.Submit(0, 9)
+	k.Run()
+	assertTraceEqual(t, rec.totals(0), oracle(0, []uint64{9}))
 }

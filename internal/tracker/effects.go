@@ -100,8 +100,7 @@ func (n *Network) execFound(e foundEffect) {
 }
 
 // execRecv traces the receipt of a delivered message. The host counts the
-// delivery off itself: the emulated host only when the commit is of an
-// input its region still holds.
+// delivery off itself.
 func (n *Network) execRecv(to hier.ClusterID, level int, d *cgcast.Delivery) {
 	if n.tr.Enabled() {
 		n.tr.Emit(trace.Event{

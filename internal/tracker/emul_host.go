@@ -2,7 +2,6 @@ package tracker
 
 import (
 	"fmt"
-	"slices"
 
 	"vinestalk/internal/cgcast"
 	"vinestalk/internal/emul"
@@ -43,40 +42,27 @@ type emulHost struct {
 
 	wakeups *keyedWakeups
 
-	// uncommitted holds, per region, the deliveries submitted to the region
-	// and not yet committed: these are in flight, no longer in C-gcast and
-	// not yet received. One leaves at its recv commit, or is counted as a
-	// drop when the region's failure or restart discards its input.
-	// dropped counts, per region, those discards (dropRegion): a delivery
-	// carries the count of its submission, so a commit of one submitted
-	// before the latest discard is known to have been counted already.
-	uncommitted [][]Transit
-	dropped     []uint32
-
 	// log is the running Step's effects, in emission order; its array is
 	// reused by every Step, since the emulator hands the leader's outputs to
 	// the sink before the next Step runs. stepping is set while a Step runs:
-	// an effect emitted outside one is executed at once. stepDropped is the
-	// running Step's input's discard count, which its recv effect keeps.
-	log         []emulEffect
-	stepping    bool
-	stepDropped uint32
+	// an effect emitted outside one is executed at once.
+	log      []emulEffect
+	stepping bool
 }
 
 // emulInput is one input of a region's emulated machine: a C-gcast
 // delivery to the process at level (a copy, since the emulator keeps inputs
-// past the call that delivered them) submitted when the region's discard
-// count was dropped, or, when wakeup is set, a host timer wakeup of timer id
-// armed for deadline at, which the automaton validates against the slot's
-// recorded deadline.
+// past the call that delivered them), or, when wakeup is set, a host timer
+// wakeup of timer id armed for deadline at, which the automaton validates
+// against the slot's recorded deadline. A delivery the region holds
+// uncommitted is in flight: no longer in C-gcast and not yet received.
 type emulInput struct {
-	u       geo.RegionID
-	level   int
-	del     cgcast.Delivery
-	dropped uint32
-	wakeup  bool
-	id      vsa.TimerID
-	at      sim.Time
+	u      geo.RegionID
+	level  int
+	del    cgcast.Delivery
+	wakeup bool
+	id     vsa.TimerID
+	at     sim.Time
 }
 
 // effectTag names which outlet call an emulEffect records.
@@ -93,23 +79,20 @@ const (
 
 // emulEffect is one outlet call of a Step, deferred to the leader's commit:
 // tag says which call, and so which fields are set. A recv keeps a copy of
-// its delivery and its input's discard count; a timer write keeps id and
-// at, with at = ∞ for a clear.
+// its delivery; a timer write keeps id and at, with at = ∞ for a clear.
 type emulEffect struct {
-	tag     effectTag
-	level   int            // recv, grow, query
-	to      hier.ClusterID // recv
-	dropped uint32         // recv
-	id      vsa.TimerID    // timer
-	at      sim.Time       // timer
-	send    sendEffect
-	found   foundEffect
-	del     cgcast.Delivery // recv
+	tag   effectTag
+	level int            // recv, grow, query
+	to    hier.ClusterID // recv
+	id    vsa.TimerID    // timer
+	at    sim.Time       // timer
+	send  sendEffect
+	found foundEffect
+	del   cgcast.Delivery // recv
 }
 
 func newEmulHost(n *Network, a *Automaton, delta, tRestart sim.Time) *emulHost {
-	h := &emulHost{net: n, aut: a, k: n.k,
-		uncommitted: make([][]Transit, len(a.regions)), dropped: make([]uint32, len(a.regions))}
+	h := &emulHost{net: n, aut: a, k: n.k}
 	// A wakeup is routed through the emulator as a regular input, carrying
 	// the deadline it was armed for.
 	h.wakeups = newKeyedWakeups(n.k, len(a.regions), func(u geo.RegionID, id vsa.TimerID, at sim.Time) {
@@ -193,7 +176,7 @@ func (h *emulHost) found(u geo.RegionID, e foundEffect) {
 	h.effect(u, emulEffect{tag: effFound, found: e})
 }
 func (h *emulHost) recv(u geo.RegionID, to hier.ClusterID, level int, d *cgcast.Delivery) {
-	h.effect(u, emulEffect{tag: effRecv, to: to, level: level, dropped: h.stepDropped, del: *d})
+	h.effect(u, emulEffect{tag: effRecv, to: to, level: level, del: *d})
 }
 func (h *emulHost) noteGrow(u geo.RegionID, level int) {
 	h.effect(u, emulEffect{tag: effGrow, level: level})
@@ -217,7 +200,7 @@ func (h *emulHost) Init(u geo.RegionID) []byte {
 
 func (h *emulHost) Step(state []byte, in emul.Input[emulInput]) (next []byte, outputs []emulEffect) {
 	m := &in.Msg
-	h.log, h.stepping, h.stepDropped = h.log[:0], true, m.dropped
+	h.log, h.stepping = h.log[:0], true
 	err := h.aut.DecodeRegion(m.u, state)
 	if err == nil && m.wakeup {
 		h.aut.TimerFire(m.u, m.id, m.at)
@@ -243,9 +226,7 @@ func (h *emulHost) applyOutput(u geo.RegionID, e emulEffect) {
 	case effFound:
 		n.execFound(e.found)
 	case effRecv:
-		if h.commit(u, &e) {
-			n.count(e.del.Kind, -1)
-		}
+		n.count(e.del.Kind, -1)
 		n.execRecv(e.to, e.level, &e.del)
 	case effGrow:
 		n.noteGrow(e.level)
@@ -258,25 +239,6 @@ func (h *emulHost) applyOutput(u geo.RegionID, e emulEffect) {
 			h.wakeups.arm(u, e.id, e.at)
 		}
 	}
-}
-
-// commit takes the delivery of a committed recv effect off region u's
-// uncommitted list and reports whether it was there. It is not when the
-// region discarded its inputs after the delivery was submitted: dropRegion
-// counted it off then. Such a delivery can still commit, in the region's
-// next incarnation: the emulator's broadcast of an input lands delta after
-// its submission, so with tRestart < delta a region that fails and restarts
-// in between buffers it afresh (TestStaleCommitIsCountedOnce).
-func (h *emulHost) commit(u geo.RegionID, e *emulEffect) bool {
-	if e.dropped != h.dropped[u] {
-		return false
-	}
-	ts := h.uncommitted[u]
-	i := slices.Index(ts, Transit{Obj: ObjectID(e.del.Obj), Kind: e.del.Kind, From: e.del.From, To: e.to})
-	if i >= 0 {
-		h.uncommitted[u] = slices.Delete(ts, i, i+1)
-	}
-	return i >= 0
 }
 
 // onRegionEvent reconciles host-side state with the emulated VSA's
@@ -304,17 +266,18 @@ func (h *emulHost) onRegionEvent(ev emul.RegionEvent) {
 	})
 }
 
-// dropRegion forgets region u's machine state, its host wakeups and its
-// uncommitted inputs. The emulator discards those inputs with the region, so
-// their deliveries resolve as drops, as at a delivery to a dead region.
+// dropRegion forgets region u's machine state and its host wakeups, and
+// counts off the deliveries the emulator lists as uncommitted: at a failure
+// they are lost with the region's incarnation, as at a delivery to a dead
+// region (a restarted region holds none).
 func (h *emulHost) dropRegion(u geo.RegionID) {
 	h.wakeups.disarmRegion(u)
 	h.aut.dropRegionState(u)
-	for _, t := range h.uncommitted[u] {
-		h.net.count(t.Kind, -1)
-	}
-	h.uncommitted[u] = h.uncommitted[u][:0]
-	h.dropped[u]++
+	h.em.Uncommitted(u, func(in emul.Input[emulInput]) {
+		if !in.Msg.wakeup {
+			h.net.count(in.Msg.del.Kind, -1)
+		}
+	})
 }
 
 // emulRegionHandler bridges the abstract VSA layer to the emulator: a
@@ -337,14 +300,13 @@ func (rh emulRegionHandler) Receive(level int, msg any) {
 	if !h.em.Alive(rh.u) {
 		// The emulated VSA is down: the message dies here, exactly like a
 		// delivery to a dead abstract VSA. Count it off so the quiescence
-		// detector does not wait on a message that can never commit (a
-		// post-restart incarnation drops pre-failure inputs).
+		// detector does not wait on a message that can never commit (the
+		// emulator loses an input submitted to a down region).
 		h.net.noteDropped(rh.u, level, del)
 		return
 	}
-	if h.em.Submit(rh.u, emulInput{u: rh.u, level: level, del: *del, dropped: h.dropped[rh.u]}) == nil {
-		h.uncommitted[rh.u] = append(h.uncommitted[rh.u], h.net.transitOf(rh.u, level, del))
-	}
+	// Submit fails only for a region outside the tiling, which rh.u is not.
+	_ = h.em.Submit(rh.u, emulInput{u: rh.u, level: level, del: *del})
 }
 
 // Reset is a no-op: in emulation mode the abstract layer is always alive

@@ -553,8 +553,8 @@ func (n *Network) MoveQuiescent() bool {
 // InTransit returns the in-flight protocol messages (sorted, for
 // determinism), as the lookAhead checker consumes them: every message
 // C-gcast holds (cgcast.Service.InFlight) and, on the emulated host, every
-// delivery a region took and has not committed. Call it between kernel
-// events, as InFlight asks.
+// delivery a region took and has not committed (emul.Emulator.Uncommitted).
+// Call it between kernel events, as InFlight asks.
 func (n *Network) InTransit() []Transit {
 	return n.inTransit(func(ObjectID) bool { return true })
 }
@@ -573,13 +573,13 @@ func (n *Network) inTransit(want func(ObjectID) bool) []Transit {
 			out = append(out, n.transitOf(u, level, d))
 		}
 	})
-	if n.emulHost != nil {
-		for _, ts := range n.emulHost.uncommitted {
-			for _, t := range ts {
-				if want(t.Obj) {
-					out = append(out, t)
+	if h := n.emulHost; h != nil {
+		for u := range h.aut.regions {
+			h.em.Uncommitted(geo.RegionID(u), func(in emul.Input[emulInput]) {
+				if m := &in.Msg; !m.wakeup && want(ObjectID(m.del.Obj)) {
+					out = append(out, n.transitOf(m.u, m.level, &m.del))
 				}
-			}
+			})
 		}
 	}
 	slices.SortFunc(out, func(a, b Transit) int {
